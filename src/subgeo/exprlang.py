@@ -14,12 +14,18 @@ Variables are ``x1..xn`` (1-indexed); on tangent-bundle charts of dimension
 n+1..2n.  Functions: exp, log, sin, cos, sqrt, tanh.  ``+ - * /`` are
 left-associative with the usual precedence; ``^`` takes an integer literal
 exponent and binds tighter than unary minus.
+
+An AST evaluates as a jet at one point (:func:`eval_jet`, orders 0..3) or
+is compiled once into a closure that gives values and gradients at a
+whole stack of points (:func:`compile_batched`, orders 0..1).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ContractViolation, EvalDomain, ExprSyntaxError
 from .jets import Jet
@@ -290,3 +296,173 @@ def eval_jet(node, point, order: int) -> Jet:
         if exc.point is None:
             raise EvalDomain(str(exc), point) from None
         raise
+
+
+# -- batched evaluation -------------------------------------------------
+#
+# Compilation turns expressions into a straight-line program with one
+# instruction per distinct subexpression.  An instruction maps points
+# (N, d) to (value, grad): value is (N,), or a scalar for constant
+# subexpressions, and grad is (N, d), or None when identically zero.  Each
+# instruction follows the Jet method it mirrors (division is multiplication
+# by the reciprocal, subtraction adds the negation, integer powers square
+# repeatedly), so a row agrees with eval_jet at that point to the last bit
+# wherever numpy's elementary functions agree with the math module's.
+
+
+def compile_batched(nodes):
+    """Compile ASTs into ``fn(points) -> (values, grads)``.
+
+    ``points`` is an (N, d) array; ``values`` is (N, E) and ``grads``
+    (N, d, E): the order-1 jets of the E expressions at every point.  A
+    subexpression shared between or within the expressions is evaluated
+    once per call.  A domain error, including any non-finite value or
+    derivative, raises :class:`EvalDomain` carrying the first point where
+    it occurs.
+    """
+    program, slots = [], {}  # instructions (fn, argument slots, constants)
+    dim_needed = 0
+
+    def emit(fn, args=(), consts=(), key=None):
+        key = (fn, args, consts if key is None else key)
+        if key not in slots:
+            slots[key] = len(program)
+            program.append((fn, args, consts))
+        return slots[key]
+
+    def walk(n):
+        nonlocal dim_needed
+        if isinstance(n, Const):
+            return emit(_b_const, consts=(np.float64(n.value),), key=float(n.value).hex())
+        if isinstance(n, Var):
+            dim_needed = max(dim_needed, n.index + 1)
+            return emit(_b_var, consts=(n.index,))
+        if isinstance(n, Neg):
+            return emit(_b_neg, (walk(n.arg),))
+        if isinstance(n, Pow):
+            base, p = walk(n.base), n.exponent
+            if p < 0:
+                base, p = emit(_b_reciprocal, (base,)), -p
+            return emit(_b_ipow, (base,), (p,))
+        if isinstance(n, Call):
+            return emit(_b_call, (walk(n.arg),), (n.func,))
+        if isinstance(n, Bin):
+            a, b = walk(n.left), walk(n.right)
+            if n.op == "-":
+                b = emit(_b_neg, (b,))
+            elif n.op == "/":
+                b = emit(_b_reciprocal, (b,))
+            return emit(_b_add if n.op in "+-" else _b_mul, (a, b))
+        raise ContractViolation(f"not an expression node: {n!r}")
+
+    outputs = [walk(n) for n in nodes]
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] < dim_needed:
+            raise ContractViolation(
+                f"expressions need points of dimension {dim_needed}, got shape {points.shape}")
+        regs = []
+        with np.errstate(all="ignore"):
+            for fn, args, consts in program:
+                regs.append(fn(points, *[regs[a] for a in args], *consts))
+        values = np.empty((len(points), len(outputs)))
+        grads = np.zeros(points.shape + (len(outputs),))
+        for e, slot in enumerate(outputs):
+            value, grad = regs[slot]
+            values[:, e] = value
+            if grad is not None:
+                grads[:, :, e] = grad
+        if not (np.isfinite(values).all() and np.isfinite(grads).all()):
+            bad = ~(np.isfinite(values).all(axis=1) & np.isfinite(grads).all(axis=(1, 2)))
+            _domain(bad, points, "non-finite value or derivative")
+        return values, grads
+
+    return evaluate
+
+
+def _rows(value) -> bool:
+    """Whether an instruction value has one row per point (else a scalar)."""
+    return isinstance(value, np.ndarray)
+
+
+def _domain(bad, points, message):
+    """Raise EvalDomain at the first point flagged in ``bad`` (per row, or
+    one flag for a scalar)."""
+    if len(points) and bad.any():
+        raise EvalDomain(message, points[int(np.argmax(bad)) if _rows(bad) else 0])
+
+
+def _scale(c, grad):
+    if grad is None:
+        return None
+    return (c[:, None] if _rows(c) else c) * grad
+
+
+def _plus(g1, g2):
+    if g1 is None:
+        return g2
+    if g2 is None:
+        return g1
+    return g1 + g2
+
+
+def _b_const(points, value):
+    return value, None
+
+
+def _b_var(points, index):
+    grad = np.zeros(points.shape)
+    grad[:, index] = 1.0
+    return points[:, index], grad
+
+
+def _b_add(points, a, b):
+    (av, ag), (bv, bg) = a, b
+    return av + bv, _plus(ag, bg)
+
+
+def _b_neg(points, a):
+    value, grad = a
+    return -value, None if grad is None else -grad
+
+
+def _b_mul(points, a, b):
+    (av, ag), (bv, bg) = a, b
+    return av * bv, _plus(_scale(av, bg), _scale(bv, ag))
+
+
+def _b_reciprocal(points, a):
+    value, grad = a
+    _domain(value == 0.0, points, "division by zero")
+    return 1.0 / value, _scale(-1.0 / value**2, grad)
+
+
+def _b_ipow(points, a, p):
+    result, base = None, a  # None stands for the constant 1
+    while p:
+        if p & 1:
+            result = base if result is None else _b_mul(points, result, base)
+        base = _b_mul(points, base, base) if p > 1 else base
+        p >>= 1
+    return (np.float64(1.0), None) if result is None else result
+
+
+def _b_call(points, a, func):
+    value, grad = a
+    if func in ("log", "sqrt"):
+        _domain(value <= 0.0, points, f"{func} of a non-positive value")
+    if func == "exp":
+        e = np.exp(value)
+        return e, _scale(e, grad)
+    if func == "log":
+        return np.log(value), _scale(1.0 / value, grad)
+    if func == "sqrt":
+        s = np.sqrt(value)
+        return s, _scale(0.5 / s, grad)
+    if func == "sin":
+        return np.sin(value), _scale(np.cos(value), grad)
+    if func == "cos":
+        return np.cos(value), _scale(-np.sin(value), grad)
+    t = np.tanh(value)
+    return t, _scale(1.0 - t * t, grad)

@@ -3,6 +3,10 @@
 Every geometric quantity is a field evaluable as a jet at a point, so
 derived objects (inverse metrics, connection coefficients, projectors)
 stay differentiable to whatever order the leaf expressions support.
+Scalar, metric and connection fields also have one batched float entry,
+``batch(points)``, that evaluates order-1 data at a whole (N, n) stack of
+points in one call; fields without a native batched form stack their
+per-point results.
 Finite-difference mode swaps the leaf evaluation for central differences
 while leaving all derived algebra untouched, giving an independent path
 through every check.
@@ -60,11 +64,21 @@ class ScalarField:
     def value(self, point) -> float:
         return self.jets(point, 0).value
 
+    def batch(self, points):
+        """(value (N,), grad (N, dim)) at a stack of points (N, dim)."""
+        return self._batch(_as_points(points, self.dim))
+
+    def _batch(self, points):
+        jets = [self._jets(tuple(p), 1) for p in points.tolist()]
+        return (_stack([j.value for j in jets], ()),
+                _stack([j.grad for j in jets], (self.dim,)))
+
 
 class ExprField(ScalarField):
     def __init__(self, ast, dim: int):
         self.ast = ast
         self.dim = dim
+        self._compiled = None  # compile_batched([ast]), built on first use
 
     @classmethod
     def parse(cls, text: str, dim: int, bundle: bool = False) -> "ExprField":
@@ -72,6 +86,12 @@ class ExprField(ScalarField):
 
     def _jets(self, point, order):
         return exprlang.eval_jet(self.ast, point, order)
+
+    def _batch(self, points):
+        if self._compiled is None:
+            self._compiled = exprlang.compile_batched([self.ast])
+        values, grads = self._compiled(points)
+        return values[:, 0], grads[:, :, 0]
 
     def __repr__(self):
         return f"ExprField({exprlang.to_text(self.ast)!r})"
@@ -104,6 +124,9 @@ class ConstField(ScalarField):
 
     def _jets(self, point, order):
         return Jet.constant(self._value, self.dim, order)
+
+    def _batch(self, points):
+        return np.full(len(points), self._value), np.zeros(points.shape)
 
 
 class FDField(ScalarField):
@@ -146,6 +169,62 @@ class FDField(ScalarField):
         return Jet(n, order, val, grad, hess, None)
 
 
+class _FieldStack:
+    """Order-1 values of several scalar fields on one chart, evaluated
+    together at a stack of points.
+
+    When every field is an expression or a constant, their ASTs compile on
+    first use into one program that evaluates each distinct subexpression
+    once per call; otherwise each field's ``batch`` is stacked.
+    """
+
+    def __init__(self, fields, dim: int):
+        self.fields = list(fields)
+        self.dim = dim
+        self._asts = [_leaf_ast(f) for f in self.fields]
+        self._compiled = None
+
+    def __call__(self, points):
+        """(values (N, E), grads (N, dim, E)) for the E fields."""
+        points = _as_points(points, self.dim)
+        if None in self._asts:
+            parts = [f.batch(points) for f in self.fields]
+            return (np.stack([v for v, _ in parts], axis=-1),
+                    np.stack([g for _, g in parts], axis=-1))
+        if self._compiled is None:
+            self._compiled = exprlang.compile_batched(self._asts)
+        return self._compiled(points)
+
+    def values(self, points) -> np.ndarray:
+        """Values (N, E) alone; fields that are neither expressions nor
+        constants (finite differences, derived fields) skip their gradients."""
+        if None not in self._asts:
+            return self(points)[0]
+        points = _as_points(points, self.dim)
+        return _stack([[f.value(p) for f in self.fields] for p in points.tolist()],
+                      (len(self.fields),))
+
+
+def _leaf_ast(fld):
+    if isinstance(fld, ExprField):
+        return fld.ast
+    if isinstance(fld, ConstField):
+        return exprlang.Const(fld._value)
+    return None
+
+
+def _as_points(points, dim: int) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ContractViolation(f"points have shape {points.shape}, need (N, {dim})")
+    return points
+
+
+def _stack(rows, shape) -> np.ndarray:
+    """Per-point results as one array (N, *shape), also for N = 0."""
+    return np.array(rows, dtype=float).reshape((len(rows),) + shape)
+
+
 def _shift(point, i, h):
     out = list(point)
     out[i] += h
@@ -178,6 +257,11 @@ class MetricField:
                 if not isinstance(e, ScalarField):
                     raise ContractViolation("metric entries must be scalar fields")
                 self._entries[(i, j)] = e
+        self._stack = _FieldStack(self._entries.values(), dim)
+        # position of entry (i, j) in the stack, for batch()
+        slot = {key: k for k, key in enumerate(self._entries)}
+        self._slots = np.array([[slot[(min(i, j), max(i, j))] for j in range(dim)]
+                                for i in range(dim)])
         self._jet_cache = {}
         self._inv_cache = {}
 
@@ -238,6 +322,12 @@ class MetricField:
                 dg[:, k, j] = dg[:, j, k]
         return g, dg
 
+    def batch(self, points):
+        """(g (N, n, n), dg (N, n, n, n)) at a stack of points, with
+        dg[p, i, j, k] the i-th partial of g_jk at point p."""
+        values, grads = self._stack(points)
+        return values[:, self._slots], grads[:, :, self._slots]
+
 
 class DerivedMetric(MetricField):
     """Metric whose full jet matrix is produced by a closure."""
@@ -271,6 +361,12 @@ class DerivedMetric(MetricField):
             hit = self._jet_cache[key] = self._matrix_fn(point, order)
         return hit
 
+    def batch(self, points):
+        parts = [self.partial_values(p) for p in np.asarray(points, dtype=float)]
+        n = self.dim
+        return (_stack([g for g, _ in parts], (n, n)),
+                _stack([dg for _, dg in parts], (n, n, n)))
+
 
 # -- connection fields ------------------------------------------------
 
@@ -293,6 +389,11 @@ class ConnectionField:
 
     def values(self, point) -> np.ndarray:
         return jet_values(self.coeff_jets(point, 0))
+
+    def batch(self, points) -> np.ndarray:
+        """Gamma[p, k, i, j] at a stack of points (N, dim)."""
+        n = self.dim
+        return _stack([self.values(p) for p in np.asarray(points, dtype=float)], (n, n, n))
 
     def d_values(self, point) -> np.ndarray:
         """dG[l, k, i, j] = l-th partial of Gamma^k_ij."""
@@ -334,6 +435,7 @@ class ExprConnection(ConnectionField):
             ]
             for k in range(dim)
         ]
+        self._stack = _coefficient_stack(self._fields, dim)
 
     @classmethod
     def zero(cls, dim: int) -> "ExprConnection":
@@ -345,6 +447,9 @@ class ExprConnection(ConnectionField):
             [[self._fields[k][i][j].jets(point, order) for j in range(self.dim)] for i in range(self.dim)]
             for k in range(self.dim)
         ]
+
+    def batch(self, points) -> np.ndarray:
+        return _coefficient_values(self._stack, points)
 
 
 class LeviCivitaConnection(ConnectionField):
@@ -374,12 +479,21 @@ class LeviCivitaConnection(ConnectionField):
         return out
 
     def values(self, point) -> np.ndarray:
-        n = self.dim
         g, dg = self.metric.partial_values(point)
-        # w[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-        w = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-        rhs = np.transpose(w, (2, 0, 1)).reshape(n, n * n)
-        return 0.5 * solve_linear(g, rhs).reshape(n, n, n)
+        return _levi_civita(g[None], dg[None])[0]
+
+    def batch(self, points) -> np.ndarray:
+        return _levi_civita(*self.metric.batch(points))
+
+
+def _levi_civita(g, dg) -> np.ndarray:
+    """Christoffels Gamma[p, k, i, j] from metric values g (N, n, n) and
+    partials dg (N, n, n, n), dg[p, i, j, k] the i-th partial of g_jk."""
+    npts, n = g.shape[0], g.shape[1]
+    # w[p, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    w = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
+    rhs = np.transpose(w, (0, 3, 1, 2)).reshape(npts, n, n * n)
+    return 0.5 * solve_linear(g, rhs).reshape(npts, n, n, n)
 
 
 class DualConnection(ConnectionField):
@@ -413,14 +527,21 @@ class DualConnection(ConnectionField):
         return out
 
     def values(self, point) -> np.ndarray:
-        n = self.dim
         g, dg = self.metric.partial_values(point)
-        gamma = self.base.values(point)
-        out = np.empty((n, n, n))
-        for i in range(n):
-            rhs = dg[i] - np.einsum("lj,lk->jk", gamma[:, i, :], g)
-            out[:, i, :] = solve_linear(g, rhs)
-        return out
+        return _dual(g[None], dg[None], self.base.values(point)[None])[0]
+
+    def batch(self, points) -> np.ndarray:
+        return _dual(*self.metric.batch(points), self.base.batch(points))
+
+
+def _dual(g, dg, gamma) -> np.ndarray:
+    """Dual coefficients from the duality relation
+    d_i g_jk = sum_l Gamma^l_ij g_lk + sum_l dual Gamma^l_ik g_jl, with a
+    leading point axis on g (N, n, n), dg (N, n, n, n) and gamma (N, n, n, n)."""
+    npts, n = g.shape[0], g.shape[1]
+    # rhs[p, j, i, k] = d_i g_jk - sum_l Gamma^l_ij g_lk
+    rhs = np.transpose(dg, (0, 2, 1, 3)) - np.einsum("plij,plk->pjik", gamma, g)
+    return solve_linear(g, rhs.reshape(npts, n, n * n)).reshape(npts, n, n, n)
 
 
 def _drop(jet: Jet, order: int) -> Jet:
@@ -449,6 +570,7 @@ class AlphaConnection(ConnectionField):
         self.dim = metric.dim
         self.alpha = float(alpha)
         self._cubic = cubic_fields  # [l][i][j] scalar fields, symmetric
+        self._cubic_stack = _coefficient_stack(cubic_fields, self.dim)
         self._lc = LeviCivitaConnection(metric)
 
     def _coeffs(self, point, order):
@@ -467,6 +589,15 @@ class AlphaConnection(ConnectionField):
                         acc = acc + ginv[k][l] * c[l][i][j]
                     out[k][i][j] = lc[k][i][j] - acc * (0.5 * self.alpha)
         return out
+
+    def batch(self, points) -> np.ndarray:
+        g, dg = self.metric.batch(points)
+        lc = _levi_civita(g, dg)
+        if self.alpha == 0.0:
+            return lc
+        ginv = solve_linear(g, np.broadcast_to(np.eye(self.dim), g.shape))
+        c = _coefficient_values(self._cubic_stack, points)
+        return lc - np.einsum("pkl,plij->pkij", ginv, c) * (0.5 * self.alpha)
 
 
 class SumConnection(ConnectionField):
@@ -487,6 +618,21 @@ class SumConnection(ConnectionField):
             [[a[k][i][j] + b[k][i][j] for j in range(n)] for i in range(n)]
             for k in range(n)
         ]
+
+    def batch(self, points) -> np.ndarray:
+        return self.parts[0].batch(points) + self.parts[1].batch(points)
+
+
+def _coefficient_stack(fields, dim: int) -> _FieldStack:
+    """Stack of a nested n x n x n list of scalar fields, in [k][i][j] order."""
+    return _FieldStack([f for mid in fields for row in mid for f in row], dim)
+
+
+def _coefficient_values(stack: _FieldStack, points) -> np.ndarray:
+    """Values [p, k, i, j] of a stack made by _coefficient_stack."""
+    values = stack.values(points)
+    n = stack.dim
+    return values.reshape(len(values), n, n, n)
 
 
 # -- aggregates -------------------------------------------------------

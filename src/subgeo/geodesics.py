@@ -1,7 +1,9 @@
 """Geodesic integration and curve-level identities for submersions.
 
 Curves are integrated with a fixed-step classical Runge-Kutta scheme on
-the first-order system (x' = v, v'^k = -Gamma^k_ij v^i v^j).  Time
+the first-order system (x' = v, v'^k = -Gamma^k_ij v^i v^j).  Jobs that
+share the time span and step integrate in lockstep: every RK4 stage
+evaluates the connection at all live jobs in one batched call.  Time
 derivatives of fields along a curve come from five-point fourth-order
 stencils on the stored nodes, so every curve residual is consistent
 with the integrator's own accuracy (both are O(h^4)).
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryExit, ContractViolation
+from .errors import BoundaryExit, ContractViolation, SubgeoError
 from .fields import ConnectionField, MetricField
 from .results import CheckResult, summarize
 from .submersion import SubmersionSetup
@@ -55,46 +57,113 @@ class Trajectory:
 
 
 def _accel(conn: ConnectionField, x, v) -> np.ndarray:
-    gamma = conn.values(x)
-    return -np.einsum("kij,i,j->k", gamma, v, v)
+    """Geodesic accelerations -Gamma^k_ij v^i v^j of states stacked (N, n)."""
+    gamma = conn.batch(x)
+    return -np.einsum("pkij,pi,pj->pk", gamma, v, v)
+
+
+def _rk4_step(conn: ConnectionField, x, v, step):
+    k1x, k1v = v, _accel(conn, x, v)
+    x2, v2 = x + 0.5 * step * k1x, v + 0.5 * step * k1v
+    k2x, k2v = v2, _accel(conn, x2, v2)
+    x3, v3 = x + 0.5 * step * k2x, v + 0.5 * step * k2v
+    k3x, k3v = v3, _accel(conn, x3, v3)
+    x4, v4 = x + step * k3x, v + step * k3v
+    k4x, k4v = v4, _accel(conn, x4, v4)
+    x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return x, v
+
+
+def _isolated_step(conn: ConnectionField, x, v, step):
+    """One RK4 step of every row, plus {row: error} for the rows whose
+    evaluation failed.  Rows evaluate independently, so when the batched
+    step fails each row is retried alone: the failing ones are found and
+    the others get exactly the values the batched step would give them."""
+    try:
+        return (*_rk4_step(conn, x, v, step), {})
+    except SubgeoError:
+        pass
+    x_new, v_new, errors = x.copy(), v.copy(), {}
+    for row in range(len(x)):
+        try:
+            x_new[row:row + 1], v_new[row:row + 1] = _rk4_step(
+                conn, x[row:row + 1], v[row:row + 1], step)
+        except SubgeoError as exc:
+            errors[row] = exc
+    return x_new, v_new, errors
 
 
 def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
-                       step: float = DEFAULT_STEP, on_exit: str = "raise") -> Trajectory:
-    """Fixed-step RK4 geodesic from (x0, v0) over [0, t_end].
+                       step: float = DEFAULT_STEP, on_exit: str = "raise"):
+    """Fixed-step RK4 geodesics from (x0, v0) over [0, t_end].
 
-    Leaving the chart box raises :class:`BoundaryExit`, or truncates the
-    trajectory when ``on_exit='clip'``.
+    For one start, ``x0`` and ``v0`` of shape (n,), returns its
+    :class:`Trajectory`.  Leaving the chart box raises
+    :class:`BoundaryExit`, or truncates the trajectory when
+    ``on_exit='clip'``; a failed evaluation raises its error.
+
+    For a stack of starts, shape (N, n), the jobs integrate in lockstep
+    and the result is a list holding, per job, its Trajectory or the
+    :class:`SubgeoError` that ended it.  A job that ends (an error, a
+    boundary exit, or a clip) leaves the live set; the others go on and
+    give exactly what they give when integrated alone.
     """
     if t_end <= 0.0 or step <= 0.0:
         raise ContractViolation("t_end and step must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    if not chart.contains(x):
-        raise ContractViolation(f"start point {tuple(x)} outside the chart box")
+    x0 = np.asarray(x0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    if x0.shape != v0.shape or x0.ndim not in (1, 2):
+        raise ContractViolation(f"start shapes differ or are not (n,) or (N, n): "
+                                f"{x0.shape}, {v0.shape}")
+    if x0.ndim == 2:
+        return _lockstep(conn, chart, x0, v0, t_end, step, on_exit)
+    (out,) = _lockstep(conn, chart, x0[None], v0[None], t_end, step, on_exit)
+    if isinstance(out, SubgeoError):
+        raise out
+    return out
+
+
+def _lockstep(conn, chart, x0, v0, t_end, step, on_exit) -> list:
+    n_jobs = len(x0)
     n_steps = int(round(t_end / step))
-    ts = [0.0]
-    xs = [x.copy()]
-    vs = [v.copy()]
+    ts = np.concatenate([[0.0], np.arange(n_steps) * step + step])
+    xs = np.empty((n_steps + 1,) + x0.shape)
+    vs = np.empty_like(xs)
+    xs[0], vs[0] = x0, v0
+    ends = [n_steps + 1] * n_jobs
+    results = [None] * n_jobs
+    live = []
+    for job in range(n_jobs):
+        if chart.contains(x0[job]):
+            live.append(job)
+        else:
+            results[job] = ContractViolation(
+                f"start point {tuple(x0[job])} outside the chart box")
+    x, v = x0[live], v0[live]
     for k in range(n_steps):
-        t = k * step
-        k1x, k1v = v, _accel(conn, x, v)
-        x2, v2 = x + 0.5 * step * k1x, v + 0.5 * step * k1v
-        k2x, k2v = v2, _accel(conn, x2, v2)
-        x3, v3 = x + 0.5 * step * k2x, v + 0.5 * step * k2v
-        k3x, k3v = v3, _accel(conn, x3, v3)
-        x4, v4 = x + step * k3x, v + step * k3v
-        k4x, k4v = v4, _accel(conn, x4, v4)
-        x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not chart.contains(x):
-            if on_exit == "clip":
-                break
-            raise BoundaryExit(t + step, tuple(x))
-        ts.append(t + step)
-        xs.append(x.copy())
-        vs.append(v.copy())
-    return Trajectory(np.array(ts), np.array(xs), np.array(vs))
+        if not live:
+            break
+        x, v, errors = _isolated_step(conn, x, v, step)
+        keep = []
+        for row, job in enumerate(live):
+            if row in errors:
+                results[job] = errors[row]
+            elif not chart.contains(x[row]):
+                if on_exit == "clip":
+                    ends[job] = k + 1
+                else:
+                    results[job] = BoundaryExit(ts[k + 1], tuple(x[row]))
+            else:
+                keep.append(row)
+        live = [live[row] for row in keep]
+        x, v = x[keep], v[keep]
+        xs[k + 1, live], vs[k + 1, live] = x, v
+    for job in range(n_jobs):
+        if results[job] is None:
+            end = ends[job]
+            results[job] = Trajectory(ts[:end], xs[:end, job].copy(), vs[:end, job].copy())
+    return results
 
 
 # five-point stencil weights, rows = offset of the node within the window
@@ -128,11 +197,8 @@ def covariant_along_curve(conn: ConnectionField, traj: Trajectory, w_nodes) -> n
     """(nabla_{sigma'} W)(t_k) for a field W given by its node values."""
     w_nodes = np.asarray(w_nodes, dtype=float)
     dw = derivative_along(w_nodes, traj.step)
-    out = np.empty_like(w_nodes)
-    for k in range(len(traj)):
-        gamma = conn.values(traj.xs[k])
-        out[k] = dw[k] + np.einsum("kij,i,j->k", gamma, traj.vs[k], w_nodes[k])
-    return out
+    gamma = conn.batch(traj.xs)
+    return dw + np.einsum("pkij,pi,pj->pk", gamma, traj.vs, w_nodes)
 
 
 def geodesic_residual(conn: ConnectionField, traj: Trajectory) -> float:
@@ -143,10 +209,8 @@ def geodesic_residual(conn: ConnectionField, traj: Trajectory) -> float:
 
 def energy_drift(metric: MetricField, traj: Trajectory) -> float:
     """Relative drift of g(sigma', sigma') along the curve."""
-    e = np.array([
-        float(traj.vs[k] @ metric.values(traj.xs[k]) @ traj.vs[k])
-        for k in range(len(traj))
-    ])
+    g, _ = metric.batch(traj.xs)
+    e = np.einsum("pi,pij,pj->p", traj.vs, g, traj.vs)
     return float(np.max(np.abs(e - e[0])) / max(abs(e[0]), 1e-30))
 
 

@@ -9,6 +9,7 @@ internally for plain values; the public seeding contract is order 1..3.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,6 +26,21 @@ def _sym3(h: np.ndarray, g: np.ndarray) -> np.ndarray:
         + h[:, None, :] * g[None, :, None]
         + h[None, :, :] * g[:, None, None]
     )
+
+
+def _float_domain(method):
+    """Report float overflow, division by zero and math domain errors
+    (``math.exp``, ``v**p``, ``1/v**4``, ``math.sin(inf)``, ...) in an
+    elementary function as EvalDomain; the caller attaches the point."""
+
+    @functools.wraps(method)
+    def wrapper(self):
+        try:
+            return method(self)
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            raise EvalDomain(f"floating-point error ({exc})") from None
+
+    return wrapper
 
 
 class Jet:
@@ -146,6 +162,7 @@ class Jet:
             )
         return Jet(self.dim, self.order, c0, g, h, t)
 
+    @_float_domain
     def _reciprocal(self):
         v = self.value
         if v == 0.0:
@@ -173,16 +190,19 @@ class Jet:
 
     # -- elementary functions ------------------------------------------
 
+    @_float_domain
     def exp(self):
         e = math.exp(self.value)
         return self._chain(e, e, e, e)
 
+    @_float_domain
     def log(self):
         v = self.value
         if v <= 0.0:
             raise EvalDomain("log of a non-positive value")
         return self._chain(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
 
+    @_float_domain
     def sqrt(self):
         v = self.value
         if v <= 0.0:
@@ -190,14 +210,17 @@ class Jet:
         s = math.sqrt(v)
         return self._chain(s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
 
+    @_float_domain
     def sin(self):
         s, c = math.sin(self.value), math.cos(self.value)
         return self._chain(s, c, -s, -c)
 
+    @_float_domain
     def cos(self):
         s, c = math.sin(self.value), math.cos(self.value)
         return self._chain(c, -s, -c, s)
 
+    @_float_domain
     def tanh(self):
         t = math.tanh(self.value)
         d = 1.0 - t * t

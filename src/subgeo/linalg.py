@@ -1,16 +1,18 @@
 """Small dense linear solves, on floats and on jets.
 
-Float systems go through scipy's LU factorization so the pivot magnitudes
-are available for the singularity test.  Jet systems use plain Gaussian
-elimination with partial pivoting on the value part; jets form a
-commutative ring with division by units, so the classic algorithm applies
-unchanged and the solution carries derivatives of the solution map.
+Float systems go through LAPACK ``gesv`` (LU factorization and solve in
+one call), whose LU factors give the pivot magnitudes for the singularity
+test; a stack of systems is solved system by system under the same rule.
+Jet systems use plain Gaussian elimination with partial pivoting on the
+value part; jets form a commutative ring with division by units, so the
+classic algorithm applies unchanged and the solution carries derivatives
+of the solution map.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgesv
 
 from .errors import ContractViolation, SingularMatrix
 from .jets import Jet
@@ -21,22 +23,38 @@ PIVOT_RTOL = 1e-12
 def solve_linear(a, b) -> np.ndarray:
     """Solve ``a x = b`` for square ``a`` (n <= 16 in practice).
 
-    Raises :class:`SingularMatrix` when a pivot falls below
-    ``1e-12 * max_norm(a)``.
+    A stack of systems, ``a`` of shape (N, n, n) and ``b`` (N, n, ...),
+    is solved row by row.  Raises :class:`SingularMatrix` when a pivot
+    falls below ``1e-12 * max_norm(a)``; for a stack the message names
+    the failing row.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.ndim != 3:
+        return _solve_one(a, b)
+    if b.shape[:1] != a.shape[:1]:
+        raise ContractViolation(f"shape mismatch: a {a.shape}, b {b.shape}")
+    out = np.empty(b.shape)
+    for row in range(len(a)):
+        try:
+            out[row] = _solve_one(a[row], b[row])
+        except SingularMatrix as exc:
+            raise SingularMatrix(f"{exc} in row {row}") from None
+    return out
+
+
+def _solve_one(a, b) -> np.ndarray:
     n = a.shape[0]
-    if a.shape != (n, n) or b.shape[0] != n:
+    if a.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
         raise ContractViolation(f"shape mismatch: a {a.shape}, b {b.shape}")
     scale = np.abs(a).max()
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    lu, piv = lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrix(f"pivot {pivots.min():.3e} below threshold for scale {scale:.3e}")
-    return lu_solve((lu, piv), b, check_finite=False)
+    lu, _, x, _ = dgesv(a, b)
+    smallest = np.abs(lu.diagonal()).min()
+    if smallest < PIVOT_RTOL * scale:
+        raise SingularMatrix(f"pivot {smallest:.3e} below threshold for scale {scale:.3e}")
+    return x
 
 
 def jet_solve(a: list, b: list) -> list:

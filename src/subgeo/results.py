@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
@@ -30,13 +32,16 @@ class CheckResult:
 
 
 def summarize(name, residuals, tol, attempted, details=None, incidents=0) -> CheckResult:
-    """Verdict from a residual list; inconclusive when too few samples ran."""
+    """Verdict from a residual list; inconclusive when too few samples ran.
+
+    Any non-finite residual fails the check, wherever it sits in the list.
+    """
     evaluated = len(residuals)
-    worst = max(residuals) if residuals else 0.0
+    worst = float(np.max(residuals)) if residuals else 0.0  # NaN if any is NaN
     if attempted == 0 or evaluated < MIN_EVALUATED * attempted:
         status = INCONCLUSIVE
     else:
-        status = PASS if worst <= tol else FAIL
+        status = PASS if np.isfinite(residuals).all() and worst <= tol else FAIL
     return CheckResult(
         name=name,
         samples=evaluated,

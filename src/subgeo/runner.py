@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, geodesics, geometry, submersion, tangent_bundle
 from .builtins import Scenario
 from .config import SuiteConfig, build_scenario
-from .errors import BoundaryExit, SubgeoError
+from .errors import SubgeoError
 from .fields import FDField
 from .results import INCONCLUSIVE, PASS, CheckResult, summarize
 from .sampling import sample_box, subseed
@@ -50,19 +50,33 @@ class RunContext:
         return sample_box(self.boxes, self.count, subseed(self.seed, check_name)).points
 
     def curves(self):
-        """Integrate the scenario's geodesic jobs once, in name order."""
+        """Integrate the scenario's geodesic jobs once, keyed in name order.
+
+        Jobs that share (t_end, h) integrate together in lockstep; a job
+        that fails is left out and counted as one curve incident.
+        """
         if self._curves is None:
-            self._curves = {}
             space = self.scenario.space
-            for name in sorted(self.scenario.geodesic_jobs):
-                job = self.scenario.geodesic_jobs[name]
+            jobs = self.scenario.geodesic_jobs
+            groups = {}
+            for name in sorted(jobs):
+                groups.setdefault((jobs[name]["t_end"], jobs[name]["h"]), []).append(name)
+            ended = {}
+            for (t_end, h), names in groups.items():
                 try:
-                    self._curves[name] = geodesics.integrate_geodesic(
-                        space.conn, space.chart, job["p0"], job["v0"],
-                        job["t_end"], job["h"],
+                    out = geodesics.integrate_geodesic(
+                        space.conn, space.chart, [jobs[n]["p0"] for n in names],
+                        [jobs[n]["v0"] for n in names], t_end, h,
                     )
-                except (SubgeoError, BoundaryExit):
+                except SubgeoError as exc:
+                    out = [exc] * len(names)
+                ended.update(zip(names, out))
+            self._curves = {}
+            for name in sorted(ended):
+                if isinstance(ended[name], SubgeoError):
                     self.curve_incidents += 1
+                else:
+                    self._curves[name] = ended[name]
         return self._curves
 
     def take_curve_incidents(self) -> int:
@@ -142,7 +156,8 @@ def _fd_crosscheck(scenario, ctx, name, tol):
             worst = label
         residuals.append(r)
     res = summarize(name, residuals, tol, FD_PROBES, incidents=incidents)
-    res.details["fields_probed"] = len(fields)
+    res.details["fields_probed"] = min(FD_PROBES, len(fields))
+    res.details["fields_available"] = len(fields)
     res.details["worst_field"] = worst
     return res
 

@@ -90,6 +90,32 @@ def test_incident_rate_exits_three(tmp_path):
     assert doc["summary"]["incident_rate"] > 0.10
 
 
+def test_float_overflow_is_an_incident_not_a_crash(tmp_path):
+    # exp(x2^3) overflows once x2 passes about 8.9; the box reaches 30
+    cfg = write_cfg(tmp_path, {
+        "manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 30.0]],
+                     "metric": [["exp(x2^3)", "0"], ["0", "1"]],
+                     "connection": "levi_civita"},
+        "checks": ["is_statistical", "geodesic_energy"],
+        "geodesics": {"up": {"p0": [0.0, 8.0], "v0": [0.0, 1.0], "t_end": 2.0}},
+        "sampling": {"count": 20, "seed": 3},
+    })
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", cfg, "--report", str(report)]) in (1, 3)
+    doc = json.loads(report.read_text())
+    assert sum(c["incidents"] for c in doc["checks"]) > 0
+
+
+def test_fd_crosscheck_reports_its_coverage(tmp_path):
+    cfg = write_cfg(tmp_path, {"builtin": "hyperbolic:3", "checks": ["fd_crosscheck"],
+                               "sampling": {"count": 4, "seed": 2}})
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", cfg, "--report", str(report)]) == 0
+    details = json.loads(report.read_text())["checks"][0]["details"]
+    assert details["fields_probed"] == 16
+    assert details["fields_available"] == 39
+
+
 def test_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["verify", str(tmp_path / "missing.json")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import hyperbolic_setup, max_abs, skewed_setup
+from subgeo import builtins, config, runner
 from subgeo import geodesics as geo
-from subgeo.errors import BoundaryExit, ContractViolation
+from subgeo.errors import BoundaryExit, ContractViolation, EvalDomain
 from subgeo.fields import (
     ChartedManifold,
     ExprConnection,
@@ -211,3 +212,91 @@ def test_projection_check_skips_non_geodesics():
     res = geo.geodesic_projection_check(setup, [bogus], 1e-6)
     assert res.incidents == 1
     assert res.details["curves"][0].get("skipped") is True
+
+
+# -- lockstep integration ------------------------------------------------
+
+
+def same_trajectory(a, b):
+    return (np.array_equal(a.ts, b.ts) and np.array_equal(a.xs, b.xs)
+            and np.array_equal(a.vs, b.vs))
+
+
+@pytest.mark.parametrize("name", ["hyperbolic:3", "gaussian:alpha=0", "euclidean:3"])
+def test_lockstep_equals_single_jobs(name):
+    sc = builtins.build(name)
+    conn, chart = sc.space.conn, sc.space.chart
+    jobs = [sc.geodesic_jobs[k] for k in sorted(sc.geodesic_jobs)]
+    t_end, h = jobs[0]["t_end"], jobs[0]["h"]
+    together = geo.integrate_geodesic(conn, chart, [j["p0"] for j in jobs],
+                                      [j["v0"] for j in jobs], t_end, h)
+    assert len(together) == len(jobs)
+    for job, traj in zip(jobs, together):
+        alone = geo.integrate_geodesic(conn, chart, job["p0"], job["v0"], t_end, h)
+        assert same_trajectory(traj, alone)
+
+
+def test_job_leaving_the_box_does_not_stop_its_siblings():
+    chart = ChartedManifold("strip", 2, ((-1.0, 1.0), (0.5, 3.0)))
+    metric = MetricField.from_exprs([["1/x2^2", "0"], ["0", "1/x2^2"]], 2)
+    conn = LeviCivitaConnection(metric)
+    x0 = [(0.0, 1.0), (0.0, 1.0), (0.2, 1.0), (0.0, 5.0)]
+    v0 = [(0.3, 0.2), (0.0, -1.0), (-0.4, 0.1), (0.0, 1.0)]  # 2nd exits, 4th starts out
+    out = geo.integrate_geodesic(conn, chart, x0, v0, 1.0, step=1e-3)
+    assert isinstance(out[1], BoundaryExit)
+    assert out[1].t == pytest.approx(math.log(2.0), abs=2e-3)
+    assert isinstance(out[3], ContractViolation)
+    for k in (0, 2):
+        assert same_trajectory(out[k], geo.integrate_geodesic(conn, chart, x0[k], v0[k], 1.0))
+    clipped = geo.integrate_geodesic(conn, chart, x0[:3], v0[:3], 1.0, on_exit="clip")
+    alone = geo.integrate_geodesic(conn, chart, x0[1], v0[1], 1.0, on_exit="clip")
+    assert same_trajectory(clipped[1], alone)
+    assert alone.ts[-1] < 1.0
+    assert same_trajectory(clipped[0], out[0]) and same_trajectory(clipped[2], out[2])
+
+
+def test_job_failing_to_evaluate_becomes_its_incident():
+    # Gamma^1_11 = sqrt(x1) is undefined once a job crosses x1 = 0
+    chart = ChartedManifold("flat", 2, ((-1.0, 1.0), (-1.0, 1.0)))
+    coeffs = [[["sqrt(x1)", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    conn = ExprConnection(2, coeffs)
+    x0 = [(0.5, 0.0), (0.05, 0.0), (0.6, 0.1)]
+    v0 = [(0.1, 0.2), (-0.5, 0.0), (0.0, -0.3)]
+    out = geo.integrate_geodesic(conn, chart, x0, v0, 0.5, step=1e-2)
+    assert isinstance(out[1], EvalDomain)
+    with pytest.raises(EvalDomain):
+        geo.integrate_geodesic(conn, chart, x0[1], v0[1], 0.5, step=1e-2)
+    for k in (0, 2):
+        alone = geo.integrate_geodesic(conn, chart, x0[k], v0[k], 0.5, step=1e-2)
+        assert same_trajectory(out[k], alone)
+
+
+def test_run_context_groups_jobs_by_span_and_step():
+    sc = builtins.build("euclidean:3")
+    sc.geodesic_jobs["short"] = {"p0": [0.1, 0.0, 0.0], "v0": [0.0, 0.3, 0.1],
+                                 "t_end": 0.5, "h": 1e-3}
+    sc.geodesic_jobs["coarse"] = {"p0": [0.0, 0.2, 0.0], "v0": [0.2, 0.0, -0.1],
+                                  "t_end": 1.0, "h": 2e-3}
+    ctx = runner.RunContext(sc, count=4, seed=0)
+    curves = ctx.curves()
+    assert list(curves) == sorted(sc.geodesic_jobs)
+    assert ctx.curve_incidents == 0
+    for name, traj in curves.items():
+        job = sc.geodesic_jobs[name]
+        alone = geo.integrate_geodesic(sc.space.conn, sc.space.chart, job["p0"], job["v0"],
+                                       job["t_end"], job["h"])
+        assert same_trajectory(traj, alone)
+    assert len(curves["short"]) == 501 and len(curves["coarse"]) == 501
+
+
+def test_fd_mode_suite_integrates_its_jobs():
+    cfg = config.parse_config({
+        "builtin": "hyperbolic:2", "mode": "fd",
+        "checks": ["geodesic_energy", "geodesic_projection"],
+        "sampling": {"count": 4, "seed": 1},
+    }, source="<test>")
+    report = runner.run_suite(cfg)
+    for c in report["checks"]:
+        assert c["status"] == "pass" and c["incidents"] == 0
+    energy = next(c for c in report["checks"] if c["name"] == "geodesic_energy")
+    assert energy["details"]["jobs"] == sorted(builtins.build("hyperbolic:2").geodesic_jobs)

@@ -32,6 +32,20 @@ def test_solve_shape_and_singular():
         solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
+def test_stacked_solve_matches_each_system():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 3, 3)) + 3.0 * np.eye(3)
+    b = rng.normal(size=(4, 3, 9))
+    x = solve_linear(a, b)
+    for row in range(4):
+        assert np.array_equal(x[row], solve_linear(a[row], b[row]))
+    a[2] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(SingularMatrix, match="in row 2"):
+        solve_linear(a, b)
+    with pytest.raises(ContractViolation):
+        solve_linear(a, b[:3])
+
+
 def _jet_matrix(point, order=2):
     """2x2 matrix with genuinely varying entries, invertible on the box."""
     x = Jet.seed(point, 0, order)
