@@ -9,6 +9,7 @@ from .errors import (
     ContractViolation,
     EvalDomain,
     ExprSyntaxError,
+    PremiseFailed,
     RankDrop,
     SingularMatrix,
     SubgeoError,
@@ -23,6 +24,7 @@ __all__ = [
     "SingularMatrix",
     "EvalDomain",
     "ExprSyntaxError",
+    "PremiseFailed",
     "RankDrop",
     "BoundaryExit",
     "ConfigError",

@@ -53,5 +53,10 @@ class BoundaryExit(SubgeoError):
         self.point = None if point is None else tuple(float(x) for x in point)
 
 
+class PremiseFailed(SubgeoError):
+    """A sample item does not meet a hypothesis of its check (a curve that
+    is not a geodesic, a fiber with too few points), so it is not evaluated."""
+
+
 class ConfigError(SubgeoError):
     """Suite configuration could not be loaded or validated."""

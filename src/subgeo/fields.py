@@ -306,10 +306,6 @@ class MetricField:
             hit = self._inv_cache[key] = jet_inverse(self.matrix_jets(point, order))
         return hit
 
-    def inverse_values(self, point) -> np.ndarray:
-        g = self.values(point)
-        return solve_linear(g, np.eye(self.dim))
-
     def partial_values(self, point):
         """(g, dg) with dg[i, j, k] the i-th partial of g_jk."""
         jets = self.matrix_jets(point, 1)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryExit, ContractViolation, SubgeoError
+from .errors import BoundaryExit, ContractViolation, PremiseFailed, SubgeoError
 from .fields import ConnectionField, MetricField
-from .results import CheckResult, summarize
+from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, agree, peak,
+                      sweep)
 from .submersion import SubmersionSetup
 
 DEFAULT_STEP = 1e-3
@@ -282,7 +283,7 @@ def curve_decomposition_residuals(setup: SubmersionSetup, traj: Trajectory,
     if probes is None:
         probes = probe_indices(len(traj))
     m = setup.m
-    r_h, r_v = 0.0, 0.0
+    r_h, r_v = [], []
     for idx in probes:
         pr = _CurveProbe(setup, traj, idx, cache)
         e_nodes = np.array([e_fn(traj.ts[k], traj.xs[k]) for k in pr.window])
@@ -315,12 +316,12 @@ def curve_decomposition_residuals(setup: SubmersionSetup, traj: Trajectory,
                 + (pr.dphi @ x_i) * (ph_ @ pr.gb @ z)
                 + (pr.dphi @ h_i) * (px @ pr.gb @ z)
             )
-            r_h = max(r_h, abs(lhs - rhs))
+            r_h.append(abs(lhs - rhs))
         a_xh = setup.fundamental_A(pr.x, x_i, h_i)
         t_uh = setup.fundamental_T(pr.x, u_i, h_i)
         vert = sp.p_v @ e_prime - (a_xh + t_uh + sp.p_v @ v_prime)
-        r_v = max(r_v, float(np.max(np.abs(vert))))
-    return {"horizontal": r_h, "vertical": r_v}
+        r_v.append(float(np.max(np.abs(vert))))
+    return {"horizontal": peak(r_h), "vertical": peak(r_v)}
 
 
 def sigma_second_residuals(setup: SubmersionSetup, traj: Trajectory, probes=None) -> dict:
@@ -329,7 +330,7 @@ def sigma_second_residuals(setup: SubmersionSetup, traj: Trajectory, probes=None
     if probes is None:
         probes = probe_indices(len(traj))
     m = setup.m
-    r_h, r_v = 0.0, 0.0
+    r_h, r_v = [], []
     for idx in probes:
         pr = _CurveProbe(setup, traj, idx, cache)
         v_nodes = traj.vs[idx - 2: idx + 3]
@@ -357,12 +358,12 @@ def sigma_second_residuals(setup: SubmersionSetup, traj: Trajectory, probes=None
                 - (pr.dphi @ zt) * norm2
                 + 2.0 * (pr.dphi @ x_i) * (px @ pr.gb @ z)
             )
-            r_h = max(r_h, abs(lhs - rhs))
+            r_h.append(abs(lhs - rhs))
         a_xx = setup.fundamental_A(pr.x, x_i, x_i)
         t_ux = setup.fundamental_T(pr.x, u_i, x_i)
         vert = sp.p_v @ sig2 - (a_xx + t_ux + sp.p_v @ u_prime)
-        r_v = max(r_v, float(np.max(np.abs(vert))))
-    return {"horizontal": r_h, "vertical": r_v}
+        r_v.append(float(np.max(np.abs(vert))))
+    return {"horizontal": peak(r_h), "vertical": peak(r_v)}
 
 
 def projection_condition_residuals(setup: SubmersionSetup, traj: Trajectory,
@@ -376,7 +377,7 @@ def projection_condition_residuals(setup: SubmersionSetup, traj: Trajectory,
     if probes is None:
         probes = probe_indices(len(traj))
     m = setup.m
-    cond_max, base_max = 0.0, 0.0
+    conds, bases = [], []
     for idx in probes:
         pr = _CurveProbe(setup, traj, idx, cache)
         v_nodes = traj.vs[idx - 2: idx + 3]
@@ -385,7 +386,7 @@ def projection_condition_residuals(setup: SubmersionSetup, traj: Trajectory,
         x_i = sp.p_h @ pr.v
         u_i = sp.p_v @ pr.v
         sig2_star = pr.cov_base(w_nodes)
-        base_max = max(base_max, float(np.max(np.abs(sig2_star))))
+        bases.append(float(np.max(np.abs(sig2_star))))
         a_xu = setup.fundamental_A(pr.x, x_i, u_i)
         t_uu = setup.fundamental_T(pr.x, u_i, u_i)
         vec = pr.dpi @ (2.0 * a_xu + t_uu)
@@ -400,8 +401,8 @@ def projection_condition_residuals(setup: SubmersionSetup, traj: Trajectory,
                 + 2.0 * (pr.dphi @ x_i) * (px @ pr.gb @ z)
                 - (pr.dphi @ zt) * norm2
             )
-            cond_max = max(cond_max, abs(cond))
-    return {"condition": cond_max, "base_residual": base_max}
+            conds.append(abs(cond))
+    return {"condition": peak(conds), "base_residual": peak(bases)}
 
 
 def default_test_field(dim: int):
@@ -418,85 +419,53 @@ def default_test_field(dim: int):
     return e_fn
 
 
+CURVE_KEYS = ("horizontal", "vertical")
+
+
 def check_curve_decomposition(setup: SubmersionSetup, curves, tol) -> CheckResult:
     """Decomposition identities along integrated geodesics."""
-    residuals, incidents = [], 0
-    worst = {"horizontal": 0.0, "vertical": 0.0}
     e_fn = default_test_field(setup.n)
-    for traj in curves:
-        try:
-            r = curve_decomposition_residuals(setup, traj, e_fn)
-        except Exception:
-            incidents += 1
-            continue
-        for k in worst:
-            worst[k] = max(worst[k], r[k])
-        residuals.append(max(r.values()))
-    return summarize("curve_decomposition", residuals, tol, len(curves),
-                     details=worst, incidents=incidents)
+    s = sweep(curves, lambda traj: curve_decomposition_residuals(setup, traj, e_fn),
+              keys=CURVE_KEYS)
+    return s.summarize("curve_decomposition", tol, details=s.worst)
 
 
 def check_sigma_second(setup: SubmersionSetup, curves, tol) -> CheckResult:
-    residuals, incidents = [], 0
-    worst = {"horizontal": 0.0, "vertical": 0.0}
-    for traj in curves:
-        try:
-            r = sigma_second_residuals(setup, traj)
-        except Exception:
-            incidents += 1
-            continue
-        for k in worst:
-            worst[k] = max(worst[k], r[k])
-        residuals.append(max(r.values()))
-    return summarize("sigma_second", residuals, tol, len(curves),
-                     details=worst, incidents=incidents)
+    s = sweep(curves, lambda traj: sigma_second_residuals(setup, traj), keys=CURVE_KEYS)
+    return s.summarize("sigma_second", tol, details=s.worst)
 
 
-def geodesic_projection_check(setup: SubmersionSetup, curves, tol,
-                              premise_factor: float = 10.0) -> CheckResult:
+def geodesic_projection_check(setup: SubmersionSetup, curves, tol) -> CheckResult:
     """Criterion residual vanishes iff the projected curve is a base geodesic.
 
-    Each curve must itself be a geodesic of the total space (premise).
-    The check passes when every curve's two verdicts agree.
+    Each curve must itself be a geodesic of the total space (premise); a
+    curve whose premise residual exceeds PREMISE_FACTOR * tol is skipped
+    as an incident.  The check passes when every curve's two verdicts
+    agree; its residual is each side's value where the other side passes.
     """
-    agree = True
-    evaluated, incidents = 0, 0
     per_curve = []
-    informative = 0.0
-    for traj in curves:
-        try:
-            premise = geodesic_residual(setup.total.conn, traj)
-            if premise > premise_factor * tol:
-                incidents += 1
-                per_curve.append({"premise_residual": premise, "skipped": True})
-                continue
-            r = projection_condition_residuals(setup, traj)
-            cond_pass = r["condition"] <= tol
-            base_pass = r["base_residual"] <= tol
-            agree = agree and (cond_pass == base_pass)
-            if cond_pass:
-                informative = max(informative, r["base_residual"])
-            if base_pass:
-                informative = max(informative, r["condition"])
-            per_curve.append({
-                "condition": r["condition"],
-                "base_residual": r["base_residual"],
-                "agree": cond_pass == base_pass,
-            })
-            evaluated += 1
-        except Exception:
-            incidents += 1
-    if evaluated == 0:
-        status_residual = 0.0
+
+    def at(traj):
+        premise = geodesic_residual(setup.total.conn, traj)
+        if premise > PREMISE_FACTOR * tol:
+            per_curve.append({"premise_residual": premise, "skipped": True})
+            raise PremiseFailed(f"curve is not a geodesic: premise residual {premise:.3e}")
+        r = projection_condition_residuals(setup, traj)
+        per_curve.append({
+            "condition": r["condition"],
+            "base_residual": r["base_residual"],
+            "agree": agree(r["condition"], r["base_residual"], tol),
+        })
+        informative = []
+        if r["condition"] <= tol:
+            informative.append(r["base_residual"])
+        if r["base_residual"] <= tol:
+            informative.append(r["condition"])
+        return peak(informative)
+
+    s = sweep(curves, at)
+    if not s.evaluated:
+        status = INCONCLUSIVE
     else:
-        status_residual = informative
-    out = CheckResult(
-        name="geodesic_projection",
-        samples=evaluated,
-        max_residual=float(status_residual),
-        tolerance=float(tol),
-        status="inconclusive" if evaluated == 0 else ("pass" if agree else "fail"),
-        details={"curves": per_curve},
-        incidents=incidents,
-    )
-    return out
+        status = PASS if all(c.get("agree", True) for c in per_curve) else FAIL
+    return s.result("geodesic_projection", tol, status, s.residual, details={"curves": per_curve})

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ConnectionField, MetricField
+from .fields import ConnectionField, DualConnection, LeviCivitaConnection, MetricField
+from .results import peak, sweep
 
 
 def torsion_values(gamma: np.ndarray) -> np.ndarray:
@@ -38,7 +39,7 @@ def statistical_residual(metric: MetricField, conn: ConnectionField, point) -> f
     c = cubic_values(metric, conn, point)
     r_tor = float(np.max(np.abs(torsion_values(gamma))))
     r_sym = float(np.max(np.abs(c - np.transpose(c, (1, 0, 2)))))
-    return max(r_tor, r_sym)
+    return peak((r_tor, r_sym))
 
 
 def duality_residual(metric: MetricField, conn: ConnectionField, dual: ConnectionField, point) -> float:
@@ -86,74 +87,31 @@ def dual_formula_residual(
     metric: MetricField, conn: ConnectionField, dual: ConnectionField, point
 ) -> float:
     """Defect of dual-Gamma = 2 LC - Gamma, valid when the pair is statistical."""
-    from .fields import LeviCivitaConnection
-
     lc = LeviCivitaConnection(metric).values(point)
     return float(np.max(np.abs(dual.values(point) - (2.0 * lc - conn.values(point)))))
 
 # ---------------------------------------------------------------------------
-# Named entry points over sample sets.  These wrap the pointwise kernels
-# above into CheckResult-producing suite checks.
-
-def levi_civita(metric: MetricField, point) -> np.ndarray:
-    """Christoffel symbols of the metric at one point, Gamma[k, i, j]."""
-    from .fields import LeviCivitaConnection
-
-    return LeviCivitaConnection(metric).values(point)
-
-
-def torsion(conn: ConnectionField, point) -> np.ndarray:
-    return torsion_values(conn.values(point))
-
-
-def nabla_g(conn: ConnectionField, metric: MetricField, point) -> np.ndarray:
-    return cubic_values(metric, conn, point)
-
-
-def curvature(conn: ConnectionField, point) -> np.ndarray:
-    return curvature_values(conn, point)
-
-
-def dual_connection(conn: ConnectionField, metric: MetricField) -> ConnectionField:
-    from .fields import DualConnection
-
-    return DualConnection(conn, metric)
-
-
-def _sweep(name, points, tol, fn):
-    from .errors import SubgeoError
-    from .results import summarize
-
-    residuals, incidents = [], 0
-    for p in points:
-        try:
-            residuals.append(fn(p))
-        except SubgeoError:
-            incidents += 1
-    return summarize(name, residuals, tol, len(points), incidents=incidents)
-
+# Suite checks: the pointwise kernels above swept over sample sets.
 
 def is_statistical(conn: ConnectionField, metric: MetricField, points, tol):
     """Torsion-freeness plus total symmetry of nabla g over the samples."""
-    return _sweep("is_statistical", points, tol,
-                  lambda p: statistical_residual(metric, conn, p))
+    return sweep(points, lambda p: statistical_residual(metric, conn, p)).summarize(
+        "is_statistical", tol)
 
 
 def check_curvature_duality(conn: ConnectionField, metric: MetricField, points, tol):
-    dual = dual_connection(conn, metric)
-    return _sweep("curvature_duality", points, tol,
-                  lambda p: curvature_duality_residual(metric, conn, dual, p))
+    dual = DualConnection(conn, metric)
+    return sweep(points, lambda p: curvature_duality_residual(metric, conn, dual, p)).summarize(
+        "curvature_duality", tol)
 
 
 def check_constant_curvature(conn: ConnectionField, metric: MetricField, k: float, points, tol):
-    res = _sweep("constant_curvature", points, tol,
-                 lambda p: constant_curvature_residual(metric, conn, k, p))
-    res.details["k"] = float(k)
-    return res
+    return sweep(points, lambda p: constant_curvature_residual(metric, conn, k, p)).summarize(
+        "constant_curvature", tol, details={"k": float(k)})
 
 
 def check_dual_involution(conn: ConnectionField, metric: MetricField, points, tol):
     """dual(dual(conn)) must reproduce conn to rounding."""
-    dd = dual_connection(dual_connection(conn, metric), metric)
-    return _sweep("dual_involution", points, tol,
-                  lambda p: float(np.max(np.abs(dd.values(p) - conn.values(p)))))
+    dd = DualConnection(DualConnection(conn, metric), metric)
+    return sweep(points, lambda p: float(np.max(np.abs(dd.values(p) - conn.values(p))))).summarize(
+        "dual_involution", tol)

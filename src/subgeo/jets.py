@@ -269,8 +269,3 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
-
-
-def jet_seed(point, index: int, order: int) -> Jet:
-    """Module-level spelling of Jet.seed for callers that avoid the class."""
-    return Jet.seed(point, index, order)

@@ -107,10 +107,6 @@ def jet_inverse(a: list) -> list:
     return jet_solve(a, eye)
 
 
-def jet_matvec(a: list, v: list) -> list:
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
-
-
 def jet_matmul(a: list, b: list) -> list:
     n, m, k = len(a), len(b), len(b[0])
     return [[sum(a[i][l] * b[l][j] for l in range(m)) for j in range(k)] for i in range(n)]

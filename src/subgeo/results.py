@@ -1,10 +1,11 @@
-"""Check outcome containers shared by every verification module."""
+"""Check outcomes and the one sweep that every check runs over its items."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from .errors import SubgeoError
 
 PASS = "pass"
 FAIL = "fail"
@@ -12,6 +13,9 @@ INCONCLUSIVE = "inconclusive"
 
 # Fraction of samples that must evaluate cleanly for a verdict.
 MIN_EVALUATED = 0.9
+
+# A premise residual above this multiple of the tolerance voids a verdict.
+PREMISE_FACTOR = 10.0
 
 
 @dataclass
@@ -30,41 +34,117 @@ class CheckResult:
     def passed(self) -> bool:
         return self.status == PASS
 
+    def add_incidents(self, errors) -> None:
+        """Count errors raised outside the check's own sweep as incidents."""
+        for exc in errors:
+            self.incidents += 1
+            _note(self.details.setdefault("incident_kinds", {}), exc)
 
-def summarize(name, residuals, tol, attempted, details=None, incidents=0) -> CheckResult:
-    """Verdict from a residual list; inconclusive when too few samples ran.
 
-    Any non-finite residual fails the check, wherever it sits in the list.
+def _above(value, current) -> bool:
+    """Whether ``value`` replaces ``current`` in a max that NaN wins."""
+    return value > current or (value != value and current == current)
+
+
+def peak(values) -> float:
+    """Max of non-negative residuals, NaN if any is NaN, 0.0 for none."""
+    out = 0.0
+    for v in values:
+        if _above(v, out):
+            out = v
+    return float(out)
+
+
+def agree(left, right, tol) -> bool:
+    """Both residuals are finite and give the same verdict against tol."""
+    return math.isfinite(left) and math.isfinite(right) and (left <= tol) == (right <= tol)
+
+
+def _note(kinds: dict, exc: SubgeoError) -> None:
+    kind = kinds.setdefault(type(exc).__name__, {"count": 0, "example": str(exc)})
+    kind["count"] += 1
+
+
+class Sweep:
+    """What one check's residual function gave over its items.
+
+    ``residual`` is the worst item residual, ``worst`` the worst value of
+    each named residual, ``worst_index`` the position of the worst item.
     """
-    evaluated = len(residuals)
-    worst = float(np.max(residuals)) if residuals else 0.0  # NaN if any is NaN
-    if attempted == 0 or evaluated < MIN_EVALUATED * attempted:
-        status = INCONCLUSIVE
-    else:
-        status = PASS if np.isfinite(residuals).all() and worst <= tol else FAIL
-    return CheckResult(
-        name=name,
-        samples=evaluated,
-        max_residual=float(worst),
-        tolerance=float(tol),
-        status=status,
-        details=details or {},
-        incidents=incidents,
-    )
+
+    def __init__(self, attempted: int, keys=()):
+        self.attempted = attempted
+        self.evaluated = 0
+        self.residual = 0.0
+        self.worst = {k: 0.0 for k in keys}
+        self.worst_index = None
+        self.incidents = 0
+        self.kinds = {}
+
+    @property
+    def conclusive(self) -> bool:
+        return self.attempted > 0 and self.evaluated >= MIN_EVALUATED * self.attempted
+
+    def result(self, name, tol, status, max_residual, details=None) -> CheckResult:
+        details = dict(details or {})
+        if self.incidents:
+            details["incident_kinds"] = self.kinds
+        return CheckResult(
+            name=name,
+            samples=self.evaluated,
+            max_residual=float(max_residual),
+            tolerance=float(tol),
+            status=status,
+            details=details,
+            incidents=self.incidents,
+        )
+
+    def summarize(self, name, tol, details=None, keys=None) -> CheckResult:
+        """Pass when the worst residual (over ``keys`` only, if given) is
+        finite and within tol; inconclusive when too few items evaluated."""
+        worst = self.residual if keys is None else peak(self.worst.get(k, 0.0) for k in keys)
+        if not self.conclusive:
+            status = INCONCLUSIVE
+        else:
+            status = PASS if math.isfinite(worst) and worst <= tol else FAIL
+        return self.result(name, tol, status, worst, details)
+
+    def biconditional(self, name, left, right, tol, details=None, max_residual=None) -> CheckResult:
+        """Pass iff the verdicts of the two sides agree; the residual is
+        informational.  A non-finite side fails."""
+        if not self.evaluated:
+            status = INCONCLUSIVE
+        else:
+            status = PASS if agree(left, right, tol) else FAIL
+        if max_residual is None:
+            max_residual = peak((left, right))
+        return self.result(name, tol, status, max_residual, details)
 
 
-def biconditional(name, left_pass, right_pass, max_residual, tol, samples, details=None, incidents=0) -> CheckResult:
-    """Pass iff the two verdicts agree; the residual is informational."""
-    if samples == 0:
-        status = INCONCLUSIVE
-    else:
-        status = PASS if left_pass == right_pass else FAIL
-    return CheckResult(
-        name=name,
-        samples=samples,
-        max_residual=float(max_residual),
-        tolerance=float(tol),
-        status=status,
-        details=details or {},
-        incidents=incidents,
-    )
+def sweep(items, residual_at, keys=()) -> Sweep:
+    """Evaluate ``residual_at`` on every item (a point, a curve, a probe).
+
+    It returns a float or a dict of named residuals; an item's residual is
+    the worst of them.  A :class:`SubgeoError` makes the item an incident,
+    counted by exception type with the first message as example; any
+    other exception is a bug and propagates.  ``keys`` are named
+    residuals reported as 0.0 when no item evaluates.
+    """
+    out = Sweep(len(items), keys)
+    worst = out.worst
+    for index, item in enumerate(items):
+        try:
+            r = residual_at(item)
+        except SubgeoError as exc:
+            out.incidents += 1
+            _note(out.kinds, exc)
+            continue
+        if isinstance(r, dict):
+            for k, v in r.items():
+                if k not in worst or _above(v, worst[k]):
+                    worst[k] = v
+            r = peak(r.values())
+        if out.worst_index is None or _above(r, out.residual):
+            out.residual, out.worst_index = r, index
+        out.evaluated += 1
+    return out

@@ -19,7 +19,7 @@ from .builtins import Scenario
 from .config import SuiteConfig, build_scenario
 from .errors import SubgeoError
 from .fields import FDField
-from .results import INCONCLUSIVE, PASS, CheckResult, summarize
+from .results import INCONCLUSIVE, PASS, CheckResult, peak, sweep
 from .sampling import sample_box, subseed
 
 FD_PROBES = 16
@@ -44,7 +44,7 @@ class RunContext:
         self.seed = seed
         self.boxes = boxes if boxes is not None else scenario.space.chart.box
         self._curves = None
-        self.curve_incidents = 0
+        self.curve_errors = []
 
     def points(self, check_name: str):
         return sample_box(self.boxes, self.count, subseed(self.seed, check_name)).points
@@ -53,7 +53,7 @@ class RunContext:
         """Integrate the scenario's geodesic jobs once, keyed in name order.
 
         Jobs that share (t_end, h) integrate together in lockstep; a job
-        that fails is left out and counted as one curve incident.
+        that fails is left out and its error kept as a curve incident.
         """
         if self._curves is None:
             space = self.scenario.space
@@ -74,14 +74,14 @@ class RunContext:
             self._curves = {}
             for name in sorted(ended):
                 if isinstance(ended[name], SubgeoError):
-                    self.curve_incidents += 1
+                    self.curve_errors.append(ended[name])
                 else:
                     self._curves[name] = ended[name]
         return self._curves
 
-    def take_curve_incidents(self) -> int:
+    def take_curve_errors(self) -> list:
         """Integration failures, charged to the first check that asks."""
-        out, self.curve_incidents = self.curve_incidents, 0
+        out, self.curve_errors = self.curve_errors, []
         return out
 
 
@@ -127,7 +127,7 @@ def _probe_field(fld, p) -> float:
     r = float(np.max(np.abs(jet.grad - ref.grad) / (1.0 + np.abs(ref.grad))))
     if order == 2:
         dh = float(np.max(np.abs(jet.hess - ref.hess) / (1.0 + np.abs(ref.hess))))
-        r = max(r, dh)
+        r = peak((r, dh))
     return r
 
 
@@ -143,23 +143,18 @@ def _fd_crosscheck(scenario, ctx, name, tol):
         fields += [("base_" + lbl, f, setup.base_point)
                    for lbl, f in setup.base.metric.entry_fields()]
     pts = ctx.points(name)
-    residuals, incidents, worst = [], 0, ""
-    for k in range(FD_PROBES):
-        label, fld, to_point = fields[k % len(fields)]
-        p = to_point(pts[k % len(pts)])
-        try:
-            r = _probe_field(fld, p)
-        except SubgeoError:
-            incidents += 1
-            continue
-        if not residuals or r > max(residuals):
-            worst = label
-        residuals.append(r)
-    res = summarize(name, residuals, tol, FD_PROBES, incidents=incidents)
-    res.details["fields_probed"] = min(FD_PROBES, len(fields))
-    res.details["fields_available"] = len(fields)
-    res.details["worst_field"] = worst
-    return res
+    probes = [(*fields[k % len(fields)], pts[k % len(pts)]) for k in range(FD_PROBES)]
+
+    def at(probe):
+        _, fld, to_point, p = probe
+        return _probe_field(fld, to_point(p))
+
+    s = sweep(probes, at)
+    return s.summarize(name, tol, details={
+        "fields_probed": min(FD_PROBES, len(fields)),
+        "fields_available": len(fields),
+        "worst_field": "" if s.worst_index is None else probes[s.worst_index][0],
+    })
 
 
 def _submersion_driver(fn):
@@ -175,25 +170,22 @@ def _geodesic_driver(fn):
     def drive(scenario, ctx, name, tol):
         if scenario.setup is None:
             return _missing(name, "submersion")
-        curves = ctx.curves()
-        if not curves:
+        if not scenario.geodesic_jobs:
             return _missing(name, "geodesic jobs")
-        res = fn(scenario.setup, list(curves.values()), tol)
-        res.incidents += ctx.take_curve_incidents()
+        res = fn(scenario.setup, list(ctx.curves().values()), tol)
+        res.add_incidents(ctx.take_curve_errors())
         return res
 
     return drive
 
 
 def _geodesic_energy(scenario, ctx, name, tol):
-    curves = ctx.curves()
-    if not curves:
+    if not scenario.geodesic_jobs:
         return _missing(name, "geodesic jobs")
-    residuals = [geodesics.energy_drift(scenario.space.metric, t)
-                 for t in curves.values()]
-    res = summarize(name, residuals, tol, len(curves),
-                    incidents=ctx.take_curve_incidents())
-    res.details["jobs"] = sorted(curves)
+    curves = ctx.curves()
+    s = sweep(list(curves.values()), lambda t: geodesics.energy_drift(scenario.space.metric, t))
+    res = s.summarize(name, tol, details={"jobs": sorted(curves)})
+    res.add_incidents(ctx.take_curve_errors())
     return res
 
 
@@ -332,8 +324,9 @@ def run_suite(cfg: SuiteConfig) -> dict:
         except SubgeoError as exc:
             result = CheckResult(
                 name=name, samples=0, max_residual=float("inf"), tolerance=tol,
-                status=INCONCLUSIVE, details={"error": str(exc)}, incidents=1,
+                status=INCONCLUSIVE, details={"error": str(exc)},
             )
+            result.add_incidents([exc])
         result.wall_time_s = time.perf_counter() - start
         result.paper_ref = spec.paper_ref
         result.name = name

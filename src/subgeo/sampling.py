@@ -54,8 +54,3 @@ def sample_box(box, count: int, seed: int) -> SampleSet:
 def subseed(seed: int, label: str) -> int:
     """Stable per-purpose seed derived from the suite seed and a label."""
     return (seed ^ zlib.crc32(label.encode("utf-8"))) & 0x7FFFFFFF
-
-
-def sample(box, count: int, seed: int) -> SampleSet:
-    """Draw a deterministic interior sample set; see sample_box."""
-    return sample_box(box, count, seed)

@@ -17,6 +17,7 @@ which makes the results extension-independent up to solver noise.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,11 +26,12 @@ import numpy as np
 import scipy.linalg
 
 from . import geometry
-from .errors import ContractViolation, RankDrop, SingularMatrix
+from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
 from .fields import ConnectionField, DualConnection, ScalarField, Space
 from .jets import Jet
 from .linalg import jet_matmul, jet_solve, jet_values, solve_linear
-from .results import FAIL, INCONCLUSIVE, PASS, CheckResult, biconditional, summarize
+from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree,
+                      peak, sweep)
 
 RANK_RTOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -113,8 +115,15 @@ class SubmersionSetup:
     def dpi_values(self, p) -> np.ndarray:
         return jet_values(self.dpi_jets(p, 0))
 
+    def _finite_dpi(self, p) -> np.ndarray:
+        """dpi values for a rank test, which cannot take NaN or inf."""
+        a = self.dpi_values(p)
+        if not np.isfinite(a).all():
+            raise EvalDomain("projection differential is not finite", point=p)
+        return a
+
     def rank_check(self, p) -> None:
-        sv = np.linalg.svd(self.dpi_values(p), compute_uv=False)
+        sv = np.linalg.svd(self._finite_dpi(p), compute_uv=False)
         if sv.size == 0 or sv[-1] <= RANK_RTOL * max(sv[0], 1.0):
             raise RankDrop("projection differential lost rank", point=tuple(p))
 
@@ -125,7 +134,7 @@ class SubmersionSetup:
         return self._pivot
 
     def _pivot_at(self, p):
-        a = self.dpi_values(p)
+        a = self._finite_dpi(p)
         _, r, perm = scipy.linalg.qr(a, pivoting=True)
         diag = np.abs(np.diag(r))
         if diag.size < self.m or diag[-1] <= RANK_RTOL * max(diag[0], 1.0):
@@ -228,7 +237,7 @@ class SubmersionSetup:
         return self.phi.jets(p, order)
 
     def e2phi(self, p) -> float:
-        return math.exp(2.0 * self.phi_jets(p, 0).value)
+        return (2.0 * self.phi_jets(p, 0)).exp().value
 
     def dphi(self, p) -> np.ndarray:
         return self.phi_jets(p, 1).grad
@@ -413,20 +422,16 @@ def lemma_components(setup: SubmersionSetup, p, frame: _PointFrame | None = None
     Keys cs6..cs11; vacuous entries (no vertical directions) report 0.
     """
     f = frame or _PointFrame(setup, p)
-    n, m, l = setup.n, setup.m, setup.fiber_dim
-    out = {f"cs{k}": 0.0 for k in range(6, 12)}
+    m, l = setup.m, setup.fiber_dim
 
     # cs6: horizontal cubic matches the conformally scaled base cubic
     base_cubic = geometry.cubic_values(setup.base.metric, setup.base.conn, f.bp)
     lifted = np.einsum(
         "ijk,ic,ja,kb->cab", f.cubic, f.lcols, f.lcols, f.lcols
     )
-    out["cs6"] = float(np.max(np.abs(lifted - f.e2phi * base_cubic)))
-    if l == 0:
-        return out
+    cs6 = float(np.max(np.abs(lifted - f.e2phi * base_cubic)))
 
-    gl = f.g @ f.lcols   # lowered lift columns
-    gv = f.g @ f.vcols
+    r7, r8, r9, r10, r11 = [], [], [], [], []
     for vi in range(l):
         v = f.vcols[:, vi]
         for a in range(m):
@@ -436,119 +441,110 @@ def lemma_components(setup: SubmersionSetup, p, frame: _PointFrame | None = None
             t_vx_d = setup.fundamental_T(p, v, x, setup.dual_total)
             for b in range(m):
                 y = f.lcols[:, b]
-                r7 = float(np.einsum("ijk,i,j,k->", f.cubic, v, x, y) + sv_x @ f.g @ y)
-                out["cs7"] = max(out["cs7"], abs(r7))
+                r7.append(abs(float(np.einsum("ijk,i,j,k->", f.cubic, v, x, y) + sv_x @ f.g @ y)))
             a_xv = setup.fundamental_A(p, x, v)
             a_xv_d = setup.fundamental_A(p, x, v, setup.dual_total)
             s_xv = f.s_value(x, v)
             for b in range(m):
                 y = f.lcols[:, b]
-                r8 = float(
+                r8.append(abs(float(
                     np.einsum("ijk,i,j,k->", f.cubic, x, v, y)
                     + a_xv @ f.g @ y
                     - a_xv_d @ f.g @ y
-                )
-                out["cs8"] = max(out["cs8"], abs(r8))
+                )))
             for wi in range(l):
                 w = f.vcols[:, wi]
-                r9 = float(np.einsum("ijk,i,j,k->", f.cubic, x, v, w) + s_xv @ f.g @ w)
-                out["cs9"] = max(out["cs9"], abs(r9))
-                r10 = float(
+                r9.append(abs(float(np.einsum("ijk,i,j,k->", f.cubic, x, v, w) + s_xv @ f.g @ w)))
+                r10.append(abs(float(
                     np.einsum("ijk,i,j,k->", f.cubic, v, x, w)
                     + t_vx @ f.g @ w
                     - t_vx_d @ f.g @ w
-                )
-                out["cs10"] = max(out["cs10"], abs(r10))
+                )))
     for ui in range(l):
         u = f.vcols[:, ui]
         for vi in range(l):
             for wi in range(l):
-                r11 = float(
+                r11.append(abs(float(
                     np.einsum(
                         "ijk,i,j,k->", f.cubic, u, f.vcols[:, vi], f.vcols[:, wi]
                     )
                     - f.fiber_cubic(ui, vi, wi)
-                )
-                out["cs11"] = max(out["cs11"], abs(r11))
-    return out
+                )))
+    return {"cs6": cs6, "cs7": peak(r7), "cs8": peak(r8), "cs9": peak(r9),
+            "cs10": peak(r10), "cs11": peak(r11)}
+
+
+LEMMA_KEYS = ("cs6", "cs7", "cs8", "cs9", "cs10", "cs11")
 
 
 def check_lemma_components(setup, points, tol) -> CheckResult:
-    residuals, incidents = [], 0
-    per = {f"cs{k}": 0.0 for k in range(6, 12)}
-    for p in points:
-        try:
-            comp = lemma_components(setup, p)
-        except Exception:
-            incidents += 1
-            continue
-        for k, v in comp.items():
-            per[k] = max(per[k], v)
-        residuals.append(max(comp.values()))
-    return summarize(
-        "lemma_components", residuals, tol, len(points),
-        details={k: per[k] for k in sorted(per)}, incidents=incidents,
-    )
+    s = sweep(points, lambda p: lemma_components(setup, p), keys=LEMMA_KEYS)
+    return s.summarize("lemma_components", tol, details=dict(sorted(s.worst.items())))
+
+
+CONDITIONS = ("condition1", "condition2", "condition3", "condition4")
+
+
+def four_conditions_at(setup: SubmersionSetup, f: _PointFrame) -> dict:
+    """The four statisticity conditions at a frame's point, plus the
+    direct statisticity residual of the total space there."""
+    p = f.p
+    l, m = setup.fiber_dim, setup.m
+    r1, r2, r3 = [], [], []
+    for vi in range(l):
+        v = f.vcols[:, vi]
+        for a in range(m):
+            x = f.lcols[:, a]
+            c1 = f.ph @ f.s_value(v, x) - (
+                setup.fundamental_A(p, x, v)
+                - setup.fundamental_A(p, x, v, setup.dual_total)
+            )
+            r1.append(float(np.max(np.abs(c1))))
+            c2 = f.pv @ f.s_value(x, v) - (
+                setup.fundamental_T(p, v, x)
+                - setup.fundamental_T(p, v, x, setup.dual_total)
+            )
+            r2.append(float(np.max(np.abs(c2))))
+    # condition 3: the fibers are statistical
+    for a in range(l):
+        ua = f.vcols[:, a]
+        for b in range(l):
+            tor = (
+                f.pv @ f.cov(ua, f.kernel_col(b))
+                - f.pv @ f.cov(f.vcols[:, b], f.kernel_col(a))
+                - _bracket(f.kernel_col(a), f.kernel_col(b))
+            )
+            r3.append(float(np.max(np.abs(tor))))
+            for c in range(l):
+                r3.append(abs(f.fiber_cubic(a, b, c) - f.fiber_cubic(b, a, c)))
+    return {
+        "condition1": peak(r1),
+        "condition2": peak(r2),
+        "condition3": peak(r3),
+        "condition4": geometry.statistical_residual(setup.base.metric, setup.base.conn, f.bp),
+        "total_space": geometry.statistical_residual(setup.total.metric, setup.total.conn, p),
+    }
+
+
+def four_conditions_details(s: Sweep, tol) -> dict:
+    """Per-condition maxima and both verdicts of the four-condition theorem."""
+    details = {k: s.worst[k] for k in CONDITIONS}
+    conditions_max = peak(details.values())
+    direct = s.worst["total_space"]
+    details["total_space_residual"] = direct
+    details["conditions_pass"] = conditions_max <= tol
+    details["total_space_pass"] = direct <= tol
+    details["biconditional_holds"] = agree(conditions_max, direct, tol)
+    return details
 
 
 def four_conditions_check(setup: SubmersionSetup, points, tol) -> CheckResult:
     """The four statisticity conditions plus the biconditional against a
     direct statisticity check of the total space."""
-    cond = {"condition1": 0.0, "condition2": 0.0, "condition3": 0.0, "condition4": 0.0}
-    direct = 0.0
-    evaluated, incidents = 0, 0
-    for p in points:
-        try:
-            f = _PointFrame(setup, p)
-            l, m = setup.fiber_dim, setup.m
-            for vi in range(l):
-                v = f.vcols[:, vi]
-                for a in range(m):
-                    x = f.lcols[:, a]
-                    r1 = f.ph @ f.s_value(v, x) - (
-                        setup.fundamental_A(p, x, v)
-                        - setup.fundamental_A(p, x, v, setup.dual_total)
-                    )
-                    cond["condition1"] = max(cond["condition1"], float(np.max(np.abs(r1))))
-                    r2 = f.pv @ f.s_value(x, v) - (
-                        setup.fundamental_T(p, v, x)
-                        - setup.fundamental_T(p, v, x, setup.dual_total)
-                    )
-                    cond["condition2"] = max(cond["condition2"], float(np.max(np.abs(r2))))
-            # condition 3: the fibers are statistical
-            for a in range(l):
-                ua = f.vcols[:, a]
-                for b in range(l):
-                    tor = (
-                        f.pv @ f.cov(ua, f.kernel_col(b))
-                        - f.pv @ f.cov(f.vcols[:, b], f.kernel_col(a))
-                        - _bracket(f.kernel_col(a), f.kernel_col(b))
-                    )
-                    cond["condition3"] = max(cond["condition3"], float(np.max(np.abs(tor))))
-                    for c in range(l):
-                        sym = f.fiber_cubic(a, b, c) - f.fiber_cubic(b, a, c)
-                        cond["condition3"] = max(cond["condition3"], abs(sym))
-            cond["condition4"] = max(
-                cond["condition4"],
-                geometry.statistical_residual(setup.base.metric, setup.base.conn, f.bp),
-            )
-            direct = max(
-                direct,
-                geometry.statistical_residual(setup.total.metric, setup.total.conn, p),
-            )
-            evaluated += 1
-        except Exception:
-            incidents += 1
-    conditions_max = max(cond.values())
-    conditions_pass = conditions_max <= tol
-    direct_pass = direct <= tol
-    details = dict(cond)
-    details["total_space_residual"] = direct
-    details["conditions_pass"] = conditions_pass
-    details["total_space_pass"] = direct_pass
-    details["biconditional_holds"] = conditions_pass == direct_pass
-    out = summarize("four_conditions", [conditions_max] * max(evaluated, 0), tol,
-                    len(points), details=details, incidents=incidents)
+    s = sweep(points, lambda p: four_conditions_at(setup, _PointFrame(setup, p)),
+              keys=CONDITIONS + ("total_space",))
+    details = four_conditions_details(s, tol)
+    out = s.summarize("four_conditions", tol, details, keys=CONDITIONS)
     if out.status != INCONCLUSIVE and not details["biconditional_holds"]:
         out.status = FAIL
     return out
@@ -558,151 +554,122 @@ def gauss_weingarten_residuals(setup: SubmersionSetup, p) -> dict:
     """Residuals of the four decomposition identities for frame fields."""
     f = _PointFrame(setup, p)
     l, m = setup.fiber_dim, setup.m
-    out = {"vert_vert": 0.0, "vert_horiz": 0.0, "horiz_vert": 0.0, "horiz_horiz": 0.0}
+    vv, vh, hv, hh = [], [], [], []
     for a in range(l):
         va = f.vcols[:, a]
         for b in range(l):
             full = f.cov(va, f.kernel_col(b))
             r = full - setup.fundamental_T(p, va, f.vcols[:, b]) - f.pv @ full
-            out["vert_vert"] = max(out["vert_vert"], float(np.max(np.abs(r))))
+            vv.append(float(np.max(np.abs(r))))
         for b in range(m):
             full = f.cov(va, f.lift_col(b))
             r = full - f.ph @ full - setup.fundamental_T(p, va, f.lcols[:, b])
-            out["vert_horiz"] = max(out["vert_horiz"], float(np.max(np.abs(r))))
+            vh.append(float(np.max(np.abs(r))))
     for a in range(m):
         xa = f.lcols[:, a]
         for b in range(l):
             full = f.cov(xa, f.kernel_col(b))
             r = full - f.pv @ full - setup.fundamental_A(p, xa, f.vcols[:, b])
-            out["horiz_vert"] = max(out["horiz_vert"], float(np.max(np.abs(r))))
+            hv.append(float(np.max(np.abs(r))))
         for b in range(m):
             full = f.cov(xa, f.lift_col(b))
             r = full - f.ph @ full - setup.fundamental_A(p, xa, f.lcols[:, b])
-            out["horiz_horiz"] = max(out["horiz_horiz"], float(np.max(np.abs(r))))
-    return out
+            hh.append(float(np.max(np.abs(r))))
+    return {"vert_vert": peak(vv), "vert_horiz": peak(vh),
+            "horiz_vert": peak(hv), "horiz_horiz": peak(hh)}
 
 
 def check_gauss_weingarten(setup, points, tol) -> CheckResult:
-    residuals, incidents = [], 0
-    worst = {}
-    for p in points:
-        try:
-            r = gauss_weingarten_residuals(setup, p)
-        except Exception:
-            incidents += 1
-            continue
-        for k, v in r.items():
-            worst[k] = max(worst.get(k, 0.0), v)
-        residuals.append(max(r.values()))
-    return summarize("gauss_weingarten", residuals, tol, len(points),
-                     details=worst, incidents=incidents)
+    s = sweep(points, lambda p: gauss_weingarten_residuals(setup, p))
+    return s.summarize("gauss_weingarten", tol, details=s.worst)
 
 
 def check_split_identities(setup, points, tol) -> CheckResult:
     """P_H + P_V = I, dpi P_V = 0, dpi L = I at every sample."""
-    residuals, incidents = [], 0
     eye_n = np.eye(setup.n)
     eye_m = np.eye(setup.m)
-    for p in points:
-        try:
-            setup.rank_check(p)
-            s = setup.split(p)
-            dpi = setup.dpi_values(p)
-            r = max(
-                float(np.max(np.abs(s.p_h + s.p_v - eye_n))),
-                float(np.max(np.abs(dpi @ s.p_v))),
-                float(np.max(np.abs(dpi @ s.horizontal - eye_m))),
-            )
-            if setup.fiber_dim:
-                r = max(r, float(np.max(np.abs(dpi @ s.vertical))))
-            residuals.append(r)
-        except Exception:
-            incidents += 1
-    return summarize("split_identities", residuals, tol, len(points), incidents=incidents)
+
+    def at(p):
+        s = setup.split(p)
+        dpi = setup.dpi_values(p)
+        parts = [s.p_h + s.p_v - eye_n, dpi @ s.p_v, dpi @ s.horizontal - eye_m]
+        if setup.fiber_dim:
+            parts.append(dpi @ s.vertical)
+        return peak(float(np.max(np.abs(r))) for r in parts)
+
+    return sweep(points, at).summarize("split_identities", tol)
 
 
 def check_tensoriality(setup, points, tol) -> CheckResult:
     """T and A agree across two different extensions of their arguments."""
-    residuals, incidents = [], 0
-    for p in points:
-        try:
-            f = _PointFrame(setup, p)
-            n = setup.n
-            # scale the extension by a scalar field equal to 1 at p
-            s = Jet(n, 1, 1.0, np.ones(n) * 0.7, None, None)
-            r = 0.0
-            probes = []
-            if setup.fiber_dim:
-                probes.append((f.vcols[:, 0], f.lcols[:, 0]))
-                probes.append((f.vcols[:, 0], f.vcols[:, -1]))
-            probes.append((f.lcols[:, 0], f.lcols[:, -1]))
-            for e, w in probes:
-                w_v = _linear_field(f.pv_jets, w)
-                w_h = _linear_field(f.ph_jets, w)
-                ve = f.pv @ e
-                he = f.ph @ e
-                t1 = f.ph @ _cov_deriv(f.gamma, ve, w_v) + f.pv @ _cov_deriv(f.gamma, ve, w_h)
-                t2 = f.ph @ _cov_deriv(f.gamma, ve, [s * j for j in w_v]) + f.pv @ _cov_deriv(
-                    f.gamma, ve, [s * j for j in w_h]
-                )
-                a1 = f.pv @ _cov_deriv(f.gamma, he, w_h) + f.ph @ _cov_deriv(f.gamma, he, w_v)
-                a2 = f.pv @ _cov_deriv(f.gamma, he, [s * j for j in w_h]) + f.ph @ _cov_deriv(
-                    f.gamma, he, [s * j for j in w_v]
-                )
-                r = max(r, float(np.max(np.abs(t1 - t2))), float(np.max(np.abs(a1 - a2))))
-            residuals.append(r)
-        except Exception:
-            incidents += 1
-    return summarize("tensoriality", residuals, tol, len(points), incidents=incidents)
+    n = setup.n
+    # scale the extension by a scalar field equal to 1 at p
+    s = Jet(n, 1, 1.0, np.ones(n) * 0.7, None, None)
+
+    def at(p):
+        f = _PointFrame(setup, p)
+        probes = []
+        if setup.fiber_dim:
+            probes.append((f.vcols[:, 0], f.lcols[:, 0]))
+            probes.append((f.vcols[:, 0], f.vcols[:, -1]))
+        probes.append((f.lcols[:, 0], f.lcols[:, -1]))
+        r = []
+        for e, w in probes:
+            w_v = _linear_field(f.pv_jets, w)
+            w_h = _linear_field(f.ph_jets, w)
+            ve = f.pv @ e
+            he = f.ph @ e
+            t1 = f.ph @ _cov_deriv(f.gamma, ve, w_v) + f.pv @ _cov_deriv(f.gamma, ve, w_h)
+            t2 = f.ph @ _cov_deriv(f.gamma, ve, [s * j for j in w_v]) + f.pv @ _cov_deriv(
+                f.gamma, ve, [s * j for j in w_h]
+            )
+            a1 = f.pv @ _cov_deriv(f.gamma, he, w_h) + f.ph @ _cov_deriv(f.gamma, he, w_v)
+            a2 = f.pv @ _cov_deriv(f.gamma, he, [s * j for j in w_h]) + f.ph @ _cov_deriv(
+                f.gamma, he, [s * j for j in w_v]
+            )
+            r += [float(np.max(np.abs(t1 - t2))), float(np.max(np.abs(a1 - a2)))]
+        return peak(r)
+
+    return sweep(points, at).summarize("tensoriality", tol)
 
 
 def check_semi_riemannian(setup, points, tol) -> CheckResult:
     """Horizontal lengths preserved and fiber metric nondegenerate."""
-    residuals, incidents = [], 0
-    degenerate = False
-    for p in points:
-        try:
-            f = _PointFrame(setup, p)
-            gb = setup.base.metric.values(f.bp)
-            r = float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - gb)))
-            if setup.fiber_dim:
-                ghat = f.vcols.T @ f.g @ f.vcols
-                try:
-                    solve_linear(ghat, np.eye(setup.fiber_dim))
-                except SingularMatrix:
-                    degenerate = True
-                    r = float("inf")
-            residuals.append(r)
-        except Exception:
-            incidents += 1
-    out = summarize("semi_riemannian", residuals, tol, len(points), incidents=incidents)
-    out.details["fiber_metric_degenerate"] = degenerate
-    return out
+
+    def at(p):
+        f = _PointFrame(setup, p)
+        gb = setup.base.metric.values(f.bp)
+        lengths = float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - gb)))
+        if setup.fiber_dim:
+            try:
+                solve_linear(f.vcols.T @ f.g @ f.vcols, np.eye(setup.fiber_dim))
+            except SingularMatrix:
+                return {"lengths": lengths, "degenerate": math.inf}
+        return {"lengths": lengths, "degenerate": 0.0}
+
+    s = sweep(points, at, keys=("lengths", "degenerate"))
+    return s.summarize("semi_riemannian", tol,
+                       details={"fiber_metric_degenerate": s.worst["degenerate"] == math.inf})
 
 
 def check_conformal_metric(setup, points, tol) -> CheckResult:
     """g_M on horizontal lifts equals e^{2 phi} g_B."""
-    residuals, incidents = [], 0
-    for p in points:
-        try:
-            f = _PointFrame(setup, p)
-            gb = setup.base.metric.values(f.bp)
-            residuals.append(
-                float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - f.e2phi * gb)))
-            )
-        except Exception:
-            incidents += 1
-    return summarize("conformal_metric", residuals, tol, len(points), incidents=incidents)
+
+    def at(p):
+        f = _PointFrame(setup, p)
+        gb = setup.base.metric.values(f.bp)
+        return float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - f.e2phi * gb)))
+
+    return sweep(points, at).summarize("conformal_metric", tol)
 
 
-def conformal_defect(setup: SubmersionSetup, p, x, y, z,
+def conformal_defect(setup: SubmersionSetup, f: _PointFrame, x, y, z,
                      conn: ConnectionField | None = None,
                      base_conn: ConnectionField | None = None) -> float:
     """Defect of the defining relation for conformal submersions with
-    horizontal distribution, for base vectors x, y, z."""
+    horizontal distribution, for base vectors x, y, z at the frame's point."""
     conn = conn or setup.total.conn
     base_conn = base_conn or setup.base.conn
-    f = _PointFrame(setup, p)
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     z = np.asarray(z, float)
@@ -712,8 +679,8 @@ def conformal_defect(setup: SubmersionSetup, p, x, y, z,
     yt = f.lcols @ y
     zt = f.lcols @ z
     y_field = _linear_field(f.lift_jets, y)
-    nab = _cov_deriv(conn.values(p), xt, y_field)
-    push = setup.dpi_values(p) @ nab
+    nab = _cov_deriv(conn.values(f.p), xt, y_field)
+    push = setup.dpi_values(f.p) @ nab
     nab_base = np.einsum("kab,a,b->k", gamma_b, x, y)
     return float(
         push @ gb @ z
@@ -724,72 +691,63 @@ def conformal_defect(setup: SubmersionSetup, p, x, y, z,
     )
 
 
+def _frame_triples(m: int):
+    """Every (e_a, e_b, e_c) of the base coordinate frame."""
+    return list(itertools.product(np.eye(m), repeat=3))
+
+
 def check_conformal_hd(setup, points, tol) -> CheckResult:
     """Max conformal defect over coordinate-frame triples at each sample."""
-    residuals, incidents = [], 0
-    eye = np.eye(setup.m)
-    for p in points:
-        try:
-            r = 0.0
-            for a in range(setup.m):
-                for b in range(setup.m):
-                    for c in range(setup.m):
-                        r = max(r, abs(conformal_defect(setup, p, eye[a], eye[b], eye[c])))
-            residuals.append(r)
-        except Exception:
-            incidents += 1
-    return summarize("conformal_hd", residuals, tol, len(points), incidents=incidents)
+    triples = _frame_triples(setup.m)
+
+    def at(p):
+        f = _PointFrame(setup, p)
+        return peak(abs(conformal_defect(setup, f, *t)) for t in triples)
+
+    return sweep(points, at).summarize("conformal_hd", tol)
 
 
 def check_affine_hd(setup, points, tol) -> CheckResult:
     """H(nabla_{X~} Y~) equals the lift of nabla*_X Y for frame fields."""
-    residuals, incidents = [], 0
-    for p in points:
-        try:
-            f = _PointFrame(setup, p)
-            gamma_b = setup.base.conn.values(f.bp)
-            r = 0.0
-            for a in range(setup.m):
-                xt = f.lcols[:, a]
-                for b in range(setup.m):
-                    nab = f.cov(xt, f.lift_col(b))
-                    lifted = f.lcols @ gamma_b[:, a, b]
-                    r = max(r, float(np.max(np.abs(f.ph @ nab - lifted))))
-            residuals.append(r)
-        except Exception:
-            incidents += 1
-    return summarize("affine_hd", residuals, tol, len(points), incidents=incidents)
+
+    def at(p):
+        f = _PointFrame(setup, p)
+        gamma_b = setup.base.conn.values(f.bp)
+        r = []
+        for a in range(setup.m):
+            xt = f.lcols[:, a]
+            for b in range(setup.m):
+                nab = f.cov(xt, f.lift_col(b))
+                lifted = f.lcols @ gamma_b[:, a, b]
+                r.append(float(np.max(np.abs(f.ph @ nab - lifted))))
+        return peak(r)
+
+    return sweep(points, at).summarize("affine_hd", tol)
 
 
 def check_dual_conformal_pair(setup, points, tol) -> CheckResult:
     """The defining relation holds for (nabla, nabla*) iff it holds for
     their metric duals; evaluated as two residual suites."""
-    r_primal, r_dual = 0.0, 0.0
-    evaluated, incidents = 0, 0
-    eye = np.eye(setup.m)
-    for p in points:
-        try:
-            for a in range(setup.m):
-                for b in range(setup.m):
-                    for c in range(setup.m):
-                        r_primal = max(r_primal, abs(
-                            conformal_defect(setup, p, eye[a], eye[b], eye[c])))
-                        r_dual = max(r_dual, abs(conformal_defect(
-                            setup, p, eye[a], eye[b], eye[c],
-                            conn=setup.dual_total, base_conn=setup.dual_base)))
-            evaluated += 1
-        except Exception:
-            incidents += 1
-    details = {"primal_max": r_primal, "dual_max": r_dual}
-    return biconditional(
-        "dual_conformal_pair", r_primal <= tol, r_dual <= tol,
-        max(r_primal, r_dual), tol, evaluated, details=details, incidents=incidents,
-    )
+    triples = _frame_triples(setup.m)
+
+    def at(p):
+        f = _PointFrame(setup, p)
+        return {
+            "primal": peak(abs(conformal_defect(setup, f, *t)) for t in triples),
+            "dual": peak(abs(conformal_defect(setup, f, *t, conn=setup.dual_total,
+                                              base_conn=setup.dual_base))
+                         for t in triples),
+        }
+
+    s = sweep(points, at, keys=("primal", "dual"))
+    r_primal, r_dual = s.worst["primal"], s.worst["dual"]
+    return s.biconditional("dual_conformal_pair", r_primal, r_dual, tol,
+                           details={"primal_max": r_primal, "dual_max": r_dual})
 
 
-def induced_structures(setup: SubmersionSetup, p):
+def induced_structures(setup: SubmersionSetup, p, frame: _PointFrame | None = None):
     """(g~, Gamma') induced on the base, evaluated at the fiber point p."""
-    f = _PointFrame(setup, p)
+    f = frame or _PointFrame(setup, p)
     m = setup.m
     g_ind = f.lcols.T @ f.g @ f.lcols
     gamma_ind = np.empty((m, m, m))
@@ -804,25 +762,18 @@ def check_projectable(setup, points, tol) -> CheckResult:
     """pi_*(H(nabla_{X~} Y~)) agrees across points of the same fiber."""
     if setup.fiber_dim == 0:
         # singleton fibers: nothing to vary, pass by convention
-        return summarize("projectable", [0.0] * len(points), tol, len(points))
+        return sweep(points, lambda p: 0.0).summarize("projectable", tol)
     n_base = max(1, math.ceil(len(points) / 16))
     per_fiber = max(2, math.ceil(len(points) / (4 * n_base)))
-    residuals, incidents = [], 0
-    for p in points[:n_base]:
-        try:
-            b = setup.base_point(p)
-            fpts = setup.fiber_points(b, per_fiber, anchor=p)
-            if len(fpts) < 2:
-                incidents += 1
-                continue
-            gammas = [induced_structures(setup, q)[1] for q in fpts]
-            r = 0.0
-            for q_gamma in gammas[1:]:
-                r = max(r, float(np.max(np.abs(q_gamma - gammas[0]))))
-            residuals.append(r)
-        except Exception:
-            incidents += 1
-    return summarize("projectable", residuals, tol, n_base, incidents=incidents)
+
+    def at(p):
+        fpts = setup.fiber_points(setup.base_point(p), per_fiber, anchor=p)
+        if len(fpts) < 2:
+            raise PremiseFailed(f"found {len(fpts)} of {per_fiber} points on the fiber")
+        gammas = [induced_structures(setup, q)[1] for q in fpts]
+        return peak(float(np.max(np.abs(q_gamma - gammas[0]))) for q_gamma in gammas[1:])
+
+    return sweep(points[:n_base], at).summarize("projectable", tol)
 
 
 def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
@@ -833,44 +784,35 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
     Also checks the underlying identity
     (nabla'_X g~)(Y, Z) = (nabla_{X~} g_M)(Y~, Z~).
     """
-    residuals, incidents = [], 0
-    premise_worst = 0.0
-    identity_worst = 0.0
     m = setup.m
-    for p in points:
-        try:
-            f = _PointFrame(setup, p)
-            premise_worst = max(
-                premise_worst,
-                geometry.statistical_residual(setup.total.metric, setup.total.conn, p),
-            )
-            g_ind, gamma_ind = induced_structures(setup, p)
-            dg_ind = np.empty((m, m, m))
-            for a in range(m):
-                for b in range(m):
-                    grad_s = _scalar_grad(f.g_jets, f.lift_col(a), f.lift_col(b))
-                    for c in range(m):
-                        dg_ind[c, a, b] = grad_s @ f.lcols[:, c]
-            cubic_ind = geometry.nabla_g_values(g_ind, dg_ind, gamma_ind)
-            tor = geometry.torsion_values(gamma_ind)
-            r_stat = max(
+
+    def at(p):
+        f = _PointFrame(setup, p)
+        premise = geometry.statistical_residual(setup.total.metric, setup.total.conn, p)
+        g_ind, gamma_ind = induced_structures(setup, p, frame=f)
+        dg_ind = np.empty((m, m, m))
+        for a in range(m):
+            for b in range(m):
+                grad_s = _scalar_grad(f.g_jets, f.lift_col(a), f.lift_col(b))
+                for c in range(m):
+                    dg_ind[c, a, b] = grad_s @ f.lcols[:, c]
+        cubic_ind = geometry.nabla_g_values(g_ind, dg_ind, gamma_ind)
+        tor = geometry.torsion_values(gamma_ind)
+        lifted = np.einsum("ijk,ic,ja,kb->cab", f.cubic, f.lcols, f.lcols, f.lcols)
+        return {
+            "premise": premise,
+            "statistical": peak((
                 float(np.max(np.abs(tor))),
                 float(np.max(np.abs(cubic_ind - np.transpose(cubic_ind, (1, 0, 2))))),
-            )
-            lifted = np.einsum("ijk,ic,ja,kb->cab", f.cubic, f.lcols, f.lcols, f.lcols)
-            identity_worst = max(identity_worst, float(np.max(np.abs(cubic_ind - lifted))))
-            residuals.append(max(r_stat, float(np.max(np.abs(cubic_ind - lifted)))))
-        except Exception:
-            incidents += 1
-    out = summarize("induced_statistical", residuals, tol, len(points),
-                    details={"premise_residual": premise_worst,
-                             "proof_identity_residual": identity_worst},
-                    incidents=incidents)
-    if out.status != INCONCLUSIVE and premise_worst > 10.0 * tol:
+            )),
+            "identity": float(np.max(np.abs(cubic_ind - lifted))),
+        }
+
+    s = sweep(points, at, keys=("premise", "statistical", "identity"))
+    out = s.summarize("induced_statistical", tol, keys=("statistical", "identity"),
+                      details={"premise_residual": s.worst["premise"],
+                               "proof_identity_residual": s.worst["identity"]})
+    if out.status != INCONCLUSIVE and s.worst["premise"] > PREMISE_FACTOR * tol:
         out.status = INCONCLUSIVE
         out.details["premise_failed"] = True
     return out
-
-
-# Capitalized spelling used in a few call sites; same object.
-S_tensor = s_tensor

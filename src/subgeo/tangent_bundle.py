@@ -20,11 +20,12 @@ import numpy as np
 from . import geometry
 from .errors import ContractViolation
 from .fields import (ChartedManifold, ConnectionField, DerivedMetric,
-                     DualConnection, ExprField, MetricField, ScalarField, Space)
+                     DualConnection, ExprField, MetricField, ScalarField, Space, _drop)
 from .jets import Jet
-from .linalg import jet_values
-from .results import FAIL, INCONCLUSIVE, PASS, CheckResult, summarize
-from .submersion import SubmersionSetup, _cov_deriv
+from .results import FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, peak, sweep
+from .submersion import (CONDITIONS, SubmersionSetup, _cov_deriv, _PointFrame, check_affine_hd,
+                         check_semi_riemannian, four_conditions_at, four_conditions_details,
+                         lemma_components)
 
 
 def _embed_matrix(mat, dim):
@@ -103,7 +104,7 @@ class TangentBundle:
         u = [_useed(tuple(point), n + i, order) for i in range(n)]
         p = [[sum_jets(u[k] * base_g[i][j].dvar(k).embed(2 * n) for k in range(n))
               for j in range(n)] for i in range(n)]
-        g0 = [[_drop_to(g[i][j], order) for j in range(n)] for i in range(n)]
+        g0 = [[_drop(g[i][j], order) for j in range(n)] for i in range(n)]
         z = _zeros(n, 2 * n, order)
         return _blocks(p, g0, g0, z)
 
@@ -166,17 +167,6 @@ def _blocks(p, q, qt, s):
     return out
 
 
-def _drop_to(jet, order):
-    if jet.order == order:
-        return jet
-    return Jet(
-        jet.dim, order, jet.value,
-        None if order < 1 else jet.grad,
-        None if order < 2 else jet.hess,
-        None if order < 3 else jet.third,
-    )
-
-
 class CompleteLiftConnection(ConnectionField):
     """Coefficients of the complete lift of a base connection."""
 
@@ -198,7 +188,7 @@ class CompleteLiftConnection(ConnectionField):
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    coeff = _drop_to(ge[k][i][j], order)
+                    coeff = _drop(ge[k][i][j], order)
                     out[k][i][j] = coeff
                     out[n + k][i][j] = sum_jets(
                         u[l] * gamma1[k][i][j].dvar(l).embed(2 * n) for l in range(n)
@@ -225,7 +215,7 @@ class HorizontalLiftConnection(ConnectionField):
         n = self.n
         x = tuple(point[:n])
         gamma1 = self.base_conn.coeff_jets(x, order + 1)
-        ge = [[[_drop_to(gamma1[k][i][j].embed(2 * n), order) for j in range(n)]
+        ge = [[[_drop(gamma1[k][i][j].embed(2 * n), order) for j in range(n)]
                for i in range(n)] for k in range(n)]
         u = [_useed(tuple(point), n + i, order) for i in range(n)]
         zero = Jet.constant(0.0, 2 * n, order)
@@ -329,10 +319,10 @@ def _lift_field_jets(kind, components, base_conn, point, n):
     out = [zero] * (2 * n)
     if kind == "v":
         for i in range(n):
-            out[n + i] = _drop_to(comp2[i], 1).embed(2 * n)
+            out[n + i] = _drop(comp2[i], 1).embed(2 * n)
         return out
     for i in range(n):
-        out[i] = _drop_to(comp2[i], 1).embed(2 * n)
+        out[i] = _drop(comp2[i], 1).embed(2 * n)
         out[n + i] = sum_jets(u[j] * comp2[i].dvar(j).embed(2 * n) for j in range(n))
     if kind == "c":
         return out
@@ -342,7 +332,7 @@ def _lift_field_jets(kind, components, base_conn, point, n):
     gamma1 = base_conn.coeff_jets(x, 1)
     for i in range(n):
         corr = sum_jets(
-            u[j] * (gamma1[i][j][k].embed(2 * n) * _drop_to(comp2[k], 1).embed(2 * n))
+            u[j] * (gamma1[i][j][k].embed(2 * n) * _drop(comp2[k], 1).embed(2 * n))
         for j in range(n) for k in range(n))
         out[n + i] = -corr
     return out
@@ -361,7 +351,7 @@ def _base_cov_field(base_conn, x_fields, y_fields, n):
             for i in range(n):
                 acc = acc + xj[i] * yj[k].dvar(i)
                 for j in range(n):
-                    acc = acc + xj[i] * gamma[k][i][j] * _drop_to(yj[j], order)
+                    acc = acc + xj[i] * gamma[k][i][j] * _drop(yj[j], order)
             return acc
         return FuncField(n, fn, name=f"cov{k}")
 
@@ -468,25 +458,12 @@ def _metric_pairing_field(metric, x_fields, y_fields, n) -> ScalarField:
 
 
 def check_defining_rules(bundle: TangentBundle, points, tol) -> CheckResult:
-    residuals, incidents = [], 0
-    worst = {}
-    for p in points:
-        try:
-            r = defining_rule_residuals(bundle, p)
-        except Exception:
-            incidents += 1
-            continue
-        for k, v in r.items():
-            worst[k] = max(worst.get(k, 0.0), v)
-        residuals.append(max(r.values()))
-    return summarize("tb_defining_rules", residuals, tol, len(points),
-                     details=worst, incidents=incidents)
+    s = sweep(points, lambda p: defining_rule_residuals(bundle, p))
+    return s.summarize("tb_defining_rules", tol, details=s.worst)
 
 
 def prop41_check(bundle: TangentBundle, points, tol) -> CheckResult:
     """(TM, complete lift) over (M, nabla) is affine with lifted frames."""
-    from .submersion import check_affine_hd
-
     setup = bundle.submersion("sasaki", "complete")
     out = check_affine_hd(setup, points, tol)
     out.name = "prop41"
@@ -495,12 +472,15 @@ def prop41_check(bundle: TangentBundle, points, tol) -> CheckResult:
 
 def prop42_check(bundle: TangentBundle, points, tol) -> CheckResult:
     """(TM, Sasaki metric) over (M, g) preserves horizontal lengths."""
-    from .submersion import check_semi_riemannian
-
     setup = bundle.submersion("sasaki", "complete")
     out = check_semi_riemannian(setup, points, tol)
     out.name = "prop42"
     return out
+
+
+# the bundle components cst1..cst6 are the lemma components cs7..cs11, cs6
+TM_COMPONENTS = {"cst1": "cs7", "cst2": "cs8", "cst3": "cs9",
+                 "cst4": "cs10", "cst5": "cs11", "cst6": "cs6"}
 
 
 def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
@@ -509,55 +489,39 @@ def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
     The verdicts on both sides may be pass or fail; the asserted content
     is their agreement.  Component residuals cst1..cst6 are reported.
     """
-    from .submersion import four_conditions_check, lemma_components
-
     setup = bundle.submersion("sasaki", "complete")
-    inner = four_conditions_check(setup, points, tol)
-    cst = {f"cst{k}": 0.0 for k in range(1, 7)}
-    order = {"cst1": "cs7", "cst2": "cs8", "cst3": "cs9",
-             "cst4": "cs10", "cst5": "cs11", "cst6": "cs6"}
-    incidents = inner.incidents
-    for p in points:
-        try:
-            comp = lemma_components(setup, p)
-        except Exception:
-            incidents += 1
-            continue
-        for k, src in order.items():
-            cst[k] = max(cst[k], comp[src])
-    details = dict(inner.details)
-    details.update(cst)
-    holds = details.get("biconditional_holds", False)
-    status = inner.status
-    if status != INCONCLUSIVE:
-        status = PASS if holds else FAIL
-    return CheckResult(
-        name="tm_statistical",
-        samples=inner.samples,
-        max_residual=inner.max_residual,
-        tolerance=float(tol),
-        status=status,
-        details=details,
-        incidents=incidents,
-    )
+
+    def at(p):
+        f = _PointFrame(setup, p)
+        out = four_conditions_at(setup, f)
+        comp = lemma_components(setup, p, frame=f)
+        out.update((k, comp[src]) for k, src in TM_COMPONENTS.items())
+        return out
+
+    s = sweep(points, at, keys=CONDITIONS + ("total_space",) + tuple(TM_COMPONENTS))
+    details = four_conditions_details(s, tol)
+    details.update((k, s.worst[k]) for k in TM_COMPONENTS)
+    out = s.summarize("tm_statistical", tol, details, keys=CONDITIONS)
+    if out.status != INCONCLUSIVE:
+        out.status = PASS if details["biconditional_holds"] else FAIL
+    return out
 
 
 def remark_complete_check(bundle: TangentBundle, points, tol) -> CheckResult:
     """(TM, complete lift connection, complete lift metric) statistical."""
-    residuals, incidents = [], 0
-    premise = 0.0
     space = bundle.space("complete", "complete")
-    for p in points:
-        try:
-            premise = max(premise, geometry.statistical_residual(
-                bundle.base.metric, bundle.base.conn, tuple(p[:bundle.n])))
-            residuals.append(
-                geometry.statistical_residual(space.metric, space.conn, p))
-        except Exception:
-            incidents += 1
-    out = summarize("remark_complete_metric", residuals, tol, len(points),
-                    details={"premise_residual": premise}, incidents=incidents)
-    if out.status != INCONCLUSIVE and premise > 10.0 * tol:
+
+    def at(p):
+        return {
+            "premise": geometry.statistical_residual(
+                bundle.base.metric, bundle.base.conn, tuple(p[:bundle.n])),
+            "statistical": geometry.statistical_residual(space.metric, space.conn, p),
+        }
+
+    s = sweep(points, at, keys=("premise", "statistical"))
+    out = s.summarize("remark_complete_metric", tol, keys=("statistical",),
+                      details={"premise_residual": s.worst["premise"]})
+    if out.status != INCONCLUSIVE and s.worst["premise"] > PREMISE_FACTOR * tol:
         out.status = INCONCLUSIVE
         out.details["premise_failed"] = True
     return out
@@ -565,18 +529,11 @@ def remark_complete_check(bundle: TangentBundle, points, tol) -> CheckResult:
 
 def remark_dual_check(bundle: TangentBundle, points, tol) -> CheckResult:
     """dual(complete lift nabla, complete lift g) = complete lift of dual(nabla, g)."""
-    residuals, incidents = [], 0
     lifted_dual = DualConnection(bundle.complete_conn, bundle.complete_metric)
     dual_lifted = CompleteLiftConnection(
         DualConnection(bundle.base.conn, bundle.base.metric), bundle.n)
-    for p in points:
-        try:
-            diff = lifted_dual.values(p) - dual_lifted.values(p)
-            residuals.append(float(np.max(np.abs(diff))))
-        except Exception:
-            incidents += 1
-    return summarize("remark_dual_complete", residuals, tol, len(points),
-                     incidents=incidents)
+    s = sweep(points, lambda p: float(np.max(np.abs(lifted_dual.values(p) - dual_lifted.values(p)))))
+    return s.summarize("remark_dual_complete", tol)
 
 
 def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
@@ -586,31 +543,23 @@ def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
     metric-compatible bases the horizontal lift acquires torsion from
     the curvature, so this applies to flat or non-compatible bases.
     """
-    left, right = 0.0, 0.0
-    evaluated, incidents = 0, 0
     space = bundle.space("sasaki", "horizontal")
-    for p in points:
-        try:
-            left = max(left, geometry.statistical_residual(space.metric, space.conn, p))
-            x = tuple(p[:bundle.n])
-            gv, dg = bundle.base.metric.partial_values(x)
-            nab_g = geometry.nabla_g_values(gv, dg, bundle.base.conn.values(x))
-            right = max(right, float(np.max(np.abs(nab_g))))
-            evaluated += 1
-        except Exception:
-            incidents += 1
-    left_pass = left <= tol
-    right_pass = right <= tol
-    status = INCONCLUSIVE if evaluated == 0 else (PASS if left_pass == right_pass else FAIL)
-    return CheckResult(
-        name="remark_horizontal",
-        samples=evaluated,
-        max_residual=float(max(left, right) if left_pass == right_pass else min(left, right)),
-        tolerance=float(tol),
-        status=status,
+
+    def at(p):
+        x = tuple(p[:bundle.n])
+        gv, dg = bundle.base.metric.partial_values(x)
+        nab_g = geometry.nabla_g_values(gv, dg, bundle.base.conn.values(x))
+        return {"bundle": geometry.statistical_residual(space.metric, space.conn, p),
+                "base": float(np.max(np.abs(nab_g)))}
+
+    s = sweep(points, at, keys=("bundle", "base"))
+    left, right = s.worst["bundle"], s.worst["base"]
+    left_pass, right_pass = left <= tol, right <= tol
+    return s.biconditional(
+        "remark_horizontal", left, right, tol,
         details={"bundle_residual": left, "base_nabla_g": right,
                  "bundle_pass": left_pass, "base_metric_pass": right_pass},
-        incidents=incidents,
+        max_residual=peak((left, right)) if left_pass == right_pass else min(left, right),
     )
 
 
@@ -641,12 +590,3 @@ def complete_lift(entity, point, conn: ConnectionField | None = None) -> float |
         bot = np.hstack([g, np.zeros((n, n))])
         return np.vstack([top, bot])
     return complete_lift_vector(list(entity), point)
-
-
-def remark_checks(bundle: TangentBundle, points, tol) -> list:
-    """The three remark verifications as one batch."""
-    return [
-        remark_complete_check(bundle, points, tol),
-        remark_dual_check(bundle, points, tol),
-        remark_horizontal_check(bundle, points, tol),
-    ]

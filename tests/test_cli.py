@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from subgeo import cli
+from subgeo import cli, config, runner, submersion
 
 WALL = re.compile(r'\s*"wall_time_s": [0-9eE.+-]+,?')
 
@@ -244,3 +244,57 @@ def test_check_tolerance_override(tmp_path):
     assert cli.main(["verify", cfg, "--report", str(report)]) == 0
     doc = json.loads(report.read_text())
     assert doc["checks"][0]["tolerance"] == pytest.approx(1e-3)
+
+
+# NaN wherever x2^400 overflows (x2 > 5.9), on a box reaching x2 = 30
+NAN_ENTRY = "1/x2^2 + (x2^400 - x2^400)"
+NAN_CHECKS = ["affine_hd", "conformal_defect", "conformal_metric", "dual_conformal_pair",
+              "four_conditions", "gauss_weingarten", "induced_statistical", "is_statistical",
+              "lemma_components", "split_identities", "tensoriality"]
+
+
+def test_non_finite_residuals_never_pass(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 30.0]],
+                     "metric": [[NAN_ENTRY, "0"], ["0", NAN_ENTRY]]},
+        "submersion": {"base": {"dim": 1, "box": [[-1.0, 1.0]], "metric": [["1"]],
+                                "connection": "flat"},
+                       "projection": ["x1"], "phi": "-log(x2)"},
+        "checks": NAN_CHECKS,
+        "sampling": {"count": 16, "seed": 0},
+    })
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", cfg, "--report", str(report)]) == 1
+    checks = json.loads(report.read_text())["checks"]
+    assert sorted(c["name"] for c in checks) == NAN_CHECKS
+    assert [c["name"] for c in checks if c["status"] == "pass"] == []
+
+
+def test_non_finite_projection_is_an_incident_not_a_crash():
+    # the rank tests (QR at the box center, SVD per point) cannot take NaN
+    cfg = config.parse_config({
+        "manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 30.0]],
+                     "metric": [["1/x2^2", "0"], ["0", "1/x2^2"]]},
+        "submersion": {"base": {"dim": 1, "box": [[-1.0, 1.0]], "metric": [["1"]],
+                                "connection": "flat"},
+                       "projection": ["x1 + (x2^400 - x2^400)"]},
+        "checks": ["affine_hd", "split_identities"],
+        "sampling": {"count": 8, "seed": 0},
+    })
+    report = runner.run_suite(cfg)
+    for c in report["checks"]:
+        assert c["status"] == "inconclusive" and c["incidents"] == 8
+        assert c["details"]["incident_kinds"]["EvalDomain"]["count"] == 8
+    assert runner.exit_code(report) == 3
+
+
+def test_programming_error_aborts_the_run(monkeypatch):
+    # a bug is not an incident: it must not turn into an inconclusive check
+    def broken(self, setup, p):
+        raise AttributeError("injected bug")
+
+    monkeypatch.setattr(submersion._PointFrame, "__init__", broken)
+    cfg = config.parse_config({"builtin": "tangent_bundle_of:hyperbolic:2",
+                               "checks": ["prop41"], "sampling": {"count": 8, "seed": 0}})
+    with pytest.raises(AttributeError, match="injected bug"):
+        runner.run_suite(cfg)

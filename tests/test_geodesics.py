@@ -280,13 +280,29 @@ def test_run_context_groups_jobs_by_span_and_step():
     ctx = runner.RunContext(sc, count=4, seed=0)
     curves = ctx.curves()
     assert list(curves) == sorted(sc.geodesic_jobs)
-    assert ctx.curve_incidents == 0
+    assert ctx.curve_errors == []
     for name, traj in curves.items():
         job = sc.geodesic_jobs[name]
         alone = geo.integrate_geodesic(sc.space.conn, sc.space.chart, job["p0"], job["v0"],
                                        job["t_end"], job["h"])
         assert same_trajectory(traj, alone)
     assert len(curves["short"]) == 501 and len(curves["coarse"]) == 501
+
+
+def test_jobs_that_all_fail_are_charged_as_incidents():
+    flat = {"dim": 1, "box": [[-1.0, 1.0]], "metric": [["1"]], "connection": "flat"}
+    cfg = config.parse_config({
+        "manifold": {"dim": 2, "box": [[-1.0, 1.0], [-1.0, 1.0]],
+                     "metric": [["1", "0"], ["0", "1"]], "connection": "flat"},
+        "submersion": {"base": flat, "projection": ["x1"]},
+        "geodesics": {"exit": {"p0": [0.9, 0.0], "v0": [1.0, 0.0], "t_end": 1.0, "h": 0.01}},
+        "checks": ["curve_decomposition", "geodesic_energy"],
+        "sampling": {"count": 4, "seed": 0},
+    }, source="<test>")
+    first, energy = runner.run_suite(cfg)["checks"]
+    assert first["status"] == "inconclusive" and first["incidents"] == 1
+    assert first["details"]["incident_kinds"]["BoundaryExit"]["count"] == 1
+    assert energy["status"] == "inconclusive" and energy["incidents"] == 0
 
 
 def test_fd_mode_suite_integrates_its_jobs():

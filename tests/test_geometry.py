@@ -49,7 +49,7 @@ def test_half_plane_curvature_and_constant_k():
     g = half_plane_metric()
     lc = LeviCivitaConnection(g)
     p = (0.1, 1.3)
-    r = geometry.curvature(lc, p)
+    r = geometry.curvature_values(lc, p)
     # R^1_{212}: first lower index pairs with the upper one
     assert r[0, 1, 0, 1] == pytest.approx(-1.0 / 1.3 ** 2, rel=1e-9)
     assert geometry.constant_curvature_residual(g, lc, -1.0, p) < 1e-10
@@ -105,14 +105,14 @@ def test_alpha_cubic_scales_linearly():
     p = (-0.4, sigma)
     for alpha in (1.0, -1.0, 0.5):
         conn = AlphaConnection(g, gaussian_cubic_fields(), alpha)
-        c = geometry.nabla_g(conn, g, p)
+        c = geometry.cubic_values(g, conn, p)
         assert c[0, 0, 1] == pytest.approx(alpha * 2.0 / sigma ** 3, rel=1e-10)
         assert c[0, 1, 0] == pytest.approx(alpha * 2.0 / sigma ** 3, rel=1e-10)
         assert c[1, 0, 0] == pytest.approx(alpha * 2.0 / sigma ** 3, rel=1e-10)
         assert c[1, 1, 1] == pytest.approx(alpha * 8.0 / sigma ** 3, rel=1e-10)
         assert c[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
     lc = AlphaConnection(g, gaussian_cubic_fields(), 0.0)
-    assert max_abs(geometry.nabla_g(lc, g, p)) < 1e-12
+    assert max_abs(geometry.cubic_values(g, lc, p)) < 1e-12
 
 
 def test_alpha_constant_curvature():
@@ -181,12 +181,11 @@ def test_is_statistical_check_result():
     assert good.status == PASS
 
 
-def test_named_wrappers_agree_with_values():
+def test_levi_civita_is_torsion_free_compatible_and_self_dual():
     g = half_plane_metric()
     lc = LeviCivitaConnection(g)
     p = (0.0, 2.0)
-    assert max_abs(geometry.levi_civita(g, p) - lc.values(p)) == 0.0
-    assert max_abs(geometry.torsion(lc, p)) < 1e-13
-    assert max_abs(geometry.nabla_g(lc, g, p)) < 1e-12
-    d = geometry.dual_connection(lc, g)
+    assert max_abs(geometry.torsion_values(lc.values(p))) < 1e-13
+    assert max_abs(geometry.cubic_values(g, lc, p)) < 1e-12
+    d = DualConnection(lc, g)
     assert max_abs(d.values(p) - lc.values(p)) < 1e-11  # self-dual metric connection

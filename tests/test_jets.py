@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from subgeo.errors import ContractViolation, EvalDomain
 from subgeo.fields import FDField, make_scalar
-from subgeo.jets import Jet, jet_seed
+from subgeo.jets import Jet
 
 
 def test_polynomial_partials_are_raw():
@@ -140,9 +140,6 @@ def test_seed_rejects_bad_order_and_index():
         Jet.seed((1.0,), 0, 4)
     with pytest.raises(ContractViolation):
         Jet.seed((1.0, 2.0), 5, 2)
-    # module-level alias
-    j = jet_seed((1.0, 2.0), 1, 2)
-    assert j.grad == pytest.approx([0.0, 1.0])
 
 
 def test_constant_order0_has_no_grad():

@@ -8,7 +8,6 @@ from subgeo.jets import Jet
 from subgeo.linalg import (
     jet_inverse,
     jet_matmul,
-    jet_matvec,
     jet_solve,
     jet_values,
     solve_linear,
@@ -60,7 +59,7 @@ def test_jet_solve_reproduces_rhs():
     a = _jet_matrix(p)
     b = [Jet.seed(p, 0, 2).exp(), Jet.seed(p, 1, 2).sin()]
     x = jet_solve(a, b)
-    back = jet_matvec(a, x)
+    back = [row[0] for row in jet_matmul(a, [[xi] for xi in x])]
     for got, want in zip(back, b):
         assert got.value == pytest.approx(want.value, abs=1e-13)
         assert np.allclose(got.grad, want.grad, atol=1e-12)

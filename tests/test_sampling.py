@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgeo.sampling import sample, sample_box, subseed
+from subgeo.sampling import sample_box, subseed
 
 
 def test_same_seed_same_points():
@@ -23,11 +23,6 @@ def test_points_strictly_interior():
     for d, (lo, hi) in enumerate(box):
         assert np.all(pts[:, d] > lo)
         assert np.all(pts[:, d] < hi)
-
-
-def test_sample_alias():
-    box = ((0.0, 1.0),)
-    assert np.array_equal(sample(box, 8, 3).points, sample_box(box, 8, 3).points)
 
 
 def test_subseed_separates_labels():

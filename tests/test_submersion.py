@@ -235,4 +235,3 @@ def test_s_tensor_symmetry(hyp3):
     s_vx = sm.s_tensor(hyp3.total.conn, hyp3.dual_total, p, v, x)
     s_xv = sm.s_tensor(hyp3.total.conn, hyp3.dual_total, p, x, v)
     assert max_abs(np.asarray(s_vx) - np.asarray(s_xv)) < 1e-10
-    assert sm.S_tensor is sm.s_tensor

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import euclid_setup, gaussian_setup, hyperbolic_setup, max_abs
 from subgeo import tangent_bundle as tb
-from subgeo.errors import ContractViolation
+from subgeo import submersion as sm
+from subgeo.errors import ContractViolation, EvalDomain
 from subgeo.fields import ExprConnection, ExprField, MetricField
 from subgeo.results import FAIL, PASS
 from subgeo.sampling import sample_box
@@ -165,6 +166,23 @@ def test_tm_statistical_biconditional(flat2, hyp2):
     assert all(f"cst{k}" in res2.details for k in range(1, 7))
 
 
+def test_tm_statistical_counts_a_failing_point_once(flat2, monkeypatch):
+    # the four conditions and the components share one frame per point
+    pts = bundle_points(flat2, 8)
+    build = sm._PointFrame.__init__
+
+    def failing_at_third_point(self, setup, p):
+        if tuple(p) == pts[2]:
+            raise EvalDomain("injected", point=p)
+        build(self, setup, p)
+
+    monkeypatch.setattr(sm._PointFrame, "__init__", failing_at_third_point)
+    res = tb.tm_statistical_check(flat2, pts, 1e-8)
+    assert res.incidents == 1 and res.samples == 7
+    assert res.details["incident_kinds"] == {
+        "EvalDomain": {"count": 1, "example": str(EvalDomain("injected", point=pts[2]))}}
+
+
 def test_remark_complete_and_dual(flat2, hyp2, gauss1):
     for bundle in (flat2, hyp2, gauss1):
         pts = bundle_points(bundle, 6)
@@ -192,12 +210,6 @@ def test_remark_horizontal_polarity(flat2, hyp2, gauss1):
     assert res.details["base_metric_pass"] is True
     assert res.details["bundle_pass"] is False
     assert res.details["bundle_residual"] > 0.5
-
-
-def test_remark_checks_batch(flat2):
-    out = tb.remark_checks(flat2, bundle_points(flat2, 4), 1e-8)
-    assert [r.name for r in out] == [
-        "remark_complete_metric", "remark_dual_complete", "remark_horizontal"]
 
 
 def test_chart_box_extends_base(hyp2):
