@@ -11,7 +11,9 @@ with the integrator's own accuracy (both are O(h^4)).
 The decomposition identities relate the covariant derivative of a field
 along a curve in the total space to base and fiber contributions through
 the fundamental tensors and the conformal factor.  They are evaluated at
-interior probe nodes, where the central stencil applies.
+interior probe nodes, where the central stencil applies.  A curve keeps
+its probes for each submersion, so every curve check reads the same
+frames.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .errors import BoundaryExit, ContractViolation, PremiseFailed, SubgeoError
 from .fields import ConnectionField, MetricField
 from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, agree, peak,
                       sweep)
-from .submersion import SubmersionSetup
+from .linalg import jet_values
+from .submersion import SubmersionSetup, _PointFrame
 
 DEFAULT_STEP = 1e-3
 MIN_NODES = 5
@@ -37,6 +40,7 @@ class Trajectory:
         self.vs = np.asarray(vs, dtype=float)
         if len(self.ts) != len(self.xs) or len(self.ts) != len(self.vs):
             raise ContractViolation("trajectory arrays must share a length")
+        self.probes = {}  # (setup, node index) -> _CurveProbe, filled by curve_probes
 
     def __len__(self):
         return len(self.ts)
@@ -227,179 +231,171 @@ def probe_indices(n_nodes: int, count: int = 9):
 
 
 class _CurveProbe:
-    """Window data for one interior probe node of a curve in a submersion."""
+    """Frame data for one interior probe node of a curve in a submersion:
+    the :class:`_PointFrame` at the node, and the vertical projector and
+    dpi at every node of its five-point window."""
 
-    def __init__(self, setup: SubmersionSetup, traj: Trajectory, idx: int, cache: dict):
+    def __init__(self, setup: SubmersionSetup, traj: Trajectory, idx: int):
         if idx < 2 or idx > len(traj) - 3:
             raise ContractViolation("probe index must be interior")
-        self.setup = setup
-        self.traj = traj
-        self.idx = idx
+        self.step = traj.step
         self.window = range(idx - 2, idx + 3)
-        self.splits = []
+        self.pvs, self.dpis = [], []
         for k in self.window:
-            hit = cache.get(k)
-            if hit is None:
-                hit = setup.split(traj.xs[k])
-                cache[k] = hit
-            self.splits.append(hit)
-        self.split = self.splits[2]
-        self.x = traj.xs[idx]
+            setup.rank_check(traj.xs[k])
+            if k == idx:
+                self.frame = f = _PointFrame(setup, traj.xs[k])
+                pv, dpi = f.pv, f.dpi
+            else:
+                frames = setup._frames(traj.xs[k], 0)
+                pv, dpi = jet_values(frames["p_v"]), jet_values(frames["dpi"])
+            self.pvs.append(pv)
+            self.dpis.append(dpi)
         self.v = traj.vs[idx]
-        self.t = traj.ts[idx]
-        self.gamma = setup.total.conn.values(self.x)
-        self.bp = setup.base_point(self.x)
-        self.gb = setup.base.metric.values(self.bp)
-        self.gamma_b = setup.base.conn.values(self.bp)
-        self.dphi = setup.dphi(self.x)
-        self.dpis = [setup.dpi_values(traj.xs[k]) for k in self.window]
-        self.dpi = self.dpis[2]
+        self.gb = setup.base.metric.values(f.bp)
+        self.gamma_b = setup.base.conn.values(f.bp)
 
     def stencil(self, samples) -> np.ndarray:
         samples = np.asarray(samples, dtype=float)
-        return (_CENTER_WEIGHTS @ samples) / (12.0 * self.traj.step)
+        return (_CENTER_WEIGHTS @ samples) / (12.0 * self.step)
 
     def cov_total(self, nodes) -> np.ndarray:
         """Covariant derivative at the probe of a field given on the window."""
         d = self.stencil(nodes)
-        return d + np.einsum("kij,i,j->k", self.gamma, self.v, np.asarray(nodes)[2])
+        return d + np.einsum("kij,i,j->k", self.frame.gamma, self.v, np.asarray(nodes)[2])
 
     def cov_base(self, nodes) -> np.ndarray:
         """Base covariant derivative along pi(sigma) of base-vector nodes."""
         d = self.stencil(nodes)
-        w = self.dpi @ self.v
+        w = self.frame.dpi @ self.v
         return d + np.einsum("kij,i,j->k", self.gamma_b, w, np.asarray(nodes)[2])
 
 
-def curve_decomposition_residuals(setup: SubmersionSetup, traj: Trajectory,
-                                  e_fn, probes=None) -> dict:
+def curve_probes(setup: SubmersionSetup, traj: Trajectory):
+    """Yield the curve's probes at :func:`probe_indices`.  Each is built on
+    first use and kept on the curve, so the curve checks share them."""
+    for idx in probe_indices(len(traj)):
+        key = (setup, idx)
+        if key not in traj.probes:
+            traj.probes[key] = _CurveProbe(setup, traj, idx)
+        yield traj.probes[key]
+
+
+def curve_decomposition_residuals(setup: SubmersionSetup, traj: Trajectory, e_fn) -> dict:
     """Residuals of the two identities decomposing (nabla_{sigma'} E).
 
     ``e_fn(t, x) -> vector`` defines the test field along the curve.  The
     horizontal identity is tested against every base frame vector; the
     vertical identity componentwise.
     """
-    cache: dict = {}
-    if probes is None:
-        probes = probe_indices(len(traj))
     m = setup.m
     r_h, r_v = [], []
-    for idx in probes:
-        pr = _CurveProbe(setup, traj, idx, cache)
+    for pr in curve_probes(setup, traj):
+        f = pr.frame
         e_nodes = np.array([e_fn(traj.ts[k], traj.xs[k]) for k in pr.window])
-        v_nodes = np.array([pr.splits[j].p_v @ e_nodes[j] for j in range(5)])
+        v_nodes = np.array([pr.pvs[j] @ e_nodes[j] for j in range(5)])
         pe_nodes = np.array([pr.dpis[j] @ e_nodes[j] for j in range(5)])
         e_i = e_nodes[2]
-        sp = pr.split
-        x_i = sp.p_h @ pr.v
-        u_i = sp.p_v @ pr.v
-        h_i = sp.p_h @ e_i
-        w_i = sp.p_v @ e_i
+        x_i = f.ph @ pr.v
+        u_i = f.pv @ pr.v
+        h_i = f.ph @ e_i
+        w_i = f.pv @ e_i
         e_prime = pr.cov_total(e_nodes)
         v_prime = pr.cov_total(v_nodes)
         e_star = pr.cov_base(pe_nodes)
-        a_hu = setup.fundamental_A(pr.x, h_i, u_i)
-        a_xv = setup.fundamental_A(pr.x, x_i, w_i)
-        t_uv = setup.fundamental_T(pr.x, u_i, w_i)
-        rhs_base = e_star + pr.dpi @ (a_hu + a_xv + t_uv)
-        lhs_base = pr.dpi @ (sp.p_h @ e_prime)
-        px = pr.dpi @ x_i
-        ph_ = pr.dpi @ h_i
+        a_hu = setup.fundamental_A(f, h_i, u_i)
+        a_xv = setup.fundamental_A(f, x_i, w_i)
+        t_uv = setup.fundamental_T(f, u_i, w_i)
+        rhs_base = e_star + f.dpi @ (a_hu + a_xv + t_uv)
+        lhs_base = f.dpi @ (f.ph @ e_prime)
+        px = f.dpi @ x_i
+        ph_ = f.dpi @ h_i
         for a in range(m):
             z = np.zeros(m)
             z[a] = 1.0
-            zt = sp.horizontal[:, a]
+            zt = f.lcols[:, a]
             lhs = float(lhs_base @ pr.gb @ z)
             rhs = float(
                 rhs_base @ pr.gb @ z
-                - (pr.dphi @ zt) * (px @ pr.gb @ ph_)
-                + (pr.dphi @ x_i) * (ph_ @ pr.gb @ z)
-                + (pr.dphi @ h_i) * (px @ pr.gb @ z)
+                - (f.dphi @ zt) * (px @ pr.gb @ ph_)
+                + (f.dphi @ x_i) * (ph_ @ pr.gb @ z)
+                + (f.dphi @ h_i) * (px @ pr.gb @ z)
             )
             r_h.append(abs(lhs - rhs))
-        a_xh = setup.fundamental_A(pr.x, x_i, h_i)
-        t_uh = setup.fundamental_T(pr.x, u_i, h_i)
-        vert = sp.p_v @ e_prime - (a_xh + t_uh + sp.p_v @ v_prime)
+        a_xh = setup.fundamental_A(f, x_i, h_i)
+        t_uh = setup.fundamental_T(f, u_i, h_i)
+        vert = f.pv @ e_prime - (a_xh + t_uh + f.pv @ v_prime)
         r_v.append(float(np.max(np.abs(vert))))
     return {"horizontal": peak(r_h), "vertical": peak(r_v)}
 
 
-def sigma_second_residuals(setup: SubmersionSetup, traj: Trajectory, probes=None) -> dict:
+def sigma_second_residuals(setup: SubmersionSetup, traj: Trajectory) -> dict:
     """Residuals of the second-derivative corollary (E = sigma')."""
-    cache: dict = {}
-    if probes is None:
-        probes = probe_indices(len(traj))
     m = setup.m
     r_h, r_v = [], []
-    for idx in probes:
-        pr = _CurveProbe(setup, traj, idx, cache)
-        v_nodes = traj.vs[idx - 2: idx + 3]
-        u_nodes = np.array([pr.splits[j].p_v @ v_nodes[j] for j in range(5)])
+    for pr in curve_probes(setup, traj):
+        f = pr.frame
+        v_nodes = traj.vs[pr.window.start: pr.window.stop]
+        u_nodes = np.array([pr.pvs[j] @ v_nodes[j] for j in range(5)])
         w_nodes = np.array([pr.dpis[j] @ v_nodes[j] for j in range(5)])
-        sp = pr.split
-        x_i = sp.p_h @ pr.v
-        u_i = sp.p_v @ pr.v
+        x_i = f.ph @ pr.v
+        u_i = f.pv @ pr.v
         sig2 = pr.cov_total(v_nodes)
         u_prime = pr.cov_total(u_nodes)
         sig2_star = pr.cov_base(w_nodes)
-        a_xu = setup.fundamental_A(pr.x, x_i, u_i)
-        t_uu = setup.fundamental_T(pr.x, u_i, u_i)
-        rhs_base = sig2_star + pr.dpi @ (2.0 * a_xu + t_uu)
-        lhs_base = pr.dpi @ (sp.p_h @ sig2)
-        px = pr.dpi @ x_i
+        a_xu = setup.fundamental_A(f, x_i, u_i)
+        t_uu = setup.fundamental_T(f, u_i, u_i)
+        rhs_base = sig2_star + f.dpi @ (2.0 * a_xu + t_uu)
+        lhs_base = f.dpi @ (f.ph @ sig2)
+        px = f.dpi @ x_i
         norm2 = float(px @ pr.gb @ px)
         for a in range(m):
             z = np.zeros(m)
             z[a] = 1.0
-            zt = sp.horizontal[:, a]
+            zt = f.lcols[:, a]
             lhs = float(lhs_base @ pr.gb @ z)
             rhs = float(
                 rhs_base @ pr.gb @ z
-                - (pr.dphi @ zt) * norm2
-                + 2.0 * (pr.dphi @ x_i) * (px @ pr.gb @ z)
+                - (f.dphi @ zt) * norm2
+                + 2.0 * (f.dphi @ x_i) * (px @ pr.gb @ z)
             )
             r_h.append(abs(lhs - rhs))
-        a_xx = setup.fundamental_A(pr.x, x_i, x_i)
-        t_ux = setup.fundamental_T(pr.x, u_i, x_i)
-        vert = sp.p_v @ sig2 - (a_xx + t_ux + sp.p_v @ u_prime)
+        a_xx = setup.fundamental_A(f, x_i, x_i)
+        t_ux = setup.fundamental_T(f, u_i, x_i)
+        vert = f.pv @ sig2 - (a_xx + t_ux + f.pv @ u_prime)
         r_v.append(float(np.max(np.abs(vert))))
     return {"horizontal": peak(r_h), "vertical": peak(r_v)}
 
 
-def projection_condition_residuals(setup: SubmersionSetup, traj: Trajectory,
-                                   probes=None) -> dict:
+def projection_condition_residuals(setup: SubmersionSetup, traj: Trajectory) -> dict:
     """The projection criterion and the base-geodesic residual for a curve.
 
     Returns the max over probes of the criterion expression and of the
     base acceleration; the theorem says one vanishes iff the other does.
     """
-    cache: dict = {}
-    if probes is None:
-        probes = probe_indices(len(traj))
     m = setup.m
     conds, bases = [], []
-    for idx in probes:
-        pr = _CurveProbe(setup, traj, idx, cache)
-        v_nodes = traj.vs[idx - 2: idx + 3]
+    for pr in curve_probes(setup, traj):
+        f = pr.frame
+        v_nodes = traj.vs[pr.window.start: pr.window.stop]
         w_nodes = np.array([pr.dpis[j] @ v_nodes[j] for j in range(5)])
-        sp = pr.split
-        x_i = sp.p_h @ pr.v
-        u_i = sp.p_v @ pr.v
+        x_i = f.ph @ pr.v
+        u_i = f.pv @ pr.v
         sig2_star = pr.cov_base(w_nodes)
         bases.append(float(np.max(np.abs(sig2_star))))
-        a_xu = setup.fundamental_A(pr.x, x_i, u_i)
-        t_uu = setup.fundamental_T(pr.x, u_i, u_i)
-        vec = pr.dpi @ (2.0 * a_xu + t_uu)
-        px = pr.dpi @ x_i
+        a_xu = setup.fundamental_A(f, x_i, u_i)
+        t_uu = setup.fundamental_T(f, u_i, u_i)
+        vec = f.dpi @ (2.0 * a_xu + t_uu)
+        px = f.dpi @ x_i
         norm2 = float(px @ pr.gb @ px)
         for a in range(m):
             z = np.zeros(m)
             z[a] = 1.0
-            zt = sp.horizontal[:, a]
+            zt = f.lcols[:, a]
             cond = float(
                 vec @ pr.gb @ z
-                + 2.0 * (pr.dphi @ x_i) * (px @ pr.gb @ z)
-                - (pr.dphi @ zt) * norm2
+                + 2.0 * (f.dphi @ x_i) * (px @ pr.gb @ z)
+                - (f.dphi @ zt) * norm2
             )
             conds.append(abs(cond))
     return {"condition": peak(conds), "base_residual": peak(bases)}
@@ -441,7 +437,8 @@ def geodesic_projection_check(setup: SubmersionSetup, curves, tol) -> CheckResul
     Each curve must itself be a geodesic of the total space (premise); a
     curve whose premise residual exceeds PREMISE_FACTOR * tol is skipped
     as an incident.  The check passes when every curve's two verdicts
-    agree; its residual is each side's value where the other side passes.
+    agree, and is inconclusive when fewer than 90% of the curves evaluate;
+    its residual is each side's value where the other side passes.
     """
     per_curve = []
 
@@ -464,7 +461,7 @@ def geodesic_projection_check(setup: SubmersionSetup, curves, tol) -> CheckResul
         return peak(informative)
 
     s = sweep(curves, at)
-    if not s.evaluated:
+    if not s.conclusive:
         status = INCONCLUSIVE
     else:
         status = PASS if all(c.get("agree", True) for c in per_curve) else FAIL

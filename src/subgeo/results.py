@@ -111,8 +111,9 @@ class Sweep:
 
     def biconditional(self, name, left, right, tol, details=None, max_residual=None) -> CheckResult:
         """Pass iff the verdicts of the two sides agree; the residual is
-        informational.  A non-finite side fails."""
-        if not self.evaluated:
+        informational.  A non-finite side fails; inconclusive when too few
+        items evaluated."""
+        if not self.conclusive:
             status = INCONCLUSIVE
         else:
             status = PASS if agree(left, right, tol) else FAIL

@@ -10,9 +10,14 @@ shortcut.
 
 Vertical bases follow a fixed column-pivot pattern chosen at the box
 center; horizontal spaces are the g_M-orthogonal complement of the
-kernel. Pointwise tensors extend their vector arguments by constant
-coordinate components and project with jet-valued projector fields,
-which makes the results extension-independent up to solver noise.
+kernel. Every identity at a sample point reads one :class:`_PointFrame`,
+built from the order-1 frame jets there and holding dpi and the
+Christoffels of the total connection and its dual. Pointwise tensors
+extend their vector arguments by constant coordinate components and
+project with the frame's jet-valued projector fields, which makes the
+results extension-independent up to solver noise. The setup caches
+nothing per point: a frame lives as long as the residual computation
+that built it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,17 +42,6 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 60
 
 
-@dataclass
-class SplitBasis:
-    point: tuple
-    vertical: np.ndarray    # n x l columns spanning ker dpi
-    horizontal: np.ndarray  # n x m columns, lifts of the base frame
-    p_h: np.ndarray
-    p_v: np.ndarray
-    pivot_cols: tuple
-    free_cols: tuple
-
-
 class SubmersionSetup:
     def __init__(self, total: Space, base: Space, pi_fields, phi: ScalarField | None = None,
                  name: str = "submersion"):
@@ -63,8 +56,6 @@ class SubmersionSetup:
         self.pi = list(pi_fields)
         self.phi = phi
         self.name = name
-        self._dpi_cache = {}
-        self._frame_cache = {}
         self._pivot = None
         self._dual_total = None
         self._dual_base = None
@@ -103,14 +94,8 @@ class SubmersionSetup:
         return tuple(f.value(p) for f in self.pi)
 
     def dpi_jets(self, p, order: int):
-        p = tuple(float(x) for x in p)
-        key = (p, order)
-        hit = self._dpi_cache.get(key)
-        if hit is None:
-            comp = [f.jets(p, order + 1) for f in self.pi]
-            hit = [[comp[a].dvar(i) for i in range(self.n)] for a in range(self.m)]
-            self._dpi_cache[key] = hit
-        return hit
+        comp = [f.jets(p, order + 1) for f in self.pi]
+        return [[comp[a].dvar(i) for i in range(self.n)] for a in range(self.m)]
 
     def dpi_values(self, p) -> np.ndarray:
         return jet_values(self.dpi_jets(p, 0))
@@ -145,24 +130,11 @@ class SubmersionSetup:
 
     # -- frames ----------------------------------------------------------
 
-    def kernel_jets(self, p, order: int):
-        """n x l jet matrix whose columns span ker dpi."""
-        return self._frames(p, order)["kernel"]
-
-    def lift_jets(self, p, order: int):
-        """n x m jet matrix; column a is the horizontal lift of e_a."""
-        return self._frames(p, order)["lift"]
-
-    def projector_jets(self, p, order: int):
-        f = self._frames(p, order)
-        return f["p_h"], f["p_v"]
-
-    def _frames(self, p, order: int):
+    def _frames(self, p, order: int) -> dict:
+        """Jet matrices at p: ``dpi`` (m x n), ``kernel`` (n x l, columns
+        spanning ker dpi), ``lift`` (n x m, column a the horizontal lift of
+        e_a) and the projectors ``p_h``, ``p_v`` (n x n)."""
         p = tuple(float(x) for x in p)
-        key = (p, order)
-        hit = self._frame_cache.get(key)
-        if hit is not None:
-            return hit
         n, m, l = self.n, self.m, self.fiber_dim
         dpi = self.dpi_jets(p, order)
         zero = Jet.constant(0.0, n, order)
@@ -192,9 +164,7 @@ class SubmersionSetup:
             [(one if i == j else zero) - p_h[i][j] for j in range(n)]
             for i in range(n)
         ]
-        hit = {"kernel": kernel, "lift": lift, "p_h": p_h, "p_v": p_v}
-        self._frame_cache[key] = hit
-        return hit
+        return {"dpi": dpi, "kernel": kernel, "lift": lift, "p_h": p_h, "p_v": p_v}
 
     def _kernel_from(self, dpi, piv, free, zero, one):
         n, m = self.n, self.m
@@ -208,28 +178,7 @@ class SubmersionSetup:
                 kernel[pc][idx] = sol[r][idx]
         return kernel
 
-    # -- value-level helpers ----------------------------------------------
-
-    def split(self, p) -> SplitBasis:
-        self.rank_check(p)
-        f = self._frames(p, 0)
-        piv, free = self.pivot_pattern() if self.fiber_dim else ((), ())
-        vertical = (
-            jet_values(f["kernel"]) if self.fiber_dim else np.zeros((self.n, 0))
-        )
-        return SplitBasis(
-            point=tuple(p),
-            vertical=vertical,
-            horizontal=jet_values(f["lift"]),
-            p_h=jet_values(f["p_h"]),
-            p_v=jet_values(f["p_v"]),
-            pivot_cols=piv,
-            free_cols=free,
-        )
-
-    def horizontal_lift(self, p, w) -> np.ndarray:
-        """Total-space vector with dpi(X) = w, X horizontal."""
-        return jet_values(self.lift_jets(p, 0)) @ np.asarray(w, dtype=float)
+    # -- conformal factor ------------------------------------------------
 
     def phi_jets(self, p, order: int):
         if self.phi is None:
@@ -244,26 +193,14 @@ class SubmersionSetup:
 
     # -- fundamental tensors ------------------------------------------------
 
-    def fundamental_T(self, p, e, f, conn: ConnectionField | None = None) -> np.ndarray:
-        """T_e f with both arguments extended by projected constants."""
-        conn = conn or self.total.conn
-        ph_j, pv_j = self.projector_jets(p, 1)
-        ph, pv = jet_values(ph_j), jet_values(pv_j)
-        gamma = conn.values(p)
-        ve = pv @ np.asarray(e, dtype=float)
-        f_v = _linear_field(pv_j, f)
-        f_h = _linear_field(ph_j, f)
-        return ph @ _cov_deriv(gamma, ve, f_v) + pv @ _cov_deriv(gamma, ve, f_h)
+    def fundamental_T(self, f: _PointFrame, e, w, dual: bool = False) -> np.ndarray:
+        """T_e w at the frame's point, w extended by projected constants;
+        ``dual`` takes the dual total connection."""
+        return _tensor_t(f, e, *f.extend(w), dual)
 
-    def fundamental_A(self, p, e, f, conn: ConnectionField | None = None) -> np.ndarray:
-        conn = conn or self.total.conn
-        ph_j, pv_j = self.projector_jets(p, 1)
-        ph, pv = jet_values(ph_j), jet_values(pv_j)
-        gamma = conn.values(p)
-        he = ph @ np.asarray(e, dtype=float)
-        f_v = _linear_field(pv_j, f)
-        f_h = _linear_field(ph_j, f)
-        return pv @ _cov_deriv(gamma, he, f_h) + ph @ _cov_deriv(gamma, he, f_v)
+    def fundamental_A(self, f: _PointFrame, e, w, dual: bool = False) -> np.ndarray:
+        """A_e w at the frame's point, as :meth:`fundamental_T`."""
+        return _tensor_a(f, e, *f.extend(w), dual)
 
     # -- fibers ----------------------------------------------------------------
 
@@ -339,12 +276,6 @@ def _bracket(u_jets, v_jets) -> np.ndarray:
     return vg @ uv - ug @ vv
 
 
-def s_tensor(conn: ConnectionField, dual: ConnectionField, p, v, x) -> np.ndarray:
-    """S_v x = nabla_v X - dual-nabla_v X for constant extensions."""
-    diff = conn.values(p) - dual.values(p)
-    return np.einsum("kij,i,j->k", diff, np.asarray(v, float), np.asarray(x, float))
-
-
 def _scalar_grad(g_jets, a_jets, b_jets) -> np.ndarray:
     """Gradient of s(x) = g(A, B) from order-1 jets of all three."""
     n = len(a_jets)
@@ -366,19 +297,27 @@ def _scalar_grad(g_jets, a_jets, b_jets) -> np.ndarray:
 
 
 class _PointFrame:
-    """Everything the component identities need at one sample point."""
+    """Everything the submersion identities need at one sample point.
+
+    It is built from one order-1 :meth:`SubmersionSetup._frames` call, and
+    its float arrays (``dpi``, ``ph``, ``pv``, ``vcols``, ``lcols``) are the
+    value parts of those jets.  ``gamma`` and ``gamma_dual`` are the
+    Christoffels of the total connection and of its metric dual.
+    """
 
     def __init__(self, setup: SubmersionSetup, p):
         self.setup = setup
-        self.p = tuple(float(x) for x in p)
+        self.p = p = tuple(float(x) for x in p)
         total = setup.total
-        self.ph_jets, self.pv_jets = setup.projector_jets(p, 1)
+        frames = setup._frames(p, 1)
+        self.ph_jets, self.pv_jets = frames["p_h"], frames["p_v"]
         self.ph = jet_values(self.ph_jets)
         self.pv = jet_values(self.pv_jets)
-        self.kernel_jets = setup.kernel_jets(p, 1)
-        self.lift_jets = setup.lift_jets(p, 1)
-        self.vcols = jet_values(self.kernel_jets) if setup.fiber_dim else np.zeros((setup.n, 0))
-        self.lcols = jet_values(self.lift_jets)
+        self.kernel = frames["kernel"]
+        self.lift = frames["lift"]
+        self.vcols = jet_values(self.kernel) if setup.fiber_dim else np.zeros((setup.n, 0))
+        self.lcols = jet_values(self.lift)
+        self.dpi = jet_values(frames["dpi"])
         self.gamma = total.conn.values(p)
         self.gamma_dual = setup.dual_total.values(p)
         self.g = total.metric.values(p)
@@ -391,16 +330,21 @@ class _PointFrame:
         self.dphi = setup.dphi(p)
 
     def kernel_col(self, a):
-        return _column(self.kernel_jets, a)
+        return _column(self.kernel, a)
 
     def lift_col(self, a):
-        return _column(self.lift_jets, a)
+        return _column(self.lift, a)
 
     def s_value(self, v, x):
+        """S_v x = nabla_v X - dual-nabla_v X for constant extensions."""
         return np.einsum("kij,i,j->k", self.gamma - self.gamma_dual, v, x)
 
     def cov(self, direction, field_jets, dual=False):
         return _cov_deriv(self.gamma_dual if dual else self.gamma, direction, field_jets)
+
+    def extend(self, w):
+        """(P_V W, P_H W) as order-1 field jets, W the constant extension of w."""
+        return _linear_field(self.pv_jets, w), _linear_field(self.ph_jets, w)
 
     def fiber_cubic(self, a, b, c) -> float:
         """(hat-nabla_{V_a} hat-g)(V_b, V_c) using the kernel frame fields."""
@@ -416,12 +360,25 @@ class _PointFrame:
         return term1 - float(dvb @ self.g @ wcv) - float(vbv @ self.g @ dwc)
 
 
-def lemma_components(setup: SubmersionSetup, p, frame: _PointFrame | None = None) -> dict:
-    """Max residual of each of the six component identities at p.
+def _tensor_t(f: _PointFrame, e, w_v, w_h, dual=False) -> np.ndarray:
+    """T_e W = H nabla_{Ve} (VW) + V nabla_{Ve} (HW) from the projected
+    field jets (w_v, w_h) of W."""
+    ve = f.pv @ np.asarray(e, dtype=float)
+    return f.ph @ f.cov(ve, w_v, dual) + f.pv @ f.cov(ve, w_h, dual)
+
+
+def _tensor_a(f: _PointFrame, e, w_v, w_h, dual=False) -> np.ndarray:
+    """A_e W = V nabla_{He} (HW) + H nabla_{He} (VW), as :func:`_tensor_t`."""
+    he = f.ph @ np.asarray(e, dtype=float)
+    return f.pv @ f.cov(he, w_h, dual) + f.ph @ f.cov(he, w_v, dual)
+
+
+def lemma_components(f: _PointFrame) -> dict:
+    """Max residual of each of the six component identities at the frame's point.
 
     Keys cs6..cs11; vacuous entries (no vertical directions) report 0.
     """
-    f = frame or _PointFrame(setup, p)
+    setup = f.setup
     m, l = setup.m, setup.fiber_dim
 
     # cs6: horizontal cubic matches the conformally scaled base cubic
@@ -437,13 +394,13 @@ def lemma_components(setup: SubmersionSetup, p, frame: _PointFrame | None = None
         for a in range(m):
             x = f.lcols[:, a]
             sv_x = f.s_value(v, x)
-            t_vx = setup.fundamental_T(p, v, x)
-            t_vx_d = setup.fundamental_T(p, v, x, setup.dual_total)
+            t_vx = setup.fundamental_T(f, v, x)
+            t_vx_d = setup.fundamental_T(f, v, x, dual=True)
             for b in range(m):
                 y = f.lcols[:, b]
                 r7.append(abs(float(np.einsum("ijk,i,j,k->", f.cubic, v, x, y) + sv_x @ f.g @ y)))
-            a_xv = setup.fundamental_A(p, x, v)
-            a_xv_d = setup.fundamental_A(p, x, v, setup.dual_total)
+            a_xv = setup.fundamental_A(f, x, v)
+            a_xv_d = setup.fundamental_A(f, x, v, dual=True)
             s_xv = f.s_value(x, v)
             for b in range(m):
                 y = f.lcols[:, b]
@@ -478,17 +435,17 @@ LEMMA_KEYS = ("cs6", "cs7", "cs8", "cs9", "cs10", "cs11")
 
 
 def check_lemma_components(setup, points, tol) -> CheckResult:
-    s = sweep(points, lambda p: lemma_components(setup, p), keys=LEMMA_KEYS)
+    s = sweep(points, lambda p: lemma_components(_PointFrame(setup, p)), keys=LEMMA_KEYS)
     return s.summarize("lemma_components", tol, details=dict(sorted(s.worst.items())))
 
 
 CONDITIONS = ("condition1", "condition2", "condition3", "condition4")
 
 
-def four_conditions_at(setup: SubmersionSetup, f: _PointFrame) -> dict:
+def four_conditions_at(f: _PointFrame) -> dict:
     """The four statisticity conditions at a frame's point, plus the
     direct statisticity residual of the total space there."""
-    p = f.p
+    setup = f.setup
     l, m = setup.fiber_dim, setup.m
     r1, r2, r3 = [], [], []
     for vi in range(l):
@@ -496,13 +453,11 @@ def four_conditions_at(setup: SubmersionSetup, f: _PointFrame) -> dict:
         for a in range(m):
             x = f.lcols[:, a]
             c1 = f.ph @ f.s_value(v, x) - (
-                setup.fundamental_A(p, x, v)
-                - setup.fundamental_A(p, x, v, setup.dual_total)
+                setup.fundamental_A(f, x, v) - setup.fundamental_A(f, x, v, dual=True)
             )
             r1.append(float(np.max(np.abs(c1))))
             c2 = f.pv @ f.s_value(x, v) - (
-                setup.fundamental_T(p, v, x)
-                - setup.fundamental_T(p, v, x, setup.dual_total)
+                setup.fundamental_T(f, v, x) - setup.fundamental_T(f, v, x, dual=True)
             )
             r2.append(float(np.max(np.abs(c2))))
     # condition 3: the fibers are statistical
@@ -522,7 +477,7 @@ def four_conditions_at(setup: SubmersionSetup, f: _PointFrame) -> dict:
         "condition2": peak(r2),
         "condition3": peak(r3),
         "condition4": geometry.statistical_residual(setup.base.metric, setup.base.conn, f.bp),
-        "total_space": geometry.statistical_residual(setup.total.metric, setup.total.conn, p),
+        "total_space": geometry.statistical_residual(setup.total.metric, setup.total.conn, f.p),
     }
 
 
@@ -541,7 +496,7 @@ def four_conditions_details(s: Sweep, tol) -> dict:
 def four_conditions_check(setup: SubmersionSetup, points, tol) -> CheckResult:
     """The four statisticity conditions plus the biconditional against a
     direct statisticity check of the total space."""
-    s = sweep(points, lambda p: four_conditions_at(setup, _PointFrame(setup, p)),
+    s = sweep(points, lambda p: four_conditions_at(_PointFrame(setup, p)),
               keys=CONDITIONS + ("total_space",))
     details = four_conditions_details(s, tol)
     out = s.summarize("four_conditions", tol, details, keys=CONDITIONS)
@@ -550,37 +505,37 @@ def four_conditions_check(setup: SubmersionSetup, points, tol) -> CheckResult:
     return out
 
 
-def gauss_weingarten_residuals(setup: SubmersionSetup, p) -> dict:
+def gauss_weingarten_residuals(f: _PointFrame) -> dict:
     """Residuals of the four decomposition identities for frame fields."""
-    f = _PointFrame(setup, p)
+    setup = f.setup
     l, m = setup.fiber_dim, setup.m
     vv, vh, hv, hh = [], [], [], []
     for a in range(l):
         va = f.vcols[:, a]
         for b in range(l):
             full = f.cov(va, f.kernel_col(b))
-            r = full - setup.fundamental_T(p, va, f.vcols[:, b]) - f.pv @ full
+            r = full - setup.fundamental_T(f, va, f.vcols[:, b]) - f.pv @ full
             vv.append(float(np.max(np.abs(r))))
         for b in range(m):
             full = f.cov(va, f.lift_col(b))
-            r = full - f.ph @ full - setup.fundamental_T(p, va, f.lcols[:, b])
+            r = full - f.ph @ full - setup.fundamental_T(f, va, f.lcols[:, b])
             vh.append(float(np.max(np.abs(r))))
     for a in range(m):
         xa = f.lcols[:, a]
         for b in range(l):
             full = f.cov(xa, f.kernel_col(b))
-            r = full - f.pv @ full - setup.fundamental_A(p, xa, f.vcols[:, b])
+            r = full - f.pv @ full - setup.fundamental_A(f, xa, f.vcols[:, b])
             hv.append(float(np.max(np.abs(r))))
         for b in range(m):
             full = f.cov(xa, f.lift_col(b))
-            r = full - f.ph @ full - setup.fundamental_A(p, xa, f.lcols[:, b])
+            r = full - f.ph @ full - setup.fundamental_A(f, xa, f.lcols[:, b])
             hh.append(float(np.max(np.abs(r))))
     return {"vert_vert": peak(vv), "vert_horiz": peak(vh),
             "horiz_vert": peak(hv), "horiz_horiz": peak(hh)}
 
 
 def check_gauss_weingarten(setup, points, tol) -> CheckResult:
-    s = sweep(points, lambda p: gauss_weingarten_residuals(setup, p))
+    s = sweep(points, lambda p: gauss_weingarten_residuals(_PointFrame(setup, p)))
     return s.summarize("gauss_weingarten", tol, details=s.worst)
 
 
@@ -590,11 +545,11 @@ def check_split_identities(setup, points, tol) -> CheckResult:
     eye_m = np.eye(setup.m)
 
     def at(p):
-        s = setup.split(p)
-        dpi = setup.dpi_values(p)
-        parts = [s.p_h + s.p_v - eye_n, dpi @ s.p_v, dpi @ s.horizontal - eye_m]
+        setup.rank_check(p)
+        f = _PointFrame(setup, p)
+        parts = [f.ph + f.pv - eye_n, f.dpi @ f.pv, f.dpi @ f.lcols - eye_m]
         if setup.fiber_dim:
-            parts.append(dpi @ s.vertical)
+            parts.append(f.dpi @ f.vcols)
         return peak(float(np.max(np.abs(r))) for r in parts)
 
     return sweep(points, at).summarize("split_identities", tol)
@@ -615,19 +570,10 @@ def check_tensoriality(setup, points, tol) -> CheckResult:
         probes.append((f.lcols[:, 0], f.lcols[:, -1]))
         r = []
         for e, w in probes:
-            w_v = _linear_field(f.pv_jets, w)
-            w_h = _linear_field(f.ph_jets, w)
-            ve = f.pv @ e
-            he = f.ph @ e
-            t1 = f.ph @ _cov_deriv(f.gamma, ve, w_v) + f.pv @ _cov_deriv(f.gamma, ve, w_h)
-            t2 = f.ph @ _cov_deriv(f.gamma, ve, [s * j for j in w_v]) + f.pv @ _cov_deriv(
-                f.gamma, ve, [s * j for j in w_h]
-            )
-            a1 = f.pv @ _cov_deriv(f.gamma, he, w_h) + f.ph @ _cov_deriv(f.gamma, he, w_v)
-            a2 = f.pv @ _cov_deriv(f.gamma, he, [s * j for j in w_h]) + f.ph @ _cov_deriv(
-                f.gamma, he, [s * j for j in w_v]
-            )
-            r += [float(np.max(np.abs(t1 - t2))), float(np.max(np.abs(a1 - a2)))]
+            w_v, w_h = f.extend(w)
+            scaled = ([s * j for j in w_v], [s * j for j in w_h])
+            for tensor in (_tensor_t, _tensor_a):
+                r.append(float(np.max(np.abs(tensor(f, e, w_v, w_h) - tensor(f, e, *scaled)))))
         return peak(r)
 
     return sweep(points, at).summarize("tensoriality", tol)
@@ -663,48 +609,35 @@ def check_conformal_metric(setup, points, tol) -> CheckResult:
     return sweep(points, at).summarize("conformal_metric", tol)
 
 
-def conformal_defect(setup: SubmersionSetup, f: _PointFrame, x, y, z,
-                     conn: ConnectionField | None = None,
-                     base_conn: ConnectionField | None = None) -> float:
-    """Defect of the defining relation for conformal submersions with
-    horizontal distribution, for base vectors x, y, z at the frame's point."""
-    conn = conn or setup.total.conn
-    base_conn = base_conn or setup.base.conn
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    z = np.asarray(z, float)
+def conformal_defect(f: _PointFrame, dual: bool = False) -> float:
+    """Worst defect, over the base coordinate-frame triples (x, y, z), of the
+    defining relation for conformal submersions with horizontal distribution
+    at the frame's point; ``dual`` takes the duals of both connections."""
+    setup = f.setup
+    gamma = f.gamma_dual if dual else f.gamma
     gb = setup.base.metric.values(f.bp)
-    gamma_b = base_conn.values(f.bp)
-    xt = f.lcols @ x
-    yt = f.lcols @ y
-    zt = f.lcols @ z
-    y_field = _linear_field(f.lift_jets, y)
-    nab = _cov_deriv(conn.values(f.p), xt, y_field)
-    push = setup.dpi_values(f.p) @ nab
-    nab_base = np.einsum("kab,a,b->k", gamma_b, x, y)
-    return float(
-        push @ gb @ z
-        - nab_base @ gb @ z
-        + (f.dphi @ zt) * (x @ gb @ y)
-        - (f.dphi @ xt) * (y @ gb @ z)
-        - (f.dphi @ yt) * (z @ gb @ x)
-    )
-
-
-def _frame_triples(m: int):
-    """Every (e_a, e_b, e_c) of the base coordinate frame."""
-    return list(itertools.product(np.eye(m), repeat=3))
+    gamma_b = (setup.dual_base if dual else setup.base.conn).values(f.bp)
+    defects = []
+    for x, y, z in itertools.product(np.eye(setup.m), repeat=3):
+        xt = f.lcols @ x
+        yt = f.lcols @ y
+        zt = f.lcols @ z
+        push = f.dpi @ _cov_deriv(gamma, xt, _linear_field(f.lift, y))
+        nab_base = np.einsum("kab,a,b->k", gamma_b, x, y)
+        defects.append(abs(float(
+            push @ gb @ z
+            - nab_base @ gb @ z
+            + (f.dphi @ zt) * (x @ gb @ y)
+            - (f.dphi @ xt) * (y @ gb @ z)
+            - (f.dphi @ yt) * (z @ gb @ x)
+        )))
+    return peak(defects)
 
 
 def check_conformal_hd(setup, points, tol) -> CheckResult:
-    """Max conformal defect over coordinate-frame triples at each sample."""
-    triples = _frame_triples(setup.m)
-
-    def at(p):
-        f = _PointFrame(setup, p)
-        return peak(abs(conformal_defect(setup, f, *t)) for t in triples)
-
-    return sweep(points, at).summarize("conformal_hd", tol)
+    """Max conformal defect at each sample."""
+    return sweep(points, lambda p: conformal_defect(_PointFrame(setup, p))).summarize(
+        "conformal_hd", tol)
 
 
 def check_affine_hd(setup, points, tol) -> CheckResult:
@@ -728,16 +661,10 @@ def check_affine_hd(setup, points, tol) -> CheckResult:
 def check_dual_conformal_pair(setup, points, tol) -> CheckResult:
     """The defining relation holds for (nabla, nabla*) iff it holds for
     their metric duals; evaluated as two residual suites."""
-    triples = _frame_triples(setup.m)
 
     def at(p):
         f = _PointFrame(setup, p)
-        return {
-            "primal": peak(abs(conformal_defect(setup, f, *t)) for t in triples),
-            "dual": peak(abs(conformal_defect(setup, f, *t, conn=setup.dual_total,
-                                              base_conn=setup.dual_base))
-                         for t in triples),
-        }
+        return {"primal": conformal_defect(f), "dual": conformal_defect(f, dual=True)}
 
     s = sweep(points, at, keys=("primal", "dual"))
     r_primal, r_dual = s.worst["primal"], s.worst["dual"]
@@ -745,16 +672,14 @@ def check_dual_conformal_pair(setup, points, tol) -> CheckResult:
                            details={"primal_max": r_primal, "dual_max": r_dual})
 
 
-def induced_structures(setup: SubmersionSetup, p, frame: _PointFrame | None = None):
-    """(g~, Gamma') induced on the base, evaluated at the fiber point p."""
-    f = frame or _PointFrame(setup, p)
-    m = setup.m
+def induced_structures(f: _PointFrame):
+    """(g~, Gamma') induced on the base, evaluated at the frame's point."""
+    m = f.setup.m
     g_ind = f.lcols.T @ f.g @ f.lcols
     gamma_ind = np.empty((m, m, m))
-    dpi = setup.dpi_values(p)
     for b in range(m):
         for c in range(m):
-            gamma_ind[:, b, c] = dpi @ f.cov(f.lcols[:, b], f.lift_col(c))
+            gamma_ind[:, b, c] = f.dpi @ f.cov(f.lcols[:, b], f.lift_col(c))
     return g_ind, gamma_ind
 
 
@@ -770,7 +695,7 @@ def check_projectable(setup, points, tol) -> CheckResult:
         fpts = setup.fiber_points(setup.base_point(p), per_fiber, anchor=p)
         if len(fpts) < 2:
             raise PremiseFailed(f"found {len(fpts)} of {per_fiber} points on the fiber")
-        gammas = [induced_structures(setup, q)[1] for q in fpts]
+        gammas = [induced_structures(_PointFrame(setup, q))[1] for q in fpts]
         return peak(float(np.max(np.abs(q_gamma - gammas[0]))) for q_gamma in gammas[1:])
 
     return sweep(points[:n_base], at).summarize("projectable", tol)
@@ -789,7 +714,7 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
     def at(p):
         f = _PointFrame(setup, p)
         premise = geometry.statistical_residual(setup.total.metric, setup.total.conn, p)
-        g_ind, gamma_ind = induced_structures(setup, p, frame=f)
+        g_ind, gamma_ind = induced_structures(f)
         dg_ind = np.empty((m, m, m))
         for a in range(m):
             for b in range(m):

@@ -493,8 +493,8 @@ def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
 
     def at(p):
         f = _PointFrame(setup, p)
-        out = four_conditions_at(setup, f)
-        comp = lemma_components(setup, p, frame=f)
+        out = four_conditions_at(f)
+        comp = lemma_components(f)
         out.update((k, comp[src]) for k, src in TM_COMPONENTS.items())
         return out
 
@@ -561,18 +561,6 @@ def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
                  "bundle_pass": left_pass, "base_metric_pass": right_pass},
         max_residual=peak((left, right)) if left_pass == right_pass else min(left, right),
     )
-
-
-def vertical_lift(entity, point) -> float | np.ndarray:
-    """Value of the vertical lift at a bundle point (x; u).
-
-    Accepts a scalar field (returns f(pi(x;u))) or a sequence of component
-    fields (returns the 2n-vector of X^v).
-    """
-    if isinstance(entity, ScalarField):
-        n = len(point) // 2
-        return vertical_lift_function(entity, n).value(tuple(point))
-    return vertical_lift_vector(list(entity), point)
 
 
 def complete_lift(entity, point, conn: ConnectionField | None = None) -> float | np.ndarray:

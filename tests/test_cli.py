@@ -298,3 +298,20 @@ def test_programming_error_aborts_the_run(monkeypatch):
                                "checks": ["prop41"], "sampling": {"count": 8, "seed": 0}})
     with pytest.raises(AttributeError, match="injected bug"):
         runner.run_suite(cfg)
+
+
+def test_dual_conformal_pair_with_too_few_points_is_inconclusive():
+    # log(x1 + 0.8) is undefined for x1 <= -0.8: 3 of 16 points do not evaluate
+    cfg = config.parse_config({
+        "manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 3.0]],
+                     "metric": [["1/x2^2 + log(x1 + 0.8)", "0"], ["0", "1/x2^2"]]},
+        "submersion": {"base": {"dim": 1, "box": [[-1.0, 1.0]], "metric": [["1"]],
+                                "connection": "flat"},
+                       "projection": ["x1"]},
+        "checks": ["dual_conformal_pair"],
+        "sampling": {"count": 16, "seed": 0},
+    })
+    (check,) = runner.run_suite(cfg)["checks"]
+    assert check["samples"] == 13 and check["incidents"] == 3
+    assert check["details"]["incident_kinds"]["EvalDomain"]["count"] == 3
+    assert check["status"] == "inconclusive"

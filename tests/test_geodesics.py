@@ -20,7 +20,7 @@ from subgeo.fields import (
     LeviCivitaConnection,
     MetricField,
 )
-from subgeo.results import FAIL, PASS
+from subgeo.results import FAIL, INCONCLUSIVE, PASS
 
 
 def half_plane():
@@ -316,3 +316,45 @@ def test_fd_mode_suite_integrates_its_jobs():
         assert c["status"] == "pass" and c["incidents"] == 0
     energy = next(c for c in report["checks"] if c["name"] == "geodesic_energy")
     assert energy["details"]["jobs"] == sorted(builtins.build("hyperbolic:2").geodesic_jobs)
+
+
+def test_projection_check_is_inconclusive_when_too_few_curves_evaluate():
+    # one curve of three fails its premise: 2 of 3 is below the 90% rule,
+    # even though the two geodesics agree
+    setup = hyperbolic_setup(3)
+    ray, semi = _hyp_curves(setup, [
+        ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0),
+        ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0),
+    ])
+    ts = np.arange(0.0, 0.5, 1e-3)
+    xs = np.stack([0.3 * np.sin(ts), 0.1 * ts, 1.0 + 0.2 * ts], axis=1)
+    vs = np.stack([0.3 * np.cos(ts), 0.1 * np.ones_like(ts), 0.2 * np.ones_like(ts)], axis=1)
+    res = geo.geodesic_projection_check(setup, [ray, semi, geo.Trajectory(ts, xs, vs)], 1e-6)
+    assert res.samples == 2 and res.incidents == 1
+    assert res.status == INCONCLUSIVE
+
+
+def test_curve_checks_share_their_probe_frames(monkeypatch):
+    # the probes of a curve are built once and read by all three curve checks
+    from subgeo import submersion
+
+    calls = []
+    frames = submersion.SubmersionSetup._frames
+
+    def counting(self, p, order):
+        calls.append(order)
+        return frames(self, p, order)
+
+    monkeypatch.setattr(submersion.SubmersionSetup, "_frames", counting)
+
+    def frame_calls(checks):
+        calls.clear()
+        cfg = config.parse_config({"builtin": "hyperbolic:3", "checks": checks,
+                                   "sampling": {"count": 4, "seed": 0}})
+        report = runner.run_suite(cfg)
+        assert all(c["status"] == "pass" for c in report["checks"])
+        return len(calls)
+
+    alone = frame_calls(["curve_decomposition"])
+    assert alone > 0
+    assert frame_calls(["curve_decomposition", "sigma_second", "geodesic_projection"]) <= alone

@@ -86,3 +86,15 @@ def test_no_broad_exception_handlers_in_the_package():
     hits = [f"{path.name}:{k}" for path in pathlib.Path(subgeo.__file__).parent.glob("*.py")
             for k, line in enumerate(path.read_text().splitlines(), 1) if broad.search(line)]
     assert hits == []
+
+
+def test_a_biconditional_below_the_evaluation_floor_is_inconclusive():
+    # 9 of 10 items evaluate: conclusive; 8 of 10: too few for any verdict
+    def at(r):
+        if r is None:
+            raise EvalDomain("no value", point=(0.0,))
+        return r
+
+    assert sweep([0.0] * 9 + [None], at).biconditional("x", 0.0, 0.0, 1e-8).status == PASS
+    s = sweep([0.0] * 8 + [None] * 2, at)
+    assert s.biconditional("x", 0.0, 0.0, 1e-8).status == INCONCLUSIVE

@@ -47,25 +47,24 @@ def test_projection_requires_matching_arity():
 
 def test_split_basis_shapes(hyp3):
     p = (0.3, -0.2, 1.7)
-    s = hyp3.split(p)
-    assert s.horizontal.shape == (3, 2)
-    assert s.vertical.shape == (3, 1)
+    f = sm._PointFrame(hyp3, p)
+    assert f.lcols.shape == (3, 2)
+    assert f.vcols.shape == (3, 1)
     # projection of the lift columns is the identity on the base
-    dpi = hyp3.dpi_values(p)
-    assert max_abs(dpi @ s.horizontal - np.eye(2)) < 1e-12
-    assert max_abs(dpi @ s.vertical) < 1e-12
+    assert max_abs(f.dpi - hyp3.dpi_values(p)) == 0.0
+    assert max_abs(f.dpi @ f.lcols - np.eye(2)) < 1e-12
+    assert max_abs(f.dpi @ f.vcols) < 1e-12
     # projectors are complementary idempotents
-    assert max_abs(s.p_h + s.p_v - np.eye(3)) < 1e-12
-    assert max_abs(s.p_h @ s.p_h - s.p_h) < 1e-12
+    assert max_abs(f.ph + f.pv - np.eye(3)) < 1e-12
+    assert max_abs(f.ph @ f.ph - f.ph) < 1e-12
     # horizontal is the metric-orthogonal complement of vertical
-    g = hyp3.total.metric.values(p)
-    assert max_abs(s.horizontal.T @ g @ s.vertical) < 1e-12
+    assert max_abs(f.lcols.T @ f.g @ f.vcols) < 1e-12
 
 
 def test_horizontal_lift_against_hand_value(hyp3):
     # diagonal metric: the lift of a base direction is the same direction
     p = (0.1, 0.4, 1.7)
-    x = hyp3.horizontal_lift(p, (1.0, 0.0))
+    x = sm._PointFrame(hyp3, p).lcols @ np.array([1.0, 0.0])
     assert x == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
 
@@ -73,9 +72,9 @@ def test_fundamental_a_hand_value(hyp3):
     # X the lift of the first base direction; the vertical part of
     # nabla_X X is (0, 0, 1/y) for the upper half-space metric.
     y = 1.7
-    p = (0.3, -0.2, y)
-    x = hyp3.horizontal_lift(p, (1.0, 0.0))
-    a_xx = hyp3.fundamental_A(p, x, x)
+    f = sm._PointFrame(hyp3, (0.3, -0.2, y))
+    x = f.lcols[:, 0]
+    a_xx = hyp3.fundamental_A(f, x, x)
     assert a_xx == pytest.approx([0.0, 0.0, 1.0 / y], abs=1e-11)
 
 
@@ -83,11 +82,10 @@ def test_fundamental_t_vanishes_on_flat_product():
     setup = euclid_setup(3, 2)
     p = (0.2, -0.4, 0.6)
     v = (0.0, 0.0, 1.0)
-    assert max_abs(setup.fundamental_T(p, v, v)) < 1e-12
+    assert max_abs(setup.fundamental_T(sm._PointFrame(setup, p), v, v)) < 1e-12
     # identity-like submersion with no fiber directions at all
     ident = euclid_setup(2, 2)
-    s = ident.split((0.1, 0.2))
-    assert s.vertical.shape == (2, 0)
+    assert sm._PointFrame(ident, (0.1, 0.2)).vcols.shape == (2, 0)
 
 
 def test_fundamental_tensors_are_tensorial(hyp3):
@@ -204,10 +202,12 @@ def test_rank_drop_detected():
     setup = sm.SubmersionSetup(
         total, base, [ExprField.parse("x1^2 - x1/2", 2)], None, "fold")
     with pytest.raises(RankDrop):
-        setup.split((0.25, 0.3))
+        setup.rank_check((0.25, 0.3))
+    res = sm.check_split_identities(setup, [(0.25, 0.3)], 1e-9)
+    assert res.details["incident_kinds"]["RankDrop"]["count"] == 1
     # away from the fold the split works
-    s = setup.split((0.6, 0.3))
-    assert s.horizontal.shape == (2, 1)
+    setup.rank_check((0.6, 0.3))
+    assert sm._PointFrame(setup, (0.6, 0.3)).lcols.shape == (2, 1)
 
 
 def test_fiber_points_satisfy_projection():
@@ -232,6 +232,25 @@ def test_s_tensor_symmetry(hyp3):
     p = (0.2, 0.1, 1.1)
     v = np.array([0.3, -0.5, 0.7])
     x = np.array([1.0, 0.2, -0.4])
-    s_vx = sm.s_tensor(hyp3.total.conn, hyp3.dual_total, p, v, x)
-    s_xv = sm.s_tensor(hyp3.total.conn, hyp3.dual_total, p, x, v)
+    f = sm._PointFrame(hyp3, p)
+    s_vx = f.s_value(v, x)
+    s_xv = f.s_value(x, v)
     assert max_abs(np.asarray(s_vx) - np.asarray(s_xv)) < 1e-10
+
+
+def test_per_point_state_stays_bounded():
+    # frames live as long as the residual computation: nothing the setup
+    # holds may grow with the number of sample points
+    setup = hyperbolic_setup(3)
+
+    def sizes():
+        return {k: len(v) for k, v in vars(setup).items()
+                if isinstance(v, (dict, list, set, tuple))}
+
+    for count in (8, 64):
+        pts = points_for(setup, count)
+        assert sm.check_lemma_components(setup, pts, 1e-7).status == PASS
+        assert sm.four_conditions_check(setup, pts, 1e-8).status == PASS
+        if count == 8:
+            before = sizes()
+    assert sizes() == before

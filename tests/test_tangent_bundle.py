@@ -40,7 +40,7 @@ def bundle_points(bundle, count=8, seed=13):
 def test_function_lifts_one_dim():
     f = ExprField.parse("x1^2", 1)
     # f^v forgets the fiber, f^c is u * f'
-    assert tb.vertical_lift(f, (1.5, 0.7)) == pytest.approx(2.25)
+    assert tb.vertical_lift_function(f, 1).value((1.5, 0.7)) == pytest.approx(2.25)
     assert tb.complete_lift(f, (1.5, 0.7)) == pytest.approx(2.0 * 1.5 * 0.7)
 
 
@@ -49,7 +49,7 @@ def test_vector_lifts_one_dim():
     comps = [ExprField.parse("x1", 1)]
     p = (1.2, 0.4)
     assert tb.complete_lift(comps, p) == pytest.approx([1.2, 0.4])
-    assert tb.vertical_lift(comps, p) == pytest.approx([0.0, 1.2])
+    assert tb.vertical_lift_vector(comps, p) == pytest.approx([0.0, 1.2])
     zero = ExprConnection.zero(1)
     assert tb.horizontal_lift_bundle(zero, comps, p) == pytest.approx([1.2, 0.0])
 
@@ -86,14 +86,14 @@ def test_gamma_operator_hand_values(hyp2):
 
 
 def test_bundle_projection_lift_is_identity_minus_velocity(hyp2):
-    # the split of the bundle submersion must produce columns (e_k; -A e_k)
+    # the frame of the bundle submersion must have lift columns (e_k; -A e_k)
     setup = hyp2.submersion("sasaki", "complete")
     p = (0.2, 1.4, 0.5, -0.3)
-    s = setup.split(p)
+    f = sm._PointFrame(setup, p)
     gamma_b = hyp2.base.conn.values(p[:2])
     a_mat = np.einsum("j,ljk->lk", np.asarray(p[2:]), gamma_b)
     want = np.vstack([np.eye(2), -a_mat])
-    assert max_abs(s.horizontal - want) < 1e-9
+    assert max_abs(f.lcols - want) < 1e-9
 
 
 def test_sasaki_blocks_hand_point(hyp2):
