@@ -7,13 +7,20 @@ OLD_SRC and NEW_SRC are directories holding the ``subgeo`` package (the
 ``src`` directory of two checkouts).  Each tree runs, in its own
 subprocess, every builtin below at seeds 0-4 with 16 samples: in jet
 mode, and in fd mode for the builtins that are not tangent bundles.
-Every report whose JSON differs once the ``wall_time_s`` fields are
-stripped is printed as a diff, as is every differing exit code.  Exits
-0 when everything is identical and 1 otherwise.
+Reports are compared once their ``wall_time_s`` fields are stripped.
+
+Every report that differs is printed as a diff and labelled:
+``rounding`` when only floats differ, each by at most
+1e-12 * max(1, |old|); ``real`` for any other difference (an exit code,
+a status, an incident count or kind, a key, a string, a boolean, or a
+float beyond that bound).  The summary gives the number of
+byte-identical reports and the largest float change.  Exits 0 when no
+difference is real and 1 otherwise.
 """
 
 import difflib
 import json
+import math
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +34,7 @@ BUILTINS = (
 )
 SEEDS = range(5)
 SAMPLES = 16
+FLOAT_RTOL = 1e-12  # a float change within FLOAT_RTOL * max(1, |old|) is rounding
 
 CASES = [(name, seed, "jet") for name in BUILTINS for seed in SEEDS]
 CASES += [(name, seed, "fd") for name in BUILTINS
@@ -62,6 +70,54 @@ def run_tree(src: str) -> list:
     return [json.loads(line) for line in out.stdout.splitlines()]
 
 
+def float_change(old: float, new: float) -> float:
+    """|new - old|, 0 for two NaNs and for equal infinities."""
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    return abs(new - old) if math.isfinite(old) and math.isfinite(new) else math.inf
+
+
+def compare(old, new, path, floats, real) -> None:
+    """Walk two parsed reports together: every float that differs goes to
+    ``floats`` as (change, bound, path, old, new), every other difference
+    to ``real`` as text."""
+    if isinstance(old, float) and isinstance(new, float):
+        change = float_change(old, new)
+        if change:
+            bound = FLOAT_RTOL * max(1.0, abs(old)) if math.isfinite(old) else 0.0
+            floats.append((change, bound, path, old, new))
+    elif type(old) is not type(new):
+        real.append(f"{path}: {old!r} -> {new!r}")
+    elif isinstance(old, dict):
+        if old.keys() != new.keys():
+            real.append(f"{path}: keys {sorted(old)} -> {sorted(new)}")
+        for key in sorted(old.keys() & new.keys()):
+            compare(old[key], new[key], f"{path}.{key}", floats, real)
+    elif isinstance(old, list):
+        if len(old) != len(new):
+            real.append(f"{path}: {len(old)} items -> {len(new)}")
+        for k, (a, b) in enumerate(zip(old, new)):
+            compare(a, b, f"{path}[{k}]", floats, real)
+    elif old != new:
+        real.append(f"{path}: {old!r} -> {new!r}")
+
+
+def classify(a: dict, b: dict):
+    """(real differences, float changes) between two case results; a
+    float change above its bound is also a real difference."""
+    real, floats = [], []
+    if a["exit"] != b["exit"]:
+        real.append(f"exit code {a['exit']} -> {b['exit']}")
+    try:
+        old, new = json.loads(a["report"]), json.loads(b["report"])
+    except json.JSONDecodeError:  # a crash: the report is a traceback
+        return real + ["report: not both JSON"], floats
+    compare(old, new, "report", floats, real)
+    real += [f"{path}: {o!r} -> {n!r} (change {c:.3e} above {bound:.3e})"
+             for c, bound, path, o, n in floats if c > bound]
+    return real, floats
+
+
 def main(argv) -> int:
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -69,19 +125,31 @@ def main(argv) -> int:
     old_src, new_src = argv[1], argv[2]
     with ThreadPoolExecutor(max_workers=2) as pool:
         old, new = pool.map(run_tree, (old_src, new_src))
-    differ = 0
+    identical = rounding = real_count = 0
+    floats = []
     for (name, seed, mode), a, b in zip(CASES, old, new):
         label = f"{name} seed={seed} mode={mode}"
-        if a["exit"] != b["exit"]:
-            print(f"{label}: exit code {a['exit']} -> {b['exit']}")
-        if a["report"] != b["report"]:
-            print(f"{label}: report differs")
-            sys.stdout.writelines(difflib.unified_diff(
-                a["report"].splitlines(True), b["report"].splitlines(True),
-                old_src, new_src, n=2))
-        differ += a != b
-    print(f"{len(CASES) - differ} of {len(CASES)} reports and exit codes identical")
-    return 1 if differ else 0
+        if a == b:
+            identical += 1
+            continue
+        real, changes = classify(a, b)
+        floats += [(c, bound, f"{label} {path}", o, n) for c, bound, path, o, n in changes]
+        print(f"{label}: {'real' if real else 'rounding'} difference")
+        for line in real:
+            print(f"  real: {line}")
+        sys.stdout.writelines(difflib.unified_diff(
+            (a["report"] + "\n").splitlines(True), (b["report"] + "\n").splitlines(True),
+            old_src, new_src, n=2))
+        real_count += bool(real)
+        rounding += not real
+    print(f"{identical} of {len(CASES)} reports and exit codes byte-identical; "
+          f"{rounding} differ by rounding only; {real_count} differ for real")
+    if floats:
+        change, bound, where, o, n = max(floats, key=lambda f: f[0])
+        print(f"largest float change: {change:.3e} (bound {bound:.3e}) at {where}: {o!r} -> {n!r}")
+    else:
+        print("largest float change: 0")
+    return 1 if real_count else 0
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ left-associative with the usual precedence; ``^`` takes an integer literal
 exponent and binds tighter than unary minus.
 
 An AST evaluates as a jet at one point (:func:`eval_jet`, orders 0..3) or
-is compiled once into a closure that gives values and gradients at a
-whole stack of points (:func:`compile_batched`, orders 0..1).
+is compiled once into a closure that gives values, gradients and
+Hessians at a whole stack of points (:func:`compile_batched`, orders 1..2).
 """
 
 from __future__ import annotations
@@ -302,23 +302,30 @@ def eval_jet(node, point, order: int) -> Jet:
 #
 # Compilation turns expressions into a straight-line program with one
 # instruction per distinct subexpression.  An instruction maps points
-# (N, d) to (value, grad): value is (N,), or a scalar for constant
-# subexpressions, and grad is (N, d), or None when identically zero.  Each
-# instruction follows the Jet method it mirrors (division is multiplication
-# by the reciprocal, subtraction adds the negation, integer powers square
-# repeatedly), so a row agrees with eval_jet at that point to the last bit
+# (N, d) to (value, grad, hess): value is (N,), or a scalar for constant
+# subexpressions, grad is (N, d) and hess (N, d, d), each None when
+# identically zero (hess is always None at order 1).  Each instruction
+# follows the Jet method it mirrors (division is multiplication by the
+# reciprocal, subtraction adds the negation, integer powers square
+# repeatedly, and products and chain rules add their terms in Jet's
+# order), so a row agrees with eval_jet at that point to the last bit
 # wherever numpy's elementary functions agree with the math module's.
+# Errors follow Jet's too: its domain errors (division by zero, log or
+# sqrt of a non-positive value, exp overflow, sin or cos of an infinity)
+# are raised at the first point where they occur, and other non-finite
+# values (an overflowing product, say) propagate as they do through Jet
+# arithmetic.
 
 
 def compile_batched(nodes):
-    """Compile ASTs into ``fn(points) -> (values, grads)``.
+    """Compile ASTs into ``fn(points, order=1)``.
 
-    ``points`` is an (N, d) array; ``values`` is (N, E) and ``grads``
-    (N, d, E): the order-1 jets of the E expressions at every point.  A
-    subexpression shared between or within the expressions is evaluated
-    once per call.  A domain error, including any non-finite value or
-    derivative, raises :class:`EvalDomain` carrying the first point where
-    it occurs.
+    ``points`` is an (N, d) array.  At order 1 the result is
+    ``(values, grads)``, with ``values`` (N, E) and ``grads`` (N, d, E)
+    the order-1 jets of the E expressions at every point; order 2 adds
+    ``hess`` (N, d, d, E).  A subexpression shared between or within the
+    expressions is evaluated once per call.  A domain error raises
+    :class:`EvalDomain` carrying the first point where it occurs.
     """
     program, slots = [], {}  # instructions (fn, argument slots, constants)
     dim_needed = 0
@@ -357,26 +364,24 @@ def compile_batched(nodes):
 
     outputs = [walk(n) for n in nodes]
 
-    def evaluate(points):
+    def evaluate(points, order=1):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] < dim_needed:
             raise ContractViolation(
                 f"expressions need points of dimension {dim_needed}, got shape {points.shape}")
+        if order not in (1, 2):
+            raise ContractViolation(f"batched order must be 1 or 2, got {order}")
         regs = []
         with np.errstate(all="ignore"):
             for fn, args, consts in program:
-                regs.append(fn(points, *[regs[a] for a in args], *consts))
-        values = np.empty((len(points), len(outputs)))
-        grads = np.zeros(points.shape + (len(outputs),))
+                regs.append(fn(points, order, *[regs[a] for a in args], *consts))
+        npts, dim = points.shape
+        out = tuple(np.zeros((npts,) + (dim,) * k + (len(outputs),)) for k in range(order + 1))
         for e, slot in enumerate(outputs):
-            value, grad = regs[slot]
-            values[:, e] = value
-            if grad is not None:
-                grads[:, :, e] = grad
-        if not (np.isfinite(values).all() and np.isfinite(grads).all()):
-            bad = ~(np.isfinite(values).all(axis=1) & np.isfinite(grads).all(axis=(1, 2)))
-            _domain(bad, points, "non-finite value or derivative")
-        return values, grads
+            for part, value in zip(out, regs[slot]):
+                if value is not None:
+                    part[..., e] = value
+        return out
 
     return evaluate
 
@@ -393,76 +398,107 @@ def _domain(bad, points, message):
         raise EvalDomain(message, points[int(np.argmax(bad)) if _rows(bad) else 0])
 
 
-def _scale(c, grad):
-    if grad is None:
+def _scale(c, part):
+    """c times a grad or hess part, c a scalar or one value per row."""
+    if part is None:
         return None
-    return (c[:, None] if _rows(c) else c) * grad
+    return (c.reshape(c.shape + (1,) * (part.ndim - 1)) if _rows(c) else c) * part
 
 
-def _plus(g1, g2):
-    if g1 is None:
-        return g2
-    if g2 is None:
-        return g1
-    return g1 + g2
+def _plus(p1, p2):
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    return p1 + p2
 
 
-def _b_const(points, value):
-    return value, None
+def _outer(g1, g2):
+    if g1 is None or g2 is None:
+        return None
+    return g1[:, :, None] * g2[:, None, :]
 
 
-def _b_var(points, index):
+def _chain(order, a, c0, c1, c2):
+    """Compose with a scalar function of value c0 and derivatives c1, c2."""
+    _, grad, hess = a
+    if order < 2:
+        return c0, _scale(c1, grad), None
+    return c0, _scale(c1, grad), _plus(_scale(c1, hess), _scale(c2, _outer(grad, grad)))
+
+
+def _b_const(points, order, value):
+    return value, None, None
+
+
+def _b_var(points, order, index):
     grad = np.zeros(points.shape)
     grad[:, index] = 1.0
-    return points[:, index], grad
+    return points[:, index], grad, None
 
 
-def _b_add(points, a, b):
-    (av, ag), (bv, bg) = a, b
-    return av + bv, _plus(ag, bg)
+def _b_add(points, order, a, b):
+    return tuple(_plus(x, y) for x, y in zip(a, b))
 
 
-def _b_neg(points, a):
-    value, grad = a
-    return -value, None if grad is None else -grad
+def _b_neg(points, order, a):
+    return tuple(None if x is None else -x for x in a)
 
 
-def _b_mul(points, a, b):
-    (av, ag), (bv, bg) = a, b
-    return av * bv, _plus(_scale(av, bg), _scale(bv, ag))
+def _b_mul(points, order, a, b):
+    (av, ag, ah), (bv, bg, bh) = a, b
+    grad = _plus(_scale(av, bg), _scale(bv, ag))
+    if order < 2:
+        return av * bv, grad, None
+    hess = _plus(_plus(_plus(_scale(av, bh), _scale(bv, ah)), _outer(ag, bg)), _outer(bg, ag))
+    return av * bv, grad, hess
 
 
-def _b_reciprocal(points, a):
-    value, grad = a
+def _cube(value):
+    """value**3 with Python's float power, as Jet computes it; numpy's
+    vectorised power can differ from it in the last bit."""
+    if not _rows(value):
+        return value**3
+    return np.array([v**3 for v in value.tolist()]).reshape(value.shape)
+
+
+def _b_reciprocal(points, order, a):
+    value = a[0]
     _domain(value == 0.0, points, "division by zero")
-    return 1.0 / value, _scale(-1.0 / value**2, grad)
+    c2 = 2.0 / _cube(value) if order > 1 else None
+    return _chain(order, a, 1.0 / value, -1.0 / value**2, c2)
 
 
-def _b_ipow(points, a, p):
+def _b_ipow(points, order, a, p):
     result, base = None, a  # None stands for the constant 1
     while p:
         if p & 1:
-            result = base if result is None else _b_mul(points, result, base)
-        base = _b_mul(points, base, base) if p > 1 else base
+            result = base if result is None else _b_mul(points, order, result, base)
+        base = _b_mul(points, order, base, base) if p > 1 else base
         p >>= 1
-    return (np.float64(1.0), None) if result is None else result
+    return (np.float64(1.0), None, None) if result is None else result
 
 
-def _b_call(points, a, func):
-    value, grad = a
+def _b_call(points, order, a, func):
+    value = a[0]
     if func in ("log", "sqrt"):
         _domain(value <= 0.0, points, f"{func} of a non-positive value")
     if func == "exp":
         e = np.exp(value)
-        return e, _scale(e, grad)
+        # math.exp raises where the result overflows
+        _domain(np.isinf(e) & np.isfinite(value), points,
+                "floating-point error (math range error)")
+        return _chain(order, a, e, e, e)
     if func == "log":
-        return np.log(value), _scale(1.0 / value, grad)
+        return _chain(order, a, np.log(value), 1.0 / value, -1.0 / value**2)
     if func == "sqrt":
         s = np.sqrt(value)
-        return s, _scale(0.5 / s, grad)
-    if func == "sin":
-        return np.sin(value), _scale(np.cos(value), grad)
-    if func == "cos":
-        return np.cos(value), _scale(-np.sin(value), grad)
+        return _chain(order, a, s, 0.5 / s, -0.25 / (s * value))
+    if func in ("sin", "cos"):
+        # math.sin and math.cos raise on an infinite argument
+        _domain(np.isinf(value), points, "floating-point error (math domain error)")
+        s, c = np.sin(value), np.cos(value)
+        return _chain(order, a, s, c, -s) if func == "sin" else _chain(order, a, c, -s, -c)
     t = np.tanh(value)
-    return t, _scale(1.0 - t * t, grad)
+    d = 1.0 - t * t
+    return _chain(order, a, t, d, -2.0 * t * d)

@@ -4,9 +4,9 @@ Every geometric quantity is a field evaluable as a jet at a point, so
 derived objects (inverse metrics, connection coefficients, projectors)
 stay differentiable to whatever order the leaf expressions support.
 Scalar, metric and connection fields also have one batched float entry,
-``batch(points)``, that evaluates order-1 data at a whole (N, n) stack of
-points in one call; fields without a native batched form stack their
-per-point results.
+``batch(points)``, that evaluates order-1 data (scalar fields: order 2 on
+request) at a whole (N, n) stack of points in one call; fields without a
+native batched form stack their per-point results.
 Finite-difference mode swaps the leaf evaluation for central differences
 while leaving all derived algebra untouched, giving an independent path
 through every check.
@@ -64,14 +64,17 @@ class ScalarField:
     def value(self, point) -> float:
         return self.jets(point, 0).value
 
-    def batch(self, points):
-        """(value (N,), grad (N, dim)) at a stack of points (N, dim)."""
-        return self._batch(_as_points(points, self.dim))
+    def batch(self, points, order: int = 1):
+        """(value (N,), grad (N, dim)) at a stack of points (N, dim);
+        order 2 adds hess (N, dim, dim)."""
+        return self._batch(_as_points(points, self.dim), order)
 
-    def _batch(self, points):
-        jets = [self._jets(tuple(p), 1) for p in points.tolist()]
-        return (_stack([j.value for j in jets], ()),
-                _stack([j.grad for j in jets], (self.dim,)))
+    def _batch(self, points, order):
+        jets = [self._jets(tuple(p), order) for p in points.tolist()]
+        parts = (_stack([j.value for j in jets], ()), _stack([j.grad for j in jets], (self.dim,)))
+        if order > 1:
+            parts += (_stack([j.hess for j in jets], (self.dim, self.dim)),)
+        return parts
 
 
 class ExprField(ScalarField):
@@ -87,11 +90,10 @@ class ExprField(ScalarField):
     def _jets(self, point, order):
         return exprlang.eval_jet(self.ast, point, order)
 
-    def _batch(self, points):
+    def _batch(self, points, order):
         if self._compiled is None:
             self._compiled = exprlang.compile_batched([self.ast])
-        values, grads = self._compiled(points)
-        return values[:, 0], grads[:, :, 0]
+        return tuple(part[..., 0] for part in self._compiled(points, order))
 
     def __repr__(self):
         return f"ExprField({exprlang.to_text(self.ast)!r})"
@@ -125,8 +127,11 @@ class ConstField(ScalarField):
     def _jets(self, point, order):
         return Jet.constant(self._value, self.dim, order)
 
-    def _batch(self, points):
-        return np.full(len(points), self._value), np.zeros(points.shape)
+    def _batch(self, points, order):
+        parts = (np.full(len(points), self._value), np.zeros(points.shape))
+        if order > 1:
+            parts += (np.zeros(points.shape + (self.dim,)),)
+        return parts
 
 
 class FDField(ScalarField):
@@ -184,16 +189,16 @@ class _FieldStack:
         self._asts = [_leaf_ast(f) for f in self.fields]
         self._compiled = None
 
-    def __call__(self, points):
-        """(values (N, E), grads (N, dim, E)) for the E fields."""
+    def __call__(self, points, order: int = 1):
+        """(values (N, E), grads (N, dim, E)) for the E fields; order 2
+        adds hess (N, dim, dim, E)."""
         points = _as_points(points, self.dim)
         if None in self._asts:
-            parts = [f.batch(points) for f in self.fields]
-            return (np.stack([v for v, _ in parts], axis=-1),
-                    np.stack([g for _, g in parts], axis=-1))
+            parts = [f.batch(points, order) for f in self.fields]
+            return tuple(np.stack(part, axis=-1) for part in zip(*parts))
         if self._compiled is None:
             self._compiled = exprlang.compile_batched(self._asts)
-        return self._compiled(points)
+        return self._compiled(points, order)
 
     def values(self, points) -> np.ndarray:
         """Values (N, E) alone; fields that are neither expressions nor

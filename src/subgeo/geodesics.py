@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryExit, ContractViolation, PremiseFailed, SubgeoError
+from .errors import BoundaryExit, ContractViolation, EvalDomain, PremiseFailed, SubgeoError
 from .fields import ConnectionField, MetricField
 from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, agree, peak,
                       sweep)
-from .linalg import jet_values
 from .submersion import SubmersionSetup, _PointFrame
 
 DEFAULT_STEP = 1e-3
@@ -62,9 +61,13 @@ class Trajectory:
 
 
 def _accel(conn: ConnectionField, x, v) -> np.ndarray:
-    """Geodesic accelerations -Gamma^k_ij v^i v^j of states stacked (N, n)."""
-    gamma = conn.batch(x)
-    return -np.einsum("pkij,pi,pj->pk", gamma, v, v)
+    """Geodesic accelerations -Gamma^k_ij v^i v^j of states stacked (N, n);
+    a non-finite one is a domain error at its state."""
+    acc = -np.einsum("pkij,pi,pj->pk", conn.batch(x), v, v)
+    bad = ~np.isfinite(acc).all(axis=1)
+    if bad.any():
+        raise EvalDomain("non-finite geodesic acceleration", x[int(np.argmax(bad))])
+    return acc
 
 
 def _rk4_step(conn: ConnectionField, x, v, step):
@@ -231,29 +234,23 @@ def probe_indices(n_nodes: int, count: int = 9):
 
 
 class _CurveProbe:
-    """Frame data for one interior probe node of a curve in a submersion:
-    the :class:`_PointFrame` at the node, and the vertical projector and
-    dpi at every node of its five-point window."""
+    """Frame data for one interior probe node of a curve in a submersion,
+    from one rank-tested frame batch over its five-point window: the
+    :class:`_PointFrame` at the node, and the vertical projector and dpi at
+    every window node.  A window node that fails fails the probe, the
+    first one in window order giving the error."""
 
     def __init__(self, setup: SubmersionSetup, traj: Trajectory, idx: int):
         if idx < 2 or idx > len(traj) - 3:
             raise ContractViolation("probe index must be interior")
         self.step = traj.step
         self.window = range(idx - 2, idx + 3)
-        self.pvs, self.dpis = [], []
-        for k in self.window:
-            setup.rank_check(traj.xs[k])
-            if k == idx:
-                self.frame = f = _PointFrame(setup, traj.xs[k])
-                pv, dpi = f.pv, f.dpi
-            else:
-                frames = setup._frames(traj.xs[k], 0)
-                pv, dpi = jet_values(frames["p_v"]), jet_values(frames["dpi"])
-            self.pvs.append(pv)
-            self.dpis.append(dpi)
+        frames = setup._frames(traj.xs[idx - 2: idx + 3], True)
+        if frames.errors:
+            raise next(iter(frames.errors.values()))
+        self.frame = _PointFrame(frames, traj.xs[idx])
+        self.pvs, self.dpis = frames.arrays["pv"], frames.arrays["dpi"]
         self.v = traj.vs[idx]
-        self.gb = setup.base.metric.values(f.bp)
-        self.gamma_b = setup.base.conn.values(f.bp)
 
     def stencil(self, samples) -> np.ndarray:
         samples = np.asarray(samples, dtype=float)
@@ -268,7 +265,7 @@ class _CurveProbe:
         """Base covariant derivative along pi(sigma) of base-vector nodes."""
         d = self.stencil(nodes)
         w = self.frame.dpi @ self.v
-        return d + np.einsum("kij,i,j->k", self.gamma_b, w, np.asarray(nodes)[2])
+        return d + np.einsum("kij,i,j->k", self.frame.gamma_b, w, np.asarray(nodes)[2])
 
 
 def curve_probes(setup: SubmersionSetup, traj: Trajectory):
@@ -314,12 +311,12 @@ def curve_decomposition_residuals(setup: SubmersionSetup, traj: Trajectory, e_fn
             z = np.zeros(m)
             z[a] = 1.0
             zt = f.lcols[:, a]
-            lhs = float(lhs_base @ pr.gb @ z)
+            lhs = float(lhs_base @ f.gb @ z)
             rhs = float(
-                rhs_base @ pr.gb @ z
-                - (f.dphi @ zt) * (px @ pr.gb @ ph_)
-                + (f.dphi @ x_i) * (ph_ @ pr.gb @ z)
-                + (f.dphi @ h_i) * (px @ pr.gb @ z)
+                rhs_base @ f.gb @ z
+                - (f.dphi @ zt) * (px @ f.gb @ ph_)
+                + (f.dphi @ x_i) * (ph_ @ f.gb @ z)
+                + (f.dphi @ h_i) * (px @ f.gb @ z)
             )
             r_h.append(abs(lhs - rhs))
         a_xh = setup.fundamental_A(f, x_i, h_i)
@@ -348,16 +345,16 @@ def sigma_second_residuals(setup: SubmersionSetup, traj: Trajectory) -> dict:
         rhs_base = sig2_star + f.dpi @ (2.0 * a_xu + t_uu)
         lhs_base = f.dpi @ (f.ph @ sig2)
         px = f.dpi @ x_i
-        norm2 = float(px @ pr.gb @ px)
+        norm2 = float(px @ f.gb @ px)
         for a in range(m):
             z = np.zeros(m)
             z[a] = 1.0
             zt = f.lcols[:, a]
-            lhs = float(lhs_base @ pr.gb @ z)
+            lhs = float(lhs_base @ f.gb @ z)
             rhs = float(
-                rhs_base @ pr.gb @ z
+                rhs_base @ f.gb @ z
                 - (f.dphi @ zt) * norm2
-                + 2.0 * (f.dphi @ x_i) * (px @ pr.gb @ z)
+                + 2.0 * (f.dphi @ x_i) * (px @ f.gb @ z)
             )
             r_h.append(abs(lhs - rhs))
         a_xx = setup.fundamental_A(f, x_i, x_i)
@@ -387,14 +384,14 @@ def projection_condition_residuals(setup: SubmersionSetup, traj: Trajectory) -> 
         t_uu = setup.fundamental_T(f, u_i, u_i)
         vec = f.dpi @ (2.0 * a_xu + t_uu)
         px = f.dpi @ x_i
-        norm2 = float(px @ pr.gb @ px)
+        norm2 = float(px @ f.gb @ px)
         for a in range(m):
             z = np.zeros(m)
             z[a] = 1.0
             zt = f.lcols[:, a]
             cond = float(
-                vec @ pr.gb @ z
-                + 2.0 * (f.dphi @ x_i) * (px @ pr.gb @ z)
+                vec @ f.gb @ z
+                + 2.0 * (f.dphi @ x_i) * (px @ f.gb @ z)
                 - (f.dphi @ zt) * norm2
             )
             conds.append(abs(cond))

@@ -23,9 +23,10 @@ def torsion_values(gamma: np.ndarray) -> np.ndarray:
 
 
 def nabla_g_values(g: np.ndarray, dg: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """C[i, j, k] = (nabla_i g)(e_j, e_k); dg[i, j, k] = d_i g_jk."""
-    lowered = np.einsum("lij,lk->ijk", gamma, g)
-    return dg - lowered - np.transpose(lowered, (0, 2, 1))
+    """C[i, j, k] = (nabla_i g)(e_j, e_k); dg[i, j, k] = d_i g_jk.  Any
+    leading axes (a stack of points) are kept."""
+    lowered = np.einsum("...lij,...lk->...ijk", gamma, g)
+    return dg - lowered - np.swapaxes(lowered, -1, -2)
 
 
 def cubic_values(metric: MetricField, conn: ConnectionField, point) -> np.ndarray:
@@ -35,10 +36,13 @@ def cubic_values(metric: MetricField, conn: ConnectionField, point) -> np.ndarra
 
 def statistical_residual(metric: MetricField, conn: ConnectionField, point) -> float:
     """Max over torsion entries and the (i, j) symmetry defect of nabla g."""
-    gamma = conn.values(point)
-    c = cubic_values(metric, conn, point)
+    return statistical_defect(conn.values(point), cubic_values(metric, conn, point))
+
+
+def statistical_defect(gamma: np.ndarray, cubic: np.ndarray) -> float:
+    """:func:`statistical_residual` from the Christoffels and the cubic form."""
     r_tor = float(np.max(np.abs(torsion_values(gamma))))
-    r_sym = float(np.max(np.abs(c - np.transpose(c, (1, 0, 2)))))
+    r_sym = float(np.max(np.abs(cubic - np.transpose(cubic, (1, 0, 2)))))
     return peak((r_tor, r_sym))
 
 

@@ -25,8 +25,8 @@ def solve_linear(a, b) -> np.ndarray:
 
     A stack of systems, ``a`` of shape (N, n, n) and ``b`` (N, n, ...),
     is solved row by row.  Raises :class:`SingularMatrix` when a pivot
-    falls below ``1e-12 * max_norm(a)``; for a stack the message names
-    the failing row.
+    falls below ``1e-12 * max_norm(a)``; for a stack of several systems
+    the message names the failing row.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -39,6 +39,8 @@ def solve_linear(a, b) -> np.ndarray:
         try:
             out[row] = _solve_one(a[row], b[row])
         except SingularMatrix as exc:
+            if len(a) == 1:
+                raise
             raise SingularMatrix(f"{exc} in row {row}") from None
     return out
 

@@ -4,20 +4,24 @@ A setup couples a total space (M, g_M, nabla), a base space (B, g_B,
 nabla*), the projection components, and an optional conformal factor
 phi. Everything downstream (kernel bases, lifts, projectors, the
 fundamental tensors T and A, the component identities, the
-four-condition theorem) is evaluated pointwise from jets, so each
-residual is an honest derivative computation rather than a symbolic
-shortcut.
+four-condition theorem) is evaluated from derivatives at the sample
+points, so each residual is an honest derivative computation rather
+than a symbolic shortcut.
 
 Vertical bases follow a fixed column-pivot pattern chosen at the box
 center; horizontal spaces are the g_M-orthogonal complement of the
-kernel. Every identity at a sample point reads one :class:`_PointFrame`,
-built from the order-1 frame jets there and holding dpi and the
-Christoffels of the total connection and its dual. Pointwise tensors
-extend their vector arguments by constant coordinate components and
-project with the frame's jet-valued projector fields, which makes the
-results extension-independent up to solver noise. The setup caches
-nothing per point: a frame lives as long as the residual computation
-that built it.
+kernel. A check builds the frames of all its points in one batch
+(:meth:`SubmersionSetup._frames`): numpy arrays with a leading point
+axis, derivatives propagated by the product rule and
+d(A^-1) = -A^-1 dA A^-1. Every identity at a sample point reads one
+:class:`_PointFrame`, a row of that batch holding dpi, the kernel and
+lift columns and the projectors with their first partials, the
+Christoffels of the total connection and of its dual, and the base
+structure at the projected point. Pointwise tensors extend their vector
+arguments by constant coordinate components and project with the
+frame's projector fields, which makes the results extension-independent
+up to solver noise. The setup caches nothing per point: a batch lives
+as long as the check that built it.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ import numpy as np
 import scipy.linalg
 
 from . import geometry
-from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
-from .fields import ConnectionField, DualConnection, ScalarField, Space
-from .jets import Jet
-from .linalg import jet_matmul, jet_solve, jet_values, solve_linear
+from .errors import (ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix,
+                     SubgeoError)
+from .fields import ScalarField, Space, _dual, _FieldStack
+from .linalg import jet_values, solve_linear
 from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree,
                       peak, sweep)
 
@@ -57,8 +61,7 @@ class SubmersionSetup:
         self.phi = phi
         self.name = name
         self._pivot = None
-        self._dual_total = None
-        self._dual_base = None
+        self._pi_stack = _FieldStack(self.pi, total.dim)
 
     # -- dimensions ----------------------------------------------------
 
@@ -74,20 +77,6 @@ class SubmersionSetup:
     def fiber_dim(self) -> int:
         return self.n - self.m
 
-    # -- duals ---------------------------------------------------------
-
-    @property
-    def dual_total(self) -> ConnectionField:
-        if self._dual_total is None:
-            self._dual_total = DualConnection(self.total.conn, self.total.metric)
-        return self._dual_total
-
-    @property
-    def dual_base(self) -> ConnectionField:
-        if self._dual_base is None:
-            self._dual_base = DualConnection(self.base.conn, self.base.metric)
-        return self._dual_base
-
     # -- projection differentials ---------------------------------------
 
     def base_point(self, p) -> tuple:
@@ -100,17 +89,8 @@ class SubmersionSetup:
     def dpi_values(self, p) -> np.ndarray:
         return jet_values(self.dpi_jets(p, 0))
 
-    def _finite_dpi(self, p) -> np.ndarray:
-        """dpi values for a rank test, which cannot take NaN or inf."""
-        a = self.dpi_values(p)
-        if not np.isfinite(a).all():
-            raise EvalDomain("projection differential is not finite", point=p)
-        return a
-
     def rank_check(self, p) -> None:
-        sv = np.linalg.svd(self._finite_dpi(p), compute_uv=False)
-        if sv.size == 0 or sv[-1] <= RANK_RTOL * max(sv[0], 1.0):
-            raise RankDrop("projection differential lost rank", point=tuple(p))
+        _rank_test(np.array([p], dtype=float), self.dpi_values(p)[None])
 
     def pivot_pattern(self):
         """(pivot_cols, free_cols) chosen once at the box center."""
@@ -119,7 +99,9 @@ class SubmersionSetup:
         return self._pivot
 
     def _pivot_at(self, p):
-        a = self._finite_dpi(p)
+        a = self.dpi_values(p)
+        if not np.isfinite(a).all():  # the QR pivoting cannot take NaN or inf
+            raise EvalDomain("projection differential is not finite", point=p)
         _, r, perm = scipy.linalg.qr(a, pivoting=True)
         diag = np.abs(np.diag(r))
         if diag.size < self.m or diag[-1] <= RANK_RTOL * max(diag[0], 1.0):
@@ -130,66 +112,88 @@ class SubmersionSetup:
 
     # -- frames ----------------------------------------------------------
 
-    def _frames(self, p, order: int) -> dict:
-        """Jet matrices at p: ``dpi`` (m x n), ``kernel`` (n x l, columns
-        spanning ker dpi), ``lift`` (n x m, column a the horizontal lift of
-        e_a) and the projectors ``p_h``, ``p_v`` (n x n)."""
-        p = tuple(float(x) for x in p)
-        n, m, l = self.n, self.m, self.fiber_dim
-        dpi = self.dpi_jets(p, order)
-        zero = Jet.constant(0.0, n, order)
-        one = Jet.constant(1.0, n, order)
+    def _frames(self, points, rank_test: bool) -> _FrameBatch:
+        """The frames at a stack of points (N, n), built together.
+
+        With ``rank_test`` a point where dpi is not finite or loses rank
+        fails before its frame is built.  When the batch raises a
+        :class:`SubgeoError`, each row is built alone: the failing points
+        keep their own errors and the others get exactly what the batch
+        gives them.
+        """
+        points = np.asarray(points, dtype=float).reshape(len(points), self.n)
+        try:
+            return _FrameBatch(self, points, self._frame_arrays(points, rank_test))
+        except SubgeoError:
+            pass
+        good, parts, errors = [], [], {}
+        for row in range(len(points)):
+            try:
+                parts.append(self._frame_arrays(points[row:row + 1], rank_test))
+                good.append(row)
+            except SubgeoError as exc:
+                errors[tuple(points[row].tolist())] = exc
+        arrays = {k: np.concatenate([part[k] for part in parts])
+                  for k in (parts[0] if parts else ())}
+        return _FrameBatch(self, points[good], arrays, errors)
+
+    def _frame_arrays(self, x, rank_test: bool) -> dict:
+        """The :class:`_PointFrame` arrays at points x (N, n), each with a
+        leading point axis; raises the first error of any row."""
+        n = self.n
+        bp, dpi_t, hess = self._pi_stack(x, 2)
+        dpi = np.swapaxes(dpi_t, 1, 2)                  # (N, m, n)
+        d_dpi = np.moveaxis(hess, 3, 2)                 # [p, k, a, i] = d_k d_i pi_a
+        if rank_test:
+            _rank_test(x, dpi)
 
         # kernel columns from the pivot pattern
-        if l:
+        if self.fiber_dim:
             piv, free = self.pivot_pattern()
             try:
-                kernel = self._kernel_from(dpi, piv, free, zero, one)
+                kernel, d_kernel = _kernel(dpi, d_dpi, piv, free)
             except SingularMatrix:
+                if len(x) > 1:
+                    raise
                 warnings.warn("pivot pattern degenerated; re-pivoting at the point")
-                piv, free = self._pivot_at(p)
-                kernel = self._kernel_from(dpi, piv, free, zero, one)
+                kernel, d_kernel = _kernel(dpi, d_dpi, *self._pivot_at(x[0]))
         else:
-            kernel = [[] for _ in range(n)]
+            kernel, d_kernel = np.zeros((len(x), n, 0)), np.zeros((len(x), n, n, 0))
 
-        # horizontal: g-orthogonal complement, spanned by ginv dpi^T
-        ginv = self.total.metric.inverse_jets(p, order)
-        dpi_t = [[dpi[a][i] for a in range(m)] for i in range(n)]
-        h = jet_matmul(ginv, dpi_t)                     # n x m
-        dpi_h = jet_matmul(dpi, h)                      # m x m
-        eye = [[one if a == b else zero for b in range(m)] for a in range(m)]
-        lift = jet_matmul(h, jet_solve(dpi_h, eye))     # n x m
-        p_h = jet_matmul(lift, dpi)                     # n x n
-        p_v = [
-            [(one if i == j else zero) - p_h[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        return {"dpi": dpi, "kernel": kernel, "lift": lift, "p_h": p_h, "p_v": p_v}
+        # horizontal: g-orthogonal complement, spanned by h = ginv dpi^T
+        g, dg = self.total.metric.batch(x)             # dg[p, k] = d_k g
+        ginv = _inverse(g)
+        d_ginv = -(ginv[:, None] @ dg @ ginv[:, None])
+        h = ginv @ dpi_t                                # (N, n, m)
+        d_h = d_ginv @ dpi_t[:, None] + ginv[:, None] @ np.swapaxes(d_dpi, 2, 3)
+        dpi_h = dpi @ h                                 # (N, m, m)
+        inv = _inverse(dpi_h)
+        d_inv = -(inv[:, None] @ (d_dpi @ h[:, None] + dpi[:, None] @ d_h) @ inv[:, None])
+        lift = h @ inv                                  # (N, n, m)
+        d_lift = d_h @ inv[:, None] + h[:, None] @ d_inv
+        p_h = lift @ dpi                                # (N, n, n)
+        d_ph = d_lift @ dpi[:, None] + lift[:, None] @ d_dpi
 
-    def _kernel_from(self, dpi, piv, free, zero, one):
-        n, m = self.n, self.m
-        a = [[dpi[r][c] for c in piv] for r in range(m)]
-        rhs = [[-dpi[r][c] for c in free] for r in range(m)]
-        sol = jet_solve(a, rhs)
-        kernel = [[zero] * len(free) for _ in range(n)]
-        for idx, c in enumerate(free):
-            kernel[c][idx] = one
-            for r, pc in enumerate(piv):
-                kernel[pc][idx] = sol[r][idx]
-        return kernel
-
-    # -- conformal factor ------------------------------------------------
-
-    def phi_jets(self, p, order: int):
-        if self.phi is None:
-            return Jet.constant(0.0, self.n, order)
-        return self.phi.jets(p, order)
-
-    def e2phi(self, p) -> float:
-        return (2.0 * self.phi_jets(p, 0)).exp().value
-
-    def dphi(self, p) -> np.ndarray:
-        return self.phi_jets(p, 1).grad
+        gamma = self.total.conn.batch(x)
+        e2phi, dphi = np.ones(len(x)), np.zeros((len(x), n))
+        if self.phi is not None:
+            phi, dphi = self.phi.batch(x)
+            e2phi = np.exp(2.0 * phi)
+            bad = np.isinf(e2phi) & np.isfinite(phi)
+            if bad.any():
+                raise EvalDomain("floating-point error (math range error)",
+                                 x[int(np.argmax(bad))])
+        g_b, dg_b = self.base.metric.batch(bp)
+        gamma_b = self.base.conn.batch(bp)
+        return {
+            "dpi": dpi, "ph": p_h, "pv": np.eye(n) - p_h, "d_ph": d_ph, "d_pv": -d_ph,
+            "vcols": kernel, "d_vcols": d_kernel, "lcols": lift, "d_lcols": d_lift,
+            "gamma": gamma, "gamma_dual": _dual(g, dg, gamma),
+            "g": g, "dg": dg, "cubic": geometry.nabla_g_values(g, dg, gamma),
+            "e2phi": e2phi, "dphi": dphi, "bp": bp,
+            "gb": g_b, "gamma_b": gamma_b, "gamma_b_dual": _dual(g_b, dg_b, gamma_b),
+            "cubic_b": geometry.nabla_g_values(g_b, dg_b, gamma_b),
+        }
 
     # -- fundamental tensors ------------------------------------------------
 
@@ -241,118 +245,138 @@ class SubmersionSetup:
         return None
 
 
+# -- batch helpers -------------------------------------------------------------
+
+
+def _inverse(a) -> np.ndarray:
+    """Inverses of a stack of square matrices (N, k, k)."""
+    return solve_linear(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape))
+
+
+def _rank_test(points, dpi) -> None:
+    """Raise for the first row of dpi (N, m, n) that is not finite
+    (EvalDomain) or whose smallest singular value is at or below
+    RANK_RTOL * max(largest, 1) (RankDrop), from one stacked SVD."""
+    finite = np.isfinite(dpi).all(axis=(1, 2))
+    sv = np.linalg.svd(np.where(finite[:, None, None], dpi, 0.0), compute_uv=False)
+    bad = ~finite | (sv[:, -1] <= RANK_RTOL * np.maximum(sv[:, 0], 1.0))
+    if bad.any():
+        row = int(np.argmax(bad))
+        if not finite[row]:
+            raise EvalDomain("projection differential is not finite", point=points[row])
+        raise RankDrop("projection differential lost rank", point=points[row])
+
+
+def _kernel(dpi, d_dpi, piv, free):
+    """Kernel columns (N, n, l) of dpi (N, m, n) and their partials
+    (N, n, n, l): free column c is e_c plus the pivot coordinates that
+    keep it in the kernel."""
+    piv, free = list(piv), list(free)
+    ainv = _inverse(dpi[:, :, piv])
+    sol = -(ainv @ dpi[:, :, free])
+    d_sol = -(ainv[:, None] @ (d_dpi[:, :, :, free] + d_dpi[:, :, :, piv] @ sol[:, None]))
+    npts, n = dpi.shape[0], dpi.shape[2]
+    kernel = np.zeros((npts, n, len(free)))
+    d_kernel = np.zeros((npts, n, n, len(free)))
+    kernel[:, free, range(len(free))] = 1.0
+    kernel[:, piv] = sol
+    d_kernel[:, :, piv] = d_sol
+    return kernel, d_kernel
+
+
+class _FrameBatch:
+    """The frames at a stack of points: ``arrays`` maps each
+    :class:`_PointFrame` attribute to an array with one row per point that
+    evaluated, and ``errors`` each point that did not to its error."""
+
+    def __init__(self, setup: SubmersionSetup, points, arrays: dict, errors=None):
+        self.setup = setup
+        self.arrays = arrays
+        self.rows = {p: row for row, p in enumerate(map(tuple, points.tolist()))}
+        self.errors = errors or {}
+
+
 # -- field helpers -------------------------------------------------------------
+#
+# A vector field near a point is the pair (value (n,), d (n, n)) with
+# d[k, i] the k-th partial of component i, the derivative index first as
+# in the frame arrays.
 
 
-def _linear_field(mat_jets, vec):
-    """Jet components of the field sum_j M[:, j] vec_j (vec constant)."""
+def _linear_field(mat, d_mat, vec):
+    """The field sum_j M[:, j] vec_j (vec constant) from M and its partials."""
     vec = np.asarray(vec, dtype=float)
-    out = []
-    for row in mat_jets:
-        acc = row[0] * float(vec[0])
-        for j in range(1, len(vec)):
-            acc = acc + row[j] * float(vec[j])
-        out.append(acc)
-    return out
+    return mat @ vec, d_mat @ vec
 
 
-def _column(mat_jets, c):
-    return [row[c] for row in mat_jets]
-
-
-def _cov_deriv(gamma, direction, field_jets) -> np.ndarray:
+def _cov_deriv(gamma, direction, field) -> np.ndarray:
     """(nabla_d F)^k = d^i dF^k/dx^i + Gamma^k_ij d^i F^j, pointwise."""
-    vals = np.array([j.value for j in field_jets])
-    grads = np.vstack([j.grad for j in field_jets])
-    return grads @ direction + np.einsum("kij,i,j->k", gamma, direction, vals)
+    value, d = field
+    return direction @ d + np.einsum("kij,i,j->k", gamma, direction, value)
 
 
-def _bracket(u_jets, v_jets) -> np.ndarray:
-    """[U, V]^k from order-1 field jets."""
-    uv = np.array([j.value for j in u_jets])
-    vv = np.array([j.value for j in v_jets])
-    ug = np.vstack([j.grad for j in u_jets])
-    vg = np.vstack([j.grad for j in v_jets])
-    return vg @ uv - ug @ vv
+def _bracket(u, v) -> np.ndarray:
+    """[U, V]^k = U^i d_i V^k - V^i d_i U^k."""
+    return u[0] @ v[1] - v[0] @ u[1]
 
 
-def _scalar_grad(g_jets, a_jets, b_jets) -> np.ndarray:
-    """Gradient of s(x) = g(A, B) from order-1 jets of all three."""
-    n = len(a_jets)
-    av = np.array([j.value for j in a_jets])
-    bv = np.array([j.value for j in b_jets])
-    ag = np.vstack([j.grad for j in a_jets])
-    bg = np.vstack([j.grad for j in b_jets])
-    gv = np.empty((n, n))
-    dg = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            gv[i, j] = g_jets[i][j].value
-            dg[:, i, j] = g_jets[i][j].grad
-    return (
-        np.einsum("ijk,j,k->i", dg, av, bv)
-        + np.einsum("jk,ji,k->i", gv, ag, bv)
-        + np.einsum("jk,j,ki->i", gv, av, bg)
-    )
+def _scalar_grad(g, dg, a, b) -> np.ndarray:
+    """Gradient of s(x) = g(A, B) from the metric g, its partials
+    dg[i, j, k] = d_i g_jk, and the fields A and B."""
+    (av, ad), (bv, bd) = a, b
+    return np.einsum("ijk,j,k->i", dg, av, bv) + ad @ (g @ bv) + bd @ (av @ g)
 
 
 class _PointFrame:
-    """Everything the submersion identities need at one sample point.
+    """Everything the submersion identities need at one sample point, as
+    one row of a frame batch (:meth:`SubmersionSetup._frames`).
 
-    It is built from one order-1 :meth:`SubmersionSetup._frames` call, and
-    its float arrays (``dpi``, ``ph``, ``pv``, ``vcols``, ``lcols``) are the
-    value parts of those jets.  ``gamma`` and ``gamma_dual`` are the
-    Christoffels of the total connection and of its metric dual.
+    Values: ``dpi`` (m x n); the projectors ``ph``, ``pv`` (n x n); the
+    kernel columns ``vcols`` (n x l) and lift columns ``lcols`` (n x m);
+    the Christoffels ``gamma`` and ``gamma_dual`` of the total connection
+    and of its metric dual; the metric ``g``, its partials ``dg`` and its
+    cubic form ``cubic``; ``e2phi`` and ``dphi``; the base point ``bp``
+    and, there, the base metric ``gb``, Christoffels ``gamma_b`` and
+    ``gamma_b_dual`` and cubic form ``cubic_b``.  ``d_ph``, ``d_pv``,
+    ``d_vcols`` and ``d_lcols`` hold the partials of their arrays, the
+    derivative index first as in ``dg``.  Built from a setup instead of a
+    batch, it is the one-row batch at p.
     """
 
-    def __init__(self, setup: SubmersionSetup, p):
-        self.setup = setup
+    def __init__(self, frames, p):
+        if isinstance(frames, SubmersionSetup):
+            frames = frames._frames([p], False)
+        self.setup = frames.setup
         self.p = p = tuple(float(x) for x in p)
-        total = setup.total
-        frames = setup._frames(p, 1)
-        self.ph_jets, self.pv_jets = frames["p_h"], frames["p_v"]
-        self.ph = jet_values(self.ph_jets)
-        self.pv = jet_values(self.pv_jets)
-        self.kernel = frames["kernel"]
-        self.lift = frames["lift"]
-        self.vcols = jet_values(self.kernel) if setup.fiber_dim else np.zeros((setup.n, 0))
-        self.lcols = jet_values(self.lift)
-        self.dpi = jet_values(frames["dpi"])
-        self.gamma = total.conn.values(p)
-        self.gamma_dual = setup.dual_total.values(p)
-        self.g = total.metric.values(p)
-        self.g_jets = total.metric.matrix_jets(p, 1)
-        self.cubic = geometry.nabla_g_values(
-            *total.metric.partial_values(p), self.gamma
-        )
-        self.bp = setup.base_point(p)
-        self.e2phi = setup.e2phi(p)
-        self.dphi = setup.dphi(p)
+        if p in frames.errors:
+            raise frames.errors[p]
+        row = frames.rows[p]
+        for name, values in frames.arrays.items():
+            setattr(self, name, values[row])
 
     def kernel_col(self, a):
-        return _column(self.kernel, a)
+        return self.vcols[:, a], self.d_vcols[:, :, a]
 
     def lift_col(self, a):
-        return _column(self.lift, a)
+        return self.lcols[:, a], self.d_lcols[:, :, a]
 
     def s_value(self, v, x):
         """S_v x = nabla_v X - dual-nabla_v X for constant extensions."""
         return np.einsum("kij,i,j->k", self.gamma - self.gamma_dual, v, x)
 
-    def cov(self, direction, field_jets, dual=False):
-        return _cov_deriv(self.gamma_dual if dual else self.gamma, direction, field_jets)
+    def cov(self, direction, field, dual=False):
+        return _cov_deriv(self.gamma_dual if dual else self.gamma, direction, field)
 
     def extend(self, w):
-        """(P_V W, P_H W) as order-1 field jets, W the constant extension of w."""
-        return _linear_field(self.pv_jets, w), _linear_field(self.ph_jets, w)
+        """(P_V W, P_H W) as fields, W the constant extension of w."""
+        return _linear_field(self.pv, self.d_pv, w), _linear_field(self.ph, self.d_ph, w)
 
     def fiber_cubic(self, a, b, c) -> float:
         """(hat-nabla_{V_a} hat-g)(V_b, V_c) using the kernel frame fields."""
         u = self.vcols[:, a]
         vb = self.kernel_col(b)
         wc = self.kernel_col(c)
-        grad_s = _scalar_grad(self.g_jets, vb, wc)
-        term1 = float(grad_s @ u)
+        term1 = float(_scalar_grad(self.g, self.dg, vb, wc) @ u)
         dvb = self.pv @ self.cov(u, vb)
         dwc = self.pv @ self.cov(u, wc)
         vbv = self.vcols[:, b]
@@ -360,9 +384,17 @@ class _PointFrame:
         return term1 - float(dvb @ self.g @ wcv) - float(vbv @ self.g @ dwc)
 
 
+def sweep_frames(setup: SubmersionSetup, points, residual_at, keys=(),
+                 rank_test=False) -> Sweep:
+    """:func:`results.sweep` of ``residual_at(frame)`` over the points,
+    reading one frame batch; a point whose frame failed is an incident."""
+    frames = setup._frames(points, rank_test)
+    return sweep(points, lambda p: residual_at(_PointFrame(frames, p)), keys)
+
+
 def _tensor_t(f: _PointFrame, e, w_v, w_h, dual=False) -> np.ndarray:
     """T_e W = H nabla_{Ve} (VW) + V nabla_{Ve} (HW) from the projected
-    field jets (w_v, w_h) of W."""
+    fields (w_v, w_h) of W."""
     ve = f.pv @ np.asarray(e, dtype=float)
     return f.ph @ f.cov(ve, w_v, dual) + f.pv @ f.cov(ve, w_h, dual)
 
@@ -382,11 +414,10 @@ def lemma_components(f: _PointFrame) -> dict:
     m, l = setup.m, setup.fiber_dim
 
     # cs6: horizontal cubic matches the conformally scaled base cubic
-    base_cubic = geometry.cubic_values(setup.base.metric, setup.base.conn, f.bp)
     lifted = np.einsum(
         "ijk,ic,ja,kb->cab", f.cubic, f.lcols, f.lcols, f.lcols
     )
-    cs6 = float(np.max(np.abs(lifted - f.e2phi * base_cubic)))
+    cs6 = float(np.max(np.abs(lifted - f.e2phi * f.cubic_b)))
 
     r7, r8, r9, r10, r11 = [], [], [], [], []
     for vi in range(l):
@@ -435,7 +466,7 @@ LEMMA_KEYS = ("cs6", "cs7", "cs8", "cs9", "cs10", "cs11")
 
 
 def check_lemma_components(setup, points, tol) -> CheckResult:
-    s = sweep(points, lambda p: lemma_components(_PointFrame(setup, p)), keys=LEMMA_KEYS)
+    s = sweep_frames(setup, points, lemma_components, keys=LEMMA_KEYS)
     return s.summarize("lemma_components", tol, details=dict(sorted(s.worst.items())))
 
 
@@ -476,8 +507,8 @@ def four_conditions_at(f: _PointFrame) -> dict:
         "condition1": peak(r1),
         "condition2": peak(r2),
         "condition3": peak(r3),
-        "condition4": geometry.statistical_residual(setup.base.metric, setup.base.conn, f.bp),
-        "total_space": geometry.statistical_residual(setup.total.metric, setup.total.conn, f.p),
+        "condition4": geometry.statistical_defect(f.gamma_b, f.cubic_b),
+        "total_space": geometry.statistical_defect(f.gamma, f.cubic),
     }
 
 
@@ -496,8 +527,7 @@ def four_conditions_details(s: Sweep, tol) -> dict:
 def four_conditions_check(setup: SubmersionSetup, points, tol) -> CheckResult:
     """The four statisticity conditions plus the biconditional against a
     direct statisticity check of the total space."""
-    s = sweep(points, lambda p: four_conditions_at(_PointFrame(setup, p)),
-              keys=CONDITIONS + ("total_space",))
+    s = sweep_frames(setup, points, four_conditions_at, keys=CONDITIONS + ("total_space",))
     details = four_conditions_details(s, tol)
     out = s.summarize("four_conditions", tol, details, keys=CONDITIONS)
     if out.status != INCONCLUSIVE and not details["biconditional_holds"]:
@@ -535,7 +565,7 @@ def gauss_weingarten_residuals(f: _PointFrame) -> dict:
 
 
 def check_gauss_weingarten(setup, points, tol) -> CheckResult:
-    s = sweep(points, lambda p: gauss_weingarten_residuals(_PointFrame(setup, p)))
+    s = sweep_frames(setup, points, gauss_weingarten_residuals)
     return s.summarize("gauss_weingarten", tol, details=s.worst)
 
 
@@ -544,25 +574,22 @@ def check_split_identities(setup, points, tol) -> CheckResult:
     eye_n = np.eye(setup.n)
     eye_m = np.eye(setup.m)
 
-    def at(p):
-        setup.rank_check(p)
-        f = _PointFrame(setup, p)
+    def at(f):
         parts = [f.ph + f.pv - eye_n, f.dpi @ f.pv, f.dpi @ f.lcols - eye_m]
         if setup.fiber_dim:
             parts.append(f.dpi @ f.vcols)
         return peak(float(np.max(np.abs(r))) for r in parts)
 
-    return sweep(points, at).summarize("split_identities", tol)
+    return sweep_frames(setup, points, at, rank_test=True).summarize("split_identities", tol)
 
 
 def check_tensoriality(setup, points, tol) -> CheckResult:
     """T and A agree across two different extensions of their arguments."""
-    n = setup.n
-    # scale the extension by a scalar field equal to 1 at p
-    s = Jet(n, 1, 1.0, np.ones(n) * 0.7, None, None)
+    # scale the extension by a scalar field s with s(p) = 1, ds(p) = 0.7 (1, ..., 1):
+    # d(sF)[k, i] = dF[k, i] + ds[k] F^i at p
+    ds = np.ones(setup.n) * 0.7
 
-    def at(p):
-        f = _PointFrame(setup, p)
+    def at(f):
         probes = []
         if setup.fiber_dim:
             probes.append((f.vcols[:, 0], f.lcols[:, 0]))
@@ -571,21 +598,19 @@ def check_tensoriality(setup, points, tol) -> CheckResult:
         r = []
         for e, w in probes:
             w_v, w_h = f.extend(w)
-            scaled = ([s * j for j in w_v], [s * j for j in w_h])
+            scaled = [(value, d + np.outer(ds, value)) for value, d in (w_v, w_h)]
             for tensor in (_tensor_t, _tensor_a):
                 r.append(float(np.max(np.abs(tensor(f, e, w_v, w_h) - tensor(f, e, *scaled)))))
         return peak(r)
 
-    return sweep(points, at).summarize("tensoriality", tol)
+    return sweep_frames(setup, points, at).summarize("tensoriality", tol)
 
 
 def check_semi_riemannian(setup, points, tol) -> CheckResult:
     """Horizontal lengths preserved and fiber metric nondegenerate."""
 
-    def at(p):
-        f = _PointFrame(setup, p)
-        gb = setup.base.metric.values(f.bp)
-        lengths = float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - gb)))
+    def at(f):
+        lengths = float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - f.gb)))
         if setup.fiber_dim:
             try:
                 solve_linear(f.vcols.T @ f.g @ f.vcols, np.eye(setup.fiber_dim))
@@ -593,7 +618,7 @@ def check_semi_riemannian(setup, points, tol) -> CheckResult:
                 return {"lengths": lengths, "degenerate": math.inf}
         return {"lengths": lengths, "degenerate": 0.0}
 
-    s = sweep(points, at, keys=("lengths", "degenerate"))
+    s = sweep_frames(setup, points, at, keys=("lengths", "degenerate"))
     return s.summarize("semi_riemannian", tol,
                        details={"fiber_metric_degenerate": s.worst["degenerate"] == math.inf})
 
@@ -601,28 +626,25 @@ def check_semi_riemannian(setup, points, tol) -> CheckResult:
 def check_conformal_metric(setup, points, tol) -> CheckResult:
     """g_M on horizontal lifts equals e^{2 phi} g_B."""
 
-    def at(p):
-        f = _PointFrame(setup, p)
-        gb = setup.base.metric.values(f.bp)
-        return float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - f.e2phi * gb)))
+    def at(f):
+        return float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - f.e2phi * f.gb)))
 
-    return sweep(points, at).summarize("conformal_metric", tol)
+    return sweep_frames(setup, points, at).summarize("conformal_metric", tol)
 
 
 def conformal_defect(f: _PointFrame, dual: bool = False) -> float:
     """Worst defect, over the base coordinate-frame triples (x, y, z), of the
     defining relation for conformal submersions with horizontal distribution
     at the frame's point; ``dual`` takes the duals of both connections."""
-    setup = f.setup
     gamma = f.gamma_dual if dual else f.gamma
-    gb = setup.base.metric.values(f.bp)
-    gamma_b = (setup.dual_base if dual else setup.base.conn).values(f.bp)
+    gb = f.gb
+    gamma_b = f.gamma_b_dual if dual else f.gamma_b
     defects = []
-    for x, y, z in itertools.product(np.eye(setup.m), repeat=3):
+    for x, y, z in itertools.product(np.eye(f.setup.m), repeat=3):
         xt = f.lcols @ x
         yt = f.lcols @ y
         zt = f.lcols @ z
-        push = f.dpi @ _cov_deriv(gamma, xt, _linear_field(f.lift, y))
+        push = f.dpi @ _cov_deriv(gamma, xt, _linear_field(f.lcols, f.d_lcols, y))
         nab_base = np.einsum("kab,a,b->k", gamma_b, x, y)
         defects.append(abs(float(
             push @ gb @ z
@@ -636,37 +658,33 @@ def conformal_defect(f: _PointFrame, dual: bool = False) -> float:
 
 def check_conformal_hd(setup, points, tol) -> CheckResult:
     """Max conformal defect at each sample."""
-    return sweep(points, lambda p: conformal_defect(_PointFrame(setup, p))).summarize(
-        "conformal_hd", tol)
+    return sweep_frames(setup, points, conformal_defect).summarize("conformal_hd", tol)
 
 
 def check_affine_hd(setup, points, tol) -> CheckResult:
     """H(nabla_{X~} Y~) equals the lift of nabla*_X Y for frame fields."""
 
-    def at(p):
-        f = _PointFrame(setup, p)
-        gamma_b = setup.base.conn.values(f.bp)
+    def at(f):
         r = []
         for a in range(setup.m):
             xt = f.lcols[:, a]
             for b in range(setup.m):
                 nab = f.cov(xt, f.lift_col(b))
-                lifted = f.lcols @ gamma_b[:, a, b]
+                lifted = f.lcols @ f.gamma_b[:, a, b]
                 r.append(float(np.max(np.abs(f.ph @ nab - lifted))))
         return peak(r)
 
-    return sweep(points, at).summarize("affine_hd", tol)
+    return sweep_frames(setup, points, at).summarize("affine_hd", tol)
 
 
 def check_dual_conformal_pair(setup, points, tol) -> CheckResult:
     """The defining relation holds for (nabla, nabla*) iff it holds for
     their metric duals; evaluated as two residual suites."""
 
-    def at(p):
-        f = _PointFrame(setup, p)
+    def at(f):
         return {"primal": conformal_defect(f), "dual": conformal_defect(f, dual=True)}
 
-    s = sweep(points, at, keys=("primal", "dual"))
+    s = sweep_frames(setup, points, at, keys=("primal", "dual"))
     r_primal, r_dual = s.worst["primal"], s.worst["dual"]
     return s.biconditional("dual_conformal_pair", r_primal, r_dual, tol,
                            details={"primal_max": r_primal, "dual_max": r_dual})
@@ -695,7 +713,8 @@ def check_projectable(setup, points, tol) -> CheckResult:
         fpts = setup.fiber_points(setup.base_point(p), per_fiber, anchor=p)
         if len(fpts) < 2:
             raise PremiseFailed(f"found {len(fpts)} of {per_fiber} points on the fiber")
-        gammas = [induced_structures(_PointFrame(setup, q))[1] for q in fpts]
+        frames = setup._frames(fpts, False)
+        gammas = [induced_structures(_PointFrame(frames, q))[1] for q in fpts]
         return peak(float(np.max(np.abs(q_gamma - gammas[0]))) for q_gamma in gammas[1:])
 
     return sweep(points[:n_base], at).summarize("projectable", tol)
@@ -711,14 +730,13 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
     """
     m = setup.m
 
-    def at(p):
-        f = _PointFrame(setup, p)
-        premise = geometry.statistical_residual(setup.total.metric, setup.total.conn, p)
+    def at(f):
+        premise = geometry.statistical_defect(f.gamma, f.cubic)
         g_ind, gamma_ind = induced_structures(f)
         dg_ind = np.empty((m, m, m))
         for a in range(m):
             for b in range(m):
-                grad_s = _scalar_grad(f.g_jets, f.lift_col(a), f.lift_col(b))
+                grad_s = _scalar_grad(f.g, f.dg, f.lift_col(a), f.lift_col(b))
                 for c in range(m):
                     dg_ind[c, a, b] = grad_s @ f.lcols[:, c]
         cubic_ind = geometry.nabla_g_values(g_ind, dg_ind, gamma_ind)
@@ -733,7 +751,7 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
             "identity": float(np.max(np.abs(cubic_ind - lifted))),
         }
 
-    s = sweep(points, at, keys=("premise", "statistical", "identity"))
+    s = sweep_frames(setup, points, at, keys=("premise", "statistical", "identity"))
     out = s.summarize("induced_statistical", tol, keys=("statistical", "identity"),
                       details={"premise_residual": s.worst["premise"],
                                "proof_identity_residual": s.worst["identity"]})

@@ -23,9 +23,9 @@ from .fields import (ChartedManifold, ConnectionField, DerivedMetric,
                      DualConnection, ExprField, MetricField, ScalarField, Space, _drop)
 from .jets import Jet
 from .results import FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, peak, sweep
-from .submersion import (CONDITIONS, SubmersionSetup, _cov_deriv, _PointFrame, check_affine_hd,
+from .submersion import (CONDITIONS, SubmersionSetup, _cov_deriv, check_affine_hd,
                          check_semi_riemannian, four_conditions_at, four_conditions_details,
-                         lemma_components)
+                         lemma_components, sweep_frames)
 
 
 def _embed_matrix(mat, dim):
@@ -39,13 +39,6 @@ def _embed_tensor3(t, dim):
 def _zeros(n, dim, order):
     z = Jet.constant(0.0, dim, order)
     return [[z] * n for _ in range(n)]
-
-
-def _useed(point, index, order):
-    """Coordinate jet that also tolerates order 0 (a plain value)."""
-    if order == 0:
-        return Jet.constant(point[index], len(point), 0)
-    return Jet.seed(point, index, order)
 
 
 class TangentBundle:
@@ -73,23 +66,23 @@ class TangentBundle:
         x = tuple(point[:n])
         g = _embed_matrix(self.base.metric.matrix_jets(x, order), 2 * n)
         gamma = _embed_tensor3(self.base.conn.coeff_jets(x, order), 2 * n)
-        u = [_useed(tuple(point), n + i, order) for i in range(n)]
+        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
         a = _velocity_matrix(u, gamma)
         return g, gamma, u, a
 
     def _sasaki_blocks(self, point, order):
         n = self.n
         g, _, _, a = self._parts(point, order)
-        at_g = [[sum_jets(a[l][i] * g[l][j] for l in range(n)) for j in range(n)]
+        at_g = [[sum(a[l][i] * g[l][j] for l in range(n)) for j in range(n)]
                 for i in range(n)]                       # (A^T g)_ij
-        p = [[g[i][j] + sum_jets(at_g[i][l] * a[l][j] for l in range(n))
+        p = [[g[i][j] + sum(at_g[i][l] * a[l][j] for l in range(n))
               for j in range(n)] for i in range(n)]
         return _blocks(p, at_g, [[at_g[j][i] for j in range(n)] for i in range(n)], g)
 
     def _horizontal_blocks(self, point, order):
         n = self.n
         g, _, _, a = self._parts(point, order)
-        ga = [[sum_jets(g[i][l] * a[l][j] for l in range(n)) for j in range(n)]
+        ga = [[sum(g[i][l] * a[l][j] for l in range(n)) for j in range(n)]
               for i in range(n)]
         p = [[ga[j][i] + ga[i][j] for j in range(n)] for i in range(n)]
         z = _zeros(n, 2 * n, order)
@@ -101,8 +94,8 @@ class TangentBundle:
         base_g = self.base.metric.matrix_jets(x, order + 1)
         g = [[base_g[i][j].embed(2 * n) for j in range(n)] for i in range(n)]
         # careful: embed after dvar so orders line up
-        u = [_useed(tuple(point), n + i, order) for i in range(n)]
-        p = [[sum_jets(u[k] * base_g[i][j].dvar(k).embed(2 * n) for k in range(n))
+        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
+        p = [[sum(u[k] * base_g[i][j].dvar(k).embed(2 * n) for k in range(n))
               for j in range(n)] for i in range(n)]
         g0 = [[_drop(g[i][j], order) for j in range(n)] for i in range(n)]
         z = _zeros(n, 2 * n, order)
@@ -142,18 +135,10 @@ class TangentBundle:
         return conns[kind].values(point)
 
 
-def sum_jets(items):
-    items = list(items)
-    acc = items[0]
-    for it in items[1:]:
-        acc = acc + it
-    return acc
-
-
 def _velocity_matrix(u, gamma):
     """A^l_k = u^j Gamma^l_jk (direction-slot contraction)."""
     n = len(u)
-    return [[sum_jets(u[j] * gamma[l][j][k] for j in range(n)) for k in range(n)]
+    return [[sum(u[j] * gamma[l][j][k] for j in range(n)) for k in range(n)]
             for l in range(n)]
 
 
@@ -182,7 +167,7 @@ class CompleteLiftConnection(ConnectionField):
         gamma1 = self.base_conn.coeff_jets(x, order + 1)
         ge = [[[gamma1[k][i][j].embed(2 * n) for j in range(n)] for i in range(n)]
               for k in range(n)]
-        u = [_useed(tuple(point), n + i, order) for i in range(n)]
+        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
         zero = Jet.constant(0.0, 2 * n, order)
         out = [[[zero] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
         for k in range(n):
@@ -190,7 +175,7 @@ class CompleteLiftConnection(ConnectionField):
                 for j in range(n):
                     coeff = _drop(ge[k][i][j], order)
                     out[k][i][j] = coeff
-                    out[n + k][i][j] = sum_jets(
+                    out[n + k][i][j] = sum(
                         u[l] * gamma1[k][i][j].dvar(l).embed(2 * n) for l in range(n)
                     )
                     out[n + k][i][n + j] = coeff
@@ -217,7 +202,7 @@ class HorizontalLiftConnection(ConnectionField):
         gamma1 = self.base_conn.coeff_jets(x, order + 1)
         ge = [[[_drop(gamma1[k][i][j].embed(2 * n), order) for j in range(n)]
                for i in range(n)] for k in range(n)]
-        u = [_useed(tuple(point), n + i, order) for i in range(n)]
+        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
         zero = Jet.constant(0.0, 2 * n, order)
         out = [[[zero] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
         for l in range(n):
@@ -226,15 +211,15 @@ class HorizontalLiftConnection(ConnectionField):
                     out[l][i][j] = ge[l][i][j]
                     # u^m d_i Gamma^l_mj + u^k Gamma^m_kj Gamma^l_im
                     # - u^m Gamma^l_mk Gamma^k_ij
-                    t1 = sum_jets(
+                    t1 = sum(
                         u[m] * gamma1[l][m][j].dvar(i).embed(2 * n)
                         for m in range(n)
                     )
-                    t2 = sum_jets(
+                    t2 = sum(
                         u[k] * ge[m][k][j] * ge[l][i][m]
                         for k in range(n) for m in range(n)
                     )
-                    t3 = sum_jets(
+                    t3 = sum(
                         u[m] * ge[l][m][k] * ge[k][i][j]
                         for m in range(n) for k in range(n)
                     )
@@ -263,8 +248,8 @@ def complete_lift_function(f: ScalarField, n: int) -> ScalarField:
 
     def fn(point, order):
         base = f.jets(tuple(point[:n]), order + 1)
-        u = [_useed(tuple(point), n + i, order) for i in range(n)]
-        return sum_jets(u[i] * base.dvar(i).embed(2 * n) for i in range(n))
+        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
+        return sum(u[i] * base.dvar(i).embed(2 * n) for i in range(n))
 
     return FuncField(2 * n, fn, name="complete_lift")
 
@@ -310,8 +295,11 @@ def horizontal_lift_bundle(conn: ConnectionField, components, point) -> np.ndarr
     return complete_lift_vector(components, point) - gamma_operator(conn, components, point)
 
 
-def _lift_field_jets(kind, components, base_conn, point, n):
-    """Order-1 bundle jets of X^v / X^c / X^H for base field components."""
+def _lift_field(kind, components, base_conn, point, n):
+    """X^v / X^c / X^H for base field components, as a bundle field
+    (value, d) with d[k, i] the k-th partial of component i."""
+    if kind not in ("v", "c", "h"):
+        raise ContractViolation(f"unknown lift kind {kind!r}")
     x = tuple(point[:n])
     zero = Jet.constant(0.0, 2 * n, 1)
     u = [Jet.seed(tuple(point), n + i, 1) for i in range(n)]
@@ -320,22 +308,18 @@ def _lift_field_jets(kind, components, base_conn, point, n):
     if kind == "v":
         for i in range(n):
             out[n + i] = _drop(comp2[i], 1).embed(2 * n)
-        return out
-    for i in range(n):
-        out[i] = _drop(comp2[i], 1).embed(2 * n)
-        out[n + i] = sum_jets(u[j] * comp2[i].dvar(j).embed(2 * n) for j in range(n))
-    if kind == "c":
-        return out
-    if kind != "h":
-        raise ContractViolation(f"unknown lift kind {kind!r}")
-    # u-components: the dY terms of X^c and gamma cancel, leaving -u Gamma Y
-    gamma1 = base_conn.coeff_jets(x, 1)
-    for i in range(n):
-        corr = sum_jets(
-            u[j] * (gamma1[i][j][k].embed(2 * n) * _drop(comp2[k], 1).embed(2 * n))
-        for j in range(n) for k in range(n))
-        out[n + i] = -corr
-    return out
+    else:
+        for i in range(n):
+            out[i] = _drop(comp2[i], 1).embed(2 * n)
+            out[n + i] = sum(u[j] * comp2[i].dvar(j).embed(2 * n) for j in range(n))
+    if kind == "h":
+        # u-components: the dY terms of X^c and gamma cancel, leaving -u Gamma Y
+        gamma1 = base_conn.coeff_jets(x, 1)
+        for i in range(n):
+            out[n + i] = -sum(
+                u[j] * (gamma1[i][j][k].embed(2 * n) * _drop(comp2[k], 1).embed(2 * n))
+                for j in range(n) for k in range(n))
+    return np.array([j.value for j in out]), np.stack([j.grad for j in out], axis=1)
 
 
 def _base_cov_field(base_conn, x_fields, y_fields, n):
@@ -420,24 +404,24 @@ def defining_rule_residuals(bundle: TangentBundle, point, kind: str = "all") -> 
         xc = complete_lift_vector(xf, point)
         xv = vertical_lift_vector(xf, point)
         xh = horizontal_lift_bundle(bundle.base.conn, xf, point)
-        yc_jets = _lift_field_jets("c", yf, bundle.base.conn, point, n)
-        yv_jets = _lift_field_jets("v", yf, bundle.base.conn, point, n)
-        yh_jets = _lift_field_jets("h", yf, bundle.base.conn, point, n)
+        yc = _lift_field("c", yf, bundle.base.conn, point, n)
+        yv = _lift_field("v", yf, bundle.base.conn, point, n)
+        yh = _lift_field("h", yf, bundle.base.conn, point, n)
         covc = complete_lift_vector(covf, point)
         covv = vertical_lift_vector(covf, point)
         covh = horizontal_lift_bundle(bundle.base.conn, covf, point)
         if kind in ("all", "complete_conn"):
             gam = bundle.complete_conn.values(point)
-            out["cc_cc"] = float(np.max(np.abs(_cov_deriv(gam, xc, yc_jets) - covc)))
-            out["cc_cv"] = float(np.max(np.abs(_cov_deriv(gam, xc, yv_jets) - covv)))
-            out["cc_vc"] = float(np.max(np.abs(_cov_deriv(gam, xv, yc_jets) - covv)))
-            out["cc_vv"] = float(np.max(np.abs(_cov_deriv(gam, xv, yv_jets))))
+            out["cc_cc"] = float(np.max(np.abs(_cov_deriv(gam, xc, yc) - covc)))
+            out["cc_cv"] = float(np.max(np.abs(_cov_deriv(gam, xc, yv) - covv)))
+            out["cc_vc"] = float(np.max(np.abs(_cov_deriv(gam, xv, yc) - covv)))
+            out["cc_vv"] = float(np.max(np.abs(_cov_deriv(gam, xv, yv))))
         if kind in ("all", "horizontal_conn"):
             gam = bundle.horizontal_conn.values(point)
-            out["hc_hh"] = float(np.max(np.abs(_cov_deriv(gam, xh, yh_jets) - covh)))
-            out["hc_hv"] = float(np.max(np.abs(_cov_deriv(gam, xh, yv_jets) - covv)))
-            out["hc_vh"] = float(np.max(np.abs(_cov_deriv(gam, xv, yh_jets))))
-            out["hc_vv"] = float(np.max(np.abs(_cov_deriv(gam, xv, yv_jets))))
+            out["hc_hh"] = float(np.max(np.abs(_cov_deriv(gam, xh, yh) - covh)))
+            out["hc_hv"] = float(np.max(np.abs(_cov_deriv(gam, xh, yv) - covv)))
+            out["hc_vh"] = float(np.max(np.abs(_cov_deriv(gam, xv, yh))))
+            out["hc_vv"] = float(np.max(np.abs(_cov_deriv(gam, xv, yv))))
     return out
 
 
@@ -491,14 +475,13 @@ def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
     """
     setup = bundle.submersion("sasaki", "complete")
 
-    def at(p):
-        f = _PointFrame(setup, p)
+    def at(f):
         out = four_conditions_at(f)
         comp = lemma_components(f)
         out.update((k, comp[src]) for k, src in TM_COMPONENTS.items())
         return out
 
-    s = sweep(points, at, keys=CONDITIONS + ("total_space",) + tuple(TM_COMPONENTS))
+    s = sweep_frames(setup, points, at, keys=CONDITIONS + ("total_space",) + tuple(TM_COMPONENTS))
     details = four_conditions_details(s, tol)
     details.update((k, s.worst[k]) for k in TM_COMPONENTS)
     out = s.summarize("tm_statistical", tol, details, keys=CONDITIONS)

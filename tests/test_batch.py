@@ -1,4 +1,4 @@
-"""The batched order-1 evaluator against the per-point jet path.
+"""The batched evaluator against the per-point jet path.
 
 Batched expression values, metric rows and connection rows must agree
 with what the per-point path gives at each point: to the last bit where
@@ -37,16 +37,17 @@ def close(a, b):
 def test_batched_expression_rows_match_eval_jet(text):
     ast = parse(text, 3)
     pts = _points()
-    values, grads = compile_batched([ast])(pts)
-    assert values.shape == (len(pts), 1) and grads.shape == (len(pts), 3, 1)
-    for k, p in enumerate(pts):
-        jet = eval_jet(ast, p, 1)
-        if text in RATIONAL:  # same operations in the same order: same bits
-            assert values[k, 0] == jet.value
-            assert np.array_equal(grads[k, :, 0], jet.grad)
-        else:
-            assert close(values[k, 0], jet.value)
-            assert close(grads[k, :, 0], jet.grad)
+    for order in (1, 2):
+        parts = compile_batched([ast])(pts, order)
+        assert [part.shape for part in parts] == [
+            (len(pts),) + (3,) * k + (1,) for k in range(order + 1)]
+        for k, p in enumerate(pts):
+            jet = eval_jet(ast, p, order)
+            for part, want in zip(parts, (jet.value, jet.grad, jet.hess)):
+                if text in RATIONAL:  # same operations in the same order: same bits
+                    assert np.array_equal(part[k, ..., 0], want), order
+                else:
+                    assert close(part[k, ..., 0], want), order
 
 
 def test_shared_subexpressions_give_each_output():
@@ -60,12 +61,13 @@ def test_shared_subexpressions_give_each_output():
 
 def test_batched_domain_errors_name_the_first_bad_point():
     pts = np.array([[1.0, 1.0], [-1.0, 2.0], [-2.0, 3.0]])
-    with pytest.raises(EvalDomain, match="log of a non-positive") as e:
-        compile_batched([parse("log(x1)", 2)])(pts)
-    assert e.value.point == (-1.0, 2.0)
-    with pytest.raises(EvalDomain, match="division by zero") as e:
-        compile_batched([parse("1/(x2 - 2)", 2)])(pts)
-    assert e.value.point == (-1.0, 2.0)
+    for order in (1, 2):
+        with pytest.raises(EvalDomain, match="log of a non-positive") as e:
+            compile_batched([parse("log(x1)", 2)])(pts, order)
+        assert e.value.point == (-1.0, 2.0)
+        with pytest.raises(EvalDomain, match="division by zero") as e:
+            compile_batched([parse("1/(x2 - 2)", 2)])(pts, order)
+        assert e.value.point == (-1.0, 2.0)
     with pytest.raises(ContractViolation):
         compile_batched([parse("x2", 2)])(np.ones((3, 1)))
 

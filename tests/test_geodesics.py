@@ -271,6 +271,18 @@ def test_job_failing_to_evaluate_becomes_its_incident():
         assert same_trajectory(out[k], alone)
 
 
+def test_non_finite_acceleration_is_its_jobs_domain_error():
+    # Gamma^1_11 = x1^400 - x1^400 is NaN once x1^400 overflows (x1 > 5.9)
+    chart = ChartedManifold("flat", 2, ((-9.0, 9.0), (-1.0, 1.0)))
+    coeffs = [[["x1^400 - x1^400", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    conn = ExprConnection(2, coeffs)
+    out = geo.integrate_geodesic(conn, chart, [(0.0, 0.0), (7.0, 0.0)], [(0.1, 0.2), (0.1, 0.2)],
+                                 0.1, step=1e-2)
+    assert isinstance(out[1], EvalDomain) and out[1].point == (7.0, 0.0)
+    assert same_trajectory(out[0], geo.integrate_geodesic(conn, chart, (0.0, 0.0), (0.1, 0.2),
+                                                          0.1, step=1e-2))
+
+
 def test_run_context_groups_jobs_by_span_and_step():
     sc = builtins.build("euclidean:3")
     sc.geodesic_jobs["short"] = {"p0": [0.1, 0.0, 0.0], "v0": [0.0, 0.3, 0.1],

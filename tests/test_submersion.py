@@ -8,6 +8,8 @@ properties are exercised in both directions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     euclid_setup,
@@ -17,15 +19,18 @@ from conftest import (
     points_for,
     skewed_setup,
 )
+from subgeo import builtins, config, runner
 from subgeo import submersion as sm
-from subgeo.errors import ContractViolation, RankDrop
+from subgeo.errors import ContractViolation, EvalDomain, RankDrop
 from subgeo.fields import (
     ChartedManifold,
     ExprConnection,
     ExprField,
+    LeviCivitaConnection,
     MetricField,
     Space,
 )
+from subgeo.tangent_bundle import TangentBundle
 from subgeo.results import FAIL, INCONCLUSIVE, PASS
 
 
@@ -254,3 +259,96 @@ def test_per_point_state_stays_bounded():
         if count == 8:
             before = sizes()
     assert sizes() == before
+
+
+# -- the frame batch -----------------------------------------------------------
+
+FRAME_SETUPS = {
+    "hyperbolic:3": builtins.build("hyperbolic:3").setup,
+    "gaussian:alpha=1": builtins.build("gaussian:alpha=1").setup,
+    "bundle": TangentBundle(builtins.build("hyperbolic:2").space).submersion("sasaki", "complete"),
+}
+
+
+def box_points(setup, unit):
+    lo, hi = np.array(setup.total.chart.box).T
+    return [tuple(lo + np.array(u[:len(lo)]) * (hi - lo)) for u in unit]
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(sorted(FRAME_SETUPS)),
+       unit=st.lists(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+                     min_size=1, max_size=6))
+def test_frame_batch_rows_equal_one_row_builds(which, unit):
+    setup = FRAME_SETUPS[which]
+    pts = box_points(setup, unit)
+    frames = setup._frames(pts, False)
+    for p in pts:
+        row, one = frames.rows[p], setup._frames([p], False)
+        for name, values in frames.arrays.items():
+            assert np.array_equal(values[row], one.arrays[name][0]), (which, name)
+
+
+@pytest.mark.parametrize("which", sorted(FRAME_SETUPS))
+def test_frame_partials_match_central_differences(which):
+    setup = FRAME_SETUPS[which]
+    p = np.array(box_points(setup, [[0.3, 0.6, 0.45, 0.7]])[0])
+    step = 1e-6
+    f = sm._PointFrame(setup, p)
+    for name in ("ph", "lcols", "vcols"):
+        for k in range(setup.n):
+            shift = step * np.eye(setup.n)[k]
+            plus = getattr(sm._PointFrame(setup, p + shift), name)
+            minus = getattr(sm._PointFrame(setup, p - shift), name)
+            central = (plus - minus) / (2.0 * step)
+            assert max_abs(central - getattr(f, "d_" + name)[k]) < 1e-6, (name, k)
+
+
+def log_metric_setup():
+    # g_11 has log(x1 + 0.8), undefined for x1 <= -0.8
+    chart = ChartedManifold("log", 2, ((-1.0, 1.0), (0.5, 3.0)))
+    metric = MetricField.from_exprs([["1/x2^2 + log(x1 + 0.8)", "0"], ["0", "1/x2^2"]], 2)
+    total = Space(chart, metric, LeviCivitaConnection(metric))
+    bchart = ChartedManifold("line", 1, ((-1.0, 1.0),))
+    base = Space(bchart, MetricField.from_exprs([["1"]], 1), ExprConnection.zero(1))
+    return sm.SubmersionSetup(total, base, [ExprField.parse("x1", 2)], None, "log")
+
+
+def test_a_failing_point_is_one_incident_and_leaves_the_other_rows():
+    setup = log_metric_setup()
+    pts = [(0.3, 1.0), (-0.9, 1.5), (0.5, 2.0), (-0.2, 0.7)]
+    frames = setup._frames(pts, False)
+    assert list(frames.errors) == [pts[1]]
+    assert isinstance(frames.errors[pts[1]], EvalDomain)
+    alone = setup._frames([pts[0], pts[2], pts[3]], False)
+    for name, values in alone.arrays.items():
+        assert np.array_equal(frames.arrays[name], values), name
+    res = sm.check_conformal_metric(setup, pts, 1e-8)
+    assert res.incidents == 1 and res.samples == 3
+    assert res.details["incident_kinds"]["EvalDomain"]["count"] == 1
+
+
+# incidents of each frame check on the log(x1 + 0.8) metric, 16 samples at
+# seed 0, as the per-point frame builds counted them
+LOG_METRIC_INCIDENTS = {
+    "affine_hd": 3, "conformal_defect": 2, "conformal_metric": 4, "dual_conformal_pair": 3,
+    "four_conditions": 1, "gauss_weingarten": 2, "induced_statistical": 2,
+    "lemma_components": 3, "projectable": 0, "semi_riemannian": 0, "split_identities": 1,
+    "tensoriality": 1,
+}
+
+
+def test_frame_checks_keep_their_incidents_on_a_partly_undefined_metric():
+    cfg = config.parse_config({
+        "manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 3.0]],
+                     "metric": [["1/x2^2 + log(x1 + 0.8)", "0"], ["0", "1/x2^2"]]},
+        "submersion": {"base": {"dim": 1, "box": [[-1.0, 1.0]], "metric": [["1"]],
+                                "connection": "flat"},
+                       "projection": ["x1"]},
+        "checks": sorted(LOG_METRIC_INCIDENTS),
+        "sampling": {"count": 16, "seed": 0},
+    })
+    for c in runner.run_suite(cfg)["checks"]:
+        want = LOG_METRIC_INCIDENTS[c["name"]]
+        kinds = {k: v["count"] for k, v in c["details"].get("incident_kinds", {}).items()}
+        assert (c["incidents"], kinds) == (want, {"EvalDomain": want} if want else {}), c["name"]

@@ -71,8 +71,8 @@ def test_vertical_lifts_commute(flat2):
     comps_x = [ExprField.parse("x1^2", 2), ExprField.parse("x2", 2)]
     comps_y = [ExprField.parse("sin(x1)", 2), ExprField.parse("1", 2)]
     p = (0.3, -0.4, 0.5, 0.2)
-    xj = tb._lift_field_jets("v", comps_x, flat2.base.conn, p, 2)
-    yj = tb._lift_field_jets("v", comps_y, flat2.base.conn, p, 2)
+    xj = tb._lift_field("v", comps_x, flat2.base.conn, p, 2)
+    yj = tb._lift_field("v", comps_y, flat2.base.conn, p, 2)
     assert max_abs(_bracket(xj, yj)) < 1e-14
 
 
