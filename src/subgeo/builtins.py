@@ -252,7 +252,10 @@ def build(name: str, mode: str = "jet") -> Scenario:
         if name.startswith("hyperbolic:"):
             return _hyperbolic(_int_tail(name, "hyperbolic:"), mode)
         if name.startswith("gaussian:alpha="):
-            return _gaussian(float(name[len("gaussian:alpha="):]), mode)
+            from .config import finite_number  # late import; config imports this module
+
+            alpha = float(name[len("gaussian:alpha="):])
+            return _gaussian(finite_number(alpha, f"builtin {name!r}: alpha"), mode)
         if name.startswith("tangent_bundle_of:"):
             return _tangent_bundle(name[len("tangent_bundle_of:"):], mode)
         if name == "broken:2":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 from . import builtins as builtin_registry
 from .builtins import Scenario
@@ -110,16 +111,15 @@ def parse_config(raw, source: str = "<inline>") -> SuiteConfig:
             raise ConfigError(f"geodesics.{job_name} must be an object")
         _reject_unknown(job, _JOB_KEYS, f"geodesics.{job_name}")
         for key in ("p0", "v0"):
-            if key not in job or not _is_vector(job[key]):
+            if not isinstance(job.get(key), list) or not job[key]:
                 raise ConfigError(f"geodesics.{job_name}.{key} must be a number list")
+            for i, v in enumerate(job[key]):
+                finite_number(v, f"geodesics.{job_name}.{key}[{i}]")
         if len(job["p0"]) != len(job["v0"]):
             raise ConfigError(f"geodesics.{job_name}: p0 and v0 lengths differ")
-        t_end = job.get("t_end", 1.0)
-        if not isinstance(t_end, (int, float)) or t_end <= 0:
-            raise ConfigError(f"geodesics.{job_name}.t_end must be positive")
-        h = job.get("h", builtin_registry.DEFAULT_STEP)
-        if not isinstance(h, (int, float)) or h <= 0:
-            raise ConfigError(f"geodesics.{job_name}.h must be positive")
+        for key, default in (("t_end", 1.0), ("h", builtin_registry.DEFAULT_STEP)):
+            if finite_number(job.get(key, default), f"geodesics.{job_name}.{key}") <= 0:
+                raise ConfigError(f"geodesics.{job_name}.{key} must be positive")
 
     return SuiteConfig(
         source=source, builtin=builtin, manifold=manifold,
@@ -137,9 +137,18 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         )
 
 
-def _is_vector(obj) -> bool:
-    return (isinstance(obj, list) and len(obj) > 0
-            and all(isinstance(v, (int, float)) for v in obj))
+def finite_number(value, where: str) -> float:
+    """``value`` as a float when it is a finite JSON number, else a
+    ConfigError naming ``where``.  Booleans, NaN, the infinities and
+    integers beyond the float range are not finite numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _parse_box(obj, where: str) -> tuple:
@@ -147,10 +156,9 @@ def _parse_box(obj, where: str) -> tuple:
         raise ConfigError(f"{where} must be a list of [lo, hi] pairs")
     out = []
     for i, pair in enumerate(obj):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"{where}[{i}] must be [lo, hi]")
-        lo, hi = float(pair[0]), float(pair[1])
+        lo, hi = (finite_number(v, f"{where}[{i}]") for v in pair)
         if not lo < hi:
             raise ConfigError(f"{where}[{i}]: need lo < hi, got [{lo}, {hi}]")
         out.append((lo, hi))
@@ -174,8 +182,9 @@ def _parse_checks(obj) -> list:
             tol = entry.get("tolerance")
             if not isinstance(name, str):
                 raise ConfigError("checks entry needs a 'name' string")
-            if tol is not None and (not isinstance(tol, (int, float)) or tol <= 0):
-                raise ConfigError(f"checks entry {name!r}: tolerance must be positive")
+            where = f"checks entry {name!r}: tolerance"
+            if tol is not None and finite_number(tol, where) <= 0:
+                raise ConfigError(f"{where} must be positive")
         else:
             raise ConfigError("checks entries must be names or {name, tolerance}")
         if name not in runner.CHECK_TABLE:
@@ -194,6 +203,8 @@ def _validate_manifold(obj, where: str) -> None:
     dim = obj.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise ConfigError(f"{where}.dim must be a positive integer")
+    if obj.get("curvature_k") is not None:
+        finite_number(obj["curvature_k"], f"{where}.curvature_k")
     box = obj.get("box")
     if box is None:
         raise ConfigError(f"{where}.box is required")
@@ -220,8 +231,7 @@ def _validate_manifold(obj, where: str) -> None:
                 )
         elif "alpha" in conn:
             _reject_unknown(conn, {"alpha", "cubic"}, f"{where}.connection")
-            if not isinstance(conn["alpha"], (int, float)):
-                raise ConfigError(f"{where}.connection.alpha must be a number")
+            finite_number(conn["alpha"], f"{where}.connection.alpha")
             if not _is_cube(conn.get("cubic"), dim):
                 raise ConfigError(
                     f"{where}.connection.cubic must be a {dim}^3 nested array"

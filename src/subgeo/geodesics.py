@@ -11,9 +11,10 @@ with the integrator's own accuracy (both are O(h^4)).
 The decomposition identities relate the covariant derivative of a field
 along a curve in the total space to base and fiber contributions through
 the fundamental tensors and the conformal factor.  They are evaluated at
-interior probe nodes, where the central stencil applies.  A curve keeps
-its probes for each submersion, so every curve check reads the same
-frames.
+interior probe nodes, where the central stencil applies, all probes of
+a curve at once: one frame batch over their stencil windows.  A curve
+keeps its probes for each submersion, so every curve check reads the
+same frames.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import BoundaryExit, ContractViolation, EvalDomain, PremiseFailed, 
 from .fields import ConnectionField, MetricField
 from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, agree, peak,
                       sweep)
-from .submersion import SubmersionSetup, _PointFrame
+from .submersion import SubmersionSetup, _mv, _pair
 
 DEFAULT_STEP = 1e-3
 MIN_NODES = 5
@@ -39,7 +40,7 @@ class Trajectory:
         self.vs = np.asarray(vs, dtype=float)
         if len(self.ts) != len(self.xs) or len(self.ts) != len(self.vs):
             raise ContractViolation("trajectory arrays must share a length")
-        self.probes = {}  # (setup, node index) -> _CurveProbe, filled by curve_probes
+        self.probes = {}  # setup -> _Probes, filled by _probes
 
     def __len__(self):
         return len(self.ts)
@@ -188,17 +189,19 @@ def derivative_along(values, step: float) -> np.ndarray:
     n = len(values)
     if n < MIN_NODES:
         raise ContractViolation(f"need at least {MIN_NODES} nodes, got {n}")
-    out = np.empty_like(values)
     flat = values.reshape(n, -1)
-    res = out.reshape(n, -1)
-    res[0] = _END_WEIGHTS[0] @ flat[:5]
-    res[1] = _END_WEIGHTS[1] @ flat[:5]
-    for k in range(2, n - 2):
-        res[k] = _CENTER_WEIGHTS @ flat[k - 2: k + 3]
-    res[n - 2] = -(_END_WEIGHTS[1] @ flat[n - 5:][::-1])
-    res[n - 1] = -(_END_WEIGHTS[0] @ flat[n - 5:][::-1])
-    res /= 12.0 * step
-    return out
+    out = np.empty_like(flat)
+    out[2:n - 2] = _central(flat[np.arange(2, n - 2)[:, None] + np.arange(-2, 3)], step)
+    for k in (0, 1):
+        out[k] = (_END_WEIGHTS[k] @ flat[:5]) / (12.0 * step)
+        out[n - 1 - k] = -(_END_WEIGHTS[k] @ flat[n - 5:][::-1]) / (12.0 * step)
+    return out.reshape(values.shape)
+
+
+def _central(samples, step: float) -> np.ndarray:
+    """Fourth-order central time derivative at the middle node of each
+    five-node window, samples (P, 5, ...) -> (P, ...)."""
+    return np.einsum("w,pw...->p...", _CENTER_WEIGHTS, samples) / (12.0 * step)
 
 
 def covariant_along_curve(conn: ConnectionField, traj: Trajectory, w_nodes) -> np.ndarray:
@@ -233,135 +236,101 @@ def probe_indices(n_nodes: int, count: int = 9):
     return sorted({int(round(lo + (hi - lo) * k / max(count - 1, 1))) for k in range(count)})
 
 
-class _CurveProbe:
-    """Frame data for one interior probe node of a curve in a submersion,
-    from one rank-tested frame batch over its five-point window: the
-    :class:`_PointFrame` at the node, and the vertical projector and dpi at
-    every window node.  A window node that fails fails the probe, the
-    first one in window order giving the error."""
+class _Probes:
+    """A curve's interior probe nodes (:func:`probe_indices`) in one
+    submersion, from one rank-tested frame batch over all their five-node
+    windows, rows in (probe, window) order: ``node`` is the frame batch at
+    the probe nodes and ``v`` the velocities there.  A row that fails
+    fails the curve with the first failing row's error."""
 
-    def __init__(self, setup: SubmersionSetup, traj: Trajectory, idx: int):
-        if idx < 2 or idx > len(traj) - 3:
-            raise ContractViolation("probe index must be interior")
+    def __init__(self, setup: SubmersionSetup, traj: Trajectory):
+        self.windows = np.array(probe_indices(len(traj)))[:, None] + np.arange(-2, 3)
+        self.frames = setup._frames(traj.xs[self.windows].reshape(-1, setup.n), True)
+        self.frames.raise_first_error()
+        self.node = self.frames.take(slice(2, None, 5))
+        self.v = traj.vs[self.windows[:, 2]]
         self.step = traj.step
-        self.window = range(idx - 2, idx + 3)
-        frames = setup._frames(traj.xs[idx - 2: idx + 3], True)
-        if frames.errors:
-            raise next(iter(frames.errors.values()))
-        self.frame = _PointFrame(frames, traj.xs[idx])
-        self.pvs, self.dpis = frames.arrays["pv"], frames.arrays["dpi"]
-        self.v = traj.vs[idx]
 
-    def stencil(self, samples) -> np.ndarray:
-        samples = np.asarray(samples, dtype=float)
-        return (_CENTER_WEIGHTS @ samples) / (12.0 * self.step)
+    def at_windows(self, name, vectors) -> np.ndarray:
+        """The frame matrix ``name`` times vectors (P, 5, n) at every window node."""
+        mat = getattr(self.frames, name)
+        return _mv(mat.reshape(self.windows.shape + mat.shape[1:]), vectors)
 
     def cov_total(self, nodes) -> np.ndarray:
-        """Covariant derivative at the probe of a field given on the window."""
-        d = self.stencil(nodes)
-        return d + np.einsum("kij,i,j->k", self.frame.gamma, self.v, np.asarray(nodes)[2])
+        """Covariant derivative at the probes of a field given on the windows."""
+        return (_central(nodes, self.step)
+                + np.einsum("pkij,pi,pj->pk", self.node.gamma, self.v, nodes[:, 2]))
 
     def cov_base(self, nodes) -> np.ndarray:
         """Base covariant derivative along pi(sigma) of base-vector nodes."""
-        d = self.stencil(nodes)
-        w = self.frame.dpi @ self.v
-        return d + np.einsum("kij,i,j->k", self.frame.gamma_b, w, np.asarray(nodes)[2])
+        w = _mv(self.node.dpi, self.v)
+        return (_central(nodes, self.step)
+                + np.einsum("pkij,pi,pj->pk", self.node.gamma_b, w, nodes[:, 2]))
 
 
-def curve_probes(setup: SubmersionSetup, traj: Trajectory):
-    """Yield the curve's probes at :func:`probe_indices`.  Each is built on
-    first use and kept on the curve, so the curve checks share them."""
-    for idx in probe_indices(len(traj)):
-        key = (setup, idx)
-        if key not in traj.probes:
-            traj.probes[key] = _CurveProbe(setup, traj, idx)
-        yield traj.probes[key]
+def _probes(setup: SubmersionSetup, traj: Trajectory) -> _Probes:
+    """The curve's probes in ``setup``, built on first use and kept on the
+    curve, so the curve checks share them."""
+    if setup not in traj.probes:
+        traj.probes[setup] = _Probes(setup, traj)
+    return traj.probes[setup]
+
+
+def _lower(f, v) -> np.ndarray:
+    """g_B(v, e_a) for the base frame vectors e_a, (P, m)."""
+    return np.einsum("pi,pia->pa", v, f.gb)
+
+
+def _conformal_terms(f, x, h) -> np.ndarray:
+    """(dphi.X) g_B(pi_* H, e_a) + (dphi.H) g_B(pi_* X, e_a)
+    - (dphi.L_a) g_B(pi_* X, pi_* H), L_a the lift of e_a, (P, m)."""
+    px, ph = _mv(f.dpi, x), _mv(f.dpi, h)
+    dl = np.einsum("pi,pia->pa", f.dphi, f.lcols)
+    return (np.einsum("pi,pi->p", f.dphi, x)[:, None] * _lower(f, ph)
+            + np.einsum("pi,pi->p", f.dphi, h)[:, None] * _lower(f, px)
+            - dl * _pair(f.gb, px, ph)[:, None])
 
 
 def curve_decomposition_residuals(setup: SubmersionSetup, traj: Trajectory, e_fn) -> dict:
     """Residuals of the two identities decomposing (nabla_{sigma'} E).
 
-    ``e_fn(t, x) -> vector`` defines the test field along the curve.  The
-    horizontal identity is tested against every base frame vector; the
-    vertical identity componentwise.
+    ``e_fn(t, x)`` defines the test field along the curve: it takes times
+    (...) and points (..., n) and gives vectors (..., n).  The horizontal
+    identity is tested against every base frame vector; the vertical
+    identity componentwise.
     """
-    m = setup.m
-    r_h, r_v = [], []
-    for pr in curve_probes(setup, traj):
-        f = pr.frame
-        e_nodes = np.array([e_fn(traj.ts[k], traj.xs[k]) for k in pr.window])
-        v_nodes = np.array([pr.pvs[j] @ e_nodes[j] for j in range(5)])
-        pe_nodes = np.array([pr.dpis[j] @ e_nodes[j] for j in range(5)])
-        e_i = e_nodes[2]
-        x_i = f.ph @ pr.v
-        u_i = f.pv @ pr.v
-        h_i = f.ph @ e_i
-        w_i = f.pv @ e_i
-        e_prime = pr.cov_total(e_nodes)
-        v_prime = pr.cov_total(v_nodes)
-        e_star = pr.cov_base(pe_nodes)
-        a_hu = setup.fundamental_A(f, h_i, u_i)
-        a_xv = setup.fundamental_A(f, x_i, w_i)
-        t_uv = setup.fundamental_T(f, u_i, w_i)
-        rhs_base = e_star + f.dpi @ (a_hu + a_xv + t_uv)
-        lhs_base = f.dpi @ (f.ph @ e_prime)
-        px = f.dpi @ x_i
-        ph_ = f.dpi @ h_i
-        for a in range(m):
-            z = np.zeros(m)
-            z[a] = 1.0
-            zt = f.lcols[:, a]
-            lhs = float(lhs_base @ f.gb @ z)
-            rhs = float(
-                rhs_base @ f.gb @ z
-                - (f.dphi @ zt) * (px @ f.gb @ ph_)
-                + (f.dphi @ x_i) * (ph_ @ f.gb @ z)
-                + (f.dphi @ h_i) * (px @ f.gb @ z)
-            )
-            r_h.append(abs(lhs - rhs))
-        a_xh = setup.fundamental_A(f, x_i, h_i)
-        t_uh = setup.fundamental_T(f, u_i, h_i)
-        vert = f.pv @ e_prime - (a_xh + t_uh + f.pv @ v_prime)
-        r_v.append(float(np.max(np.abs(vert))))
-    return {"horizontal": peak(r_h), "vertical": peak(r_v)}
+    pr = _probes(setup, traj)
+    f = pr.node
+    T, A = setup.fundamental_T, setup.fundamental_A
+    e_nodes = e_fn(traj.ts[pr.windows], traj.xs[pr.windows])
+    e_i = e_nodes[:, 2]
+    x_i, u_i = _mv(f.ph, pr.v), _mv(f.pv, pr.v)
+    h_i, w_i = _mv(f.ph, e_i), _mv(f.pv, e_i)
+    e_prime = pr.cov_total(e_nodes)
+    v_prime = pr.cov_total(pr.at_windows("pv", e_nodes))
+    e_star = pr.cov_base(pr.at_windows("dpi", e_nodes))
+    rhs_base = e_star + _mv(f.dpi, A(f, h_i, u_i) + A(f, x_i, w_i) + T(f, u_i, w_i))
+    lhs_base = _mv(f.dpi, _mv(f.ph, e_prime))
+    horiz = _lower(f, lhs_base) - (_lower(f, rhs_base) + _conformal_terms(f, x_i, h_i))
+    vert = _mv(f.pv, e_prime) - (A(f, x_i, h_i) + T(f, u_i, h_i) + _mv(f.pv, v_prime))
+    return {"horizontal": float(np.max(np.abs(horiz))), "vertical": float(np.max(np.abs(vert)))}
 
 
 def sigma_second_residuals(setup: SubmersionSetup, traj: Trajectory) -> dict:
     """Residuals of the second-derivative corollary (E = sigma')."""
-    m = setup.m
-    r_h, r_v = [], []
-    for pr in curve_probes(setup, traj):
-        f = pr.frame
-        v_nodes = traj.vs[pr.window.start: pr.window.stop]
-        u_nodes = np.array([pr.pvs[j] @ v_nodes[j] for j in range(5)])
-        w_nodes = np.array([pr.dpis[j] @ v_nodes[j] for j in range(5)])
-        x_i = f.ph @ pr.v
-        u_i = f.pv @ pr.v
-        sig2 = pr.cov_total(v_nodes)
-        u_prime = pr.cov_total(u_nodes)
-        sig2_star = pr.cov_base(w_nodes)
-        a_xu = setup.fundamental_A(f, x_i, u_i)
-        t_uu = setup.fundamental_T(f, u_i, u_i)
-        rhs_base = sig2_star + f.dpi @ (2.0 * a_xu + t_uu)
-        lhs_base = f.dpi @ (f.ph @ sig2)
-        px = f.dpi @ x_i
-        norm2 = float(px @ f.gb @ px)
-        for a in range(m):
-            z = np.zeros(m)
-            z[a] = 1.0
-            zt = f.lcols[:, a]
-            lhs = float(lhs_base @ f.gb @ z)
-            rhs = float(
-                rhs_base @ f.gb @ z
-                - (f.dphi @ zt) * norm2
-                + 2.0 * (f.dphi @ x_i) * (px @ f.gb @ z)
-            )
-            r_h.append(abs(lhs - rhs))
-        a_xx = setup.fundamental_A(f, x_i, x_i)
-        t_ux = setup.fundamental_T(f, u_i, x_i)
-        vert = f.pv @ sig2 - (a_xx + t_ux + f.pv @ u_prime)
-        r_v.append(float(np.max(np.abs(vert))))
-    return {"horizontal": peak(r_h), "vertical": peak(r_v)}
+    pr = _probes(setup, traj)
+    f = pr.node
+    T, A = setup.fundamental_T, setup.fundamental_A
+    v_nodes = traj.vs[pr.windows]
+    x_i, u_i = _mv(f.ph, pr.v), _mv(f.pv, pr.v)
+    sig2 = pr.cov_total(v_nodes)
+    u_prime = pr.cov_total(pr.at_windows("pv", v_nodes))
+    sig2_star = pr.cov_base(pr.at_windows("dpi", v_nodes))
+    rhs_base = sig2_star + _mv(f.dpi, 2.0 * A(f, x_i, u_i) + T(f, u_i, u_i))
+    lhs_base = _mv(f.dpi, _mv(f.ph, sig2))
+    horiz = _lower(f, lhs_base) - (_lower(f, rhs_base) + _conformal_terms(f, x_i, x_i))
+    vert = _mv(f.pv, sig2) - (A(f, x_i, x_i) + T(f, u_i, x_i) + _mv(f.pv, u_prime))
+    return {"horizontal": float(np.max(np.abs(horiz))), "vertical": float(np.max(np.abs(vert)))}
 
 
 def projection_condition_residuals(setup: SubmersionSetup, traj: Trajectory) -> dict:
@@ -370,32 +339,14 @@ def projection_condition_residuals(setup: SubmersionSetup, traj: Trajectory) -> 
     Returns the max over probes of the criterion expression and of the
     base acceleration; the theorem says one vanishes iff the other does.
     """
-    m = setup.m
-    conds, bases = [], []
-    for pr in curve_probes(setup, traj):
-        f = pr.frame
-        v_nodes = traj.vs[pr.window.start: pr.window.stop]
-        w_nodes = np.array([pr.dpis[j] @ v_nodes[j] for j in range(5)])
-        x_i = f.ph @ pr.v
-        u_i = f.pv @ pr.v
-        sig2_star = pr.cov_base(w_nodes)
-        bases.append(float(np.max(np.abs(sig2_star))))
-        a_xu = setup.fundamental_A(f, x_i, u_i)
-        t_uu = setup.fundamental_T(f, u_i, u_i)
-        vec = f.dpi @ (2.0 * a_xu + t_uu)
-        px = f.dpi @ x_i
-        norm2 = float(px @ f.gb @ px)
-        for a in range(m):
-            z = np.zeros(m)
-            z[a] = 1.0
-            zt = f.lcols[:, a]
-            cond = float(
-                vec @ f.gb @ z
-                + 2.0 * (f.dphi @ x_i) * (px @ f.gb @ z)
-                - (f.dphi @ zt) * norm2
-            )
-            conds.append(abs(cond))
-    return {"condition": peak(conds), "base_residual": peak(bases)}
+    pr = _probes(setup, traj)
+    f = pr.node
+    x_i, u_i = _mv(f.ph, pr.v), _mv(f.pv, pr.v)
+    sig2_star = pr.cov_base(pr.at_windows("dpi", traj.vs[pr.windows]))
+    vec = _mv(f.dpi, 2.0 * setup.fundamental_A(f, x_i, u_i) + setup.fundamental_T(f, u_i, u_i))
+    cond = _lower(f, vec) + _conformal_terms(f, x_i, x_i)
+    return {"condition": float(np.max(np.abs(cond))),
+            "base_residual": float(np.max(np.abs(sig2_star)))}
 
 
 def default_test_field(dim: int):
@@ -407,7 +358,7 @@ def default_test_field(dim: int):
         slope = np.resize(slope, dim)
 
     def e_fn(t, x):
-        return base + t * slope
+        return base + np.asarray(t)[..., None] * slope
 
     return e_fn
 

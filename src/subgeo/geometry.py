@@ -14,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ConnectionField, DualConnection, LeviCivitaConnection, MetricField
-from .results import peak, sweep
+from .results import sweep
 
 
 def torsion_values(gamma: np.ndarray) -> np.ndarray:
-    """T^k_ij = Gamma^k_ij - Gamma^k_ji."""
-    return gamma - np.transpose(gamma, (0, 2, 1))
+    """T^k_ij = Gamma^k_ij - Gamma^k_ji; leading axes are kept."""
+    return gamma - np.swapaxes(gamma, -1, -2)
 
 
 def nabla_g_values(g: np.ndarray, dg: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -36,14 +36,16 @@ def cubic_values(metric: MetricField, conn: ConnectionField, point) -> np.ndarra
 
 def statistical_residual(metric: MetricField, conn: ConnectionField, point) -> float:
     """Max over torsion entries and the (i, j) symmetry defect of nabla g."""
-    return statistical_defect(conn.values(point), cubic_values(metric, conn, point))
+    return float(statistical_defect(conn.values(point), cubic_values(metric, conn, point)))
 
 
-def statistical_defect(gamma: np.ndarray, cubic: np.ndarray) -> float:
-    """:func:`statistical_residual` from the Christoffels and the cubic form."""
-    r_tor = float(np.max(np.abs(torsion_values(gamma))))
-    r_sym = float(np.max(np.abs(cubic - np.transpose(cubic, (1, 0, 2)))))
-    return peak((r_tor, r_sym))
+def statistical_defect(gamma: np.ndarray, cubic: np.ndarray) -> np.ndarray:
+    """:func:`statistical_residual` from the Christoffels and the cubic
+    form; stacked inputs (leading axes) give one defect per point."""
+    last = (-3, -2, -1)
+    r_tor = np.abs(torsion_values(gamma)).max(axis=last)
+    r_sym = np.abs(cubic - np.swapaxes(cubic, -3, -2)).max(axis=last)
+    return np.maximum(r_tor, r_sym)
 
 
 def duality_residual(metric: MetricField, conn: ConnectionField, dual: ConnectionField, point) -> float:

@@ -1,9 +1,11 @@
-"""Check outcomes and the one sweep that every check runs over its items."""
+"""Check outcomes and the one fold that every check's residuals go through."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import SubgeoError
 
@@ -66,7 +68,7 @@ def _note(kinds: dict, exc: SubgeoError) -> None:
 
 
 class Sweep:
-    """What one check's residual function gave over its items.
+    """What one check's residuals came to over its items.
 
     ``residual`` is the worst item residual, ``worst`` the worst value of
     each named residual, ``worst_index`` the position of the worst item.
@@ -122,30 +124,54 @@ class Sweep:
         return self.result(name, tol, status, max_residual, details)
 
 
-def sweep(items, residual_at, keys=()) -> Sweep:
-    """Evaluate ``residual_at`` on every item (a point, a curve, a probe).
+def fold(residuals, errors=None, keys=()) -> Sweep:
+    """Fold the residuals of a check's items into a :class:`Sweep`.
 
-    It returns a float or a dict of named residuals; an item's residual is
-    the worst of them.  A :class:`SubgeoError` makes the item an incident,
-    counted by exception type with the first message as example; any
-    other exception is a bug and propagates.  ``keys`` are named
-    residuals reported as 0.0 when no item evaluates.
+    ``residuals`` holds one residual per item that evaluated, in item
+    order: an array, or a dict of arrays of named residuals, where an
+    item's residual is the worst of its named ones.  ``errors`` maps the
+    position of each item that did not evaluate to its
+    :class:`SubgeoError`; the evaluated items fill the other positions.
+    Maxima are NaN-propagating.  Each error is an incident, counted by
+    exception type with the first message, in item order, as example.
+    ``keys`` are named residuals reported as 0.0 when no item evaluates.
     """
-    out = Sweep(len(items), keys)
-    worst = out.worst
+    errors = errors or {}
+    if isinstance(residuals, dict):
+        named = {k: np.asarray(v, dtype=float).reshape(-1) for k, v in residuals.items()}
+        rows = np.maximum(np.max(list(named.values()), axis=0), 0.0) if named else np.zeros(0)
+    else:
+        named, rows = {}, np.asarray(residuals, dtype=float).reshape(-1)
+    out = Sweep(len(rows) + len(errors), keys)
+    for k, values in named.items():
+        if len(values):
+            start = out.worst.get(k, values[0])
+            out.worst[k] = math.nan if np.isnan(values).any() else float(max(start, values.max()))
+    if len(rows):
+        worst = int(np.argmax(rows))  # the first NaN, else the first maximum
+        out.residual = float(rows[worst])
+        out.worst_index = int(np.delete(np.arange(out.attempted), sorted(errors))[worst])
+    out.evaluated = len(rows)
+    out.incidents = len(errors)
+    for index in sorted(errors):
+        _note(out.kinds, errors[index])
+    return out
+
+
+def sweep(items, residual_at, keys=()) -> Sweep:
+    """:func:`fold` of ``residual_at(item)`` over items that are not frame
+    rows: curves, probes, fibers, points of per-point checks.
+
+    ``residual_at`` returns a float or a dict of named residuals.  A
+    :class:`SubgeoError` makes the item an incident; any other exception
+    is a bug and propagates.
+    """
+    values, errors = [], {}
     for index, item in enumerate(items):
         try:
-            r = residual_at(item)
+            values.append(residual_at(item))
         except SubgeoError as exc:
-            out.incidents += 1
-            _note(out.kinds, exc)
-            continue
-        if isinstance(r, dict):
-            for k, v in r.items():
-                if k not in worst or _above(v, worst[k]):
-                    worst[k] = v
-            r = peak(r.values())
-        if out.worst_index is None or _above(r, out.residual):
-            out.residual, out.worst_index = r, index
-        out.evaluated += 1
-    return out
+            errors[index] = exc
+    if values and isinstance(values[0], dict):
+        values = {k: [v[k] for v in values] for k in values[0]}
+    return fold(values, errors, keys)

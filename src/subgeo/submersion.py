@@ -11,22 +11,21 @@ than a symbolic shortcut.
 Vertical bases follow a fixed column-pivot pattern chosen at the box
 center; horizontal spaces are the g_M-orthogonal complement of the
 kernel. A check builds the frames of all its points in one batch
-(:meth:`SubmersionSetup._frames`): numpy arrays with a leading point
-axis, derivatives propagated by the product rule and
-d(A^-1) = -A^-1 dA A^-1. Every identity at a sample point reads one
-:class:`_PointFrame`, a row of that batch holding dpi, the kernel and
-lift columns and the projectors with their first partials, the
-Christoffels of the total connection and of its dual, and the base
-structure at the projected point. Pointwise tensors extend their vector
-arguments by constant coordinate components and project with the
-frame's projector fields, which makes the results extension-independent
-up to solver noise. The setup caches nothing per point: a batch lives
-as long as the check that built it.
+(:meth:`SubmersionSetup._frames`), a :class:`_FrameBatch` of numpy arrays
+with a leading row axis: dpi, the kernel and lift columns and the
+projectors with their first partials (by the product rule and
+d(A^-1) = -A^-1 dA A^-1), the Christoffels of the total connection and
+of its dual, and the base structure at the projected point. Every
+identity is one array program over those rows, giving one residual per
+point. Pointwise tensors extend their vector arguments by constant
+coordinate components and project with the frame's projector fields,
+which makes the results extension-independent up to solver noise. The
+setup caches nothing per point: a batch lives as long as the check that
+built it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 
@@ -38,7 +37,7 @@ from .errors import (ContractViolation, EvalDomain, PremiseFailed, RankDrop, Sin
                      SubgeoError)
 from .fields import ScalarField, Space, _dual, _FieldStack
 from .linalg import jet_values, solve_linear
-from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree,
+from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree, fold,
                       peak, sweep)
 
 RANK_RTOL = 1e-10
@@ -123,22 +122,21 @@ class SubmersionSetup:
         """
         points = np.asarray(points, dtype=float).reshape(len(points), self.n)
         try:
-            return _FrameBatch(self, points, self._frame_arrays(points, rank_test))
+            return _FrameBatch(self, len(points), self._frame_arrays(points, rank_test))
         except SubgeoError:
             pass
-        good, parts, errors = [], [], {}
+        parts, errors = [], {}
         for row in range(len(points)):
             try:
                 parts.append(self._frame_arrays(points[row:row + 1], rank_test))
-                good.append(row)
             except SubgeoError as exc:
-                errors[tuple(points[row].tolist())] = exc
+                errors[row] = exc
         arrays = {k: np.concatenate([part[k] for part in parts])
                   for k in (parts[0] if parts else ())}
-        return _FrameBatch(self, points[good], arrays, errors)
+        return _FrameBatch(self, len(parts), arrays, errors)
 
     def _frame_arrays(self, x, rank_test: bool) -> dict:
-        """The :class:`_PointFrame` arrays at points x (N, n), each with a
+        """The :class:`_FrameBatch` arrays at points x (N, n), each with a
         leading point axis; raises the first error of any row."""
         n = self.n
         bp, dpi_t, hess = self._pi_stack(x, 2)
@@ -197,14 +195,20 @@ class SubmersionSetup:
 
     # -- fundamental tensors ------------------------------------------------
 
-    def fundamental_T(self, f: _PointFrame, e, w, dual: bool = False) -> np.ndarray:
-        """T_e w at the frame's point, w extended by projected constants;
-        ``dual`` takes the dual total connection."""
-        return _tensor_t(f, e, *f.extend(w), dual)
+    def fundamental_T(self, f: _FrameBatch, e, w, dual: bool = False, ds=None) -> np.ndarray:
+        """T_e W = H nabla_{Ve} (VW) + V nabla_{Ve} (HW) at every frame point,
+        e and w (N, n), W the constant extension of w split by the frame's
+        projector fields.  ``dual`` takes the dual total connection; ``ds``
+        rescales W by a scalar field s with s = 1 and gradient ds there."""
+        w_v, w_h = f.extend(w, ds)
+        ve = _mv(f.pv, e)
+        return _mv(f.ph, f.cov(ve, w_v, dual)) + _mv(f.pv, f.cov(ve, w_h, dual))
 
-    def fundamental_A(self, f: _PointFrame, e, w, dual: bool = False) -> np.ndarray:
-        """A_e w at the frame's point, as :meth:`fundamental_T`."""
-        return _tensor_a(f, e, *f.extend(w), dual)
+    def fundamental_A(self, f: _FrameBatch, e, w, dual: bool = False, ds=None) -> np.ndarray:
+        """A_e W = V nabla_{He} (HW) + H nabla_{He} (VW), as :meth:`fundamental_T`."""
+        w_v, w_h = f.extend(w, ds)
+        he = _mv(f.ph, e)
+        return _mv(f.pv, f.cov(he, w_h, dual)) + _mv(f.ph, f.cov(he, w_v, dual))
 
     # -- fibers ----------------------------------------------------------------
 
@@ -285,181 +289,197 @@ def _kernel(dpi, d_dpi, piv, free):
 
 
 class _FrameBatch:
-    """The frames at a stack of points: ``arrays`` maps each
-    :class:`_PointFrame` attribute to an array with one row per point that
-    evaluated, and ``errors`` each point that did not to its error."""
+    """The frames at a stack of points, one row per point that evaluated;
+    ``errors`` maps the position of each point that did not to its error.
 
-    def __init__(self, setup: SubmersionSetup, points, arrays: dict, errors=None):
+    Arrays, each with a leading row axis: ``dpi`` (m x n); the projectors
+    ``ph``, ``pv`` (n x n); the kernel columns ``vcols`` (n x l) and lift
+    columns ``lcols`` (n x m); the Christoffels ``gamma`` and
+    ``gamma_dual`` of the total connection and of its metric dual; the
+    metric ``g``, its partials ``dg`` and its cubic form ``cubic``;
+    ``e2phi`` and ``dphi``; the base point ``bp`` and, there, the base
+    metric ``gb``, Christoffels ``gamma_b`` and ``gamma_b_dual`` and cubic
+    form ``cubic_b``.  ``d_ph``, ``d_pv``, ``d_vcols`` and ``d_lcols`` hold
+    the partials of their arrays, the derivative index first as in ``dg``.
+    Vectors and fields passed to the methods carry the same row axis.
+    """
+
+    def __init__(self, setup: SubmersionSetup, size: int, arrays: dict, errors=None):
         self.setup = setup
-        self.arrays = arrays
-        self.rows = {p: row for row, p in enumerate(map(tuple, points.tolist()))}
+        self.size = size
         self.errors = errors or {}
+        vars(self).update(arrays)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def raise_first_error(self) -> None:
+        """Raise the error of the first point that did not evaluate, if any."""
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+    def take(self, rows) -> _FrameBatch:
+        """The frames of some rows (an index array or a slice)."""
+        arrays = {k: v[rows] for k, v in vars(self).items() if isinstance(v, np.ndarray)}
+        return _FrameBatch(self.setup, len(arrays["dpi"]), arrays)
+
+    def kernel_col(self, a):
+        return self.vcols[..., a], self.d_vcols[..., a]
+
+    def lift_col(self, a):
+        return self.lcols[..., a], self.d_lcols[..., a]
+
+    def s_value(self, v, x) -> np.ndarray:
+        """S_v x = nabla_v X - dual-nabla_v X for constant extensions."""
+        return np.einsum("...kij,...i,...j->...k", self.gamma - self.gamma_dual, v, x)
+
+    def cov(self, direction, field, dual=False) -> np.ndarray:
+        return _cov_deriv(self.gamma_dual if dual else self.gamma, direction, field)
+
+    def extend(self, w, ds=None):
+        """(P_V W, P_H W) as fields, W the constant extension of w; with
+        ``ds``, W times a scalar field s with s = 1 and gradient ds, so
+        d(sF)[k, i] = dF[k, i] + ds[k] F^i."""
+        parts = _linear_field(self.pv, self.d_pv, w), _linear_field(self.ph, self.d_ph, w)
+        if ds is None:
+            return parts
+        return tuple((value, d + ds[..., :, None] * value[..., None, :]) for value, d in parts)
+
+    def fiber_cubic(self, a, b, c) -> np.ndarray:
+        """(hat-nabla_{V_a} hat-g)(V_b, V_c) using the kernel frame fields."""
+        u = self.vcols[..., a]
+        vb = self.kernel_col(b)
+        wc = self.kernel_col(c)
+        term1 = np.einsum("...i,...i->...", _scalar_grad(self.g, self.dg, vb, wc), u)
+        dvb = _mv(self.pv, self.cov(u, vb))
+        dwc = _mv(self.pv, self.cov(u, wc))
+        return term1 - _pair(self.g, dvb, wc[0]) - _pair(self.g, vb[0], dwc)
 
 
-# -- field helpers -------------------------------------------------------------
+# -- array helpers -------------------------------------------------------------
 #
-# A vector field near a point is the pair (value (n,), d (n, n)) with
-# d[k, i] the k-th partial of component i, the derivative index first as
-# in the frame arrays.
+# Every helper takes leading axes (the rows of a frame batch).  A vector
+# field near a point is the pair (value (..., n), d (..., n, n)) with
+# d[..., k, i] the k-th partial of component i, the derivative index first
+# as in the frame arrays.
+
+
+def _mv(a, v) -> np.ndarray:
+    """Matrices (..., i, j) times vectors (..., j)."""
+    return np.einsum("...ij,...j->...i", a, v)
+
+
+def _pair(g, a, b) -> np.ndarray:
+    """The bilinear form g (..., i, j) on vectors a and b."""
+    return np.einsum("...i,...ij,...j->...", a, g, b)
+
+
+def _form3(c, a, b, d) -> np.ndarray:
+    """The trilinear form c (..., i, j, k) on vectors a, b and d."""
+    return np.einsum("...ijk,...i,...j,...k->...", c, a, b, d)
+
+
+def _gram(cols, g) -> np.ndarray:
+    """cols^T g cols for column stacks (..., n, k)."""
+    return np.swapaxes(cols, -1, -2) @ g @ cols
+
+
+def _amax(a) -> np.ndarray:
+    """Max |entry| of each row of a stack (N, ...); NaN wins."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+
+def _worst(residuals, count: int) -> np.ndarray:
+    """Row-wise max of residual arrays (count,); NaN wins, zeros for none."""
+    return np.max(residuals, axis=0) if residuals else np.zeros(count)
 
 
 def _linear_field(mat, d_mat, vec):
     """The field sum_j M[:, j] vec_j (vec constant) from M and its partials."""
-    vec = np.asarray(vec, dtype=float)
-    return mat @ vec, d_mat @ vec
+    return _mv(mat, vec), np.einsum("...kij,...j->...ki", d_mat, vec)
 
 
 def _cov_deriv(gamma, direction, field) -> np.ndarray:
-    """(nabla_d F)^k = d^i dF^k/dx^i + Gamma^k_ij d^i F^j, pointwise."""
+    """(nabla_d F)^k = d^i dF^k/dx^i + Gamma^k_ij d^i F^j."""
     value, d = field
-    return direction @ d + np.einsum("kij,i,j->k", gamma, direction, value)
+    return (np.einsum("...i,...ik->...k", direction, d)
+            + np.einsum("...kij,...i,...j->...k", gamma, direction, value))
 
 
 def _bracket(u, v) -> np.ndarray:
     """[U, V]^k = U^i d_i V^k - V^i d_i U^k."""
-    return u[0] @ v[1] - v[0] @ u[1]
+    return np.einsum("...i,...ik->...k", u[0], v[1]) - np.einsum("...i,...ik->...k", v[0], u[1])
 
 
 def _scalar_grad(g, dg, a, b) -> np.ndarray:
     """Gradient of s(x) = g(A, B) from the metric g, its partials
-    dg[i, j, k] = d_i g_jk, and the fields A and B."""
+    dg[..., i, j, k] = d_i g_jk, and the fields A and B."""
     (av, ad), (bv, bd) = a, b
-    return np.einsum("ijk,j,k->i", dg, av, bv) + ad @ (g @ bv) + bd @ (av @ g)
+    return (np.einsum("...ijk,...j,...k->...i", dg, av, bv)
+            + np.einsum("...ki,...i->...k", ad, _mv(g, bv))
+            + np.einsum("...kj,...j->...k", bd, np.einsum("...i,...ij->...j", av, g)))
 
 
-class _PointFrame:
-    """Everything the submersion identities need at one sample point, as
-    one row of a frame batch (:meth:`SubmersionSetup._frames`).
-
-    Values: ``dpi`` (m x n); the projectors ``ph``, ``pv`` (n x n); the
-    kernel columns ``vcols`` (n x l) and lift columns ``lcols`` (n x m);
-    the Christoffels ``gamma`` and ``gamma_dual`` of the total connection
-    and of its metric dual; the metric ``g``, its partials ``dg`` and its
-    cubic form ``cubic``; ``e2phi`` and ``dphi``; the base point ``bp``
-    and, there, the base metric ``gb``, Christoffels ``gamma_b`` and
-    ``gamma_b_dual`` and cubic form ``cubic_b``.  ``d_ph``, ``d_pv``,
-    ``d_vcols`` and ``d_lcols`` hold the partials of their arrays, the
-    derivative index first as in ``dg``.  Built from a setup instead of a
-    batch, it is the one-row batch at p.
-    """
-
-    def __init__(self, frames, p):
-        if isinstance(frames, SubmersionSetup):
-            frames = frames._frames([p], False)
-        self.setup = frames.setup
-        self.p = p = tuple(float(x) for x in p)
-        if p in frames.errors:
-            raise frames.errors[p]
-        row = frames.rows[p]
-        for name, values in frames.arrays.items():
-            setattr(self, name, values[row])
-
-    def kernel_col(self, a):
-        return self.vcols[:, a], self.d_vcols[:, :, a]
-
-    def lift_col(self, a):
-        return self.lcols[:, a], self.d_lcols[:, :, a]
-
-    def s_value(self, v, x):
-        """S_v x = nabla_v X - dual-nabla_v X for constant extensions."""
-        return np.einsum("kij,i,j->k", self.gamma - self.gamma_dual, v, x)
-
-    def cov(self, direction, field, dual=False):
-        return _cov_deriv(self.gamma_dual if dual else self.gamma, direction, field)
-
-    def extend(self, w):
-        """(P_V W, P_H W) as fields, W the constant extension of w."""
-        return _linear_field(self.pv, self.d_pv, w), _linear_field(self.ph, self.d_ph, w)
-
-    def fiber_cubic(self, a, b, c) -> float:
-        """(hat-nabla_{V_a} hat-g)(V_b, V_c) using the kernel frame fields."""
-        u = self.vcols[:, a]
-        vb = self.kernel_col(b)
-        wc = self.kernel_col(c)
-        term1 = float(_scalar_grad(self.g, self.dg, vb, wc) @ u)
-        dvb = self.pv @ self.cov(u, vb)
-        dwc = self.pv @ self.cov(u, wc)
-        vbv = self.vcols[:, b]
-        wcv = self.vcols[:, c]
-        return term1 - float(dvb @ self.g @ wcv) - float(vbv @ self.g @ dwc)
+def _lift_cov(f: _FrameBatch, dual: bool = False) -> np.ndarray:
+    """nabla_{L_a} L_b (..., m, m, n) for the lift column fields L_a."""
+    gamma = f.gamma_dual if dual else f.gamma
+    return (np.einsum("...ka,...kib->...abi", f.lcols, f.d_lcols)
+            + np.einsum("...kij,...ia,...jb->...abk", gamma, f.lcols, f.lcols))
 
 
-def sweep_frames(setup: SubmersionSetup, points, residual_at, keys=(),
+def _lifted_cubic(f: _FrameBatch) -> np.ndarray:
+    """The total cubic form on the lift columns, [..., c, a, b]."""
+    return np.einsum("...ijk,...ic,...ja,...kb->...cab", f.cubic, f.lcols, f.lcols, f.lcols)
+
+
+def sweep_frames(setup: SubmersionSetup, points, residuals, keys=(),
                  rank_test=False) -> Sweep:
-    """:func:`results.sweep` of ``residual_at(frame)`` over the points,
-    reading one frame batch; a point whose frame failed is an incident."""
+    """:func:`results.fold` of ``residuals(frames)``, one residual array
+    (or a dict of them) over the rows of the points' frame batch; a point
+    whose frame failed is an incident."""
     frames = setup._frames(points, rank_test)
-    return sweep(points, lambda p: residual_at(_PointFrame(frames, p)), keys)
+    return fold(residuals(frames) if len(frames) else {}, frames.errors, keys)
 
 
-def _tensor_t(f: _PointFrame, e, w_v, w_h, dual=False) -> np.ndarray:
-    """T_e W = H nabla_{Ve} (VW) + V nabla_{Ve} (HW) from the projected
-    fields (w_v, w_h) of W."""
-    ve = f.pv @ np.asarray(e, dtype=float)
-    return f.ph @ f.cov(ve, w_v, dual) + f.pv @ f.cov(ve, w_h, dual)
-
-
-def _tensor_a(f: _PointFrame, e, w_v, w_h, dual=False) -> np.ndarray:
-    """A_e W = V nabla_{He} (HW) + H nabla_{He} (VW), as :func:`_tensor_t`."""
-    he = f.ph @ np.asarray(e, dtype=float)
-    return f.pv @ f.cov(he, w_h, dual) + f.ph @ f.cov(he, w_v, dual)
-
-
-def lemma_components(f: _PointFrame) -> dict:
-    """Max residual of each of the six component identities at the frame's point.
+def lemma_components(f: _FrameBatch) -> dict:
+    """Residual arrays of the six component identities at the frame points.
 
     Keys cs6..cs11; vacuous entries (no vertical directions) report 0.
     """
     setup = f.setup
     m, l = setup.m, setup.fiber_dim
+    T, A = setup.fundamental_T, setup.fundamental_A
 
     # cs6: horizontal cubic matches the conformally scaled base cubic
-    lifted = np.einsum(
-        "ijk,ic,ja,kb->cab", f.cubic, f.lcols, f.lcols, f.lcols
-    )
-    cs6 = float(np.max(np.abs(lifted - f.e2phi * f.cubic_b)))
+    cs6 = _amax(_lifted_cubic(f) - f.e2phi[:, None, None, None] * f.cubic_b)
 
     r7, r8, r9, r10, r11 = [], [], [], [], []
     for vi in range(l):
-        v = f.vcols[:, vi]
+        v = f.vcols[..., vi]
         for a in range(m):
-            x = f.lcols[:, a]
+            x = f.lcols[..., a]
             sv_x = f.s_value(v, x)
-            t_vx = setup.fundamental_T(f, v, x)
-            t_vx_d = setup.fundamental_T(f, v, x, dual=True)
-            for b in range(m):
-                y = f.lcols[:, b]
-                r7.append(abs(float(np.einsum("ijk,i,j,k->", f.cubic, v, x, y) + sv_x @ f.g @ y)))
-            a_xv = setup.fundamental_A(f, x, v)
-            a_xv_d = setup.fundamental_A(f, x, v, dual=True)
+            t_vx, t_vx_d = T(f, v, x), T(f, v, x, dual=True)
+            a_xv, a_xv_d = A(f, x, v), A(f, x, v, dual=True)
             s_xv = f.s_value(x, v)
             for b in range(m):
-                y = f.lcols[:, b]
-                r8.append(abs(float(
-                    np.einsum("ijk,i,j,k->", f.cubic, x, v, y)
-                    + a_xv @ f.g @ y
-                    - a_xv_d @ f.g @ y
-                )))
+                y = f.lcols[..., b]
+                r7.append(np.abs(_form3(f.cubic, v, x, y) + _pair(f.g, sv_x, y)))
+                r8.append(np.abs(_form3(f.cubic, x, v, y) + _pair(f.g, a_xv, y)
+                                 - _pair(f.g, a_xv_d, y)))
             for wi in range(l):
-                w = f.vcols[:, wi]
-                r9.append(abs(float(np.einsum("ijk,i,j,k->", f.cubic, x, v, w) + s_xv @ f.g @ w)))
-                r10.append(abs(float(
-                    np.einsum("ijk,i,j,k->", f.cubic, v, x, w)
-                    + t_vx @ f.g @ w
-                    - t_vx_d @ f.g @ w
-                )))
+                w = f.vcols[..., wi]
+                r9.append(np.abs(_form3(f.cubic, x, v, w) + _pair(f.g, s_xv, w)))
+                r10.append(np.abs(_form3(f.cubic, v, x, w) + _pair(f.g, t_vx, w)
+                                  - _pair(f.g, t_vx_d, w)))
     for ui in range(l):
-        u = f.vcols[:, ui]
         for vi in range(l):
             for wi in range(l):
-                r11.append(abs(float(
-                    np.einsum(
-                        "ijk,i,j,k->", f.cubic, u, f.vcols[:, vi], f.vcols[:, wi]
-                    )
-                    - f.fiber_cubic(ui, vi, wi)
-                )))
-    return {"cs6": cs6, "cs7": peak(r7), "cs8": peak(r8), "cs9": peak(r9),
-            "cs10": peak(r10), "cs11": peak(r11)}
+                cols = (f.vcols[..., ui], f.vcols[..., vi], f.vcols[..., wi])
+                r11.append(np.abs(_form3(f.cubic, *cols) - f.fiber_cubic(ui, vi, wi)))
+    count = len(f)
+    return {"cs6": cs6, "cs7": _worst(r7, count), "cs8": _worst(r8, count),
+            "cs9": _worst(r9, count), "cs10": _worst(r10, count), "cs11": _worst(r11, count)}
 
 
 LEMMA_KEYS = ("cs6", "cs7", "cs8", "cs9", "cs10", "cs11")
@@ -473,40 +493,35 @@ def check_lemma_components(setup, points, tol) -> CheckResult:
 CONDITIONS = ("condition1", "condition2", "condition3", "condition4")
 
 
-def four_conditions_at(f: _PointFrame) -> dict:
-    """The four statisticity conditions at a frame's point, plus the
-    direct statisticity residual of the total space there."""
+def four_conditions_at(f: _FrameBatch) -> dict:
+    """Residual arrays of the four statisticity conditions at the frame
+    points, plus the direct statisticity residual of the total space."""
     setup = f.setup
     l, m = setup.fiber_dim, setup.m
+    T, A = setup.fundamental_T, setup.fundamental_A
     r1, r2, r3 = [], [], []
     for vi in range(l):
-        v = f.vcols[:, vi]
+        v = f.vcols[..., vi]
         for a in range(m):
-            x = f.lcols[:, a]
-            c1 = f.ph @ f.s_value(v, x) - (
-                setup.fundamental_A(f, x, v) - setup.fundamental_A(f, x, v, dual=True)
-            )
-            r1.append(float(np.max(np.abs(c1))))
-            c2 = f.pv @ f.s_value(x, v) - (
-                setup.fundamental_T(f, v, x) - setup.fundamental_T(f, v, x, dual=True)
-            )
-            r2.append(float(np.max(np.abs(c2))))
+            x = f.lcols[..., a]
+            r1.append(_amax(_mv(f.ph, f.s_value(v, x)) - (A(f, x, v) - A(f, x, v, dual=True))))
+            r2.append(_amax(_mv(f.pv, f.s_value(x, v)) - (T(f, v, x) - T(f, v, x, dual=True))))
     # condition 3: the fibers are statistical
     for a in range(l):
-        ua = f.vcols[:, a]
         for b in range(l):
             tor = (
-                f.pv @ f.cov(ua, f.kernel_col(b))
-                - f.pv @ f.cov(f.vcols[:, b], f.kernel_col(a))
+                _mv(f.pv, f.cov(f.vcols[..., a], f.kernel_col(b)))
+                - _mv(f.pv, f.cov(f.vcols[..., b], f.kernel_col(a)))
                 - _bracket(f.kernel_col(a), f.kernel_col(b))
             )
-            r3.append(float(np.max(np.abs(tor))))
+            r3.append(_amax(tor))
             for c in range(l):
-                r3.append(abs(f.fiber_cubic(a, b, c) - f.fiber_cubic(b, a, c)))
+                r3.append(np.abs(f.fiber_cubic(a, b, c) - f.fiber_cubic(b, a, c)))
+    count = len(f)
     return {
-        "condition1": peak(r1),
-        "condition2": peak(r2),
-        "condition3": peak(r3),
+        "condition1": _worst(r1, count),
+        "condition2": _worst(r2, count),
+        "condition3": _worst(r3, count),
         "condition4": geometry.statistical_defect(f.gamma_b, f.cubic_b),
         "total_space": geometry.statistical_defect(f.gamma, f.cubic),
     }
@@ -535,33 +550,31 @@ def four_conditions_check(setup: SubmersionSetup, points, tol) -> CheckResult:
     return out
 
 
-def gauss_weingarten_residuals(f: _PointFrame) -> dict:
-    """Residuals of the four decomposition identities for frame fields."""
+def gauss_weingarten_residuals(f: _FrameBatch) -> dict:
+    """Residual arrays of the four decomposition identities for frame fields."""
     setup = f.setup
     l, m = setup.fiber_dim, setup.m
+    T, A = setup.fundamental_T, setup.fundamental_A
     vv, vh, hv, hh = [], [], [], []
     for a in range(l):
-        va = f.vcols[:, a]
+        va = f.vcols[..., a]
         for b in range(l):
             full = f.cov(va, f.kernel_col(b))
-            r = full - setup.fundamental_T(f, va, f.vcols[:, b]) - f.pv @ full
-            vv.append(float(np.max(np.abs(r))))
+            vv.append(_amax(full - T(f, va, f.vcols[..., b]) - _mv(f.pv, full)))
         for b in range(m):
             full = f.cov(va, f.lift_col(b))
-            r = full - f.ph @ full - setup.fundamental_T(f, va, f.lcols[:, b])
-            vh.append(float(np.max(np.abs(r))))
+            vh.append(_amax(full - _mv(f.ph, full) - T(f, va, f.lcols[..., b])))
     for a in range(m):
-        xa = f.lcols[:, a]
+        xa = f.lcols[..., a]
         for b in range(l):
             full = f.cov(xa, f.kernel_col(b))
-            r = full - f.pv @ full - setup.fundamental_A(f, xa, f.vcols[:, b])
-            hv.append(float(np.max(np.abs(r))))
+            hv.append(_amax(full - _mv(f.pv, full) - A(f, xa, f.vcols[..., b])))
         for b in range(m):
             full = f.cov(xa, f.lift_col(b))
-            r = full - f.ph @ full - setup.fundamental_A(f, xa, f.lcols[:, b])
-            hh.append(float(np.max(np.abs(r))))
-    return {"vert_vert": peak(vv), "vert_horiz": peak(vh),
-            "horiz_vert": peak(hv), "horiz_horiz": peak(hh)}
+            hh.append(_amax(full - _mv(f.ph, full) - A(f, xa, f.lcols[..., b])))
+    count = len(f)
+    return {"vert_vert": _worst(vv, count), "vert_horiz": _worst(vh, count),
+            "horiz_vert": _worst(hv, count), "horiz_horiz": _worst(hh, count)}
 
 
 def check_gauss_weingarten(setup, points, tol) -> CheckResult:
@@ -574,51 +587,51 @@ def check_split_identities(setup, points, tol) -> CheckResult:
     eye_n = np.eye(setup.n)
     eye_m = np.eye(setup.m)
 
-    def at(f):
+    def residuals(f):
         parts = [f.ph + f.pv - eye_n, f.dpi @ f.pv, f.dpi @ f.lcols - eye_m]
         if setup.fiber_dim:
             parts.append(f.dpi @ f.vcols)
-        return peak(float(np.max(np.abs(r))) for r in parts)
+        return _worst([_amax(r) for r in parts], len(f))
 
-    return sweep_frames(setup, points, at, rank_test=True).summarize("split_identities", tol)
+    return sweep_frames(setup, points, residuals, rank_test=True).summarize(
+        "split_identities", tol)
 
 
 def check_tensoriality(setup, points, tol) -> CheckResult:
     """T and A agree across two different extensions of their arguments."""
-    # scale the extension by a scalar field s with s(p) = 1, ds(p) = 0.7 (1, ..., 1):
-    # d(sF)[k, i] = dF[k, i] + ds[k] F^i at p
+    # the second extension scales the first by a scalar field s with
+    # s(p) = 1, ds(p) = 0.7 (1, ..., 1)
     ds = np.ones(setup.n) * 0.7
 
-    def at(f):
+    def residuals(f):
         probes = []
         if setup.fiber_dim:
-            probes.append((f.vcols[:, 0], f.lcols[:, 0]))
-            probes.append((f.vcols[:, 0], f.vcols[:, -1]))
-        probes.append((f.lcols[:, 0], f.lcols[:, -1]))
+            probes.append((f.vcols[..., 0], f.lcols[..., 0]))
+            probes.append((f.vcols[..., 0], f.vcols[..., -1]))
+        probes.append((f.lcols[..., 0], f.lcols[..., -1]))
         r = []
         for e, w in probes:
-            w_v, w_h = f.extend(w)
-            scaled = [(value, d + np.outer(ds, value)) for value, d in (w_v, w_h)]
-            for tensor in (_tensor_t, _tensor_a):
-                r.append(float(np.max(np.abs(tensor(f, e, w_v, w_h) - tensor(f, e, *scaled)))))
-        return peak(r)
+            for tensor in (setup.fundamental_T, setup.fundamental_A):
+                r.append(_amax(tensor(f, e, w) - tensor(f, e, w, ds=ds)))
+        return _worst(r, len(f))
 
-    return sweep_frames(setup, points, at).summarize("tensoriality", tol)
+    return sweep_frames(setup, points, residuals).summarize("tensoriality", tol)
 
 
 def check_semi_riemannian(setup, points, tol) -> CheckResult:
     """Horizontal lengths preserved and fiber metric nondegenerate."""
 
-    def at(f):
-        lengths = float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - f.gb)))
+    def residuals(f):
+        degenerate = np.zeros(len(f))
         if setup.fiber_dim:
-            try:
-                solve_linear(f.vcols.T @ f.g @ f.vcols, np.eye(setup.fiber_dim))
-            except SingularMatrix:
-                return {"lengths": lengths, "degenerate": math.inf}
-        return {"lengths": lengths, "degenerate": 0.0}
+            for row, fiber_metric in enumerate(_gram(f.vcols, f.g)):
+                try:
+                    solve_linear(fiber_metric, np.eye(setup.fiber_dim))
+                except SingularMatrix:
+                    degenerate[row] = math.inf
+        return {"lengths": _amax(_gram(f.lcols, f.g) - f.gb), "degenerate": degenerate}
 
-    s = sweep_frames(setup, points, at, keys=("lengths", "degenerate"))
+    s = sweep_frames(setup, points, residuals, keys=("lengths", "degenerate"))
     return s.summarize("semi_riemannian", tol,
                        details={"fiber_metric_degenerate": s.worst["degenerate"] == math.inf})
 
@@ -626,34 +639,25 @@ def check_semi_riemannian(setup, points, tol) -> CheckResult:
 def check_conformal_metric(setup, points, tol) -> CheckResult:
     """g_M on horizontal lifts equals e^{2 phi} g_B."""
 
-    def at(f):
-        return float(np.max(np.abs(f.lcols.T @ f.g @ f.lcols - f.e2phi * f.gb)))
+    def residuals(f):
+        return _amax(_gram(f.lcols, f.g) - f.e2phi[:, None, None] * f.gb)
 
-    return sweep_frames(setup, points, at).summarize("conformal_metric", tol)
+    return sweep_frames(setup, points, residuals).summarize("conformal_metric", tol)
 
 
-def conformal_defect(f: _PointFrame, dual: bool = False) -> float:
-    """Worst defect, over the base coordinate-frame triples (x, y, z), of the
-    defining relation for conformal submersions with horizontal distribution
-    at the frame's point; ``dual`` takes the duals of both connections."""
-    gamma = f.gamma_dual if dual else f.gamma
-    gb = f.gb
+def conformal_defect(f: _FrameBatch, dual: bool = False) -> np.ndarray:
+    """Worst defect at each frame point, over the base coordinate-frame
+    triples (x, y, z) = (e_a, e_b, e_c), of the defining relation for
+    conformal submersions with horizontal distribution; ``dual`` takes the
+    duals of both connections."""
     gamma_b = f.gamma_b_dual if dual else f.gamma_b
-    defects = []
-    for x, y, z in itertools.product(np.eye(f.setup.m), repeat=3):
-        xt = f.lcols @ x
-        yt = f.lcols @ y
-        zt = f.lcols @ z
-        push = f.dpi @ _cov_deriv(gamma, xt, _linear_field(f.lcols, f.d_lcols, y))
-        nab_base = np.einsum("kab,a,b->k", gamma_b, x, y)
-        defects.append(abs(float(
-            push @ gb @ z
-            - nab_base @ gb @ z
-            + (f.dphi @ zt) * (x @ gb @ y)
-            - (f.dphi @ xt) * (y @ gb @ z)
-            - (f.dphi @ yt) * (z @ gb @ x)
-        )))
-    return peak(defects)
+    push = np.einsum("...ki,...abi->...kab", f.dpi, _lift_cov(f, dual))
+    dl = np.einsum("...i,...ia->...a", f.dphi, f.lcols)    # d phi on the lift columns
+    defect = (np.einsum("...kab,...kc->...abc", push - gamma_b, f.gb)
+              + np.einsum("...c,...ab->...abc", dl, f.gb)
+              - np.einsum("...a,...bc->...abc", dl, f.gb)
+              - np.einsum("...b,...ca->...abc", dl, f.gb))
+    return _amax(defect)
 
 
 def check_conformal_hd(setup, points, tol) -> CheckResult:
@@ -664,48 +668,37 @@ def check_conformal_hd(setup, points, tol) -> CheckResult:
 def check_affine_hd(setup, points, tol) -> CheckResult:
     """H(nabla_{X~} Y~) equals the lift of nabla*_X Y for frame fields."""
 
-    def at(f):
-        r = []
-        for a in range(setup.m):
-            xt = f.lcols[:, a]
-            for b in range(setup.m):
-                nab = f.cov(xt, f.lift_col(b))
-                lifted = f.lcols @ f.gamma_b[:, a, b]
-                r.append(float(np.max(np.abs(f.ph @ nab - lifted))))
-        return peak(r)
+    def residuals(f):
+        horizontal = np.einsum("...ij,...abj->...abi", f.ph, _lift_cov(f))
+        return _amax(horizontal - np.einsum("...ic,...cab->...abi", f.lcols, f.gamma_b))
 
-    return sweep_frames(setup, points, at).summarize("affine_hd", tol)
+    return sweep_frames(setup, points, residuals).summarize("affine_hd", tol)
 
 
 def check_dual_conformal_pair(setup, points, tol) -> CheckResult:
     """The defining relation holds for (nabla, nabla*) iff it holds for
     their metric duals; evaluated as two residual suites."""
 
-    def at(f):
+    def residuals(f):
         return {"primal": conformal_defect(f), "dual": conformal_defect(f, dual=True)}
 
-    s = sweep_frames(setup, points, at, keys=("primal", "dual"))
+    s = sweep_frames(setup, points, residuals, keys=("primal", "dual"))
     r_primal, r_dual = s.worst["primal"], s.worst["dual"]
     return s.biconditional("dual_conformal_pair", r_primal, r_dual, tol,
                            details={"primal_max": r_primal, "dual_max": r_dual})
 
 
-def induced_structures(f: _PointFrame):
-    """(g~, Gamma') induced on the base, evaluated at the frame's point."""
-    m = f.setup.m
-    g_ind = f.lcols.T @ f.g @ f.lcols
-    gamma_ind = np.empty((m, m, m))
-    for b in range(m):
-        for c in range(m):
-            gamma_ind[:, b, c] = f.dpi @ f.cov(f.lcols[:, b], f.lift_col(c))
-    return g_ind, gamma_ind
+def induced_structures(f: _FrameBatch):
+    """(g~, Gamma') induced on the base at the frame points, with
+    Gamma'[..., k, b, c] = pi_* nabla_{L_b} L_c."""
+    return _gram(f.lcols, f.g), np.einsum("...ki,...bci->...kbc", f.dpi, _lift_cov(f))
 
 
 def check_projectable(setup, points, tol) -> CheckResult:
     """pi_*(H(nabla_{X~} Y~)) agrees across points of the same fiber."""
     if setup.fiber_dim == 0:
         # singleton fibers: nothing to vary, pass by convention
-        return sweep(points, lambda p: 0.0).summarize("projectable", tol)
+        return fold(np.zeros(len(points))).summarize("projectable", tol)
     n_base = max(1, math.ceil(len(points) / 16))
     per_fiber = max(2, math.ceil(len(points) / (4 * n_base)))
 
@@ -714,8 +707,9 @@ def check_projectable(setup, points, tol) -> CheckResult:
         if len(fpts) < 2:
             raise PremiseFailed(f"found {len(fpts)} of {per_fiber} points on the fiber")
         frames = setup._frames(fpts, False)
-        gammas = [induced_structures(_PointFrame(frames, q))[1] for q in fpts]
-        return peak(float(np.max(np.abs(q_gamma - gammas[0]))) for q_gamma in gammas[1:])
+        frames.raise_first_error()
+        gammas = induced_structures(frames)[1]
+        return float(np.max(np.abs(gammas[1:] - gammas[0])))
 
     return sweep(points[:n_base], at).summarize("projectable", tol)
 
@@ -730,28 +724,24 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
     """
     m = setup.m
 
-    def at(f):
-        premise = geometry.statistical_defect(f.gamma, f.cubic)
+    def residuals(f):
         g_ind, gamma_ind = induced_structures(f)
-        dg_ind = np.empty((m, m, m))
+        dg_ind = np.empty((len(f), m, m, m))
         for a in range(m):
             for b in range(m):
                 grad_s = _scalar_grad(f.g, f.dg, f.lift_col(a), f.lift_col(b))
-                for c in range(m):
-                    dg_ind[c, a, b] = grad_s @ f.lcols[:, c]
+                dg_ind[:, :, a, b] = np.einsum("...k,...kc->...c", grad_s, f.lcols)
         cubic_ind = geometry.nabla_g_values(g_ind, dg_ind, gamma_ind)
-        tor = geometry.torsion_values(gamma_ind)
-        lifted = np.einsum("ijk,ic,ja,kb->cab", f.cubic, f.lcols, f.lcols, f.lcols)
         return {
-            "premise": premise,
-            "statistical": peak((
-                float(np.max(np.abs(tor))),
-                float(np.max(np.abs(cubic_ind - np.transpose(cubic_ind, (1, 0, 2))))),
-            )),
-            "identity": float(np.max(np.abs(cubic_ind - lifted))),
+            "premise": geometry.statistical_defect(f.gamma, f.cubic),
+            "statistical": np.maximum(
+                _amax(geometry.torsion_values(gamma_ind)),
+                _amax(cubic_ind - np.swapaxes(cubic_ind, -3, -2)),
+            ),
+            "identity": _amax(cubic_ind - _lifted_cubic(f)),
         }
 
-    s = sweep_frames(setup, points, at, keys=("premise", "statistical", "identity"))
+    s = sweep_frames(setup, points, residuals, keys=("premise", "statistical", "identity"))
     out = s.summarize("induced_statistical", tol, keys=("statistical", "identity"),
                       details={"premise_residual": s.worst["premise"],
                                "proof_identity_residual": s.worst["identity"]})

@@ -118,22 +118,6 @@ class TangentBundle:
             phi=None, name=f"{self.chart.name}:{metric}:{conn}",
         )
 
-    def lifted_metric(self, kind: str, point) -> np.ndarray:
-        metrics = {
-            "sasaki": self.sasaki_metric,
-            "complete": self.complete_metric,
-            "horizontal": self.horizontal_metric,
-        }
-        if kind not in metrics:
-            raise ContractViolation(f"unknown lifted metric kind {kind!r}")
-        return metrics[kind].values(point)
-
-    def lifted_connection(self, kind: str, point) -> np.ndarray:
-        conns = {"complete": self.complete_conn, "horizontal": self.horizontal_conn}
-        if kind not in conns:
-            raise ContractViolation(f"unknown lifted connection kind {kind!r}")
-        return conns[kind].values(point)
-
 
 def _velocity_matrix(u, gamma):
     """A^l_k = u^j Gamma^l_jk (direction-slot contraction)."""
@@ -475,13 +459,14 @@ def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
     """
     setup = bundle.submersion("sasaki", "complete")
 
-    def at(f):
+    def residuals(f):
         out = four_conditions_at(f)
         comp = lemma_components(f)
         out.update((k, comp[src]) for k, src in TM_COMPONENTS.items())
         return out
 
-    s = sweep_frames(setup, points, at, keys=CONDITIONS + ("total_space",) + tuple(TM_COMPONENTS))
+    keys = CONDITIONS + ("total_space",) + tuple(TM_COMPONENTS)
+    s = sweep_frames(setup, points, residuals, keys=keys)
     details = four_conditions_details(s, tol)
     details.update((k, s.worst[k]) for k in TM_COMPONENTS)
     out = s.summarize("tm_statistical", tol, details, keys=CONDITIONS)

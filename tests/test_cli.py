@@ -5,6 +5,7 @@ Everything runs in-process through cli.main to keep the suite fast.
 """
 
 import json
+import math
 import re
 
 import pytest
@@ -129,6 +130,31 @@ def test_config_errors_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no_such_check" in err
     assert "geodesic_projection" in err  # the message lists valid names
+
+    # every numeric field must be a finite number (json.dumps writes NaN,
+    # Infinity and -Infinity for the non-finite floats)
+    nan, inf = math.nan, math.inf
+    line = {"dim": 1, "box": [[0.0, 1.0]], "metric": [["1"]]}
+    job = {"p0": [0.0, 1.0], "v0": [1.0, 0.0]}
+    for payload in (
+        {"builtin": "gaussian:alpha=nan"},
+        {"builtin": "gaussian:alpha=inf"},
+        {"builtin": "tangent_bundle_of:gaussian:alpha=-inf"},
+        {"manifold": {**line, "curvature_k": "x"}},
+        {"manifold": {**line, "curvature_k": nan}},
+        {"manifold": {**line, "box": [[0.0, inf]]}},
+        {"manifold": {**line, "connection": {"alpha": nan, "cubic": [[["0"]]]}}},
+        {"builtin": "hyperbolic:2", "checks": [{"name": "is_statistical", "tolerance": nan}]},
+        {"builtin": "hyperbolic:2", "checks": [{"name": "is_statistical", "tolerance": inf}]},
+        {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1.0, inf], [1.0, 2.0]]}},
+        {"builtin": "hyperbolic:2", "geodesics": {"j": {**job, "v0": [nan, 0.0]}}},
+        {"builtin": "hyperbolic:2", "geodesics": {"j": {**job, "p0": [0.0, -inf]}}},
+        {"builtin": "hyperbolic:2", "geodesics": {"j": {**job, "t_end": inf}}},
+        {"builtin": "hyperbolic:2", "geodesics": {"j": {**job, "t_end": nan}}},
+        {"builtin": "hyperbolic:2", "geodesics": {"j": {**job, "h": nan}}},
+    ):
+        assert cli.main(["verify", write_cfg(tmp_path, payload)]) == 2, payload
+        assert "must be a finite number" in capsys.readouterr().err, payload
 
 
 def test_seed_precedence(tmp_path, monkeypatch):
@@ -290,10 +316,10 @@ def test_non_finite_projection_is_an_incident_not_a_crash():
 
 def test_programming_error_aborts_the_run(monkeypatch):
     # a bug is not an incident: it must not turn into an inconclusive check
-    def broken(self, setup, p):
+    def broken(self, x, rank_test):
         raise AttributeError("injected bug")
 
-    monkeypatch.setattr(submersion._PointFrame, "__init__", broken)
+    monkeypatch.setattr(submersion.SubmersionSetup, "_frame_arrays", broken)
     cfg = config.parse_config({"builtin": "tangent_bundle_of:hyperbolic:2",
                                "checks": ["prop41"], "sampling": {"count": 8, "seed": 0}})
     with pytest.raises(AttributeError, match="injected bug"):

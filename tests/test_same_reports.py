@@ -1,0 +1,62 @@
+"""The report-comparison gate, scripts/same_reports.py, on synthetic cases:
+which differences are rounding and which are real."""
+
+import importlib.util
+import json
+import math
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "same_reports.py"
+_spec = importlib.util.spec_from_file_location("same_reports", SCRIPT)
+same_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_reports)
+
+
+def case(report, exit_code=0):
+    """One case result as the child process prints it."""
+    text = report if isinstance(report, str) else json.dumps(report)
+    return {"exit": exit_code, "report": text}
+
+
+def residual(value):
+    return {"checks": [{"name": "x", "max_residual": value, "status": "pass"}]}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, 2.5])
+def test_equal_values_are_no_change(value):
+    assert same_reports.float_change(value, value) == 0.0
+    assert same_reports.classify(case(residual(value)), case(residual(value))) == ([], [])
+
+
+def test_a_finite_value_going_non_finite_is_real():
+    for new in (math.inf, math.nan):
+        assert same_reports.float_change(1.0, new) == math.inf
+        real, floats = same_reports.classify(case(residual(1.0)), case(residual(new)))
+        assert real and len(floats) == 1
+
+
+@pytest.mark.parametrize("old", [1e-3, 1.0, 250.0])
+def test_the_rounding_bound_is_relative_above_one(old):
+    scale = max(1.0, old)
+    real, floats = same_reports.classify(case(residual(old)),
+                                         case(residual(old + 1e-13 * scale)))
+    assert real == [] and len(floats) == 1
+    real, floats = same_reports.classify(case(residual(old)),
+                                         case(residual(old + 1e-11 * scale)))
+    assert len(real) == 1 and len(floats) == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    (case({"a": 1.0}), case({"a": 1.0, "b": 2.0})),                # a key set
+    (case({"a": [1.0, 2.0]}), case({"a": [1.0]})),                  # a list length
+    (case({"a": 1.0}, exit_code=0), case({"a": 1.0}, exit_code=1)),  # an exit code
+    (case({"a": 1.0}), case("Traceback (most recent call last):")),  # a crash
+    (case({"a": "pass"}), case({"a": "fail"})),                     # a string
+    (case({"a": True}), case({"a": False})),                        # a boolean
+    (case({"a": 3}), case({"a": 4})),                               # a count
+])
+def test_structural_differences_are_real(old, new):
+    real, _ = same_reports.classify(old, new)
+    assert real

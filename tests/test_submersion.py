@@ -6,6 +6,8 @@ including one with a rotating horizontal distribution.  The conditional
 properties are exercised in both directions.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,26 +52,35 @@ def test_projection_requires_matching_arity():
         sm.SubmersionSetup(setup.total, setup.base, setup.pi[:1])
 
 
+def frame_at(setup, p):
+    """The one-point frame batch at p."""
+    return setup._frames([p], False)
+
+
+def frame_arrays(frames) -> dict:
+    return {k: v for k, v in vars(frames).items() if isinstance(v, np.ndarray)}
+
+
 def test_split_basis_shapes(hyp3):
     p = (0.3, -0.2, 1.7)
-    f = sm._PointFrame(hyp3, p)
-    assert f.lcols.shape == (3, 2)
-    assert f.vcols.shape == (3, 1)
+    f = frame_at(hyp3, p)
+    assert f.lcols.shape == (1, 3, 2)
+    assert f.vcols.shape == (1, 3, 1)
     # projection of the lift columns is the identity on the base
-    assert max_abs(f.dpi - hyp3.dpi_values(p)) == 0.0
-    assert max_abs(f.dpi @ f.lcols - np.eye(2)) < 1e-12
-    assert max_abs(f.dpi @ f.vcols) < 1e-12
+    assert max_abs(f.dpi[0] - hyp3.dpi_values(p)) == 0.0
+    assert max_abs(f.dpi[0] @ f.lcols[0] - np.eye(2)) < 1e-12
+    assert max_abs(f.dpi[0] @ f.vcols[0]) < 1e-12
     # projectors are complementary idempotents
-    assert max_abs(f.ph + f.pv - np.eye(3)) < 1e-12
-    assert max_abs(f.ph @ f.ph - f.ph) < 1e-12
+    assert max_abs(f.ph[0] + f.pv[0] - np.eye(3)) < 1e-12
+    assert max_abs(f.ph[0] @ f.ph[0] - f.ph[0]) < 1e-12
     # horizontal is the metric-orthogonal complement of vertical
-    assert max_abs(f.lcols.T @ f.g @ f.vcols) < 1e-12
+    assert max_abs(f.lcols[0].T @ f.g[0] @ f.vcols[0]) < 1e-12
 
 
 def test_horizontal_lift_against_hand_value(hyp3):
     # diagonal metric: the lift of a base direction is the same direction
     p = (0.1, 0.4, 1.7)
-    x = sm._PointFrame(hyp3, p).lcols @ np.array([1.0, 0.0])
+    x = frame_at(hyp3, p).lcols[0] @ np.array([1.0, 0.0])
     assert x == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
 
@@ -77,20 +88,20 @@ def test_fundamental_a_hand_value(hyp3):
     # X the lift of the first base direction; the vertical part of
     # nabla_X X is (0, 0, 1/y) for the upper half-space metric.
     y = 1.7
-    f = sm._PointFrame(hyp3, (0.3, -0.2, y))
-    x = f.lcols[:, 0]
-    a_xx = hyp3.fundamental_A(f, x, x)
+    f = frame_at(hyp3, (0.3, -0.2, y))
+    x = f.lcols[..., 0]
+    a_xx = hyp3.fundamental_A(f, x, x)[0]
     assert a_xx == pytest.approx([0.0, 0.0, 1.0 / y], abs=1e-11)
 
 
 def test_fundamental_t_vanishes_on_flat_product():
     setup = euclid_setup(3, 2)
     p = (0.2, -0.4, 0.6)
-    v = (0.0, 0.0, 1.0)
-    assert max_abs(setup.fundamental_T(sm._PointFrame(setup, p), v, v)) < 1e-12
+    v = np.array([[0.0, 0.0, 1.0]])
+    assert max_abs(setup.fundamental_T(frame_at(setup, p), v, v)) < 1e-12
     # identity-like submersion with no fiber directions at all
     ident = euclid_setup(2, 2)
-    assert sm._PointFrame(ident, (0.1, 0.2)).vcols.shape == (2, 0)
+    assert frame_at(ident, (0.1, 0.2)).vcols.shape == (1, 2, 0)
 
 
 def test_fundamental_tensors_are_tensorial(hyp3):
@@ -212,7 +223,7 @@ def test_rank_drop_detected():
     assert res.details["incident_kinds"]["RankDrop"]["count"] == 1
     # away from the fold the split works
     setup.rank_check((0.6, 0.3))
-    assert sm._PointFrame(setup, (0.6, 0.3)).lcols.shape == (2, 1)
+    assert frame_at(setup, (0.6, 0.3)).lcols.shape == (1, 2, 1)
 
 
 def test_fiber_points_satisfy_projection():
@@ -235,9 +246,9 @@ def test_fiber_points_satisfy_projection():
 def test_s_tensor_symmetry(hyp3):
     # the difference tensor of a metric-compatible pair is symmetric
     p = (0.2, 0.1, 1.1)
-    v = np.array([0.3, -0.5, 0.7])
-    x = np.array([1.0, 0.2, -0.4])
-    f = sm._PointFrame(hyp3, p)
+    v = np.array([[0.3, -0.5, 0.7]])
+    x = np.array([[1.0, 0.2, -0.4]])
+    f = frame_at(hyp3, p)
     s_vx = f.s_value(v, x)
     s_xv = f.s_value(x, v)
     assert max_abs(np.asarray(s_vx) - np.asarray(s_xv)) < 1e-10
@@ -275,6 +286,34 @@ def box_points(setup, unit):
     return [tuple(lo + np.array(u[:len(lo)]) * (hi - lo)) for u in unit]
 
 
+# the frame checks whose residuals run on a frame batch
+FRAME_CHECKS = (
+    sm.check_lemma_components, sm.four_conditions_check, sm.check_gauss_weingarten,
+    sm.check_split_identities, sm.check_tensoriality, sm.check_semi_riemannian,
+    sm.check_conformal_metric, sm.check_conformal_hd, sm.check_affine_hd,
+    sm.check_dual_conformal_pair, sm.theorem21_verify,
+)
+
+
+def frame_residuals(setup) -> dict:
+    """Each frame check's residual function on ``setup``, recorded from one
+    run of the check, plus the induced structures."""
+    found = {"induced_structures": lambda f: dict(enumerate(sm.induced_structures(f)))}
+    sweep_frames = sm.sweep_frames
+
+    def recording(setup, points, residuals, *args, **kwargs):
+        found[check.__name__] = residuals
+        return sweep_frames(setup, points, residuals, *args, **kwargs)
+
+    with mock.patch.object(sm, "sweep_frames", recording):
+        for check in FRAME_CHECKS:
+            check(setup, box_points(setup, [[0.5] * 4]), 1e-8)
+    return found
+
+
+FRAME_RESIDUALS = {which: frame_residuals(setup) for which, setup in FRAME_SETUPS.items()}
+
+
 @settings(max_examples=40, deadline=None)
 @given(which=st.sampled_from(sorted(FRAME_SETUPS)),
        unit=st.lists(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
@@ -283,10 +322,20 @@ def test_frame_batch_rows_equal_one_row_builds(which, unit):
     setup = FRAME_SETUPS[which]
     pts = box_points(setup, unit)
     frames = setup._frames(pts, False)
-    for p in pts:
-        row, one = frames.rows[p], setup._frames([p], False)
-        for name, values in frames.arrays.items():
-            assert np.array_equal(values[row], one.arrays[name][0]), (which, name)
+    ones = [setup._frames([p], False) for p in pts]
+    for row, one in enumerate(ones):
+        for name, values in frame_arrays(frames).items():
+            assert np.array_equal(values[row], getattr(one, name)[0]), (which, name)
+    # every frame residual reads its rows independently of the batch
+    for check, residuals in FRAME_RESIDUALS[which].items():
+        batch = residuals(frames)
+        for row, one in enumerate(ones):
+            alone = residuals(one)
+            for key in batch if isinstance(batch, dict) else [None]:
+                got, want = ((batch[key], alone[key]) if key is not None else (batch, alone))
+                got, want = np.asarray(got)[row], np.asarray(want)[0]
+                bound = 1e-12 * np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(got - want) <= bound), (which, check, key, row)
 
 
 @pytest.mark.parametrize("which", sorted(FRAME_SETUPS))
@@ -294,14 +343,14 @@ def test_frame_partials_match_central_differences(which):
     setup = FRAME_SETUPS[which]
     p = np.array(box_points(setup, [[0.3, 0.6, 0.45, 0.7]])[0])
     step = 1e-6
-    f = sm._PointFrame(setup, p)
+    f = frame_at(setup, p)
     for name in ("ph", "lcols", "vcols"):
         for k in range(setup.n):
             shift = step * np.eye(setup.n)[k]
-            plus = getattr(sm._PointFrame(setup, p + shift), name)
-            minus = getattr(sm._PointFrame(setup, p - shift), name)
+            plus = getattr(frame_at(setup, p + shift), name)[0]
+            minus = getattr(frame_at(setup, p - shift), name)[0]
             central = (plus - minus) / (2.0 * step)
-            assert max_abs(central - getattr(f, "d_" + name)[k]) < 1e-6, (name, k)
+            assert max_abs(central - getattr(f, "d_" + name)[0, k]) < 1e-6, (name, k)
 
 
 def log_metric_setup():
@@ -318,11 +367,11 @@ def test_a_failing_point_is_one_incident_and_leaves_the_other_rows():
     setup = log_metric_setup()
     pts = [(0.3, 1.0), (-0.9, 1.5), (0.5, 2.0), (-0.2, 0.7)]
     frames = setup._frames(pts, False)
-    assert list(frames.errors) == [pts[1]]
-    assert isinstance(frames.errors[pts[1]], EvalDomain)
+    assert list(frames.errors) == [1] and len(frames) == 3
+    assert isinstance(frames.errors[1], EvalDomain)
     alone = setup._frames([pts[0], pts[2], pts[3]], False)
-    for name, values in alone.arrays.items():
-        assert np.array_equal(frames.arrays[name], values), name
+    for name, values in frame_arrays(alone).items():
+        assert np.array_equal(getattr(frames, name), values), name
     res = sm.check_conformal_metric(setup, pts, 1e-8)
     assert res.incidents == 1 and res.samples == 3
     assert res.details["incident_kinds"]["EvalDomain"]["count"] == 1

@@ -11,7 +11,7 @@ import pytest
 from conftest import euclid_setup, gaussian_setup, hyperbolic_setup, max_abs
 from subgeo import tangent_bundle as tb
 from subgeo import submersion as sm
-from subgeo.errors import ContractViolation, EvalDomain
+from subgeo.errors import EvalDomain
 from subgeo.fields import ExprConnection, ExprField, MetricField
 from subgeo.results import FAIL, PASS
 from subgeo.sampling import sample_box
@@ -89,11 +89,11 @@ def test_bundle_projection_lift_is_identity_minus_velocity(hyp2):
     # the frame of the bundle submersion must have lift columns (e_k; -A e_k)
     setup = hyp2.submersion("sasaki", "complete")
     p = (0.2, 1.4, 0.5, -0.3)
-    f = sm._PointFrame(setup, p)
+    lcols = setup._frames([p], False).lcols[0]
     gamma_b = hyp2.base.conn.values(p[:2])
     a_mat = np.einsum("j,ljk->lk", np.asarray(p[2:]), gamma_b)
     want = np.vstack([np.eye(2), -a_mat])
-    assert max_abs(f.lcols - want) < 1e-9
+    assert max_abs(lcols - want) < 1e-9
 
 
 def test_sasaki_blocks_hand_point(hyp2):
@@ -101,17 +101,17 @@ def test_sasaki_blocks_hand_point(hyp2):
     p = (0.0, 2.0, 0.3, -0.1)
     a = np.array([[0.05, -0.15], [0.15, 0.05]])
     g = np.diag([0.25, 0.25])
-    gs = hyp2.lifted_metric("sasaki", p)
+    gs = hyp2.sasaki_metric.values(p)
     want = np.block([[g + a.T @ g @ a, a.T @ g], [g @ a, g]])
     assert max_abs(gs - want) < 1e-12
-    gh = hyp2.lifted_metric("horizontal", p)
+    gh = hyp2.horizontal_metric.values(p)
     want_h = np.block([[g @ a + (g @ a).T, g], [g, np.zeros((2, 2))]])
     assert max_abs(gh - want_h) < 1e-12
 
 
 def test_complete_metric_blocks(hyp2):
     p = (0.1, 1.5, 0.4, 0.2)
-    gc = hyp2.lifted_metric("complete", p)
+    gc = hyp2.complete_metric.values(p)
     # top-left block is u^k d_k g; only d_y g is nonzero here
     dy = -2.0 / 1.5 ** 3
     want_tl = 0.2 * np.diag([dy, dy])
@@ -120,16 +120,6 @@ def test_complete_metric_blocks(hyp2):
     assert max_abs(gc[2:, 2:]) == 0.0
     # the generic dispatcher agrees with the bundle method
     assert max_abs(tb.complete_lift(hyp2.base.metric, p) - gc) < 1e-12
-
-
-def test_lifted_kind_dispatch(flat2):
-    p = (0.1, 0.2, 0.3, 0.4)
-    assert flat2.lifted_metric("sasaki", p).shape == (4, 4)
-    assert flat2.lifted_connection("complete", p).shape == (4, 4, 4)
-    with pytest.raises(ContractViolation):
-        flat2.lifted_metric("diagonal", p)
-    with pytest.raises(ContractViolation):
-        flat2.lifted_connection("sasaki", p)
 
 
 def test_defining_rules_all_bundles(flat2, hyp2, gauss1):
@@ -169,14 +159,14 @@ def test_tm_statistical_biconditional(flat2, hyp2):
 def test_tm_statistical_counts_a_failing_point_once(flat2, monkeypatch):
     # the four conditions and the components share one frame per point
     pts = bundle_points(flat2, 8)
-    build = sm._PointFrame.__init__
+    build = sm.SubmersionSetup._frame_arrays
 
-    def failing_at_third_point(self, setup, p):
-        if tuple(p) == pts[2]:
-            raise EvalDomain("injected", point=p)
-        build(self, setup, p)
+    def failing_at_third_point(self, x, rank_test):
+        if any(tuple(p) == pts[2] for p in x.tolist()):
+            raise EvalDomain("injected", point=pts[2])
+        return build(self, x, rank_test)
 
-    monkeypatch.setattr(sm._PointFrame, "__init__", failing_at_third_point)
+    monkeypatch.setattr(sm.SubmersionSetup, "_frame_arrays", failing_at_third_point)
     res = tb.tm_statistical_check(flat2, pts, 1e-8)
     assert res.incidents == 1 and res.samples == 7
     assert res.details["incident_kinds"] == {
@@ -221,14 +211,14 @@ def test_chart_box_extends_base(hyp2):
 def test_complete_conn_blocks_flat_base(flat2):
     # on a flat base every lifted Christoffel symbol vanishes
     p = (0.3, -0.2, 0.6, 0.1)
-    assert max_abs(flat2.lifted_connection("complete", p)) == 0.0
-    assert max_abs(flat2.lifted_connection("horizontal", p)) == 0.0
+    assert max_abs(flat2.complete_conn.values(p)) == 0.0
+    assert max_abs(flat2.horizontal_conn.values(p)) == 0.0
 
 
 def test_complete_conn_blocks_curved_base(hyp2):
     # xx block of the complete lift repeats the base symbols
     p = (0.2, 1.3, 0.4, -0.5)
-    gam = hyp2.lifted_connection("complete", p)
+    gam = hyp2.complete_conn.values(p)
     gam_b = hyp2.base.conn.values(p[:2])
     assert max_abs(gam[:2, :2, :2] - gam_b) < 1e-13
     # mixed blocks: Gamma^(n+l)_{i, n+j} = Gamma^l_{ij}
