@@ -18,6 +18,7 @@ from .builtins import Scenario
 from .errors import ConfigError, ExprSyntaxError
 from .fields import (AlphaConnection, ChartedManifold, ExprConnection,
                      LeviCivitaConnection, MetricField, Space, make_scalar)
+from .geodesics import MAX_STEPS, too_many_steps
 from .submersion import SubmersionSetup
 from .tangent_bundle import TangentBundle
 
@@ -117,9 +118,14 @@ def parse_config(raw, source: str = "<inline>") -> SuiteConfig:
                 finite_number(v, f"geodesics.{job_name}.{key}[{i}]")
         if len(job["p0"]) != len(job["v0"]):
             raise ConfigError(f"geodesics.{job_name}: p0 and v0 lengths differ")
+        span = []
         for key, default in (("t_end", 1.0), ("h", builtin_registry.DEFAULT_STEP)):
-            if finite_number(job.get(key, default), f"geodesics.{job_name}.{key}") <= 0:
+            span.append(finite_number(job.get(key, default), f"geodesics.{job_name}.{key}"))
+            if span[-1] <= 0:
                 raise ConfigError(f"geodesics.{job_name}.{key} must be positive")
+        if too_many_steps(*span):
+            raise ConfigError(f"geodesics.{job_name}: t_end / h must be at most "
+                              f"{MAX_STEPS} steps")
 
     return SuiteConfig(
         source=source, builtin=builtin, manifold=manifold,

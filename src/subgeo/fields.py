@@ -4,9 +4,11 @@ Every geometric quantity is a field evaluable as a jet at a point, so
 derived objects (inverse metrics, connection coefficients, projectors)
 stay differentiable to whatever order the leaf expressions support.
 Scalar, metric and connection fields also have one batched float entry,
-``batch(points)``, that evaluates order-1 data (scalar fields: order 2 on
-request) at a whole (N, n) stack of points in one call; fields without a
-native batched form stack their per-point results.
+``batch(points, order)``, that evaluates at a whole (N, n) stack of points
+in one call: scalar fields and metrics give values with their first (and,
+at order 2, second) partials; connections give Gamma at order 0 and
+(Gamma, dGamma) at order 1.  Fields without a native batched form stack
+their per-point results.
 Finite-difference mode swaps the leaf evaluation for central differences
 while leaving all derived algebra untouched, giving an independent path
 through every check.
@@ -225,6 +227,14 @@ def _as_points(points, dim: int) -> np.ndarray:
     return points
 
 
+def _upper_slots(dim: int) -> np.ndarray:
+    """slots[i, j]: position of entry (min(i, j), max(i, j)) in the
+    row-major list of the upper triangle."""
+    upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+    return np.array([[upper.index((min(i, j), max(i, j))) for j in range(dim)]
+                     for i in range(dim)])
+
+
 def _stack(rows, shape) -> np.ndarray:
     """Per-point results as one array (N, *shape), also for N = 0."""
     return np.array(rows, dtype=float).reshape((len(rows),) + shape)
@@ -263,10 +273,7 @@ class MetricField:
                     raise ContractViolation("metric entries must be scalar fields")
                 self._entries[(i, j)] = e
         self._stack = _FieldStack(self._entries.values(), dim)
-        # position of entry (i, j) in the stack, for batch()
-        slot = {key: k for k, key in enumerate(self._entries)}
-        self._slots = np.array([[slot[(min(i, j), max(i, j))] for j in range(dim)]
-                                for i in range(dim)])
+        self._slots = _upper_slots(dim)  # stack position of entry (i, j)
         self._jet_cache = {}
         self._inv_cache = {}
 
@@ -323,11 +330,12 @@ class MetricField:
                 dg[:, k, j] = dg[:, j, k]
         return g, dg
 
-    def batch(self, points):
+    def batch(self, points, order: int = 1):
         """(g (N, n, n), dg (N, n, n, n)) at a stack of points, with
-        dg[p, i, j, k] the i-th partial of g_jk at point p."""
-        values, grads = self._stack(points)
-        return values[:, self._slots], grads[:, :, self._slots]
+        dg[p, i, j, k] the i-th partial of g_jk at point p; order 2 adds
+        d2g (N, n, n, n, n), d2g[p, a, i, j, k] = d_a d_i g_jk."""
+        _check_order(order, (1, 2))
+        return tuple(part[..., self._slots] for part in self._stack(points, order))
 
 
 class DerivedMetric(MetricField):
@@ -337,6 +345,7 @@ class DerivedMetric(MetricField):
         self.dim = dim
         self._matrix_fn = matrix_fn
         self.label = label
+        self._slots = _upper_slots(dim)
         self._jet_cache = {}
         self._inv_cache = {}
 
@@ -362,11 +371,17 @@ class DerivedMetric(MetricField):
             hit = self._jet_cache[key] = self._matrix_fn(point, order)
         return hit
 
-    def batch(self, points):
-        parts = [self.partial_values(p) for p in np.asarray(points, dtype=float)]
+    def batch(self, points, order: int = 1):
+        _check_order(order, (1, 2))
         n = self.dim
-        return (_stack([g for g, _ in parts], (n, n)),
-                _stack([dg for _, dg in parts], (n, n, n)))
+        mats = [self.matrix_jets(p, order) for p in _as_points(points, n).tolist()]
+        parts = (_stack([[[e.value for e in row] for row in m] for m in mats], (n, n)),)
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        for k, attr in enumerate(("grad", "hess")[:order], 1):
+            tri = _stack([[getattr(m[i][j], attr) for i, j in upper] for m in mats],
+                         (len(upper),) + (n,) * k)
+            parts += (np.moveaxis(tri, 1, -1)[..., self._slots],)
+        return parts
 
 
 # -- connection fields ------------------------------------------------
@@ -391,10 +406,18 @@ class ConnectionField:
     def values(self, point) -> np.ndarray:
         return jet_values(self.coeff_jets(point, 0))
 
-    def batch(self, points) -> np.ndarray:
-        """Gamma[p, k, i, j] at a stack of points (N, dim)."""
+    def batch(self, points, order: int = 0):
+        """Gamma[p, k, i, j] at a stack of points (N, dim); order 1 gives
+        (Gamma, dGamma) with dGamma[p, a, k, i, j] = d_a Gamma^k_ij."""
+        _check_order(order, (0, 1))
+        return self._batch(_as_points(points, self.dim), order)
+
+    def _batch(self, points, order):
         n = self.dim
-        return _stack([self.values(p) for p in np.asarray(points, dtype=float)], (n, n, n))
+        gamma = _stack([self.values(p) for p in points], (n, n, n))
+        if order == 0:
+            return gamma
+        return gamma, _stack([self.d_values(p) for p in points], (n, n, n, n))
 
     def d_values(self, point) -> np.ndarray:
         """dG[l, k, i, j] = l-th partial of Gamma^k_ij."""
@@ -449,8 +472,8 @@ class ExprConnection(ConnectionField):
             for k in range(self.dim)
         ]
 
-    def batch(self, points) -> np.ndarray:
-        return _coefficient_values(self._stack, points)
+    def _batch(self, points, order):
+        return _coefficient_values(self._stack, points, order)
 
 
 class LeviCivitaConnection(ConnectionField):
@@ -483,18 +506,55 @@ class LeviCivitaConnection(ConnectionField):
         g, dg = self.metric.partial_values(point)
         return _levi_civita(g[None], dg[None])[0]
 
-    def batch(self, points) -> np.ndarray:
-        return _levi_civita(*self.metric.batch(points))
+    def _batch(self, points, order):
+        return _levi_civita(*self.metric.batch(points, order + 1))
 
 
-def _levi_civita(g, dg) -> np.ndarray:
+def _levi_civita(g, dg, d2g=None):
     """Christoffels Gamma[p, k, i, j] from metric values g (N, n, n) and
-    partials dg (N, n, n, n), dg[p, i, j, k] the i-th partial of g_jk."""
+    partials dg (N, n, n, n), dg[p, i, j, k] the i-th partial of g_jk.
+
+    With second partials d2g (N, n, n, n, n), d2g[p, a, i, j, k] =
+    d_a d_i g_jk, returns (Gamma, dGamma): Gamma = 1/2 g^-1 w with w the
+    Koszul combination of dg, so dGamma = 1/2 (d(g^-1) w + g^-1 dw) with
+    d(g^-1) = -g^-1 dg g^-1, that is g^-1 (1/2 dw - dg Gamma).
+    """
+    gamma = 0.5 * _solve(g, _koszul(dg))
+    if d2g is None:
+        return gamma
+    return gamma, _solution_partials(g, dg, gamma, 0.5 * _koszul(d2g))
+
+
+def _koszul(dg) -> np.ndarray:
+    """w[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from
+    dg[..., i, j, l] = d_i g_jl; leading axes are kept."""
+    lead = tuple(range(dg.ndim - 3))
+    i, j, l = dg.ndim - 3, dg.ndim - 2, dg.ndim - 1
+    w = dg + dg.transpose(lead + (j, i, l)) - dg.transpose(lead + (j, l, i))
+    return w.transpose(lead + (l, i, j))
+
+
+def _solve(g, rhs) -> np.ndarray:
+    """g^-1 rhs for a stack g (N, n, n) and rhs (N, n, ...)."""
     npts, n = g.shape[0], g.shape[1]
-    # w[p, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    w = dg + np.transpose(dg, (0, 2, 1, 3)) - np.transpose(dg, (0, 2, 3, 1))
-    rhs = np.transpose(w, (0, 3, 1, 2)).reshape(npts, n, n * n)
-    return 0.5 * solve_linear(g, rhs).reshape(npts, n, n, n)
+    return solve_linear(g, rhs.reshape(npts, n, -1)).reshape(rhs.shape)
+
+
+def _inverse(a) -> np.ndarray:
+    """Inverses of a stack of square matrices (N, k, k)."""
+    return solve_linear(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape))
+
+
+def _solution_partials(g, dg, x, d_rhs) -> np.ndarray:
+    """Partials of the solution x = g^-1 b (N, n, ...) from those of b,
+    d_rhs[p, a] = d_a b: d_a x = g^-1 (d_a b - d_a g x), the forward-mode
+    rule d(A^-1 b) = A^-1 (db - dA A^-1 b).  dg[p, a] = d_a g; the result
+    has the derivative axis second, like d_rhs."""
+    npts, n = x.shape[0], x.shape[1]
+    flat = x.reshape(npts, 1, n, -1)
+    t = d_rhs.reshape(npts, -1, n, flat.shape[-1]) - dg @ flat
+    dx = _solve(g, np.swapaxes(t, 1, 2))
+    return np.swapaxes(dx, 1, 2).reshape(d_rhs.shape)
 
 
 class DualConnection(ConnectionField):
@@ -531,18 +591,31 @@ class DualConnection(ConnectionField):
         g, dg = self.metric.partial_values(point)
         return _dual(g[None], dg[None], self.base.values(point)[None])[0]
 
-    def batch(self, points) -> np.ndarray:
-        return _dual(*self.metric.batch(points), self.base.batch(points))
+    def _batch(self, points, order):
+        if order == 0:
+            return _dual(*self.metric.batch(points), self.base.batch(points))
+        g, dg, d2g = self.metric.batch(points, 2)
+        return _dual(g, dg, *self.base.batch(points, 1), d2g)
 
 
-def _dual(g, dg, gamma) -> np.ndarray:
+def _dual(g, dg, gamma, dgamma=None, d2g=None):
     """Dual coefficients from the duality relation
     d_i g_jk = sum_l Gamma^l_ij g_lk + sum_l dual Gamma^l_ik g_jl, with a
-    leading point axis on g (N, n, n), dg (N, n, n, n) and gamma (N, n, n, n)."""
-    npts, n = g.shape[0], g.shape[1]
+    leading point axis on g (N, n, n), dg (N, n, n, n) and gamma (N, n, n, n).
+
+    With the partials dgamma (N, n, n, n, n) of gamma and d2g of g (laid
+    out as in :func:`_levi_civita`), returns (dual, d dual), the partials
+    of the solved system by :func:`_solution_partials`.
+    """
     # rhs[p, j, i, k] = d_i g_jk - sum_l Gamma^l_ij g_lk
     rhs = np.transpose(dg, (0, 2, 1, 3)) - np.einsum("plij,plk->pjik", gamma, g)
-    return solve_linear(g, rhs.reshape(npts, n, n * n)).reshape(npts, n, n, n)
+    dual = _solve(g, rhs)
+    if dgamma is None:
+        return dual
+    # d_a rhs[p, a, j, i, k]
+    d_rhs = (np.transpose(d2g, (0, 1, 3, 2, 4)) - np.einsum("palij,plk->pajik", dgamma, g)
+             - np.einsum("plij,palk->pajik", gamma, dg))
+    return dual, _solution_partials(g, dg, dual, d_rhs)
 
 
 def _drop(jet: Jet, order: int) -> Jet:
@@ -591,14 +664,19 @@ class AlphaConnection(ConnectionField):
                     out[k][i][j] = lc[k][i][j] - acc * (0.5 * self.alpha)
         return out
 
-    def batch(self, points) -> np.ndarray:
-        g, dg = self.metric.batch(points)
-        lc = _levi_civita(g, dg)
+    def _batch(self, points, order):
+        parts = self.metric.batch(points, order + 1)
+        lc = _levi_civita(*parts)
         if self.alpha == 0.0:
             return lc
-        ginv = solve_linear(g, np.broadcast_to(np.eye(self.dim), g.shape))
-        c = _coefficient_values(self._cubic_stack, points)
-        return lc - np.einsum("pkl,plij->pkij", ginv, c) * (0.5 * self.alpha)
+        g, dg = parts[0], parts[1]
+        ginv = _inverse(g)
+        c = _coefficient_values(self._cubic_stack, points, order)
+        if order == 0:
+            return lc - np.einsum("pkl,plij->pkij", ginv, c) * (0.5 * self.alpha)
+        raised = np.einsum("pkl,plij->pkij", ginv, c[0])
+        d_raised = _solution_partials(g, dg, raised, c[1])
+        return lc[0] - raised * (0.5 * self.alpha), lc[1] - d_raised * (0.5 * self.alpha)
 
 
 class SumConnection(ConnectionField):
@@ -620,8 +698,9 @@ class SumConnection(ConnectionField):
             for k in range(n)
         ]
 
-    def batch(self, points) -> np.ndarray:
-        return self.parts[0].batch(points) + self.parts[1].batch(points)
+    def _batch(self, points, order):
+        a, b = (part.batch(points, order) for part in self.parts)
+        return a + b if order == 0 else (a[0] + b[0], a[1] + b[1])
 
 
 def _coefficient_stack(fields, dim: int) -> _FieldStack:
@@ -629,11 +708,20 @@ def _coefficient_stack(fields, dim: int) -> _FieldStack:
     return _FieldStack([f for mid in fields for row in mid for f in row], dim)
 
 
-def _coefficient_values(stack: _FieldStack, points) -> np.ndarray:
-    """Values [p, k, i, j] of a stack made by _coefficient_stack."""
-    values = stack.values(points)
+def _coefficient_values(stack: _FieldStack, points, order: int = 0):
+    """Values [p, k, i, j] of a stack made by _coefficient_stack; order 1
+    gives (values, partials [p, a, k, i, j])."""
     n = stack.dim
-    return values.reshape(len(values), n, n, n)
+    if order == 0:
+        values = stack.values(points)
+        return values.reshape(len(values), n, n, n)
+    values, grads = stack(points)
+    return values.reshape(len(values), n, n, n), grads.reshape(len(values), n, n, n, n)
+
+
+def _check_order(order: int, allowed) -> None:
+    if order not in allowed:
+        raise ContractViolation(f"batched order must be one of {allowed}, got {order}")
 
 
 # -- aggregates -------------------------------------------------------

@@ -19,6 +19,8 @@ same frames.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BoundaryExit, ContractViolation, EvalDomain, PremiseFailed, SubgeoError
@@ -28,6 +30,9 @@ from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, agr
 from .submersion import SubmersionSetup, _mv, _pair
 
 DEFAULT_STEP = 1e-3
+# Most RK4 steps, round(t_end / h), one job may take: the node arrays of a
+# job are allocated up front, (MAX_STEPS + 1) rows of position and velocity.
+MAX_STEPS = 10**6
 MIN_NODES = 5
 
 
@@ -120,6 +125,8 @@ def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
     """
     if t_end <= 0.0 or step <= 0.0:
         raise ContractViolation("t_end and step must be positive")
+    if too_many_steps(t_end, step):
+        raise ContractViolation(f"t_end / step exceeds {MAX_STEPS} steps")
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != v0.shape or x0.ndim not in (1, 2):
@@ -131,6 +138,13 @@ def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
     if isinstance(out, SubgeoError):
         raise out
     return out
+
+
+def too_many_steps(t_end: float, step: float) -> bool:
+    """Whether round(t_end / step) exceeds MAX_STEPS (an overflowing
+    ratio does too)."""
+    steps = t_end / step
+    return math.isinf(steps) or round(steps) > MAX_STEPS
 
 
 def _lockstep(conn, chart, x0, v0, t_end, step, on_exit) -> list:

@@ -1,20 +1,29 @@
-"""Pointwise tensor algebra on a single chart.
+"""Tensor algebra of a statistical manifold over a stack of points, and
+the four manifold checks built on it.
 
 Conventions: the derivative direction of a connection sits in the first
 lower slot, so nabla_{e_i} e_j = Gamma^k_ij e_k, and the curvature sign
 follows R(e_i, e_j) e_l = nabla_i nabla_j e_l - nabla_j nabla_i e_l.
-All functions here take numpy arrays of pointwise values plus whatever
-first derivatives they need; assembling those from jets is the caller's
-job (see fields.py), which keeps this module easy to test against
-hand-built data.
+
+The kernels take numpy arrays of values and first partials with any
+leading axes (a stack of points) and keep them, so they test against
+hand-built data one point at a time and run a whole sample at once.
+A check evaluates its points in one batch: the metric's ``batch`` gives
+g, dg and d2g, the connection's ``batch`` gives Gamma and, at order 1,
+its partials dGamma, and every residual is one array program over those
+rows.  A batch that raises a :class:`SubgeoError` is rebuilt row by row
+(:func:`results.sweep_rows`), so each failing point is one incident.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import ConnectionField, DualConnection, LeviCivitaConnection, MetricField
-from .results import sweep
+from .fields import ConnectionField, MetricField, _dual
+from .results import sweep_rows
+
+_LAST3 = (-3, -2, -1)
+_LAST4 = (-4, -3, -2, -1)
 
 
 def torsion_values(gamma: np.ndarray) -> np.ndarray:
@@ -29,95 +38,103 @@ def nabla_g_values(g: np.ndarray, dg: np.ndarray, gamma: np.ndarray) -> np.ndarr
     return dg - lowered - np.swapaxes(lowered, -1, -2)
 
 
-def cubic_values(metric: MetricField, conn: ConnectionField, point) -> np.ndarray:
-    g, dg = metric.partial_values(point)
-    return nabla_g_values(g, dg, conn.values(point))
+def cubic_values(metric: MetricField, conn: ConnectionField, points) -> np.ndarray:
+    """The cubic form nabla g of (metric, conn) at a stack of points (N, n)."""
+    g, dg = metric.batch(points)
+    return nabla_g_values(g, dg, conn.batch(points))
 
 
-def statistical_residual(metric: MetricField, conn: ConnectionField, point) -> float:
-    """Max over torsion entries and the (i, j) symmetry defect of nabla g."""
-    return float(statistical_defect(conn.values(point), cubic_values(metric, conn, point)))
-
-
-def statistical_defect(gamma: np.ndarray, cubic: np.ndarray) -> np.ndarray:
-    """:func:`statistical_residual` from the Christoffels and the cubic
-    form; stacked inputs (leading axes) give one defect per point."""
-    last = (-3, -2, -1)
-    r_tor = np.abs(torsion_values(gamma)).max(axis=last)
-    r_sym = np.abs(cubic - np.swapaxes(cubic, -3, -2)).max(axis=last)
+def statistical_residual(gamma: np.ndarray, cubic: np.ndarray) -> np.ndarray:
+    """Max over torsion entries and the (i, j) symmetry defect of the
+    cubic form nabla g, one per point of the leading axes."""
+    r_tor = np.abs(torsion_values(gamma)).max(axis=_LAST3)
+    r_sym = np.abs(cubic - np.swapaxes(cubic, -3, -2)).max(axis=_LAST3)
     return np.maximum(r_tor, r_sym)
 
 
-def duality_residual(metric: MetricField, conn: ConnectionField, dual: ConnectionField, point) -> float:
+def duality_residual(g, dg, gamma, gamma_dual) -> np.ndarray:
     """Defect of d_i g_jk = g(nabla_i e_j, e_k) + g(e_j, dual-nabla_i e_k)."""
-    g, dg = metric.partial_values(point)
-    lhs = dg
-    a = np.einsum("lij,lk->ijk", conn.values(point), g)
-    b = np.einsum("lik,jl->ijk", dual.values(point), g)
-    return float(np.max(np.abs(lhs - a - b)))
+    a = np.einsum("...lij,...lk->...ijk", gamma, g)
+    b = np.einsum("...lik,...jl->...ijk", gamma_dual, g)
+    return np.abs(dg - a - b).max(axis=_LAST3)
 
 
-def curvature_values(conn: ConnectionField, point) -> np.ndarray:
-    """R[k, l, i, j] = coefficient of e_k in R(e_i, e_j) e_l."""
-    gamma = conn.values(point)
-    dgamma = conn.d_values(point)  # dgamma[a, k, i, j] = d_a Gamma^k_ij
-    term = np.einsum("ikjl->klij", dgamma)  # term[k,l,i,j] = d_i Gamma^k_jl
-    quad = np.einsum("kim,mjl->klij", gamma, gamma)
+def curvature_values(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R[..., k, l, i, j] = coefficient of e_k in R(e_i, e_j) e_l, from
+    Gamma[..., k, i, j] and dgamma[..., a, k, i, j] = d_a Gamma^k_ij."""
+    term = np.einsum("...ikjl->...klij", dgamma)  # d_i Gamma^k_jl
+    quad = np.einsum("...kim,...mjl->...klij", gamma, gamma)
     r = term + quad
-    return r - np.transpose(r, (0, 1, 3, 2))
+    return r - np.swapaxes(r, -1, -2)
 
 
-def curvature_duality_residual(
-    metric: MetricField, conn: ConnectionField, dual: ConnectionField, point
-) -> float:
-    """Defect of g(R(X,Y)Z, W) + g(Z, dual-R(X,Y)W) = 0."""
-    g = metric.values(point)
-    r = curvature_values(conn, point)
-    rd = curvature_values(dual, point)
-    lhs = np.einsum("kzij,kw->zwij", r, g) + np.einsum("kwij,zk->zwij", rd, g)
-    return float(np.max(np.abs(lhs)))
+def curvature_duality_residual(g: np.ndarray, r: np.ndarray, r_dual: np.ndarray) -> np.ndarray:
+    """Defect of g(R(X,Y)Z, W) + g(Z, dual-R(X,Y)W) = 0 from the two
+    curvatures of :func:`curvature_values`."""
+    lhs = (np.einsum("...kzij,...kw->...zwij", r, g)
+           + np.einsum("...kwij,...zk->...zwij", r_dual, g))
+    return np.abs(lhs).max(axis=_LAST4)
 
 
-def constant_curvature_residual(metric: MetricField, conn: ConnectionField, k: float, point) -> float:
-    """Defect of R(X,Y)Z = k (g(Y,Z) X - g(X,Z) Y) at the given point."""
-    g = metric.values(point)
-    r = curvature_values(conn, point)
-    n = g.shape[0]
-    eye = np.eye(n)
-    model = k * (np.einsum("jl,ai->alij", g, eye) - np.einsum("il,aj->alij", g, eye))
-    # model[a, l, i, j] = k (g_jl delta^a_i - g_il delta^a_j)
-    return float(np.max(np.abs(r - model)))
+def constant_curvature_residual(g: np.ndarray, r: np.ndarray, k: float) -> np.ndarray:
+    """Defect of R(X,Y)Z = k (g(Y,Z) X - g(X,Z) Y)."""
+    eye = np.eye(g.shape[-1])
+    # model[..., a, l, i, j] = k (g_jl delta^a_i - g_il delta^a_j)
+    model = k * (np.einsum("...jl,ai->...alij", g, eye) - np.einsum("...il,aj->...alij", g, eye))
+    return np.abs(r - model).max(axis=_LAST4)
 
 
-def dual_formula_residual(
-    metric: MetricField, conn: ConnectionField, dual: ConnectionField, point
-) -> float:
-    """Defect of dual-Gamma = 2 LC - Gamma, valid when the pair is statistical."""
-    lc = LeviCivitaConnection(metric).values(point)
-    return float(np.max(np.abs(dual.values(point) - (2.0 * lc - conn.values(point)))))
+def dual_formula_residual(gamma, gamma_dual, lc) -> np.ndarray:
+    """Defect of dual-Gamma = 2 LC - Gamma, valid when the pair is
+    statistical; lc holds the Levi-Civita Christoffels."""
+    return np.abs(gamma_dual - (2.0 * lc - gamma)).max(axis=_LAST3)
+
 
 # ---------------------------------------------------------------------------
-# Suite checks: the pointwise kernels above swept over sample sets.
+# Suite checks: the kernels above over the rows of a sample's batch.
+
+
+def statistical_rows(metric: MetricField, conn: ConnectionField, x) -> np.ndarray:
+    """:func:`statistical_residual` of (metric, conn) at a stack of points."""
+    gamma = conn.batch(x)
+    g, dg = metric.batch(x)
+    return statistical_residual(gamma, nabla_g_values(g, dg, gamma))
+
 
 def is_statistical(conn: ConnectionField, metric: MetricField, points, tol):
     """Torsion-freeness plus total symmetry of nabla g over the samples."""
-    return sweep(points, lambda p: statistical_residual(metric, conn, p)).summarize(
-        "is_statistical", tol)
+    return sweep_rows(points, metric.dim, lambda x: {
+        "statistical": statistical_rows(metric, conn, x),
+    }).summarize("is_statistical", tol)
 
 
 def check_curvature_duality(conn: ConnectionField, metric: MetricField, points, tol):
-    dual = DualConnection(conn, metric)
-    return sweep(points, lambda p: curvature_duality_residual(metric, conn, dual, p)).summarize(
-        "curvature_duality", tol)
+    def residuals(x):
+        g, dg, d2g = metric.batch(x, 2)
+        gamma, dgamma = conn.batch(x, 1)
+        dual, d_dual = _dual(g, dg, gamma, dgamma, d2g)
+        r, r_dual = curvature_values(gamma, dgamma), curvature_values(dual, d_dual)
+        return {"curvature_duality": curvature_duality_residual(g, r, r_dual)}
+
+    return sweep_rows(points, metric.dim, residuals).summarize("curvature_duality", tol)
 
 
 def check_constant_curvature(conn: ConnectionField, metric: MetricField, k: float, points, tol):
-    return sweep(points, lambda p: constant_curvature_residual(metric, conn, k, p)).summarize(
+    def residuals(x):
+        g, _ = metric.batch(x)
+        r = curvature_values(*conn.batch(x, 1))
+        return {"constant_curvature": constant_curvature_residual(g, r, k)}
+
+    return sweep_rows(points, metric.dim, residuals).summarize(
         "constant_curvature", tol, details={"k": float(k)})
 
 
 def check_dual_involution(conn: ConnectionField, metric: MetricField, points, tol):
     """dual(dual(conn)) must reproduce conn to rounding."""
-    dd = DualConnection(DualConnection(conn, metric), metric)
-    return sweep(points, lambda p: float(np.max(np.abs(dd.values(p) - conn.values(p))))).summarize(
-        "dual_involution", tol)
+    def residuals(x):
+        g, dg = metric.batch(x)
+        gamma = conn.batch(x)
+        twice = _dual(g, dg, _dual(g, dg, gamma))
+        return {"dual_involution": np.abs(twice - gamma).max(axis=_LAST3)}
+
+    return sweep_rows(points, metric.dim, residuals).summarize("dual_involution", tol)

@@ -1,4 +1,5 @@
-"""Check outcomes and the one fold that every check's residuals go through."""
+"""Check outcomes, the one fold that every check's residuals go through,
+and the row-by-row rebuild of a batch that fails at some of its points."""
 
 from __future__ import annotations
 
@@ -158,9 +159,41 @@ def fold(residuals, errors=None, keys=()) -> Sweep:
     return out
 
 
+def build_rows(build, points):
+    """``build(points)``, a dict of arrays with one leading row per point
+    of the stack ``points``, plus the errors of the points it fails at.
+
+    The stack is built at once.  When that raises a :class:`SubgeoError`,
+    each row is built alone: the failing points keep their own errors
+    and the others get what the stack gives them.  Returns (the arrays
+    of the rows that built, in point order, or {} when none did; a map
+    from the position of each failing point to its error).
+    """
+    try:
+        return build(points), {}
+    except SubgeoError:
+        pass
+    parts, errors = [], {}
+    for row in range(len(points)):
+        try:
+            parts.append(build(points[row:row + 1]))
+        except SubgeoError as exc:
+            errors[row] = exc
+    arrays = {k: np.concatenate([part[k] for part in parts]) for k in (parts[0] if parts else ())}
+    return arrays, errors
+
+
+def sweep_rows(points, dim: int, residuals_at, keys=()) -> Sweep:
+    """:func:`fold` of ``residuals_at(x)``, a dict of residual arrays over
+    the stack x (N, dim) of the points, built by :func:`build_rows`: a
+    point where the stack fails is an incident."""
+    x = np.asarray(points, dtype=float).reshape(len(points), dim)
+    return fold(*build_rows(residuals_at, x), keys=keys)
+
+
 def sweep(items, residual_at, keys=()) -> Sweep:
-    """:func:`fold` of ``residual_at(item)`` over items that are not frame
-    rows: curves, probes, fibers, points of per-point checks.
+    """:func:`fold` of ``residual_at(item)`` over items that are not batch
+    rows: curves, probes, fibers, points of the per-point bundle oracles.
 
     ``residual_at`` returns a float or a dict of named residuals.  A
     :class:`SubgeoError` makes the item an incident; any other exception

@@ -33,12 +33,11 @@ import numpy as np
 import scipy.linalg
 
 from . import geometry
-from .errors import (ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix,
-                     SubgeoError)
-from .fields import ScalarField, Space, _dual, _FieldStack
+from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
+from .fields import ScalarField, Space, _dual, _FieldStack, _inverse
 from .linalg import jet_values, solve_linear
-from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree, fold,
-                      peak, sweep)
+from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree,
+                      build_rows, fold, peak, sweep)
 
 RANK_RTOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -88,9 +87,6 @@ class SubmersionSetup:
     def dpi_values(self, p) -> np.ndarray:
         return jet_values(self.dpi_jets(p, 0))
 
-    def rank_check(self, p) -> None:
-        _rank_test(np.array([p], dtype=float), self.dpi_values(p)[None])
-
     def pivot_pattern(self):
         """(pivot_cols, free_cols) chosen once at the box center."""
         if self._pivot is None:
@@ -116,24 +112,13 @@ class SubmersionSetup:
 
         With ``rank_test`` a point where dpi is not finite or loses rank
         fails before its frame is built.  When the batch raises a
-        :class:`SubgeoError`, each row is built alone: the failing points
-        keep their own errors and the others get exactly what the batch
-        gives them.
+        :class:`SubgeoError`, each row is built alone
+        (:func:`results.build_rows`): the failing points keep their own
+        errors and the others get exactly what the batch gives them.
         """
         points = np.asarray(points, dtype=float).reshape(len(points), self.n)
-        try:
-            return _FrameBatch(self, len(points), self._frame_arrays(points, rank_test))
-        except SubgeoError:
-            pass
-        parts, errors = [], {}
-        for row in range(len(points)):
-            try:
-                parts.append(self._frame_arrays(points[row:row + 1], rank_test))
-            except SubgeoError as exc:
-                errors[row] = exc
-        arrays = {k: np.concatenate([part[k] for part in parts])
-                  for k in (parts[0] if parts else ())}
-        return _FrameBatch(self, len(parts), arrays, errors)
+        arrays, errors = build_rows(lambda x: self._frame_arrays(x, rank_test), points)
+        return _FrameBatch(self, len(points) - len(errors), arrays, errors)
 
     def _frame_arrays(self, x, rank_test: bool) -> dict:
         """The :class:`_FrameBatch` arrays at points x (N, n), each with a
@@ -250,11 +235,6 @@ class SubmersionSetup:
 
 
 # -- batch helpers -------------------------------------------------------------
-
-
-def _inverse(a) -> np.ndarray:
-    """Inverses of a stack of square matrices (N, k, k)."""
-    return solve_linear(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape))
 
 
 def _rank_test(points, dpi) -> None:
@@ -522,8 +502,8 @@ def four_conditions_at(f: _FrameBatch) -> dict:
         "condition1": _worst(r1, count),
         "condition2": _worst(r2, count),
         "condition3": _worst(r3, count),
-        "condition4": geometry.statistical_defect(f.gamma_b, f.cubic_b),
-        "total_space": geometry.statistical_defect(f.gamma, f.cubic),
+        "condition4": geometry.statistical_residual(f.gamma_b, f.cubic_b),
+        "total_space": geometry.statistical_residual(f.gamma, f.cubic),
     }
 
 
@@ -733,7 +713,7 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
                 dg_ind[:, :, a, b] = np.einsum("...k,...kc->...c", grad_s, f.lcols)
         cubic_ind = geometry.nabla_g_values(g_ind, dg_ind, gamma_ind)
         return {
-            "premise": geometry.statistical_defect(f.gamma, f.cubic),
+            "premise": geometry.statistical_residual(f.gamma, f.cubic),
             "statistical": np.maximum(
                 _amax(geometry.torsion_values(gamma_ind)),
                 _amax(cubic_ind - np.swapaxes(cubic_ind, -3, -2)),

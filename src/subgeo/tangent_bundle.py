@@ -22,7 +22,8 @@ from .errors import ContractViolation
 from .fields import (ChartedManifold, ConnectionField, DerivedMetric,
                      DualConnection, ExprField, MetricField, ScalarField, Space, _drop)
 from .jets import Jet
-from .results import FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, peak, sweep
+from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, peak, sweep,
+                      sweep_rows)
 from .submersion import (CONDITIONS, SubmersionSetup, _cov_deriv, check_affine_hd,
                          check_semi_riemannian, four_conditions_at, four_conditions_details,
                          lemma_components, sweep_frames)
@@ -478,15 +479,15 @@ def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
 def remark_complete_check(bundle: TangentBundle, points, tol) -> CheckResult:
     """(TM, complete lift connection, complete lift metric) statistical."""
     space = bundle.space("complete", "complete")
+    base = bundle.base
 
-    def at(p):
+    def residuals(x):
         return {
-            "premise": geometry.statistical_residual(
-                bundle.base.metric, bundle.base.conn, tuple(p[:bundle.n])),
-            "statistical": geometry.statistical_residual(space.metric, space.conn, p),
+            "premise": geometry.statistical_rows(base.metric, base.conn, x[:, :bundle.n]),
+            "statistical": geometry.statistical_rows(space.metric, space.conn, x),
         }
 
-    s = sweep(points, at, keys=("premise", "statistical"))
+    s = sweep_rows(points, 2 * bundle.n, residuals, keys=("premise", "statistical"))
     out = s.summarize("remark_complete_metric", tol, keys=("statistical",),
                       details={"premise_residual": s.worst["premise"]})
     if out.status != INCONCLUSIVE and s.worst["premise"] > PREMISE_FACTOR * tol:
@@ -512,15 +513,14 @@ def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
     the curvature, so this applies to flat or non-compatible bases.
     """
     space = bundle.space("sasaki", "horizontal")
+    base = bundle.base
 
-    def at(p):
-        x = tuple(p[:bundle.n])
-        gv, dg = bundle.base.metric.partial_values(x)
-        nab_g = geometry.nabla_g_values(gv, dg, bundle.base.conn.values(x))
-        return {"bundle": geometry.statistical_residual(space.metric, space.conn, p),
-                "base": float(np.max(np.abs(nab_g)))}
+    def residuals(x):
+        nab_g = geometry.cubic_values(base.metric, base.conn, x[:, :bundle.n])
+        return {"bundle": geometry.statistical_rows(space.metric, space.conn, x),
+                "base": np.abs(nab_g).max(axis=(1, 2, 3))}
 
-    s = sweep(points, at, keys=("bundle", "base"))
+    s = sweep_rows(points, 2 * bundle.n, residuals, keys=("bundle", "base"))
     left, right = s.worst["bundle"], s.worst["base"]
     left_pass, right_pass = left <= tol, right <= tol
     return s.biconditional(

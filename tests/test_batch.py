@@ -33,6 +33,17 @@ def close(a, b):
     return np.abs(a - b).max() <= REL * np.abs(b).max()
 
 
+def close_each(a, b):
+    """Every entry within REL * max(1, |b|) of its reference."""
+    a, b = np.asarray(a), np.asarray(b)
+    return bool((np.abs(a - b) <= REL * np.maximum(1.0, np.abs(b))).all())
+
+
+def _box_points(box, unit):
+    lo, hi = np.array(box).T
+    return lo + np.array(unit)[:, :len(box)] * (hi - lo)
+
+
 @pytest.mark.parametrize("text", RATIONAL + TRANSCENDENTAL)
 def test_batched_expression_rows_match_eval_jet(text):
     ast = parse(text, 3)
@@ -92,19 +103,23 @@ def test_overflow_is_a_domain_error_on_both_paths():
 def _spaces():
     """(label, chart box, metric, connection) for builtins and derived fields."""
     out = []
-    for name in ("hyperbolic:3", "gaussian:alpha=1", "gaussian:alpha=0", "euclidean:3",
-                 "perturbed:3"):
+    for name in ("hyperbolic:3", "gaussian:alpha=1", "gaussian:alpha=0", "gaussian:alpha=-0.5",
+                 "euclidean:3", "perturbed:3", "broken:2"):
         sc = builtins.build(name)
         sp = sc.space
         out.append((name, sp.chart.box, sp.metric, sp.conn))
-        out.append((name + ":dual", sp.chart.box, sp.metric,
-                    DualConnection(sp.conn, sp.metric)))
+        dual = DualConnection(sp.conn, sp.metric)
+        out.append((name + ":dual", sp.chart.box, sp.metric, dual))
+        out.append((name + ":dual:dual", sp.chart.box, sp.metric,
+                    DualConnection(dual, sp.metric)))
     bundle = TangentBundle(builtins.build("hyperbolic:2").space)
     out.append(("bundle:sasaki", bundle.chart.box, bundle.sasaki_metric,
                 bundle.complete_conn))
-    for name in ("hyperbolic:2", "gaussian:alpha=1", "broken:2"):
+    for name in ("hyperbolic:2", "hyperbolic:3", "gaussian:alpha=1", "broken:2"):
         fd = builtins.build(name, mode="fd").space
         out.append((name + ":fd", fd.chart.box, fd.metric, fd.conn))
+        out.append((name + ":fd:dual", fd.chart.box, fd.metric,
+                    DualConnection(fd.conn, fd.metric)))
     return out
 
 
@@ -117,12 +132,50 @@ SPACES = _spaces()
                      min_size=1, max_size=4))
 def test_batched_rows_match_per_point_values(which, unit):
     label, box, metric, conn = SPACES[which]
-    lo, hi = np.array(box).T
-    pts = lo + np.array(unit)[:, :len(box)] * (hi - lo)
+    pts = _box_points(box, unit)
     g, dg = metric.batch(pts)
     gamma = conn.batch(pts)
+    gamma1, dgamma = conn.batch(pts, 1)
+    assert np.array_equal(gamma1, gamma), label
     for k, p in enumerate(pts):
         g_ref, dg_ref = metric.partial_values(p)
         assert close(g[k], metric.values(p)), label
         assert close(dg[k], dg_ref), label
         assert close(gamma[k], conn.values(p)), label
+        assert close_each(gamma1[k], conn.values(p)), label
+        assert close_each(dgamma[k], conn.d_values(p)), label
+
+
+# fd-mode Christoffels are difference quotients themselves, too noisy to
+# difference again at this step
+@pytest.mark.parametrize("label, box, conn", [pytest.param(label, box, conn, id=label)
+                                              for label, box, _, conn in SPACES
+                                              if ":fd" not in label])
+def test_order1_partials_match_central_differences(label, box, conn):
+    pts = _box_points(box, np.random.default_rng(1).uniform(0.1, 0.9, size=(8, 6)))
+    _, dgamma = conn.batch(pts, 1)
+    step = 1e-5
+    for a in range(pts.shape[1]):
+        shift = np.zeros(pts.shape[1])
+        shift[a] = step
+        central = (conn.batch(pts + shift) - conn.batch(pts - shift)) / (2.0 * step)
+        assert np.abs(central - dgamma[:, a]).max() < 1e-6, (label, a)
+
+
+def test_order2_metric_rows_match_per_point_jets():
+    bundle = TangentBundle(builtins.build("hyperbolic:2").space)
+    for box, metric in ((builtins.build("hyperbolic:3").space.chart.box,
+                         builtins.build("hyperbolic:3").space.metric),
+                        (bundle.chart.box, bundle.sasaki_metric)):
+        pts = _box_points(box, np.random.default_rng(2).uniform(0.0, 1.0, size=(5, 6)))
+        g, dg, d2g = metric.batch(pts, 2)
+        assert np.array_equal(dg, metric.batch(pts)[1])
+        n = metric.dim
+        for k, p in enumerate(pts):
+            jets = metric.matrix_jets(p, 2)
+            for i in range(n):
+                for j in range(n):
+                    assert close_each(g[k, i, j], jets[i][j].value)
+                    assert close_each(d2g[k, :, :, i, j], jets[min(i, j)][max(i, j)].hess)
+    with pytest.raises(ContractViolation):
+        metric.batch(pts, 3)

@@ -156,6 +156,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert cli.main(["verify", write_cfg(tmp_path, payload)]) == 2, payload
         assert "must be a finite number" in capsys.readouterr().err, payload
 
+    # a finite t_end may still ask for more RK4 steps than a job may take
+    for span in ({"t_end": 1e300}, {"t_end": 1e300, "h": 1e-300}, {"t_end": 1001.0}):
+        payload = {"builtin": "hyperbolic:2", "checks": ["geodesic_energy"],
+                   "geodesics": {"j": {**job, **span}}}
+        assert cli.main(["verify", write_cfg(tmp_path, payload)]) == 2, payload
+        assert "at most 1000000 steps" in capsys.readouterr().err, payload
+
 
 def test_seed_precedence(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, {

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_cubic_fields, grid_points, max_abs
-from subgeo import geometry
+from subgeo import builtins, config, geometry, runner
 from subgeo.fields import (
     AlphaConnection,
     DualConnection,
@@ -32,6 +32,16 @@ HALF_PLANE_BOX = ((-1.0, 1.0), (0.5, 3.0))
 GAUSS_BOX = ((-1.0, 1.0), (0.5, 2.0))
 
 
+def one(p):
+    """The one-point stack (1, n) at p."""
+    return np.array([p], dtype=float)
+
+
+def curvature_at(metric, conn, p):
+    """(g, R) at p, each a one-row stack."""
+    return metric.batch(one(p))[0], geometry.curvature_values(*conn.batch(one(p), 1))
+
+
 def test_half_plane_christoffel_table():
     g = half_plane_metric()
     lc = LeviCivitaConnection(g)
@@ -48,13 +58,12 @@ def test_half_plane_christoffel_table():
 def test_half_plane_curvature_and_constant_k():
     g = half_plane_metric()
     lc = LeviCivitaConnection(g)
-    p = (0.1, 1.3)
-    r = geometry.curvature_values(lc, p)
+    gv, r = curvature_at(g, lc, (0.1, 1.3))
     # R^1_{212}: first lower index pairs with the upper one
-    assert r[0, 1, 0, 1] == pytest.approx(-1.0 / 1.3 ** 2, rel=1e-9)
-    assert geometry.constant_curvature_residual(g, lc, -1.0, p) < 1e-10
+    assert r[0, 0, 1, 0, 1] == pytest.approx(-1.0 / 1.3 ** 2, rel=1e-9)
+    assert geometry.constant_curvature_residual(gv, r, -1.0)[0] < 1e-10
     # wrong k leaves a visible residual
-    assert geometry.constant_curvature_residual(g, lc, 0.0, p) > 0.1
+    assert geometry.constant_curvature_residual(gv, r, 0.0)[0] > 0.1
 
 
 def test_levi_civita_against_finite_difference_koszul():
@@ -105,14 +114,14 @@ def test_alpha_cubic_scales_linearly():
     p = (-0.4, sigma)
     for alpha in (1.0, -1.0, 0.5):
         conn = AlphaConnection(g, gaussian_cubic_fields(), alpha)
-        c = geometry.cubic_values(g, conn, p)
+        c = geometry.cubic_values(g, conn, one(p))[0]
         assert c[0, 0, 1] == pytest.approx(alpha * 2.0 / sigma ** 3, rel=1e-10)
         assert c[0, 1, 0] == pytest.approx(alpha * 2.0 / sigma ** 3, rel=1e-10)
         assert c[1, 0, 0] == pytest.approx(alpha * 2.0 / sigma ** 3, rel=1e-10)
         assert c[1, 1, 1] == pytest.approx(alpha * 8.0 / sigma ** 3, rel=1e-10)
         assert c[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
     lc = AlphaConnection(g, gaussian_cubic_fields(), 0.0)
-    assert max_abs(geometry.cubic_values(g, lc, p)) < 1e-12
+    assert max_abs(geometry.cubic_values(g, lc, one(p))) < 1e-12
 
 
 def test_alpha_constant_curvature():
@@ -121,20 +130,22 @@ def test_alpha_constant_curvature():
         conn = AlphaConnection(g, gaussian_cubic_fields(), alpha)
         k = (alpha * alpha - 1.0) / 2.0
         for p in grid_points(GAUSS_BOX, count=4, seed=2):
-            assert geometry.constant_curvature_residual(g, conn, k, p) < 1e-9
+            gv, r = curvature_at(g, conn, p)
+            assert geometry.constant_curvature_residual(gv, r, k)[0] < 1e-9
 
 
 def test_statistical_residual_polarity():
     g = half_plane_metric()
     lc = LeviCivitaConnection(g)
     for p in grid_points(HALF_PLANE_BOX, count=5, seed=1):
-        assert geometry.statistical_residual(g, lc, p) < 1e-12
+        cubic = geometry.cubic_values(g, lc, one(p))
+        assert geometry.statistical_residual(lc.batch(one(p)), cubic)[0] < 1e-12
 
     # torsion-free connection with a non-symmetric cubic form
     flat = MetricField.from_exprs([["1", "0"], ["0", "1"]], 2)
     broken = ExprConnection(2, [[["0", "0"], ["0", "1"]],
                                 [["0", "0"], ["0", "0"]]])
-    r = geometry.statistical_residual(flat, broken, (0.2, 0.4))
+    r = geometry.statistical_rows(flat, broken, one((0.2, 0.4)))[0]
     assert r == pytest.approx(1.0)
 
 
@@ -144,12 +155,15 @@ def test_dual_connection_identities():
         conn = AlphaConnection(g, gaussian_cubic_fields(), alpha)
         dual = DualConnection(conn, g)
         for p in grid_points(GAUSS_BOX, count=4, seed=4):
-            assert geometry.duality_residual(g, conn, dual, p) < 1e-11
+            gv, dg = g.batch(one(p))
+            gamma, gamma_dual = conn.batch(one(p)), dual.batch(one(p))
+            assert geometry.duality_residual(gv, dg, gamma, gamma_dual)[0] < 1e-11
             # the dual of the alpha connection is the -alpha connection
             minus = AlphaConnection(g, gaussian_cubic_fields(), -alpha)
             assert max_abs(dual.values(p) - minus.values(p)) < 1e-10
             # conjugate formula: conn + dual = 2 * Levi-Civita
-            assert geometry.dual_formula_residual(g, conn, dual, p) < 1e-10
+            lc = LeviCivitaConnection(g).batch(one(p))
+            assert geometry.dual_formula_residual(gamma, gamma_dual, lc)[0] < 1e-10
 
 
 def test_dual_involution_tightness():
@@ -186,6 +200,45 @@ def test_levi_civita_is_torsion_free_compatible_and_self_dual():
     lc = LeviCivitaConnection(g)
     p = (0.0, 2.0)
     assert max_abs(geometry.torsion_values(lc.values(p))) < 1e-13
-    assert max_abs(geometry.cubic_values(g, lc, p)) < 1e-12
+    assert max_abs(geometry.cubic_values(g, lc, one(p))) < 1e-12
     d = DualConnection(lc, g)
     assert max_abs(d.values(p) - lc.values(p)) < 1e-11  # self-dual metric connection
+
+
+# incidents of the four manifold checks on the log(x1 + 0.8) metric, 16
+# samples at seed 0, as the per-point jet path counted them: every one an
+# EvalDomain at a point with x1 <= -0.8
+LOG_METRIC_INCIDENTS = {"constant_curvature": 1, "curvature_duality": 0,
+                        "dual_involution": 4, "is_statistical": 3}
+
+
+def test_manifold_checks_keep_their_incidents_on_a_partly_undefined_metric():
+    cfg = config.parse_config({
+        "manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 3.0]],
+                     "metric": [["1/x2^2 + log(x1 + 0.8)", "0"], ["0", "1/x2^2"]],
+                     "curvature_k": -1.0},
+        "checks": sorted(LOG_METRIC_INCIDENTS),
+        "sampling": {"count": 16, "seed": 0},
+    })
+    for c in runner.run_suite(cfg)["checks"]:
+        want = LOG_METRIC_INCIDENTS[c["name"]]
+        kinds = {k: v["count"] for k, v in c["details"].get("incident_kinds", {}).items()}
+        assert (c["samples"], c["incidents"]) == (16 - want, want), c["name"]
+        assert kinds == ({"EvalDomain": want} if want else {}), c["name"]
+
+
+def test_manifold_checks_leave_the_field_caches_alone():
+    # the batched checks hold nothing per point: the point-keyed jet caches
+    # of the scenario's metric and connection do not grow with the samples
+    space = builtins.build("hyperbolic:3").space
+    caches = (space.metric._jet_cache, space.metric._inv_cache, space.conn._coeff_cache)
+    sizes = []
+    for count in (8, 64):
+        pts = grid_points(space.chart.box, count=count, seed=11)
+        assert geometry.is_statistical(space.conn, space.metric, pts, 1e-8).status == PASS
+        assert geometry.check_dual_involution(space.conn, space.metric, pts, 1e-9).status == PASS
+        assert geometry.check_curvature_duality(space.conn, space.metric, pts, 1e-8).status == PASS
+        res = geometry.check_constant_curvature(space.conn, space.metric, -1.0, pts, 1e-8)
+        assert res.status == PASS
+        sizes.append([len(c) for c in caches])
+    assert sizes[0] == sizes[1]
