@@ -213,7 +213,7 @@ def _tangent_bundle(inner_name: str, mode: str) -> Scenario:
     return Scenario(
         name=f"tangent_bundle_of:{inner.name}",
         space=bundle.space("sasaki", "complete"),
-        setup=bundle.submersion("sasaki", "complete"),
+        setup=bundle.setup,
         bundle=bundle,
         checks=checks,
     )

@@ -324,7 +324,7 @@ def build_scenario(cfg: SuiteConfig) -> Scenario:
                 raise ConfigError("inline tangent_bundle cannot also carry a submersion")
             bundle = TangentBundle(space, name="inline-bundle")
             space = bundle.space("sasaki", "complete")
-            setup = bundle.submersion("sasaki", "complete")
+            setup = bundle.setup
         scenario = Scenario(
             name="inline", space=space, setup=setup, bundle=bundle,
             curvature_k=None if k is None else float(k), checks=(),

@@ -15,13 +15,15 @@ n+1..2n.  Functions: exp, log, sin, cos, sqrt, tanh.  ``+ - * /`` are
 left-associative with the usual precedence; ``^`` takes an integer literal
 exponent and binds tighter than unary minus.
 
-An AST evaluates as a jet at one point (:func:`eval_jet`, orders 0..3) or
-is compiled once into a closure that gives values, gradients and
-Hessians at a whole stack of points (:func:`compile_batched`, orders 1..2).
+An AST is compiled once into a closure that gives values and partials up
+to order 3 at a whole stack of points (:func:`compile_batched`); this is
+how every field evaluates.  :func:`eval_jet` evaluates it as a jet at one
+point (orders 0..3) and is the reference the compiled rows agree with.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -302,30 +304,33 @@ def eval_jet(node, point, order: int) -> Jet:
 #
 # Compilation turns expressions into a straight-line program with one
 # instruction per distinct subexpression.  An instruction maps points
-# (N, d) to (value, grad, hess): value is (N,), or a scalar for constant
-# subexpressions, grad is (N, d) and hess (N, d, d), each None when
-# identically zero (hess is always None at order 1).  Each instruction
-# follows the Jet method it mirrors (division is multiplication by the
-# reciprocal, subtraction adds the negation, integer powers square
-# repeatedly, and products and chain rules add their terms in Jet's
-# order), so a row agrees with eval_jet at that point to the last bit
-# wherever numpy's elementary functions agree with the math module's.
-# Errors follow Jet's too: its domain errors (division by zero, log or
-# sqrt of a non-positive value, exp overflow, sin or cos of an infinity)
-# are raised at the first point where they occur, and other non-finite
-# values (an overflowing product, say) propagate as they do through Jet
-# arithmetic.
+# (N, d) to the parts (value, grad, hess, third): value is (N,), or a
+# scalar for constant subexpressions, grad is (N, d), hess (N, d, d) and
+# third (N, d, d, d), each None when identically zero or beyond the
+# order.  Each instruction follows the Jet method it mirrors (division is
+# multiplication by the reciprocal, subtraction adds the negation, integer
+# powers square repeatedly, float powers and elementary functions go
+# through Python floats and the math module, and products and chain rules
+# add their terms in Jet's order), so a row agrees with eval_jet at that
+# point to the last bit.  Errors follow Jet's too: its domain errors
+# (division by zero, log or sqrt of a non-positive value, exp or power
+# overflow, sin or cos of an infinity) are raised at the first point where
+# they occur, and other non-finite values (an overflowing product, say)
+# propagate as they do through Jet arithmetic.
+
+MAX_BATCH_ORDER = 3
 
 
 def compile_batched(nodes):
     """Compile ASTs into ``fn(points, order=1)``.
 
-    ``points`` is an (N, d) array.  At order 1 the result is
-    ``(values, grads)``, with ``values`` (N, E) and ``grads`` (N, d, E)
-    the order-1 jets of the E expressions at every point; order 2 adds
-    ``hess`` (N, d, d, E).  A subexpression shared between or within the
-    expressions is evaluated once per call.  A domain error raises
-    :class:`EvalDomain` carrying the first point where it occurs.
+    ``points`` is an (N, d) array.  The result is the tuple of the first
+    order + 1 parts of the jets of the E expressions at every point:
+    ``values`` (N, E), then ``grads`` (N, d, E) from order 1, ``hess``
+    (N, d, d, E) from order 2 and ``third`` (N, d, d, d, E) at order 3.
+    A subexpression shared between or within the expressions is
+    evaluated once per call.  A domain error raises :class:`EvalDomain`
+    carrying the first point where it occurs.
     """
     program, slots = [], {}  # instructions (fn, argument slots, constants)
     dim_needed = 0
@@ -369,8 +374,9 @@ def compile_batched(nodes):
         if points.ndim != 2 or points.shape[1] < dim_needed:
             raise ContractViolation(
                 f"expressions need points of dimension {dim_needed}, got shape {points.shape}")
-        if order not in (1, 2):
-            raise ContractViolation(f"batched order must be 1 or 2, got {order}")
+        if not 0 <= order <= MAX_BATCH_ORDER:
+            raise ContractViolation(
+                f"batched order must be in 0..{MAX_BATCH_ORDER}, got {order}")
         regs = []
         with np.errstate(all="ignore"):
             for fn, args, consts in program:
@@ -399,7 +405,7 @@ def _domain(bad, points, message):
 
 
 def _scale(c, part):
-    """c times a grad or hess part, c a scalar or one value per row."""
+    """c times a derivative part, c a scalar or one value per row."""
     if part is None:
         return None
     return (c.reshape(c.shape + (1,) * (part.ndim - 1)) if _rows(c) else c) * part
@@ -419,22 +425,42 @@ def _outer(g1, g2):
     return g1[:, :, None] * g2[:, None, :]
 
 
-def _chain(order, a, c0, c1, c2):
-    """Compose with a scalar function of value c0 and derivatives c1, c2."""
-    _, grad, hess = a
+def _sym3(h, g):
+    """h[i, j] g[k] summed over the three placements of k, per row, as
+    Jet's ``_sym3``."""
+    if h is None or g is None:
+        return None
+    return (h[:, :, :, None] * g[:, None, None, :] + h[:, :, None, :] * g[:, None, :, None]
+            + h[:, None, :, :] * g[:, :, None, None])
+
+
+def _chain(order, a, c0, c1, c2, c3):
+    """Compose with a scalar function of value c0 and derivatives c1..c3;
+    a coefficient beyond the order is not read (pass None)."""
+    _, grad, hess, third = a
+    if order < 1:
+        return c0, None, None, None
     if order < 2:
-        return c0, _scale(c1, grad), None
-    return c0, _scale(c1, grad), _plus(_scale(c1, hess), _scale(c2, _outer(grad, grad)))
+        return c0, _scale(c1, grad), None, None
+    hess_out = _plus(_scale(c1, hess), _scale(c2, _outer(grad, grad)))
+    if order < 3:
+        return c0, _scale(c1, grad), hess_out, None
+    cube = None if grad is None else (
+        _scale(c3, grad)[:, :, None, None] * grad[:, None, :, None] * grad[:, None, None, :])
+    third_out = _plus(_plus(_scale(c1, third), _scale(c2, _sym3(hess, grad))), cube)
+    return c0, _scale(c1, grad), hess_out, third_out
 
 
 def _b_const(points, order, value):
-    return value, None, None
+    return value, None, None, None
 
 
 def _b_var(points, order, index):
+    if order < 1:
+        return points[:, index], None, None, None
     grad = np.zeros(points.shape)
     grad[:, index] = 1.0
-    return points[:, index], grad, None
+    return points[:, index], grad, None, None
 
 
 def _b_add(points, order, a, b):
@@ -446,27 +472,43 @@ def _b_neg(points, order, a):
 
 
 def _b_mul(points, order, a, b):
-    (av, ag, ah), (bv, bg, bh) = a, b
+    (av, ag, ah, at), (bv, bg, bh, bt) = a, b
     grad = _plus(_scale(av, bg), _scale(bv, ag))
     if order < 2:
-        return av * bv, grad, None
+        return av * bv, grad, None, None
     hess = _plus(_plus(_plus(_scale(av, bh), _scale(bv, ah)), _outer(ag, bg)), _outer(bg, ag))
-    return av * bv, grad, hess
+    if order < 3:
+        return av * bv, grad, hess, None
+    third = _plus(_plus(_plus(_scale(av, bt), _scale(bv, at)), _sym3(ah, bg)), _sym3(bh, ag))
+    return av * bv, grad, hess, third
 
 
-def _cube(value):
-    """value**3 with Python's float power, as Jet computes it; numpy's
-    vectorised power can differ from it in the last bit."""
-    if not _rows(value):
-        return value**3
-    return np.array([v**3 for v in value.tolist()]).reshape(value.shape)
+def _elementwise(fn, value, points):
+    """fn of each value as a Python float (math functions and float powers
+    round as Jet's do; numpy's vectorised ones can differ in the last
+    bit); an overflow is Jet's domain error, at its row's point."""
+    rows = value.tolist() if _rows(value) else [float(value)]
+    out = []
+    for row, v in enumerate(rows):
+        try:
+            out.append(fn(v))
+        except OverflowError as exc:
+            point = points[row] if _rows(value) else (points[0] if len(points) else None)
+            raise EvalDomain(f"floating-point error ({exc})", point) from None
+    return np.array(out).reshape(value.shape) if _rows(value) else np.float64(out[0])
+
+
+def _power(value, p, points):
+    return _elementwise(lambda v: v**p, value, points)
 
 
 def _b_reciprocal(points, order, a):
     value = a[0]
     _domain(value == 0.0, points, "division by zero")
-    c2 = 2.0 / _cube(value) if order > 1 else None
-    return _chain(order, a, 1.0 / value, -1.0 / value**2, c2)
+    c1 = -1.0 / _power(value, 2, points) if order > 0 else None
+    c2 = 2.0 / _power(value, 3, points) if order > 1 else None
+    c3 = -6.0 / _power(value, 4, points) if order > 2 else None
+    return _chain(order, a, 1.0 / value, c1, c2, c3)
 
 
 def _b_ipow(points, order, a, p):
@@ -476,7 +518,7 @@ def _b_ipow(points, order, a, p):
             result = base if result is None else _b_mul(points, order, result, base)
         base = _b_mul(points, order, base, base) if p > 1 else base
         p >>= 1
-    return (np.float64(1.0), None, None) if result is None else result
+    return (np.float64(1.0), None, None, None) if result is None else result
 
 
 def _b_call(points, order, a, func):
@@ -484,21 +526,23 @@ def _b_call(points, order, a, func):
     if func in ("log", "sqrt"):
         _domain(value <= 0.0, points, f"{func} of a non-positive value")
     if func == "exp":
-        e = np.exp(value)
         # math.exp raises where the result overflows
-        _domain(np.isinf(e) & np.isfinite(value), points,
+        _domain(np.isinf(np.exp(value)) & np.isfinite(value), points,
                 "floating-point error (math range error)")
-        return _chain(order, a, e, e, e)
+        e = _elementwise(math.exp, value, points)
+        return _chain(order, a, e, e, e, e)
     if func == "log":
-        return _chain(order, a, np.log(value), 1.0 / value, -1.0 / value**2)
+        c2 = -1.0 / _power(value, 2, points) if order > 1 else None
+        c3 = 2.0 / _power(value, 3, points) if order > 2 else None
+        return _chain(order, a, _elementwise(math.log, value, points), 1.0 / value, c2, c3)
     if func == "sqrt":
-        s = np.sqrt(value)
-        return _chain(order, a, s, 0.5 / s, -0.25 / (s * value))
+        s = _elementwise(math.sqrt, value, points)
+        return _chain(order, a, s, 0.5 / s, -0.25 / (s * value), 0.375 / (s * value * value))
     if func in ("sin", "cos"):
         # math.sin and math.cos raise on an infinite argument
         _domain(np.isinf(value), points, "floating-point error (math domain error)")
-        s, c = np.sin(value), np.cos(value)
-        return _chain(order, a, s, c, -s) if func == "sin" else _chain(order, a, c, -s, -c)
-    t = np.tanh(value)
+        s, c = _elementwise(math.sin, value, points), _elementwise(math.cos, value, points)
+        return _chain(order, a, s, c, -s, -c) if func == "sin" else _chain(order, a, c, -s, -c, s)
+    t = _elementwise(math.tanh, value, points)
     d = 1.0 - t * t
-    return _chain(order, a, t, d, -2.0 * t * d)
+    return _chain(order, a, t, d, -2.0 * t * d, d * (6.0 * t * t - 2.0))

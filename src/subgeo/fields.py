@@ -1,29 +1,31 @@
 """Charted manifolds and the scalar/metric/connection field layer.
 
-Every geometric quantity is a field evaluable as a jet at a point, so
-derived objects (inverse metrics, connection coefficients, projectors)
-stay differentiable to whatever order the leaf expressions support.
-Scalar, metric and connection fields also have one batched float entry,
-``batch(points, order)``, that evaluates at a whole (N, n) stack of points
-in one call: scalar fields and metrics give values with their first (and,
-at order 2, second) partials; connections give Gamma at order 0 and
-(Gamma, dGamma) at order 1.  Fields without a native batched form stack
-their per-point results.
+Every field evaluates one way: ``batch(points, order)`` at a whole (N, n)
+stack of points.  Order 0 gives the values; order k >= 1 gives the parts
+(values, first partials, ..., k-th partials), where part m carries m
+derivative axes right after the point axis: dg[p, a, i, j] = d_a g_ij,
+dGamma[p, a, k, i, j] = d_a Gamma^k_ij, and so on.  Expression fields
+compile once into a straight-line array program
+(:func:`exprlang.compile_batched`).  The order budget: scalar fields,
+metrics and expression connections reach order 3; Levi-Civita, alpha and
+sum connections reach 2, their partials from the metric's by the
+forward-mode rule d(A^-1 b) = A^-1 (db - dA A^-1 b) differentiated once
+more; dual connections reach 1.  Asking past a field's order raises
+:class:`ContractViolation`.  Nothing is cached per point.
 Finite-difference mode swaps the leaf evaluation for central differences
-while leaving all derived algebra untouched, giving an independent path
-through every check.
+(orders 0..2) while leaving all derived algebra untouched, giving an
+independent path through every check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprlang
 from .errors import ContractViolation
-from .jets import Jet
-from .linalg import jet_inverse, jet_solve, jet_values, solve_linear
+from .linalg import solve_linear
 
 FD_STEP_GRAD = 1e-6
 FD_STEP_HESS = 5e-4
@@ -49,34 +51,38 @@ class ChartedManifold:
         return tuple(0.5 * (lo + hi) for lo, hi in self.box)
 
 
+# -- evaluation -------------------------------------------------------
+
+
+def _evaluate(fld, points, order: int):
+    """``fld._batch`` at a stack of points, for the ``batch`` methods:
+    the values at order 0, else the tuple of parts up to ``order``."""
+    if not 0 <= order <= fld.max_order:
+        raise ContractViolation(f"batched order must be in 0..{fld.max_order}, got {order}")
+    parts = fld._batch(_as_points(points, fld.dim), order)
+    return parts[0] if order == 0 else parts
+
+
+def batch_parts(fld, points, order: int) -> tuple:
+    """The parts (values, first partials, ...) of a field up to ``order``,
+    a tuple also at order 0."""
+    out = fld.batch(points, order)
+    return (out,) if order == 0 else out
+
+
 # -- scalar fields ----------------------------------------------------
 
 
 class ScalarField:
-    """Anything evaluable as a jet; subclasses set ``dim`` and ``_jets``."""
+    """A scalar field on a chart; subclasses set ``dim`` and ``_batch``."""
 
     dim: int
-
-    def jets(self, point, order: int) -> Jet:
-        point = tuple(float(x) for x in point)
-        if len(point) != self.dim:
-            raise ContractViolation(f"point has {len(point)} coordinates, field needs {self.dim}")
-        return self._jets(point, order)
-
-    def value(self, point) -> float:
-        return self.jets(point, 0).value
+    max_order = 3
 
     def batch(self, points, order: int = 1):
-        """(value (N,), grad (N, dim)) at a stack of points (N, dim);
-        order 2 adds hess (N, dim, dim)."""
-        return self._batch(_as_points(points, self.dim), order)
-
-    def _batch(self, points, order):
-        jets = [self._jets(tuple(p), order) for p in points.tolist()]
-        parts = (_stack([j.value for j in jets], ()), _stack([j.grad for j in jets], (self.dim,)))
-        if order > 1:
-            parts += (_stack([j.hess for j in jets], (self.dim, self.dim)),)
-        return parts
+        """The field at a stack of points (N, dim): values (N,) at order 0,
+        else (value, grad (N, dim), hess (N, dim, dim), third) up to order."""
+        return _evaluate(self, points, order)
 
 
 class ExprField(ScalarField):
@@ -89,9 +95,6 @@ class ExprField(ScalarField):
     def parse(cls, text: str, dim: int, bundle: bool = False) -> "ExprField":
         return cls(exprlang.parse(text, dim, bundle=bundle), dim)
 
-    def _jets(self, point, order):
-        return exprlang.eval_jet(self.ast, point, order)
-
     def _batch(self, points, order):
         if self._compiled is None:
             self._compiled = exprlang.compile_batched([self.ast])
@@ -101,84 +104,94 @@ class ExprField(ScalarField):
         return f"ExprField({exprlang.to_text(self.ast)!r})"
 
 
-class FuncField(ScalarField):
-    """Derived scalar field from a closure ``fn(point, order) -> Jet``."""
-
-    def __init__(self, dim: int, fn, name: str = "derived"):
-        self.dim = dim
-        self._fn = fn
-        self.name = name
-        self._cache = {}
-
-    def _jets(self, point, order):
-        key = (point, order)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self._fn(point, order)
-        return hit
-
-    def __repr__(self):
-        return f"FuncField({self.name})"
-
-
 class ConstField(ScalarField):
     def __init__(self, value: float, dim: int):
         self.dim = dim
         self._value = float(value)
 
-    def _jets(self, point, order):
-        return Jet.constant(self._value, self.dim, order)
-
     def _batch(self, points, order):
-        parts = (np.full(len(points), self._value), np.zeros(points.shape))
-        if order > 1:
-            parts += (np.zeros(points.shape + (self.dim,)),)
-        return parts
+        return (np.full(len(points), self._value),) + tuple(
+            np.zeros(points.shape + (self.dim,) * k) for k in range(order))
 
 
 class FDField(ScalarField):
-    """Central-difference wrapper around another field's values.
+    """Central differences of another field's values, orders 0..2; the
+    step scales with the coordinate size.
 
-    Supports jet orders 0..2; the step scales with the coordinate size.
+    All stencil nodes of all points are evaluated in one order-0 call of
+    the inner field.
     """
 
     def __init__(self, inner: ScalarField):
         self.inner = inner
         self.dim = inner.dim
 
-    def _jets(self, point, order):
+    def _batch(self, points, order):
         if order > 2:
             raise ContractViolation(
                 "finite-difference mode provides derivatives up to order 2"
             )
-        f = self.inner.value
         n = self.dim
-        val = f(point)
-        grad = hess = None
+        h_grad = FD_STEP_GRAD * (1.0 + np.abs(points))
+        h_hess = FD_STEP_HESS * (1.0 + np.abs(points))
+        nodes = [points]
+
+        def node(*shifts):
+            """Index of the stencil node at points shifted by (i, step) pairs."""
+            out = points.copy()
+            for i, step in shifts:
+                out[:, i] += step
+            nodes.append(out)
+            return len(nodes) - 1
+
+        grad_nodes = [(node((i, h_grad[:, i])), node((i, -h_grad[:, i])))
+                      for i in range(n if order >= 1 else 0)]
+        hess_nodes = {}
+        for i in range(n if order >= 2 else 0):
+            hi = h_hess[:, i]
+            hess_nodes[i, i] = (node((i, hi)), node((i, -hi)))
+            for j in range(i + 1, n):
+                hj = h_hess[:, j]
+                hess_nodes[i, j] = (node((i, hi), (j, hj)), node((i, hi), (j, -hj)),
+                                    node((i, -hi), (j, hj)), node((i, -hi), (j, -hj)))
+        f = self.inner.batch(np.concatenate(nodes), 0).reshape(len(nodes), len(points))
+        val = f[0]
+        out = (val,)
         if order >= 1:
-            grad = np.empty(n)
-            for i in range(n):
-                h = FD_STEP_GRAD * (1.0 + abs(point[i]))
-                grad[i] = (f(_shift(point, i, h)) - f(_shift(point, i, -h))) / (2.0 * h)
+            grad = np.empty(points.shape)
+            for i, (plus, minus) in enumerate(grad_nodes):
+                grad[:, i] = (f[plus] - f[minus]) / (2.0 * h_grad[:, i])
+            out += (grad,)
         if order >= 2:
-            hess = np.empty((n, n))
-            steps = [FD_STEP_HESS * (1.0 + abs(point[i])) for i in range(n)]
-            for i in range(n):
-                hi = steps[i]
-                hess[i, i] = (f(_shift(point, i, hi)) - 2.0 * val + f(_shift(point, i, -hi))) / hi**2
-                for j in range(i + 1, n):
-                    hj = steps[j]
-                    pp = f(_shift(_shift(point, i, hi), j, hj))
-                    pm = f(_shift(_shift(point, i, hi), j, -hj))
-                    mp = f(_shift(_shift(point, i, -hi), j, hj))
-                    mm = f(_shift(_shift(point, i, -hi), j, -hj))
-                    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * hi * hj)
-        return Jet(n, order, val, grad, hess, None)
+            hess = np.empty(points.shape + (n,))
+            squares = np.array([h**2 for h in h_hess.ravel().tolist()]).reshape(h_hess.shape)
+            for (i, j), k in hess_nodes.items():
+                if i == j:
+                    hess[:, i, i] = (f[k[0]] - 2.0 * val + f[k[1]]) / squares[:, i]
+                else:
+                    step = 4.0 * h_hess[:, i] * h_hess[:, j]
+                    hess[:, i, j] = hess[:, j, i] = (f[k[0]] - f[k[1]] - f[k[2]] + f[k[3]]) / step
+            out += (hess,)
+        return out
+
+
+class _Entry(ScalarField):
+    """Entry ``index`` of a metric or connection as a scalar field, read
+    from its parent's batch."""
+
+    def __init__(self, parent, index):
+        self.parent = parent
+        self.index = tuple(index)
+        self.dim = parent.dim
+
+    def _batch(self, points, order):
+        return tuple(part[(Ellipsis,) + self.index]
+                     for part in batch_parts(self.parent, points, order))
 
 
 class _FieldStack:
-    """Order-1 values of several scalar fields on one chart, evaluated
-    together at a stack of points.
+    """Several scalar fields on one chart, evaluated together at a stack
+    of points.
 
     When every field is an expression or a constant, their ASTs compile on
     first use into one program that evaluates each distinct subexpression
@@ -192,24 +205,19 @@ class _FieldStack:
         self._compiled = None
 
     def __call__(self, points, order: int = 1):
-        """(values (N, E), grads (N, dim, E)) for the E fields; order 2
-        adds hess (N, dim, dim, E)."""
+        """The parts up to ``order`` for the E fields: values (N, E), grads
+        (N, dim, E), hess (N, dim, dim, E), third (N, dim, dim, dim, E)."""
         points = _as_points(points, self.dim)
         if None in self._asts:
-            parts = [f.batch(points, order) for f in self.fields]
-            return tuple(np.stack(part, axis=-1) for part in zip(*parts))
+            rows = [batch_parts(f, points, order) for f in self.fields]
+            return tuple(np.stack(part, axis=-1) for part in zip(*rows))
         if self._compiled is None:
             self._compiled = exprlang.compile_batched(self._asts)
         return self._compiled(points, order)
 
     def values(self, points) -> np.ndarray:
-        """Values (N, E) alone; fields that are neither expressions nor
-        constants (finite differences, derived fields) skip their gradients."""
-        if None not in self._asts:
-            return self(points)[0]
-        points = _as_points(points, self.dim)
-        return _stack([[f.value(p) for f in self.fields] for p in points.tolist()],
-                      (len(self.fields),))
+        """Values (N, E) alone."""
+        return self(points, 0)[0]
 
 
 def _leaf_ast(fld):
@@ -235,17 +243,6 @@ def _upper_slots(dim: int) -> np.ndarray:
                      for i in range(dim)])
 
 
-def _stack(rows, shape) -> np.ndarray:
-    """Per-point results as one array (N, *shape), also for N = 0."""
-    return np.array(rows, dtype=float).reshape((len(rows),) + shape)
-
-
-def _shift(point, i, h):
-    out = list(point)
-    out[i] += h
-    return tuple(out)
-
-
 def make_scalar(source, dim: int, mode: str = "jet", bundle: bool = False) -> ScalarField:
     """Build a leaf field from text/AST/number, honouring the derivative mode."""
     if isinstance(source, ScalarField):
@@ -263,6 +260,9 @@ def make_scalar(source, dim: int, mode: str = "jet", bundle: bool = False) -> Sc
 class MetricField:
     """Symmetric (0,2) field; only entries with i <= j are stored."""
 
+    label = "g"
+    max_order = 3
+
     def __init__(self, dim: int, entries):
         self.dim = dim
         self._entries = {}
@@ -274,8 +274,6 @@ class MetricField:
                 self._entries[(i, j)] = e
         self._stack = _FieldStack(self._entries.values(), dim)
         self._slots = _upper_slots(dim)  # stack position of entry (i, j)
-        self._jet_cache = {}
-        self._inv_cache = {}
 
     @classmethod
     def from_exprs(cls, rows, dim: int, mode: str = "jet", bundle: bool = False) -> "MetricField":
@@ -289,99 +287,18 @@ class MetricField:
         return self._entries[(i, j) if i <= j else (j, i)]
 
     def entry_fields(self):
-        """(label, field) pairs for derivative cross-checks."""
-        return [(f"g_{i + 1}{j + 1}", e) for (i, j), e in sorted(self._entries.items())]
-
-    def matrix_jets(self, point, order: int):
-        point = tuple(float(x) for x in point)
-        key = (point, order)
-        hit = self._jet_cache.get(key)
-        if hit is None:
-            n = self.dim
-            hit = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    jet = self.entry(i, j).jets(point, order)
-                    hit[i][j] = jet
-                    hit[j][i] = jet
-            self._jet_cache[key] = hit
-        return hit
-
-    def values(self, point) -> np.ndarray:
-        return jet_values(self.matrix_jets(point, 0))
-
-    def inverse_jets(self, point, order: int):
-        point = tuple(float(x) for x in point)
-        key = (point, order)
-        hit = self._inv_cache.get(key)
-        if hit is None:
-            hit = self._inv_cache[key] = jet_inverse(self.matrix_jets(point, order))
-        return hit
-
-    def partial_values(self, point):
-        """(g, dg) with dg[i, j, k] the i-th partial of g_jk."""
-        jets = self.matrix_jets(point, 1)
-        n = self.dim
-        g = jet_values(jets)
-        dg = np.empty((n, n, n))
-        for j in range(n):
-            for k in range(j, n):
-                dg[:, j, k] = jets[j][k].grad
-                dg[:, k, j] = dg[:, j, k]
-        return g, dg
+        """(label, field) pairs of the upper entries, for derivative cross-checks."""
+        return [(f"{self.label}_{i + 1}{j + 1}", self.entry(i, j))
+                for i in range(self.dim) for j in range(i, self.dim)]
 
     def batch(self, points, order: int = 1):
-        """(g (N, n, n), dg (N, n, n, n)) at a stack of points, with
-        dg[p, i, j, k] the i-th partial of g_jk at point p; order 2 adds
-        d2g (N, n, n, n, n), d2g[p, a, i, j, k] = d_a d_i g_jk."""
-        _check_order(order, (1, 2))
+        """g (N, n, n) at a stack of points at order 0; else (g, dg, d2g,
+        d3g) up to ``order``, dg[p, i, j, k] the i-th partial of g_jk at
+        point p, d2g[p, a, i, j, k] = d_a d_i g_jk, and so on."""
+        return _evaluate(self, points, order)
+
+    def _batch(self, points, order):
         return tuple(part[..., self._slots] for part in self._stack(points, order))
-
-
-class DerivedMetric(MetricField):
-    """Metric whose full jet matrix is produced by a closure."""
-
-    def __init__(self, dim: int, matrix_fn, label: str = "derived"):
-        self.dim = dim
-        self._matrix_fn = matrix_fn
-        self.label = label
-        self._slots = _upper_slots(dim)
-        self._jet_cache = {}
-        self._inv_cache = {}
-
-    def entry(self, i, j):
-        return FuncField(
-            self.dim,
-            lambda point, order, i=i, j=j: self.matrix_jets(point, order)[i][j],
-            name=f"{self.label}_{i + 1}{j + 1}",
-        )
-
-    def entry_fields(self):
-        return [
-            (f"{self.label}_{i + 1}{j + 1}", self.entry(i, j))
-            for i in range(self.dim)
-            for j in range(i, self.dim)
-        ]
-
-    def matrix_jets(self, point, order: int):
-        point = tuple(float(x) for x in point)
-        key = (point, order)
-        hit = self._jet_cache.get(key)
-        if hit is None:
-            hit = self._jet_cache[key] = self._matrix_fn(point, order)
-        return hit
-
-    def batch(self, points, order: int = 1):
-        _check_order(order, (1, 2))
-        n = self.dim
-        mats = [self.matrix_jets(p, order) for p in _as_points(points, n).tolist()]
-        parts = (_stack([[[e.value for e in row] for row in m] for m in mats], (n, n)),)
-        upper = [(i, j) for i in range(n) for j in range(i, n)]
-        for k, attr in enumerate(("grad", "hess")[:order], 1):
-            tri = _stack([[getattr(m[i][j], attr) for i, j in upper] for m in mats],
-                         (len(upper),) + (n,) * k)
-            parts += (np.moveaxis(tri, 1, -1)[..., self._slots],)
-        return parts
 
 
 # -- connection fields ------------------------------------------------
@@ -391,138 +308,68 @@ class ConnectionField:
     """Coefficients Gamma^k_ij with the derivative direction in slot i."""
 
     dim: int
-
-    def __init__(self):
-        self._coeff_cache = {}
-
-    def coeff_jets(self, point, order: int):
-        point = tuple(float(x) for x in point)
-        key = (point, order)
-        hit = self._coeff_cache.get(key)
-        if hit is None:
-            hit = self._coeff_cache[key] = self._coeffs(point, order)
-        return hit
-
-    def values(self, point) -> np.ndarray:
-        return jet_values(self.coeff_jets(point, 0))
+    max_order = 2
 
     def batch(self, points, order: int = 0):
         """Gamma[p, k, i, j] at a stack of points (N, dim); order 1 gives
-        (Gamma, dGamma) with dGamma[p, a, k, i, j] = d_a Gamma^k_ij."""
-        _check_order(order, (0, 1))
-        return self._batch(_as_points(points, self.dim), order)
-
-    def _batch(self, points, order):
-        n = self.dim
-        gamma = _stack([self.values(p) for p in points], (n, n, n))
-        if order == 0:
-            return gamma
-        return gamma, _stack([self.d_values(p) for p in points], (n, n, n, n))
-
-    def d_values(self, point) -> np.ndarray:
-        """dG[l, k, i, j] = l-th partial of Gamma^k_ij."""
-        jets = self.coeff_jets(point, 1)
-        n = self.dim
-        out = np.empty((n, n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[:, k, i, j] = jets[k][i][j].grad
-        return out
+        (Gamma, dGamma) with dGamma[p, a, k, i, j] = d_a Gamma^k_ij, order
+        2 adds d2Gamma[p, a, b, k, i, j] = d_a d_b Gamma^k_ij."""
+        return _evaluate(self, points, order)
 
     def entry_fields(self):
-        out = []
-        for k in range(self.dim):
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    out.append(
-                        (
-                            f"Gamma^{k + 1}_{i + 1}{j + 1}",
-                            FuncField(
-                                self.dim,
-                                lambda point, order, k=k, i=i, j=j: self.coeff_jets(point, order)[k][i][j],
-                                name=f"Gamma^{k + 1}_{i + 1}{j + 1}",
-                            ),
-                        )
-                    )
-        return out
+        """(label, field) pairs of every coefficient, for derivative cross-checks."""
+        n = self.dim
+        return [(f"Gamma^{k + 1}_{i + 1}{j + 1}", _Entry(self, (k, i, j)))
+                for k in range(n) for i in range(n) for j in range(n)]
 
 
 class ExprConnection(ConnectionField):
+    max_order = 3
+
     def __init__(self, dim: int, coeff_sources, mode: str = "jet", bundle: bool = False):
-        super().__init__()
         self.dim = dim
-        self._fields = [
+        fields = [
             [
                 [make_scalar(coeff_sources[k][i][j], dim, mode, bundle) for j in range(dim)]
                 for i in range(dim)
             ]
             for k in range(dim)
         ]
-        self._stack = _coefficient_stack(self._fields, dim)
+        self._stack = _coefficient_stack(fields, dim)
 
     @classmethod
     def zero(cls, dim: int) -> "ExprConnection":
         rows = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
         return cls(dim, rows)
 
-    def _coeffs(self, point, order):
-        return [
-            [[self._fields[k][i][j].jets(point, order) for j in range(self.dim)] for i in range(self.dim)]
-            for k in range(self.dim)
-        ]
-
     def _batch(self, points, order):
-        return _coefficient_values(self._stack, points, order)
+        return _coefficient_parts(self._stack, points, order)
 
 
 class LeviCivitaConnection(ConnectionField):
     """Metric connection solved from the standard first-derivative formula."""
 
     def __init__(self, metric: MetricField):
-        super().__init__()
         self.metric = metric
         self.dim = metric.dim
 
-    def _coeffs(self, point, order):
-        n = self.dim
-        g = self.metric.matrix_jets(point, order + 1)
-        dg = [[[g[j][k].dvar(i) for k in range(n)] for j in range(n)] for i in range(n)]
-        ginv = self.metric.inverse_jets(point, order)
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                w = [dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in range(n)]
-                for k in range(n):
-                    acc = ginv[k][0] * w[0]
-                    for l in range(1, n):
-                        acc = acc + ginv[k][l] * w[l]
-                    half = acc * 0.5
-                    out[k][i][j] = half
-                    out[k][j][i] = half
-        return out
-
-    def values(self, point) -> np.ndarray:
-        g, dg = self.metric.partial_values(point)
-        return _levi_civita(g[None], dg[None])[0]
-
     def _batch(self, points, order):
-        return _levi_civita(*self.metric.batch(points, order + 1))
+        return _levi_civita(*batch_parts(self.metric, points, order + 1))
 
 
-def _levi_civita(g, dg, d2g=None):
-    """Christoffels Gamma[p, k, i, j] from metric values g (N, n, n) and
-    partials dg (N, n, n, n), dg[p, i, j, k] the i-th partial of g_jk.
+def _levi_civita(g, dg, *higher):
+    """Christoffel parts (Gamma, dGamma, d2Gamma), as many as the metric
+    parts allow, from g (N, n, n), dg (N, n, n, n) with dg[p, i, j, k]
+    the i-th partial of g_jk, and its higher partials (d2g[p, a, i, j, k]
+    = d_a d_i g_jk, ...).
 
-    With second partials d2g (N, n, n, n, n), d2g[p, a, i, j, k] =
-    d_a d_i g_jk, returns (Gamma, dGamma): Gamma = 1/2 g^-1 w with w the
-    Koszul combination of dg, so dGamma = 1/2 (d(g^-1) w + g^-1 dw) with
-    d(g^-1) = -g^-1 dg g^-1, that is g^-1 (1/2 dw - dg Gamma).
+    Gamma = 1/2 g^-1 w with w the Koszul combination of dg, so its
+    partials are those of a solution (:func:`_solution_parts`); dGamma =
+    1/2 (d(g^-1) w + g^-1 dw) with d(g^-1) = -g^-1 dg g^-1, that is
+    g^-1 (1/2 dw - dg Gamma).
     """
     gamma = 0.5 * _solve(g, _koszul(dg))
-    if d2g is None:
-        return gamma
-    return gamma, _solution_partials(g, dg, gamma, 0.5 * _koszul(d2g))
+    return _solution_parts(g, (dg,) + higher, gamma, [0.5 * _koszul(d) for d in higher])
 
 
 def _koszul(dg) -> np.ndarray:
@@ -545,57 +392,48 @@ def _inverse(a) -> np.ndarray:
     return solve_linear(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape))
 
 
-def _solution_partials(g, dg, x, d_rhs) -> np.ndarray:
-    """Partials of the solution x = g^-1 b (N, n, ...) from those of b,
-    d_rhs[p, a] = d_a b: d_a x = g^-1 (d_a b - d_a g x), the forward-mode
-    rule d(A^-1 b) = A^-1 (db - dA A^-1 b).  dg[p, a] = d_a g; the result
-    has the derivative axis second, like d_rhs."""
+def _solution_parts(g, dg_parts, x, rhs_parts) -> tuple:
+    """Parts (x, dx, d2x) of the solution x = g^-1 b (N, n, ...), one more
+    than ``rhs_parts``, the partials (db, d2b) of b, holds.
+
+    ``dg_parts`` = (dg, d2g) are the partials of g.  A derivative axis
+    follows the point axis, as in dg.  The forward-mode rule d(A^-1 b) =
+    A^-1 (db - dA A^-1 b) gives d_a x = g^-1 (d_a b - d_a g x), and once
+    more d_a d_b x = g^-1 (d_a d_b b - d_a d_b g x - d_a g d_b x -
+    d_b g d_a x).
+    """
+    if not rhs_parts:
+        return (x,)
     npts, n = x.shape[0], x.shape[1]
+    dg, d_rhs = dg_parts[0], rhs_parts[0]
     flat = x.reshape(npts, 1, n, -1)
     t = d_rhs.reshape(npts, -1, n, flat.shape[-1]) - dg @ flat
-    dx = _solve(g, np.swapaxes(t, 1, 2))
-    return np.swapaxes(dx, 1, 2).reshape(d_rhs.shape)
+    dx = np.swapaxes(_solve(g, np.swapaxes(t, 1, 2)), 1, 2)          # (N, a, n, m)
+    if len(rhs_parts) == 1:
+        return x, dx.reshape(d_rhs.shape)
+    d2g, d2_rhs = dg_parts[1], rhs_parts[1]
+    dim = dg.shape[1]
+    cross = dg[:, :, None] @ dx[:, None]                              # [p, a, b] = d_a g d_b x
+    t2 = (d2_rhs.reshape(npts, dim, dim, n, -1) - d2g @ flat[:, None]
+          - cross - np.swapaxes(cross, 1, 2))
+    d2x = _solve(g, t2.transpose(0, 3, 1, 2, 4)).transpose(0, 2, 3, 1, 4)
+    return x, dx.reshape(d_rhs.shape), d2x.reshape(d2_rhs.shape)
 
 
 class DualConnection(ConnectionField):
     """Connection solved from the metric duality relation."""
 
+    max_order = 1
+
     def __init__(self, conn: ConnectionField, metric: MetricField):
-        super().__init__()
         self.base = conn
         self.metric = metric
         self.dim = conn.dim
 
-    def _coeffs(self, point, order):
-        n = self.dim
-        g = self.metric.matrix_jets(point, order + 1)
-        gamma = self.base.coeff_jets(point, order)
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            # rhs[j][k] = d_i g_jk - sum_l Gamma^l_ij g_lk
-            rhs = [[None] * n for _ in range(n)]
-            for j in range(n):
-                for k in range(n):
-                    acc = g[j][k].dvar(i)
-                    for l in range(n):
-                        acc = acc - gamma[l][i][j] * _drop(g[l][k], order)
-                    rhs[j][k] = acc
-            mat = [[_drop(g[a][b], order) for b in range(n)] for a in range(n)]
-            sol = jet_solve(mat, rhs)  # sol[l][k] = dual Gamma^l_ik
-            for l in range(n):
-                for k in range(n):
-                    out[l][i][k] = sol[l][k]
-        return out
-
-    def values(self, point) -> np.ndarray:
-        g, dg = self.metric.partial_values(point)
-        return _dual(g[None], dg[None], self.base.values(point)[None])[0]
-
     def _batch(self, points, order):
-        if order == 0:
-            return _dual(*self.metric.batch(points), self.base.batch(points))
-        g, dg, d2g = self.metric.batch(points, 2)
-        return _dual(g, dg, *self.base.batch(points, 1), d2g)
+        g_parts = batch_parts(self.metric, points, order + 1)
+        out = _dual(*g_parts[:2], *batch_parts(self.base, points, order), *g_parts[2:])
+        return (out,) if order == 0 else out
 
 
 def _dual(g, dg, gamma, dgamma=None, d2g=None):
@@ -605,7 +443,7 @@ def _dual(g, dg, gamma, dgamma=None, d2g=None):
 
     With the partials dgamma (N, n, n, n, n) of gamma and d2g of g (laid
     out as in :func:`_levi_civita`), returns (dual, d dual), the partials
-    of the solved system by :func:`_solution_partials`.
+    of the solved system by :func:`_solution_parts`.
     """
     # rhs[p, j, i, k] = d_i g_jk - sum_l Gamma^l_ij g_lk
     rhs = np.transpose(dg, (0, 2, 1, 3)) - np.einsum("plij,plk->pjik", gamma, g)
@@ -615,23 +453,7 @@ def _dual(g, dg, gamma, dgamma=None, d2g=None):
     # d_a rhs[p, a, j, i, k]
     d_rhs = (np.transpose(d2g, (0, 1, 3, 2, 4)) - np.einsum("palij,plk->pajik", dgamma, g)
              - np.einsum("plij,palk->pajik", gamma, dg))
-    return dual, _solution_partials(g, dg, dual, d_rhs)
-
-
-def _drop(jet: Jet, order: int) -> Jet:
-    """Truncate a jet to a lower order (same point)."""
-    if jet.order == order:
-        return jet
-    if jet.order < order:
-        raise ContractViolation("cannot raise jet order by truncation")
-    return Jet(
-        jet.dim,
-        order,
-        jet.value,
-        jet.grad if order >= 1 else None,
-        jet.hess if order >= 2 else None,
-        jet.third if order >= 3 else None,
-    )
+    return _solution_parts(g, (dg,), dual, (d_rhs,))
 
 
 class AlphaConnection(ConnectionField):
@@ -639,68 +461,34 @@ class AlphaConnection(ConnectionField):
     cubic tensor supplied as scalar fields."""
 
     def __init__(self, metric: MetricField, cubic_fields, alpha: float):
-        super().__init__()
         self.metric = metric
         self.dim = metric.dim
         self.alpha = float(alpha)
-        self._cubic = cubic_fields  # [l][i][j] scalar fields, symmetric
-        self._cubic_stack = _coefficient_stack(cubic_fields, self.dim)
-        self._lc = LeviCivitaConnection(metric)
-
-    def _coeffs(self, point, order):
-        n = self.dim
-        lc = self._lc.coeff_jets(point, order)
-        if self.alpha == 0.0:
-            return lc
-        ginv = self.metric.inverse_jets(point, order)
-        c = [[[self._cubic[l][i][j].jets(point, order) for j in range(n)] for i in range(n)] for l in range(n)]
-        out = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = ginv[k][0] * c[0][i][j]
-                    for l in range(1, n):
-                        acc = acc + ginv[k][l] * c[l][i][j]
-                    out[k][i][j] = lc[k][i][j] - acc * (0.5 * self.alpha)
-        return out
+        self._cubic_stack = _coefficient_stack(cubic_fields, self.dim)  # [l][i][j], symmetric
 
     def _batch(self, points, order):
-        parts = self.metric.batch(points, order + 1)
-        lc = _levi_civita(*parts)
+        g_parts = batch_parts(self.metric, points, order + 1)
+        lc = _levi_civita(*g_parts)
         if self.alpha == 0.0:
             return lc
-        g, dg = parts[0], parts[1]
-        ginv = _inverse(g)
-        c = _coefficient_values(self._cubic_stack, points, order)
-        if order == 0:
-            return lc - np.einsum("pkl,plij->pkij", ginv, c) * (0.5 * self.alpha)
-        raised = np.einsum("pkl,plij->pkij", ginv, c[0])
-        d_raised = _solution_partials(g, dg, raised, c[1])
-        return lc[0] - raised * (0.5 * self.alpha), lc[1] - d_raised * (0.5 * self.alpha)
+        c = _coefficient_parts(self._cubic_stack, points, order)
+        raised = np.einsum("pkl,plij->pkij", _inverse(g_parts[0]), c[0])
+        raised = _solution_parts(g_parts[0], g_parts[1:], raised, c[1:])
+        return tuple(a - b * (0.5 * self.alpha) for a, b in zip(lc, raised))
 
 
 class SumConnection(ConnectionField):
     """Coefficient-wise sum, used for perturbed fixtures."""
 
     def __init__(self, base: ConnectionField, delta: ConnectionField):
-        super().__init__()
         if base.dim != delta.dim:
             raise ContractViolation("connection dimension mismatch")
         self.parts = (base, delta)
         self.dim = base.dim
 
-    def _coeffs(self, point, order):
-        n = self.dim
-        a = self.parts[0].coeff_jets(point, order)
-        b = self.parts[1].coeff_jets(point, order)
-        return [
-            [[a[k][i][j] + b[k][i][j] for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-
     def _batch(self, points, order):
-        a, b = (part.batch(points, order) for part in self.parts)
-        return a + b if order == 0 else (a[0] + b[0], a[1] + b[1])
+        a, b = (batch_parts(part, points, order) for part in self.parts)
+        return tuple(x + y for x, y in zip(a, b))
 
 
 def _coefficient_stack(fields, dim: int) -> _FieldStack:
@@ -708,20 +496,11 @@ def _coefficient_stack(fields, dim: int) -> _FieldStack:
     return _FieldStack([f for mid in fields for row in mid for f in row], dim)
 
 
-def _coefficient_values(stack: _FieldStack, points, order: int = 0):
-    """Values [p, k, i, j] of a stack made by _coefficient_stack; order 1
-    gives (values, partials [p, a, k, i, j])."""
+def _coefficient_parts(stack: _FieldStack, points, order: int) -> tuple:
+    """Parts [p, (a, ...), k, i, j] up to ``order`` of a stack made by
+    :func:`_coefficient_stack`."""
     n = stack.dim
-    if order == 0:
-        values = stack.values(points)
-        return values.reshape(len(values), n, n, n)
-    values, grads = stack(points)
-    return values.reshape(len(values), n, n, n), grads.reshape(len(values), n, n, n, n)
-
-
-def _check_order(order: int, allowed) -> None:
-    if order not in allowed:
-        raise ContractViolation(f"batched order must be one of {allowed}, got {order}")
+    return tuple(part.reshape(part.shape[:-1] + (n, n, n)) for part in stack(points, order))
 
 
 # -- aggregates -------------------------------------------------------

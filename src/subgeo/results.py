@@ -193,7 +193,7 @@ def sweep_rows(points, dim: int, residuals_at, keys=()) -> Sweep:
 
 def sweep(items, residual_at, keys=()) -> Sweep:
     """:func:`fold` of ``residual_at(item)`` over items that are not batch
-    rows: curves, probes, fibers, points of the per-point bundle oracles.
+    rows: curves, derivative probes and fibers.
 
     ``residual_at`` returns a float or a dict of named residuals.  A
     :class:`SubgeoError` makes the item an incident; any other exception

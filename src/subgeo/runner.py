@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, geodesics, geometry, submersion, tangent_bundle
 from .builtins import Scenario
 from .config import SuiteConfig, build_scenario
-from .errors import SubgeoError
+from .errors import ContractViolation, SubgeoError
 from .fields import FDField
 from .results import INCONCLUSIVE, PASS, CheckResult, peak, sweep
 from .sampling import sample_box, subseed
@@ -110,23 +110,23 @@ def _constant_curvature(scenario, ctx, name, tol):
 
 
 def _probe_field(fld, p) -> float:
-    """Relative jet-vs-stencil disagreement; hessian level when reachable.
+    """Relative batch-vs-stencil disagreement; hessian level when reachable.
 
-    Derived fields on a bundle chart can exhaust the jet order budget at
-    hessian depth; those fall back to a gradient-level probe.
+    Fields that differentiate their base data (the lifted connections on
+    a bundle chart) can exhaust their order budget at hessian depth;
+    those fall back to a gradient-level probe.
     """
-    from .errors import ContractViolation
-
+    x = np.asarray([p], dtype=float)
     order = 2
     try:
-        jet = fld.jets(p, order)
+        parts = fld.batch(x, order)
     except ContractViolation:
         order = 1
-        jet = fld.jets(p, order)
-    ref = FDField(fld).jets(p, order)
-    r = float(np.max(np.abs(jet.grad - ref.grad) / (1.0 + np.abs(ref.grad))))
+        parts = fld.batch(x, order)
+    ref = FDField(fld).batch(x, order)
+    r = float(np.max(np.abs(parts[1] - ref[1]) / (1.0 + np.abs(ref[1]))))
     if order == 2:
-        dh = float(np.max(np.abs(jet.hess - ref.hess) / (1.0 + np.abs(ref.hess))))
+        dh = float(np.max(np.abs(parts[2] - ref[2]) / (1.0 + np.abs(ref[2]))))
         r = peak((r, dh))
     return r
 

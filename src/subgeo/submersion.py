@@ -35,7 +35,7 @@ import scipy.linalg
 from . import geometry
 from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
 from .fields import ScalarField, Space, _dual, _FieldStack, _inverse
-from .linalg import jet_values, solve_linear
+from .linalg import solve_linear
 from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree,
                       build_rows, fold, peak, sweep)
 
@@ -78,14 +78,11 @@ class SubmersionSetup:
     # -- projection differentials ---------------------------------------
 
     def base_point(self, p) -> tuple:
-        return tuple(f.value(p) for f in self.pi)
-
-    def dpi_jets(self, p, order: int):
-        comp = [f.jets(p, order + 1) for f in self.pi]
-        return [[comp[a].dvar(i) for i in range(self.n)] for a in range(self.m)]
+        return tuple(self._pi_stack.values([p])[0].tolist())
 
     def dpi_values(self, p) -> np.ndarray:
-        return jet_values(self.dpi_jets(p, 0))
+        """dpi[a, i] = d_i pi_a at the point p."""
+        return self._pi_stack([p], 1)[1][0].T
 
     def pivot_pattern(self):
         """(pivot_cols, free_cols) chosen once at the box center."""
@@ -221,7 +218,7 @@ class SubmersionSetup:
         b = np.asarray(b, dtype=float)
         x = list(x)
         for _ in range(NEWTON_MAX_ITER):
-            res = np.array([f.value(x) for f in self.pi]) - b
+            res = self._pi_stack.values([x])[0] - b
             if np.max(np.abs(res)) <= NEWTON_TOL:
                 return tuple(x)
             jac = self.dpi_values(x)[:, list(piv)]

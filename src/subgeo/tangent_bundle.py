@@ -6,6 +6,18 @@ vertical and horizontal lifts of base fields); the coordinate blocks
 used here are derived from those rules and then machine-validated by
 ``defining_rule_residuals``, which is the oracle for every block.
 
+Every lift is an array formula over a stack of bundle points (Yano &
+Ishihara, *Tangent and Cotangent Bundles*, 1973), built from the base
+batches (g, dg, ...) and (Gamma, dGamma, ...) at the projected points.
+The formulas are polynomial in u, so their partials on the bundle chart
+follow from the base partials by the product rule: each quantity is
+carried as its parts (value, d, d2, ...), part m with m derivative axes
+after the point axis, and :func:`_product` multiplies parts, so each lift
+is written once for every order.  A lift reaches the order of its base
+data, one less where it differentiates them (the complete metric and
+both lifted connections); past that the base field raises
+:class:`ContractViolation`.
+
 Conventions: base connections are direction-first (nabla_{d_i} d_j =
 Gamma^k_ij d_k) and the velocity contraction in the horizontal lift
 sits in the direction slot, A^l_k = u^j Gamma^l_jk, which keeps
@@ -18,32 +30,181 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .errors import ContractViolation
-from .fields import (ChartedManifold, ConnectionField, DerivedMetric,
-                     DualConnection, ExprField, MetricField, ScalarField, Space, _drop)
-from .jets import Jet
-from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, peak, sweep,
-                      sweep_rows)
-from .submersion import (CONDITIONS, SubmersionSetup, _cov_deriv, check_affine_hd,
+from .fields import (ChartedManifold, ConnectionField, DualConnection, ExprField, MetricField,
+                     Space, _Entry, _FieldStack, batch_parts)
+from .results import FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, peak, sweep_rows
+from .submersion import (CONDITIONS, SubmersionSetup, _amax, _cov_deriv, check_affine_hd,
                          check_semi_riemannian, four_conditions_at, four_conditions_details,
                          lemma_components, sweep_frames)
 
-
-def _embed_matrix(mat, dim):
-    return [[e.embed(dim) for e in row] for row in mat]
+# -- parts: a quantity with its partials on the bundle chart -------------------
 
 
-def _embed_tensor3(t, dim):
-    return [[[e.embed(dim) for e in row] for row in mid] for mid in t]
+def _product(spec, a, b) -> tuple:
+    """Parts of the product of the parts ``a`` and ``b``, whose values
+    combine by the einsum ``spec`` over value subscripts ('lk,lj->kj'),
+    as many parts as the shorter factor has.  Part m of the product is the
+    Leibniz sum over the ways of sending each of its m derivative axes to
+    one factor."""
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+    result = []
+    for m in range(min(len(a), len(b))):
+        axes = "ABC"[:m]
+        total = 0.0
+        for mask in range(2**m):
+            da = "".join(c for k, c in enumerate(axes) if mask >> k & 1)
+            db = "".join(c for k, c in enumerate(axes) if not mask >> k & 1)
+            total = total + np.einsum(f"p{da}{sa},p{db}{sb}->p{axes}{out}",
+                                      a[len(da)], b[len(db)])
+        result.append(total)
+    return tuple(result)
 
 
-def _zeros(n, dim, order):
-    z = Jet.constant(0.0, dim, order)
-    return [[z] * n for _ in range(n)]
+def _plus(a, b, sign=1.0) -> tuple:
+    return tuple(x + sign * y for x, y in zip(a, b))
+
+
+def _embed(base, n: int) -> tuple:
+    """Parts with derivative axes over the base chart as parts on the
+    bundle chart (x; u), where they do not vary with u."""
+    out = []
+    for m, part in enumerate(base):
+        full = np.zeros(part.shape[:1] + (2 * n,) * m + part.shape[1 + m:])
+        full[(slice(None),) + (slice(0, n),) * m] = part
+        out.append(full)
+    return tuple(out)
+
+
+def _velocity(points, n: int, order: int) -> tuple:
+    """Parts of the fiber coordinates u (N, n) of bundle points up to order."""
+    du = np.zeros((len(points), 2 * n, n))
+    du[:, n:] = np.eye(n)
+    return ((points[:, n:], du) + tuple(np.zeros((len(points),) + (2 * n,) * m + (n,))
+                                        for m in range(2, order + 1)))[:order + 1]
+
+
+def _base_parts(base: Space, points, order: int):
+    """Parts of the base metric g and of the velocity matrix
+    A^l_k = u^j Gamma^l_jk at bundle points, on the bundle chart."""
+    n = base.dim
+    x = points[:, :n]
+    g = _embed(batch_parts(base.metric, x, order), n)
+    gamma = _embed(batch_parts(base.conn, x, order), n)
+    return g, _product("j,ljk->lk", _velocity(points, n, order), gamma)
+
+
+def _transpose(a) -> tuple:
+    return tuple(np.swapaxes(part, -1, -2) for part in a)
+
+
+def _blocks(p, q, r, s=None) -> tuple:
+    """Parts of the block matrix [[p, q], [r, s]], s zero when None."""
+    return tuple(np.block([[pm, qm], [rm, np.zeros_like(pm) if s is None else s[m]]])
+                 for m, (pm, qm, rm) in enumerate(zip(p, q, r)))
+
+
+# -- lifted metrics and connections ----------------------------------------------
+
+
+class _LiftedMetric(MetricField):
+    """A metric on the bundle chart given by an array formula, ``_batch``,
+    over the base metric and connection."""
+
+    def __init__(self, base: Space):
+        self.base = base
+        self.dim = 2 * base.dim
+
+    def entry(self, i: int, j: int):
+        return _Entry(self, (i, j))
+
+
+class SasakiMetric(_LiftedMetric):
+    """[[g + A^T g A, A^T g], [g A, g]]: g on horizontal and on vertical lifts."""
+
+    label = "sasaki"
+
+    def _batch(self, points, order):
+        g, a = _base_parts(self.base, points, order)
+        at_g = _product("lk,lj->kj", a, g)                    # (A^T g)_kj
+        return _blocks(_plus(g, _product("kl,lj->kj", at_g, a)), at_g, _transpose(at_g), g)
+
+
+class HorizontalMetric(_LiftedMetric):
+    """[[g A + (g A)^T, g], [g, 0]]: g pairs horizontal with vertical lifts."""
+
+    label = "horizontal"
+
+    def _batch(self, points, order):
+        g, a = _base_parts(self.base, points, order)
+        ga = _product("il,lj->ij", g, a)
+        return _blocks(_plus(_transpose(ga), ga), g, g)
+
+
+class CompleteMetric(_LiftedMetric):
+    """[[u^k d_k g, g], [g, 0]]; differentiates g, so one order below it."""
+
+    label = "complete"
+
+    def _batch(self, points, order):
+        n = self.base.dim
+        base = batch_parts(self.base.metric, points[:, :n], order + 1)
+        g, dg = _embed(base[:-1], n), _embed(base[1:], n)
+        return _blocks(_product("k,kij->ij", _velocity(points, n, order), dg), g, g)
+
+
+class _LiftedConnection(ConnectionField):
+    """Christoffels on the bundle chart with the base Gamma^k_ij in the xx
+    block and in both mixed blocks of the u-rows; ``_u_row`` gives the
+    u-rows of the xx block.  They differentiate Gamma, so they reach one
+    order below the base connection."""
+
+    def __init__(self, base_conn: ConnectionField, n: int):
+        self.base_conn = base_conn
+        self.n = n
+        self.dim = 2 * n
+
+    def _batch(self, points, order):
+        n = self.n
+        base = batch_parts(self.base_conn, points[:, :n], order + 1)
+        gamma, dgamma = _embed(base[:-1], n), _embed(base[1:], n)
+        u_row = self._u_row(_velocity(points, n, order), gamma, dgamma)
+        out = []
+        for c, t in zip(gamma, u_row):
+            full = np.zeros(c.shape[:-3] + (2 * n,) * 3)
+            full[..., :n, :n, :n] = c
+            full[..., n:, :n, :n] = t
+            full[..., n:, :n, n:] = c
+            full[..., n:, n:, :n] = c
+            out.append(full)
+        return tuple(out)
+
+
+class CompleteLiftConnection(_LiftedConnection):
+    """Coefficients of the complete lift of a base connection."""
+
+    def _u_row(self, u, gamma, dgamma):
+        return _product("l,lkij->kij", u, dgamma)             # u^l d_l Gamma^k_ij
+
+
+class HorizontalLiftConnection(_LiftedConnection):
+    """Coefficients of the horizontal lift of a base connection.
+
+    Carries torsion u^k R^l_{k i j} whenever the base has curvature, so
+    it is kept separate from the statistical checks' assumptions.
+    """
+
+    def _u_row(self, u, gamma, dgamma):
+        # u^m d_i Gamma^l_mj + u^k Gamma^m_kj Gamma^l_im - u^m Gamma^l_mk Gamma^k_ij
+        a = _product("j,ljk->lk", u, gamma)
+        t1 = _product("m,ilmj->lij", u, dgamma)
+        return _plus(_plus(t1, _product("mj,lim->lij", a, gamma)),
+                     _product("lk,kij->lij", a, gamma), -1.0)
 
 
 class TangentBundle:
-    """Chart, lifted metrics, and lifted connections over a base space."""
+    """Chart, lifted metrics and connections over a base space, and the
+    bundle projection as a submersion (Sasaki metric, complete lift)."""
 
     def __init__(self, base: Space, name: str | None = None):
         self.base = base
@@ -51,58 +212,16 @@ class TangentBundle:
         self.n = n
         box = tuple(base.chart.box) + tuple((-1.0, 1.0) for _ in range(n))
         self.chart = ChartedManifold(name or f"tangent:{base.chart.name}", 2 * n, box, bundle=True)
-        self.sasaki_metric = DerivedMetric(2 * n, self._sasaki_blocks, "sasaki")
-        self.complete_metric = DerivedMetric(2 * n, self._complete_blocks, "complete")
-        self.horizontal_metric = DerivedMetric(2 * n, self._horizontal_blocks, "horizontal")
+        self.sasaki_metric = SasakiMetric(base)
+        self.complete_metric = CompleteMetric(base)
+        self.horizontal_metric = HorizontalMetric(base)
         self.complete_conn = CompleteLiftConnection(base.conn, n)
         self.horizontal_conn = HorizontalLiftConnection(base.conn, n)
         self.projection = [
             ExprField.parse(f"x{i+1}", 2 * n, bundle=True) for i in range(n)
         ]
-
-    # -- shared jet ingredients -----------------------------------------
-
-    def _parts(self, point, order):
-        n = self.n
-        x = tuple(point[:n])
-        g = _embed_matrix(self.base.metric.matrix_jets(x, order), 2 * n)
-        gamma = _embed_tensor3(self.base.conn.coeff_jets(x, order), 2 * n)
-        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
-        a = _velocity_matrix(u, gamma)
-        return g, gamma, u, a
-
-    def _sasaki_blocks(self, point, order):
-        n = self.n
-        g, _, _, a = self._parts(point, order)
-        at_g = [[sum(a[l][i] * g[l][j] for l in range(n)) for j in range(n)]
-                for i in range(n)]                       # (A^T g)_ij
-        p = [[g[i][j] + sum(at_g[i][l] * a[l][j] for l in range(n))
-              for j in range(n)] for i in range(n)]
-        return _blocks(p, at_g, [[at_g[j][i] for j in range(n)] for i in range(n)], g)
-
-    def _horizontal_blocks(self, point, order):
-        n = self.n
-        g, _, _, a = self._parts(point, order)
-        ga = [[sum(g[i][l] * a[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-        p = [[ga[j][i] + ga[i][j] for j in range(n)] for i in range(n)]
-        z = _zeros(n, 2 * n, order)
-        return _blocks(p, g, g, z)
-
-    def _complete_blocks(self, point, order):
-        n = self.n
-        x = tuple(point[:n])
-        base_g = self.base.metric.matrix_jets(x, order + 1)
-        g = [[base_g[i][j].embed(2 * n) for j in range(n)] for i in range(n)]
-        # careful: embed after dvar so orders line up
-        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
-        p = [[sum(u[k] * base_g[i][j].dvar(k).embed(2 * n) for k in range(n))
-              for j in range(n)] for i in range(n)]
-        g0 = [[_drop(g[i][j], order) for j in range(n)] for i in range(n)]
-        z = _zeros(n, 2 * n, order)
-        return _blocks(p, g0, g0, z)
-
-    # -- spaces and submersions ------------------------------------------
+        self.setup = SubmersionSetup(self.space("sasaki", "complete"), base, self.projection,
+                                     phi=None, name=f"{self.chart.name}:sasaki:complete")
 
     def space(self, metric: str = "sasaki", conn: str = "complete") -> Space:
         metrics = {
@@ -113,218 +232,36 @@ class TangentBundle:
         conns = {"complete": self.complete_conn, "horizontal": self.horizontal_conn}
         return Space(self.chart, metrics[metric], conns[conn])
 
-    def submersion(self, metric: str = "sasaki", conn: str = "complete") -> SubmersionSetup:
-        return SubmersionSetup(
-            self.space(metric, conn), self.base, self.projection,
-            phi=None, name=f"{self.chart.name}:{metric}:{conn}",
-        )
-
-
-def _velocity_matrix(u, gamma):
-    """A^l_k = u^j Gamma^l_jk (direction-slot contraction)."""
-    n = len(u)
-    return [[sum(u[j] * gamma[l][j][k] for j in range(n)) for k in range(n)]
-            for l in range(n)]
-
-
-def _blocks(p, q, qt, s):
-    n = len(p)
-    out = []
-    for i in range(n):
-        out.append(list(p[i]) + list(q[i]))
-    for i in range(n):
-        out.append(list(qt[i]) + list(s[i]))
-    return out
-
-
-class CompleteLiftConnection(ConnectionField):
-    """Coefficients of the complete lift of a base connection."""
-
-    def __init__(self, base_conn: ConnectionField, n: int):
-        super().__init__()
-        self.base_conn = base_conn
-        self.n = n
-        self.dim = 2 * n
-
-    def _coeffs(self, point, order):
-        n = self.n
-        x = tuple(point[:n])
-        gamma1 = self.base_conn.coeff_jets(x, order + 1)
-        ge = [[[gamma1[k][i][j].embed(2 * n) for j in range(n)] for i in range(n)]
-              for k in range(n)]
-        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
-        zero = Jet.constant(0.0, 2 * n, order)
-        out = [[[zero] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    coeff = _drop(ge[k][i][j], order)
-                    out[k][i][j] = coeff
-                    out[n + k][i][j] = sum(
-                        u[l] * gamma1[k][i][j].dvar(l).embed(2 * n) for l in range(n)
-                    )
-                    out[n + k][i][n + j] = coeff
-                    out[n + k][n + i][j] = coeff
-        return out
-
-
-class HorizontalLiftConnection(ConnectionField):
-    """Coefficients of the horizontal lift of a base connection.
-
-    Carries torsion u^k R^l_{k i j} whenever the base has curvature, so
-    it is kept separate from the statistical checks' assumptions.
-    """
-
-    def __init__(self, base_conn: ConnectionField, n: int):
-        super().__init__()
-        self.base_conn = base_conn
-        self.n = n
-        self.dim = 2 * n
-
-    def _coeffs(self, point, order):
-        n = self.n
-        x = tuple(point[:n])
-        gamma1 = self.base_conn.coeff_jets(x, order + 1)
-        ge = [[[_drop(gamma1[k][i][j].embed(2 * n), order) for j in range(n)]
-               for i in range(n)] for k in range(n)]
-        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
-        zero = Jet.constant(0.0, 2 * n, order)
-        out = [[[zero] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[l][i][j] = ge[l][i][j]
-                    # u^m d_i Gamma^l_mj + u^k Gamma^m_kj Gamma^l_im
-                    # - u^m Gamma^l_mk Gamma^k_ij
-                    t1 = sum(
-                        u[m] * gamma1[l][m][j].dvar(i).embed(2 * n)
-                        for m in range(n)
-                    )
-                    t2 = sum(
-                        u[k] * ge[m][k][j] * ge[l][i][m]
-                        for k in range(n) for m in range(n)
-                    )
-                    t3 = sum(
-                        u[m] * ge[l][m][k] * ge[k][i][j]
-                        for m in range(n) for k in range(n)
-                    )
-                    out[n + l][i][j] = t1 + t2 - t3
-                    out[n + l][i][n + j] = ge[l][i][j]
-                    out[n + l][n + i][j] = ge[l][i][j]
-        return out
-
 
 # -- lifts of functions and vector fields ----------------------------------
 
 
-def vertical_lift_function(f: ScalarField, n: int) -> ScalarField:
-    """f^v = f comp pi as a field on the 2n-dim bundle chart."""
-    from .fields import FuncField
-
-    def fn(point, order):
-        return f.jets(tuple(point[:n]), order).embed(2 * n)
-
-    return FuncField(2 * n, fn, name="vertical_lift")
-
-
-def complete_lift_function(f: ScalarField, n: int) -> ScalarField:
-    """f^c = u^i df/dx^i as a field on the bundle chart."""
-    from .fields import FuncField
-
-    def fn(point, order):
-        base = f.jets(tuple(point[:n]), order + 1)
-        u = [Jet.seed(point, n + i, order) if order else point[n + i] for i in range(n)]
-        return sum(u[i] * base.dvar(i).embed(2 * n) for i in range(n))
-
-    return FuncField(2 * n, fn, name="complete_lift")
-
-
-def vertical_lift_vector(components, point) -> np.ndarray:
-    """X^v at (x; u): base components placed in the u-slots."""
-    n = len(components)
-    x = tuple(point[:n])
-    out = np.zeros(2 * n)
-    for i, c in enumerate(components):
-        out[n + i] = c.value(x)
-    return out
-
-
-def complete_lift_vector(components, point) -> np.ndarray:
-    """X^c = (X^i ; u^j dX^i/dx^j) at (x; u)."""
-    n = len(components)
-    x = tuple(point[:n])
-    u = np.asarray(point[n:], dtype=float)
-    out = np.zeros(2 * n)
-    for i, c in enumerate(components):
-        j = c.jets(x, 1)
-        out[i] = j.value
-        out[n + i] = float(u @ j.grad)
-    return out
-
-
-def gamma_operator(conn: ConnectionField, components, point) -> np.ndarray:
-    """gamma(nabla X) = u^j (d_j X^i + Gamma^i_jk X^k) in the u-slots."""
-    n = len(components)
-    x = tuple(point[:n])
-    u = np.asarray(point[n:], dtype=float)
-    gamma = conn.values(x)
-    xv = np.array([c.value(x) for c in components])
-    dx = np.vstack([c.jets(x, 1).grad for c in components])  # [i, j] = d_j X^i
-    out = np.zeros(2 * n)
-    out[n:] = dx @ u + np.einsum("ijk,j,k->i", gamma, u, xv)
-    return out
-
-
-def horizontal_lift_bundle(conn: ConnectionField, components, point) -> np.ndarray:
-    """X^H = X^c - gamma(nabla X)."""
-    return complete_lift_vector(components, point) - gamma_operator(conn, components, point)
-
-
-def _lift_field(kind, components, base_conn, point, n):
-    """X^v / X^c / X^H for base field components, as a bundle field
-    (value, d) with d[k, i] the k-th partial of component i."""
-    if kind not in ("v", "c", "h"):
-        raise ContractViolation(f"unknown lift kind {kind!r}")
-    x = tuple(point[:n])
-    zero = Jet.constant(0.0, 2 * n, 1)
-    u = [Jet.seed(tuple(point), n + i, 1) for i in range(n)]
-    comp2 = [c.jets(x, 2) for c in components]
-    out = [zero] * (2 * n)
+def _vector_lift(kind: str, field, u, a, n: int) -> tuple:
+    """Parts of X^v, X^c or X^H (``kind`` "v", "c" or "h") on the bundle
+    chart from the base parts (X, dX, ...) of a vector field, d[..., k, i]
+    the k-th partial of X^i: X^v = (0; X), X^c = (X; u^j d_j X), one part
+    fewer as it differentiates X, and X^H = X^c - gamma(nabla X) =
+    (X; -A X) with the velocity matrix parts ``a``."""
+    fe = _embed(field, n)
     if kind == "v":
-        for i in range(n):
-            out[n + i] = _drop(comp2[i], 1).embed(2 * n)
+        top, bottom = tuple(np.zeros_like(f) for f in fe), fe
+    elif kind == "c":
+        top, bottom = fe[:-1], _product("j,ji->i", u, _embed(field[1:], n))
     else:
-        for i in range(n):
-            out[i] = _drop(comp2[i], 1).embed(2 * n)
-            out[n + i] = sum(u[j] * comp2[i].dvar(j).embed(2 * n) for j in range(n))
-    if kind == "h":
-        # u-components: the dY terms of X^c and gamma cancel, leaving -u Gamma Y
-        gamma1 = base_conn.coeff_jets(x, 1)
-        for i in range(n):
-            out[n + i] = -sum(
-                u[j] * (gamma1[i][j][k].embed(2 * n) * _drop(comp2[k], 1).embed(2 * n))
-                for j in range(n) for k in range(n))
-    return np.array([j.value for j in out]), np.stack([j.grad for j in out], axis=1)
+        top, bottom = fe, tuple(-part for part in _product("ik,k->i", a, fe))
+    return tuple(np.concatenate(pair, axis=-1) for pair in zip(top, bottom))
 
 
-def _base_cov_field(base_conn, x_fields, y_fields, n):
-    """nabla_X Y as base scalar fields (FuncField components)."""
-    from .fields import FuncField
+def _complete_function(f, u, n: int) -> tuple:
+    """Parts of f^c = u^i d_i f on the bundle chart from the base parts
+    (f, df, ...) of a function, one part fewer."""
+    return _product("i,i->", u, _embed(f[1:], n))
 
-    def comp(k):
-        def fn(point, order):
-            xj = [f.jets(point, order) for f in x_fields]
-            yj = [f.jets(point, order + 1) for f in y_fields]
-            gamma = base_conn.coeff_jets(point, order)
-            acc = Jet.constant(0.0, n, order)
-            for i in range(n):
-                acc = acc + xj[i] * yj[k].dvar(i)
-                for j in range(n):
-                    acc = acc + xj[i] * gamma[k][i][j] * _drop(yj[j], order)
-            return acc
-        return FuncField(n, fn, name=f"cov{k}")
 
-    return [comp(k) for k in range(n)]
+def _base_cov(x, y, gamma) -> tuple:
+    """Parts of nabla_X Y = X^i d_i Y^k + X^i Gamma^k_ij Y^j on the base chart."""
+    return _plus(_product("i,ik->k", x, y[1:]),
+                 _product("ki,i->k", _product("kij,j->ki", gamma, y), x))
 
 
 def _test_vector_fields(n: int):
@@ -340,109 +277,85 @@ def _test_vector_fields(n: int):
     return xfields, yfields
 
 
-def defining_rule_residuals(bundle: TangentBundle, point, kind: str = "all") -> dict:
-    """Residuals of the frame-rule definitions at one bundle point.
+def defining_rule_residuals(bundle: TangentBundle, points) -> dict:
+    """Residual arrays of the frame-rule definitions at bundle points (N, 2n).
 
     This is the oracle for the coordinate blocks: every lifted metric
     and connection is tested against the rules that define it, using
     both coordinate frames and polynomial test fields.
     """
     n = bundle.n
-    point = tuple(float(v) for v in point)
-    x = tuple(point[:n])
-    out = {}
-    g = bundle.base.metric.values(x)
-    gamma_b = bundle.base.conn.values(x)
-    u = np.asarray(point[n:], dtype=float)
-    a_mat = np.einsum("j,ljk->lk", u, gamma_b)
-    eye = np.eye(n)
-    h_cols = np.vstack([eye, -a_mat])       # column i = (d_i)^H
-    v_cols = np.vstack([np.zeros((n, n)), eye])
+    x = np.asarray(points, dtype=float).reshape(len(points), 2 * n)
+    base = x[:, :n]
+    u = _velocity(x, n, 1)
+    g, dg = bundle.base.metric.batch(base)
+    gamma = batch_parts(bundle.base.conn, base, 1)
+    a = _product("j,ljk->lk", u, _embed(gamma, n))
+    eye = np.broadcast_to(np.eye(n), a[0].shape)
+    zero = np.zeros_like(a[0])
+    h_cols = np.concatenate([eye, -a[0]], axis=1)      # column i = (d_i)^H
+    v_cols = np.concatenate([zero, eye], axis=1)
+    c_cols = np.concatenate([eye, zero], axis=1)       # (d_i)^c
 
-    if kind in ("all", "sasaki"):
-        gs = bundle.sasaki_metric.values(point)
-        out["sasaki_hh"] = float(np.max(np.abs(h_cols.T @ gs @ h_cols - g)))
-        out["sasaki_hv"] = float(np.max(np.abs(h_cols.T @ gs @ v_cols)))
-        out["sasaki_vv"] = float(np.max(np.abs(v_cols.T @ gs @ v_cols - g)))
-    if kind in ("all", "horizontal"):
-        gh = bundle.horizontal_metric.values(point)
-        out["horizontal_hh"] = float(np.max(np.abs(h_cols.T @ gh @ h_cols)))
-        out["horizontal_hv"] = float(np.max(np.abs(h_cols.T @ gh @ v_cols - g)))
-        out["horizontal_vv"] = float(np.max(np.abs(v_cols.T @ gh @ v_cols)))
-    xf, yf = _test_vector_fields(n)
-    if kind in ("all", "complete"):
-        gc = bundle.complete_metric.values(point)
-        dg = bundle.base.metric.partial_values(x)[1]
-        c_cols = np.vstack([eye, np.zeros((n, n))])      # (d_i)^c
-        out["complete_cc"] = float(np.max(np.abs(
-            c_cols.T @ gc @ c_cols - np.einsum("k,kij->ij", u, dg))))
-        out["complete_cv"] = float(np.max(np.abs(c_cols.T @ gc @ v_cols - g)))
-        out["complete_vv"] = float(np.max(np.abs(v_cols.T @ gc @ v_cols)))
-        # tensor rule with nonconstant fields: g^c(X^c, Y^c) = (g(X, Y))^c
-        xc = complete_lift_vector(xf, point)
-        yc = complete_lift_vector(yf, point)
-        sxy = _metric_pairing_field(bundle.base.metric, xf, yf, n)
-        rhs = complete_lift_function(sxy, n).value(point)
-        out["complete_tensor_rule"] = abs(float(xc @ gc @ yc) - rhs)
-    if kind in ("all", "complete_conn", "horizontal_conn"):
-        covf = _base_cov_field(bundle.base.conn, xf, yf, n)
-        xc = complete_lift_vector(xf, point)
-        xv = vertical_lift_vector(xf, point)
-        xh = horizontal_lift_bundle(bundle.base.conn, xf, point)
-        yc = _lift_field("c", yf, bundle.base.conn, point, n)
-        yv = _lift_field("v", yf, bundle.base.conn, point, n)
-        yh = _lift_field("h", yf, bundle.base.conn, point, n)
-        covc = complete_lift_vector(covf, point)
-        covv = vertical_lift_vector(covf, point)
-        covh = horizontal_lift_bundle(bundle.base.conn, covf, point)
-        if kind in ("all", "complete_conn"):
-            gam = bundle.complete_conn.values(point)
-            out["cc_cc"] = float(np.max(np.abs(_cov_deriv(gam, xc, yc) - covc)))
-            out["cc_cv"] = float(np.max(np.abs(_cov_deriv(gam, xc, yv) - covv)))
-            out["cc_vc"] = float(np.max(np.abs(_cov_deriv(gam, xv, yc) - covv)))
-            out["cc_vv"] = float(np.max(np.abs(_cov_deriv(gam, xv, yv))))
-        if kind in ("all", "horizontal_conn"):
-            gam = bundle.horizontal_conn.values(point)
-            out["hc_hh"] = float(np.max(np.abs(_cov_deriv(gam, xh, yh) - covh)))
-            out["hc_hv"] = float(np.max(np.abs(_cov_deriv(gam, xh, yv) - covv)))
-            out["hc_vh"] = float(np.max(np.abs(_cov_deriv(gam, xv, yh))))
-            out["hc_vv"] = float(np.max(np.abs(_cov_deriv(gam, xv, yv))))
+    def gram(left, metric, right):
+        return np.swapaxes(left, -1, -2) @ metric @ right
+
+    out = {}
+    gs = bundle.sasaki_metric.batch(x, 0)
+    out["sasaki_hh"] = _amax(gram(h_cols, gs, h_cols) - g)
+    out["sasaki_hv"] = _amax(gram(h_cols, gs, v_cols))
+    out["sasaki_vv"] = _amax(gram(v_cols, gs, v_cols) - g)
+    gh = bundle.horizontal_metric.batch(x, 0)
+    out["horizontal_hh"] = _amax(gram(h_cols, gh, h_cols))
+    out["horizontal_hv"] = _amax(gram(h_cols, gh, v_cols) - g)
+    out["horizontal_vv"] = _amax(gram(v_cols, gh, v_cols))
+    xf, yf = (_FieldStack(fields, n)(base, 2) for fields in _test_vector_fields(n))
+    gc = bundle.complete_metric.batch(x, 0)
+    out["complete_cc"] = _amax(gram(c_cols, gc, c_cols) - np.einsum("pk,pkij->pij", u[0], dg))
+    out["complete_cv"] = _amax(gram(c_cols, gc, v_cols) - g)
+    out["complete_vv"] = _amax(gram(v_cols, gc, v_cols))
+    # tensor rule with nonconstant fields: g^c(X^c, Y^c) = (g(X, Y))^c
+    xc = _vector_lift("c", xf, u, a, n)
+    yc = _vector_lift("c", yf, u, a, n)
+    sxy = _product("j,j->", _product("jk,k->j", (g, dg), yf), xf)
+    rhs = _complete_function(sxy, u, n)[0]
+    out["complete_tensor_rule"] = np.abs(np.einsum("pi,pij,pj->p", xc[0], gc, yc[0]) - rhs)
+    cov = _base_cov(xf, yf, gamma)
+    covc = _vector_lift("c", cov, u, a, n)[0]
+    covv = _vector_lift("v", cov, u, a, n)[0]
+    covh = _vector_lift("h", cov, u, a, n)[0]
+    xv = _vector_lift("v", xf, u, a, n)[0]
+    xh = _vector_lift("h", xf, u, a, n)[0]
+    yv = _vector_lift("v", yf, u, a, n)[:2]
+    yh = _vector_lift("h", yf, u, a, n)[:2]
+    gam = bundle.complete_conn.batch(x)
+    out["cc_cc"] = _amax(_cov_deriv(gam, xc[0], yc) - covc)
+    out["cc_cv"] = _amax(_cov_deriv(gam, xc[0], yv) - covv)
+    out["cc_vc"] = _amax(_cov_deriv(gam, xv, yc) - covv)
+    out["cc_vv"] = _amax(_cov_deriv(gam, xv, yv))
+    gam = bundle.horizontal_conn.batch(x)
+    out["hc_hh"] = _amax(_cov_deriv(gam, xh, yh) - covh)
+    out["hc_hv"] = _amax(_cov_deriv(gam, xh, yv) - covv)
+    out["hc_vh"] = _amax(_cov_deriv(gam, xv, yh))
+    out["hc_vv"] = _amax(_cov_deriv(gam, xv, yv))
     return out
 
 
-def _metric_pairing_field(metric, x_fields, y_fields, n) -> ScalarField:
-    from .fields import FuncField
-
-    def fn(point, order):
-        gj = metric.matrix_jets(point, order)
-        xj = [f.jets(point, order) for f in x_fields]
-        yj = [f.jets(point, order) for f in y_fields]
-        acc = Jet.constant(0.0, n, order)
-        for i in range(n):
-            for j in range(n):
-                acc = acc + gj[i][j] * xj[i] * yj[j]
-        return acc
-
-    return FuncField(n, fn, name="pairing")
-
-
 def check_defining_rules(bundle: TangentBundle, points, tol) -> CheckResult:
-    s = sweep(points, lambda p: defining_rule_residuals(bundle, p))
+    s = sweep_rows(points, 2 * bundle.n, lambda x: defining_rule_residuals(bundle, x))
     return s.summarize("tb_defining_rules", tol, details=s.worst)
 
 
 def prop41_check(bundle: TangentBundle, points, tol) -> CheckResult:
     """(TM, complete lift) over (M, nabla) is affine with lifted frames."""
-    setup = bundle.submersion("sasaki", "complete")
-    out = check_affine_hd(setup, points, tol)
+    out = check_affine_hd(bundle.setup, points, tol)
     out.name = "prop41"
     return out
 
 
 def prop42_check(bundle: TangentBundle, points, tol) -> CheckResult:
     """(TM, Sasaki metric) over (M, g) preserves horizontal lengths."""
-    setup = bundle.submersion("sasaki", "complete")
-    out = check_semi_riemannian(setup, points, tol)
+    out = check_semi_riemannian(bundle.setup, points, tol)
     out.name = "prop42"
     return out
 
@@ -458,7 +371,6 @@ def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
     The verdicts on both sides may be pass or fail; the asserted content
     is their agreement.  Component residuals cst1..cst6 are reported.
     """
-    setup = bundle.submersion("sasaki", "complete")
 
     def residuals(f):
         out = four_conditions_at(f)
@@ -467,7 +379,7 @@ def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
         return out
 
     keys = CONDITIONS + ("total_space",) + tuple(TM_COMPONENTS)
-    s = sweep_frames(setup, points, residuals, keys=keys)
+    s = sweep_frames(bundle.setup, points, residuals, keys=keys)
     details = four_conditions_details(s, tol)
     details.update((k, s.worst[k]) for k in TM_COMPONENTS)
     out = s.summarize("tm_statistical", tol, details, keys=CONDITIONS)
@@ -501,8 +413,11 @@ def remark_dual_check(bundle: TangentBundle, points, tol) -> CheckResult:
     lifted_dual = DualConnection(bundle.complete_conn, bundle.complete_metric)
     dual_lifted = CompleteLiftConnection(
         DualConnection(bundle.base.conn, bundle.base.metric), bundle.n)
-    s = sweep(points, lambda p: float(np.max(np.abs(lifted_dual.values(p) - dual_lifted.values(p)))))
-    return s.summarize("remark_dual_complete", tol)
+
+    def residuals(x):
+        return {"remark_dual_complete": _amax(lifted_dual.batch(x) - dual_lifted.batch(x))}
+
+    return sweep_rows(points, 2 * bundle.n, residuals).summarize("remark_dual_complete", tol)
 
 
 def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
@@ -529,20 +444,3 @@ def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
                  "bundle_pass": left_pass, "base_metric_pass": right_pass},
         max_residual=peak((left, right)) if left_pass == right_pass else min(left, right),
     )
-
-
-def complete_lift(entity, point, conn: ConnectionField | None = None) -> float | np.ndarray:
-    """Value of the complete lift of a function, vector field, or metric."""
-    n = len(point) // 2
-    if isinstance(entity, ScalarField):
-        return complete_lift_function(entity, n).value(tuple(point))
-    if isinstance(entity, MetricField):
-        x = tuple(point[:n])
-        gj = entity.matrix_jets(x, 1)
-        u = np.asarray(point[n:], dtype=float)
-        g = np.array([[gj[i][j].value for j in range(n)] for i in range(n)])
-        du = np.array([[float(u @ gj[i][j].grad) for j in range(n)] for i in range(n)])
-        top = np.hstack([du, g])
-        bot = np.hstack([g, np.zeros((n, n))])
-        return np.vstack([top, bot])
-    return complete_lift_vector(list(entity), point)

@@ -1,22 +1,31 @@
-"""The batched evaluator against the per-point jet path.
+"""The batched evaluator against the per-point jet reference.
 
-Batched expression values, metric rows and connection rows must agree
-with what the per-point path gives at each point: to the last bit where
-the arithmetic is the same, and within 1e-14 relative where numpy's
-elementary functions or a different solve order can move the last digit.
+Batched expression values must agree with ``eval_jet`` at each point to
+the last bit; metric, connection and lift rows must agree with the jet
+formulas of ``tests/jet_reference.py`` within 1e-14 * max(1, |x|) per
+entry at every order the field supports, where a different solve or
+summation order can move the last digits.
 """
+
+import ast
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgeo import builtins
+import subgeo
+from subgeo import builtins, runner
+from subgeo.config import parse_config
 from subgeo.errors import ContractViolation, EvalDomain
 from subgeo.exprlang import compile_batched, eval_jet, parse
-from subgeo.fields import DualConnection
+from subgeo.fields import DualConnection, FDField, MetricField
 from subgeo.jets import Jet
 from subgeo.tangent_bundle import TangentBundle
+
+from jet_reference import coeff_jets, jet_parts, matrix_jets, scalar_jet
 
 REL = 1e-14
 
@@ -44,35 +53,38 @@ def _box_points(box, unit):
     return lo + np.array(unit)[:, :len(box)] * (hi - lo)
 
 
+def _parts(fld, pts, order):
+    out = fld.batch(pts, order)
+    return (out,) if order == 0 else out
+
+
 @pytest.mark.parametrize("text", RATIONAL + TRANSCENDENTAL)
 def test_batched_expression_rows_match_eval_jet(text):
-    ast = parse(text, 3)
+    ast_ = parse(text, 3)
     pts = _points()
-    for order in (1, 2):
-        parts = compile_batched([ast])(pts, order)
+    for order in range(4):
+        parts = compile_batched([ast_])(pts, order)
         assert [part.shape for part in parts] == [
             (len(pts),) + (3,) * k + (1,) for k in range(order + 1)]
         for k, p in enumerate(pts):
-            jet = eval_jet(ast, p, order)
-            for part, want in zip(parts, (jet.value, jet.grad, jet.hess)):
-                if text in RATIONAL:  # same operations in the same order: same bits
-                    assert np.array_equal(part[k, ..., 0], want), order
-                else:
-                    assert close(part[k, ..., 0], want), order
+            jet = eval_jet(ast_, p, order)
+            for part, want in zip(parts, (jet.value, jet.grad, jet.hess, jet.third)):
+                # same operations in the same order, math-module functions: same bits
+                assert np.array_equal(part[k, ..., 0], want), order
 
 
 def test_shared_subexpressions_give_each_output():
     asts = [parse(t, 3) for t in ("1/x3^2", "0", "2/x3^2", "1/x3^2")]
     values, grads = compile_batched(asts)(_points(5))
-    for e, ast in enumerate(asts):
-        alone_v, alone_g = compile_batched([ast])(_points(5))
+    for e, ast_ in enumerate(asts):
+        alone_v, alone_g = compile_batched([ast_])(_points(5))
         assert np.array_equal(values[:, e], alone_v[:, 0])
         assert np.array_equal(grads[:, :, e], alone_g[:, :, 0])
 
 
 def test_batched_domain_errors_name_the_first_bad_point():
     pts = np.array([[1.0, 1.0], [-1.0, 2.0], [-2.0, 3.0]])
-    for order in (1, 2):
+    for order in range(4):
         with pytest.raises(EvalDomain, match="log of a non-positive") as e:
             compile_batched([parse("log(x1)", 2)])(pts, order)
         assert e.value.point == (-1.0, 2.0)
@@ -81,17 +93,23 @@ def test_batched_domain_errors_name_the_first_bad_point():
         assert e.value.point == (-1.0, 2.0)
     with pytest.raises(ContractViolation):
         compile_batched([parse("x2", 2)])(np.ones((3, 1)))
+    with pytest.raises(ContractViolation):
+        compile_batched([parse("x2", 2)])(np.ones((3, 2)), 4)
 
 
 def test_overflow_is_a_domain_error_on_both_paths():
-    ast = parse("exp(x2^3)", 2)
+    ast_ = parse("exp(x2^3)", 2)
     pts = np.array([[0.0, 1.0], [0.0, 30.0], [0.0, 40.0]])
     with pytest.raises(EvalDomain) as e:
-        compile_batched([ast])(pts)
+        compile_batched([ast_])(pts)
     assert e.value.point == (0.0, 30.0)
     with pytest.raises(EvalDomain) as e:
-        eval_jet(ast, (0.0, 30.0), 1)
+        eval_jet(ast_, (0.0, 30.0), 1)
     assert e.value.point == (0.0, 30.0)
+    # a float power that overflows: 1/x1 at order 1 squares 1e200
+    with pytest.raises(EvalDomain) as e:
+        compile_batched([parse("1/x1", 1)])(np.array([[1.0], [1e200]]), 1)
+    assert e.value.point == (1e200,)
     # 1/v^4 underflows to zero in the order-3 reciprocal coefficients
     with pytest.raises(EvalDomain):
         eval_jet(parse("1/x1", 1), (1e-90,), 3)
@@ -138,16 +156,86 @@ def test_batched_rows_match_per_point_values(which, unit):
     gamma1, dgamma = conn.batch(pts, 1)
     assert np.array_equal(gamma1, gamma), label
     for k, p in enumerate(pts):
-        g_ref, dg_ref = metric.partial_values(p)
-        assert close(g[k], metric.values(p)), label
+        g_ref, dg_ref = jet_parts(matrix_jets(metric, p, 1), 1)
+        assert close(g[k], g_ref), label
         assert close(dg[k], dg_ref), label
-        assert close(gamma[k], conn.values(p)), label
-        assert close_each(gamma1[k], conn.values(p)), label
-        assert close_each(dgamma[k], conn.d_values(p)), label
+        gamma_ref, dgamma_ref = jet_parts(coeff_jets(conn, p, 1), 1)
+        assert close(gamma[k], gamma_ref), label
+        assert close_each(gamma1[k], gamma_ref), label
+        assert close_each(dgamma[k], dgamma_ref), label
 
 
-# fd-mode Christoffels are difference quotients themselves, too noisy to
-# difference again at this step
+# every field kind at every order it supports: (label, box, field, top order)
+def _fields():
+    out = []
+    hyp3 = builtins.build("hyperbolic:3").space
+    out += [("hyperbolic:3:metric", hyp3.chart.box, hyp3.metric, 3),
+            ("hyperbolic:3:levi-civita", hyp3.chart.box, hyp3.conn, 2),
+            ("hyperbolic:3:dual", hyp3.chart.box, DualConnection(hyp3.conn, hyp3.metric), 1)]
+    for name in ("gaussian:alpha=1", "gaussian:alpha=-0.5"):
+        sp = builtins.build(name).space
+        out += [(name + ":alpha", sp.chart.box, sp.conn, 2),
+                (name + ":dual", sp.chart.box, DualConnection(sp.conn, sp.metric), 1)]
+    pert = builtins.build("perturbed:3").space
+    out.append(("perturbed:3:sum", pert.chart.box, pert.conn, 2))
+    for name in ("broken:2", "euclidean:3"):
+        sp = builtins.build(name).space
+        out.append((name + ":expression", sp.chart.box, sp.conn, 3))
+    for name in ("hyperbolic:2", "gaussian:alpha=1", "euclidean:2"):
+        bundle = TangentBundle(builtins.build(name).space)
+        top = 3 if name.startswith("euclidean") else 2  # the base connection's order
+        box = bundle.chart.box
+        out += [(name + ":sasaki", box, bundle.sasaki_metric, top),
+                (name + ":horizontal", box, bundle.horizontal_metric, top),
+                (name + ":complete", box, bundle.complete_metric, 2),
+                (name + ":complete_conn", box, bundle.complete_conn, top - 1),
+                (name + ":horizontal_conn", box, bundle.horizontal_conn, top - 1)]
+    return out
+
+
+FIELDS = _fields()
+
+
+def _reference(fld, p, order):
+    jets = matrix_jets if isinstance(fld, MetricField) else coeff_jets
+    return jet_parts(jets(fld, p, order), order)
+
+
+@pytest.mark.parametrize("label, box, fld, top", [pytest.param(*f, id=f[0]) for f in FIELDS])
+def test_every_field_batch_matches_the_jet_reference_at_every_order(label, box, fld, top):
+    pts = _box_points(box, np.random.default_rng(3).uniform(0.0, 1.0, size=(4, 6)))
+    for order in range(top + 1):
+        parts = _parts(fld, pts, order)
+        assert len(parts) == order + 1
+        for k, p in enumerate(pts):
+            for m, (part, want) in enumerate(zip(parts, _reference(fld, p, order))):
+                assert part[k].shape == want.shape, (order, m)
+                assert close_each(part[k], want), (order, m, np.abs(part[k] - want).max())
+    with pytest.raises(ContractViolation):
+        fld.batch(pts, top + 1)
+
+
+def _central(fld, pts, order, a, step):
+    """Central difference along coordinate a of the order-``order`` part."""
+    shift = np.zeros(pts.shape[1])
+    shift[a] = step
+    hi, lo = _parts(fld, pts + shift, order)[order], _parts(fld, pts - shift, order)[order]
+    return (hi - lo) / (2.0 * step)
+
+
+# each top part against central differences of the part below it; fd-mode
+# fields are difference quotients themselves, too noisy to difference again
+@pytest.mark.parametrize("label, box, fld, top",
+                         [pytest.param(*f, id=f[0]) for f in FIELDS if f[3] >= 1])
+def test_higher_partials_match_central_differences(label, box, fld, top):
+    pts = _box_points(box, np.random.default_rng(1).uniform(0.1, 0.9, size=(8, 6)))
+    for order in range(max(1, top - 1), top + 1):
+        top_part = _parts(fld, pts, order)[order]
+        for a in range(pts.shape[1]):
+            central = _central(fld, pts, order - 1, a, 1e-5)
+            assert np.abs(central - top_part[:, a]).max() < 1e-6, (order, a)
+
+
 @pytest.mark.parametrize("label, box, conn", [pytest.param(label, box, conn, id=label)
                                               for label, box, _, conn in SPACES
                                               if ":fd" not in label])
@@ -170,12 +258,121 @@ def test_order2_metric_rows_match_per_point_jets():
         pts = _box_points(box, np.random.default_rng(2).uniform(0.0, 1.0, size=(5, 6)))
         g, dg, d2g = metric.batch(pts, 2)
         assert np.array_equal(dg, metric.batch(pts)[1])
-        n = metric.dim
         for k, p in enumerate(pts):
-            jets = metric.matrix_jets(p, 2)
-            for i in range(n):
-                for j in range(n):
-                    assert close_each(g[k, i, j], jets[i][j].value)
-                    assert close_each(d2g[k, :, :, i, j], jets[min(i, j)][max(i, j)].hess)
+            g_ref, _, d2g_ref = jet_parts(matrix_jets(metric, p, 2), 2)
+            assert close_each(g[k], g_ref)
+            assert close_each(d2g[k], d2g_ref)
+    # the Sasaki metric over a Levi-Civita base stops at the connection's order
     with pytest.raises(ContractViolation):
         metric.batch(pts, 3)
+
+
+def test_fd_field_rows_match_the_per_point_stencil():
+    # all nodes in one order-0 call: each node's arithmetic is unchanged
+    for name in ("hyperbolic:3", "gaussian:alpha=1"):
+        sc = builtins.build(name, mode="fd")
+        fields = [f for _, f in sc.space.metric.entry_fields()] + [sc.setup.phi]
+        pts = _box_points(sc.space.chart.box,
+                          np.random.default_rng(4).uniform(0.0, 1.0, size=(6, 6)))
+        for fld in fields:
+            assert isinstance(fld, FDField)
+            for order in range(3):
+                parts = _parts(fld, pts, order)
+                for k, p in enumerate(pts):
+                    for part, want in zip(parts, jet_parts(scalar_jet(fld, p, order), order)):
+                        assert np.array_equal(part[k], want), (name, order)
+
+
+# -- the orders fd_crosscheck reaches ------------------------------------------
+
+BUILTINS = ("euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3",
+            "gaussian:alpha=0", "gaussian:alpha=1", "gaussian:alpha=-0.5",
+            "broken:2", "perturbed:3", "tangent_bundle_of:hyperbolic:2",
+            "tangent_bundle_of:gaussian:alpha=1", "tangent_bundle_of:euclidean:2")
+
+
+def _pinned_order(name, mode, label):
+    """The order a probe of ``label`` reaches, or the incident it raises.
+
+    Jet mode: 2 everywhere, except the complete-lift Christoffels of a
+    bundle over a Levi-Civita or alpha base, which differentiate a base
+    Gamma of order 2 and so reach 1.  Fd mode: metric-like entries 2 and
+    Christoffels 1 (the metric stops at order 2), except on the constant
+    connections of euclidean and broken:2; on a bundle over a curved base
+    the Sasaki entries reach 1 and the lifted Christoffels none.
+    """
+    christoffel = label.startswith("Gamma")
+    flat = name.endswith("euclidean:2") or name.startswith(("euclidean", "broken"))
+    if not name.startswith("tangent_bundle_of:"):
+        return 1 if mode == "fd" and christoffel and not flat else 2
+    if flat:
+        return 2
+    if mode == "jet":
+        return 1 if christoffel else 2
+    return "ContractViolation" if christoffel else 1
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_fd_crosscheck_probes_reach_the_pinned_orders(name, mode, monkeypatch):
+    reached = []
+
+    class Recording(FDField):
+        def batch(self, points, order=1):
+            reached[-1] = order
+            return super().batch(points, order)
+
+    probe = runner._probe_field
+
+    def recording_probe(fld, p):
+        reached.append("ContractViolation")
+        return probe(fld, p)
+
+    monkeypatch.setattr(runner, "FDField", Recording)
+    monkeypatch.setattr(runner, "_probe_field", recording_probe)
+    cfg = parse_config({"builtin": name, "mode": mode, "checks": ["fd_crosscheck"],
+                        "sampling": {"count": 16, "seed": 0}}, source="<test>")
+    scenario = builtins.build(name, mode)
+    labels = [lbl for lbl, _ in scenario.space.metric.entry_fields()]
+    labels += [lbl for lbl, _ in scenario.space.conn.entry_fields()]
+    if scenario.setup is not None:
+        labels += [f"pi_{a + 1}" for a in range(len(scenario.setup.pi))]
+        labels += ["phi"] if scenario.setup.phi is not None else []
+        labels += ["base_" + lbl for lbl, _ in scenario.setup.base.metric.entry_fields()]
+    check = runner.run_suite(cfg)["checks"][0]
+    want = [_pinned_order(name, mode, labels[k % len(labels)]) for k in range(runner.FD_PROBES)]
+    assert reached == want
+    incidents = want.count("ContractViolation")
+    assert check["incidents"] == incidents
+    if incidents:
+        assert check["details"]["incident_kinds"]["ContractViolation"]["count"] == incidents
+
+
+# -- structure -------------------------------------------------------------------
+
+JET_MODULES = ("jets.py", "exprlang.py", "__init__.py")
+
+
+def test_only_the_reference_modules_use_jets_and_no_field_caches():
+    # one evaluation path: jets are the reference of the compiled programs,
+    # and no field, lift or submersion keeps anything per point
+    package = pathlib.Path(subgeo.__file__).parent
+    jet_names = re.compile(r"\b(Jet|jets|eval_jet)\b")
+    hits = [f"{path.name}:{k}" for path in sorted(package.glob("*.py"))
+            if path.name not in JET_MODULES
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if jet_names.search(line)]
+    assert hits == []
+    caches = []
+    for name in ("fields.py", "tangent_bundle.py", "submersion.py"):
+        tree = ast.parse((package / name).read_text())
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in ast.walk(cls):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                           else [])
+                for target in targets:
+                    attr = getattr(target, "attr", getattr(target, "id", ""))
+                    if attr.endswith("cache"):
+                        caches.append(f"{name}:{cls.name}.{attr}")
+    assert caches == []

@@ -178,18 +178,18 @@ def test_partial_order_bound():
 def test_fd_field_matches_jet_derivatives():
     exact = make_scalar("exp(x1)*x2 + sin(x2)", 2)
     fd = FDField(exact)
-    p = (0.4, -0.7)
-    je = exact.jets(p, 2)
-    jf = fd.jets(p, 2)
-    assert jf.value == pytest.approx(je.value, abs=1e-12)
-    assert np.asarray(jf.grad) == pytest.approx(np.asarray(je.grad), abs=1e-8)
-    assert np.asarray(jf.hess) == pytest.approx(np.asarray(je.hess), abs=1e-5)
+    p = np.array([[0.4, -0.7]])
+    je = exact.batch(p, 2)
+    jf = fd.batch(p, 2)
+    assert jf[0][0] == pytest.approx(je[0][0], abs=1e-12)
+    assert jf[1][0] == pytest.approx(je[1][0], abs=1e-8)
+    assert jf[2][0] == pytest.approx(je[2][0], abs=1e-5)
 
 
 def test_fd_field_caps_order():
     fd = make_scalar("x1^2", 1, mode="fd")
     with pytest.raises(ContractViolation):
-        fd.jets((0.5,), 3)
+        fd.batch([(0.5,)], 3)
 
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)

@@ -276,7 +276,7 @@ def test_per_point_state_stays_bounded():
 FRAME_SETUPS = {
     "hyperbolic:3": builtins.build("hyperbolic:3").setup,
     "gaussian:alpha=1": builtins.build("gaussian:alpha=1").setup,
-    "bundle": TangentBundle(builtins.build("hyperbolic:2").space).submersion("sasaki", "complete"),
+    "bundle": TangentBundle(builtins.build("hyperbolic:2").space).setup,
 }
 
 

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import euclid_setup, gaussian_setup, hyperbolic_setup, max_abs
+from subgeo import builtins, runner
 from subgeo import tangent_bundle as tb
 from subgeo import submersion as sm
+from subgeo.config import parse_config
 from subgeo.errors import EvalDomain
-from subgeo.fields import ExprConnection, ExprField, MetricField
+from subgeo.fields import ExprConnection, ExprField, _FieldStack, batch_parts
 from subgeo.results import FAIL, PASS
 from subgeo.sampling import sample_box
 from subgeo.submersion import _bracket
@@ -37,21 +39,53 @@ def bundle_points(bundle, count=8, seed=13):
     return sample_box(bundle.chart.box, count, seed).points
 
 
+def at(field, p, order=0):
+    """Row 0 of a one-point batch: the values at order 0, else the parts."""
+    out = field.batch(np.array([p], dtype=float), order)
+    return out[0] if order == 0 else tuple(part[0] for part in out)
+
+
+def base_parts(components, p, n, order=2):
+    """Parts (X, dX, ...) of base vector field components at the base point
+    of the bundle point p, as one-row stacks."""
+    return _FieldStack(components, n)(np.array([p[:n]], dtype=float), order)
+
+
+def lift(kind, components, conn, p, order=2):
+    """Row 0 of the parts of X^v, X^c or X^H at the bundle point p."""
+    n = len(components)
+    x = np.array([p], dtype=float)
+    u = tb._velocity(x, n, 1)
+    a = tb._product("j,ljk->lk", u, tb._embed(batch_parts(conn, x[:, :n], 1), n))
+    return tuple(part[0] for part in tb._vector_lift(kind, base_parts(components, p, n, order),
+                                                    u, a, n))
+
+
+def complete_function(f, p, order=2):
+    """Row 0 of the parts of f^c = u^i d_i f at the bundle point p."""
+    n = len(p) // 2
+    x = np.array([p], dtype=float)
+    return tuple(part[0] for part in tb._complete_function(
+        batch_parts(f, x[:, :n], order), tb._velocity(x, n, 1), n))
+
+
 def test_function_lifts_one_dim():
     f = ExprField.parse("x1^2", 1)
     # f^v forgets the fiber, f^c is u * f'
-    assert tb.vertical_lift_function(f, 1).value((1.5, 0.7)) == pytest.approx(2.25)
-    assert tb.complete_lift(f, (1.5, 0.7)) == pytest.approx(2.0 * 1.5 * 0.7)
+    fv = tb._embed(batch_parts(f, np.array([[1.5]]), 1), 1)
+    assert fv[0][0] == pytest.approx(2.25)
+    assert fv[1][0] == pytest.approx([3.0, 0.0])
+    assert complete_function(f, (1.5, 0.7))[0] == pytest.approx(2.0 * 1.5 * 0.7)
 
 
 def test_vector_lifts_one_dim():
     # X = x d/dx: X^c = (x; u), X^H over the flat line = (x; 0)
     comps = [ExprField.parse("x1", 1)]
     p = (1.2, 0.4)
-    assert tb.complete_lift(comps, p) == pytest.approx([1.2, 0.4])
-    assert tb.vertical_lift_vector(comps, p) == pytest.approx([0.0, 1.2])
     zero = ExprConnection.zero(1)
-    assert tb.horizontal_lift_bundle(zero, comps, p) == pytest.approx([1.2, 0.0])
+    assert lift("c", comps, zero, p)[0] == pytest.approx([1.2, 0.4])
+    assert lift("v", comps, zero, p)[0] == pytest.approx([0.0, 1.2])
+    assert lift("h", comps, zero, p)[0] == pytest.approx([1.2, 0.0])
 
 
 def test_complete_lift_commutes_with_derivation():
@@ -59,11 +93,12 @@ def test_complete_lift_commutes_with_derivation():
     f = ExprField.parse("x1^2", 1)
     xf = ExprField.parse("2*x1^2", 1)
     comps = [ExprField.parse("x1", 1)]
+    zero = ExprConnection.zero(1)
     for p in [(1.1, 0.3), (0.7, -0.8), (2.0, 1.0)]:
-        fc = tb.complete_lift_function(f, 1)
-        xc = tb.complete_lift_vector(comps, p)
-        lhs = float(np.asarray(fc.jets(p, 1).grad) @ xc)
-        rhs = tb.complete_lift(xf, p)
+        fc = complete_function(f, p)
+        xc = lift("c", comps, zero, p)[0]
+        lhs = float(fc[1] @ xc)
+        rhs = complete_function(xf, p)[0]
         assert lhs == pytest.approx(rhs)
 
 
@@ -71,26 +106,28 @@ def test_vertical_lifts_commute(flat2):
     comps_x = [ExprField.parse("x1^2", 2), ExprField.parse("x2", 2)]
     comps_y = [ExprField.parse("sin(x1)", 2), ExprField.parse("1", 2)]
     p = (0.3, -0.4, 0.5, 0.2)
-    xj = tb._lift_field("v", comps_x, flat2.base.conn, p, 2)
-    yj = tb._lift_field("v", comps_y, flat2.base.conn, p, 2)
+    xj = lift("v", comps_x, flat2.base.conn, p)[:2]
+    yj = lift("v", comps_y, flat2.base.conn, p)[:2]
     assert max_abs(_bracket(xj, yj)) < 1e-14
 
 
 def test_gamma_operator_hand_values(hyp2):
-    # base is the upper half-plane; X = first coordinate direction
+    # base is the upper half-plane; X = first coordinate direction, and
+    # gamma(nabla X) = u^j (d_j X^i + Gamma^i_jk X^k) = X^c - X^H
     comps = [ExprField.parse("1", 2), ExprField.parse("0", 2)]
-    gamma = tb.gamma_operator(hyp2.base.conn, comps, (0.0, 1.0, 1.0, 0.0))
+    p = (0.0, 1.0, 1.0, 0.0)
+    gamma = lift("c", comps, hyp2.base.conn, p)[0] - lift("h", comps, hyp2.base.conn, p)[0]
     assert gamma == pytest.approx([0.0, 0.0, 0.0, 1.0])
-    xh = tb.horizontal_lift_bundle(hyp2.base.conn, comps, (0.0, 1.0, 0.0, 1.0))
+    xh = lift("h", comps, hyp2.base.conn, (0.0, 1.0, 0.0, 1.0))[0]
     assert xh == pytest.approx([1.0, 0.0, 1.0, 0.0])
 
 
 def test_bundle_projection_lift_is_identity_minus_velocity(hyp2):
     # the frame of the bundle submersion must have lift columns (e_k; -A e_k)
-    setup = hyp2.submersion("sasaki", "complete")
+    setup = hyp2.setup
     p = (0.2, 1.4, 0.5, -0.3)
     lcols = setup._frames([p], False).lcols[0]
-    gamma_b = hyp2.base.conn.values(p[:2])
+    gamma_b = at(hyp2.base.conn, p[:2])
     a_mat = np.einsum("j,ljk->lk", np.asarray(p[2:]), gamma_b)
     want = np.vstack([np.eye(2), -a_mat])
     assert max_abs(lcols - want) < 1e-9
@@ -101,25 +138,23 @@ def test_sasaki_blocks_hand_point(hyp2):
     p = (0.0, 2.0, 0.3, -0.1)
     a = np.array([[0.05, -0.15], [0.15, 0.05]])
     g = np.diag([0.25, 0.25])
-    gs = hyp2.sasaki_metric.values(p)
+    gs = at(hyp2.sasaki_metric, p)
     want = np.block([[g + a.T @ g @ a, a.T @ g], [g @ a, g]])
     assert max_abs(gs - want) < 1e-12
-    gh = hyp2.horizontal_metric.values(p)
+    gh = at(hyp2.horizontal_metric, p)
     want_h = np.block([[g @ a + (g @ a).T, g], [g, np.zeros((2, 2))]])
     assert max_abs(gh - want_h) < 1e-12
 
 
 def test_complete_metric_blocks(hyp2):
     p = (0.1, 1.5, 0.4, 0.2)
-    gc = hyp2.complete_metric.values(p)
+    gc = at(hyp2.complete_metric, p)
     # top-left block is u^k d_k g; only d_y g is nonzero here
     dy = -2.0 / 1.5 ** 3
     want_tl = 0.2 * np.diag([dy, dy])
     assert max_abs(gc[:2, :2] - want_tl) < 1e-12
     assert max_abs(gc[:2, 2:] - np.diag([1.0 / 2.25, 1.0 / 2.25])) < 1e-12
     assert max_abs(gc[2:, 2:]) == 0.0
-    # the generic dispatcher agrees with the bundle method
-    assert max_abs(tb.complete_lift(hyp2.base.metric, p) - gc) < 1e-12
 
 
 def test_defining_rules_all_bundles(flat2, hyp2, gauss1):
@@ -211,15 +246,15 @@ def test_chart_box_extends_base(hyp2):
 def test_complete_conn_blocks_flat_base(flat2):
     # on a flat base every lifted Christoffel symbol vanishes
     p = (0.3, -0.2, 0.6, 0.1)
-    assert max_abs(flat2.complete_conn.values(p)) == 0.0
-    assert max_abs(flat2.horizontal_conn.values(p)) == 0.0
+    assert max_abs(at(flat2.complete_conn, p)) == 0.0
+    assert max_abs(at(flat2.horizontal_conn, p)) == 0.0
 
 
 def test_complete_conn_blocks_curved_base(hyp2):
     # xx block of the complete lift repeats the base symbols
     p = (0.2, 1.3, 0.4, -0.5)
-    gam = hyp2.complete_conn.values(p)
-    gam_b = hyp2.base.conn.values(p[:2])
+    gam = at(hyp2.complete_conn, p)
+    gam_b = at(hyp2.base.conn, p[:2])
     assert max_abs(gam[:2, :2, :2] - gam_b) < 1e-13
     # mixed blocks: Gamma^(n+l)_{i, n+j} = Gamma^l_{ij}
     assert max_abs(gam[2:, :2, 2:] - gam_b) < 1e-13
@@ -227,7 +262,62 @@ def test_complete_conn_blocks_curved_base(hyp2):
     # u-row of the xx block is u^m d_m Gamma
     x = p[:2]
     h = 1e-6
-    dgam = (hyp2.base.conn.values((x[0], x[1] + h))
-            - hyp2.base.conn.values((x[0], x[1] - h))) / (2.0 * h)
+    dgam = (at(hyp2.base.conn, (x[0], x[1] + h))
+            - at(hyp2.base.conn, (x[0], x[1] - h))) / (2.0 * h)
     want = p[2] * 0.0 + p[3] * dgam  # d_x Gamma = 0 for this metric
     assert max_abs(gam[2:, :2, :2] - want) < 1e-6
+
+
+def test_bundle_checks_share_one_submersion_setup(monkeypatch):
+    # prop41, prop42 and tm_statistical use the bundle's own setup, the
+    # scenario's; the base builtin builds one more for its own submersion
+    made = []
+    init = sm.SubmersionSetup.__init__
+
+    def counting(self, total, *args, **kwargs):
+        made.append(total.chart.bundle)
+        init(self, total, *args, **kwargs)
+
+    monkeypatch.setattr(sm.SubmersionSetup, "__init__", counting)
+    cfg = parse_config({"builtin": "tangent_bundle_of:hyperbolic:2",
+                        "sampling": {"count": 4, "seed": 0}}, source="<test>")
+    report = runner.run_suite(cfg)
+    assert {c["name"] for c in report["checks"]} >= {"prop41", "prop42", "tm_statistical"}
+    assert made.count(True) == 1
+    assert made == [False, True]
+
+
+def _containers(obj, seen=None, path="") -> dict:
+    """Sizes of every container reachable through the attributes of
+    package objects from obj, keyed by attribute path."""
+    seen = set() if seen is None else seen
+    out = {}
+    if id(obj) in seen:
+        return out
+    seen.add(id(obj))
+    for key, value in vars(obj).items():
+        if isinstance(value, (dict, list, set, tuple)):
+            out[path + key] = len(value)
+            items = value.values() if isinstance(value, dict) else value
+            for k, item in enumerate(items):
+                if type(item).__module__.startswith("subgeo."):
+                    out.update(_containers(item, seen, f"{path}{key}[{k}]."))
+        elif type(value).__module__.startswith("subgeo.") and hasattr(value, "__dict__"):
+            out.update(_containers(value, seen, f"{path}{key}."))
+    return out
+
+
+def test_bundle_suites_hold_no_per_point_state():
+    # the bundle checks evaluate batches that live as long as the check:
+    # nothing the bundle's metrics, connections or setup hold grows with
+    # the sample count
+    scenario = builtins.build("tangent_bundle_of:hyperbolic:2")
+    sizes = []
+    for count in (8, 64):
+        ctx = runner.RunContext(scenario, count, 5)
+        for name in scenario.checks:
+            result = runner.CHECK_TABLE[name].driver(scenario, ctx, name, 1e-7)
+            assert result.samples > 0, name
+        sizes.append(_containers(scenario.bundle))
+    assert sizes[0] == sizes[1]
+    assert "setup._pi_stack.fields" in sizes[0]
