@@ -486,28 +486,25 @@ def _b_mul(points, order, a, b):
 def _elementwise(fn, value, points):
     """fn of each value as a Python float (math functions and float powers
     round as Jet's do; numpy's vectorised ones can differ in the last
-    bit); an overflow is Jet's domain error, at its row's point."""
+    bit); an overflow or a zero divisor is Jet's domain error, at its
+    row's point."""
     rows = value.tolist() if _rows(value) else [float(value)]
     out = []
     for row, v in enumerate(rows):
         try:
             out.append(fn(v))
-        except OverflowError as exc:
+        except (OverflowError, ZeroDivisionError) as exc:
             point = points[row] if _rows(value) else (points[0] if len(points) else None)
             raise EvalDomain(f"floating-point error ({exc})", point) from None
     return np.array(out).reshape(value.shape) if _rows(value) else np.float64(out[0])
 
 
-def _power(value, p, points):
-    return _elementwise(lambda v: v**p, value, points)
-
-
 def _b_reciprocal(points, order, a):
     value = a[0]
     _domain(value == 0.0, points, "division by zero")
-    c1 = -1.0 / _power(value, 2, points) if order > 0 else None
-    c2 = 2.0 / _power(value, 3, points) if order > 1 else None
-    c3 = -6.0 / _power(value, 4, points) if order > 2 else None
+    c1 = _elementwise(lambda v: -1.0 / v**2, value, points) if order > 0 else None
+    c2 = _elementwise(lambda v: 2.0 / v**3, value, points) if order > 1 else None
+    c3 = _elementwise(lambda v: -6.0 / v**4, value, points) if order > 2 else None
     return _chain(order, a, 1.0 / value, c1, c2, c3)
 
 
@@ -532,8 +529,8 @@ def _b_call(points, order, a, func):
         e = _elementwise(math.exp, value, points)
         return _chain(order, a, e, e, e, e)
     if func == "log":
-        c2 = -1.0 / _power(value, 2, points) if order > 1 else None
-        c3 = 2.0 / _power(value, 3, points) if order > 2 else None
+        c2 = _elementwise(lambda v: -1.0 / v**2, value, points) if order > 1 else None
+        c3 = _elementwise(lambda v: 2.0 / v**3, value, points) if order > 2 else None
         return _chain(order, a, _elementwise(math.log, value, points), 1.0 / value, c2, c3)
     if func == "sqrt":
         s = _elementwise(math.sqrt, value, points)

@@ -147,7 +147,7 @@ class Jet:
     def __rtruediv__(self, other):
         return Jet.constant(float(other), self.dim, self.order) * self._reciprocal()
 
-    def _chain(self, c0, c1, c2=0.0, c3=0.0):
+    def _chain(self, c0, c1=0.0, c2=0.0, c3=0.0):
         """Compose with a scalar function given its derivatives at ``value``."""
         g = h = t = None
         if self.order >= 1:
@@ -164,10 +164,13 @@ class Jet:
 
     @_float_domain
     def _reciprocal(self):
+        """1/v from only the powers v**p its order reads: they may overflow or
+        underflow to 0."""
         v = self.value
         if v == 0.0:
             raise EvalDomain("division by zero")
-        return self._chain(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        coeffs = ((1.0, 1), (-1.0, 2), (2.0, 3), (-6.0, 4))[:self.order + 1]
+        return self._chain(*[c / v**p for c, p in coeffs])
 
     def ipow(self, p: int) -> "Jet":
         """Integer power by repeated multiplication (total for p >= 0)."""

@@ -1,5 +1,5 @@
 """Check outcomes, the one fold that every check's residuals go through,
-and the row-by-row rebuild of a batch that fails at some of its points."""
+the row-by-row rebuild of a failing batch, and items owning its rows."""
 
 from __future__ import annotations
 
@@ -191,20 +191,52 @@ def sweep_rows(points, dim: int, residuals_at, keys=()) -> Sweep:
     return fold(*build_rows(residuals_at, x), keys=keys)
 
 
-def sweep(items, residual_at, keys=()) -> Sweep:
-    """:func:`fold` of ``residual_at(item)`` over items that are not batch
-    rows: curves, derivative probes and fibers.
-
-    ``residual_at`` returns a float or a dict of named residuals.  A
+def collect(items, value_at):
+    """({position: value_at(item)}, {position: error}) over the items: a
     :class:`SubgeoError` makes the item an incident; any other exception
-    is a bug and propagates.
-    """
-    values, errors = [], {}
+    is a bug and propagates."""
+    values, errors = {}, {}
     for index, item in enumerate(items):
         try:
-            values.append(residual_at(item))
+            values[index] = value_at(item)
         except SubgeoError as exc:
             errors[index] = exc
+    return values, errors
+
+
+def sweep(items, residual_at, keys=()) -> Sweep:
+    """:func:`fold` of ``residual_at(item)``, a float or a dict of named
+    residuals, over items that are not batch rows: derivative probes and
+    curve energies (:func:`collect` gives the incidents)."""
+    values, errors = collect(items, residual_at)
+    values = list(values.values())
     if values and isinstance(values[0], dict):
         values = {k: [v[k] for v in values] for k in values[0]}
     return fold(values, errors, keys)
+
+
+def owned_rows(owners, batch, residuals, errors):
+    """:func:`fold` inputs for items that own several rows of one batch.
+
+    ``owners`` gives the item of each point of the stack ``batch`` was
+    built over, in item order; ``batch.errors`` maps the points that did
+    not build to their errors, ``errors`` the items that failed earlier.
+    An item with a failing row is an incident with its first failing
+    row's error.  ``residuals(batch.take(rows), points)`` gives one
+    residual (or dict of them) per row of the other items, at ``points``
+    in the stack; an item's residual is the NaN-propagating max of its rows.
+    """
+    owners = np.asarray(owners, dtype=int)
+    errors = dict(errors)
+    for point in sorted(batch.errors):
+        errors.setdefault(int(owners[point]), batch.errors[point])
+    built = np.delete(np.arange(len(owners)), sorted(batch.errors))
+    keep = np.flatnonzero(~np.isin(owners[built], list(errors)))
+    if not len(keep):
+        return {}, errors
+    points = built[keep]
+    starts = np.flatnonzero(np.diff(owners[points], prepend=-1))
+    values = residuals(batch.take(keep), points)
+    if isinstance(values, dict):
+        return {k: np.maximum.reduceat(v, starts) for k, v in values.items()}, errors
+    return np.maximum.reduceat(values, starts), errors

@@ -32,7 +32,6 @@ class CheckSpec:
     tolerance: float
     description: str
     driver: object  # callable(scenario, ctx) -> CheckResult
-    needs: str = ""  # "", "submersion", "bundle", "geodesics"
 
 
 class RunContext:
@@ -198,95 +197,91 @@ def _bundle_driver(fn):
     return drive
 
 
-def _spec(name, ref, tol, desc, driver, needs=""):
-    return CheckSpec(name, ref, tol, desc, driver, needs)
-
-
 CHECK_TABLE = {s.name: s for s in [
-    _spec("is_statistical", "§2 Definition", 1e-8,
-          "torsion-freeness and total symmetry of the cubic form nabla g",
-          _manifold_driver("is_statistical")),
-    _spec("dual_involution", "§2 Definition", 1e-9,
-          "taking the metric dual twice returns the original connection",
-          _manifold_driver("check_dual_involution")),
-    _spec("curvature_duality", "§2", 1e-8,
-          "curvatures of a dual pair are skew-adjoint through the metric",
-          _manifold_driver("check_curvature_duality")),
-    _spec("constant_curvature", "§2 Example", 1e-8,
-          "R(X,Y)Z matches k (g(Y,Z)X - g(X,Z)Y) for the scenario's k",
-          _constant_curvature),
-    _spec("fd_crosscheck", "numerics hygiene", 1e-4,
-          "jet gradients and hessians agree with central differences",
-          _fd_crosscheck),
-    _spec("split_identities", "§2", 1e-9,
-          "projector algebra of the vertical/horizontal splitting",
-          _submersion_driver(submersion.check_split_identities), "submersion"),
-    _spec("tensoriality", "§2", 1e-8,
-          "fundamental tensors are pointwise in both arguments",
-          _submersion_driver(submersion.check_tensoriality), "submersion"),
-    _spec("gauss_weingarten", "§2", 1e-8,
-          "Gauss-Weingarten split of covariant derivatives along the fibers",
-          _submersion_driver(submersion.check_gauss_weingarten), "submersion"),
-    _spec("semi_riemannian", "§2 Definition", 1e-8,
-          "horizontal lifts are isometric and fibers stay nondegenerate",
-          _submersion_driver(submersion.check_semi_riemannian), "submersion"),
-    _spec("conformal_metric", "§3 Definition", 1e-8,
-          "lifted metric equals e^(2 phi) times the base metric",
-          _submersion_driver(submersion.check_conformal_metric), "submersion"),
-    _spec("conformal_defect", "§3 Theorem 3.2", 1e-8,
-          "conformal submersion defect of the total connection over the base",
-          _submersion_driver(submersion.check_conformal_hd), "submersion"),
-    _spec("affine_hd", "§2 Definition", 1e-8,
-          "horizontal part of lifted covariant derivatives matches the base",
-          _submersion_driver(submersion.check_affine_hd), "submersion"),
-    _spec("dual_conformal_pair", "§3 Proposition", 1e-8,
-          "primal and dual connections are conformal over the base together",
-          _submersion_driver(submersion.check_dual_conformal_pair), "submersion"),
-    _spec("lemma_components", "§3 Lemma", 1e-7,
-          "six component identities for nabla g on mixed lift arguments",
-          _submersion_driver(submersion.check_lemma_components), "submersion"),
-    _spec("four_conditions", "§3 Theorem", 1e-8,
-          "the four split conditions hold iff the total space is statistical",
-          _submersion_driver(submersion.four_conditions_check), "submersion"),
-    _spec("projectable", "§2", 1e-8,
-          "induced base connection is constant along every fiber",
-          _submersion_driver(submersion.check_projectable), "submersion"),
-    _spec("induced_statistical", "§2 Theorem 2.1", 1e-7,
-          "projected structure on the base is statistical when the total is",
-          _submersion_driver(submersion.theorem21_verify), "submersion"),
-    _spec("geodesic_projection", "§3.1 Theorem", 1e-6,
-          "projection criterion verdict matches the base geodesic verdict",
-          _geodesic_driver(geodesics.geodesic_projection_check), "geodesics"),
-    _spec("curve_decomposition", "§3.1 Theorem", 1e-8,
-          "horizontal/vertical decomposition of derivatives along curves",
-          _geodesic_driver(geodesics.check_curve_decomposition), "geodesics"),
-    _spec("sigma_second", "§3.1 Corollary", 1e-5,
-          "second-derivative split of a geodesic through the submersion",
-          _geodesic_driver(geodesics.check_sigma_second), "geodesics"),
-    _spec("geodesic_energy", "integrator hygiene", 1e-6,
-          "kinetic energy drift along integrated geodesics",
-          _geodesic_energy, "geodesics"),
-    _spec("tb_defining_rules", "§4 Definitions", 1e-8,
-          "lifted metrics and connections reproduce their frame rules",
-          _bundle_driver(tangent_bundle.check_defining_rules), "bundle"),
-    _spec("prop41", "§4 Proposition 4.1", 1e-8,
-          "bundle projection is affine with the horizontal distribution",
-          _bundle_driver(tangent_bundle.prop41_check), "bundle"),
-    _spec("prop42", "§4 Proposition 4.2", 1e-8,
-          "bundle projection is a semi-Riemannian submersion for sasaki",
-          _bundle_driver(tangent_bundle.prop42_check), "bundle"),
-    _spec("tm_statistical", "§4 Theorem", 1e-7,
-          "split conditions on TM agree with direct statisticity of the lift",
-          _bundle_driver(tangent_bundle.tm_statistical_check), "bundle"),
-    _spec("remark_complete_metric", "§4 Remark (a)", 1e-8,
-          "complete lift pair stays statistical when the base pair is",
-          _bundle_driver(tangent_bundle.remark_complete_check), "bundle"),
-    _spec("remark_dual_complete", "§4 Remark (b)", 1e-8,
-          "dual of the complete lift equals the complete lift of the dual",
-          _bundle_driver(tangent_bundle.remark_dual_check), "bundle"),
-    _spec("remark_horizontal", "§4 Remark (c)", 1e-7,
-          "horizontal lift statisticity tracks metric compatibility below",
-          _bundle_driver(tangent_bundle.remark_horizontal_check), "bundle"),
+    CheckSpec("is_statistical", "§2 Definition", 1e-8,
+              "torsion-freeness and total symmetry of the cubic form nabla g",
+              _manifold_driver("is_statistical")),
+    CheckSpec("dual_involution", "§2 Definition", 1e-9,
+              "taking the metric dual twice returns the original connection",
+              _manifold_driver("check_dual_involution")),
+    CheckSpec("curvature_duality", "§2", 1e-8,
+              "curvatures of a dual pair are skew-adjoint through the metric",
+              _manifold_driver("check_curvature_duality")),
+    CheckSpec("constant_curvature", "§2 Example", 1e-8,
+              "R(X,Y)Z matches k (g(Y,Z)X - g(X,Z)Y) for the scenario's k",
+              _constant_curvature),
+    CheckSpec("fd_crosscheck", "numerics hygiene", 1e-4,
+              "jet gradients and hessians agree with central differences",
+              _fd_crosscheck),
+    CheckSpec("split_identities", "§2", 1e-9,
+              "projector algebra of the vertical/horizontal splitting",
+              _submersion_driver(submersion.check_split_identities)),
+    CheckSpec("tensoriality", "§2", 1e-8,
+              "fundamental tensors are pointwise in both arguments",
+              _submersion_driver(submersion.check_tensoriality)),
+    CheckSpec("gauss_weingarten", "§2", 1e-8,
+              "Gauss-Weingarten split of covariant derivatives along the fibers",
+              _submersion_driver(submersion.check_gauss_weingarten)),
+    CheckSpec("semi_riemannian", "§2 Definition", 1e-8,
+              "horizontal lifts are isometric and fibers stay nondegenerate",
+              _submersion_driver(submersion.check_semi_riemannian)),
+    CheckSpec("conformal_metric", "§3 Definition", 1e-8,
+              "lifted metric equals e^(2 phi) times the base metric",
+              _submersion_driver(submersion.check_conformal_metric)),
+    CheckSpec("conformal_defect", "§3 Theorem 3.2", 1e-8,
+              "conformal submersion defect of the total connection over the base",
+              _submersion_driver(submersion.check_conformal_hd)),
+    CheckSpec("affine_hd", "§2 Definition", 1e-8,
+              "horizontal part of lifted covariant derivatives matches the base",
+              _submersion_driver(submersion.check_affine_hd)),
+    CheckSpec("dual_conformal_pair", "§3 Proposition", 1e-8,
+              "primal and dual connections are conformal over the base together",
+              _submersion_driver(submersion.check_dual_conformal_pair)),
+    CheckSpec("lemma_components", "§3 Lemma", 1e-7,
+              "six component identities for nabla g on mixed lift arguments",
+              _submersion_driver(submersion.check_lemma_components)),
+    CheckSpec("four_conditions", "§3 Theorem", 1e-8,
+              "the four split conditions hold iff the total space is statistical",
+              _submersion_driver(submersion.four_conditions_check)),
+    CheckSpec("projectable", "§2", 1e-8,
+              "induced base connection is constant along every fiber",
+              _submersion_driver(submersion.check_projectable)),
+    CheckSpec("induced_statistical", "§2 Theorem 2.1", 1e-7,
+              "projected structure on the base is statistical when the total is",
+              _submersion_driver(submersion.theorem21_verify)),
+    CheckSpec("geodesic_projection", "§3.1 Theorem", 1e-6,
+              "projection criterion verdict matches the base geodesic verdict",
+              _geodesic_driver(geodesics.geodesic_projection_check)),
+    CheckSpec("curve_decomposition", "§3.1 Theorem", 1e-8,
+              "horizontal/vertical decomposition of derivatives along curves",
+              _geodesic_driver(geodesics.check_curve_decomposition)),
+    CheckSpec("sigma_second", "§3.1 Corollary", 1e-5,
+              "second-derivative split of a geodesic through the submersion",
+              _geodesic_driver(geodesics.check_sigma_second)),
+    CheckSpec("geodesic_energy", "integrator hygiene", 1e-6,
+              "kinetic energy drift along integrated geodesics",
+              _geodesic_energy),
+    CheckSpec("tb_defining_rules", "§4 Definitions", 1e-8,
+              "lifted metrics and connections reproduce their frame rules",
+              _bundle_driver(tangent_bundle.check_defining_rules)),
+    CheckSpec("prop41", "§4 Proposition 4.1", 1e-8,
+              "bundle projection is affine with the horizontal distribution",
+              _bundle_driver(tangent_bundle.prop41_check)),
+    CheckSpec("prop42", "§4 Proposition 4.2", 1e-8,
+              "bundle projection is a semi-Riemannian submersion for sasaki",
+              _bundle_driver(tangent_bundle.prop42_check)),
+    CheckSpec("tm_statistical", "§4 Theorem", 1e-7,
+              "split conditions on TM agree with direct statisticity of the lift",
+              _bundle_driver(tangent_bundle.tm_statistical_check)),
+    CheckSpec("remark_complete_metric", "§4 Remark (a)", 1e-8,
+              "complete lift pair stays statistical when the base pair is",
+              _bundle_driver(tangent_bundle.remark_complete_check)),
+    CheckSpec("remark_dual_complete", "§4 Remark (b)", 1e-8,
+              "dual of the complete lift equals the complete lift of the dual",
+              _bundle_driver(tangent_bundle.remark_dual_check)),
+    CheckSpec("remark_horizontal", "§4 Remark (c)", 1e-7,
+              "horizontal lift statisticity tracks metric compatibility below",
+              _bundle_driver(tangent_bundle.remark_horizontal_check)),
 ]}
 
 

@@ -37,7 +37,7 @@ from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, Sing
 from .fields import ScalarField, Space, _dual, _FieldStack, _inverse
 from .linalg import solve_linear
 from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree,
-                      build_rows, fold, peak, sweep)
+                      build_rows, collect, fold, owned_rows, peak)
 
 RANK_RTOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -289,11 +289,6 @@ class _FrameBatch:
 
     def __len__(self) -> int:
         return self.size
-
-    def raise_first_error(self) -> None:
-        """Raise the error of the first point that did not evaluate, if any."""
-        if self.errors:
-            raise self.errors[min(self.errors)]
 
     def take(self, rows) -> _FrameBatch:
         """The frames of some rows (an index array or a slice)."""
@@ -679,16 +674,25 @@ def check_projectable(setup, points, tol) -> CheckResult:
     n_base = max(1, math.ceil(len(points) / 16))
     per_fiber = max(2, math.ceil(len(points) / (4 * n_base)))
 
-    def at(p):
+    def fiber(p):
         fpts = setup.fiber_points(setup.base_point(p), per_fiber, anchor=p)
         if len(fpts) < 2:
             raise PremiseFailed(f"found {len(fpts)} of {per_fiber} points on the fiber")
-        frames = setup._frames(fpts, False)
-        frames.raise_first_error()
-        gammas = induced_structures(frames)[1]
-        return float(np.max(np.abs(gammas[1:] - gammas[0])))
+        return fpts
 
-    return sweep(points[:n_base], at).summarize("projectable", tol)
+    fibers, errors = collect(points[:n_base], fiber)
+    if not fibers:
+        return fold([], errors).summarize("projectable", tol)
+    owners = np.repeat(list(fibers), [len(f) for f in fibers.values()])
+    frames = setup._frames([p for f in fibers.values() for p in f], False)
+
+    def residuals(f, rows):
+        # each row against the first point of its fiber, which reads 0
+        gammas, fiber_of = induced_structures(f)[1], owners[rows]
+        first = np.searchsorted(fiber_of, fiber_of)
+        return np.where(first == np.arange(len(rows)), 0.0, _amax(gammas - gammas[first]))
+
+    return fold(*owned_rows(owners, frames, residuals, errors)).summarize("projectable", tol)
 
 
 def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:

@@ -118,6 +118,22 @@ def test_overflow_is_a_domain_error_on_both_paths():
         Jet.constant(float("inf"), 1, 1).sin()
 
 
+@pytest.mark.parametrize("x", [1e-170, 1e-90, 1e-10, 1e80, 1e160])
+def test_reciprocal_domain_errors_agree_on_both_paths(x):
+    # each path raises, or both give the same bits, at every order
+    ast_ = parse("1/x1", 1)
+    for order in range(4):
+        try:
+            jet = eval_jet(ast_, (x,), order)
+        except EvalDomain:
+            with pytest.raises(EvalDomain):
+                compile_batched([ast_])(np.array([[x]]), order)
+            continue
+        parts = compile_batched([ast_])(np.array([[x]]), order)
+        for part, want in zip(parts, (jet.value, jet.grad, jet.hess, jet.third)):
+            assert np.array_equal(part[0, ..., 0], want), order
+
+
 def _spaces():
     """(label, chart box, metric, connection) for builtins and derived fields."""
     out = []
@@ -355,7 +371,7 @@ JET_MODULES = ("jets.py", "exprlang.py", "__init__.py")
 
 def test_only_the_reference_modules_use_jets_and_no_field_caches():
     # one evaluation path: jets are the reference of the compiled programs,
-    # and no field, lift or submersion keeps anything per point
+    # and no field, lift, submersion or curve keeps anything per point
     package = pathlib.Path(subgeo.__file__).parent
     jet_names = re.compile(r"\b(Jet|jets|eval_jet)\b")
     hits = [f"{path.name}:{k}" for path in sorted(package.glob("*.py"))
@@ -364,7 +380,7 @@ def test_only_the_reference_modules_use_jets_and_no_field_caches():
             if jet_names.search(line)]
     assert hits == []
     caches = []
-    for name in ("fields.py", "tangent_bundle.py", "submersion.py"):
+    for name in ("fields.py", "tangent_bundle.py", "submersion.py", "geodesics.py"):
         tree = ast.parse((package / name).read_text())
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             for node in ast.walk(cls):

@@ -21,6 +21,7 @@ from subgeo.fields import (
     MetricField,
 )
 from subgeo.results import FAIL, INCONCLUSIVE, PASS
+from subgeo.sampling import sample_box
 
 
 def half_plane():
@@ -73,11 +74,6 @@ def test_boundary_exit_raises_and_clips():
         geo.integrate_geodesic(conn, chart, (0.0, 1.0), (0.0, -1.0), 1.0, step=1e-3)
     assert e.value.t == pytest.approx(math.log(2.0), abs=2e-3)
     assert e.value.point is not None
-
-    traj = geo.integrate_geodesic(conn, chart, (0.0, 1.0), (0.0, -1.0), 1.0,
-                                  step=1e-3, on_exit="clip")
-    assert traj.ts[-1] < 1.0
-    assert chart.contains(traj.xs[-1])
 
 
 def test_bad_inputs_rejected():
@@ -195,12 +191,14 @@ def test_projection_criterion_matches_closed_form():
     # the base acceleration is the same number; probe the agreement
     setup = hyperbolic_setup(3)
     (semi,) = _hyp_curves(setup, [((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0)])
-    r = geo.projection_condition_residuals(setup, semi)
+    rows = geo.probe_rows(semi)
+    r = geo.projection_condition_residuals(
+        setup, geo.ProbeBatch(setup._frames(rows["x"], True), rows))
     ts = semi.ts[geo.probe_indices(len(semi))]
-    closed = np.max(2.0 / np.cosh(ts) ** 2 * np.tanh(ts))
+    closed = 2.0 / np.cosh(ts) ** 2 * np.tanh(ts)
     assert r["condition"] == pytest.approx(closed, rel=1e-5)
     assert r["base_residual"] == pytest.approx(closed, rel=1e-5)
-    assert r["condition"] == pytest.approx(0.7679222895238592, rel=1e-4)
+    assert r["condition"].max() == pytest.approx(0.7679222895238592, rel=1e-4)
 
 
 def test_projection_check_skips_non_geodesics():
@@ -248,11 +246,6 @@ def test_job_leaving_the_box_does_not_stop_its_siblings():
     assert isinstance(out[3], ContractViolation)
     for k in (0, 2):
         assert same_trajectory(out[k], geo.integrate_geodesic(conn, chart, x0[k], v0[k], 1.0))
-    clipped = geo.integrate_geodesic(conn, chart, x0[:3], v0[:3], 1.0, on_exit="clip")
-    alone = geo.integrate_geodesic(conn, chart, x0[1], v0[1], 1.0, on_exit="clip")
-    assert same_trajectory(clipped[1], alone)
-    assert alone.ts[-1] < 1.0
-    assert same_trajectory(clipped[0], out[0]) and same_trajectory(clipped[2], out[2])
 
 
 def test_job_failing_to_evaluate_becomes_its_incident():
@@ -346,27 +339,76 @@ def test_projection_check_is_inconclusive_when_too_few_curves_evaluate():
     assert res.status == INCONCLUSIVE
 
 
-def test_curve_checks_share_their_probe_frames(monkeypatch):
-    # the probes of a curve are built once and read by all three curve checks
+def test_each_curve_check_and_projectable_builds_one_frame_batch(monkeypatch):
+    # every curve of a check, of any step, is rows of one frame batch; so
+    # is every fiber of a projectable run
     from subgeo import submersion
 
     calls = []
     frames = submersion.SubmersionSetup._frames
 
-    def counting(self, p, order):
-        calls.append(order)
-        return frames(self, p, order)
+    def counting(self, points, rank_test):
+        calls.append(len(points))
+        return frames(self, points, rank_test)
 
     monkeypatch.setattr(submersion.SubmersionSetup, "_frames", counting)
+    setup = hyperbolic_setup(3)
+    curves = _hyp_curves(setup, [((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0),
+                                 ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0),
+                                 ((0.1, -0.2, 1.2), (0.4, 0.3, 0.5), 1.0)])
+    curves.append(geo.integrate_geodesic(setup.total.conn, setup.total.chart, (0.2, 0.1, 0.9),
+                                         (-0.3, 0.2, 0.4), 1.0, step=2e-3))
+    checks = [(geo.check_curve_decomposition, 1e-6), (geo.check_sigma_second, 1e-5),
+              (geo.geodesic_projection_check, 1e-6)]
+    for some in (curves[:1], curves):
+        for check, tol in checks:
+            calls.clear()
+            assert check(setup, some, tol).status == PASS
+            assert calls == [45 * len(some)]
+    pts = sample_box(setup.total.chart.box, 64, 0).points
+    calls.clear()
+    assert submersion.check_projectable(setup, pts, 1e-8).status == PASS
+    assert len(calls) == 1
 
-    def frame_calls(checks):
-        calls.clear()
-        cfg = config.parse_config({"builtin": "hyperbolic:3", "checks": checks,
-                                   "sampling": {"count": 4, "seed": 0}})
-        report = runner.run_suite(cfg)
-        assert all(c["status"] == "pass" for c in report["checks"])
-        return len(calls)
 
-    alone = frame_calls(["curve_decomposition"])
-    assert alone > 0
-    assert frame_calls(["curve_decomposition", "sigma_second", "geodesic_projection"]) <= alone
+def test_a_curve_whose_probe_rows_fail_is_one_incident():
+    # dpi = (3 x1^2, 0) loses rank on x1 = 0, where the "axis" job runs;
+    # the other curves keep their one-curve residuals to the bit
+    flat = {"dim": 1, "box": [[-1.0, 4.0]], "metric": [["1"]], "connection": "flat"}
+    jobs = {"a": ([0.5, 0.0], [0.3, 0.2]), "axis": ([0.0, -0.5], [0.0, 1.0]),
+            "b": ([1.0, 0.3], [-0.2, -0.4]), "c": ([0.8, -0.6], [0.1, 0.5])}
+    sc = config.build_scenario(config.parse_config({
+        "manifold": {"dim": 2, "box": [[-0.5, 1.5], [-1.0, 1.0]],
+                     "metric": [["1", "0"], ["0", "1"]], "connection": "flat"},
+        "submersion": {"base": flat, "projection": ["x1^3"]},
+        "geodesics": {name: {"p0": p0, "v0": v0, "t_end": 1.0, "h": 0.01}
+                      for name, (p0, v0) in jobs.items()},
+    }, source="<test>"))
+    setup = sc.setup
+    curves = list(runner.RunContext(sc, count=4, seed=0).curves().values())
+    rows = geo.probe_rows(curves[1])
+    first_error = setup._frames(rows["x"], True).errors[0]
+    good = [curves[0]] + curves[2:]
+    for check in (geo.check_curve_decomposition, geo.check_sigma_second,
+                  geo.geodesic_projection_check):
+        res = check(setup, curves, 1e-6)
+        assert res.incidents == 1 and res.samples == 3
+        assert res.details["incident_kinds"] == {
+            type(first_error).__name__: {"count": 1, "example": str(first_error)}}
+        alone = [check(setup, [c], 1e-6).details for c in good]
+        if check is geo.geodesic_projection_check:
+            assert res.details["curves"] == [d["curves"][0] for d in alone]
+        else:
+            for key in geo.CURVE_KEYS:
+                assert res.details[key] == max(d[key] for d in alone)
+
+
+def test_curves_keep_only_their_nodes_after_a_suite():
+    sc = builtins.build("hyperbolic:3")
+    ctx = runner.RunContext(sc, count=4, seed=0)
+    for name in ("curve_decomposition", "geodesic_energy", "geodesic_projection",
+                 "sigma_second"):
+        spec = runner.CHECK_TABLE[name]
+        assert spec.driver(sc, ctx, name, spec.tolerance).status == PASS
+    for traj in ctx.curves().values():
+        assert set(vars(traj)) == {"ts", "xs", "vs"}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import subgeo
 from subgeo.errors import EvalDomain, SubgeoError
-from subgeo.results import FAIL, INCONCLUSIVE, PASS, fold, peak, sweep
+from subgeo.results import FAIL, INCONCLUSIVE, PASS, fold, owned_rows, peak, sweep
 
 
 def fold_arrays(items, residual_at, keys=()):
@@ -173,3 +173,55 @@ def test_the_array_fold_agrees_with_the_item_sweep(keys, rows, preset):
     assert (by_array.evaluated, by_array.attempted) == (by_item.evaluated, by_item.attempted)
     assert by_array.incidents == by_item.incidents == len(errors)
     assert by_array.kinds == by_item.kinds
+
+
+class _Rows:
+    """A batch stand-in: the values of the rows that built, in point
+    order, and the errors of the points that did not."""
+
+    def __init__(self, values, errors):
+        self.values = np.array(values, dtype=float)
+        self.errors = errors
+
+    def take(self, rows):
+        return self.values[rows]
+
+
+ROWS = st.one_of(st.none(), st.lists(VALUES, min_size=1, max_size=4))
+
+
+@given(items=st.lists(ROWS, max_size=6))
+def test_rows_owned_by_items_fold_as_their_items(items):
+    # an item is None (it fails before its rows are built) or the values
+    # of its rows, a None row failing to build; the per-item reference
+    # raises the item's first error or returns the peak of its rows
+    owners, built, row_errors, first, before = [], [], {}, {}, {}
+    for index, rows in enumerate(items):
+        if rows is None:
+            before[index] = EvalDomain(f"item {index}", point=(float(index),))
+            continue
+        for value in rows:
+            if value is None:
+                row_errors[len(owners)] = EvalDomain(f"row {len(owners)}", point=(0.0,))
+                first.setdefault(index, row_errors[len(owners)])
+            else:
+                built.append(value)
+            owners.append(index)
+    stack = [v for rows in items if rows is not None for v in rows]
+
+    def residuals(kept, points):
+        assert all(_same(v, stack[p]) for v, p in zip(kept, points))
+        return kept
+
+    def at(index):
+        if index in before or index in first:
+            raise before.get(index, first.get(index))
+        return peak(items[index])
+
+    by_rows = fold(*owned_rows(owners, _Rows(built, row_errors), residuals, before))
+    by_item = sweep(range(len(items)), at)
+    assert _same(by_rows.residual, by_item.residual)
+    assert by_rows.worst_index == by_item.worst_index
+    assert (by_rows.evaluated, by_rows.attempted) == (by_item.evaluated, by_item.attempted)
+    assert by_rows.incidents == by_item.incidents
+    assert by_rows.kinds == by_item.kinds
