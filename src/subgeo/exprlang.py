@@ -534,7 +534,11 @@ def _b_call(points, order, a, func):
         return _chain(order, a, _elementwise(math.log, value, points), 1.0 / value, c2, c3)
     if func == "sqrt":
         s = _elementwise(math.sqrt, value, points)
-        return _chain(order, a, s, 0.5 / s, -0.25 / (s * value), 0.375 / (s * value * value))
+        c2 = (_elementwise(lambda v: -0.25 / (math.sqrt(v) * v), value, points)
+              if order > 1 else None)
+        c3 = (_elementwise(lambda v: 0.375 / (math.sqrt(v) * v * v), value, points)
+              if order > 2 else None)
+        return _chain(order, a, s, 0.5 / s, c2, c3)
     if func in ("sin", "cos"):
         # math.sin and math.cos raise on an infinite argument
         _domain(np.isinf(value), points, "floating-point error (math domain error)")

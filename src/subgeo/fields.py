@@ -19,6 +19,7 @@ independent path through every check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,7 +385,7 @@ def _koszul(dg) -> np.ndarray:
 def _solve(g, rhs) -> np.ndarray:
     """g^-1 rhs for a stack g (N, n, n) and rhs (N, n, ...)."""
     npts, n = g.shape[0], g.shape[1]
-    return solve_linear(g, rhs.reshape(npts, n, -1)).reshape(rhs.shape)
+    return solve_linear(g, rhs.reshape(npts, n, math.prod(rhs.shape[2:]))).reshape(rhs.shape)
 
 
 def _inverse(a) -> np.ndarray:
@@ -406,15 +407,15 @@ def _solution_parts(g, dg_parts, x, rhs_parts) -> tuple:
         return (x,)
     npts, n = x.shape[0], x.shape[1]
     dg, d_rhs = dg_parts[0], rhs_parts[0]
-    flat = x.reshape(npts, 1, n, -1)
-    t = d_rhs.reshape(npts, -1, n, flat.shape[-1]) - dg @ flat
+    dim, cols = dg.shape[1], math.prod(x.shape[2:])
+    flat = x.reshape(npts, 1, n, cols)
+    t = d_rhs.reshape(npts, dim, n, cols) - dg @ flat
     dx = np.swapaxes(_solve(g, np.swapaxes(t, 1, 2)), 1, 2)          # (N, a, n, m)
     if len(rhs_parts) == 1:
         return x, dx.reshape(d_rhs.shape)
     d2g, d2_rhs = dg_parts[1], rhs_parts[1]
-    dim = dg.shape[1]
     cross = dg[:, :, None] @ dx[:, None]                              # [p, a, b] = d_a g d_b x
-    t2 = (d2_rhs.reshape(npts, dim, dim, n, -1) - d2g @ flat[:, None]
+    t2 = (d2_rhs.reshape(npts, dim, dim, n, cols) - d2g @ flat[:, None]
           - cross - np.swapaxes(cross, 1, 2))
     d2x = _solve(g, t2.transpose(0, 3, 1, 2, 4)).transpose(0, 2, 3, 1, 4)
     return x, dx.reshape(d_rhs.shape), d2x.reshape(d2_rhs.shape)

@@ -162,15 +162,20 @@ class Jet:
             )
         return Jet(self.dim, self.order, c0, g, h, t)
 
+    def _compose(self, *derivatives):
+        """:meth:`_chain` with each derivative a function of ``value``,
+        called only when the order reads it (another may overflow or
+        divide by zero)."""
+        return self._chain(*[d(self.value) for d in derivatives[:self.order + 1]])
+
     @_float_domain
     def _reciprocal(self):
         """1/v from only the powers v**p its order reads: they may overflow or
         underflow to 0."""
-        v = self.value
-        if v == 0.0:
+        if self.value == 0.0:
             raise EvalDomain("division by zero")
-        coeffs = ((1.0, 1), (-1.0, 2), (2.0, 3), (-6.0, 4))[:self.order + 1]
-        return self._chain(*[c / v**p for c, p in coeffs])
+        return self._compose(lambda v: 1.0 / v, lambda v: -1.0 / v**2,
+                             lambda v: 2.0 / v**3, lambda v: -6.0 / v**4)
 
     def ipow(self, p: int) -> "Jet":
         """Integer power by repeated multiplication (total for p >= 0)."""
@@ -200,18 +205,18 @@ class Jet:
 
     @_float_domain
     def log(self):
-        v = self.value
-        if v <= 0.0:
+        if self.value <= 0.0:
             raise EvalDomain("log of a non-positive value")
-        return self._chain(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        return self._compose(math.log, lambda v: 1.0 / v, lambda v: -1.0 / v**2,
+                             lambda v: 2.0 / v**3)
 
     @_float_domain
     def sqrt(self):
-        v = self.value
-        if v <= 0.0:
+        if self.value <= 0.0:
             raise EvalDomain("sqrt of a non-positive value")
-        s = math.sqrt(v)
-        return self._chain(s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
+        return self._compose(math.sqrt, lambda v: 0.5 / math.sqrt(v),
+                             lambda v: -0.25 / (math.sqrt(v) * v),
+                             lambda v: 0.375 / (math.sqrt(v) * v * v))
 
     @_float_domain
     def sin(self):

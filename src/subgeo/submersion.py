@@ -17,11 +17,15 @@ projectors with their first partials (by the product rule and
 d(A^-1) = -A^-1 dA A^-1), the Christoffels of the total connection and
 of its dual, and the base structure at the projected point. Every
 identity is one array program over those rows, giving one residual per
-point. Pointwise tensors extend their vector arguments by constant
-coordinate components and project with the frame's projector fields,
-which makes the results extension-independent up to solver noise. The
-setup caches nothing per point: a batch lives as long as the check that
-built it.
+point. An identity over frame directions runs over every pair or triple
+of columns at once: the kernel and lift columns become column fields
+(:meth:`_FrameBatch.columns`), each put on its own column axis between
+the row axis and the vector index (:func:`_tuples`), and the batch
+broadcasts over those axes (:meth:`_FrameBatch.over`). Pointwise tensors
+extend their vector arguments by constant coordinate components and
+project with the frame's projector fields, which makes the results
+extension-independent up to solver noise. The setup caches nothing per
+point: a batch lives as long as the check that built it.
 """
 
 from __future__ import annotations
@@ -179,9 +183,11 @@ class SubmersionSetup:
 
     def fundamental_T(self, f: _FrameBatch, e, w, dual: bool = False, ds=None) -> np.ndarray:
         """T_e W = H nabla_{Ve} (VW) + V nabla_{Ve} (HW) at every frame point,
-        e and w (N, n), W the constant extension of w split by the frame's
-        projector fields.  ``dual`` takes the dual total connection; ``ds``
-        rescales W by a scalar field s with s = 1 and gradient ds there."""
+        e and w (N, ..., n), W the constant extension of w split by the
+        frame's projector fields; with column axes, f broadcasts over them
+        (:meth:`_FrameBatch.over`).  ``dual`` takes the dual total
+        connection; ``ds`` rescales W by a scalar field s with s = 1 and
+        gradient ds there."""
         w_v, w_h = f.extend(w, ds)
         ve = _mv(f.pv, e)
         return _mv(f.ph, f.cov(ve, w_v, dual)) + _mv(f.pv, f.cov(ve, w_h, dual))
@@ -278,7 +284,8 @@ class _FrameBatch:
     metric ``gb``, Christoffels ``gamma_b`` and ``gamma_b_dual`` and cubic
     form ``cubic_b``.  ``d_ph``, ``d_pv``, ``d_vcols`` and ``d_lcols`` hold
     the partials of their arrays, the derivative index first as in ``dg``.
-    Vectors and fields passed to the methods carry the same row axis.
+    Vectors and fields passed to the methods carry the same row axis; any
+    column axes after it need the batch from :meth:`over`.
     """
 
     def __init__(self, setup: SubmersionSetup, size: int, arrays: dict, errors=None):
@@ -295,11 +302,19 @@ class _FrameBatch:
         arrays = {k: v[rows] for k, v in vars(self).items() if isinstance(v, np.ndarray)}
         return _FrameBatch(self.setup, len(arrays["dpi"]), arrays)
 
-    def kernel_col(self, a):
-        return self.vcols[..., a], self.d_vcols[..., a]
+    def over(self, depth: int) -> _FrameBatch:
+        """This batch with ``depth`` unit column axes after the row axis:
+        its arrays broadcast against vectors (N, c_1, ..., c_depth, n)."""
+        arrays = {k: v.reshape(v.shape[:1] + (1,) * depth + v.shape[1:])
+                  for k, v in vars(self).items() if isinstance(v, np.ndarray)}
+        return _FrameBatch(self.setup, self.size, arrays)
 
-    def lift_col(self, a):
-        return self.lcols[..., a], self.d_lcols[..., a]
+    def columns(self):
+        """The kernel columns V and lift columns L as column fields:
+        values (N, c, n) and partials (N, c, n, n), column axis first."""
+        return tuple((np.ascontiguousarray(np.moveaxis(cols, -1, 1)),
+                      np.ascontiguousarray(np.moveaxis(d_cols, -1, 1)))
+                     for cols, d_cols in ((self.vcols, self.d_vcols), (self.lcols, self.d_lcols)))
 
     def s_value(self, v, x) -> np.ndarray:
         """S_v x = nabla_v X - dual-nabla_v X for constant extensions."""
@@ -317,23 +332,24 @@ class _FrameBatch:
             return parts
         return tuple((value, d + ds[..., :, None] * value[..., None, :]) for value, d in parts)
 
-    def fiber_cubic(self, a, b, c) -> np.ndarray:
-        """(hat-nabla_{V_a} hat-g)(V_b, V_c) using the kernel frame fields."""
-        u = self.vcols[..., a]
-        vb = self.kernel_col(b)
-        wc = self.kernel_col(c)
-        term1 = np.einsum("...i,...i->...", _scalar_grad(self.g, self.dg, vb, wc), u)
-        dvb = _mv(self.pv, self.cov(u, vb))
-        dwc = _mv(self.pv, self.cov(u, wc))
-        return term1 - _pair(self.g, dvb, wc[0]) - _pair(self.g, vb[0], dwc)
+    def fiber_cubic(self) -> np.ndarray:
+        """(hat-nabla_{V_a} hat-g)(V_b, V_c) [..., a, b, c] over the kernel
+        column fields."""
+        u, vb, wc = _tuples(*[self.columns()[0]] * 3)
+        f = self.over(3)
+        term1 = np.einsum("...i,...i->...", _scalar_grad(f.g, f.dg, vb, wc), u[0])
+        dvb = _mv(f.pv, f.cov(u[0], vb))
+        dwc = _mv(f.pv, f.cov(u[0], wc))
+        return term1 - _pair(f.g, dvb, wc[0]) - _pair(f.g, vb[0], dwc)
 
 
 # -- array helpers -------------------------------------------------------------
 #
-# Every helper takes leading axes (the rows of a frame batch).  A vector
-# field near a point is the pair (value (..., n), d (..., n, n)) with
-# d[..., k, i] the k-th partial of component i, the derivative index first
-# as in the frame arrays.
+# Every helper takes leading axes: the rows of a frame batch, then any
+# column axes, which frame arrays meet as unit axes (_FrameBatch.over).  A
+# vector field near a point is the pair (value (..., n), d (..., n, n))
+# with d[..., k, i] the k-th partial of component i, the derivative index
+# first as in the frame arrays.
 
 
 def _mv(a, v) -> np.ndarray:
@@ -357,13 +373,24 @@ def _gram(cols, g) -> np.ndarray:
 
 
 def _amax(a) -> np.ndarray:
-    """Max |entry| of each row of a stack (N, ...); NaN wins."""
-    return np.abs(a).reshape(len(a), -1).max(axis=1)
+    """Max |entry| of each row of a stack (N, ...); NaN wins, 0 for a row
+    with no entries."""
+    return np.abs(a).max(axis=tuple(range(1, a.ndim)), initial=0.0)
 
 
-def _worst(residuals, count: int) -> np.ndarray:
-    """Row-wise max of residual arrays (count,); NaN wins, zeros for none."""
-    return np.max(residuals, axis=0) if residuals else np.zeros(count)
+def _tuples(*stacks):
+    """Column stacks (N, c, ...), vectors or fields (value, d), each moved
+    to its own column axis: the k-th of d stacks gets the shape
+    (N, 1, .., c, .., 1, ...) with c at column axis k, so that together
+    they broadcast over every d-tuple of columns."""
+    depth = len(stacks)
+
+    def put(a, k):
+        return a.reshape(a.shape[:1] + (1,) * k + a.shape[1:2] + (1,) * (depth - 1 - k)
+                         + a.shape[2:])
+
+    return [tuple(put(a, k) for a in s) if isinstance(s, tuple) else put(s, k)
+            for k, s in enumerate(stacks)]
 
 
 def _linear_field(mat, d_mat, vec):
@@ -394,14 +421,8 @@ def _scalar_grad(g, dg, a, b) -> np.ndarray:
 
 def _lift_cov(f: _FrameBatch, dual: bool = False) -> np.ndarray:
     """nabla_{L_a} L_b (..., m, m, n) for the lift column fields L_a."""
-    gamma = f.gamma_dual if dual else f.gamma
-    return (np.einsum("...ka,...kib->...abi", f.lcols, f.d_lcols)
-            + np.einsum("...kij,...ia,...jb->...abk", gamma, f.lcols, f.lcols))
-
-
-def _lifted_cubic(f: _FrameBatch) -> np.ndarray:
-    """The total cubic form on the lift columns, [..., c, a, b]."""
-    return np.einsum("...ijk,...ic,...ja,...kb->...cab", f.cubic, f.lcols, f.lcols, f.lcols)
+    x, y = _tuples(*[f.columns()[1]] * 2)
+    return f.over(2).cov(x[0], y, dual)
 
 
 def sweep_frames(setup: SubmersionSetup, points, residuals, keys=(),
@@ -416,42 +437,25 @@ def sweep_frames(setup: SubmersionSetup, points, residuals, keys=(),
 def lemma_components(f: _FrameBatch) -> dict:
     """Residual arrays of the six component identities at the frame points.
 
-    Keys cs6..cs11; vacuous entries (no vertical directions) report 0.
+    Each is taken over every triple (u, v, w) of kernel columns V and
+    (x, y, z) of lift columns L that it names.  Keys cs6..cs11; vacuous
+    entries (no vertical directions) report 0.
     """
-    setup = f.setup
-    m, l = setup.m, setup.fiber_dim
-    T, A = setup.fundamental_T, setup.fundamental_A
+    T, A = f.setup.fundamental_T, f.setup.fundamental_A
+    (V, _), (L, _) = f.columns()
+    f3 = f.over(3)
+    C, g = f3.cubic, f3.g
 
     # cs6: horizontal cubic matches the conformally scaled base cubic
-    cs6 = _amax(_lifted_cubic(f) - f.e2phi[:, None, None, None] * f.cubic_b)
-
-    r7, r8, r9, r10, r11 = [], [], [], [], []
-    for vi in range(l):
-        v = f.vcols[..., vi]
-        for a in range(m):
-            x = f.lcols[..., a]
-            sv_x = f.s_value(v, x)
-            t_vx, t_vx_d = T(f, v, x), T(f, v, x, dual=True)
-            a_xv, a_xv_d = A(f, x, v), A(f, x, v, dual=True)
-            s_xv = f.s_value(x, v)
-            for b in range(m):
-                y = f.lcols[..., b]
-                r7.append(np.abs(_form3(f.cubic, v, x, y) + _pair(f.g, sv_x, y)))
-                r8.append(np.abs(_form3(f.cubic, x, v, y) + _pair(f.g, a_xv, y)
-                                 - _pair(f.g, a_xv_d, y)))
-            for wi in range(l):
-                w = f.vcols[..., wi]
-                r9.append(np.abs(_form3(f.cubic, x, v, w) + _pair(f.g, s_xv, w)))
-                r10.append(np.abs(_form3(f.cubic, v, x, w) + _pair(f.g, t_vx, w)
-                                  - _pair(f.g, t_vx_d, w)))
-    for ui in range(l):
-        for vi in range(l):
-            for wi in range(l):
-                cols = (f.vcols[..., ui], f.vcols[..., vi], f.vcols[..., wi])
-                r11.append(np.abs(_form3(f.cubic, *cols) - f.fiber_cubic(ui, vi, wi)))
-    count = len(f)
-    return {"cs6": cs6, "cs7": _worst(r7, count), "cs8": _worst(r8, count),
-            "cs9": _worst(r9, count), "cs10": _worst(r10, count), "cs11": _worst(r11, count)}
+    cs6 = _form3(C, *_tuples(L, L, L)) - f.e2phi[:, None, None, None] * f.cubic_b
+    v, x, y = _tuples(V, L, L)
+    cs7 = _form3(C, v, x, y) + _pair(g, f3.s_value(v, x), y)
+    cs8 = _form3(C, x, v, y) + _pair(g, A(f3, x, v), y) - _pair(g, A(f3, x, v, dual=True), y)
+    v, x, w = _tuples(V, L, V)
+    cs9 = _form3(C, x, v, w) + _pair(g, f3.s_value(x, v), w)
+    cs10 = _form3(C, v, x, w) + _pair(g, T(f3, v, x), w) - _pair(g, T(f3, v, x, dual=True), w)
+    cs11 = _form3(C, *_tuples(V, V, V)) - f.fiber_cubic()
+    return dict(zip(LEMMA_KEYS, map(_amax, (cs6, cs7, cs8, cs9, cs10, cs11))))
 
 
 LEMMA_KEYS = ("cs6", "cs7", "cs8", "cs9", "cs10", "cs11")
@@ -467,33 +471,23 @@ CONDITIONS = ("condition1", "condition2", "condition3", "condition4")
 
 def four_conditions_at(f: _FrameBatch) -> dict:
     """Residual arrays of the four statisticity conditions at the frame
-    points, plus the direct statisticity residual of the total space."""
-    setup = f.setup
-    l, m = setup.fiber_dim, setup.m
-    T, A = setup.fundamental_T, setup.fundamental_A
-    r1, r2, r3 = [], [], []
-    for vi in range(l):
-        v = f.vcols[..., vi]
-        for a in range(m):
-            x = f.lcols[..., a]
-            r1.append(_amax(_mv(f.ph, f.s_value(v, x)) - (A(f, x, v) - A(f, x, v, dual=True))))
-            r2.append(_amax(_mv(f.pv, f.s_value(x, v)) - (T(f, v, x) - T(f, v, x, dual=True))))
+    points, plus the direct statisticity residual of the total space;
+    conditions 1-3 over every pair of kernel and lift columns."""
+    T, A = f.setup.fundamental_T, f.setup.fundamental_A
+    V, L = f.columns()
+    f2 = f.over(2)
+    v, x = _tuples(V[0], L[0])
+    cond1 = _mv(f2.ph, f2.s_value(v, x)) - (A(f2, x, v) - A(f2, x, v, dual=True))
+    cond2 = _mv(f2.pv, f2.s_value(x, v)) - (T(f2, v, x) - T(f2, v, x, dual=True))
     # condition 3: the fibers are statistical
-    for a in range(l):
-        for b in range(l):
-            tor = (
-                _mv(f.pv, f.cov(f.vcols[..., a], f.kernel_col(b)))
-                - _mv(f.pv, f.cov(f.vcols[..., b], f.kernel_col(a)))
-                - _bracket(f.kernel_col(a), f.kernel_col(b))
-            )
-            r3.append(_amax(tor))
-            for c in range(l):
-                r3.append(np.abs(f.fiber_cubic(a, b, c) - f.fiber_cubic(b, a, c)))
-    count = len(f)
+    a, b = _tuples(V, V)
+    torsion = _mv(f2.pv, f2.cov(a[0], b)) - _mv(f2.pv, f2.cov(b[0], a)) - _bracket(a, b)
+    fiber_cubic = f.fiber_cubic()
     return {
-        "condition1": _worst(r1, count),
-        "condition2": _worst(r2, count),
-        "condition3": _worst(r3, count),
+        "condition1": _amax(cond1),
+        "condition2": _amax(cond2),
+        "condition3": np.maximum(_amax(torsion),
+                                 _amax(fiber_cubic - np.swapaxes(fiber_cubic, 1, 2))),
         "condition4": geometry.statistical_residual(f.gamma_b, f.cubic_b),
         "total_space": geometry.statistical_residual(f.gamma, f.cubic),
     }
@@ -523,30 +517,20 @@ def four_conditions_check(setup: SubmersionSetup, points, tol) -> CheckResult:
 
 
 def gauss_weingarten_residuals(f: _FrameBatch) -> dict:
-    """Residual arrays of the four decomposition identities for frame fields."""
-    setup = f.setup
-    l, m = setup.fiber_dim, setup.m
-    T, A = setup.fundamental_T, setup.fundamental_A
-    vv, vh, hv, hh = [], [], [], []
-    for a in range(l):
-        va = f.vcols[..., a]
-        for b in range(l):
-            full = f.cov(va, f.kernel_col(b))
-            vv.append(_amax(full - T(f, va, f.vcols[..., b]) - _mv(f.pv, full)))
-        for b in range(m):
-            full = f.cov(va, f.lift_col(b))
-            vh.append(_amax(full - _mv(f.ph, full) - T(f, va, f.lcols[..., b])))
-    for a in range(m):
-        xa = f.lcols[..., a]
-        for b in range(l):
-            full = f.cov(xa, f.kernel_col(b))
-            hv.append(_amax(full - _mv(f.pv, full) - A(f, xa, f.vcols[..., b])))
-        for b in range(m):
-            full = f.cov(xa, f.lift_col(b))
-            hh.append(_amax(full - _mv(f.ph, full) - A(f, xa, f.lcols[..., b])))
-    count = len(f)
-    return {"vert_vert": _worst(vv, count), "vert_horiz": _worst(vh, count),
-            "horiz_vert": _worst(hv, count), "horiz_horiz": _worst(hh, count)}
+    """Residual arrays of the four decomposition identities for frame
+    fields over every pair of columns (E, F): nabla_E F is its part in
+    F's distribution plus T_E F (E vertical) or A_E F (E horizontal)."""
+    T, A = f.setup.fundamental_T, f.setup.fundamental_A
+    V, L = f.columns()
+    f2 = f.over(2)
+
+    def split(e_cols, w_cols, tensor, keep):
+        e, w = _tuples(e_cols[0], w_cols)
+        full = f2.cov(e, w)
+        return _amax(full - _mv(keep, full) - tensor(f2, e, w[0]))
+
+    return {"vert_vert": split(V, V, T, f2.pv), "vert_horiz": split(V, L, T, f2.ph),
+            "horiz_vert": split(L, V, A, f2.pv), "horiz_horiz": split(L, L, A, f2.ph)}
 
 
 def check_gauss_weingarten(setup, points, tol) -> CheckResult:
@@ -560,10 +544,8 @@ def check_split_identities(setup, points, tol) -> CheckResult:
     eye_m = np.eye(setup.m)
 
     def residuals(f):
-        parts = [f.ph + f.pv - eye_n, f.dpi @ f.pv, f.dpi @ f.lcols - eye_m]
-        if setup.fiber_dim:
-            parts.append(f.dpi @ f.vcols)
-        return _worst([_amax(r) for r in parts], len(f))
+        parts = [f.ph + f.pv - eye_n, f.dpi @ f.pv, f.dpi @ f.lcols - eye_m, f.dpi @ f.vcols]
+        return np.max([_amax(r) for r in parts], axis=0)
 
     return sweep_frames(setup, points, residuals, rank_test=True).summarize(
         "split_identities", tol)
@@ -585,7 +567,7 @@ def check_tensoriality(setup, points, tol) -> CheckResult:
         for e, w in probes:
             for tensor in (setup.fundamental_T, setup.fundamental_A):
                 r.append(_amax(tensor(f, e, w) - tensor(f, e, w, ds=ds)))
-        return _worst(r, len(f))
+        return np.max(r, axis=0)
 
     return sweep_frames(setup, points, residuals).summarize("tensoriality", tol)
 
@@ -634,7 +616,7 @@ def conformal_defect(f: _FrameBatch, dual: bool = False) -> np.ndarray:
 
 def check_conformal_hd(setup, points, tol) -> CheckResult:
     """Max conformal defect at each sample."""
-    return sweep_frames(setup, points, conformal_defect).summarize("conformal_hd", tol)
+    return sweep_frames(setup, points, conformal_defect).summarize("conformal_defect", tol)
 
 
 def check_affine_hd(setup, points, tol) -> CheckResult:
@@ -681,8 +663,6 @@ def check_projectable(setup, points, tol) -> CheckResult:
         return fpts
 
     fibers, errors = collect(points[:n_base], fiber)
-    if not fibers:
-        return fold([], errors).summarize("projectable", tol)
     owners = np.repeat(list(fibers), [len(f) for f in fibers.values()])
     frames = setup._frames([p for f in fibers.values() for p in f], False)
 
@@ -703,15 +683,13 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
     Also checks the underlying identity
     (nabla'_X g~)(Y, Z) = (nabla_{X~} g_M)(Y~, Z~).
     """
-    m = setup.m
 
     def residuals(f):
         g_ind, gamma_ind = induced_structures(f)
-        dg_ind = np.empty((len(f), m, m, m))
-        for a in range(m):
-            for b in range(m):
-                grad_s = _scalar_grad(f.g, f.dg, f.lift_col(a), f.lift_col(b))
-                dg_ind[:, :, a, b] = np.einsum("...k,...kc->...c", grad_s, f.lcols)
+        z, x, y = _tuples(*[f.columns()[1]] * 3)
+        f3 = f.over(3)
+        # dg_ind[..., c, a, b] = L_c (g(L_a, L_b))
+        dg_ind = np.einsum("...k,...k->...", _scalar_grad(f3.g, f3.dg, x, y), z[0])
         cubic_ind = geometry.nabla_g_values(g_ind, dg_ind, gamma_ind)
         return {
             "premise": geometry.statistical_residual(f.gamma, f.cubic),
@@ -719,7 +697,7 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
                 _amax(geometry.torsion_values(gamma_ind)),
                 _amax(cubic_ind - np.swapaxes(cubic_ind, -3, -2)),
             ),
-            "identity": _amax(cubic_ind - _lifted_cubic(f)),
+            "identity": _amax(cubic_ind - _form3(f3.cubic, z[0], x[0], y[0])),
         }
 
     s = sweep_frames(setup, points, residuals, keys=("premise", "statistical", "identity"))

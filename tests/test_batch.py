@@ -21,7 +21,7 @@ from subgeo import builtins, runner
 from subgeo.config import parse_config
 from subgeo.errors import ContractViolation, EvalDomain
 from subgeo.exprlang import compile_batched, eval_jet, parse
-from subgeo.fields import DualConnection, FDField, MetricField
+from subgeo.fields import DualConnection, FDField, MetricField, batch_parts
 from subgeo.jets import Jet
 from subgeo.tangent_bundle import TangentBundle
 
@@ -118,10 +118,12 @@ def test_overflow_is_a_domain_error_on_both_paths():
         Jet.constant(float("inf"), 1, 1).sin()
 
 
-@pytest.mark.parametrize("x", [1e-170, 1e-90, 1e-10, 1e80, 1e160])
-def test_reciprocal_domain_errors_agree_on_both_paths(x):
-    # each path raises, or both give the same bits, at every order
-    ast_ = parse("1/x1", 1)
+@pytest.mark.parametrize("text", ["1/x1", "log(x1)", "sqrt(x1)"])
+@pytest.mark.parametrize("x", [1e-300, 1e-170, 1e-90, 1e-10, 1e80, 1e160])
+def test_reciprocal_domain_errors_agree_on_both_paths(text, x):
+    # each path raises, or both give the same bits, at every order: the
+    # chain coefficients an order does not read must not raise
+    ast_ = parse(text, 1)
     for order in range(4):
         try:
             jet = eval_jet(ast_, (x,), order)
@@ -392,3 +394,33 @@ def test_only_the_reference_modules_use_jets_and_no_field_caches():
                     if attr.endswith("cache"):
                         caches.append(f"{name}:{cls.name}.{attr}")
     assert caches == []
+
+
+BUILTIN_NAMES = ("euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3",
+                 "gaussian:alpha=0", "gaussian:alpha=1", "gaussian:alpha=-0.5", "broken:2",
+                 "perturbed:3", "tangent_bundle_of:hyperbolic:2",
+                 "tangent_bundle_of:gaussian:alpha=1", "tangent_bundle_of:euclidean:2")
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_an_empty_point_stack_is_an_empty_batch(name):
+    # an order is supported when a one-point stack at the box center
+    # evaluates (lifted fields stop below max_order on a curved base)
+    scenario = builtins.build(name)
+    empty = np.zeros((0, scenario.dim))
+    center = np.array([scenario.space.chart.center()])
+    for fld in (scenario.space.metric, scenario.space.conn):
+        for order in range(fld.max_order + 1):
+            try:
+                fld.batch(center, order)
+            except ContractViolation:
+                break
+            parts = batch_parts(fld, empty, order)
+            assert [part.shape[0] for part in parts] == [0] * (order + 1), (fld, order)
+    if scenario.setup is not None:
+        for rank_test in (True, False):
+            frames = scenario.setup._frames(empty, rank_test)
+            assert len(frames) == 0 and not frames.errors
+            for key, values in vars(frames).items():
+                if isinstance(values, np.ndarray):
+                    assert values.shape[0] == 0, key

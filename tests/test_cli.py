@@ -348,3 +348,21 @@ def test_dual_conformal_pair_with_too_few_points_is_inconclusive():
     assert check["samples"] == 13 and check["incidents"] == 3
     assert check["details"]["incident_kinds"]["EvalDomain"]["count"] == 3
     assert check["status"] == "inconclusive"
+
+
+BUNDLE_CHECK_NAMES = ("prop41", "prop42", "remark_complete_metric", "remark_dual_complete",
+                      "remark_horizontal", "tb_defining_rules", "tm_statistical")
+
+
+def test_every_driver_reports_the_name_of_its_check():
+    # called directly, so the runner's renaming cannot hide a stray name
+    assert set(BUNDLE_CHECK_NAMES) < set(runner.CHECK_TABLE)
+    scenarios = {}
+    for key, spec in sorted(runner.CHECK_TABLE.items()):
+        target = ("tangent_bundle_of:euclidean:2" if key in BUNDLE_CHECK_NAMES
+                  else "hyperbolic:3")
+        if target not in scenarios:
+            scenario = config.build_scenario(config.parse_config({"builtin": target}))
+            scenarios[target] = (scenario, runner.RunContext(scenario, 8, 0))
+        result = spec.driver(*scenarios[target], key, spec.tolerance)
+        assert result.name == key

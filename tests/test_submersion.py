@@ -6,6 +6,7 @@ including one with a rotating horizontal distribution.  The conditional
 properties are exercised in both directions.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frame_reference as ref
 from conftest import (
     euclid_setup,
     gaussian_setup,
@@ -400,3 +402,80 @@ def test_frame_checks_keep_their_incidents_on_a_partly_undefined_metric():
         want = LOG_METRIC_INCIDENTS[c["name"]]
         kinds = {k: v["count"] for k, v in c["details"].get("incident_kinds", {}).items()}
         assert (c["incidents"], kinds) == (want, {"EvalDomain": want} if want else {}), c["name"]
+
+
+# -- the column formulas against the per-index reference -------------------------
+
+
+def self_projection():
+    """hyperbolic:2 projected onto itself by (x1, x2): no fiber directions."""
+    space = builtins.build("hyperbolic:2").space
+    pi = [ExprField.parse("x1", 2), ExprField.parse("x2", 2)]
+    return sm.SubmersionSetup(space, space, pi, None, "hyperbolic:2 onto itself")
+
+
+REFERENCE_SETUPS = {
+    **{name: builtins.build(name).setup
+       for name in ("hyperbolic:3", "gaussian:alpha=1", "perturbed:3", "euclidean:3",
+                    "tangent_bundle_of:hyperbolic:2")},
+    "zero fiber": self_projection(),
+}
+
+
+@pytest.mark.parametrize("which", sorted(REFERENCE_SETUPS))
+def test_column_formulas_match_the_per_index_reference(which):
+    setup = REFERENCE_SETUPS[which]
+    f = setup._frames(points_for(setup, 16), False)
+    induced = frame_residuals(setup)["theorem21_verify"]
+    for new, old in ((sm.lemma_components, ref.lemma_components),
+                     (sm.four_conditions_at, ref.four_conditions_at),
+                     (sm.gauss_weingarten_residuals, ref.gauss_weingarten_residuals),
+                     (induced, ref.induced_statistical)):
+        got, want = new(f), old(f)
+        assert set(got) == set(want)
+        for key in want:
+            assert got[key].shape == want[key].shape == (len(f),), key
+            bound = 1e-14 * np.maximum(1.0, np.abs(want[key]))
+            assert np.all(np.abs(got[key] - want[key]) <= bound), (which, key)
+
+
+ZERO_FIBER_VACUOUS = {
+    "lemma_components": ("cs7", "cs8", "cs9", "cs10", "cs11"),
+    "four_conditions": ("condition1", "condition2", "condition3"),
+    "gauss_weingarten": ("vert_vert", "vert_horiz", "horiz_vert"),
+}
+
+
+def test_zero_fiber_results_on_every_frame_check():
+    # every frame check passes on 8 points, the vacuous keys read exactly 0
+    # and the others only rounding; projectable passes by convention
+    setup = self_projection()
+    pts = points_for(setup, 8)
+    for check in FRAME_CHECKS + (sm.check_projectable,):
+        res = check(setup, pts, 1e-8)
+        assert (res.status, res.samples, res.incidents) == (PASS, 8, 0), res.name
+        assert res.max_residual <= 2e-15, res.name
+        for key in ZERO_FIBER_VACUOUS.get(res.name, ()):
+            assert res.details[key] == 0.0, (res.name, key)
+    assert sm.check_projectable(setup, pts, 1e-8).max_residual == 0.0
+
+
+def test_a_degenerate_pivot_pattern_re_pivots_at_the_point():
+    # pi = x1^2/2 + x2: the pivot column chosen at the center (1, 0) is x1,
+    # whose minor x1 vanishes at x1 = 0; that row alone re-pivots to x2
+    chart = ChartedManifold("flat", 2, ((-1.0, 3.0), (-1.0, 1.0)))
+    total = Space(chart, MetricField.from_exprs([["1", "0"], ["0", "1"]], 2),
+                  ExprConnection.zero(2))
+    bchart = ChartedManifold("line", 1, ((-2.0, 6.0),))
+    base = Space(bchart, MetricField.from_exprs([["1"]], 1), ExprConnection.zero(1))
+    setup = sm.SubmersionSetup(total, base, [ExprField.parse("x1^2/2 + x2", 2)], None, "fold")
+    assert setup.pivot_pattern() == ((0,), (1,))
+    pts = [(1.0, 0.0), (0.0, 0.3), (2.0, 0.5)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        frames = setup._frames(pts, False)
+    assert len(frames) == 3 and not frames.errors
+    assert [w.category for w in caught] == [UserWarning]
+    with pytest.warns(UserWarning, match="re-pivoting"):
+        res = sm.check_split_identities(setup, pts, 1e-9)
+    assert res.status == PASS and res.incidents == 0
