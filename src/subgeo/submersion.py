@@ -39,7 +39,7 @@ import scipy.linalg
 from . import geometry
 from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
 from .fields import ScalarField, Space, _dual, _FieldStack, _inverse
-from .linalg import solve_linear
+from .linalg import singular_rows, solve_linear
 from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree,
                       build_rows, collect, fold, owned_rows, peak)
 
@@ -578,11 +578,7 @@ def check_semi_riemannian(setup, points, tol) -> CheckResult:
     def residuals(f):
         degenerate = np.zeros(len(f))
         if setup.fiber_dim:
-            for row, fiber_metric in enumerate(_gram(f.vcols, f.g)):
-                try:
-                    solve_linear(fiber_metric, np.eye(setup.fiber_dim))
-                except SingularMatrix:
-                    degenerate[row] = math.inf
+            degenerate[singular_rows(_gram(f.vcols, f.g))] = math.inf
         return {"lengths": _amax(_gram(f.lcols, f.g) - f.gb), "degenerate": degenerate}
 
     s = sweep_frames(setup, points, residuals, keys=("lengths", "degenerate"))

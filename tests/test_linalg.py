@@ -1,12 +1,18 @@
 """Plain linear solves, and the jet-valued solves of the test reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from subgeo import linalg
 from subgeo.errors import ContractViolation, SingularMatrix
+from subgeo.fields import LeviCivitaConnection
 from subgeo.jets import Jet
-from subgeo.linalg import solve_linear
+from subgeo.linalg import singular_rows, solve_linear
+from subgeo.submersion import _gram
 
+from conftest import euclid_setup, hyperbolic_setup, points_for
 from jet_reference import jet_inverse, jet_matmul, jet_solve, jet_values
 
 
@@ -39,6 +45,168 @@ def test_stacked_solve_matches_each_system():
         solve_linear(a, b)
     with pytest.raises(ContractViolation):
         solve_linear(a, b[:3])
+
+
+def _row_by_row(a, b):
+    """The per-system rule over a stack: ``_solve_one`` on each row in
+    order, or the message of the first row that fails."""
+    out = np.empty(b.shape)
+    for row in range(len(a)):
+        try:
+            out[row] = linalg._solve_one(a[row], b[row])
+        except SingularMatrix as exc:
+            return str(exc) if len(a) == 1 else f"{exc} in row {row}"
+    return out
+
+
+def _stacked(a, b):
+    try:
+        return solve_linear(a, b)
+    except SingularMatrix as exc:
+        return str(exc)
+
+
+def _assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+
+
+def _same_outcome(a, b):
+    want = _row_by_row(a, b)
+    _assert_same(_stacked(a, b), want)
+    return want
+
+
+def _system(rng, n, kind):
+    """One n x n matrix: well conditioned, a last row that is a multiple
+    of the first plus noise of 1e-10..1e-15, or a zero, NaN or inf matrix."""
+    a = rng.normal(size=(n, n)) + n * np.eye(n)
+    if kind == "near":
+        a[-1] = rng.uniform(-3.0, 3.0) * a[0] + 10.0 ** -rng.uniform(10, 15) * rng.normal(size=n)
+    elif kind == "zero":
+        a[:] = 0.0
+    elif kind == "nan":
+        a[rng.integers(n), rng.integers(n)] = np.nan
+    elif kind == "inf":
+        a[rng.integers(n), rng.integers(n)] = np.inf
+    elif kind == "duplicate":
+        a[-1] = a[0]
+    return a
+
+
+def test_stacked_solve_matches_the_row_by_row_rule(monkeypatch):
+    # Every verdict, message and passing solution of a stack, over a
+    # near-singular family, is that of _solve_one row by row.
+    rng = np.random.default_rng(23)
+    tested = []
+    pivot_test = linalg._pivot_test
+    monkeypatch.setattr(linalg, "_pivot_test", lambda a: tested.append(1) or pivot_test(a))
+    kinds = ["well"] * 6 + ["near"] * 6 + ["zero", "nan", "inf"]
+    outcomes, stack_tests, row_tests = [], 0, 0
+    for n in range(2, 9):
+        for count in (0, 1, 1, 2, 3, 5, 8):
+            for _ in range(6):
+                a = np.array([_system(rng, n, rng.choice(kinds)) for _ in range(count)])
+                a = a.reshape(count, n, n)
+                shape = (count, n) if rng.integers(2) else (count, n, rng.integers(1, 5))
+                b = rng.normal(size=shape)
+                start = len(tested)
+                got = _stacked(a, b)
+                middle = len(tested)
+                outcomes.append(_row_by_row(a, b))
+                _assert_same(got, outcomes[-1])
+                stack_tests += middle - start
+                row_tests += len(tested) - middle
+    failed = sum(isinstance(outcome, str) for outcome in outcomes)
+    assert failed > 50 and len(outcomes) - failed > 50
+    # rows are tested one by one only where the certificate cannot decide
+    assert 0 < stack_tests < row_tests
+
+
+def test_rows_lapack_finds_exactly_singular_alone_go_to_the_pivot_test(monkeypatch):
+    rng = np.random.default_rng(3)
+    tested = []
+    pivot_test = linalg._pivot_test
+    monkeypatch.setattr(linalg, "_pivot_test", lambda a: tested.append(a) or pivot_test(a))
+    for kinds in (["well", "duplicate", "well"], ["well", "zero", "near"], ["duplicate"]):
+        a = np.array([_system(rng, 4, kind) for kind in kinds])
+        b = rng.normal(size=(len(a), 4, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b)
+        assert isinstance(_same_outcome(a, b), str)
+    a = np.array([_system(rng, 3, kind) for kind in ("well", "zero", "well", "duplicate")])
+    tested.clear()
+    assert singular_rows(a).tolist() == [False, True, False, True]
+    assert np.array_equal(tested, a[[1, 3]])
+
+
+def test_stacked_solve_of_empty_and_single_stacks():
+    rng = np.random.default_rng(8)
+    assert solve_linear(np.zeros((0, 3, 3)), np.zeros((0, 3))).shape == (0, 3)
+    assert solve_linear(np.zeros((0, 3, 3)), np.zeros((0, 3, 4))).shape == (0, 3, 4)
+    a = rng.normal(size=(1, 3, 3)) + 3.0 * np.eye(3)
+    b = rng.normal(size=(1, 3))
+    assert np.array_equal(solve_linear(a, b)[0], solve_linear(a[0], b[0]))
+    a[0, 2] = a[0, 0]
+    with pytest.raises(SingularMatrix, match=r"threshold for scale [0-9.e+]+$"):
+        solve_linear(a, b)
+
+
+def test_extreme_magnitudes_raise_no_float_warnings():
+    rng = np.random.default_rng(4)
+    well = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+    rows = [well * 1e200, well * 1e-200, np.diag([1e200, 1.0, 1e-200]),
+            np.diag([1e-200, 1e-200, 1e-200]), np.full((3, 3), np.inf),
+            np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]),
+            np.array([[0.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), well]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for first in range(len(rows)):
+            for second in range(len(rows)):
+                a = np.array([well, rows[first], rows[second]])
+                _same_outcome(a, rng.normal(size=(3, 3)))
+        a = np.array(rows[:2] + rows[3:4] + rows[-1:])
+        assert not isinstance(_same_outcome(a, rng.normal(size=(4, 3, 2))), str)
+
+
+def _rejects(matrix):
+    try:
+        solve_linear(matrix, np.eye(len(matrix)))
+    except SingularMatrix:
+        return True
+    return False
+
+
+def test_singular_rows_flag_a_degenerate_fiber_metric_in_the_middle():
+    setup = euclid_setup(4, 2)
+    frames = setup._frames(points_for(setup, 5), False)
+    for noise in (0.0, 1e-7):  # LAPACK rejects the first, only the pivot rule the second
+        vcols = np.array(frames.vcols)
+        # (nearly) dependent fiber directions at the middle point only
+        vcols[2, :, 1] = 2.0 * vcols[2, :, 0] + noise * vcols[2, :, 1]
+        fiber_metric = _gram(vcols, frames.g)
+        assert fiber_metric.shape == (5, 2, 2)
+        mask = singular_rows(fiber_metric).tolist()
+        assert mask == [_rejects(m) for m in fiber_metric] == [False, False, True, False, False]
+    assert singular_rows(np.zeros((0, 2, 2))).shape == (0,)
+
+
+def test_frame_and_levi_civita_batches_make_no_per_row_solves(monkeypatch):
+    # The batched solve must stay one LAPACK call per stack: a regression
+    # to a row loop would show as per-row pivot tests here.
+    calls = []
+    for name in ("_solve_one", "_pivot_test"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, fn=fn: calls.append(1) or fn(*args))
+    setup = hyperbolic_setup(3)
+    points = points_for(setup, 64)
+    assert len(setup._frames(points, True)) == 64
+    connection = LeviCivitaConnection(setup.total.metric)
+    for order in range(3):
+        connection.batch(points, order)
+    assert calls == []
 
 
 def _jet_matrix(point, order=2):
