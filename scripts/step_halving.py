@@ -13,6 +13,7 @@ sys.path.insert(0, "src")
 import numpy as np
 
 from subgeo import builtins
+from subgeo.errors import SubgeoError
 from subgeo.geodesics import integrate_geodesic
 
 scenario = builtins.build("hyperbolic:2")
@@ -23,7 +24,9 @@ prev = None
 print(f"{'h':>10s} {'endpoint error':>16s} {'ratio':>8s}")
 for k in range(8):
     h = 0.05 / 2 ** k  # each h divides t_end = 0.5 exactly
-    traj = integrate_geodesic(conn, chart, (0.0, 1.0), (1.0, 0.0), 0.5, step=h)
+    (traj,) = integrate_geodesic(conn, chart, [(0.0, 1.0)], [(1.0, 0.0)], 0.5, step=h)
+    if isinstance(traj, SubgeoError):
+        raise traj
     err = float(np.max(np.abs(traj.xs[-1] - exact)))
     ratio = "" if prev is None else f"{prev / err:8.2f}"
     print(f"{h:10.2e} {err:16.3e} {ratio}")

@@ -19,10 +19,9 @@ from .errors import ConfigError
 from .fields import (AlphaConnection, ChartedManifold, ExprConnection,
                      LeviCivitaConnection, MetricField, Space, SumConnection,
                      make_scalar)
+from .geodesics import DEFAULT_STEP
 from .submersion import SubmersionSetup
 from .tangent_bundle import TangentBundle
-
-DEFAULT_STEP = 1e-3
 
 
 @dataclass

@@ -96,10 +96,12 @@ def _cmd_geodesic(args) -> int:
         known = ", ".join(sorted(jobs)) or "none"
         raise ConfigError(f"unknown geodesic job {args.job!r}; available: {known}")
     job = jobs[args.job]
-    traj = integrate_geodesic(
+    (traj,) = integrate_geodesic(
         scenario.space.conn, scenario.space.chart,
-        job["p0"], job["v0"], job["t_end"], job["h"],
+        [job["p0"]], [job["v0"]], job["t_end"], job["h"],
     )
+    if isinstance(traj, SubgeoError):
+        raise traj
     try:
         traj.write_csv(args.csv)
     except OSError as exc:

@@ -18,7 +18,7 @@ from .builtins import Scenario
 from .errors import ConfigError, ExprSyntaxError
 from .fields import (AlphaConnection, ChartedManifold, ExprConnection,
                      LeviCivitaConnection, MetricField, Space, make_scalar)
-from .geodesics import MAX_STEPS, too_many_steps
+from .geodesics import DEFAULT_STEP, MAX_STEPS, too_many_steps
 from .submersion import SubmersionSetup
 from .tangent_bundle import TangentBundle
 
@@ -119,7 +119,7 @@ def parse_config(raw, source: str = "<inline>") -> SuiteConfig:
         if len(job["p0"]) != len(job["v0"]):
             raise ConfigError(f"geodesics.{job_name}: p0 and v0 lengths differ")
         span = []
-        for key, default in (("t_end", 1.0), ("h", builtin_registry.DEFAULT_STEP)):
+        for key, default in (("t_end", 1.0), ("h", DEFAULT_STEP)):
             span.append(finite_number(job.get(key, default), f"geodesics.{job_name}.{key}"))
             if span[-1] <= 0:
                 raise ConfigError(f"geodesics.{job_name}.{key} must be positive")
@@ -348,7 +348,7 @@ def build_scenario(cfg: SuiteConfig) -> Scenario:
             "p0": [float(v) for v in job["p0"]],
             "v0": [float(v) for v in job["v0"]],
             "t_end": float(job.get("t_end", 1.0)),
-            "h": float(job.get("h", builtin_registry.DEFAULT_STEP)),
+            "h": float(job.get("h", DEFAULT_STEP)),
         }
     scenario.geodesic_jobs = jobs
     return scenario

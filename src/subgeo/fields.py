@@ -19,6 +19,7 @@ independent path through every check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +46,16 @@ class ChartedManifold:
                 f"box has {len(self.box)} intervals for dimension {self.dim}"
             )
 
-    def contains(self, point) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.box))
+    @functools.cached_property
+    def _bounds(self) -> tuple:
+        lo, hi = np.array(self.box, dtype=float).reshape(self.dim, 2).T
+        return lo, hi
+
+    def contains(self, points) -> np.ndarray:
+        """Mask over a stack of points (N, dim): in the closed box.  A NaN
+        coordinate is outside."""
+        lo, hi = self._bounds
+        return ((points >= lo) & (points <= hi)).all(axis=1)
 
     def center(self) -> tuple:
         return tuple(0.5 * (lo + hi) for lo, hi in self.box)
@@ -178,12 +187,13 @@ class FDField(ScalarField):
 
 class _Entry(ScalarField):
     """Entry ``index`` of a metric or connection as a scalar field, read
-    from its parent's batch."""
+    from its parent's batch, to its parent's order."""
 
     def __init__(self, parent, index):
         self.parent = parent
         self.index = tuple(index)
         self.dim = parent.dim
+        self.max_order = parent.max_order
 
     def _batch(self, points, order):
         return tuple(part[(Ellipsis,) + self.index]

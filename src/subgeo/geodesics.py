@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import BoundaryExit, ContractViolation, EvalDomain, PremiseFailed, SubgeoError
+from .errors import BoundaryExit, ContractViolation, EvalDomain, PremiseFailed
 from .fields import ConnectionField, MetricField
 from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, agree, build_rows,
                       collect, fold, owned_rows)
@@ -92,18 +92,15 @@ def _rk4_step(conn: ConnectionField, states, step) -> dict:
 
 
 def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
-                       step: float = DEFAULT_STEP):
-    """Fixed-step RK4 geodesics from (x0, v0) over [0, t_end].
+                       step: float = DEFAULT_STEP) -> list:
+    """Fixed-step RK4 geodesics from the starts (x0, v0), each stacked
+    (N, n), over [0, t_end], in lockstep.
 
-    For one start, ``x0`` and ``v0`` of shape (n,), returns its
-    :class:`Trajectory`.  Leaving the chart box raises
-    :class:`BoundaryExit`; a failed evaluation raises its error.
-
-    For a stack of starts, shape (N, n), the jobs integrate in lockstep
-    and the result is a list holding, per job, its Trajectory or the
-    :class:`SubgeoError` that ended it.  A job that ends (an error or a
-    boundary exit) leaves the live set; the others go on and give
-    exactly what they give when integrated alone.
+    Returns a list holding, per job, its :class:`Trajectory` or the
+    :class:`SubgeoError` that ended it: a start outside the chart box, a
+    failed evaluation, or a :class:`BoundaryExit` on leaving the box.  A
+    job that ends leaves the live set; the others go on and give exactly
+    what they give when integrated alone.
     """
     if t_end <= 0.0 or step <= 0.0:
         raise ContractViolation("t_end and step must be positive")
@@ -111,32 +108,17 @@ def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
         raise ContractViolation(f"t_end / step exceeds {MAX_STEPS} steps")
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    if x0.shape != v0.shape or x0.ndim not in (1, 2):
-        raise ContractViolation(f"start shapes differ or are not (n,) or (N, n): "
+    if x0.shape != v0.shape or x0.ndim != 2:
+        raise ContractViolation(f"starts must be two stacks (N, n) of one shape: "
                                 f"{x0.shape}, {v0.shape}")
-    if x0.ndim == 2:
-        return _lockstep(conn, chart, x0, v0, t_end, step)
-    (out,) = _lockstep(conn, chart, x0[None], v0[None], t_end, step)
-    if isinstance(out, SubgeoError):
-        raise out
-    return out
-
-
-def too_many_steps(t_end: float, step: float) -> bool:
-    """Whether round(t_end / step) exceeds MAX_STEPS (an overflowing
-    ratio does too)."""
-    steps = t_end / step
-    return math.isinf(steps) or round(steps) > MAX_STEPS
-
-
-def _lockstep(conn, chart, x0, v0, t_end, step) -> list:
     n = x0.shape[1]
     n_steps = int(round(t_end / step))
     ts = np.concatenate([[0.0], np.arange(n_steps) * step + step])
     nodes = np.empty((n_steps + 1, len(x0), 2 * n))  # per node and job, (x, v)
     nodes[0] = np.concatenate([x0, v0], axis=1)
-    results = [None if chart.contains(p) else
-               ContractViolation(f"start point {tuple(p)} outside the chart box") for p in x0]
+    results = [None if inside else
+               ContractViolation(f"start point {tuple(p)} outside the chart box")
+               for p, inside in zip(x0, chart.contains(x0))]
     live = [job for job, out in enumerate(results) if out is None]
     for k in range(n_steps):
         if not live:
@@ -145,14 +127,23 @@ def _lockstep(conn, chart, x0, v0, t_end, step) -> list:
         for row, exc in errors.items():
             results[live[row]] = exc
         live = [job for job in live if results[job] is None]
-        if live:
-            nodes[k + 1, live] = arrays["states"]
-        for job in live:
-            if not chart.contains(nodes[k + 1, job, :n]):
+        if not live:
+            break
+        states = arrays["states"]
+        nodes[k + 1, live] = states
+        for job, inside in zip(live, chart.contains(states[:, :n])):
+            if not inside:
                 results[job] = BoundaryExit(ts[k + 1], tuple(nodes[k + 1, job, :n]))
         live = [job for job in live if results[job] is None]
     return [Trajectory(ts, nodes[:, job, :n].copy(), nodes[:, job, n:].copy()) if out is None
             else out for job, out in enumerate(results)]
+
+
+def too_many_steps(t_end: float, step: float) -> bool:
+    """Whether round(t_end / step) exceeds MAX_STEPS (an overflowing
+    ratio does too)."""
+    steps = t_end / step
+    return math.isinf(steps) or round(steps) > MAX_STEPS
 
 
 # five-point stencil weights, rows = offset of the node within the window

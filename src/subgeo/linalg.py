@@ -36,10 +36,10 @@ CERTIFICATE_SAFETY = 16.0
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a x = b`` for square ``a`` (n <= 16 in practice).
+    """Solve ``a x = b`` for a stack of square systems (n <= 16 in
+    practice), ``a`` of shape (N, n, n) and ``b`` (N, n) or (N, n, k).
 
-    A stack of systems, ``a`` of shape (N, n, n) and ``b`` (N, n) or
-    (N, n, k), is solved in one LAPACK call; rows that the inverse does
+    The stack is solved in one LAPACK call; rows that the inverse does
     not certify nonsingular are tested one by one, in row order.  Raises
     :class:`SingularMatrix` when a pivot falls below
     ``1e-12 * max_norm(a)``; for a stack of several systems the message
@@ -47,8 +47,6 @@ def solve_linear(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 3:
-        return _solve_one(a, b)
     _check_stack(a, b)
     x, inv = _gesv(a, b)
     for row, exc in _failures(a, inv):
@@ -71,8 +69,7 @@ def singular_rows(a) -> np.ndarray:
 
 
 def _check_stack(a, b) -> None:
-    n = a.shape[-1]
-    if a.shape[1:] != (n, n) or b.shape[:2] != a.shape[:2] or b.ndim > 3:
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape[:2] != a.shape[:2] or b.ndim > 3:
         raise ContractViolation(f"shape mismatch: a {a.shape}, b {b.shape}")
 
 
@@ -118,16 +115,6 @@ def _certified(a, inv) -> np.ndarray:
     # big * scale < bound, split at scale = 1 so that neither side can
     # overflow; NaN, inf and a zero inverse all compare false.
     return big * np.minimum(scale, 1.0) < bound / np.maximum(scale, 1.0)
-
-
-def _solve_one(a, b) -> np.ndarray:
-    """One system under the pivot test; solved as a one-row stack, so it
-    gets the same bits as the same system inside any stack."""
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
-        raise ContractViolation(f"shape mismatch: a {a.shape}, b {b.shape}")
-    _pivot_test(a)
-    return _gesv(a[None], b[None])[0][0]
 
 
 def _pivot_test(a) -> None:

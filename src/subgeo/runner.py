@@ -45,8 +45,8 @@ class RunContext:
         self._curves = None
         self.curve_errors = []
 
-    def points(self, check_name: str):
-        return sample_box(self.boxes, self.count, subseed(self.seed, check_name)).points
+    def points(self, check_name: str) -> np.ndarray:
+        return sample_box(self.boxes, self.count, subseed(self.seed, check_name))
 
     def curves(self):
         """Integrate the scenario's geodesic jobs once, keyed in name order.
@@ -139,7 +139,7 @@ def _fd_crosscheck(scenario, ctx, name, tol):
         fields += [(f"pi_{a + 1}", f, total) for a, f in enumerate(setup.pi)]
         if setup.phi is not None:
             fields.append(("phi", setup.phi, total))
-        fields += [("base_" + lbl, f, setup.base_point)
+        fields += [("base_" + lbl, f, lambda p: setup.project(p[None])[0])
                    for lbl, f in setup.base.metric.entry_fields()]
     pts = ctx.points(name)
     probes = [(*fields[k % len(fields)], pts[k % len(pts)]) for k in range(FD_PROBES)]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ContractViolation
 
@@ -17,38 +18,19 @@ from .errors import ContractViolation
 _EDGE = 1e-9
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    seed: int
-    box: tuple
-    count: int
-    points: tuple
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def sample_box(box, count: int, seed: int) -> SampleSet:
-    """Draw ``count`` points strictly inside ``box``, reproducibly."""
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
+def sample_box(box, count: int, seed: int) -> np.ndarray:
+    """Draw ``count`` points strictly inside ``box``, reproducibly: a
+    (count, n) stack, the draws taken point by point."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
     for lo, hi in box:
         if not lo < hi:
             raise ContractViolation(f"empty box interval [{lo}, {hi}]")
     if count < 1:
         raise ContractViolation("sample count must be positive")
     rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        pts.append(
-            tuple(
-                lo + (hi - lo) * (_EDGE + (1.0 - 2.0 * _EDGE) * rng.random())
-                for lo, hi in box
-            )
-        )
-    return SampleSet(seed=seed, box=box, count=count, points=tuple(pts))
+    r = np.array([rng.random() for _ in range(count * len(box))]).reshape(count, len(box))
+    lo, hi = np.array(box).reshape(len(box), 2).T
+    return lo + (hi - lo) * (_EDGE + (1.0 - 2.0 * _EDGE) * r)
 
 
 def subseed(seed: int, label: str) -> int:

@@ -79,26 +79,24 @@ class SubmersionSetup:
     def fiber_dim(self) -> int:
         return self.n - self.m
 
-    # -- projection differentials ---------------------------------------
+    # -- projection -----------------------------------------------------
 
-    def base_point(self, p) -> tuple:
-        return tuple(self._pi_stack.values([p])[0].tolist())
-
-    def dpi_values(self, p) -> np.ndarray:
-        """dpi[a, i] = d_i pi_a at the point p."""
-        return self._pi_stack([p], 1)[1][0].T
+    def project(self, points) -> np.ndarray:
+        """The base points (N, m) of a stack of points (N, n)."""
+        return self._pi_stack.values(points)
 
     def pivot_pattern(self):
         """(pivot_cols, free_cols) chosen once at the box center."""
         if self._pivot is None:
-            self._pivot = self._pivot_at(self.total.chart.center())
+            center = np.array([self.total.chart.center()])
+            self._pivot = self._pivot_at(center[0], self._pi_stack(center, 1)[1][0].T)
         return self._pivot
 
-    def _pivot_at(self, p):
-        a = self.dpi_values(p)
-        if not np.isfinite(a).all():  # the QR pivoting cannot take NaN or inf
+    def _pivot_at(self, p, dpi):
+        """The pivot pattern of the differential dpi (m, n) at the point p."""
+        if not np.isfinite(dpi).all():  # the QR pivoting cannot take NaN or inf
             raise EvalDomain("projection differential is not finite", point=p)
-        _, r, perm = scipy.linalg.qr(a, pivoting=True)
+        _, r, perm = scipy.linalg.qr(dpi, pivoting=True)
         diag = np.abs(np.diag(r))
         if diag.size < self.m or diag[-1] <= RANK_RTOL * max(diag[0], 1.0):
             raise RankDrop("projection differential lost rank", point=tuple(p))
@@ -140,7 +138,7 @@ class SubmersionSetup:
                 if len(x) > 1:
                     raise
                 warnings.warn("pivot pattern degenerated; re-pivoting at the point")
-                kernel, d_kernel = _kernel(dpi, d_dpi, *self._pivot_at(x[0]))
+                kernel, d_kernel = _kernel(dpi, d_dpi, *self._pivot_at(x[0], dpi[0]))
         else:
             kernel, d_kernel = np.zeros((len(x), n, 0)), np.zeros((len(x), n, n, 0))
 
@@ -200,41 +198,45 @@ class SubmersionSetup:
 
     # -- fibers ----------------------------------------------------------------
 
-    def fiber_points(self, b, count: int, anchor=None):
-        """Up to ``count`` points of the fiber over b, found by varying the
-        free coordinates and Newton-solving the pivot coordinates."""
-        if self.fiber_dim == 0:
-            return [tuple(float(x) for x in b)] if count else []
-        piv, free = self.pivot_pattern()
-        box = self.total.chart.box
-        start = list(anchor) if anchor is not None else list(self.total.chart.center())
-        out = []
-        for k in range(count):
-            x = list(start)
-            for j, c in enumerate(free):
-                lo, hi = box[c]
-                frac = 0.15 + 0.7 * ((0.5 + 0.6180339887498949 * k + 0.23 * j) % 1.0)
-                x[c] = lo + frac * (hi - lo)
-            pt = self._newton_fiber(x, b, piv)
-            if pt is not None and self.total.chart.contains(pt):
-                out.append(pt)
-        return out
+    def fiber_points(self, anchor, count: int) -> np.ndarray:
+        """Up to ``count`` points (k, n) of the fiber through ``anchor``,
+        found by varying its free coordinates and Newton-solving the pivot
+        coordinates of every start at once.  A start that raises fails the
+        search with the error of the first such start (the starts go
+        through :func:`results.build_rows`)."""
+        piv, free = map(list, self.pivot_pattern())
+        anchor = np.asarray(anchor, dtype=float)
+        b = self.project(anchor[None])[0]
+        lo, hi = np.array(self.total.chart.box, dtype=float)[free].T
+        k, j = np.arange(count)[:, None], np.arange(len(free))
+        frac = 0.15 + 0.7 * ((0.5 + 0.6180339887498949 * k + 0.23 * j) % 1.0)
+        starts = np.tile(anchor, (count, 1))
+        starts[:, free] = lo + frac * (hi - lo)
+        arrays, errors = build_rows(lambda x: self._newton_fiber(x, b, piv), starts)
+        if errors:
+            raise errors[min(errors)]
+        x = arrays["x"]
+        return x[arrays["found"] & self.total.chart.contains(x)]
 
-    def _newton_fiber(self, x, b, piv):
-        b = np.asarray(b, dtype=float)
-        x = list(x)
+    def _newton_fiber(self, x, b, piv) -> dict:
+        """Newton on the pivot coordinates of the starts x (N, n) towards
+        pi = b: ``x`` the last iterates and ``found`` whether each row
+        converged before a singular Jacobian or NEWTON_MAX_ITER steps."""
+        x = x.copy()
+        found = np.zeros(len(x), dtype=bool)
+        rows = np.arange(len(x))  # the rows still iterating
         for _ in range(NEWTON_MAX_ITER):
-            res = self._pi_stack.values([x])[0] - b
-            if np.max(np.abs(res)) <= NEWTON_TOL:
-                return tuple(x)
-            jac = self.dpi_values(x)[:, list(piv)]
-            try:
-                step = solve_linear(jac, -res)
-            except SingularMatrix:
-                return None
-            for r, c in enumerate(piv):
-                x[c] += step[r]
-        return None
+            res = self.project(x[rows]) - b
+            done = np.abs(res).max(axis=1) <= NEWTON_TOL
+            found[rows[done]] = True
+            rows, res = rows[~done], res[~done]
+            if not len(rows):
+                break
+            jac = np.swapaxes(self._pi_stack(x[rows], 1)[1], 1, 2)[:, :, piv]
+            ok = ~singular_rows(jac)
+            rows = rows[ok]
+            x[rows[:, None], piv] += solve_linear(jac[ok], -res[ok])
+        return {"x": x, "found": found}
 
 
 # -- batch helpers -------------------------------------------------------------
@@ -653,14 +655,14 @@ def check_projectable(setup, points, tol) -> CheckResult:
     per_fiber = max(2, math.ceil(len(points) / (4 * n_base)))
 
     def fiber(p):
-        fpts = setup.fiber_points(setup.base_point(p), per_fiber, anchor=p)
+        fpts = setup.fiber_points(p, per_fiber)
         if len(fpts) < 2:
             raise PremiseFailed(f"found {len(fpts)} of {per_fiber} points on the fiber")
         return fpts
 
     fibers, errors = collect(points[:n_base], fiber)
     owners = np.repeat(list(fibers), [len(f) for f in fibers.values()])
-    frames = setup._frames([p for f in fibers.values() for p in f], False)
+    frames = setup._frames(np.concatenate([np.zeros((0, setup.n)), *fibers.values()]), False)
 
     def residuals(f, rows):
         # each row against the first point of its fiber, which reads 0

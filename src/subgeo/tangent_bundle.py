@@ -13,10 +13,10 @@ The formulas are polynomial in u, so their partials on the bundle chart
 follow from the base partials by the product rule: each quantity is
 carried as its parts (value, d, d2, ...), part m with m derivative axes
 after the point axis, and :func:`_product` multiplies parts, so each lift
-is written once for every order.  A lift reaches the order of its base
-data, one less where it differentiates them (the complete metric and
-both lifted connections); past that the base field raises
-:class:`ContractViolation`.
+is written once for every order.  A lift declares the order it
+reaches, its ``max_order``: that of its base data, one less where it
+differentiates them (the complete metric and both lifted connections);
+past it the lift raises :class:`ContractViolation`.
 
 Conventions: base connections are direction-first (nabla_{d_i} d_j =
 Gamma^k_ij d_k) and the velocity contraction in the horizontal lift
@@ -109,11 +109,12 @@ def _blocks(p, q, r, s=None) -> tuple:
 
 class _LiftedMetric(MetricField):
     """A metric on the bundle chart given by an array formula, ``_batch``,
-    over the base metric and connection."""
+    over the base metric and connection; it reaches the order of both."""
 
     def __init__(self, base: Space):
         self.base = base
         self.dim = 2 * base.dim
+        self.max_order = min(base.metric.max_order, base.conn.max_order)
 
     def entry(self, i: int, j: int):
         return _Entry(self, (i, j))
@@ -146,6 +147,10 @@ class CompleteMetric(_LiftedMetric):
 
     label = "complete"
 
+    def __init__(self, base: Space):
+        super().__init__(base)
+        self.max_order = base.metric.max_order - 1
+
     def _batch(self, points, order):
         n = self.base.dim
         base = batch_parts(self.base.metric, points[:, :n], order + 1)
@@ -163,6 +168,7 @@ class _LiftedConnection(ConnectionField):
         self.base_conn = base_conn
         self.n = n
         self.dim = 2 * n
+        self.max_order = base_conn.max_order - 1
 
     def _batch(self, points, order):
         n = self.n

@@ -6,6 +6,7 @@ do not depend on the registry module they are meant to exercise.
 
 import numpy as np
 
+from subgeo.errors import SubgeoError
 from subgeo.fields import (
     AlphaConnection,
     ChartedManifold,
@@ -15,6 +16,7 @@ from subgeo.fields import (
     MetricField,
     Space,
 )
+from subgeo.geodesics import DEFAULT_STEP, integrate_geodesic
 from subgeo.sampling import sample_box
 from subgeo.submersion import SubmersionSetup
 
@@ -88,11 +90,20 @@ def skewed_setup():
 
 
 def points_for(setup, count=12, seed=7):
-    return sample_box(setup.total.chart.box, count, seed).points
+    return sample_box(setup.total.chart.box, count, seed)
 
 
 def grid_points(box, count=10, seed=3):
-    return sample_box(box, count, seed).points
+    return sample_box(box, count, seed)
+
+
+def integrate_one(conn, chart, x0, v0, t_end, step=DEFAULT_STEP):
+    """One geodesic job, integrated as a one-row stack: its Trajectory,
+    or the error that ended it raised."""
+    (out,) = integrate_geodesic(conn, chart, [x0], [v0], t_end, step)
+    if isinstance(out, SubgeoError):
+        raise out
+    return out
 
 
 def max_abs(arr):

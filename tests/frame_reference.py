@@ -9,12 +9,19 @@ lift column L_a at a time, with the column field (value, partials) read
 out of the frame batch.  The package evaluates the same identities over
 every pair or triple of columns in one array expression;
 ``tests/test_submersion.py`` compares the two key by key.
+
+The fiber search is kept here the same way: one Newton start at a time,
+each solving its own one-row system, against which the package's
+stacked search is compared bit for bit.
 """
 
 import numpy as np
 
 from subgeo import geometry
-from subgeo.submersion import _amax, _bracket, _form3, _gram, _mv, _pair, _scalar_grad
+from subgeo.errors import SingularMatrix
+from subgeo.linalg import solve_linear
+from subgeo.submersion import (NEWTON_MAX_ITER, NEWTON_TOL, _amax, _bracket, _form3, _gram, _mv,
+                               _pair, _scalar_grad)
 
 # -- single columns ------------------------------------------------------------
 
@@ -172,3 +179,45 @@ def induced_statistical(f) -> dict:
         ),
         "identity": _amax(cubic_ind - lifted_cubic(f)),
     }
+
+
+# -- the fiber search ------------------------------------------------------------
+
+
+def fiber_points(setup, anchor, count: int):
+    """The points of the fiber through ``anchor`` found from ``count``
+    starts, searched one start at a time, and each start's outcome:
+    "found", "outside" (converged off the chart box), "singular" or
+    "no convergence".  A start that raises propagates its error."""
+    piv, free = setup.pivot_pattern()
+    box = setup.total.chart.box
+    b = setup._pi_stack.values([anchor])[0]
+    points, outcomes = [], []
+    for k in range(count):
+        x = [float(v) for v in anchor]
+        for j, c in enumerate(free):
+            lo, hi = box[c]
+            frac = 0.15 + 0.7 * ((0.5 + 0.6180339887498949 * k + 0.23 * j) % 1.0)
+            x[c] = lo + frac * (hi - lo)
+        pt, outcome = _newton_fiber(setup, x, b, piv)
+        if pt is not None and not all(lo <= v <= hi for v, (lo, hi) in zip(pt, box)):
+            outcome = "outside"
+        if outcome == "found":
+            points.append(pt)
+        outcomes.append(outcome)
+    return np.array(points, dtype=float).reshape(len(points), setup.n), outcomes
+
+
+def _newton_fiber(setup, x, b, piv):
+    for _ in range(NEWTON_MAX_ITER):
+        res = setup._pi_stack.values([x])[0] - b
+        if np.max(np.abs(res)) <= NEWTON_TOL:
+            return tuple(x), "found"
+        jac = setup._pi_stack([x], 1)[1][0].T[:, list(piv)]
+        try:
+            step = solve_linear(jac[None], -res[None])[0]
+        except SingularMatrix:
+            return None, "singular"
+        for r, c in enumerate(piv):
+            x[c] += step[r]
+    return None, "no convergence"

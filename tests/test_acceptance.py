@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import integrate_one
 from subgeo import builtins, cli, geodesics as geo, geometry, runner
 from subgeo import submersion as sm
 from subgeo import tangent_bundle as tb
@@ -26,7 +27,7 @@ BUNDLE_NAMES = (
 
 def pts(scenario, count, seed=11):
     box = scenario.space.chart.box
-    return sample_box(box, count, seed).points
+    return sample_box(box, count, seed)
 
 
 def verdict(num, ok, text):
@@ -104,16 +105,16 @@ def test_criterion_5_half_plane_closed_forms():
     conn, chart = scenario.space.conn, scenario.space.chart
     metric = scenario.space.metric
 
-    ray = geo.integrate_geodesic(conn, chart, (0.0, 1.0), (0.0, 1.0), 1.0, step=1e-3)
+    ray = integrate_one(conn, chart, (0.0, 1.0), (0.0, 1.0), 1.0, step=1e-3)
     err_ray = float(np.max(np.abs(ray.xs[-1] - (0.0, math.e))))
-    semi = geo.integrate_geodesic(conn, chart, (0.0, 1.0), (1.0, 0.0), 1.0, step=1e-3)
+    semi = integrate_one(conn, chart, (0.0, 1.0), (1.0, 0.0), 1.0, step=1e-3)
     err_semi = float(np.max(np.abs(
         semi.xs[-1] - (math.tanh(1.0), 1.0 / math.cosh(1.0)))))
 
     exact = np.array([math.tanh(0.5), 1.0 / math.cosh(0.5)])
 
     def ep_err(h):
-        t = geo.integrate_geodesic(conn, chart, (0.0, 1.0), (1.0, 0.0), 0.5, step=h)
+        t = integrate_one(conn, chart, (0.0, 1.0), (1.0, 0.0), 0.5, step=h)
         return float(np.max(np.abs(t.xs[-1] - exact)))
 
     factor = ep_err(2e-2) / ep_err(1e-2)
@@ -128,8 +129,8 @@ def test_criterion_6_projection_criterion_three_curves():
     scenario = builtins.build("hyperbolic:2")
     setup = scenario.setup
     curves = [
-        geo.integrate_geodesic(setup.total.conn, setup.total.chart,
-                               job["p0"], job["v0"], job["t_end"], job["h"])
+        integrate_one(setup.total.conn, setup.total.chart,
+                      job["p0"], job["v0"], job["t_end"], job["h"])
         for _, job in sorted(scenario.geodesic_jobs.items())
     ]
     assert len(curves) >= 3

@@ -404,17 +404,10 @@ BUILTIN_NAMES = ("euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3",
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_an_empty_point_stack_is_an_empty_batch(name):
-    # an order is supported when a one-point stack at the box center
-    # evaluates (lifted fields stop below max_order on a curved base)
     scenario = builtins.build(name)
     empty = np.zeros((0, scenario.dim))
-    center = np.array([scenario.space.chart.center()])
     for fld in (scenario.space.metric, scenario.space.conn):
         for order in range(fld.max_order + 1):
-            try:
-                fld.batch(center, order)
-            except ContractViolation:
-                break
             parts = batch_parts(fld, empty, order)
             assert [part.shape[0] for part in parts] == [0] * (order + 1), (fld, order)
     if scenario.setup is not None:
@@ -424,3 +417,25 @@ def test_an_empty_point_stack_is_an_empty_batch(name):
             for key, values in vars(frames).items():
                 if isinstance(values, np.ndarray):
                     assert values.shape[0] == 0, key
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n.startswith("tangent_bundle_of:")])
+def test_lifted_fields_declare_the_order_they_reach(name):
+    # a lift reaches the order of its base data, one less where it
+    # differentiates them; one order past that, it names its own budget
+    bundle = builtins.build(name).bundle
+    base = bundle.base
+    want = {
+        bundle.sasaki_metric: min(base.metric.max_order, base.conn.max_order),
+        bundle.horizontal_metric: min(base.metric.max_order, base.conn.max_order),
+        bundle.complete_metric: base.metric.max_order - 1,
+        bundle.complete_conn: base.conn.max_order - 1,
+        bundle.horizontal_conn: base.conn.max_order - 1,
+    }
+    center = np.array([bundle.chart.center()])
+    for fld, order in want.items():
+        assert fld.max_order == fld.entry_fields()[1][1].max_order == order, fld
+        for k in range(order + 1):
+            batch_parts(fld, center, k)
+        with pytest.raises(ContractViolation, match=rf"must be in 0\.\.{order}, got {order + 1}$"):
+            fld.batch(center, order + 1)

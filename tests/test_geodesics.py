@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hyperbolic_setup, max_abs, skewed_setup
+from conftest import hyperbolic_setup, integrate_one, max_abs, skewed_setup
 from subgeo import builtins, config, runner
 from subgeo import geodesics as geo
 from subgeo.errors import BoundaryExit, ContractViolation, EvalDomain
@@ -32,7 +32,7 @@ def half_plane():
 
 def test_vertical_ray_hits_e():
     chart, metric, conn = half_plane()
-    traj = geo.integrate_geodesic(conn, chart, (0.0, 1.0), (0.0, 1.0), 1.0, step=1e-3)
+    traj = integrate_one(conn, chart, (0.0, 1.0), (0.0, 1.0), 1.0, step=1e-3)
     assert traj.xs[-1] == pytest.approx([0.0, math.e], abs=1e-9)
     assert traj.vs[-1] == pytest.approx([0.0, math.e], abs=1e-9)
     assert len(traj) == 1001
@@ -40,7 +40,7 @@ def test_vertical_ray_hits_e():
 
 def test_semicircle_hits_tanh_sech():
     chart, metric, conn = half_plane()
-    traj = geo.integrate_geodesic(conn, chart, (0.0, 1.0), (1.0, 0.0), 1.0, step=1e-3)
+    traj = integrate_one(conn, chart, (0.0, 1.0), (1.0, 0.0), 1.0, step=1e-3)
     assert traj.xs[-1] == pytest.approx([math.tanh(1.0), 1.0 / math.cosh(1.0)], abs=1e-9)
     # the whole trajectory stays on the unit semicircle
     radii = np.hypot(traj.xs[:, 0], traj.xs[:, 1])
@@ -52,7 +52,7 @@ def test_rk4_error_scales_as_h4():
     exact = np.array([math.tanh(0.5), 1.0 / math.cosh(0.5)])
 
     def endpoint_error(h):
-        t = geo.integrate_geodesic(conn, chart, (0.0, 1.0), (1.0, 0.0), 0.5, step=h)
+        t = integrate_one(conn, chart, (0.0, 1.0), (1.0, 0.0), 0.5, step=h)
         return max_abs(t.xs[-1] - exact)
 
     factor = endpoint_error(2e-2) / endpoint_error(1e-2)
@@ -61,7 +61,7 @@ def test_rk4_error_scales_as_h4():
 
 def test_energy_is_conserved():
     chart, metric, conn = half_plane()
-    traj = geo.integrate_geodesic(conn, chart, (0.2, 1.5), (0.7, -0.3), 1.0, step=1e-3)
+    traj = integrate_one(conn, chart, (0.2, 1.5), (0.7, -0.3), 1.0, step=1e-3)
     assert geo.energy_drift(metric, traj) < 1e-8
 
 
@@ -71,7 +71,7 @@ def test_boundary_exit_raises_and_clips():
     conn = LeviCivitaConnection(metric)
     # y(t) = e^{-t} crosses y = 0.5 at t = log 2
     with pytest.raises(BoundaryExit) as e:
-        geo.integrate_geodesic(conn, chart, (0.0, 1.0), (0.0, -1.0), 1.0, step=1e-3)
+        integrate_one(conn, chart, (0.0, 1.0), (0.0, -1.0), 1.0, step=1e-3)
     assert e.value.t == pytest.approx(math.log(2.0), abs=2e-3)
     assert e.value.point is not None
 
@@ -79,9 +79,14 @@ def test_boundary_exit_raises_and_clips():
 def test_bad_inputs_rejected():
     chart, metric, conn = half_plane()
     with pytest.raises(ContractViolation):
-        geo.integrate_geodesic(conn, chart, (0.0, 1.0), (1.0, 0.0), -1.0)
+        integrate_one(conn, chart, (0.0, 1.0), (1.0, 0.0), -1.0)
     with pytest.raises(ContractViolation):
-        geo.integrate_geodesic(conn, chart, (0.0, 100.0), (1.0, 0.0), 1.0)
+        integrate_one(conn, chart, (0.0, 100.0), (1.0, 0.0), 1.0)
+    # starts come as (N, n) stacks only, of one shape
+    for x0, v0 in (((0.0, 1.0), (1.0, 0.0)), ([(0.0, 1.0)], [(1.0, 0.0, 0.0)]),
+                   ([[(0.0, 1.0)]], [[(1.0, 0.0)]])):
+        with pytest.raises(ContractViolation, match="two stacks"):
+            geo.integrate_geodesic(conn, chart, x0, v0, 1.0)
 
 
 def test_csv_is_stable(tmp_path):
@@ -89,7 +94,7 @@ def test_csv_is_stable(tmp_path):
     # file contents are a fixed string
     chart = ChartedManifold("flat", 2, ((-2.0, 2.0), (-2.0, 2.0)))
     conn = ExprConnection.zero(2)
-    traj = geo.integrate_geodesic(conn, chart, (0.0, 0.0), (1.0, 0.5), 0.5, step=0.25)
+    traj = integrate_one(conn, chart, (0.0, 0.0), (1.0, 0.5), 0.5, step=0.25)
     out = tmp_path / "line.csv"
     traj.write_csv(out)
     assert out.read_text() == (
@@ -121,7 +126,7 @@ def test_derivative_along_needs_five_nodes():
 
 def test_geodesic_residual_polarity():
     chart, metric, conn = half_plane()
-    traj = geo.integrate_geodesic(conn, chart, (0.0, 1.0), (1.0, 0.0), 1.0, step=1e-3)
+    traj = integrate_one(conn, chart, (0.0, 1.0), (1.0, 0.0), 1.0, step=1e-3)
     assert geo.geodesic_residual(conn, traj) < 1e-8
     # a circle in the flat plane is visibly not autoparallel
     ts = np.arange(0.0, 1.0, 1e-3)
@@ -133,7 +138,7 @@ def test_geodesic_residual_polarity():
 
 def _hyp_curves(setup, jobs):
     return [
-        geo.integrate_geodesic(setup.total.conn, setup.total.chart, x0, v0, t_end, step=1e-3)
+        integrate_one(setup.total.conn, setup.total.chart, x0, v0, t_end, step=1e-3)
         for (x0, v0, t_end) in jobs
     ]
 
@@ -230,8 +235,17 @@ def test_lockstep_equals_single_jobs(name):
                                       [j["v0"] for j in jobs], t_end, h)
     assert len(together) == len(jobs)
     for job, traj in zip(jobs, together):
-        alone = geo.integrate_geodesic(conn, chart, job["p0"], job["v0"], t_end, h)
+        alone = integrate_one(conn, chart, job["p0"], job["v0"], t_end, h)
         assert same_trajectory(traj, alone)
+
+
+def test_the_chart_box_test_is_a_closed_box_mask():
+    chart = ChartedManifold("strip", 2, ((-1.0, 1.0), (0.5, 3.0)))
+    points = np.array([[-1.0, 0.5], [1.0, 3.0], [0.0, 1.0], [np.nextafter(1.0, 2.0), 1.0],
+                       [0.0, np.nextafter(0.5, 0.0)], [0.0, np.nan], [np.nan, np.nan],
+                       [0.0, np.inf], [-np.inf, 1.0]])
+    assert chart.contains(points).tolist() == [True, True, True] + [False] * 6
+    assert chart.contains(np.zeros((0, 2))).shape == (0,)
 
 
 def test_job_leaving_the_box_does_not_stop_its_siblings():
@@ -245,7 +259,7 @@ def test_job_leaving_the_box_does_not_stop_its_siblings():
     assert out[1].t == pytest.approx(math.log(2.0), abs=2e-3)
     assert isinstance(out[3], ContractViolation)
     for k in (0, 2):
-        assert same_trajectory(out[k], geo.integrate_geodesic(conn, chart, x0[k], v0[k], 1.0))
+        assert same_trajectory(out[k], integrate_one(conn, chart, x0[k], v0[k], 1.0))
 
 
 def test_job_failing_to_evaluate_becomes_its_incident():
@@ -258,9 +272,9 @@ def test_job_failing_to_evaluate_becomes_its_incident():
     out = geo.integrate_geodesic(conn, chart, x0, v0, 0.5, step=1e-2)
     assert isinstance(out[1], EvalDomain)
     with pytest.raises(EvalDomain):
-        geo.integrate_geodesic(conn, chart, x0[1], v0[1], 0.5, step=1e-2)
+        integrate_one(conn, chart, x0[1], v0[1], 0.5, step=1e-2)
     for k in (0, 2):
-        alone = geo.integrate_geodesic(conn, chart, x0[k], v0[k], 0.5, step=1e-2)
+        alone = integrate_one(conn, chart, x0[k], v0[k], 0.5, step=1e-2)
         assert same_trajectory(out[k], alone)
 
 
@@ -272,8 +286,8 @@ def test_non_finite_acceleration_is_its_jobs_domain_error():
     out = geo.integrate_geodesic(conn, chart, [(0.0, 0.0), (7.0, 0.0)], [(0.1, 0.2), (0.1, 0.2)],
                                  0.1, step=1e-2)
     assert isinstance(out[1], EvalDomain) and out[1].point == (7.0, 0.0)
-    assert same_trajectory(out[0], geo.integrate_geodesic(conn, chart, (0.0, 0.0), (0.1, 0.2),
-                                                          0.1, step=1e-2))
+    assert same_trajectory(out[0], integrate_one(conn, chart, (0.0, 0.0), (0.1, 0.2),
+                                                 0.1, step=1e-2))
 
 
 def test_run_context_groups_jobs_by_span_and_step():
@@ -288,8 +302,8 @@ def test_run_context_groups_jobs_by_span_and_step():
     assert ctx.curve_errors == []
     for name, traj in curves.items():
         job = sc.geodesic_jobs[name]
-        alone = geo.integrate_geodesic(sc.space.conn, sc.space.chart, job["p0"], job["v0"],
-                                       job["t_end"], job["h"])
+        alone = integrate_one(sc.space.conn, sc.space.chart, job["p0"], job["v0"],
+                              job["t_end"], job["h"])
         assert same_trajectory(traj, alone)
     assert len(curves["short"]) == 501 and len(curves["coarse"]) == 501
 
@@ -356,8 +370,8 @@ def test_each_curve_check_and_projectable_builds_one_frame_batch(monkeypatch):
     curves = _hyp_curves(setup, [((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0),
                                  ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0),
                                  ((0.1, -0.2, 1.2), (0.4, 0.3, 0.5), 1.0)])
-    curves.append(geo.integrate_geodesic(setup.total.conn, setup.total.chart, (0.2, 0.1, 0.9),
-                                         (-0.3, 0.2, 0.4), 1.0, step=2e-3))
+    curves.append(integrate_one(setup.total.conn, setup.total.chart, (0.2, 0.1, 0.9),
+                                (-0.3, 0.2, 0.4), 1.0, step=2e-3))
     checks = [(geo.check_curve_decomposition, 1e-6), (geo.check_sigma_second, 1e-5),
               (geo.geodesic_projection_check, 1e-6)]
     for some in (curves[:1], curves):
@@ -365,7 +379,7 @@ def test_each_curve_check_and_projectable_builds_one_frame_batch(monkeypatch):
             calls.clear()
             assert check(setup, some, tol).status == PASS
             assert calls == [45 * len(some)]
-    pts = sample_box(setup.total.chart.box, 64, 0).points
+    pts = sample_box(setup.total.chart.box, 64, 0)
     calls.clear()
     assert submersion.check_projectable(setup, pts, 1e-8).status == PASS
     assert len(calls) == 1

@@ -16,21 +16,39 @@ from conftest import euclid_setup, hyperbolic_setup, points_for
 from jet_reference import jet_inverse, jet_matmul, jet_solve, jet_values
 
 
+def _solve_one(a, b):
+    """The per-system reference: one system (n, n) under the pivot test,
+    solved as a one-row stack, so it gets the same bits as the same
+    system inside any stack."""
+    linalg._pivot_test(a)
+    return linalg._gesv(a[None], b[None])[0][0]
+
+
 def test_solve_matches_numpy():
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        a = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-        b = rng.normal(size=4)
-        assert solve_linear(a, b) == pytest.approx(np.linalg.solve(a, b))
+    a = rng.normal(size=(5, 4, 4)) + 4.0 * np.eye(4)
+    b = rng.normal(size=(5, 4))
+    assert solve_linear(a, b) == pytest.approx(np.linalg.solve(a, b[..., None])[..., 0])
 
 
 def test_solve_shape_and_singular():
     with pytest.raises(ContractViolation):
-        solve_linear(np.ones((2, 3)), np.ones(2))
-    with pytest.raises(SingularMatrix):
-        solve_linear(np.zeros((2, 2)), np.ones(2))
-    with pytest.raises(SingularMatrix):
-        solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+        solve_linear(np.ones((1, 2, 3)), np.ones((1, 2)))
+    with pytest.raises(SingularMatrix, match="zero matrix$"):
+        solve_linear(np.zeros((1, 2, 2)), np.ones((1, 2)))
+    with pytest.raises(SingularMatrix, match="below threshold"):
+        solve_linear(np.array([[[1.0, 2.0], [2.0, 4.0]]]), np.ones((1, 2)))
+
+
+def test_one_system_is_a_contract_violation():
+    # a single system goes in as a one-row stack; 2-D input is an error
+    eye = np.eye(3)
+    for a, b in ((eye, np.ones(3)), (eye, np.ones((3, 2))), (eye[None], np.ones(3)),
+                 (np.ones(3), np.ones(3)), (np.float64(1.0), np.ones(1))):
+        with pytest.raises(ContractViolation, match="shape mismatch"):
+            solve_linear(a, b)
+    with pytest.raises(ContractViolation, match="shape mismatch"):
+        singular_rows(eye)
 
 
 def test_stacked_solve_matches_each_system():
@@ -39,7 +57,8 @@ def test_stacked_solve_matches_each_system():
     b = rng.normal(size=(4, 3, 9))
     x = solve_linear(a, b)
     for row in range(4):
-        assert np.array_equal(x[row], solve_linear(a[row], b[row]))
+        assert np.array_equal(x[row], _solve_one(a[row], b[row]))
+        assert np.array_equal(x[row], solve_linear(a[row:row + 1], b[row:row + 1])[0])
     a[2] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(SingularMatrix, match="in row 2"):
         solve_linear(a, b)
@@ -48,12 +67,12 @@ def test_stacked_solve_matches_each_system():
 
 
 def _row_by_row(a, b):
-    """The per-system rule over a stack: ``_solve_one`` on each row in
-    order, or the message of the first row that fails."""
+    """The per-system rule over a stack: :func:`_solve_one` on each row
+    in order, or the message of the first row that fails."""
     out = np.empty(b.shape)
     for row in range(len(a)):
         try:
-            out[row] = linalg._solve_one(a[row], b[row])
+            out[row] = _solve_one(a[row], b[row])
         except SingularMatrix as exc:
             return str(exc) if len(a) == 1 else f"{exc} in row {row}"
     return out
@@ -148,7 +167,7 @@ def test_stacked_solve_of_empty_and_single_stacks():
     assert solve_linear(np.zeros((0, 3, 3)), np.zeros((0, 3, 4))).shape == (0, 3, 4)
     a = rng.normal(size=(1, 3, 3)) + 3.0 * np.eye(3)
     b = rng.normal(size=(1, 3))
-    assert np.array_equal(solve_linear(a, b)[0], solve_linear(a[0], b[0]))
+    assert np.array_equal(solve_linear(a, b)[0], _solve_one(a[0], b[0]))
     a[0, 2] = a[0, 0]
     with pytest.raises(SingularMatrix, match=r"threshold for scale [0-9.e+]+$"):
         solve_linear(a, b)
@@ -173,7 +192,7 @@ def test_extreme_magnitudes_raise_no_float_warnings():
 
 def _rejects(matrix):
     try:
-        solve_linear(matrix, np.eye(len(matrix)))
+        solve_linear(matrix[None], np.eye(len(matrix))[None])
     except SingularMatrix:
         return True
     return False
@@ -197,9 +216,8 @@ def test_frame_and_levi_civita_batches_make_no_per_row_solves(monkeypatch):
     # The batched solve must stay one LAPACK call per stack: a regression
     # to a row loop would show as per-row pivot tests here.
     calls = []
-    for name in ("_solve_one", "_pivot_test"):
-        fn = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda *args, fn=fn: calls.append(1) or fn(*args))
+    pivot_test = linalg._pivot_test
+    monkeypatch.setattr(linalg, "_pivot_test", lambda a: calls.append(1) or pivot_test(a))
     setup = hyperbolic_setup(3)
     points = points_for(setup, 64)
     assert len(setup._frames(points, True)) == 64

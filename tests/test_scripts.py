@@ -1,0 +1,27 @@
+"""The scripts under ``scripts/`` run: smoke tests, each in a subprocess
+started from the repository root, as the scripts expect."""
+
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_script(*args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_step_halving_shows_fourth_order_convergence():
+    out = run_script("scripts/step_halving.py")
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()[1:]]
+    ratios = [float(row[2]) for row in rows if len(row) == 3]
+    assert len(ratios) >= 5
+    assert all(15.0 <= ratio <= 17.0 for ratio in ratios[:5]), ratios
+
+
+def test_run_flagship_passes_at_eight_samples():
+    out = run_script("scripts/run_flagship.py", "8", "0")
+    assert out.returncode == 0, out.stdout + out.stderr

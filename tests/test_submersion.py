@@ -69,7 +69,7 @@ def test_split_basis_shapes(hyp3):
     assert f.lcols.shape == (1, 3, 2)
     assert f.vcols.shape == (1, 3, 1)
     # projection of the lift columns is the identity on the base
-    assert max_abs(f.dpi[0] - hyp3.dpi_values(p)) == 0.0
+    assert np.array_equal(f.dpi[0], np.eye(2, 3))  # pi drops the last coordinate
     assert max_abs(f.dpi[0] @ f.lcols[0] - np.eye(2)) < 1e-12
     assert max_abs(f.dpi[0] @ f.vcols[0]) < 1e-12
     # projectors are complementary idempotents
@@ -227,21 +227,71 @@ def test_rank_drop_detected():
     assert frame_at(setup, (0.6, 0.3)).lcols.shape == (1, 2, 1)
 
 
-def test_fiber_points_satisfy_projection():
-    chart = ChartedManifold("curv", 2, ((-1.0, 1.0), (-1.0, 1.0)))
-    metric = MetricField.from_exprs([["1", "0"], ["0", "1"]], 2)
-    total = Space(chart, metric, ExprConnection.zero(2))
-    bchart = ChartedManifold("line", 1, ((-2.0, 2.0),))
+def flat_setup(box, pi):
+    """A flat chart over a flat line, projected by the expression ``pi``."""
+    chart = ChartedManifold("flat", len(box), box)
+    rows = [["1" if i == j else "0" for j in range(len(box))] for i in range(len(box))]
+    total = Space(chart, MetricField.from_exprs(rows, len(box)), ExprConnection.zero(len(box)))
+    bchart = ChartedManifold("line", 1, ((-50.0, 50.0),))
     base = Space(bchart, MetricField.from_exprs([["1"]], 1), ExprConnection.zero(1))
-    pi = [ExprField.parse("x1 + sin(x2)/3", 2)]
-    setup = sm.SubmersionSetup(total, base, pi, None, "curv")
-    b = (0.25,)
-    pts = setup.fiber_points(b, 5)
-    assert len(pts) >= 3
-    for q in pts:
-        assert setup.base_point(q) == pytest.approx(b, abs=1e-10)
+    return sm.SubmersionSetup(total, base, [ExprField.parse(pi, len(box))], None, "flat")
+
+
+def test_fiber_points_satisfy_projection():
+    setup = flat_setup(((-1.0, 1.0), (-1.0, 1.0)), "x1 + sin(x2)/3")
+    anchor = np.array([0.25 - np.sin(0.1) / 3.0, 0.1])
+    pts = setup.fiber_points(anchor, 5)
+    assert pts.ndim == 2 and pts.shape[1] == 2 and len(pts) >= 3
+    assert max_abs(setup.project(pts) - setup.project(anchor[None])) <= 1e-10
     spread = {round(q[1], 6) for q in pts}
     assert len(spread) == len(pts)
+
+
+def fiber_setups():
+    return {
+        # Newton on x1^3 - 2 x1 + c cycles near 0 <-> 1 for c near 2
+        "cycle": flat_setup(((-1.0, 1.0), (-3.0, 3.0)), "x1^3 - 2*x1 + x2"),
+        # the Jacobian x1 is exactly singular on x1 = 0
+        "fold": flat_setup(((-1.0, 3.0), (-1.0, 1.0)), "x1^2/2 + x2"),
+        "hyperbolic:3": builtins.build("hyperbolic:3").setup,
+        "gaussian:alpha=1": builtins.build("gaussian:alpha=1").setup,
+        "bundle": builtins.build("tangent_bundle_of:hyperbolic:2").setup,
+    }
+
+
+def test_stacked_fiber_search_is_the_per_start_search():
+    outcomes = set()
+    for name, setup in fiber_setups().items():
+        anchors = points_for(setup, 6, seed=1)
+        if setup.n == 2:
+            anchors = np.concatenate([anchors, [[0.0, 0.0]]])  # x1 = 0 on the fold
+        for anchor in anchors:
+            want, why = ref.fiber_points(setup, anchor, 8)
+            got = setup.fiber_points(anchor, 8)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, anchor)
+            outcomes.update(why)
+    assert outcomes == {"found", "outside", "singular", "no convergence"}
+
+
+def test_a_start_that_raises_fails_the_fiber_search_with_its_own_error():
+    # sqrt(x2): the starts with x2 <= 0 raise on their first residual;
+    # sqrt(x1): Newton steps take some starts below x1 = 0 later on, and
+    # the first start to raise is not always the first to fail in a step
+    raised, found = 0, 0
+    for pi in ("x1 + sqrt(x2)", "sqrt(x1) + x2/4"):
+        setup = flat_setup(((-0.5, 1.5), (-0.5, 1.5)), pi)
+        for anchor in points_for(setup, 16, seed=2) * (0.2, 1.0):
+            try:
+                want = ref.fiber_points(setup, anchor, 8)[0]
+            except EvalDomain as exc:
+                raised += 1
+                with pytest.raises(EvalDomain) as got:
+                    setup.fiber_points(anchor, 8)
+                assert str(got.value) == str(exc) and got.value.point == exc.point
+            else:
+                found += 1
+                assert setup.fiber_points(anchor, 8).tobytes() == want.tobytes()
+    assert raised > 16 and found > 0
 
 
 def test_s_tensor_symmetry(hyp3):
