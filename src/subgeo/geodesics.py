@@ -117,7 +117,7 @@ def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
     nodes = np.empty((n_steps + 1, len(x0), 2 * n))  # per node and job, (x, v)
     nodes[0] = np.concatenate([x0, v0], axis=1)
     results = [None if inside else
-               ContractViolation(f"start point {tuple(p)} outside the chart box")
+               ContractViolation(f"start point {tuple(p.tolist())} outside the chart box")
                for p, inside in zip(x0, chart.contains(x0))]
     live = [job for job, out in enumerate(results) if out is None]
     for k in range(n_steps):

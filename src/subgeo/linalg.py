@@ -1,8 +1,9 @@
-"""Small dense linear solves.
+"""Small dense linear algebra on numpy alone.
 
-A stack of systems (N, n, n) is solved in one LAPACK ``gesv`` call over
-[b | I], so every row's inverse comes with its solution.  A system is
-singular when its smallest LU pivot is below ``PIVOT_RTOL * max|a|``.
+A stack of systems (N, n, n) is solved in one call of numpy's LAPACK
+``gesv`` over [b | I], so every row's inverse comes with its solution.
+A system is singular when its smallest LU pivot is below
+``PIVOT_RTOL * max|a|``.
 Partial pivoting keeps |l_ij| <= 1, so ||L||_2 <= sqrt(n(n+1)/2) and
 
     min |u_kk| >= sigma_min(a) / ||L||_2 >= 1 / (n max|a^-1_ij| sqrt(n(n+1)/2)):
@@ -11,7 +12,11 @@ a row whose bound clears the threshold ``CERTIFICATE_SAFETY``-fold (room
 for the rounding in the computed inverse and pivots) passes for certain.
 Only the other rows (near-singular, holding NaN or inf, or exactly
 singular) are tested one by one from their own LU pivots, in row order,
-so every verdict is the per-system rule's.
+so every verdict is the per-system rule's.  Their pivots come from
+:func:`_lu_pivots`, a numpy LU with partial pivoting that takes LAPACK
+``dgetf2``'s steps; :func:`pivoted_qr`, the column-pivoted QR that picks
+a submersion's pivot columns, takes those of ``dlaqp2`` (Businger and
+Golub, Numer. Math. 7, 1965).
 Derivatives of a solution are not solved for here: the field layer
 differentiates x = A^-1 b by the forward-mode rule
 d(A^-1 b) = A^-1 (db - dA A^-1 b), one more stacked solve per order.
@@ -27,12 +32,15 @@ import numpy as np
 # microseconds less per call, which is most of a 3-row solve, and it
 # returns an exactly singular row as NaN instead of failing the stack.
 from numpy.linalg import _umath_linalg
-from scipy.linalg.lapack import dgetrf
 
 from .errors import ContractViolation, SingularMatrix
 
 PIVOT_RTOL = 1e-12
 CERTIFICATE_SAFETY = 16.0
+# LAPACK's safe minimum: the smallest pivot dgetf2 scales by its reciprocal.
+SAFE_MIN = np.finfo(float).tiny
+# dlaqp2 recomputes a downdated column norm that lost this much.
+NORM_DOWNDATE_TOL = math.sqrt(np.finfo(float).eps)
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -122,6 +130,69 @@ def _pivot_test(a) -> None:
     scale = np.abs(a).max()
     if scale == 0.0:
         raise SingularMatrix("zero matrix")
-    smallest = np.abs(dgetrf(a)[0].diagonal()).min()
+    smallest = np.abs(_lu_pivots(a)).min()
     if smallest < PIVOT_RTOL * scale:
         raise SingularMatrix(f"pivot {smallest:.3e} below threshold for scale {scale:.3e}")
+
+
+def _lu_pivots(a) -> np.ndarray:
+    """The diagonal of U in the LU factorization with partial pivoting of
+    a square matrix, step for step as ``dgetf2``: the pivot is the first
+    largest |entry| of the column, the column below it is scaled by the
+    pivot's reciprocal (divided by a pivot below ``SAFE_MIN``), and the
+    trailing update runs even after a zero pivot, so NaN and inf spread
+    as in LAPACK.  Below an infinite pivot the column is zeroed, as
+    OpenBLAS scales by its zero reciprocal, not made NaN."""
+    lu = np.array(a, dtype=float)
+    with np.errstate(all="ignore"):
+        for j in range(len(lu)):
+            p = j + int(np.argmax(np.abs(lu[j:, j])))
+            pivot = lu[p, j]
+            if pivot != 0.0:
+                lu[[j, p]] = lu[[p, j]]
+                if math.isinf(pivot):
+                    lu[j + 1:, j] = 0.0
+                elif abs(pivot) >= SAFE_MIN:
+                    lu[j + 1:, j] *= 1.0 / pivot
+                else:
+                    lu[j + 1:, j] /= pivot
+            lu[j + 1:, j + 1:] -= np.outer(lu[j + 1:, j], lu[j, j + 1:])
+    return lu.diagonal()
+
+
+def pivoted_qr(a):
+    """(|R_kk|, column order) of the QR factorization with column
+    pivoting of a finite matrix (m, n), step for step as ``dlaqp2``: each
+    step takes the first column of largest partial norm, applies a
+    Householder reflection, and downdates the partial norms of the
+    columns left, recomputing one whose downdate loses more than
+    ``NORM_DOWNDATE_TOL``.  Q is not formed."""
+    r = np.array(a, dtype=float)
+    m, n = r.shape
+    order = np.arange(n)
+    norms = np.linalg.norm(r, axis=0)  # partial norms, downdated
+    exact = norms.copy()               # the last computed partial norms
+    diag = np.empty(min(m, n))
+    for i in range(min(m, n)):
+        p = i + int(np.argmax(norms[i:]))
+        if p != i:
+            r[:, [i, p]] = r[:, [p, i]]
+            order[[i, p]] = order[[p, i]]
+            norms[p], exact[p] = norms[i], exact[i]
+        alpha, tail = r[i, i], np.linalg.norm(r[i + 1:, i])
+        if tail == 0.0:
+            beta = alpha
+        else:
+            beta = -math.copysign(math.hypot(alpha, tail), alpha)
+            v = np.concatenate([[1.0], r[i + 1:, i] * (1.0 / (alpha - beta))])
+            tau = (beta - alpha) / beta
+            r[i:, i + 1:] -= tau * np.outer(v, v @ r[i:, i + 1:])
+        diag[i] = abs(beta)
+        for j in range(i + 1, n):
+            if norms[j] != 0.0:
+                temp = max(1.0 - (abs(r[i, j]) / norms[j]) ** 2, 0.0)
+                if temp * (norms[j] / exact[j]) ** 2 <= NORM_DOWNDATE_TOL:
+                    norms[j] = exact[j] = np.linalg.norm(r[i + 1:, j])
+                else:
+                    norms[j] *= math.sqrt(temp)
+    return diag, order

@@ -34,12 +34,11 @@ import math
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry
 from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
 from .fields import ScalarField, Space, _dual, _FieldStack, _inverse
-from .linalg import singular_rows, solve_linear
+from .linalg import pivoted_qr, singular_rows, solve_linear
 from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree,
                       build_rows, collect, fold, owned_rows, peak)
 
@@ -96,8 +95,7 @@ class SubmersionSetup:
         """The pivot pattern of the differential dpi (m, n) at the point p."""
         if not np.isfinite(dpi).all():  # the QR pivoting cannot take NaN or inf
             raise EvalDomain("projection differential is not finite", point=p)
-        _, r, perm = scipy.linalg.qr(dpi, pivoting=True)
-        diag = np.abs(np.diag(r))
+        diag, perm = pivoted_qr(dpi)
         if diag.size < self.m or diag[-1] <= RANK_RTOL * max(diag[0], 1.0):
             raise RankDrop("projection differential lost rank", point=tuple(p))
         piv = tuple(sorted(int(c) for c in perm[: self.m]))
@@ -119,6 +117,36 @@ class SubmersionSetup:
         arrays, errors = build_rows(lambda x: self._frame_arrays(x, rank_test), points)
         return _FrameBatch(self, len(points) - len(errors), arrays, errors)
 
+    def _vertical(self, x, dpi, d_dpi):
+        """Kernel columns (N, n, l) of dpi at points x and their partials,
+        from the pivot pattern; a lone point where the pattern degenerates
+        is re-pivoted."""
+        if not self.fiber_dim:
+            return np.zeros((len(x), self.n, 0)), np.zeros((len(x), self.n, self.n, 0))
+        try:
+            return _kernel(dpi, d_dpi, *self.pivot_pattern())
+        except SingularMatrix:
+            if len(x) > 1:
+                raise
+            warnings.warn("pivot pattern degenerated; re-pivoting at the point")
+            return _kernel(dpi, d_dpi, *self._pivot_at(x[0], dpi[0]))
+
+    def null_fibers(self, points) -> np.ndarray:
+        """Boolean mask over a stack of points (N, n): where g_M on the
+        kernel columns is singular, so the fiber has no g_M-orthogonal
+        complement to build a frame from.  A point where the test does not
+        evaluate reads False; its frame build raises the same error."""
+        def fiber_metric(x):
+            _, dpi_t, hess = self._pi_stack(x, 2)
+            kernel, _ = self._vertical(x, np.swapaxes(dpi_t, 1, 2), np.moveaxis(hess, 3, 2))
+            return {"null": singular_rows(_gram(kernel, self.total.metric.batch(x, 0)))}
+
+        null = np.zeros(len(points), dtype=bool)
+        if self.fiber_dim:
+            arrays, errors = build_rows(fiber_metric, points)
+            null[np.delete(np.arange(len(points)), sorted(errors))] = arrays.get("null", [])
+        return null
+
     def _frame_arrays(self, x, rank_test: bool) -> dict:
         """The :class:`_FrameBatch` arrays at points x (N, n), each with a
         leading point axis; raises the first error of any row."""
@@ -129,18 +157,7 @@ class SubmersionSetup:
         if rank_test:
             _rank_test(x, dpi)
 
-        # kernel columns from the pivot pattern
-        if self.fiber_dim:
-            piv, free = self.pivot_pattern()
-            try:
-                kernel, d_kernel = _kernel(dpi, d_dpi, piv, free)
-            except SingularMatrix:
-                if len(x) > 1:
-                    raise
-                warnings.warn("pivot pattern degenerated; re-pivoting at the point")
-                kernel, d_kernel = _kernel(dpi, d_dpi, *self._pivot_at(x[0], dpi[0]))
-        else:
-            kernel, d_kernel = np.zeros((len(x), n, 0)), np.zeros((len(x), n, n, 0))
+        kernel, d_kernel = self._vertical(x, dpi, d_dpi)
 
         # horizontal: g-orthogonal complement, spanned by h = ginv dpi^T
         g, dg = self.total.metric.batch(x)             # dg[p, k] = d_k g
@@ -575,15 +592,23 @@ def check_tensoriality(setup, points, tol) -> CheckResult:
 
 
 def check_semi_riemannian(setup, points, tol) -> CheckResult:
-    """Horizontal lengths preserved and fiber metric nondegenerate."""
+    """Horizontal lengths preserved and fiber metric nondegenerate.
 
-    def residuals(f):
-        degenerate = np.zeros(len(f))
-        if setup.fiber_dim:
-            degenerate[singular_rows(_gram(f.vcols, f.g))] = math.inf
-        return {"lengths": _amax(_gram(f.lcols, f.g) - f.gb), "degenerate": degenerate}
-
-    s = sweep_frames(setup, points, residuals, keys=("lengths", "degenerate"))
+    The fiber metric is tested first (:meth:`SubmersionSetup.null_fibers`):
+    a point where it is degenerate has no horizontal complement, so it
+    builds no frame and reads degenerate = inf, lengths 0."""
+    points = np.asarray(points, dtype=float).reshape(len(points), setup.n)
+    null = setup.null_fibers(points)
+    rest = np.flatnonzero(~null)
+    frames = setup._frames(points[rest], False)
+    lengths = np.zeros(len(points))
+    if len(frames):
+        lengths[np.delete(rest, sorted(frames.errors))] = _amax(
+            _gram(frames.lcols, frames.g) - frames.gb)
+    errors = {int(rest[k]): exc for k, exc in frames.errors.items()}
+    evaluated = np.delete(np.arange(len(points)), sorted(errors))
+    residuals = {"lengths": lengths, "degenerate": np.where(null, math.inf, 0.0)}
+    s = fold({k: v[evaluated] for k, v in residuals.items()}, errors, keys=tuple(residuals))
     return s.summarize("semi_riemannian", tol,
                        details={"fiber_metric_degenerate": s.worst["degenerate"] == math.inf})
 

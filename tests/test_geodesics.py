@@ -89,6 +89,12 @@ def test_bad_inputs_rejected():
             geo.integrate_geodesic(conn, chart, x0, v0, 1.0)
 
 
+def test_a_start_outside_the_box_is_named_in_plain_floats():
+    space = builtins.build("hyperbolic:2").space
+    out = geo.integrate_geodesic(space.conn, space.chart, [(0.0, 100.0)], [(1.0, 0.0)], 1.0)
+    assert str(out[0]) == "start point (0.0, 100.0) outside the chart box"
+
+
 def test_csv_is_stable(tmp_path):
     # straight line in a flat chart: RK4 reproduces it exactly, so the
     # file contents are a fixed string

@@ -1,16 +1,19 @@
-"""Plain linear solves, and the jet-valued solves of the test reference."""
+"""Plain linear solves, the numpy LU and pivoted QR against LAPACK (through
+scipy, a test-only oracle), and the jet-valued solves of the test reference."""
 
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.lapack import dgetrf
 
-from subgeo import linalg
+from subgeo import builtins, linalg
 from subgeo.errors import ContractViolation, SingularMatrix
 from subgeo.fields import LeviCivitaConnection
 from subgeo.jets import Jet
 from subgeo.linalg import singular_rows, solve_linear
-from subgeo.submersion import _gram
+from subgeo.submersion import RANK_RTOL, _gram
 
 from conftest import euclid_setup, hyperbolic_setup, points_for
 from jet_reference import jet_inverse, jet_matmul, jet_solve, jet_values
@@ -225,6 +228,134 @@ def test_frame_and_levi_civita_batches_make_no_per_row_solves(monkeypatch):
     for order in range(3):
         connection.batch(points, order)
     assert calls == []
+
+
+# -- the numpy LU and pivoted QR against LAPACK through scipy ------------------
+
+
+def _singular(pivot_test, a):
+    try:
+        pivot_test(a)
+    except SingularMatrix:
+        return True
+    return False
+
+
+def _lapack_pivot_test(a):
+    """The singularity rule with dgetrf's pivots."""
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        raise SingularMatrix("zero matrix")
+    if np.abs(dgetrf(a)[0].diagonal()).min() < linalg.PIVOT_RTOL * scale:
+        raise SingularMatrix("below threshold")
+
+
+def test_lu_pivots_match_dgetrf():
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for count in range(3000):
+        n = int(rng.integers(1, 9))
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+        if count % 3 == 0:  # near-singular: last row a multiple of the first plus noise
+            a[-1] = rng.uniform(-3, 3) * a[0] + 10.0 ** -rng.uniform(8, 17) * rng.normal(size=n)
+        ours, lapack = linalg._lu_pivots(a), dgetrf(a)[0].diagonal()
+        assert np.abs(ours - lapack).max() <= 1e-11 * np.abs(lapack).max()
+        verdicts.append(_singular(linalg._pivot_test, a))
+        assert verdicts[-1] == _singular(_lapack_pivot_test, a)
+    assert 100 < sum(verdicts) < 1000
+
+
+def _with(a, i, j, value):
+    a = np.array(a, dtype=float)
+    a[i, j] = value
+    return a
+
+
+def test_lu_verdicts_match_dgetrf_on_extreme_matrices():
+    rng = np.random.default_rng(4)
+    well = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+    inf, nan, tiny, huge = np.inf, np.nan, 5e-324, 1e308
+    table = [
+        np.zeros((3, 3)), np.zeros((1, 1)), np.full((3, 3), nan), np.full((1, 1), nan),
+        _with(well, 1, 2, nan), _with(well, 0, 0, nan),
+        np.full((3, 3), inf), np.full((3, 3), -inf), np.full((1, 1), inf),
+        np.diag([inf, 1.0, 1.0]), np.diag([1.0, 1.0, -inf]),
+        _with(well, 2, 0, inf), _with(well, 0, 1, -inf), _with(well, 0, 0, inf),
+        np.eye(3) * tiny, np.full((1, 1), tiny), np.diag([1.0, tiny, 1.0]),
+        _with(np.eye(3), 2, 0, tiny), np.array([[tiny, 0, 0], [tiny, 1, 0], [0, 0, 1.0]]),
+        well * 1e-300, well * 1e307, np.eye(3) * huge, np.diag([huge, 1.0, 1e-308]),
+        np.array([[huge, huge], [huge, -huge]]), np.array([[huge, huge], [huge, huge]]),
+        np.array([[0.0, inf], [0.0, 1.0]]),  # NaN spreads past the zero pivot
+    ]
+    with np.errstate(all="ignore"):
+        verdicts = [_singular(linalg._pivot_test, a) for a in table]
+        assert verdicts == [_singular(_lapack_pivot_test, a) for a in table]
+    assert 5 < sum(verdicts) < len(table) - 5
+
+
+def test_an_exactly_singular_matrix_keeps_its_rounded_last_pivot():
+    # dgetrf ends on an exact 0.0 here; the numpy LU on a rounding-level pivot
+    a = np.arange(1.0, 10.0).reshape(3, 3)
+    message = r"^pivot 1\.110e-16 below threshold for scale 9\.000e\+00$"
+    with pytest.raises(SingularMatrix, match=message):
+        linalg._pivot_test(a)
+
+
+def _rank_drops(diag):
+    return diag[-1] <= RANK_RTOL * max(diag[0], 1.0)
+
+
+def _lapack_qr(a):
+    _, r, order = scipy.linalg.qr(a, pivoting=True, mode="economic")
+    return np.abs(np.diag(r)), order
+
+
+def _same_qr(a, m):
+    """Whether the pivoted QR picks dgeqp3's first m columns, with |R_kk|
+    within 1e-14 of the largest; another set must be as independent."""
+    (diag, order), (want, want_order) = linalg.pivoted_qr(a), _lapack_qr(a)
+    assert _rank_drops(diag) == _rank_drops(want)
+    if set(order[:m]) != set(want_order[:m]):
+        rank = np.linalg.matrix_rank
+        assert rank(a[:, order[:m]]) == rank(a[:, want_order[:m]])
+        return False
+    assert np.abs(diag - want).max() <= 1e-14 * want.max()
+    return True
+
+
+def test_pivoted_qr_matches_dgeqp3():
+    rng = np.random.default_rng(17)
+    for count in range(1500):
+        m = int(rng.integers(1, 5))
+        a = rng.normal(size=(m, int(rng.integers(m, 7)))) * 10.0 ** rng.uniform(-3, 3)
+        if count % 2:  # columns close to multiples of the first: their norms are recomputed
+            scales = 10.0 ** -rng.uniform(5, 12, size=a.shape[1] - 1)
+            a[:, 1:] = np.outer(a[:, 0], rng.uniform(-3, 3, size=len(scales))) + scales * a[:, 1:]
+        assert _same_qr(a, m)
+    # exact ties (small integers, a repeated column) may pick another
+    # valid column set, never another rank verdict
+    same = []
+    for _ in range(1500):
+        m = int(rng.integers(1, 4))
+        a = rng.integers(-2, 3, size=(m, int(rng.integers(m, 6)))).astype(float)
+        a[:, -1] = a[:, 0]
+        same.append(_same_qr(a, m))
+    assert sum(same) > 0.9 * len(same)
+
+
+@pytest.mark.parametrize("name", [  # the builtins with a projection (broken:2 has none)
+    "euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3", "gaussian:alpha=0",
+    "gaussian:alpha=1", "gaussian:alpha=-0.5", "perturbed:3",
+    "tangent_bundle_of:hyperbolic:2", "tangent_bundle_of:gaussian:alpha=1",
+    "tangent_bundle_of:euclidean:2"])
+def test_pivot_patterns_at_the_builtin_centers_match_dgeqp3(name):
+    setup = builtins.build(name).setup
+    center = np.array([setup.total.chart.center()])
+    dpi = setup._pi_stack(center, 1)[1][0].T
+    assert _same_qr(dpi, setup.m)
+    order = _lapack_qr(dpi)[1]
+    assert setup.pivot_pattern() == (tuple(sorted(order[:setup.m])),
+                                     tuple(sorted(order[setup.m:])))
 
 
 def _jet_matrix(point, order=2):

@@ -163,6 +163,28 @@ def test_semi_riemannian_polarity(hyp3):
     assert res.details["fiber_metric_degenerate"] is False
 
 
+def test_semi_riemannian_fails_a_null_fiber_without_an_incident():
+    # g_33 = x3: the fiber metric vanishes at x3 = 0, where the kernel lies
+    # in its own g-orthogonal complement and no frame can be built
+    cfg = config.parse_config({
+        "manifold": {"dim": 3, "box": [[-1.0, 1.0]] * 3,
+                     "metric": [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "x3"]]},
+        "submersion": {"base": {"dim": 2, "box": [[-1.0, 1.0]] * 2,
+                                "metric": [["1", "0"], ["0", "1"]], "connection": "flat"},
+                       "projection": ["x1", "x2"]},
+        "checks": ["semi_riemannian"],
+    })
+    setup = config.build_scenario(cfg).setup
+    pts = np.array([(0.1, 0.2, 0.0), (0.1, 0.2, 0.5), (0.3, -0.2, 0.7)])
+    assert setup.null_fibers(pts).tolist() == [True, False, False]
+    res = sm.check_semi_riemannian(setup, pts, 1e-8)
+    assert (res.status, res.samples, res.incidents) == (FAIL, 3, 0)
+    assert res.details == {"fiber_metric_degenerate": True}
+    assert res.max_residual == np.inf
+    assert sm.check_semi_riemannian(setup, pts[1:], 1e-8).details == {
+        "fiber_metric_degenerate": False}
+
+
 def test_conformal_family(hyp3):
     pts = points_for(hyp3, 8)
     assert sm.check_conformal_metric(hyp3, pts, 1e-9).status == PASS
