@@ -90,9 +90,9 @@ def parse_config(raw, source: str = "<inline>") -> SuiteConfig:
     _reject_unknown(sampling, _SAMPLING_KEYS, "sampling")
     count = sampling.get("count", DEFAULT_COUNT)
     seed = sampling.get("seed", DEFAULT_SEED)
-    if not isinstance(count, int) or count < 1:
+    if not _integer(count) or count < 1:
         raise ConfigError("sampling.count must be a positive integer")
-    if not isinstance(seed, int):
+    if not _integer(seed):
         raise ConfigError("sampling.seed must be an integer")
     boxes = sampling.get("boxes")
     if boxes is not None:
@@ -141,6 +141,11 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
             f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
+
+
+def _integer(value) -> bool:
+    """Whether ``value`` is a JSON integer; booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def finite_number(value, where: str) -> float:
@@ -207,7 +212,7 @@ def _validate_manifold(obj, where: str) -> None:
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(obj, _MANIFOLD_KEYS, where)
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _integer(dim) or dim < 1:
         raise ConfigError(f"{where}.dim must be a positive integer")
     if obj.get("curvature_k") is not None:
         finite_number(obj["curvature_k"], f"{where}.curvature_k")
@@ -266,7 +271,7 @@ def _expr(source, dim: int, mode: str, where: str):
     try:
         return make_scalar(source, dim, mode)
     except ExprSyntaxError as exc:
-        raise ConfigError(f"{where}: {exc.message} (offset {exc.offset})") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _build_space(obj: dict, mode: str, where: str, name: str) -> Space:

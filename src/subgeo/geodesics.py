@@ -14,7 +14,9 @@ along a curve in the total space to base and fiber contributions through
 the fundamental tensors and the conformal factor.  They are evaluated at
 interior probe nodes, where the central stencil applies.  Each curve
 check builds one frame batch over the five-node windows of every
-curve's probes, and a curve owns the rows of its windows.
+curve's probes, and a curve owns the rows of its windows.  A curve is
+a :class:`Trajectory` or the error that ended its job
+(:func:`trajectory`); a failed job is an incident of every curve check.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import math
 
 import numpy as np
 
-from .errors import BoundaryExit, ContractViolation, EvalDomain, PremiseFailed
+from .errors import BoundaryExit, ContractViolation, EvalDomain, PremiseFailed, SubgeoError
 from .fields import ConnectionField, MetricField
-from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, agree, build_rows,
-                      collect, fold, owned_rows)
+from .results import PREMISE_FACTOR, CheckResult, agree, build_rows, collect, fold, owned_rows
 from .submersion import SubmersionSetup, _amax, _mv, _pair
 
 DEFAULT_STEP = 1e-3
@@ -139,6 +140,14 @@ def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
             else out for job, out in enumerate(results)]
 
 
+def trajectory(curve) -> Trajectory:
+    """A curve item: its :class:`Trajectory`, or the :class:`SubgeoError`
+    that ended its job, raised here so the curve is an incident."""
+    if isinstance(curve, SubgeoError):
+        raise curve
+    return curve
+
+
 def too_many_steps(t_end: float, step: float) -> bool:
     """Whether round(t_end / step) exceeds MAX_STEPS (an overflowing
     ratio does too)."""
@@ -243,12 +252,14 @@ class ProbeBatch:
 def _sweep_curves(setup: SubmersionSetup, curves, residuals, premise=lambda k: None):
     """:func:`results.owned_rows` of ``residuals(probes)``, one value (or
     dict of values) per probe of a :class:`ProbeBatch`, over one frame
-    batch at the probe windows of every curve; a curve's own steps,
-    ``premise(position)`` and then its node count, run first."""
+    batch at the probe windows of every curve; a curve's own steps run
+    first: its job's error (:func:`trajectory`), ``premise(position)``,
+    then its node count."""
 
     def rows_of(k):
+        traj = trajectory(curves[k])
         premise(k)
-        return probe_rows(curves[k])
+        return probe_rows(traj)
 
     stacks, errors = collect(range(len(curves)), rows_of)
     if not stacks:
@@ -374,9 +385,6 @@ def geodesic_projection_check(setup: SubmersionSetup, curves, tol) -> CheckResul
         per_curve[k] = {"condition": c, "base_residual": b, "agree": agree(c, b, tol)}
     s = fold(np.maximum(np.where(cond <= tol, base, 0.0), np.where(base <= tol, cond, 0.0)),
              errors)
-    if not s.conclusive:
-        status = INCONCLUSIVE
-    else:
-        status = PASS if all(c.get("agree", True) for c in per_curve.values()) else FAIL
+    status = s.verdict(all(c.get("agree", True) for c in per_curve.values()))
     return s.result("geodesic_projection", tol, status, s.residual,
                     details={"curves": [per_curve[k] for k in sorted(per_curve)]})

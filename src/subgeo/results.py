@@ -37,12 +37,6 @@ class CheckResult:
     def passed(self) -> bool:
         return self.status == PASS
 
-    def add_incidents(self, errors) -> None:
-        """Count errors raised outside the check's own sweep as incidents."""
-        for exc in errors:
-            self.incidents += 1
-            _note(self.details.setdefault("incident_kinds", {}), exc)
-
 
 def _above(value, current) -> bool:
     """Whether ``value`` replaces ``current`` in a max that NaN wins."""
@@ -88,10 +82,21 @@ class Sweep:
     def conclusive(self) -> bool:
         return self.attempted > 0 and self.evaluated >= MIN_EVALUATED * self.attempted
 
-    def result(self, name, tol, status, max_residual, details=None) -> CheckResult:
+    def verdict(self, holds: bool) -> str:
+        """Pass or fail by ``holds``; inconclusive when too few items evaluated."""
+        if not self.conclusive:
+            return INCONCLUSIVE
+        return PASS if holds else FAIL
+
+    def result(self, name, tol, status, max_residual, details=None, premise=None) -> CheckResult:
+        """The check's outcome; a ``premise`` residual above PREMISE_FACTOR
+        * tol voids a verdict (inconclusive, ``details.premise_failed``)."""
         details = dict(details or {})
         if self.incidents:
             details["incident_kinds"] = self.kinds
+        if status != INCONCLUSIVE and premise is not None and premise > PREMISE_FACTOR * tol:
+            status = INCONCLUSIVE
+            details["premise_failed"] = True
         return CheckResult(
             name=name,
             samples=self.evaluated,
@@ -102,27 +107,21 @@ class Sweep:
             incidents=self.incidents,
         )
 
-    def summarize(self, name, tol, details=None, keys=None) -> CheckResult:
+    def summarize(self, name, tol, details=None, keys=None, premise=None) -> CheckResult:
         """Pass when the worst residual (over ``keys`` only, if given) is
-        finite and within tol; inconclusive when too few items evaluated."""
+        finite and within tol, and ``premise`` (if given) holds; see
+        :meth:`verdict` and :meth:`result`."""
         worst = self.residual if keys is None else peak(self.worst.get(k, 0.0) for k in keys)
-        if not self.conclusive:
-            status = INCONCLUSIVE
-        else:
-            status = PASS if math.isfinite(worst) and worst <= tol else FAIL
-        return self.result(name, tol, status, worst, details)
+        status = self.verdict(math.isfinite(worst) and worst <= tol)
+        return self.result(name, tol, status, worst, details, premise)
 
     def biconditional(self, name, left, right, tol, details=None, max_residual=None) -> CheckResult:
         """Pass iff the verdicts of the two sides agree; the residual is
         informational.  A non-finite side fails; inconclusive when too few
         items evaluated."""
-        if not self.conclusive:
-            status = INCONCLUSIVE
-        else:
-            status = PASS if agree(left, right, tol) else FAIL
         if max_residual is None:
             max_residual = peak((left, right))
-        return self.result(name, tol, status, max_residual, details)
+        return self.result(name, tol, self.verdict(agree(left, right, tol)), max_residual, details)
 
 
 def fold(residuals, errors=None, keys=()) -> Sweep:

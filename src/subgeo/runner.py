@@ -9,6 +9,7 @@ adding or removing checks never reshuffles anybody else's samples.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .builtins import Scenario
 from .config import SuiteConfig, build_scenario
 from .errors import ContractViolation, SubgeoError
 from .fields import FDField
-from .results import INCONCLUSIVE, PASS, CheckResult, peak, sweep
+from .results import INCONCLUSIVE, PASS, CheckResult, fold, peak, sweep
 from .sampling import sample_box, subseed
 
 FD_PROBES = 16
@@ -43,16 +44,16 @@ class RunContext:
         self.seed = seed
         self.boxes = boxes if boxes is not None else scenario.space.chart.box
         self._curves = None
-        self.curve_errors = []
 
     def points(self, check_name: str) -> np.ndarray:
         return sample_box(self.boxes, self.count, subseed(self.seed, check_name))
 
-    def curves(self):
-        """Integrate the scenario's geodesic jobs once, keyed in name order.
+    def curves(self) -> dict:
+        """Every geodesic job's outcome in name order: its Trajectory, or
+        the :class:`SubgeoError` that ended it.
 
-        Jobs that share (t_end, h) integrate together in lockstep; a job
-        that fails is left out and its error kept as a curve incident.
+        Jobs integrate once per suite, on first use; those that share
+        (t_end, h) integrate together in lockstep.
         """
         if self._curves is None:
             space = self.scenario.space
@@ -70,18 +71,8 @@ class RunContext:
                 except SubgeoError as exc:
                     out = [exc] * len(names)
                 ended.update(zip(names, out))
-            self._curves = {}
-            for name in sorted(ended):
-                if isinstance(ended[name], SubgeoError):
-                    self.curve_errors.append(ended[name])
-                else:
-                    self._curves[name] = ended[name]
+            self._curves = {name: ended[name] for name in sorted(ended)}
         return self._curves
-
-    def take_curve_errors(self) -> list:
-        """Integration failures, charged to the first check that asks."""
-        out, self.curve_errors = self.curve_errors, []
-        return out
 
 
 def _missing(name: str, what: str) -> CheckResult:
@@ -171,9 +162,7 @@ def _geodesic_driver(fn):
             return _missing(name, "submersion")
         if not scenario.geodesic_jobs:
             return _missing(name, "geodesic jobs")
-        res = fn(scenario.setup, list(ctx.curves().values()), tol)
-        res.add_incidents(ctx.take_curve_errors())
-        return res
+        return fn(scenario.setup, list(ctx.curves().values()), tol)
 
     return drive
 
@@ -182,10 +171,9 @@ def _geodesic_energy(scenario, ctx, name, tol):
     if not scenario.geodesic_jobs:
         return _missing(name, "geodesic jobs")
     curves = ctx.curves()
-    s = sweep(list(curves.values()), lambda t: geodesics.energy_drift(scenario.space.metric, t))
-    res = s.summarize(name, tol, details={"jobs": sorted(curves)})
-    res.add_incidents(ctx.take_curve_errors())
-    return res
+    s = sweep(list(curves.values()),
+              lambda c: geodesics.energy_drift(scenario.space.metric, geodesics.trajectory(c)))
+    return s.summarize(name, tol, details={"jobs": sorted(curves)})
 
 
 def _bundle_driver(fn):
@@ -317,11 +305,8 @@ def run_suite(cfg: SuiteConfig) -> dict:
         try:
             result = spec.driver(scenario, ctx, name, tol)
         except SubgeoError as exc:
-            result = CheckResult(
-                name=name, samples=0, max_residual=float("inf"), tolerance=tol,
-                status=INCONCLUSIVE, details={"error": str(exc)},
-            )
-            result.add_incidents([exc])
+            result = fold([], {0: exc}).result(name, tol, INCONCLUSIVE, math.inf,
+                                               {"error": str(exc)})
         result.wall_time_s = time.perf_counter() - start
         result.paper_ref = spec.paper_ref
         result.name = name

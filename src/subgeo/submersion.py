@@ -39,8 +39,8 @@ from . import geometry
 from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
 from .fields import ScalarField, Space, _dual, _FieldStack, _inverse
 from .linalg import pivoted_qr, singular_rows, solve_linear
-from .results import (FAIL, INCONCLUSIVE, PREMISE_FACTOR, CheckResult, Sweep, agree,
-                      build_rows, collect, fold, owned_rows, peak)
+from .results import (CheckResult, Sweep, agree, build_rows, collect, fold, owned_rows, peak,
+                      sweep_rows)
 
 RANK_RTOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -131,21 +131,16 @@ class SubmersionSetup:
             warnings.warn("pivot pattern degenerated; re-pivoting at the point")
             return _kernel(dpi, d_dpi, *self._pivot_at(x[0], dpi[0]))
 
-    def null_fibers(self, points) -> np.ndarray:
-        """Boolean mask over a stack of points (N, n): where g_M on the
+    def null_fibers(self, x) -> np.ndarray:
+        """Boolean mask over a stack of points x (N, n): where g_M on the
         kernel columns is singular, so the fiber has no g_M-orthogonal
-        complement to build a frame from.  A point where the test does not
-        evaluate reads False; its frame build raises the same error."""
-        def fiber_metric(x):
-            _, dpi_t, hess = self._pi_stack(x, 2)
-            kernel, _ = self._vertical(x, np.swapaxes(dpi_t, 1, 2), np.moveaxis(hess, 3, 2))
-            return {"null": singular_rows(_gram(kernel, self.total.metric.batch(x, 0)))}
-
-        null = np.zeros(len(points), dtype=bool)
-        if self.fiber_dim:
-            arrays, errors = build_rows(fiber_metric, points)
-            null[np.delete(np.arange(len(points)), sorted(errors))] = arrays.get("null", [])
-        return null
+        complement to build a frame from.  Raises the first error of any
+        row."""
+        if not self.fiber_dim:
+            return np.zeros(len(x), dtype=bool)
+        _, dpi_t, hess = self._pi_stack(x, 2)
+        kernel, _ = self._vertical(x, np.swapaxes(dpi_t, 1, 2), np.moveaxis(hess, 3, 2))
+        return singular_rows(_gram(kernel, self.total.metric.batch(x, 0)))
 
     def _frame_arrays(self, x, rank_test: bool) -> dict:
         """The :class:`_FrameBatch` arrays at points x (N, n), each with a
@@ -529,10 +524,9 @@ def four_conditions_check(setup: SubmersionSetup, points, tol) -> CheckResult:
     direct statisticity check of the total space."""
     s = sweep_frames(setup, points, four_conditions_at, keys=CONDITIONS + ("total_space",))
     details = four_conditions_details(s, tol)
-    out = s.summarize("four_conditions", tol, details, keys=CONDITIONS)
-    if out.status != INCONCLUSIVE and not details["biconditional_holds"]:
-        out.status = FAIL
-    return out
+    holds = details["conditions_pass"] and details["biconditional_holds"]
+    return s.result("four_conditions", tol, s.verdict(holds),
+                    peak(s.worst[k] for k in CONDITIONS), details)
 
 
 def gauss_weingarten_residuals(f: _FrameBatch) -> dict:
@@ -597,18 +591,16 @@ def check_semi_riemannian(setup, points, tol) -> CheckResult:
     The fiber metric is tested first (:meth:`SubmersionSetup.null_fibers`):
     a point where it is degenerate has no horizontal complement, so it
     builds no frame and reads degenerate = inf, lengths 0."""
-    points = np.asarray(points, dtype=float).reshape(len(points), setup.n)
-    null = setup.null_fibers(points)
-    rest = np.flatnonzero(~null)
-    frames = setup._frames(points[rest], False)
-    lengths = np.zeros(len(points))
-    if len(frames):
-        lengths[np.delete(rest, sorted(frames.errors))] = _amax(
-            _gram(frames.lcols, frames.g) - frames.gb)
-    errors = {int(rest[k]): exc for k, exc in frames.errors.items()}
-    evaluated = np.delete(np.arange(len(points)), sorted(errors))
-    residuals = {"lengths": lengths, "degenerate": np.where(null, math.inf, 0.0)}
-    s = fold({k: v[evaluated] for k, v in residuals.items()}, errors, keys=tuple(residuals))
+
+    def residuals(x):
+        null = setup.null_fibers(x)
+        lengths = np.zeros(len(x))
+        if not null.all():
+            f = setup._frame_arrays(x[~null], False)
+            lengths[~null] = _amax(_gram(f["lcols"], f["g"]) - f["gb"])
+        return {"lengths": lengths, "degenerate": np.where(null, math.inf, 0.0)}
+
+    s = sweep_rows(points, setup.n, residuals, keys=("lengths", "degenerate"))
     return s.summarize("semi_riemannian", tol,
                        details={"fiber_metric_degenerate": s.worst["degenerate"] == math.inf})
 
@@ -724,10 +716,7 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
         }
 
     s = sweep_frames(setup, points, residuals, keys=("premise", "statistical", "identity"))
-    out = s.summarize("induced_statistical", tol, keys=("statistical", "identity"),
-                      details={"premise_residual": s.worst["premise"],
-                               "proof_identity_residual": s.worst["identity"]})
-    if out.status != INCONCLUSIVE and s.worst["premise"] > PREMISE_FACTOR * tol:
-        out.status = INCONCLUSIVE
-        out.details["premise_failed"] = True
-    return out
+    return s.summarize("induced_statistical", tol, keys=("statistical", "identity"),
+                       details={"premise_residual": s.worst["premise"],
+                                "proof_identity_residual": s.worst["identity"]},
+                       premise=s.worst["premise"])

@@ -32,7 +32,7 @@ import numpy as np
 from . import geometry
 from .fields import (ChartedManifold, ConnectionField, DualConnection, ExprField, MetricField,
                      Space, _Entry, _FieldStack, batch_parts)
-from .results import FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, peak, sweep_rows
+from .results import CheckResult, peak, sweep_rows
 from .submersion import (CONDITIONS, SubmersionSetup, _amax, _cov_deriv, check_affine_hd,
                          check_semi_riemannian, four_conditions_at, four_conditions_details,
                          lemma_components, sweep_frames)
@@ -388,10 +388,9 @@ def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
     s = sweep_frames(bundle.setup, points, residuals, keys=keys)
     details = four_conditions_details(s, tol)
     details.update((k, s.worst[k]) for k in TM_COMPONENTS)
-    out = s.summarize("tm_statistical", tol, details, keys=CONDITIONS)
-    if out.status != INCONCLUSIVE:
-        out.status = PASS if details["biconditional_holds"] else FAIL
-    return out
+    conditions_max = peak(s.worst[k] for k in CONDITIONS)
+    return s.biconditional("tm_statistical", conditions_max, s.worst["total_space"], tol,
+                           details, max_residual=conditions_max)
 
 
 def remark_complete_check(bundle: TangentBundle, points, tol) -> CheckResult:
@@ -406,12 +405,9 @@ def remark_complete_check(bundle: TangentBundle, points, tol) -> CheckResult:
         }
 
     s = sweep_rows(points, 2 * bundle.n, residuals, keys=("premise", "statistical"))
-    out = s.summarize("remark_complete_metric", tol, keys=("statistical",),
-                      details={"premise_residual": s.worst["premise"]})
-    if out.status != INCONCLUSIVE and s.worst["premise"] > PREMISE_FACTOR * tol:
-        out.status = INCONCLUSIVE
-        out.details["premise_failed"] = True
-    return out
+    return s.summarize("remark_complete_metric", tol, keys=("statistical",),
+                       details={"premise_residual": s.worst["premise"]},
+                       premise=s.worst["premise"])
 
 
 def remark_dual_check(bundle: TangentBundle, points, tol) -> CheckResult:

@@ -366,3 +366,51 @@ def test_every_driver_reports_the_name_of_its_check():
             scenarios[target] = (scenario, runner.RunContext(scenario, 8, 0))
         result = spec.driver(*scenarios[target], key, spec.tolerance)
         assert result.name == key
+
+
+def test_bad_inline_expression_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"manifold": {"dim": 2, "box": [[-1, 1], [-1, 1]],
+                                            "metric": [["1+", "0"], ["0", "1"]]}})
+    assert cli.main(["verify", cfg]) == 2
+    assert "manifold.metric[0][0]: unexpected 'end of input' (offset 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"builtin": "hyperbolic:2", "sampling": {"count": True}}, "sampling.count"),
+    ({"builtin": "hyperbolic:2", "sampling": {"seed": True}}, "sampling.seed"),
+    ({"manifold": {"dim": True, "box": [[-1, 1]], "metric": [["1"]]}}, "manifold.dim"),
+])
+def test_integer_fields_reject_booleans(tmp_path, capsys, payload, message):
+    assert cli.main(["verify", write_cfg(tmp_path, payload)]) == 2
+    assert f"config error: {message} must be" in capsys.readouterr().err
+
+
+# a job leaving the chart box after about 0.03 time units
+EXITS = {"builtin": "hyperbolic:3", "sampling": {"count": 16},
+         "geodesics": {"exits": {"p0": [0.9, 0, 1], "v0": [3, 0, 0]}}}
+CURVE_CHECKS = ("curve_decomposition", "geodesic_energy", "geodesic_projection", "sigma_second")
+
+
+def test_a_failed_job_is_an_incident_of_every_curve_check():
+    report = runner.run_suite(config.parse_config(EXITS))
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in CURVE_CHECKS:
+        check = checks[name]
+        assert (check["status"], check["samples"], check["incidents"]) == ("inconclusive", 3, 1)
+        assert list(check["details"]["incident_kinds"]) == ["BoundaryExit"]
+    assert runner.exit_code(report) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    EXITS,
+    # 1/x2^2 near x2 = 0: a few EvalDomain incidents per frame check
+    {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1, 1], [-0.1, 3]]}},
+    # most of the box around x2 = 0: several checks go inconclusive
+    {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1, 1], [-1, 3]]}},
+], ids=["exits", "near_axis", "across_axis"])
+def test_a_pass_means_ninety_percent_evaluated(payload):
+    for check in runner.run_suite(config.parse_config(payload))["checks"]:
+        if check["status"] == "pass":
+            attempted = check["samples"] + check["incidents"]
+            assert check["samples"] >= 0.9 * attempted, check["name"]
+            assert math.isfinite(check["max_residual"]), check["name"]

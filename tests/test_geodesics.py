@@ -305,7 +305,7 @@ def test_run_context_groups_jobs_by_span_and_step():
     ctx = runner.RunContext(sc, count=4, seed=0)
     curves = ctx.curves()
     assert list(curves) == sorted(sc.geodesic_jobs)
-    assert ctx.curve_errors == []
+    assert all(isinstance(c, geo.Trajectory) for c in curves.values())
     for name, traj in curves.items():
         job = sc.geodesic_jobs[name]
         alone = integrate_one(sc.space.conn, sc.space.chart, job["p0"], job["v0"],
@@ -324,10 +324,9 @@ def test_jobs_that_all_fail_are_charged_as_incidents():
         "checks": ["curve_decomposition", "geodesic_energy"],
         "sampling": {"count": 4, "seed": 0},
     }, source="<test>")
-    first, energy = runner.run_suite(cfg)["checks"]
-    assert first["status"] == "inconclusive" and first["incidents"] == 1
-    assert first["details"]["incident_kinds"]["BoundaryExit"]["count"] == 1
-    assert energy["status"] == "inconclusive" and energy["incidents"] == 0
+    for check in runner.run_suite(cfg)["checks"]:
+        assert check["status"] == "inconclusive" and check["incidents"] == 1
+        assert check["details"]["incident_kinds"]["BoundaryExit"]["count"] == 1
 
 
 def test_fd_mode_suite_integrates_its_jobs():
