@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""In-process cost of one RK4 stage on the builtins with geodesic jobs.
+
+Usage: python3 scripts/stage_cost.py [REPEATS]
+
+For each builtin that has geodesic jobs, the states are its own job
+starts, stacked as lockstep integration stacks them and repeated to 3
+rows.  Prints the median microseconds, over REPEATS timed calls (1000 by
+default) after a warm-up, of one order-0 ``conn.batch`` at those points
+and of one ``_rk4_step`` (four stages) from those states.  Run it from
+the repository root; it times the ``subgeo`` under ``src``.
+"""
+
+import statistics
+import sys
+import time
+
+sys.path.insert(0, "src")
+
+import numpy as np
+
+from subgeo import builtins
+from subgeo.geodesics import _rk4_step
+
+BUILTINS = (
+    "euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3",
+    "gaussian:alpha=0", "gaussian:alpha=1", "gaussian:alpha=-0.5",
+    "broken:2", "perturbed:3",
+    "tangent_bundle_of:hyperbolic:2", "tangent_bundle_of:gaussian:alpha=1",
+    "tangent_bundle_of:euclidean:2",
+)
+ROWS = 3
+WARMUP = 50
+
+
+def median_us(call, repeats: int) -> float:
+    for _ in range(WARMUP):
+        call()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return 1e6 * statistics.median(times)
+
+
+def main() -> None:
+    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
+    print(f"{'builtin':<22s} {'conn.batch us':>14s} {'_rk4_step us':>13s}")
+    for name in BUILTINS:
+        scenario = builtins.build(name)
+        jobs = scenario.geodesic_jobs
+        if not jobs:
+            continue
+        conn = scenario.space.conn
+        x = np.resize([job["p0"] for job in jobs.values()], (ROWS, scenario.dim))
+        v = np.resize([job["v0"] for job in jobs.values()], (ROWS, scenario.dim))
+        states = np.concatenate([x, v], axis=1)
+        batch = median_us(lambda: conn.batch(x, 0), repeats)
+        step = median_us(lambda: _rk4_step(conn, states, 1e-3), repeats)
+        print(f"{name:<22s} {batch:14.1f} {step:13.1f}")
+
+
+if __name__ == "__main__":
+    main()

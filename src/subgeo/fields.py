@@ -5,12 +5,12 @@ stack of points.  Order 0 gives the values; order k >= 1 gives the parts
 (values, first partials, ..., k-th partials), where part m carries m
 derivative axes right after the point axis: dg[p, a, i, j] = d_a g_ij,
 dGamma[p, a, k, i, j] = d_a Gamma^k_ij, and so on.  Expression fields
-compile once into a straight-line array program
-(:func:`exprlang.compile_batched`).  The order budget: scalar fields,
-metrics and expression connections reach order 3; Levi-Civita, alpha and
-sum connections reach 2, their partials from the metric's by the
-forward-mode rule d(A^-1 b) = A^-1 (db - dA A^-1 b) differentiated once
-more; dual connections reach 1.  Asking past a field's order raises
+compile into one array program, made a straight-line function per order
+on first use (:func:`exprlang.compile_batched`).  The order budget:
+scalar fields, metrics and expression connections reach order 3;
+Levi-Civita, alpha and sum connections reach 2, their partials from the
+metric's by the forward-mode rule d(A^-1 b) = A^-1 (db - dA A^-1 b)
+differentiated once more; dual connections reach 1.  Asking past a field's order raises
 :class:`ContractViolation`.  Nothing is cached per point.
 Finite-difference mode swaps the leaf evaluation for central differences
 (orders 0..2) while leaving all derived algebra untouched, giving an
@@ -202,26 +202,33 @@ class _Entry(ScalarField):
 
 class _FieldStack:
     """Several scalar fields on one chart, evaluated together at a stack
-    of points.
+    of points; a field may appear more than once.
 
     When every field is an expression or a constant, their ASTs compile on
     first use into one program that evaluates each distinct subexpression
-    once per call; otherwise each field's ``batch`` is stacked.
+    once per call and writes every position; otherwise each distinct
+    field's ``batch`` is stacked and gathered into position.
     """
 
     def __init__(self, fields, dim: int):
         self.fields = list(fields)
         self.dim = dim
-        self._asts = [_leaf_ast(f) for f in self.fields]
+        asts = [_leaf_ast(f) for f in self.fields]
+        self._asts = None if None in asts else asts  # compiled when every field is a leaf
         self._compiled = None
+        self._distinct = list(dict.fromkeys(self.fields))
+        self._at = [self._distinct.index(f) for f in self.fields]  # position -> distinct field
 
     def __call__(self, points, order: int = 1):
         """The parts up to ``order`` for the E fields: values (N, E), grads
         (N, dim, E), hess (N, dim, dim, E), third (N, dim, dim, dim, E)."""
-        points = _as_points(points, self.dim)
-        if None in self._asts:
-            rows = [batch_parts(f, points, order) for f in self.fields]
-            return tuple(np.stack(part, axis=-1) for part in zip(*rows))
+        return self.parts(_as_points(points, self.dim), order)
+
+    def parts(self, points, order: int):
+        """As calling the stack, at points already an (N, dim) float array."""
+        if self._asts is None:
+            rows = [batch_parts(f, points, order) for f in self._distinct]
+            return tuple(np.stack(part, axis=-1)[..., self._at] for part in zip(*rows))
         if self._compiled is None:
             self._compiled = exprlang.compile_batched(self._asts)
         return self._compiled(points, order)
@@ -244,14 +251,6 @@ def _as_points(points, dim: int) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] != dim:
         raise ContractViolation(f"points have shape {points.shape}, need (N, {dim})")
     return points
-
-
-def _upper_slots(dim: int) -> np.ndarray:
-    """slots[i, j]: position of entry (min(i, j), max(i, j)) in the
-    row-major list of the upper triangle."""
-    upper = [(i, j) for i in range(dim) for j in range(i, dim)]
-    return np.array([[upper.index((min(i, j), max(i, j))) for j in range(dim)]
-                     for i in range(dim)])
 
 
 def make_scalar(source, dim: int, mode: str = "jet", bundle: bool = False) -> ScalarField:
@@ -283,8 +282,8 @@ class MetricField:
                 if not isinstance(e, ScalarField):
                     raise ContractViolation("metric entries must be scalar fields")
                 self._entries[(i, j)] = e
-        self._stack = _FieldStack(self._entries.values(), dim)
-        self._slots = _upper_slots(dim)  # stack position of entry (i, j)
+        # every entry (i, j) in row-major order, so the program writes g whole
+        self._stack = _FieldStack([self.entry(i, j) for i in range(dim) for j in range(dim)], dim)
 
     @classmethod
     def from_exprs(cls, rows, dim: int, mode: str = "jet", bundle: bool = False) -> "MetricField":
@@ -309,7 +308,9 @@ class MetricField:
         return _evaluate(self, points, order)
 
     def _batch(self, points, order):
-        return tuple(part[..., self._slots] for part in self._stack(points, order))
+        n = self.dim
+        return tuple(part.reshape(part.shape[:-1] + (n, n))
+                     for part in self._stack.parts(points, order))
 
 
 # -- connection fields ------------------------------------------------
@@ -365,7 +366,8 @@ class LeviCivitaConnection(ConnectionField):
         self.dim = metric.dim
 
     def _batch(self, points, order):
-        return _levi_civita(*batch_parts(self.metric, points, order + 1))
+        # the metric's _batch: ``batch`` has checked the points already
+        return _levi_civita(*self.metric._batch(points, order + 1))
 
 
 def _levi_civita(g, dg, *higher):
@@ -388,8 +390,7 @@ def _koszul(dg) -> np.ndarray:
     dg[..., i, j, l] = d_i g_jl; leading axes are kept."""
     lead = tuple(range(dg.ndim - 3))
     i, j, l = dg.ndim - 3, dg.ndim - 2, dg.ndim - 1
-    w = dg + dg.transpose(lead + (j, i, l)) - dg.transpose(lead + (j, l, i))
-    return w.transpose(lead + (l, i, j))
+    return dg.transpose(lead + (l, i, j)) + dg.transpose(lead + (l, j, i)) - dg
 
 
 def _solve(g, rhs) -> np.ndarray:
@@ -478,7 +479,7 @@ class AlphaConnection(ConnectionField):
         self._cubic_stack = _coefficient_stack(cubic_fields, self.dim)  # [l][i][j], symmetric
 
     def _batch(self, points, order):
-        g_parts = batch_parts(self.metric, points, order + 1)
+        g_parts = self.metric._batch(points, order + 1)
         lc = _levi_civita(*g_parts)
         if self.alpha == 0.0:
             return lc
@@ -511,7 +512,7 @@ def _coefficient_parts(stack: _FieldStack, points, order: int) -> tuple:
     """Parts [p, (a, ...), k, i, j] up to ``order`` of a stack made by
     :func:`_coefficient_stack`."""
     n = stack.dim
-    return tuple(part.reshape(part.shape[:-1] + (n, n, n)) for part in stack(points, order))
+    return tuple(part.reshape(part.shape[:-1] + (n, n, n)) for part in stack.parts(points, order))
 
 
 # -- aggregates -------------------------------------------------------

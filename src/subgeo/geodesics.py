@@ -70,26 +70,27 @@ def _accel(conn: ConnectionField, x, v) -> np.ndarray:
     """Geodesic accelerations -Gamma^k_ij v^i v^j of states stacked (N, n);
     a non-finite one is a domain error at its state."""
     acc = -np.einsum("pkij,pi,pj->pk", conn.batch(x), v, v)
-    bad = ~np.isfinite(acc).all(axis=1)
-    if bad.any():
+    finite = np.isfinite(acc)
+    if np.count_nonzero(finite) < finite.size:
+        bad = ~finite.all(axis=1)
         raise EvalDomain("non-finite geodesic acceleration", x[int(np.argmax(bad))])
     return acc
+
+
+def _slope(conn: ConnectionField, states, n: int) -> np.ndarray:
+    """(x', v') = (v, accel) of the states (N, 2n)."""
+    x, v = states[:, :n], states[:, n:]
+    return np.concatenate([v, _accel(conn, x, v)], axis=1)
 
 
 def _rk4_step(conn: ConnectionField, states, step) -> dict:
     """One RK4 step of every row of ``states`` (N, 2n), each (x, v)."""
     n = states.shape[1] // 2
-    x, v = states[:, :n], states[:, n:]
-    k1x, k1v = v, _accel(conn, x, v)
-    x2, v2 = x + 0.5 * step * k1x, v + 0.5 * step * k1v
-    k2x, k2v = v2, _accel(conn, x2, v2)
-    x3, v3 = x + 0.5 * step * k2x, v + 0.5 * step * k2v
-    k3x, k3v = v3, _accel(conn, x3, v3)
-    x4, v4 = x + step * k3x, v + step * k3v
-    k4x, k4v = v4, _accel(conn, x4, v4)
-    x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return {"states": np.concatenate([x, v], axis=1)}
+    k1 = _slope(conn, states, n)
+    k2 = _slope(conn, states + 0.5 * step * k1, n)
+    k3 = _slope(conn, states + 0.5 * step * k2, n)
+    k4 = _slope(conn, states + step * k3, n)
+    return {"states": states + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)}
 
 
 def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
@@ -103,7 +104,7 @@ def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
     job that ends leaves the live set; the others go on and give exactly
     what they give when integrated alone.
     """
-    if t_end <= 0.0 or step <= 0.0:
+    if not (t_end > 0.0 and step > 0.0):  # NaN fails too
         raise ContractViolation("t_end and step must be positive")
     if too_many_steps(t_end, step):
         raise ContractViolation(f"t_end / step exceeds {MAX_STEPS} steps")

@@ -57,10 +57,12 @@ def solve_linear(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     _check_stack(a, b)
     x, inv = _gesv(a, b)
-    for row, exc in _failures(a, inv):
-        if len(a) == 1:
-            raise exc
-        raise SingularMatrix(f"{exc} in row {row}")
+    ok = _certified(a, inv)
+    if np.count_nonzero(ok) < len(ok):
+        for row, exc in _failures(a, ok):
+            if len(a) == 1:
+                raise exc
+            raise SingularMatrix(f"{exc} in row {row}")
     return x
 
 
@@ -71,7 +73,7 @@ def singular_rows(a) -> np.ndarray:
     rhs = a[..., :0]
     _check_stack(a, rhs)
     bad = np.zeros(len(a), dtype=bool)
-    for row, _ in _failures(a, _gesv(a, rhs)[1]):
+    for row, _ in _failures(a, _certified(a, _gesv(a, rhs)[1])):
         bad[row] = True
     return bad
 
@@ -84,10 +86,10 @@ def _check_stack(a, b) -> None:
 def _gesv(a, b):
     """a^-1 b and a^-1 for a stack, from one LAPACK call over [b | I]; a
     row LAPACK finds exactly singular comes back NaN."""
-    n = a.shape[-1]
+    npts, n = a.shape[:2]
     k = b.shape[2] if b.ndim == 3 else 1
-    rhs = np.empty(a.shape[:2] + (k + n,))
-    rhs[..., :k] = b.reshape(rhs.shape[:2] + (k,))
+    rhs = np.empty((npts, n, k + n))
+    rhs[..., :k] = b.reshape(npts, n, k)
     rhs[..., k:] = _eye(n)
     with np.errstate(all="ignore"):
         out = _umath_linalg.solve(a, rhs)
@@ -101,12 +103,9 @@ def _eye(n) -> np.ndarray:
     return eye
 
 
-def _failures(a, inv):
+def _failures(a, ok):
     """(row, SingularMatrix) for each row of the stack that fails the
-    pivot test, in row order; rows the inverse certifies are not tested."""
-    ok = _certified(a, inv)
-    if ok.all():
-        return
+    pivot test, in row order; rows ``ok`` certifies are not tested."""
     for row in np.flatnonzero(~ok):
         try:
             _pivot_test(a[row])
@@ -116,13 +115,18 @@ def _failures(a, inv):
 
 def _certified(a, inv) -> np.ndarray:
     """Rows that pass the pivot test for certain (see the module docstring)."""
-    n = a.shape[-1]
     scale = np.abs(a).max(axis=(1, 2))
     big = np.abs(inv).max(axis=(1, 2))
-    bound = 1.0 / (PIVOT_RTOL * CERTIFICATE_SAFETY * n * math.sqrt(n * (n + 1) / 2))
+    bound = _bound(a.shape[-1])
     # big * scale < bound, split at scale = 1 so that neither side can
     # overflow; NaN, inf and a zero inverse all compare false.
     return big * np.minimum(scale, 1.0) < bound / np.maximum(scale, 1.0)
+
+
+@functools.cache
+def _bound(n) -> float:
+    """The certificate's bound on max|a^-1| max|a| for n x n systems."""
+    return 1.0 / (PIVOT_RTOL * CERTIFICATE_SAFETY * n * math.sqrt(n * (n + 1) / 2))
 
 
 def _pivot_test(a) -> None:

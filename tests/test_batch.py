@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subgeo
-from subgeo import builtins, runner
+from subgeo import builtins, exprlang, runner
 from subgeo.config import parse_config
 from subgeo.errors import ContractViolation, EvalDomain
 from subgeo.exprlang import compile_batched, eval_jet, parse
@@ -71,6 +71,42 @@ def test_batched_expression_rows_match_eval_jet(text):
             for part, want in zip(parts, (jet.value, jet.grad, jet.hess, jet.third)):
                 # same operations in the same order, math-module functions: same bits
                 assert np.array_equal(part[k, ..., 0], want), order
+
+
+def test_orders_in_any_sequence_give_the_bits_of_fresh_programs():
+    # one program specialised per order on first use: no state passes
+    # from one order's function to another's
+    asts = [parse(t, 3) for t in RATIONAL + TRANSCENDENTAL]
+    pts = _points(7)
+    program = compile_batched(asts)
+    for order in (2, 0, 3, 1, 0):
+        got, want = program(pts, order), compile_batched(asts)(pts, order)
+        assert len(got) == len(want) == order + 1
+        for part, fresh in zip(got, want):
+            assert np.array_equal(part, fresh), order
+
+
+def test_an_empty_stack_gives_empty_parts_at_every_order():
+    asts = [parse(t, 3) for t in RATIONAL + TRANSCENDENTAL]
+    for order in range(4):
+        parts = compile_batched(asts)(np.zeros((0, 3)), order)
+        assert [part.shape for part in parts] == [(0,) + (3,) * k + (len(asts),)
+                                                  for k in range(order + 1)]
+
+
+def test_equal_programs_compile_their_source_once(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(exprlang, "compile", lambda *args: compiled.append(args) or compile(*args),
+                        raising=False)
+    exprlang._code.cache_clear()
+    pts = _points(3)
+    first, second = (compile_batched([parse("exp(x1)*x2 - 1/x3", 3)]) for _ in range(2))
+    assert np.array_equal(first(pts, 2)[2], second(pts, 2)[2])
+    assert len(compiled) == 1
+    # the source is per order and shared whatever the constants
+    compile_batched([parse("exp(x1)*x2 - 7/x3", 3)])(pts, 2)
+    compile_batched([parse("exp(x1)*x2 - 1/x3", 3)])(pts, 1)
+    assert len(compiled) == 2
 
 
 def test_shared_subexpressions_give_each_output():

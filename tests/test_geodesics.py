@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import hyperbolic_setup, integrate_one, max_abs, skewed_setup
-from subgeo import builtins, config, runner
+from subgeo import builtins, config, exprlang, fields, runner
 from subgeo import geodesics as geo
 from subgeo.errors import BoundaryExit, ContractViolation, EvalDomain
 from subgeo.fields import (
@@ -87,6 +87,57 @@ def test_bad_inputs_rejected():
                    ([[(0.0, 1.0)]], [[(1.0, 0.0)]])):
         with pytest.raises(ContractViolation, match="two stacks"):
             geo.integrate_geodesic(conn, chart, x0, v0, 1.0)
+
+
+@pytest.mark.parametrize("t_end, step", [(math.nan, 1e-3), (1.0, math.nan)])
+def test_a_nan_span_or_step_is_a_contract_violation(t_end, step):
+    chart, metric, conn = half_plane()
+    with pytest.raises(ContractViolation, match="must be positive"):
+        geo.integrate_geodesic(conn, chart, [(0.0, 1.0)], [(1.0, 0.0)], t_end, step)
+
+
+def _hyperbolic_states():
+    sc = builtins.build("hyperbolic:3")
+    jobs = [sc.geodesic_jobs[k] for k in sorted(sc.geodesic_jobs)]
+    return sc, np.array([j["p0"] + j["v0"] for j in jobs], dtype=float)
+
+
+def test_one_rk4_step_runs_four_metric_programs_and_four_solves(monkeypatch):
+    # Each stage is one order-1 metric program and one stacked solve over
+    # all rows: a change that adds work per stage shows here.
+    programs, solves = [], []
+    compile_batched, solve_linear = exprlang.compile_batched, fields.solve_linear
+
+    def counting_compile(nodes):
+        program = compile_batched(nodes)
+        return lambda points, order=1: programs.append(order) or program(points, order)
+
+    monkeypatch.setattr(exprlang, "compile_batched", counting_compile)
+    monkeypatch.setattr(fields, "solve_linear",
+                        lambda a, b: solves.append(len(a)) or solve_linear(a, b))
+    sc, states = _hyperbolic_states()
+    assert len(states) == 3
+    geo._rk4_step(sc.space.conn, states, 1e-3)
+    assert programs == [1] * 4
+    assert solves == [3] * 4
+
+
+def test_the_stacked_rk4_step_is_the_split_one_bit_for_bit():
+    # the reference: positions and velocities updated apart
+    sc, states = _hyperbolic_states()
+    conn, step, n = sc.space.conn, 1e-3, sc.dim
+    x, v = states[:, :n], states[:, n:]
+    k1x, k1v = v, geo._accel(conn, x, v)
+    x2, v2 = x + 0.5 * step * k1x, v + 0.5 * step * k1v
+    k2x, k2v = v2, geo._accel(conn, x2, v2)
+    x3, v3 = x + 0.5 * step * k2x, v + 0.5 * step * k2v
+    k3x, k3v = v3, geo._accel(conn, x3, v3)
+    x4, v4 = x + step * k3x, v + step * k3v
+    k4x, k4v = v4, geo._accel(conn, x4, v4)
+    x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    got = geo._rk4_step(conn, states, step)["states"]
+    assert np.array_equal(got, np.concatenate([x, v], axis=1))
 
 
 def test_a_start_outside_the_box_is_named_in_plain_floats():

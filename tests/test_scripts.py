@@ -25,3 +25,13 @@ def test_step_halving_shows_fourth_order_convergence():
 def test_run_flagship_passes_at_eight_samples():
     out = run_script("scripts/run_flagship.py", "8", "0")
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_stage_cost_times_every_builtin_with_geodesic_jobs():
+    out = run_script("scripts/stage_cost.py", "20")
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == [
+        "euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3",
+        "gaussian:alpha=0", "gaussian:alpha=1", "gaussian:alpha=-0.5"]
+    assert all(0.0 < float(batch) < float(step) for _, batch, step in rows)
