@@ -7,7 +7,9 @@ OLD_SRC and NEW_SRC are directories holding the ``subgeo`` package (the
 ``src`` directory of two checkouts).  Each tree runs, in its own
 subprocess, every builtin below at seeds 0-4 with 16 samples: in jet
 mode, and in fd mode for the builtins that are not tangent bundles.
-Reports are compared once their ``wall_time_s`` fields are stripped.
+It also runs the configs of INCIDENT_CONFIGS, whose suites have
+incidents, at the same seeds in jet mode.  Reports are compared once
+their ``wall_time_s`` fields are stripped.
 
 Every report that differs is printed as a diff and labelled:
 ``rounding`` when only floats differ, each by at most
@@ -36,9 +38,33 @@ SEEDS = range(5)
 SAMPLES = 16
 FLOAT_RTOL = 1e-12  # a float change within FLOAT_RTOL * max(1, |old|) is rounding
 
-CASES = [(name, seed, "jet") for name in BUILTINS for seed in SEEDS]
-CASES += [(name, seed, "fd") for name in BUILTINS
+# Builtins with points or a geodesic job where they fail to evaluate:
+# log(x_n) of the half-space metric is undefined at x_n <= 0, and the
+# job's curve leaves the chart box.
+INCIDENT_CONFIGS = (
+    {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1, 1], [-0.1, 3]]}},
+    {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1, 1], [-1, 3]]}},
+    {"builtin": "hyperbolic:3", "sampling": {"boxes": [[-1, 1], [-1, 1], [-0.5, 3]]}},
+    {"builtin": "hyperbolic:3", "geodesics": {"edge": {"p0": [0.9, 0, 1], "v0": [3, 0, 0]}}},
+)
+
+
+def case(config: dict, seed: int, mode: str) -> dict:
+    """A case: ``config`` in ``mode`` at ``seed`` with SAMPLES samples."""
+    sampling = dict(config.get("sampling", {}), count=SAMPLES, seed=seed)
+    return dict(config, mode=mode, sampling=sampling)
+
+
+def label(config: dict) -> str:
+    """A case's config as one line of JSON."""
+    return json.dumps(config, sort_keys=True)
+
+
+CASES = [case({"builtin": name}, seed, "jet") for name in BUILTINS for seed in SEEDS]
+CASES += [case({"builtin": name}, seed, "fd") for name in BUILTINS
           if not name.startswith("tangent_bundle_of:") for seed in SEEDS]
+INCIDENT_CASES = [case(config, seed, "jet") for config in INCIDENT_CONFIGS for seed in SEEDS]
+CASES += INCIDENT_CASES
 
 # Runs inside the subprocess: one JSON line per case on stdout.
 CHILD = """
@@ -47,9 +73,8 @@ sys.path.insert(0, sys.argv[1])
 from subgeo import runner
 from subgeo.config import parse_config
 
-for name, seed, mode in json.loads(sys.argv[2]):
-    cfg = parse_config({"builtin": name, "mode": mode,
-                        "sampling": {"count": %d, "seed": seed}}, source="<" + name + ">")
+for config in json.loads(sys.argv[2]):
+    cfg = parse_config(config, source="<" + config["builtin"] + ">")
     try:
         report = runner.run_suite(cfg)
     except Exception:
@@ -59,7 +84,7 @@ for name, seed, mode in json.loads(sys.argv[2]):
         del check["wall_time_s"]
     print(json.dumps({"exit": runner.exit_code(report),
                       "report": json.dumps(report, indent=2, sort_keys=True)}), flush=True)
-""" % SAMPLES
+"""
 
 
 def run_tree(src: str) -> list:
@@ -127,14 +152,14 @@ def main(argv) -> int:
         old, new = pool.map(run_tree, (old_src, new_src))
     identical = rounding = real_count = 0
     floats = []
-    for (name, seed, mode), a, b in zip(CASES, old, new):
-        label = f"{name} seed={seed} mode={mode}"
+    for config, a, b in zip(CASES, old, new):
         if a == b:
             identical += 1
             continue
         real, changes = classify(a, b)
-        floats += [(c, bound, f"{label} {path}", o, n) for c, bound, path, o, n in changes]
-        print(f"{label}: {'real' if real else 'rounding'} difference")
+        where = label(config)
+        floats += [(c, bound, f"{where} {path}", o, n) for c, bound, path, o, n in changes]
+        print(f"{where}: {'real' if real else 'rounding'} difference")
         for line in real:
             print(f"  real: {line}")
         sys.stdout.writelines(difflib.unified_diff(

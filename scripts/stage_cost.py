@@ -6,8 +6,9 @@ Usage: python3 scripts/stage_cost.py [REPEATS]
 For each builtin that has geodesic jobs, the states are its own job
 starts, stacked as lockstep integration stacks them and repeated to 3
 rows.  Prints the median microseconds, over REPEATS timed calls (1000 by
-default) after a warm-up, of one order-0 ``conn.batch`` at those points
-and of one ``_rk4_step`` (four stages) from those states.  Run it from
+default) after a warm-up, of one order-0 ``conn.batch`` at those points,
+which gives the parts (Gamma,), and of one ``_rk4_step`` (four stages)
+from those states.  Run it from
 the repository root; it times the ``subgeo`` under ``src``.
 """
 

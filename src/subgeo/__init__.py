@@ -14,11 +14,9 @@ from .errors import (
     SingularMatrix,
     SubgeoError,
 )
-from .jets import Jet
 
 __all__ = [
     "__version__",
-    "Jet",
     "SubgeoError",
     "ContractViolation",
     "SingularMatrix",

@@ -203,6 +203,8 @@ def _parse_checks(obj) -> list:
                 f"unknown check {name!r}; valid names: "
                 + ", ".join(sorted(runner.CHECK_TABLE))
             )
+        if any(name == seen for seen, _ in out):
+            raise ConfigError(f"check {name!r} is listed more than once")
         out.append((name, None if tol is None else float(tol)))
     return out
 

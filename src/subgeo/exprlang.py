@@ -332,7 +332,7 @@ MAX_BATCH_ORDER = 3
 
 
 def compile_batched(nodes):
-    """Compile ASTs into ``fn(points, order=1)``.
+    """Compile ASTs into ``fn(points, order)``.
 
     ``points`` is an (N, d) array.  The result is the tuple of the first
     order + 1 parts of the jets of the E expressions at every point:
@@ -380,7 +380,7 @@ def compile_batched(nodes):
     outputs = [walk(n) for n in nodes]
     by_order = [None] * (MAX_BATCH_ORDER + 1)  # the function of each order, on first use
 
-    def evaluate(points, order=1):
+    def evaluate(points, order):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] < dim_needed:
             raise ContractViolation(

@@ -1,20 +1,20 @@
 """Charted manifolds and the scalar/metric/connection field layer.
 
 Every field evaluates one way: ``batch(points, order)`` at a whole (N, n)
-stack of points.  Order 0 gives the values; order k >= 1 gives the parts
-(values, first partials, ..., k-th partials), where part m carries m
-derivative axes right after the point axis: dg[p, a, i, j] = d_a g_ij,
-dGamma[p, a, k, i, j] = d_a Gamma^k_ij, and so on.  Expression fields
-compile into one array program, made a straight-line function per order
-on first use (:func:`exprlang.compile_batched`).  The order budget:
-scalar fields, metrics and expression connections reach order 3;
-Levi-Civita, alpha and sum connections reach 2, their partials from the
-metric's by the forward-mode rule d(A^-1 b) = A^-1 (db - dA A^-1 b)
-differentiated once more; dual connections reach 1.  Asking past a field's order raises
-:class:`ContractViolation`.  Nothing is cached per point.
-Finite-difference mode swaps the leaf evaluation for central differences
-(orders 0..2) while leaving all derived algebra untouched, giving an
-independent path through every check.
+stack of points gives the tuple of its parts up to ``order``: (values,)
+at order 0, then first partials, ..., k-th partials, where part m
+carries m derivative axes right after the point axis: dg[p, a, i, j] =
+d_a g_ij, dGamma[p, a, k, i, j] = d_a Gamma^k_ij, and so on.  Expression
+fields compile into one array program, made a straight-line function
+per order on first use (:func:`exprlang.compile_batched`).  The order
+budget: scalar fields, metrics and expression connections reach order
+3; Levi-Civita, alpha and sum connections reach 2, their partials from
+the metric's by the forward-mode rule d(A^-1 b) = A^-1 (db - dA A^-1 b)
+differentiated once more; dual connections reach 1.  Asking past a
+field's order raises :class:`ContractViolation`.  Nothing is cached per
+point.  Finite-difference mode swaps the leaf evaluation for central
+differences (orders 0..2) while leaving all derived algebra untouched,
+giving an independent path through every check.
 """
 
 from __future__ import annotations
@@ -64,35 +64,28 @@ class ChartedManifold:
 # -- evaluation -------------------------------------------------------
 
 
-def _evaluate(fld, points, order: int):
-    """``fld._batch`` at a stack of points, for the ``batch`` methods:
-    the values at order 0, else the tuple of parts up to ``order``."""
-    if not 0 <= order <= fld.max_order:
-        raise ContractViolation(f"batched order must be in 0..{fld.max_order}, got {order}")
-    parts = fld._batch(_as_points(points, fld.dim), order)
-    return parts[0] if order == 0 else parts
+class Field:
+    """A field on a chart; subclasses set ``dim``, ``max_order`` and
+    ``_batch``, which takes points already an (N, dim) float array."""
 
+    dim: int
+    max_order: int
 
-def batch_parts(fld, points, order: int) -> tuple:
-    """The parts (values, first partials, ...) of a field up to ``order``,
-    a tuple also at order 0."""
-    out = fld.batch(points, order)
-    return (out,) if order == 0 else out
+    def batch(self, points, order: int) -> tuple:
+        """The parts (values, first partials, ...) up to ``order`` at a
+        stack of points (N, dim)."""
+        if not 0 <= order <= self.max_order:
+            raise ContractViolation(f"batched order must be in 0..{self.max_order}, got {order}")
+        return self._batch(_as_points(points, self.dim), order)
 
 
 # -- scalar fields ----------------------------------------------------
 
 
-class ScalarField:
-    """A scalar field on a chart; subclasses set ``dim`` and ``_batch``."""
+class ScalarField(Field):
+    """A scalar field: values (N,), grad (N, dim), hess (N, dim, dim), third."""
 
-    dim: int
     max_order = 3
-
-    def batch(self, points, order: int = 1):
-        """The field at a stack of points (N, dim): values (N,) at order 0,
-        else (value, grad (N, dim), hess (N, dim, dim), third) up to order."""
-        return _evaluate(self, points, order)
 
 
 class ExprField(ScalarField):
@@ -164,7 +157,7 @@ class FDField(ScalarField):
                 hj = h_hess[:, j]
                 hess_nodes[i, j] = (node((i, hi), (j, hj)), node((i, hi), (j, -hj)),
                                     node((i, -hi), (j, hj)), node((i, -hi), (j, -hj)))
-        f = self.inner.batch(np.concatenate(nodes), 0).reshape(len(nodes), len(points))
+        f = self.inner.batch(np.concatenate(nodes), 0)[0].reshape(len(nodes), len(points))
         val = f[0]
         out = (val,)
         if order >= 1:
@@ -196,8 +189,7 @@ class _Entry(ScalarField):
         self.max_order = parent.max_order
 
     def _batch(self, points, order):
-        return tuple(part[(Ellipsis,) + self.index]
-                     for part in batch_parts(self.parent, points, order))
+        return tuple(part[(Ellipsis,) + self.index] for part in self.parent.batch(points, order))
 
 
 class _FieldStack:
@@ -219,23 +211,16 @@ class _FieldStack:
         self._distinct = list(dict.fromkeys(self.fields))
         self._at = [self._distinct.index(f) for f in self.fields]  # position -> distinct field
 
-    def __call__(self, points, order: int = 1):
-        """The parts up to ``order`` for the E fields: values (N, E), grads
-        (N, dim, E), hess (N, dim, dim, E), third (N, dim, dim, dim, E)."""
-        return self.parts(_as_points(points, self.dim), order)
-
-    def parts(self, points, order: int):
-        """As calling the stack, at points already an (N, dim) float array."""
+    def __call__(self, points, order: int) -> tuple:
+        """The parts up to ``order`` for the E fields at points already an
+        (N, dim) float array: values (N, E), grads (N, dim, E), hess
+        (N, dim, dim, E), third (N, dim, dim, dim, E)."""
         if self._asts is None:
-            rows = [batch_parts(f, points, order) for f in self._distinct]
+            rows = [f.batch(points, order) for f in self._distinct]
             return tuple(np.stack(part, axis=-1)[..., self._at] for part in zip(*rows))
         if self._compiled is None:
             self._compiled = exprlang.compile_batched(self._asts)
         return self._compiled(points, order)
-
-    def values(self, points) -> np.ndarray:
-        """Values (N, E) alone."""
-        return self(points, 0)[0]
 
 
 def _leaf_ast(fld):
@@ -267,8 +252,11 @@ def make_scalar(source, dim: int, mode: str = "jet", bundle: bool = False) -> Sc
 # -- metric fields ----------------------------------------------------
 
 
-class MetricField:
-    """Symmetric (0,2) field; only entries with i <= j are stored."""
+class MetricField(Field):
+    """Symmetric (0,2) field; only entries with i <= j are stored.  Its
+    parts are g (N, n, n), dg (N, n, n, n) with dg[p, i, j, k] the i-th
+    partial of g_jk at point p, d2g[p, a, i, j, k] = d_a d_i g_jk, and
+    d3g."""
 
     label = "g"
     max_order = 3
@@ -301,32 +289,20 @@ class MetricField:
         return [(f"{self.label}_{i + 1}{j + 1}", self.entry(i, j))
                 for i in range(self.dim) for j in range(i, self.dim)]
 
-    def batch(self, points, order: int = 1):
-        """g (N, n, n) at a stack of points at order 0; else (g, dg, d2g,
-        d3g) up to ``order``, dg[p, i, j, k] the i-th partial of g_jk at
-        point p, d2g[p, a, i, j, k] = d_a d_i g_jk, and so on."""
-        return _evaluate(self, points, order)
-
     def _batch(self, points, order):
         n = self.dim
-        return tuple(part.reshape(part.shape[:-1] + (n, n))
-                     for part in self._stack.parts(points, order))
+        return tuple(part.reshape(part.shape[:-1] + (n, n)) for part in self._stack(points, order))
 
 
 # -- connection fields ------------------------------------------------
 
 
-class ConnectionField:
-    """Coefficients Gamma^k_ij with the derivative direction in slot i."""
+class ConnectionField(Field):
+    """Coefficients Gamma^k_ij with the derivative direction in slot i.
+    Its parts are Gamma[p, k, i, j], dGamma[p, a, k, i, j] = d_a
+    Gamma^k_ij and d2Gamma[p, a, b, k, i, j] = d_a d_b Gamma^k_ij."""
 
-    dim: int
     max_order = 2
-
-    def batch(self, points, order: int = 0):
-        """Gamma[p, k, i, j] at a stack of points (N, dim); order 1 gives
-        (Gamma, dGamma) with dGamma[p, a, k, i, j] = d_a Gamma^k_ij, order
-        2 adds d2Gamma[p, a, b, k, i, j] = d_a d_b Gamma^k_ij."""
-        return _evaluate(self, points, order)
 
     def entry_fields(self):
         """(label, field) pairs of every coefficient, for derivative cross-checks."""
@@ -443,29 +419,29 @@ class DualConnection(ConnectionField):
         self.dim = conn.dim
 
     def _batch(self, points, order):
-        g_parts = batch_parts(self.metric, points, order + 1)
-        out = _dual(*g_parts[:2], *batch_parts(self.base, points, order), *g_parts[2:])
-        return (out,) if order == 0 else out
+        return _dual(self.metric.batch(points, order + 1), self.base.batch(points, order))
 
 
-def _dual(g, dg, gamma, dgamma=None, d2g=None):
-    """Dual coefficients from the duality relation
-    d_i g_jk = sum_l Gamma^l_ij g_lk + sum_l dual Gamma^l_ik g_jl, with a
-    leading point axis on g (N, n, n), dg (N, n, n, n) and gamma (N, n, n, n).
-
-    With the partials dgamma (N, n, n, n, n) of gamma and d2g of g (laid
-    out as in :func:`_levi_civita`), returns (dual, d dual), the partials
-    of the solved system by :func:`_solution_parts`.
+def _dual(g_parts, gamma_parts) -> tuple:
+    """Parts of the dual coefficients from the duality relation
+    d_i g_jk = sum_l Gamma^l_ij g_lk + sum_l dual Gamma^l_ik g_jl, as
+    many as ``gamma_parts`` = (Gamma, dGamma) has, from one more metric
+    part in ``g_parts`` = (g, dg, d2g), laid out as in
+    :func:`_levi_civita`; the partials are those of the solved system
+    (:func:`_solution_parts`).
     """
+    g, dg = g_parts[:2]
+    gamma = gamma_parts[0]
     # rhs[p, j, i, k] = d_i g_jk - sum_l Gamma^l_ij g_lk
     rhs = np.transpose(dg, (0, 2, 1, 3)) - np.einsum("plij,plk->pjik", gamma, g)
     dual = _solve(g, rhs)
-    if dgamma is None:
-        return dual
-    # d_a rhs[p, a, j, i, k]
-    d_rhs = (np.transpose(d2g, (0, 1, 3, 2, 4)) - np.einsum("palij,plk->pajik", dgamma, g)
-             - np.einsum("plij,palk->pajik", gamma, dg))
-    return _solution_parts(g, (dg,), dual, (d_rhs,))
+    d_rhs = ()
+    if len(gamma_parts) > 1:
+        # d_a rhs[p, a, j, i, k]
+        d_rhs = (np.transpose(g_parts[2], (0, 1, 3, 2, 4))
+                 - np.einsum("palij,plk->pajik", gamma_parts[1], g)
+                 - np.einsum("plij,palk->pajik", gamma, dg),)
+    return _solution_parts(g, g_parts[1:], dual, d_rhs)
 
 
 class AlphaConnection(ConnectionField):
@@ -495,11 +471,11 @@ class SumConnection(ConnectionField):
     def __init__(self, base: ConnectionField, delta: ConnectionField):
         if base.dim != delta.dim:
             raise ContractViolation("connection dimension mismatch")
-        self.parts = (base, delta)
+        self.terms = (base, delta)
         self.dim = base.dim
 
     def _batch(self, points, order):
-        a, b = (batch_parts(part, points, order) for part in self.parts)
+        a, b = (term.batch(points, order) for term in self.terms)
         return tuple(x + y for x, y in zip(a, b))
 
 
@@ -512,7 +488,7 @@ def _coefficient_parts(stack: _FieldStack, points, order: int) -> tuple:
     """Parts [p, (a, ...), k, i, j] up to ``order`` of a stack made by
     :func:`_coefficient_stack`."""
     n = stack.dim
-    return tuple(part.reshape(part.shape[:-1] + (n, n, n)) for part in stack.parts(points, order))
+    return tuple(part.reshape(part.shape[:-1] + (n, n, n)) for part in stack(points, order))
 
 
 # -- aggregates -------------------------------------------------------

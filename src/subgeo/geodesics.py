@@ -69,7 +69,7 @@ class Trajectory:
 def _accel(conn: ConnectionField, x, v) -> np.ndarray:
     """Geodesic accelerations -Gamma^k_ij v^i v^j of states stacked (N, n);
     a non-finite one is a domain error at its state."""
-    acc = -np.einsum("pkij,pi,pj->pk", conn.batch(x), v, v)
+    acc = -np.einsum("pkij,pi,pj->pk", conn.batch(x, 0)[0], v, v)
     finite = np.isfinite(acc)
     if np.count_nonzero(finite) < finite.size:
         bad = ~finite.all(axis=1)
@@ -121,22 +121,25 @@ def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
     results = [None if inside else
                ContractViolation(f"start point {tuple(p.tolist())} outside the chart box")
                for p, inside in zip(x0, chart.contains(x0))]
-    live = [job for job, out in enumerate(results) if out is None]
+    live = np.flatnonzero([out is None for out in results])  # the jobs still integrating
+    states = nodes[0, live]                                   # and their states, row by row
     for k in range(n_steps):
-        if not live:
+        if not len(live):
             break
-        arrays, errors = build_rows(lambda states: _rk4_step(conn, states, step), nodes[k, live])
-        for row, exc in errors.items():
-            results[live[row]] = exc
-        live = [job for job in live if results[job] is None]
-        if not live:
-            break
+        arrays, errors = build_rows(lambda rows: _rk4_step(conn, rows, step), states)
+        if errors:
+            for row, exc in errors.items():
+                results[live[row]] = exc
+            live = np.delete(live, list(errors))
+            if not len(live):
+                break
         states = arrays["states"]
         nodes[k + 1, live] = states
-        for job, inside in zip(live, chart.contains(states[:, :n])):
-            if not inside:
-                results[job] = BoundaryExit(ts[k + 1], tuple(nodes[k + 1, job, :n]))
-        live = [job for job in live if results[job] is None]
+        inside = chart.contains(states[:, :n])
+        if not inside.all():
+            for job, x in zip(live[~inside], states[~inside, :n]):
+                results[job] = BoundaryExit(ts[k + 1], tuple(x))
+            live, states = live[inside], states[inside]
     return [Trajectory(ts, nodes[:, job, :n].copy(), nodes[:, job, n:].copy()) if out is None
             else out for job, out in enumerate(results)]
 
@@ -188,13 +191,13 @@ def _central(samples, step: float) -> np.ndarray:
 def geodesic_residual(conn: ConnectionField, traj: Trajectory) -> float:
     """Max norm of nabla_{sigma'} sigma' over the whole trajectory."""
     res = (derivative_along(traj.vs, traj.step)
-           + np.einsum("pkij,pi,pj->pk", conn.batch(traj.xs), traj.vs, traj.vs))
+           + np.einsum("pkij,pi,pj->pk", conn.batch(traj.xs, 0)[0], traj.vs, traj.vs))
     return float(np.max(np.abs(res)))
 
 
 def energy_drift(metric: MetricField, traj: Trajectory) -> float:
     """Relative drift of g(sigma', sigma') along the curve."""
-    g, _ = metric.batch(traj.xs)
+    g, _ = metric.batch(traj.xs, 1)
     e = np.einsum("pi,pij,pj->p", traj.vs, g, traj.vs)
     return float(np.max(np.abs(e - e[0])) / max(abs(e[0]), 1e-30))
 
@@ -352,13 +355,13 @@ def check_curve_decomposition(setup: SubmersionSetup, curves, tol) -> CheckResul
     e_fn = default_test_field(setup.n)
     s = fold(*_sweep_curves(setup, curves, lambda pr: curve_decomposition_residuals(
         setup, pr, e_fn(pr.t, pr.x))), keys=CURVE_KEYS)
-    return s.summarize("curve_decomposition", tol, details=s.worst)
+    return s.summarize(tol, details=s.worst)
 
 
 def check_sigma_second(setup: SubmersionSetup, curves, tol) -> CheckResult:
     s = fold(*_sweep_curves(setup, curves, lambda pr: sigma_second_residuals(setup, pr)),
              keys=CURVE_KEYS)
-    return s.summarize("sigma_second", tol, details=s.worst)
+    return s.summarize(tol, details=s.worst)
 
 
 def geodesic_projection_check(setup: SubmersionSetup, curves, tol) -> CheckResult:
@@ -387,5 +390,5 @@ def geodesic_projection_check(setup: SubmersionSetup, curves, tol) -> CheckResul
     s = fold(np.maximum(np.where(cond <= tol, base, 0.0), np.where(base <= tol, cond, 0.0)),
              errors)
     status = s.verdict(all(c.get("agree", True) for c in per_curve.values()))
-    return s.result("geodesic_projection", tol, status, s.residual,
+    return s.result(tol, status, s.residual,
                     details={"curves": [per_curve[k] for k in sorted(per_curve)]})

@@ -9,10 +9,11 @@ The kernels take numpy arrays of values and first partials with any
 leading axes (a stack of points) and keep them, so they test against
 hand-built data one point at a time and run a whole sample at once.
 A check evaluates its points in one batch: the metric's ``batch`` gives
-g, dg and d2g, the connection's ``batch`` gives Gamma and, at order 1,
-its partials dGamma, and every residual is one array program over those
-rows.  A batch that raises a :class:`SubgeoError` is rebuilt row by row
-(:func:`results.sweep_rows`), so each failing point is one incident.
+the parts (g, dg) or (g, dg, d2g), the connection's ``batch`` gives
+(Gamma,) or (Gamma, dGamma), and every residual is one array program
+over those rows.  A batch that raises a :class:`SubgeoError` is rebuilt
+row by row (:func:`results.sweep_rows`), so each failing point is one
+incident.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ def nabla_g_values(g: np.ndarray, dg: np.ndarray, gamma: np.ndarray) -> np.ndarr
 
 def cubic_values(metric: MetricField, conn: ConnectionField, points) -> np.ndarray:
     """The cubic form nabla g of (metric, conn) at a stack of points (N, n)."""
-    g, dg = metric.batch(points)
-    return nabla_g_values(g, dg, conn.batch(points))
+    g, dg = metric.batch(points, 1)
+    return nabla_g_values(g, dg, conn.batch(points, 0)[0])
 
 
 def statistical_residual(gamma: np.ndarray, cubic: np.ndarray) -> np.ndarray:
@@ -96,8 +97,8 @@ def dual_formula_residual(gamma, gamma_dual, lc) -> np.ndarray:
 
 def statistical_rows(metric: MetricField, conn: ConnectionField, x) -> np.ndarray:
     """:func:`statistical_residual` of (metric, conn) at a stack of points."""
-    gamma = conn.batch(x)
-    g, dg = metric.batch(x)
+    gamma = conn.batch(x, 0)[0]
+    g, dg = metric.batch(x, 1)
     return statistical_residual(gamma, nabla_g_values(g, dg, gamma))
 
 
@@ -105,36 +106,33 @@ def is_statistical(conn: ConnectionField, metric: MetricField, points, tol):
     """Torsion-freeness plus total symmetry of nabla g over the samples."""
     return sweep_rows(points, metric.dim, lambda x: {
         "statistical": statistical_rows(metric, conn, x),
-    }).summarize("is_statistical", tol)
+    }).summarize(tol)
 
 
 def check_curvature_duality(conn: ConnectionField, metric: MetricField, points, tol):
     def residuals(x):
-        g, dg, d2g = metric.batch(x, 2)
-        gamma, dgamma = conn.batch(x, 1)
-        dual, d_dual = _dual(g, dg, gamma, dgamma, d2g)
-        r, r_dual = curvature_values(gamma, dgamma), curvature_values(dual, d_dual)
-        return {"curvature_duality": curvature_duality_residual(g, r, r_dual)}
+        g_parts, gamma_parts = metric.batch(x, 2), conn.batch(x, 1)
+        dual_parts = _dual(g_parts, gamma_parts)
+        r, r_dual = curvature_values(*gamma_parts), curvature_values(*dual_parts)
+        return {"duality": curvature_duality_residual(g_parts[0], r, r_dual)}
 
-    return sweep_rows(points, metric.dim, residuals).summarize("curvature_duality", tol)
+    return sweep_rows(points, metric.dim, residuals).summarize(tol)
 
 
 def check_constant_curvature(conn: ConnectionField, metric: MetricField, k: float, points, tol):
     def residuals(x):
-        g, _ = metric.batch(x)
+        g, _ = metric.batch(x, 1)
         r = curvature_values(*conn.batch(x, 1))
-        return {"constant_curvature": constant_curvature_residual(g, r, k)}
+        return {"model": constant_curvature_residual(g, r, k)}
 
-    return sweep_rows(points, metric.dim, residuals).summarize(
-        "constant_curvature", tol, details={"k": float(k)})
+    return sweep_rows(points, metric.dim, residuals).summarize(tol, details={"k": float(k)})
 
 
 def check_dual_involution(conn: ConnectionField, metric: MetricField, points, tol):
     """dual(dual(conn)) must reproduce conn to rounding."""
     def residuals(x):
-        g, dg = metric.batch(x)
-        gamma = conn.batch(x)
-        twice = _dual(g, dg, _dual(g, dg, gamma))
-        return {"dual_involution": np.abs(twice - gamma).max(axis=_LAST3)}
+        g_parts, gamma_parts = metric.batch(x, 1), conn.batch(x, 0)
+        twice = _dual(g_parts, _dual(g_parts, gamma_parts))
+        return {"involution": np.abs(twice[0] - gamma_parts[0]).max(axis=_LAST3)}
 
-    return sweep_rows(points, metric.dim, residuals).summarize("dual_involution", tol)
+    return sweep_rows(points, metric.dim, residuals).summarize(tol)

@@ -23,19 +23,14 @@ PREMISE_FACTOR = 10.0
 
 @dataclass
 class CheckResult:
-    name: str
+    """What a check decides; its report row adds the rest from the registry."""
+
     samples: int            # samples that actually evaluated
     max_residual: float
     tolerance: float
     status: str
     details: dict = field(default_factory=dict)
     incidents: int = 0
-    paper_ref: str = ""
-    wall_time_s: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
 
 
 def _above(value, current) -> bool:
@@ -88,7 +83,7 @@ class Sweep:
             return INCONCLUSIVE
         return PASS if holds else FAIL
 
-    def result(self, name, tol, status, max_residual, details=None, premise=None) -> CheckResult:
+    def result(self, tol, status, max_residual, details=None, premise=None) -> CheckResult:
         """The check's outcome; a ``premise`` residual above PREMISE_FACTOR
         * tol voids a verdict (inconclusive, ``details.premise_failed``)."""
         details = dict(details or {})
@@ -98,7 +93,6 @@ class Sweep:
             status = INCONCLUSIVE
             details["premise_failed"] = True
         return CheckResult(
-            name=name,
             samples=self.evaluated,
             max_residual=float(max_residual),
             tolerance=float(tol),
@@ -107,21 +101,21 @@ class Sweep:
             incidents=self.incidents,
         )
 
-    def summarize(self, name, tol, details=None, keys=None, premise=None) -> CheckResult:
+    def summarize(self, tol, details=None, keys=None, premise=None) -> CheckResult:
         """Pass when the worst residual (over ``keys`` only, if given) is
         finite and within tol, and ``premise`` (if given) holds; see
         :meth:`verdict` and :meth:`result`."""
         worst = self.residual if keys is None else peak(self.worst.get(k, 0.0) for k in keys)
         status = self.verdict(math.isfinite(worst) and worst <= tol)
-        return self.result(name, tol, status, worst, details, premise)
+        return self.result(tol, status, worst, details, premise)
 
-    def biconditional(self, name, left, right, tol, details=None, max_residual=None) -> CheckResult:
+    def biconditional(self, left, right, tol, details=None, max_residual=None) -> CheckResult:
         """Pass iff the verdicts of the two sides agree; the residual is
         informational.  A non-finite side fails; inconclusive when too few
         items evaluated."""
         if max_residual is None:
             max_residual = peak((left, right))
-        return self.result(name, tol, self.verdict(agree(left, right, tol)), max_residual, details)
+        return self.result(tol, self.verdict(agree(left, right, tol)), max_residual, details)
 
 
 def fold(residuals, errors=None, keys=()) -> Sweep:

@@ -1,10 +1,12 @@
 """Check registry and suite orchestration.
 
-Every check the CLI can run is declared in CHECK_TABLE: a short
-description, the section anchor it reports under, a default tolerance,
-and a driver taking (scenario, ctx).  run_suite samples points per
-check with a seed derived from the suite seed and the check name, so
-adding or removing checks never reshuffles anybody else's samples.
+Every check the CLI can run is declared in CHECK_TABLE, the one place a
+check is named: the section anchor it reports under, a default
+tolerance, a short description, and a driver taking (scenario, ctx,
+name, tol).  run_suite builds each report row from the registry entry
+and the driver's CheckResult.  It samples points per check with a seed
+derived from the suite seed and the check name, so adding or removing
+checks never reshuffles anybody else's samples.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import numpy as np
 from . import __version__, geodesics, geometry, submersion, tangent_bundle
 from .builtins import Scenario
 from .config import SuiteConfig, build_scenario
-from .errors import ContractViolation, SubgeoError
+from .errors import ConfigError, ContractViolation, SubgeoError
 from .fields import FDField
-from .results import INCONCLUSIVE, PASS, CheckResult, fold, peak, sweep
+from .results import FAIL, INCONCLUSIVE, PASS, CheckResult, fold, peak, sweep
 from .sampling import sample_box, subseed
 
 FD_PROBES = 16
@@ -75,25 +77,21 @@ class RunContext:
         return self._curves
 
 
-def _missing(name: str, what: str) -> CheckResult:
-    return CheckResult(
-        name=name, samples=0, max_residual=float("inf"), tolerance=0.0,
-        status=INCONCLUSIVE, details={"skipped": f"scenario has no {what}"},
-    )
+def _missing(what: str) -> CheckResult:
+    return CheckResult(samples=0, max_residual=float("inf"), tolerance=0.0,
+                       status=INCONCLUSIVE, details={"skipped": f"scenario has no {what}"})
 
 
-def _manifold_driver(fn_name):
+def _manifold_driver(fn):
     def drive(scenario, ctx, name, tol):
-        pts = ctx.points(name)
-        fn = getattr(geometry, fn_name)
-        return fn(scenario.space.conn, scenario.space.metric, pts, tol)
+        return fn(scenario.space.conn, scenario.space.metric, ctx.points(name), tol)
 
     return drive
 
 
 def _constant_curvature(scenario, ctx, name, tol):
     if scenario.curvature_k is None:
-        return _missing(name, "reference curvature constant")
+        return _missing("reference curvature constant")
     pts = ctx.points(name)
     return geometry.check_constant_curvature(
         scenario.space.conn, scenario.space.metric, scenario.curvature_k, pts, tol)
@@ -140,7 +138,7 @@ def _fd_crosscheck(scenario, ctx, name, tol):
         return _probe_field(fld, to_point(p))
 
     s = sweep(probes, at)
-    return s.summarize(name, tol, details={
+    return s.summarize(tol, details={
         "fields_probed": min(FD_PROBES, len(fields)),
         "fields_available": len(fields),
         "worst_field": "" if s.worst_index is None else probes[s.worst_index][0],
@@ -150,7 +148,7 @@ def _fd_crosscheck(scenario, ctx, name, tol):
 def _submersion_driver(fn):
     def drive(scenario, ctx, name, tol):
         if scenario.setup is None:
-            return _missing(name, "submersion")
+            return _missing("submersion")
         return fn(scenario.setup, ctx.points(name), tol)
 
     return drive
@@ -159,9 +157,9 @@ def _submersion_driver(fn):
 def _geodesic_driver(fn):
     def drive(scenario, ctx, name, tol):
         if scenario.setup is None:
-            return _missing(name, "submersion")
+            return _missing("submersion")
         if not scenario.geodesic_jobs:
-            return _missing(name, "geodesic jobs")
+            return _missing("geodesic jobs")
         return fn(scenario.setup, list(ctx.curves().values()), tol)
 
     return drive
@@ -169,32 +167,37 @@ def _geodesic_driver(fn):
 
 def _geodesic_energy(scenario, ctx, name, tol):
     if not scenario.geodesic_jobs:
-        return _missing(name, "geodesic jobs")
+        return _missing("geodesic jobs")
     curves = ctx.curves()
     s = sweep(list(curves.values()),
               lambda c: geodesics.energy_drift(scenario.space.metric, geodesics.trajectory(c)))
-    return s.summarize(name, tol, details={"jobs": sorted(curves)})
+    return s.summarize(tol, details={"jobs": sorted(curves)})
 
 
 def _bundle_driver(fn):
     def drive(scenario, ctx, name, tol):
         if scenario.bundle is None:
-            return _missing(name, "tangent bundle")
+            return _missing("tangent bundle")
         return fn(scenario.bundle, ctx.points(name), tol)
 
     return drive
 
 
+def _bundle_setup_driver(fn):
+    """A submersion check on the bundle projection of a tangent bundle."""
+    return _bundle_driver(lambda bundle, points, tol: fn(bundle.setup, points, tol))
+
+
 CHECK_TABLE = {s.name: s for s in [
     CheckSpec("is_statistical", "§2 Definition", 1e-8,
               "torsion-freeness and total symmetry of the cubic form nabla g",
-              _manifold_driver("is_statistical")),
+              _manifold_driver(geometry.is_statistical)),
     CheckSpec("dual_involution", "§2 Definition", 1e-9,
               "taking the metric dual twice returns the original connection",
-              _manifold_driver("check_dual_involution")),
+              _manifold_driver(geometry.check_dual_involution)),
     CheckSpec("curvature_duality", "§2", 1e-8,
               "curvatures of a dual pair are skew-adjoint through the metric",
-              _manifold_driver("check_curvature_duality")),
+              _manifold_driver(geometry.check_curvature_duality)),
     CheckSpec("constant_curvature", "§2 Example", 1e-8,
               "R(X,Y)Z matches k (g(Y,Z)X - g(X,Z)Y) for the scenario's k",
               _constant_curvature),
@@ -254,10 +257,10 @@ CHECK_TABLE = {s.name: s for s in [
               _bundle_driver(tangent_bundle.check_defining_rules)),
     CheckSpec("prop41", "§4 Proposition 4.1", 1e-8,
               "bundle projection is affine with the horizontal distribution",
-              _bundle_driver(tangent_bundle.prop41_check)),
+              _bundle_setup_driver(submersion.check_affine_hd)),
     CheckSpec("prop42", "§4 Proposition 4.2", 1e-8,
               "bundle projection is a semi-Riemannian submersion for sasaki",
-              _bundle_driver(tangent_bundle.prop42_check)),
+              _bundle_setup_driver(submersion.check_semi_riemannian)),
     CheckSpec("tm_statistical", "§4 Theorem", 1e-7,
               "split conditions on TM agree with direct statisticity of the lift",
               _bundle_driver(tangent_bundle.tm_statistical_check)),
@@ -293,11 +296,12 @@ def run_suite(cfg: SuiteConfig) -> dict:
     """Execute the configured checks and assemble the report."""
     scenario = build_scenario(cfg)
     requested = list(cfg.checks) if cfg.checks else [(n, None) for n in scenario.checks]
+    if not requested:
+        raise ConfigError(f"no checks to run: {scenario.name} has no default menu; "
+                          "list them under 'checks'")
     ctx = RunContext(scenario, cfg.count, cfg.seed, cfg.boxes)
 
     rows = []
-    attempted_total = 0
-    incident_total = 0
     for name, tol_override in sorted(requested):
         spec = CHECK_TABLE[name]
         tol = spec.tolerance if tol_override is None else tol_override
@@ -305,16 +309,22 @@ def run_suite(cfg: SuiteConfig) -> dict:
         try:
             result = spec.driver(scenario, ctx, name, tol)
         except SubgeoError as exc:
-            result = fold([], {0: exc}).result(name, tol, INCONCLUSIVE, math.inf,
-                                               {"error": str(exc)})
-        result.wall_time_s = time.perf_counter() - start
-        result.paper_ref = spec.paper_ref
-        result.name = name
-        attempted_total += result.samples + result.incidents
-        incident_total += result.incidents
-        rows.append(result)
+            result = fold([], {0: exc}).result(tol, INCONCLUSIVE, math.inf, {"error": str(exc)})
+        wall = time.perf_counter() - start
+        rows.append({
+            "name": name,
+            "paper_ref": spec.paper_ref,
+            "samples": result.samples,
+            "max_residual": float(result.max_residual),
+            "tolerance": float(result.tolerance),
+            "status": result.status,
+            "incidents": result.incidents,
+            "details": _jsonable(result.details),
+            "wall_time_s": wall,
+        })
 
-    incident_rate = incident_total / float(max(attempted_total, 1))
+    attempted_total = sum(r["samples"] + r["incidents"] for r in rows)
+    incident_rate = sum(r["incidents"] for r in rows) / float(max(attempted_total, 1))
     report = {
         "schema": "subgeo-report/1",
         "suite": {
@@ -325,24 +335,11 @@ def run_suite(cfg: SuiteConfig) -> dict:
             "mode": cfg.mode,
             "version": __version__,
         },
-        "checks": [
-            {
-                "name": r.name,
-                "paper_ref": r.paper_ref,
-                "samples": r.samples,
-                "max_residual": float(r.max_residual),
-                "tolerance": float(r.tolerance),
-                "status": r.status,
-                "incidents": r.incidents,
-                "details": _jsonable(r.details),
-                "wall_time_s": r.wall_time_s,
-            }
-            for r in rows
-        ],
+        "checks": rows,
         "summary": {
-            "pass": sum(1 for r in rows if r.status == PASS),
-            "fail": sum(1 for r in rows if r.status == "fail"),
-            "inconclusive": sum(1 for r in rows if r.status == INCONCLUSIVE),
+            "pass": sum(1 for r in rows if r["status"] == PASS),
+            "fail": sum(1 for r in rows if r["status"] == FAIL),
+            "inconclusive": sum(1 for r in rows if r["status"] == INCONCLUSIVE),
             "incident_rate": incident_rate,
         },
     }

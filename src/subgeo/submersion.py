@@ -37,7 +37,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
-from .fields import ScalarField, Space, _dual, _FieldStack, _inverse
+from .fields import ScalarField, Space, _as_points, _dual, _FieldStack, _inverse
 from .linalg import pivoted_qr, singular_rows, solve_linear
 from .results import (CheckResult, Sweep, agree, build_rows, collect, fold, owned_rows, peak,
                       sweep_rows)
@@ -82,7 +82,7 @@ class SubmersionSetup:
 
     def project(self, points) -> np.ndarray:
         """The base points (N, m) of a stack of points (N, n)."""
-        return self._pi_stack.values(points)
+        return self._pi_stack(_as_points(points, self.n), 0)[0]
 
     def pivot_pattern(self):
         """(pivot_cols, free_cols) chosen once at the box center."""
@@ -140,7 +140,7 @@ class SubmersionSetup:
             return np.zeros(len(x), dtype=bool)
         _, dpi_t, hess = self._pi_stack(x, 2)
         kernel, _ = self._vertical(x, np.swapaxes(dpi_t, 1, 2), np.moveaxis(hess, 3, 2))
-        return singular_rows(_gram(kernel, self.total.metric.batch(x, 0)))
+        return singular_rows(_gram(kernel, self.total.metric.batch(x, 0)[0]))
 
     def _frame_arrays(self, x, rank_test: bool) -> dict:
         """The :class:`_FrameBatch` arrays at points x (N, n), each with a
@@ -155,7 +155,7 @@ class SubmersionSetup:
         kernel, d_kernel = self._vertical(x, dpi, d_dpi)
 
         # horizontal: g-orthogonal complement, spanned by h = ginv dpi^T
-        g, dg = self.total.metric.batch(x)             # dg[p, k] = d_k g
+        g, dg = self.total.metric.batch(x, 1)          # dg[p, k] = d_k g
         ginv = _inverse(g)
         d_ginv = -(ginv[:, None] @ dg @ ginv[:, None])
         h = ginv @ dpi_t                                # (N, n, m)
@@ -168,24 +168,24 @@ class SubmersionSetup:
         p_h = lift @ dpi                                # (N, n, n)
         d_ph = d_lift @ dpi[:, None] + lift[:, None] @ d_dpi
 
-        gamma = self.total.conn.batch(x)
+        gamma = self.total.conn.batch(x, 0)[0]
         e2phi, dphi = np.ones(len(x)), np.zeros((len(x), n))
         if self.phi is not None:
-            phi, dphi = self.phi.batch(x)
+            phi, dphi = self.phi.batch(x, 1)
             e2phi = np.exp(2.0 * phi)
             bad = np.isinf(e2phi) & np.isfinite(phi)
             if bad.any():
                 raise EvalDomain("floating-point error (math range error)",
                                  x[int(np.argmax(bad))])
-        g_b, dg_b = self.base.metric.batch(bp)
-        gamma_b = self.base.conn.batch(bp)
+        g_b, dg_b = self.base.metric.batch(bp, 1)
+        gamma_b = self.base.conn.batch(bp, 0)[0]
         return {
             "dpi": dpi, "ph": p_h, "pv": np.eye(n) - p_h, "d_ph": d_ph, "d_pv": -d_ph,
             "vcols": kernel, "d_vcols": d_kernel, "lcols": lift, "d_lcols": d_lift,
-            "gamma": gamma, "gamma_dual": _dual(g, dg, gamma),
+            "gamma": gamma, "gamma_dual": _dual((g, dg), (gamma,))[0],
             "g": g, "dg": dg, "cubic": geometry.nabla_g_values(g, dg, gamma),
             "e2phi": e2phi, "dphi": dphi, "bp": bp,
-            "gb": g_b, "gamma_b": gamma_b, "gamma_b_dual": _dual(g_b, dg_b, gamma_b),
+            "gb": g_b, "gamma_b": gamma_b, "gamma_b_dual": _dual((g_b, dg_b), (gamma_b,))[0],
             "cubic_b": geometry.nabla_g_values(g_b, dg_b, gamma_b),
         }
 
@@ -477,7 +477,7 @@ LEMMA_KEYS = ("cs6", "cs7", "cs8", "cs9", "cs10", "cs11")
 
 def check_lemma_components(setup, points, tol) -> CheckResult:
     s = sweep_frames(setup, points, lemma_components, keys=LEMMA_KEYS)
-    return s.summarize("lemma_components", tol, details=dict(sorted(s.worst.items())))
+    return s.summarize(tol, details=dict(sorted(s.worst.items())))
 
 
 CONDITIONS = ("condition1", "condition2", "condition3", "condition4")
@@ -525,8 +525,7 @@ def four_conditions_check(setup: SubmersionSetup, points, tol) -> CheckResult:
     s = sweep_frames(setup, points, four_conditions_at, keys=CONDITIONS + ("total_space",))
     details = four_conditions_details(s, tol)
     holds = details["conditions_pass"] and details["biconditional_holds"]
-    return s.result("four_conditions", tol, s.verdict(holds),
-                    peak(s.worst[k] for k in CONDITIONS), details)
+    return s.result(tol, s.verdict(holds), peak(s.worst[k] for k in CONDITIONS), details)
 
 
 def gauss_weingarten_residuals(f: _FrameBatch) -> dict:
@@ -548,7 +547,7 @@ def gauss_weingarten_residuals(f: _FrameBatch) -> dict:
 
 def check_gauss_weingarten(setup, points, tol) -> CheckResult:
     s = sweep_frames(setup, points, gauss_weingarten_residuals)
-    return s.summarize("gauss_weingarten", tol, details=s.worst)
+    return s.summarize(tol, details=s.worst)
 
 
 def check_split_identities(setup, points, tol) -> CheckResult:
@@ -560,8 +559,7 @@ def check_split_identities(setup, points, tol) -> CheckResult:
         parts = [f.ph + f.pv - eye_n, f.dpi @ f.pv, f.dpi @ f.lcols - eye_m, f.dpi @ f.vcols]
         return np.max([_amax(r) for r in parts], axis=0)
 
-    return sweep_frames(setup, points, residuals, rank_test=True).summarize(
-        "split_identities", tol)
+    return sweep_frames(setup, points, residuals, rank_test=True).summarize(tol)
 
 
 def check_tensoriality(setup, points, tol) -> CheckResult:
@@ -582,7 +580,7 @@ def check_tensoriality(setup, points, tol) -> CheckResult:
                 r.append(_amax(tensor(f, e, w) - tensor(f, e, w, ds=ds)))
         return np.max(r, axis=0)
 
-    return sweep_frames(setup, points, residuals).summarize("tensoriality", tol)
+    return sweep_frames(setup, points, residuals).summarize(tol)
 
 
 def check_semi_riemannian(setup, points, tol) -> CheckResult:
@@ -601,8 +599,7 @@ def check_semi_riemannian(setup, points, tol) -> CheckResult:
         return {"lengths": lengths, "degenerate": np.where(null, math.inf, 0.0)}
 
     s = sweep_rows(points, setup.n, residuals, keys=("lengths", "degenerate"))
-    return s.summarize("semi_riemannian", tol,
-                       details={"fiber_metric_degenerate": s.worst["degenerate"] == math.inf})
+    return s.summarize(tol, details={"fiber_metric_degenerate": s.worst["degenerate"] == math.inf})
 
 
 def check_conformal_metric(setup, points, tol) -> CheckResult:
@@ -611,7 +608,7 @@ def check_conformal_metric(setup, points, tol) -> CheckResult:
     def residuals(f):
         return _amax(_gram(f.lcols, f.g) - f.e2phi[:, None, None] * f.gb)
 
-    return sweep_frames(setup, points, residuals).summarize("conformal_metric", tol)
+    return sweep_frames(setup, points, residuals).summarize(tol)
 
 
 def conformal_defect(f: _FrameBatch, dual: bool = False) -> np.ndarray:
@@ -631,7 +628,7 @@ def conformal_defect(f: _FrameBatch, dual: bool = False) -> np.ndarray:
 
 def check_conformal_hd(setup, points, tol) -> CheckResult:
     """Max conformal defect at each sample."""
-    return sweep_frames(setup, points, conformal_defect).summarize("conformal_defect", tol)
+    return sweep_frames(setup, points, conformal_defect).summarize(tol)
 
 
 def check_affine_hd(setup, points, tol) -> CheckResult:
@@ -641,7 +638,7 @@ def check_affine_hd(setup, points, tol) -> CheckResult:
         horizontal = np.einsum("...ij,...abj->...abi", f.ph, _lift_cov(f))
         return _amax(horizontal - np.einsum("...ic,...cab->...abi", f.lcols, f.gamma_b))
 
-    return sweep_frames(setup, points, residuals).summarize("affine_hd", tol)
+    return sweep_frames(setup, points, residuals).summarize(tol)
 
 
 def check_dual_conformal_pair(setup, points, tol) -> CheckResult:
@@ -653,7 +650,7 @@ def check_dual_conformal_pair(setup, points, tol) -> CheckResult:
 
     s = sweep_frames(setup, points, residuals, keys=("primal", "dual"))
     r_primal, r_dual = s.worst["primal"], s.worst["dual"]
-    return s.biconditional("dual_conformal_pair", r_primal, r_dual, tol,
+    return s.biconditional(r_primal, r_dual, tol,
                            details={"primal_max": r_primal, "dual_max": r_dual})
 
 
@@ -667,7 +664,7 @@ def check_projectable(setup, points, tol) -> CheckResult:
     """pi_*(H(nabla_{X~} Y~)) agrees across points of the same fiber."""
     if setup.fiber_dim == 0:
         # singleton fibers: nothing to vary, pass by convention
-        return fold(np.zeros(len(points))).summarize("projectable", tol)
+        return fold(np.zeros(len(points))).summarize(tol)
     n_base = max(1, math.ceil(len(points) / 16))
     per_fiber = max(2, math.ceil(len(points) / (4 * n_base)))
 
@@ -687,7 +684,7 @@ def check_projectable(setup, points, tol) -> CheckResult:
         first = np.searchsorted(fiber_of, fiber_of)
         return np.where(first == np.arange(len(rows)), 0.0, _amax(gammas - gammas[first]))
 
-    return fold(*owned_rows(owners, frames, residuals, errors)).summarize("projectable", tol)
+    return fold(*owned_rows(owners, frames, residuals, errors)).summarize(tol)
 
 
 def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
@@ -716,7 +713,7 @@ def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
         }
 
     s = sweep_frames(setup, points, residuals, keys=("premise", "statistical", "identity"))
-    return s.summarize("induced_statistical", tol, keys=("statistical", "identity"),
+    return s.summarize(tol, keys=("statistical", "identity"),
                        details={"premise_residual": s.worst["premise"],
                                 "proof_identity_residual": s.worst["identity"]},
                        premise=s.worst["premise"])

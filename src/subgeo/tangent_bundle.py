@@ -31,11 +31,10 @@ import numpy as np
 
 from . import geometry
 from .fields import (ChartedManifold, ConnectionField, DualConnection, ExprField, MetricField,
-                     Space, _Entry, _FieldStack, batch_parts)
+                     Space, _Entry, _FieldStack)
 from .results import CheckResult, peak, sweep_rows
-from .submersion import (CONDITIONS, SubmersionSetup, _amax, _cov_deriv, check_affine_hd,
-                         check_semi_riemannian, four_conditions_at, four_conditions_details,
-                         lemma_components, sweep_frames)
+from .submersion import (CONDITIONS, SubmersionSetup, _amax, _cov_deriv, four_conditions_at,
+                         four_conditions_details, lemma_components, sweep_frames)
 
 # -- parts: a quantity with its partials on the bundle chart -------------------
 
@@ -89,8 +88,8 @@ def _base_parts(base: Space, points, order: int):
     A^l_k = u^j Gamma^l_jk at bundle points, on the bundle chart."""
     n = base.dim
     x = points[:, :n]
-    g = _embed(batch_parts(base.metric, x, order), n)
-    gamma = _embed(batch_parts(base.conn, x, order), n)
+    g = _embed(base.metric.batch(x, order), n)
+    gamma = _embed(base.conn.batch(x, order), n)
     return g, _product("j,ljk->lk", _velocity(points, n, order), gamma)
 
 
@@ -153,7 +152,7 @@ class CompleteMetric(_LiftedMetric):
 
     def _batch(self, points, order):
         n = self.base.dim
-        base = batch_parts(self.base.metric, points[:, :n], order + 1)
+        base = self.base.metric.batch(points[:, :n], order + 1)
         g, dg = _embed(base[:-1], n), _embed(base[1:], n)
         return _blocks(_product("k,kij->ij", _velocity(points, n, order), dg), g, g)
 
@@ -172,7 +171,7 @@ class _LiftedConnection(ConnectionField):
 
     def _batch(self, points, order):
         n = self.n
-        base = batch_parts(self.base_conn, points[:, :n], order + 1)
+        base = self.base_conn.batch(points[:, :n], order + 1)
         gamma, dgamma = _embed(base[:-1], n), _embed(base[1:], n)
         u_row = self._u_row(_velocity(points, n, order), gamma, dgamma)
         out = []
@@ -294,8 +293,8 @@ def defining_rule_residuals(bundle: TangentBundle, points) -> dict:
     x = np.asarray(points, dtype=float).reshape(len(points), 2 * n)
     base = x[:, :n]
     u = _velocity(x, n, 1)
-    g, dg = bundle.base.metric.batch(base)
-    gamma = batch_parts(bundle.base.conn, base, 1)
+    g, dg = bundle.base.metric.batch(base, 1)
+    gamma = bundle.base.conn.batch(base, 1)
     a = _product("j,ljk->lk", u, _embed(gamma, n))
     eye = np.broadcast_to(np.eye(n), a[0].shape)
     zero = np.zeros_like(a[0])
@@ -307,16 +306,16 @@ def defining_rule_residuals(bundle: TangentBundle, points) -> dict:
         return np.swapaxes(left, -1, -2) @ metric @ right
 
     out = {}
-    gs = bundle.sasaki_metric.batch(x, 0)
+    gs = bundle.sasaki_metric.batch(x, 0)[0]
     out["sasaki_hh"] = _amax(gram(h_cols, gs, h_cols) - g)
     out["sasaki_hv"] = _amax(gram(h_cols, gs, v_cols))
     out["sasaki_vv"] = _amax(gram(v_cols, gs, v_cols) - g)
-    gh = bundle.horizontal_metric.batch(x, 0)
+    gh = bundle.horizontal_metric.batch(x, 0)[0]
     out["horizontal_hh"] = _amax(gram(h_cols, gh, h_cols))
     out["horizontal_hv"] = _amax(gram(h_cols, gh, v_cols) - g)
     out["horizontal_vv"] = _amax(gram(v_cols, gh, v_cols))
     xf, yf = (_FieldStack(fields, n)(base, 2) for fields in _test_vector_fields(n))
-    gc = bundle.complete_metric.batch(x, 0)
+    gc = bundle.complete_metric.batch(x, 0)[0]
     out["complete_cc"] = _amax(gram(c_cols, gc, c_cols) - np.einsum("pk,pkij->pij", u[0], dg))
     out["complete_cv"] = _amax(gram(c_cols, gc, v_cols) - g)
     out["complete_vv"] = _amax(gram(v_cols, gc, v_cols))
@@ -334,12 +333,12 @@ def defining_rule_residuals(bundle: TangentBundle, points) -> dict:
     xh = _vector_lift("h", xf, u, a, n)[0]
     yv = _vector_lift("v", yf, u, a, n)[:2]
     yh = _vector_lift("h", yf, u, a, n)[:2]
-    gam = bundle.complete_conn.batch(x)
+    gam = bundle.complete_conn.batch(x, 0)[0]
     out["cc_cc"] = _amax(_cov_deriv(gam, xc[0], yc) - covc)
     out["cc_cv"] = _amax(_cov_deriv(gam, xc[0], yv) - covv)
     out["cc_vc"] = _amax(_cov_deriv(gam, xv, yc) - covv)
     out["cc_vv"] = _amax(_cov_deriv(gam, xv, yv))
-    gam = bundle.horizontal_conn.batch(x)
+    gam = bundle.horizontal_conn.batch(x, 0)[0]
     out["hc_hh"] = _amax(_cov_deriv(gam, xh, yh) - covh)
     out["hc_hv"] = _amax(_cov_deriv(gam, xh, yv) - covv)
     out["hc_vh"] = _amax(_cov_deriv(gam, xv, yh))
@@ -349,21 +348,7 @@ def defining_rule_residuals(bundle: TangentBundle, points) -> dict:
 
 def check_defining_rules(bundle: TangentBundle, points, tol) -> CheckResult:
     s = sweep_rows(points, 2 * bundle.n, lambda x: defining_rule_residuals(bundle, x))
-    return s.summarize("tb_defining_rules", tol, details=s.worst)
-
-
-def prop41_check(bundle: TangentBundle, points, tol) -> CheckResult:
-    """(TM, complete lift) over (M, nabla) is affine with lifted frames."""
-    out = check_affine_hd(bundle.setup, points, tol)
-    out.name = "prop41"
-    return out
-
-
-def prop42_check(bundle: TangentBundle, points, tol) -> CheckResult:
-    """(TM, Sasaki metric) over (M, g) preserves horizontal lengths."""
-    out = check_semi_riemannian(bundle.setup, points, tol)
-    out.name = "prop42"
-    return out
+    return s.summarize(tol, details=s.worst)
 
 
 # the bundle components cst1..cst6 are the lemma components cs7..cs11, cs6
@@ -389,7 +374,7 @@ def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
     details = four_conditions_details(s, tol)
     details.update((k, s.worst[k]) for k in TM_COMPONENTS)
     conditions_max = peak(s.worst[k] for k in CONDITIONS)
-    return s.biconditional("tm_statistical", conditions_max, s.worst["total_space"], tol,
+    return s.biconditional(conditions_max, s.worst["total_space"], tol,
                            details, max_residual=conditions_max)
 
 
@@ -405,7 +390,7 @@ def remark_complete_check(bundle: TangentBundle, points, tol) -> CheckResult:
         }
 
     s = sweep_rows(points, 2 * bundle.n, residuals, keys=("premise", "statistical"))
-    return s.summarize("remark_complete_metric", tol, keys=("statistical",),
+    return s.summarize(tol, keys=("statistical",),
                        details={"premise_residual": s.worst["premise"]},
                        premise=s.worst["premise"])
 
@@ -417,9 +402,9 @@ def remark_dual_check(bundle: TangentBundle, points, tol) -> CheckResult:
         DualConnection(bundle.base.conn, bundle.base.metric), bundle.n)
 
     def residuals(x):
-        return {"remark_dual_complete": _amax(lifted_dual.batch(x) - dual_lifted.batch(x))}
+        return {"commute": _amax(lifted_dual.batch(x, 0)[0] - dual_lifted.batch(x, 0)[0])}
 
-    return sweep_rows(points, 2 * bundle.n, residuals).summarize("remark_dual_complete", tol)
+    return sweep_rows(points, 2 * bundle.n, residuals).summarize(tol)
 
 
 def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
@@ -441,7 +426,7 @@ def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
     left, right = s.worst["bundle"], s.worst["base"]
     left_pass, right_pass = left <= tol, right <= tol
     return s.biconditional(
-        "remark_horizontal", left, right, tol,
+        left, right, tol,
         details={"bundle_residual": left, "base_nabla_g": right,
                  "bundle_pass": left_pass, "base_metric_pass": right_pass},
         max_residual=peak((left, right)) if left_pass == right_pass else min(left, right),

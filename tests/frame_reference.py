@@ -191,7 +191,7 @@ def fiber_points(setup, anchor, count: int):
     "no convergence".  A start that raises propagates its error."""
     piv, free = setup.pivot_pattern()
     box = setup.total.chart.box
-    b = setup._pi_stack.values([anchor])[0]
+    b = setup.project([anchor])[0]
     points, outcomes = [], []
     for k in range(count):
         x = [float(v) for v in anchor]
@@ -210,10 +210,10 @@ def fiber_points(setup, anchor, count: int):
 
 def _newton_fiber(setup, x, b, piv):
     for _ in range(NEWTON_MAX_ITER):
-        res = setup._pi_stack.values([x])[0] - b
+        res = setup.project([x])[0] - b
         if np.max(np.abs(res)) <= NEWTON_TOL:
             return tuple(x), "found"
-        jac = setup._pi_stack([x], 1)[1][0].T[:, list(piv)]
+        jac = setup._pi_stack(np.array([x], dtype=float), 1)[1][0].T[:, list(piv)]
         try:
             step = solve_linear(jac[None], -res[None])[0]
         except SingularMatrix:

@@ -267,8 +267,8 @@ def _alpha_coeffs(self, point, order):
 
 def _sum_coeffs(self, point, order):
     n = self.dim
-    a = coeff_jets(self.parts[0], point, order)
-    b = coeff_jets(self.parts[1], point, order)
+    a = coeff_jets(self.terms[0], point, order)
+    b = coeff_jets(self.terms[1], point, order)
     return [
         [[a[k][i][j] + b[k][i][j] for j in range(n)] for i in range(n)]
         for k in range(n)

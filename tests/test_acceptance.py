@@ -150,8 +150,8 @@ def test_criterion_7_bundle_propositions():
     for name in BUNDLE_NAMES:
         scenario = builtins.build(name)
         p = pts(scenario, 32)
-        r1 = tb.prop41_check(scenario.bundle, p, 1e-8)
-        r2 = tb.prop42_check(scenario.bundle, p, 1e-8)
+        r1 = sm.check_affine_hd(scenario.bundle.setup, p, 1e-8)
+        r2 = sm.check_semi_riemannian(scenario.bundle.setup, p, 1e-8)
         ok = ok and r1.status == "pass" and r2.status == "pass"
         worst = max(worst, r1.max_residual, r2.max_residual)
     verdict(7, ok and worst <= 1e-8,

@@ -21,7 +21,7 @@ from subgeo import builtins, exprlang, runner
 from subgeo.config import parse_config
 from subgeo.errors import ContractViolation, EvalDomain
 from subgeo.exprlang import compile_batched, eval_jet, parse
-from subgeo.fields import DualConnection, FDField, MetricField, batch_parts
+from subgeo.fields import DualConnection, FDField, MetricField
 from subgeo.jets import Jet
 from subgeo.tangent_bundle import TangentBundle
 
@@ -51,11 +51,6 @@ def close_each(a, b):
 def _box_points(box, unit):
     lo, hi = np.array(box).T
     return lo + np.array(unit)[:, :len(box)] * (hi - lo)
-
-
-def _parts(fld, pts, order):
-    out = fld.batch(pts, order)
-    return (out,) if order == 0 else out
 
 
 @pytest.mark.parametrize("text", RATIONAL + TRANSCENDENTAL)
@@ -111,9 +106,9 @@ def test_equal_programs_compile_their_source_once(monkeypatch):
 
 def test_shared_subexpressions_give_each_output():
     asts = [parse(t, 3) for t in ("1/x3^2", "0", "2/x3^2", "1/x3^2")]
-    values, grads = compile_batched(asts)(_points(5))
+    values, grads = compile_batched(asts)(_points(5), 1)
     for e, ast_ in enumerate(asts):
-        alone_v, alone_g = compile_batched([ast_])(_points(5))
+        alone_v, alone_g = compile_batched([ast_])(_points(5), 1)
         assert np.array_equal(values[:, e], alone_v[:, 0])
         assert np.array_equal(grads[:, :, e], alone_g[:, :, 0])
 
@@ -128,7 +123,7 @@ def test_batched_domain_errors_name_the_first_bad_point():
             compile_batched([parse("1/(x2 - 2)", 2)])(pts, order)
         assert e.value.point == (-1.0, 2.0)
     with pytest.raises(ContractViolation):
-        compile_batched([parse("x2", 2)])(np.ones((3, 1)))
+        compile_batched([parse("x2", 2)])(np.ones((3, 1)), 1)
     with pytest.raises(ContractViolation):
         compile_batched([parse("x2", 2)])(np.ones((3, 2)), 4)
 
@@ -137,7 +132,7 @@ def test_overflow_is_a_domain_error_on_both_paths():
     ast_ = parse("exp(x2^3)", 2)
     pts = np.array([[0.0, 1.0], [0.0, 30.0], [0.0, 40.0]])
     with pytest.raises(EvalDomain) as e:
-        compile_batched([ast_])(pts)
+        compile_batched([ast_])(pts, 1)
     assert e.value.point == (0.0, 30.0)
     with pytest.raises(EvalDomain) as e:
         eval_jet(ast_, (0.0, 30.0), 1)
@@ -205,8 +200,8 @@ SPACES = _spaces()
 def test_batched_rows_match_per_point_values(which, unit):
     label, box, metric, conn = SPACES[which]
     pts = _box_points(box, unit)
-    g, dg = metric.batch(pts)
-    gamma = conn.batch(pts)
+    g, dg = metric.batch(pts, 1)
+    (gamma,) = conn.batch(pts, 0)
     gamma1, dgamma = conn.batch(pts, 1)
     assert np.array_equal(gamma1, gamma), label
     for k, p in enumerate(pts):
@@ -259,7 +254,7 @@ def _reference(fld, p, order):
 def test_every_field_batch_matches_the_jet_reference_at_every_order(label, box, fld, top):
     pts = _box_points(box, np.random.default_rng(3).uniform(0.0, 1.0, size=(4, 6)))
     for order in range(top + 1):
-        parts = _parts(fld, pts, order)
+        parts = fld.batch(pts, order)
         assert len(parts) == order + 1
         for k, p in enumerate(pts):
             for m, (part, want) in enumerate(zip(parts, _reference(fld, p, order))):
@@ -273,7 +268,7 @@ def _central(fld, pts, order, a, step):
     """Central difference along coordinate a of the order-``order`` part."""
     shift = np.zeros(pts.shape[1])
     shift[a] = step
-    hi, lo = _parts(fld, pts + shift, order)[order], _parts(fld, pts - shift, order)[order]
+    hi, lo = fld.batch(pts + shift, order)[order], fld.batch(pts - shift, order)[order]
     return (hi - lo) / (2.0 * step)
 
 
@@ -284,7 +279,7 @@ def _central(fld, pts, order, a, step):
 def test_higher_partials_match_central_differences(label, box, fld, top):
     pts = _box_points(box, np.random.default_rng(1).uniform(0.1, 0.9, size=(8, 6)))
     for order in range(max(1, top - 1), top + 1):
-        top_part = _parts(fld, pts, order)[order]
+        top_part = fld.batch(pts, order)[order]
         for a in range(pts.shape[1]):
             central = _central(fld, pts, order - 1, a, 1e-5)
             assert np.abs(central - top_part[:, a]).max() < 1e-6, (order, a)
@@ -300,7 +295,7 @@ def test_order1_partials_match_central_differences(label, box, conn):
     for a in range(pts.shape[1]):
         shift = np.zeros(pts.shape[1])
         shift[a] = step
-        central = (conn.batch(pts + shift) - conn.batch(pts - shift)) / (2.0 * step)
+        central = (conn.batch(pts + shift, 0)[0] - conn.batch(pts - shift, 0)[0]) / (2.0 * step)
         assert np.abs(central - dgamma[:, a]).max() < 1e-6, (label, a)
 
 
@@ -311,7 +306,7 @@ def test_order2_metric_rows_match_per_point_jets():
                         (bundle.chart.box, bundle.sasaki_metric)):
         pts = _box_points(box, np.random.default_rng(2).uniform(0.0, 1.0, size=(5, 6)))
         g, dg, d2g = metric.batch(pts, 2)
-        assert np.array_equal(dg, metric.batch(pts)[1])
+        assert np.array_equal(dg, metric.batch(pts, 1)[1])
         for k, p in enumerate(pts):
             g_ref, _, d2g_ref = jet_parts(matrix_jets(metric, p, 2), 2)
             assert close_each(g[k], g_ref)
@@ -331,7 +326,7 @@ def test_fd_field_rows_match_the_per_point_stencil():
         for fld in fields:
             assert isinstance(fld, FDField)
             for order in range(3):
-                parts = _parts(fld, pts, order)
+                parts = fld.batch(pts, order)
                 for k, p in enumerate(pts):
                     for part, want in zip(parts, jet_parts(scalar_jet(fld, p, order), order)):
                         assert np.array_equal(part[k], want), (name, order)
@@ -372,7 +367,7 @@ def test_fd_crosscheck_probes_reach_the_pinned_orders(name, mode, monkeypatch):
     reached = []
 
     class Recording(FDField):
-        def batch(self, points, order=1):
+        def batch(self, points, order):
             reached[-1] = order
             return super().batch(points, order)
 
@@ -404,7 +399,7 @@ def test_fd_crosscheck_probes_reach_the_pinned_orders(name, mode, monkeypatch):
 
 # -- structure -------------------------------------------------------------------
 
-JET_MODULES = ("jets.py", "exprlang.py", "__init__.py")
+JET_MODULES = ("jets.py", "exprlang.py")
 
 
 def test_only_the_reference_modules_use_jets_and_no_field_caches():
@@ -444,7 +439,7 @@ def test_an_empty_point_stack_is_an_empty_batch(name):
     empty = np.zeros((0, scenario.dim))
     for fld in (scenario.space.metric, scenario.space.conn):
         for order in range(fld.max_order + 1):
-            parts = batch_parts(fld, empty, order)
+            parts = fld.batch(empty, order)
             assert [part.shape[0] for part in parts] == [0] * (order + 1), (fld, order)
     if scenario.setup is not None:
         for rank_test in (True, False):
@@ -472,6 +467,6 @@ def test_lifted_fields_declare_the_order_they_reach(name):
     for fld, order in want.items():
         assert fld.max_order == fld.entry_fields()[1][1].max_order == order, fld
         for k in range(order + 1):
-            batch_parts(fld, center, k)
+            fld.batch(center, k)
         with pytest.raises(ContractViolation, match=rf"must be in 0\.\.{order}, got {order + 1}$"):
             fld.batch(center, order + 1)

@@ -350,22 +350,33 @@ def test_dual_conformal_pair_with_too_few_points_is_inconclusive():
     assert check["status"] == "inconclusive"
 
 
-BUNDLE_CHECK_NAMES = ("prop41", "prop42", "remark_complete_metric", "remark_dual_complete",
-                      "remark_horizontal", "tb_defining_rules", "tm_statistical")
+@pytest.mark.parametrize("target", ["hyperbolic:3", "tangent_bundle_of:euclidean:2"])
+def test_a_report_has_one_row_per_requested_check_under_its_name(target):
+    # every check requested, in reverse order: the rows come back sorted
+    names = sorted(runner.CHECK_TABLE)
+    cfg = config.parse_config({"builtin": target, "checks": names[::-1],
+                               "sampling": {"count": 8, "seed": 0}})
+    rows = runner.run_suite(cfg)["checks"]
+    assert [row["name"] for row in rows] == names
+    assert [row["paper_ref"] for row in rows] == [runner.CHECK_TABLE[n].paper_ref for n in names]
 
 
-def test_every_driver_reports_the_name_of_its_check():
-    # called directly, so the runner's renaming cannot hide a stray name
-    assert set(BUNDLE_CHECK_NAMES) < set(runner.CHECK_TABLE)
-    scenarios = {}
-    for key, spec in sorted(runner.CHECK_TABLE.items()):
-        target = ("tangent_bundle_of:euclidean:2" if key in BUNDLE_CHECK_NAMES
-                  else "hyperbolic:3")
-        if target not in scenarios:
-            scenario = config.build_scenario(config.parse_config({"builtin": target}))
-            scenarios[target] = (scenario, runner.RunContext(scenario, 8, 0))
-        result = spec.driver(*scenarios[target], key, spec.tolerance)
-        assert result.name == key
+@pytest.mark.parametrize("checks", [
+    ["is_statistical", {"name": "is_statistical", "tolerance": 1e-3}],
+    ["is_statistical", "dual_involution", "is_statistical"],
+])
+def test_a_check_listed_twice_is_a_config_error(tmp_path, capsys, checks):
+    cfg = write_cfg(tmp_path, {"builtin": "euclidean:2", "checks": checks})
+    assert cli.main(["verify", cfg]) == 2
+    assert "'is_statistical' is listed more than once" in capsys.readouterr().err
+
+
+def test_an_inline_config_without_checks_is_a_config_error(tmp_path, capsys):
+    # an inline manifold has no default menu: running nothing is not a pass
+    cfg = write_cfg(tmp_path, {"manifold": {"dim": 2, "box": [[-1, 1], [0.5, 2]],
+                                            "metric": [["1", "0"], ["0", "1"]]}})
+    assert cli.main(["verify", cfg]) == 2
+    assert "no checks to run" in capsys.readouterr().err
 
 
 def test_bad_inline_expression_is_a_config_error(tmp_path, capsys):

@@ -39,12 +39,12 @@ def one(p):
 
 def at(fld, p):
     """A metric's or connection's values at p, row 0 of a one-point batch."""
-    return fld.batch(one(p), 0)[0]
+    return fld.batch(one(p), 0)[0][0]
 
 
 def curvature_at(metric, conn, p):
     """(g, R) at p, each a one-row stack."""
-    return metric.batch(one(p))[0], geometry.curvature_values(*conn.batch(one(p), 1))
+    return metric.batch(one(p), 1)[0], geometry.curvature_values(*conn.batch(one(p), 1))
 
 
 def test_half_plane_christoffel_table():
@@ -144,7 +144,7 @@ def test_statistical_residual_polarity():
     lc = LeviCivitaConnection(g)
     for p in grid_points(HALF_PLANE_BOX, count=5, seed=1):
         cubic = geometry.cubic_values(g, lc, one(p))
-        assert geometry.statistical_residual(lc.batch(one(p)), cubic)[0] < 1e-12
+        assert geometry.statistical_residual(lc.batch(one(p), 0)[0], cubic)[0] < 1e-12
 
     # torsion-free connection with a non-symmetric cubic form
     flat = MetricField.from_exprs([["1", "0"], ["0", "1"]], 2)
@@ -160,14 +160,14 @@ def test_dual_connection_identities():
         conn = AlphaConnection(g, gaussian_cubic_fields(), alpha)
         dual = DualConnection(conn, g)
         for p in grid_points(GAUSS_BOX, count=4, seed=4):
-            gv, dg = g.batch(one(p))
-            gamma, gamma_dual = conn.batch(one(p)), dual.batch(one(p))
+            gv, dg = g.batch(one(p), 1)
+            gamma, gamma_dual = conn.batch(one(p), 0)[0], dual.batch(one(p), 0)[0]
             assert geometry.duality_residual(gv, dg, gamma, gamma_dual)[0] < 1e-11
             # the dual of the alpha connection is the -alpha connection
             minus = AlphaConnection(g, gaussian_cubic_fields(), -alpha)
             assert max_abs(at(dual, p) - at(minus, p)) < 1e-10
             # conjugate formula: conn + dual = 2 * Levi-Civita
-            lc = LeviCivitaConnection(g).batch(one(p))
+            lc = LeviCivitaConnection(g).batch(one(p), 0)[0]
             assert geometry.dual_formula_residual(gamma, gamma_dual, lc)[0] < 1e-10
 
 

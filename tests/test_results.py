@@ -42,7 +42,7 @@ def _summarize(feed, residuals, tol=1e-8):
             raise EvalDomain("no value", point=(0.0,))
         return r
 
-    return feed(residuals, at).summarize("x", tol)
+    return feed(residuals, at).summarize(tol)
 
 
 @pytest.mark.parametrize("residuals", [[0.0, math.nan], [math.nan, 0.0],
@@ -83,10 +83,10 @@ def test_named_residuals_fold_per_key_and_record_the_worst_item():
 def test_a_non_finite_side_fails_a_biconditional():
     for feed in FEEDERS:
         s = feed([0.0], lambda r: r)
-        assert s.biconditional("x", 1.0, 2.0, 1e-8).status == PASS   # both sides fail
-        assert s.biconditional("x", math.nan, 2.0, 1e-8).status == FAIL
-        assert s.biconditional("x", math.nan, math.nan, 1e-8).status == FAIL
-        assert feed([], lambda r: r).biconditional("x", 0.0, 0.0, 1e-8).status == INCONCLUSIVE
+        assert s.biconditional(1.0, 2.0, 1e-8).status == PASS   # both sides fail
+        assert s.biconditional(math.nan, 2.0, 1e-8).status == FAIL
+        assert s.biconditional(math.nan, math.nan, 1e-8).status == FAIL
+        assert feed([], lambda r: r).biconditional(0.0, 0.0, 1e-8).status == INCONCLUSIVE
 
 
 def test_incidents_are_counted_by_kind_and_other_errors_propagate():
@@ -98,11 +98,11 @@ def test_incidents_are_counted_by_kind_and_other_errors_propagate():
         return r
 
     for feed in FEEDERS:
-        res = feed([0.0, -1.0, -2.0, 0.5], at).summarize("x", 1.0)
+        res = feed([0.0, -1.0, -2.0, 0.5], at).summarize(1.0)
         assert res.incidents == 2
         assert res.details["incident_kinds"] == {
             "EvalDomain": {"count": 2, "example": "bad -1.0 at point (-1.0,)"}}
-        clean = feed([0.0, 0.5], at).summarize("x", 1.0)
+        clean = feed([0.0, 0.5], at).summarize(1.0)
         assert "incident_kinds" not in clean.details
         with pytest.raises(KeyError):
             feed([0.0, 2.0], at)
@@ -124,9 +124,9 @@ def test_a_biconditional_below_the_evaluation_floor_is_inconclusive():
         return r
 
     for feed in FEEDERS:
-        assert feed([0.0] * 9 + [None], at).biconditional("x", 0.0, 0.0, 1e-8).status == PASS
+        assert feed([0.0] * 9 + [None], at).biconditional(0.0, 0.0, 1e-8).status == PASS
         s = feed([0.0] * 8 + [None] * 2, at)
-        assert s.biconditional("x", 0.0, 0.0, 1e-8).status == INCONCLUSIVE
+        assert s.biconditional(0.0, 0.0, 1e-8).status == INCONCLUSIVE
 
 
 def _same(a, b) -> bool:

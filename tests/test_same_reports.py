@@ -1,5 +1,6 @@
-"""The report-comparison gate, scripts/same_reports.py, on synthetic cases:
-which differences are rounding and which are real."""
+"""The report-comparison gate, scripts/same_reports.py: on synthetic
+cases, which differences are rounding and which are real; and that its
+incident cases do report incidents."""
 
 import importlib.util
 import json
@@ -7,6 +8,9 @@ import math
 import pathlib
 
 import pytest
+
+from subgeo import runner
+from subgeo.config import parse_config
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "same_reports.py"
 _spec = importlib.util.spec_from_file_location("same_reports", SCRIPT)
@@ -60,3 +64,10 @@ def test_the_rounding_bound_is_relative_above_one(old):
 def test_structural_differences_are_real(old, new):
     real, _ = same_reports.classify(old, new)
     assert real
+
+
+@pytest.mark.parametrize("config", same_reports.INCIDENT_CASES, ids=same_reports.label)
+def test_every_incident_case_reports_an_incident(config):
+    # the gate's incident cases exercise the incident path of the reports
+    report = runner.run_suite(parse_config(config))
+    assert sum(check["incidents"] for check in report["checks"]) >= 1

@@ -116,7 +116,7 @@ def test_always_true_identities_on_all_fixtures(skew, hyp3):
         pts = points_for(setup, 8)
         for fn in (sm.check_split_identities, sm.check_gauss_weingarten):
             res = fn(setup, pts, 1e-9)
-            assert res.status == PASS, (setup.name, res.name, res.max_residual)
+            assert res.status == PASS, (setup.name, fn.__name__, res.max_residual)
 
 
 def test_lemma_components_tight(hyp3):
@@ -512,9 +512,9 @@ def test_column_formulas_match_the_per_index_reference(which):
 
 
 ZERO_FIBER_VACUOUS = {
-    "lemma_components": ("cs7", "cs8", "cs9", "cs10", "cs11"),
-    "four_conditions": ("condition1", "condition2", "condition3"),
-    "gauss_weingarten": ("vert_vert", "vert_horiz", "horiz_vert"),
+    sm.check_lemma_components: ("cs7", "cs8", "cs9", "cs10", "cs11"),
+    sm.four_conditions_check: ("condition1", "condition2", "condition3"),
+    sm.check_gauss_weingarten: ("vert_vert", "vert_horiz", "horiz_vert"),
 }
 
 
@@ -524,11 +524,11 @@ def test_zero_fiber_results_on_every_frame_check():
     setup = self_projection()
     pts = points_for(setup, 8)
     for check in FRAME_CHECKS + (sm.check_projectable,):
-        res = check(setup, pts, 1e-8)
-        assert (res.status, res.samples, res.incidents) == (PASS, 8, 0), res.name
-        assert res.max_residual <= 2e-15, res.name
-        for key in ZERO_FIBER_VACUOUS.get(res.name, ()):
-            assert res.details[key] == 0.0, (res.name, key)
+        res, name = check(setup, pts, 1e-8), check.__name__
+        assert (res.status, res.samples, res.incidents) == (PASS, 8, 0), name
+        assert res.max_residual <= 2e-15, name
+        for key in ZERO_FIBER_VACUOUS.get(check, ()):
+            assert res.details[key] == 0.0, (name, key)
     assert sm.check_projectable(setup, pts, 1e-8).max_residual == 0.0
 
 

@@ -14,7 +14,7 @@ from subgeo import tangent_bundle as tb
 from subgeo import submersion as sm
 from subgeo.config import parse_config
 from subgeo.errors import EvalDomain
-from subgeo.fields import ExprConnection, ExprField, _FieldStack, batch_parts
+from subgeo.fields import ExprConnection, ExprField, _FieldStack
 from subgeo.results import FAIL, PASS
 from subgeo.sampling import sample_box
 from subgeo.submersion import _bracket
@@ -39,10 +39,9 @@ def bundle_points(bundle, count=8, seed=13):
     return sample_box(bundle.chart.box, count, seed)
 
 
-def at(field, p, order=0):
-    """Row 0 of a one-point batch: the values at order 0, else the parts."""
-    out = field.batch(np.array([p], dtype=float), order)
-    return out[0] if order == 0 else tuple(part[0] for part in out)
+def at(field, p):
+    """The values of a field at p: row 0 of a one-point batch."""
+    return field.batch(np.array([p], dtype=float), 0)[0][0]
 
 
 def base_parts(components, p, n, order=2):
@@ -56,7 +55,7 @@ def lift(kind, components, conn, p, order=2):
     n = len(components)
     x = np.array([p], dtype=float)
     u = tb._velocity(x, n, 1)
-    a = tb._product("j,ljk->lk", u, tb._embed(batch_parts(conn, x[:, :n], 1), n))
+    a = tb._product("j,ljk->lk", u, tb._embed(conn.batch(x[:, :n], 1), n))
     return tuple(part[0] for part in tb._vector_lift(kind, base_parts(components, p, n, order),
                                                     u, a, n))
 
@@ -66,13 +65,13 @@ def complete_function(f, p, order=2):
     n = len(p) // 2
     x = np.array([p], dtype=float)
     return tuple(part[0] for part in tb._complete_function(
-        batch_parts(f, x[:, :n], order), tb._velocity(x, n, 1), n))
+        f.batch(x[:, :n], order), tb._velocity(x, n, 1), n))
 
 
 def test_function_lifts_one_dim():
     f = ExprField.parse("x1^2", 1)
     # f^v forgets the fiber, f^c is u * f'
-    fv = tb._embed(batch_parts(f, np.array([[1.5]]), 1), 1)
+    fv = tb._embed(f.batch(np.array([[1.5]]), 1), 1)
     assert fv[0][0] == pytest.approx(2.25)
     assert fv[1][0] == pytest.approx([3.0, 0.0])
     assert complete_function(f, (1.5, 0.7))[0] == pytest.approx(2.0 * 1.5 * 0.7)
@@ -167,10 +166,9 @@ def test_defining_rules_all_bundles(flat2, hyp2, gauss1):
 def test_prop_checks(flat2, hyp2, gauss1):
     for bundle in (flat2, hyp2, gauss1):
         pts = bundle_points(bundle, 6)
-        assert tb.prop41_check(bundle, pts, 1e-8).status == PASS
-        r42 = tb.prop42_check(bundle, pts, 1e-8)
-        assert r42.status == PASS
-        assert r42.name == "prop42"
+        # prop41 and prop42 are these two checks on the bundle projection
+        assert sm.check_affine_hd(bundle.setup, pts, 1e-8).status == PASS
+        assert sm.check_semi_riemannian(bundle.setup, pts, 1e-8).status == PASS
 
 
 def test_tm_statistical_biconditional(flat2, hyp2):
