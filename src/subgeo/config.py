@@ -40,7 +40,7 @@ class SuiteConfig:
     builtin: str | None
     manifold: dict | None
     submersion: dict | None
-    checks: list           # list of (name, tolerance-or-None)
+    checks: list | None    # list of (name, tolerance-or-None); None: the builtin's menu
     count: int
     seed: int
     boxes: tuple | None
@@ -176,9 +176,9 @@ def _parse_box(obj, where: str) -> tuple:
     return tuple(out)
 
 
-def _parse_checks(obj) -> list:
+def _parse_checks(obj) -> list | None:
     if obj is None:
-        return []
+        return None
     if not isinstance(obj, list):
         raise ConfigError("'checks' must be a list")
     from . import runner  # late import; the registry lives there

@@ -118,14 +118,16 @@ class ConstField(ScalarField):
 
 
 class FDField(ScalarField):
-    """Central differences of another field's values, orders 0..2; the
-    step scales with the coordinate size.
+    """Central differences of another field's values, orders 0..2, entry
+    by entry: the inner field is a scalar field, a metric or a
+    connection, and each part carries its entry axes after the
+    derivative axes.  The step scales with the coordinate size.
 
     All stencil nodes of all points are evaluated in one order-0 call of
     the inner field.
     """
 
-    def __init__(self, inner: ScalarField):
+    def __init__(self, inner: Field):
         self.inner = inner
         self.dim = inner.dim
 
@@ -157,39 +159,29 @@ class FDField(ScalarField):
                 hj = h_hess[:, j]
                 hess_nodes[i, j] = (node((i, hi), (j, hj)), node((i, hi), (j, -hj)),
                                     node((i, -hi), (j, hj)), node((i, -hi), (j, -hj)))
-        f = self.inner.batch(np.concatenate(nodes), 0)[0].reshape(len(nodes), len(points))
+        f = self.inner.batch(np.concatenate(nodes), 0)[0]
+        entry = f.shape[1:]
+        f = f.reshape((len(nodes), len(points)) + entry)
+        pad = (1,) * len(entry)  # broadcasts a point's steps over its entries
         val = f[0]
         out = (val,)
         if order >= 1:
-            grad = np.empty(points.shape)
+            grad = np.empty(points.shape + entry)
+            h = h_grad.reshape(h_grad.shape + pad)
             for i, (plus, minus) in enumerate(grad_nodes):
-                grad[:, i] = (f[plus] - f[minus]) / (2.0 * h_grad[:, i])
+                grad[:, i] = (f[plus] - f[minus]) / (2.0 * h[:, i])
             out += (grad,)
         if order >= 2:
-            hess = np.empty(points.shape + (n,))
-            squares = np.array([h**2 for h in h_hess.ravel().tolist()]).reshape(h_hess.shape)
+            hess = np.empty(points.shape + (n,) + entry)
+            squares = np.array([h**2 for h in h_hess.ravel().tolist()]).reshape(h_hess.shape + pad)
             for (i, j), k in hess_nodes.items():
                 if i == j:
                     hess[:, i, i] = (f[k[0]] - 2.0 * val + f[k[1]]) / squares[:, i]
                 else:
-                    step = 4.0 * h_hess[:, i] * h_hess[:, j]
+                    step = (4.0 * h_hess[:, i] * h_hess[:, j]).reshape((len(points),) + pad)
                     hess[:, i, j] = hess[:, j, i] = (f[k[0]] - f[k[1]] - f[k[2]] + f[k[3]]) / step
             out += (hess,)
         return out
-
-
-class _Entry(ScalarField):
-    """Entry ``index`` of a metric or connection as a scalar field, read
-    from its parent's batch, to its parent's order."""
-
-    def __init__(self, parent, index):
-        self.parent = parent
-        self.index = tuple(index)
-        self.dim = parent.dim
-        self.max_order = parent.max_order
-
-    def _batch(self, points, order):
-        return tuple(part[(Ellipsis,) + self.index] for part in self.parent.batch(points, order))
 
 
 class _FieldStack:
@@ -238,13 +230,13 @@ def _as_points(points, dim: int) -> np.ndarray:
     return points
 
 
-def make_scalar(source, dim: int, mode: str = "jet", bundle: bool = False) -> ScalarField:
+def make_scalar(source, dim: int, mode: str = "jet") -> ScalarField:
     """Build a leaf field from text/AST/number, honouring the derivative mode."""
     if isinstance(source, ScalarField):
         return source
     if isinstance(source, (int, float)):
         return ConstField(float(source), dim)
-    ast = exprlang.parse(source, dim, bundle=bundle) if isinstance(source, str) else source
+    ast = exprlang.parse(source, dim) if isinstance(source, str) else source
     leaf = ExprField(ast, dim)
     return FDField(leaf) if mode == "fd" else leaf
 
@@ -274,9 +266,9 @@ class MetricField(Field):
         self._stack = _FieldStack([self.entry(i, j) for i in range(dim) for j in range(dim)], dim)
 
     @classmethod
-    def from_exprs(cls, rows, dim: int, mode: str = "jet", bundle: bool = False) -> "MetricField":
+    def from_exprs(cls, rows, dim: int, mode: str = "jet") -> "MetricField":
         fields = [
-            [make_scalar(rows[i][j], dim, mode, bundle) for j in range(dim)]
+            [make_scalar(rows[i][j], dim, mode) for j in range(dim)]
             for i in range(dim)
         ]
         return cls(dim, fields)
@@ -284,9 +276,9 @@ class MetricField(Field):
     def entry(self, i: int, j: int) -> ScalarField:
         return self._entries[(i, j) if i <= j else (j, i)]
 
-    def entry_fields(self):
-        """(label, field) pairs of the upper entries, for derivative cross-checks."""
-        return [(f"{self.label}_{i + 1}{j + 1}", self.entry(i, j))
+    def entries(self):
+        """(label, index) pairs of the upper entries, for derivative cross-checks."""
+        return [(f"{self.label}_{i + 1}{j + 1}", (i, j))
                 for i in range(self.dim) for j in range(i, self.dim)]
 
     def _batch(self, points, order):
@@ -304,21 +296,21 @@ class ConnectionField(Field):
 
     max_order = 2
 
-    def entry_fields(self):
-        """(label, field) pairs of every coefficient, for derivative cross-checks."""
+    def entries(self):
+        """(label, index) pairs of every coefficient, for derivative cross-checks."""
         n = self.dim
-        return [(f"Gamma^{k + 1}_{i + 1}{j + 1}", _Entry(self, (k, i, j)))
+        return [(f"Gamma^{k + 1}_{i + 1}{j + 1}", (k, i, j))
                 for k in range(n) for i in range(n) for j in range(n)]
 
 
 class ExprConnection(ConnectionField):
     max_order = 3
 
-    def __init__(self, dim: int, coeff_sources, mode: str = "jet", bundle: bool = False):
+    def __init__(self, dim: int, coeff_sources, mode: str = "jet"):
         self.dim = dim
         fields = [
             [
-                [make_scalar(coeff_sources[k][i][j], dim, mode, bundle) for j in range(dim)]
+                [make_scalar(coeff_sources[k][i][j], dim, mode) for j in range(dim)]
                 for i in range(dim)
             ]
             for k in range(dim)

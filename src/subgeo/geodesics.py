@@ -197,7 +197,7 @@ def geodesic_residual(conn: ConnectionField, traj: Trajectory) -> float:
 
 def energy_drift(metric: MetricField, traj: Trajectory) -> float:
     """Relative drift of g(sigma', sigma') along the curve."""
-    g, _ = metric.batch(traj.xs, 1)
+    (g,) = metric.batch(traj.xs, 0)
     e = np.einsum("pi,pij,pj->p", traj.vs, g, traj.vs)
     return float(np.max(np.abs(e - e[0])) / max(abs(e[0]), 1e-30))
 

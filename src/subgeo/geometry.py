@@ -121,7 +121,7 @@ def check_curvature_duality(conn: ConnectionField, metric: MetricField, points, 
 
 def check_constant_curvature(conn: ConnectionField, metric: MetricField, k: float, points, tol):
     def residuals(x):
-        g, _ = metric.batch(x, 1)
+        (g,) = metric.batch(x, 0)
         r = curvature_values(*conn.batch(x, 1))
         return {"model": constant_curvature_residual(g, r, k)}
 

@@ -1,5 +1,8 @@
-"""Check outcomes, the one fold that every check's residuals go through,
-the row-by-row rebuild of a failing batch, and items owning its rows."""
+"""Check outcomes and the one fold that every check's residuals go
+through, with what feeds it: the row-by-row rebuild of a failing batch
+(:func:`build_rows`), items owning several rows of one batch
+(:func:`owned_rows`), and values computed item by item
+(:func:`collect`)."""
 
 from __future__ import annotations
 
@@ -195,17 +198,6 @@ def collect(items, value_at):
         except SubgeoError as exc:
             errors[index] = exc
     return values, errors
-
-
-def sweep(items, residual_at, keys=()) -> Sweep:
-    """:func:`fold` of ``residual_at(item)``, a float or a dict of named
-    residuals, over items that are not batch rows: derivative probes and
-    curve energies (:func:`collect` gives the incidents)."""
-    values, errors = collect(items, residual_at)
-    values = list(values.values())
-    if values and isinstance(values[0], dict):
-        values = {k: [v[k] for v in values] for k in values[0]}
-    return fold(values, errors, keys)
 
 
 def owned_rows(owners, batch, residuals, errors):

@@ -11,6 +11,7 @@ checks never reshuffles anybody else's samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .builtins import Scenario
 from .config import SuiteConfig, build_scenario
 from .errors import ConfigError, ContractViolation, SubgeoError
 from .fields import FDField
-from .results import FAIL, INCONCLUSIVE, PASS, CheckResult, fold, peak, sweep
+from .results import FAIL, INCONCLUSIVE, PASS, CheckResult, build_rows, collect, fold
 from .sampling import sample_box, subseed
 
 FD_PROBES = 16
@@ -97,14 +98,15 @@ def _constant_curvature(scenario, ctx, name, tol):
         scenario.space.conn, scenario.space.metric, scenario.curvature_k, pts, tol)
 
 
-def _probe_field(fld, p) -> float:
-    """Relative batch-vs-stencil disagreement; hessian level when reachable.
+def _disagreement(fld, index, x) -> np.ndarray:
+    """Per row of the stack x, the relative disagreement of entry
+    ``index[row]`` of ``fld``'s batch with central differences of it;
+    hessian level when reachable.
 
     Fields that differentiate their base data (the lifted connections on
     a bundle chart) can exhaust their order budget at hessian depth;
     those fall back to a gradient-level probe.
     """
-    x = np.asarray([p], dtype=float)
     order = 2
     try:
         parts = fld.batch(x, order)
@@ -112,35 +114,48 @@ def _probe_field(fld, p) -> float:
         order = 1
         parts = fld.batch(x, order)
     ref = FDField(fld).batch(x, order)
-    r = float(np.max(np.abs(parts[1] - ref[1]) / (1.0 + np.abs(ref[1]))))
-    if order == 2:
-        dh = float(np.max(np.abs(parts[2] - ref[2]) / (1.0 + np.abs(ref[2]))))
-        r = peak((r, dh))
-    return r
+    at = (np.arange(len(x)), Ellipsis) + tuple(index.T)
+    rel = [np.abs(mine[at] - theirs[at]) / (1.0 + np.abs(theirs[at]))
+           for mine, theirs in zip(parts[1:], ref[1:])]
+    return np.maximum.reduce([r.reshape(len(x), -1).max(axis=1) for r in rel])
+
+
+def _probe_rows(probes):
+    """:func:`fold` inputs of the probes (label, field, entry index, point
+    map, point).  Each run of consecutive probes of one field and point
+    map is one batch (:func:`build_rows`), in which every probe reads its
+    own entry; a probe whose row fails is an incident."""
+    residuals, errors, start = [], {}, 0
+    for (fld, to_point), run in itertools.groupby(probes, lambda probe: (probe[1], probe[3])):
+        run = list(run)
+        index = np.array([probe[2] for probe in run], dtype=int)
+        x = np.array([probe[4] for probe in run])
+        values, failed = build_rows(
+            lambda rows: {"r": _disagreement(fld, index[rows], to_point(x[rows]))},
+            np.arange(len(run)))
+        residuals.append(values.get("r", np.zeros(0)))
+        errors.update((start + row, exc) for row, exc in failed.items())
+        start += len(run)
+    return np.concatenate(residuals), errors
 
 
 def _fd_crosscheck(scenario, ctx, name, tol):
-    total = lambda p: p
-    fields = [(lbl, f, total) for lbl, f in scenario.space.metric.entry_fields()]
-    fields += [(lbl, f, total) for lbl, f in scenario.space.conn.entry_fields()]
-    setup = scenario.setup
+    space, setup = scenario.space, scenario.setup
+    total = lambda x: x
+    targets = [(lbl, space.metric, index, total) for lbl, index in space.metric.entries()]
+    targets += [(lbl, space.conn, index, total) for lbl, index in space.conn.entries()]
     if setup is not None:
-        fields += [(f"pi_{a + 1}", f, total) for a, f in enumerate(setup.pi)]
+        targets += [(f"pi_{a + 1}", f, (), total) for a, f in enumerate(setup.pi)]
         if setup.phi is not None:
-            fields.append(("phi", setup.phi, total))
-        fields += [("base_" + lbl, f, lambda p: setup.project(p[None])[0])
-                   for lbl, f in setup.base.metric.entry_fields()]
+            targets.append(("phi", setup.phi, (), total))
+        targets += [("base_" + lbl, setup.base.metric, index, setup.project)
+                    for lbl, index in setup.base.metric.entries()]
     pts = ctx.points(name)
-    probes = [(*fields[k % len(fields)], pts[k % len(pts)]) for k in range(FD_PROBES)]
-
-    def at(probe):
-        _, fld, to_point, p = probe
-        return _probe_field(fld, to_point(p))
-
-    s = sweep(probes, at)
+    probes = [(*targets[k % len(targets)], pts[k % len(pts)]) for k in range(FD_PROBES)]
+    s = fold(*_probe_rows(probes))
     return s.summarize(tol, details={
-        "fields_probed": min(FD_PROBES, len(fields)),
-        "fields_available": len(fields),
+        "fields_probed": min(FD_PROBES, len(targets)),
+        "fields_available": len(targets),
         "worst_field": "" if s.worst_index is None else probes[s.worst_index][0],
     })
 
@@ -169,9 +184,10 @@ def _geodesic_energy(scenario, ctx, name, tol):
     if not scenario.geodesic_jobs:
         return _missing("geodesic jobs")
     curves = ctx.curves()
-    s = sweep(list(curves.values()),
-              lambda c: geodesics.energy_drift(scenario.space.metric, geodesics.trajectory(c)))
-    return s.summarize(tol, details={"jobs": sorted(curves)})
+    drifts, errors = collect(
+        curves.values(),
+        lambda c: geodesics.energy_drift(scenario.space.metric, geodesics.trajectory(c)))
+    return fold(list(drifts.values()), errors).summarize(tol, details={"jobs": sorted(curves)})
 
 
 def _bundle_driver(fn):
@@ -295,10 +311,9 @@ def _jsonable(value):
 def run_suite(cfg: SuiteConfig) -> dict:
     """Execute the configured checks and assemble the report."""
     scenario = build_scenario(cfg)
-    requested = list(cfg.checks) if cfg.checks else [(n, None) for n in scenario.checks]
+    requested = [(n, None) for n in scenario.checks] if cfg.checks is None else list(cfg.checks)
     if not requested:
-        raise ConfigError(f"no checks to run: {scenario.name} has no default menu; "
-                          "list them under 'checks'")
+        raise ConfigError(f"no checks to run on {scenario.name}: list them under 'checks'")
     ctx = RunContext(scenario, cfg.count, cfg.seed, cfg.boxes)
 
     rows = []

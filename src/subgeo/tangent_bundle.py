@@ -31,7 +31,7 @@ import numpy as np
 
 from . import geometry
 from .fields import (ChartedManifold, ConnectionField, DualConnection, ExprField, MetricField,
-                     Space, _Entry, _FieldStack)
+                     Space, _FieldStack)
 from .results import CheckResult, peak, sweep_rows
 from .submersion import (CONDITIONS, SubmersionSetup, _amax, _cov_deriv, four_conditions_at,
                          four_conditions_details, lemma_components, sweep_frames)
@@ -114,9 +114,6 @@ class _LiftedMetric(MetricField):
         self.base = base
         self.dim = 2 * base.dim
         self.max_order = min(base.metric.max_order, base.conn.max_order)
-
-    def entry(self, i: int, j: int):
-        return _Entry(self, (i, j))
 
 
 class SasakiMetric(_LiftedMetric):

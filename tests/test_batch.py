@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subgeo
-from subgeo import builtins, exprlang, runner
+from subgeo import builtins, exprlang, fields, runner
 from subgeo.config import parse_config
-from subgeo.errors import ContractViolation, EvalDomain
+from subgeo.errors import ContractViolation, EvalDomain, SubgeoError
 from subgeo.exprlang import compile_batched, eval_jet, parse
-from subgeo.fields import DualConnection, FDField, MetricField
+from subgeo.fields import DualConnection, FDField, MetricField, ScalarField
+from subgeo.results import peak
 from subgeo.jets import Jet
 from subgeo.tangent_bundle import TangentBundle
 
@@ -316,20 +317,43 @@ def test_order2_metric_rows_match_per_point_jets():
         metric.batch(pts, 3)
 
 
+class Entry(ScalarField):
+    """Entry ``index`` of a metric or connection as a scalar field, read
+    from its parent's batch, to its parent's order."""
+
+    def __init__(self, parent, index):
+        self.parent = parent
+        self.index = tuple(index)
+        self.dim = parent.dim
+        self.max_order = parent.max_order
+
+    def _batch(self, points, order):
+        return tuple(part[(Ellipsis,) + self.index] for part in self.parent.batch(points, order))
+
+
 def test_fd_field_rows_match_the_per_point_stencil():
-    # all nodes in one order-0 call: each node's arithmetic is unchanged
+    # all nodes in one order-0 call: each node's arithmetic is unchanged,
+    # and over a metric or connection each entry is its own stencil's
     for name in ("hyperbolic:3", "gaussian:alpha=1"):
         sc = builtins.build(name, mode="fd")
-        fields = [f for _, f in sc.space.metric.entry_fields()] + [sc.setup.phi]
+        metric, conn = sc.space.metric, sc.space.conn
+        scalars = [metric.entry(*index) for _, index in metric.entries()] + [sc.setup.phi]
         pts = _box_points(sc.space.chart.box,
                           np.random.default_rng(4).uniform(0.0, 1.0, size=(6, 6)))
-        for fld in fields:
+        for fld in scalars:
             assert isinstance(fld, FDField)
             for order in range(3):
                 parts = fld.batch(pts, order)
                 for k, p in enumerate(pts):
                     for part, want in zip(parts, jet_parts(scalar_jet(fld, p, order), order)):
                         assert np.array_equal(part[k], want), (name, order)
+        entries = [(metric, index, metric.entry(*index)) for _, index in metric.entries()]
+        entries += [(conn, index, Entry(conn, index)) for _, index in conn.entries()]
+        for order in range(3):
+            whole = {fld: FDField(fld).batch(pts, order) for fld in (metric, conn)}
+            for fld, index, entry in entries:
+                for part, want in zip(whole[fld], FDField(entry).batch(pts, order)):
+                    assert np.array_equal(part[(Ellipsis,) + index], want), (name, order, index)
 
 
 # -- the orders fd_crosscheck reaches ------------------------------------------
@@ -364,30 +388,34 @@ def _pinned_order(name, mode, label):
 @pytest.mark.parametrize("mode", ["jet", "fd"])
 @pytest.mark.parametrize("name", BUILTINS)
 def test_fd_crosscheck_probes_reach_the_pinned_orders(name, mode, monkeypatch):
-    reached = []
+    # each run of probes records, per probe, the order its batch reached
+    # or the incident of its row
+    reached, orders = [], []
 
     class Recording(FDField):
         def batch(self, points, order):
-            reached[-1] = order
+            orders.append(order)
             return super().batch(points, order)
 
-    probe = runner._probe_field
+    build_rows = runner.build_rows
 
-    def recording_probe(fld, p):
-        reached.append("ContractViolation")
-        return probe(fld, p)
+    def recording_rows(build, rows):
+        values, errors = build_rows(build, rows)
+        reached.extend(type(errors[row]).__name__ if row in errors else orders[-1]
+                       for row in range(len(rows)))
+        return values, errors
 
     monkeypatch.setattr(runner, "FDField", Recording)
-    monkeypatch.setattr(runner, "_probe_field", recording_probe)
+    monkeypatch.setattr(runner, "build_rows", recording_rows)
     cfg = parse_config({"builtin": name, "mode": mode, "checks": ["fd_crosscheck"],
                         "sampling": {"count": 16, "seed": 0}}, source="<test>")
     scenario = builtins.build(name, mode)
-    labels = [lbl for lbl, _ in scenario.space.metric.entry_fields()]
-    labels += [lbl for lbl, _ in scenario.space.conn.entry_fields()]
+    labels = [lbl for lbl, _ in scenario.space.metric.entries()]
+    labels += [lbl for lbl, _ in scenario.space.conn.entries()]
     if scenario.setup is not None:
         labels += [f"pi_{a + 1}" for a in range(len(scenario.setup.pi))]
         labels += ["phi"] if scenario.setup.phi is not None else []
-        labels += ["base_" + lbl for lbl, _ in scenario.setup.base.metric.entry_fields()]
+        labels += ["base_" + lbl for lbl, _ in scenario.setup.base.metric.entries()]
     check = runner.run_suite(cfg)["checks"][0]
     want = [_pinned_order(name, mode, labels[k % len(labels)]) for k in range(runner.FD_PROBES)]
     assert reached == want
@@ -395,6 +423,87 @@ def test_fd_crosscheck_probes_reach_the_pinned_orders(name, mode, monkeypatch):
     assert check["incidents"] == incidents
     if incidents:
         assert check["details"]["incident_kinds"]["ContractViolation"]["count"] == incidents
+
+
+def one_probe(fld, index, to_point, p) -> float:
+    """The one-probe rule, the reference of fd_crosscheck's batches: the
+    probe's entry alone as a scalar field (a metric's own entry field)
+    on a one-point stack, compared with central differences of it at
+    hessian level, or at gradient level past the field's order."""
+    if index:
+        fld = fld.entry(*index) if type(fld) is MetricField else Entry(fld, index)
+    x = to_point(np.asarray([p], dtype=float))
+    order = 2
+    try:
+        parts = fld.batch(x, order)
+    except ContractViolation:
+        order = 1
+        parts = fld.batch(x, order)
+    ref = FDField(fld).batch(x, order)
+    r = float(np.max(np.abs(parts[1] - ref[1]) / (1.0 + np.abs(ref[1]))))
+    if order == 2:
+        r = peak((r, float(np.max(np.abs(parts[2] - ref[2]) / (1.0 + np.abs(ref[2]))))))
+    return r
+
+
+ORACLE_CASES = [(name, "jet", None) for name in BUILTINS]
+ORACLE_CASES += [(name, "fd", None) for name in BUILTINS
+                 if not name.startswith("tangent_bundle_of:")]
+# a phi probe fails there: log(x2) is undefined at x2 <= 0
+ORACLE_CASES += [("hyperbolic:2", mode, ((-1.0, 1.0), (-1.0, 3.0))) for mode in ("jet", "fd")]
+
+
+@pytest.mark.parametrize("name, mode, boxes", ORACLE_CASES)
+def test_each_batched_probe_matches_the_one_probe_rule(name, mode, boxes, monkeypatch):
+    seen = []
+    probe_rows = runner._probe_rows
+
+    def recording_rows(probes):
+        seen.append((probes, probe_rows(probes)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(runner, "_probe_rows", recording_rows)
+    scenario = builtins.build(name, mode)
+    runner._fd_crosscheck(scenario, runner.RunContext(scenario, 16, 0, boxes),
+                          "fd_crosscheck", 1e-4)
+    ((probes, (residuals, errors)),) = seen
+    got = iter(residuals)
+    for k, (label, fld, index, to_point, p) in enumerate(probes):
+        try:
+            want = one_probe(fld, index, to_point, p)
+        except SubgeoError as exc:
+            assert (type(errors.get(k)), str(errors.get(k))) == (type(exc), str(exc)), label
+            continue
+        assert k not in errors, label
+        r = next(got)
+        assert r == want or (r != r and want != want), (label, r, want)
+    assert next(got, None) is None
+    assert bool(errors) == (boxes is not None)
+
+
+@pytest.mark.parametrize("name", ["hyperbolic:3", "tangent_bundle_of:hyperbolic:2"])
+def test_fd_crosscheck_evaluates_a_run_of_probes_as_one_batch(name, monkeypatch):
+    # the 16 probes are the metric's entries, then the connection's: two
+    # runs, each at most two order attempts and one finite-difference call
+    scenario = builtins.build(name)
+    ctx = runner.RunContext(scenario, 16, 0)
+    calls, depth = [], [0]
+    batch = fields.Field.batch
+
+    def counting(self, points, order):
+        if not depth[0]:
+            calls.append(isinstance(self, FDField))
+        depth[0] += 1
+        try:
+            return batch(self, points, order)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fields.Field, "batch", counting)
+    runner._fd_crosscheck(scenario, ctx, "fd_crosscheck", 1e-4)
+    runs = 2
+    assert calls.count(True) == runs
+    assert calls.count(False) <= 2 * runs
 
 
 # -- structure -------------------------------------------------------------------
@@ -465,7 +574,7 @@ def test_lifted_fields_declare_the_order_they_reach(name):
     }
     center = np.array([bundle.chart.center()])
     for fld, order in want.items():
-        assert fld.max_order == fld.entry_fields()[1][1].max_order == order, fld
+        assert fld.max_order == order, fld
         for k in range(order + 1):
             fld.batch(center, k)
         with pytest.raises(ContractViolation, match=rf"must be in 0\.\.{order}, got {order + 1}$"):

@@ -371,10 +371,15 @@ def test_a_check_listed_twice_is_a_config_error(tmp_path, capsys, checks):
     assert "'is_statistical' is listed more than once" in capsys.readouterr().err
 
 
-def test_an_inline_config_without_checks_is_a_config_error(tmp_path, capsys):
-    # an inline manifold has no default menu: running nothing is not a pass
-    cfg = write_cfg(tmp_path, {"manifold": {"dim": 2, "box": [[-1, 1], [0.5, 2]],
-                                            "metric": [["1", "0"], ["0", "1"]]}})
+@pytest.mark.parametrize("payload", [
+    # an inline manifold has no default menu
+    {"manifold": {"dim": 2, "box": [[-1, 1], [0.5, 2]], "metric": [["1", "0"], ["0", "1"]]}},
+    # an empty list asks for no checks, not for the builtin's menu
+    {"builtin": "euclidean:2", "checks": []},
+])
+def test_a_config_with_no_checks_is_a_config_error(tmp_path, capsys, payload):
+    # running nothing is not a pass
+    cfg = write_cfg(tmp_path, payload)
     assert cli.main(["verify", cfg]) == 2
     assert "no checks to run" in capsys.readouterr().err
 

@@ -12,7 +12,18 @@ from hypothesis import strategies as st
 
 import subgeo
 from subgeo.errors import EvalDomain, SubgeoError
-from subgeo.results import FAIL, INCONCLUSIVE, PASS, fold, owned_rows, peak, sweep
+from subgeo.results import FAIL, INCONCLUSIVE, PASS, collect, fold, owned_rows, peak
+
+
+def sweep(items, residual_at, keys=()):
+    """The per-item feeder, the reference of the others: :func:`fold` of
+    ``residual_at(item)``, a float or a dict of named residuals, with
+    the incidents :func:`collect` gives."""
+    values, errors = collect(items, residual_at)
+    values = list(values.values())
+    if values and isinstance(values[0], dict):
+        values = {k: [v[k] for v in values] for k in values[0]}
+    return fold(values, errors, keys)
 
 
 def fold_arrays(items, residual_at, keys=()):
