@@ -8,8 +8,11 @@ starts, stacked as lockstep integration stacks them and repeated to 3
 rows.  Prints the median microseconds, over REPEATS timed calls (1000 by
 default) after a warm-up, of one order-0 ``conn.batch`` at those points,
 which gives the parts (Gamma,), and of one ``_rk4_step`` (four stages)
-from those states.  Run it from
-the repository root; it times the ``subgeo`` under ``src``.
+from those states.  Then it prints the median microseconds of one
+``linalg.inverse``, the one LAPACK call behind every solve, on a 1-row
+and on a 256-row stack of well-conditioned (3, 3) matrices: the fixed
+cost of a call and its cost per row.  Run it from the repository root;
+it times the ``subgeo`` under ``src``.
 """
 
 import statistics
@@ -22,6 +25,7 @@ import numpy as np
 
 from subgeo import builtins
 from subgeo.geodesics import _rk4_step
+from subgeo.linalg import inverse
 
 BUILTINS = (
     "euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3",
@@ -31,6 +35,7 @@ BUILTINS = (
     "tangent_bundle_of:euclidean:2",
 )
 ROWS = 3
+STACKS = (1, 256)  # rows of the timed inverse stacks
 WARMUP = 50
 
 
@@ -60,6 +65,11 @@ def main() -> None:
         batch = median_us(lambda: conn.batch(x, 0), repeats)
         step = median_us(lambda: _rk4_step(conn, states, 1e-3), repeats)
         print(f"{name:<22s} {batch:14.1f} {step:13.1f}")
+    rng = np.random.default_rng(0)
+    print(f"{'stack':<22s} {'inverse us':>14s}")
+    for rows in STACKS:
+        a = rng.normal(size=(rows, 3, 3)) + 3.0 * np.eye(3)
+        print(f"{f'({rows}, 3, 3)':<22s} {median_us(lambda: inverse(a), repeats):14.1f}")
 
 
 if __name__ == "__main__":

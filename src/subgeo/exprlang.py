@@ -608,16 +608,19 @@ def _domain(bad, points, message):
 def _elementwise(fn, value, points):
     """fn of each value as a Python float (math functions and float powers
     round as Jet's do; numpy's vectorised ones can differ in the last
-    bit); an overflow or a zero divisor is Jet's domain error, at its
-    row's point."""
+    bit); an overflow or a zero divisor is Jet's domain error, at the
+    point of the first row that raises, which is looked for only then."""
     rows = value.tolist() if _rows(value) else [float(value)]
-    out = []
-    for row, v in enumerate(rows):
-        try:
-            out.append(fn(v))
-        except (OverflowError, ZeroDivisionError) as exc:
-            point = points[row] if _rows(value) else (points[0] if len(points) else None)
-            raise EvalDomain(f"floating-point error ({exc})", point) from None
+    try:
+        out = list(map(fn, rows))
+    except (OverflowError, ZeroDivisionError) as exc:
+        for row, v in enumerate(rows):  # the first row that raises
+            try:
+                fn(v)
+            except (OverflowError, ZeroDivisionError):
+                break
+        point = points[row] if _rows(value) else (points[0] if len(points) else None)
+        raise EvalDomain(f"floating-point error ({exc})", point) from None
     return np.array(out).reshape(value.shape) if _rows(value) else np.float64(out[0])
 
 

@@ -10,7 +10,9 @@ per order on first use (:func:`exprlang.compile_batched`).  The order
 budget: scalar fields, metrics and expression connections reach order
 3; Levi-Civita, alpha and sum connections reach 2, their partials from
 the metric's by the forward-mode rule d(A^-1 b) = A^-1 (db - dA A^-1 b)
-differentiated once more; dual connections reach 1.  Asking past a
+differentiated once more; dual connections reach 1.  A batch inverts g
+once (:func:`linalg.inverse`); each solve against g multiplies by it,
+and a caller may pass it (:func:`_parts_and_inverse`).  Asking past a
 field's order raises :class:`ContractViolation`.  Nothing is cached per
 point.  Finite-difference mode swaps the leaf evaluation for central
 differences (orders 0..2) while leaving all derived algebra untouched,
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import exprlang
 from .errors import ContractViolation
-from .linalg import solve_linear
+from .linalg import inverse
 
 FD_STEP_GRAD = 1e-6
 FD_STEP_HESS = 5e-4
@@ -326,31 +328,51 @@ class ExprConnection(ConnectionField):
         return _coefficient_parts(self._stack, points, order)
 
 
-class LeviCivitaConnection(ConnectionField):
+class MetricConnection(ConnectionField):
+    """A connection whose parts up to ``len(g_parts) - 2``, ``_parts(points,
+    g_parts, ginv)``, follow from its ``metric``'s parts at checked points
+    and the inverse of g there."""
+
+    def _batch(self, points, order):
+        # the metric's _batch: ``batch`` has checked the points already
+        g_parts = self.metric._batch(points, order + 1)
+        return self._parts(points, g_parts, inverse(g_parts[0]))
+
+
+def _parts_and_inverse(conn, metric, points, g_parts, ginv=None) -> tuple:
+    """(parts of ``conn`` up to ``len(g_parts) - 2``, g^-1) at checked points
+    from the parts of ``metric``, inverting g unless ginv is given: a ``conn``
+    derived from ``metric`` takes both, any other evaluates its batch first."""
+    derived = isinstance(conn, MetricConnection) and conn.metric is metric
+    parts = None if derived else conn.batch(points, len(g_parts) - 2)
+    ginv = inverse(g_parts[0]) if ginv is None else ginv
+    return (conn._parts(points, g_parts, ginv) if derived else parts), ginv
+
+
+class LeviCivitaConnection(MetricConnection):
     """Metric connection solved from the standard first-derivative formula."""
 
     def __init__(self, metric: MetricField):
         self.metric = metric
         self.dim = metric.dim
 
-    def _batch(self, points, order):
-        # the metric's _batch: ``batch`` has checked the points already
-        return _levi_civita(*self.metric._batch(points, order + 1))
+    def _parts(self, points, g_parts, ginv):
+        return _levi_civita(g_parts, ginv)
 
 
-def _levi_civita(g, dg, *higher):
-    """Christoffel parts (Gamma, dGamma, d2Gamma), as many as the metric
-    parts allow, from g (N, n, n), dg (N, n, n, n) with dg[p, i, j, k]
-    the i-th partial of g_jk, and its higher partials (d2g[p, a, i, j, k]
-    = d_a d_i g_jk, ...).
+def _levi_civita(g_parts, ginv):
+    """Christoffel parts (Gamma, dGamma, d2Gamma), one fewer than the
+    metric parts ``g_parts`` = (g, dg, ...), from those and the inverse
+    ginv of g; dg[p, i, j, k] is the i-th partial of g_jk, d2g[p, a, i, j,
+    k] = d_a d_i g_jk, and so on.
 
     Gamma = 1/2 g^-1 w with w the Koszul combination of dg, so its
     partials are those of a solution (:func:`_solution_parts`); dGamma =
     1/2 (d(g^-1) w + g^-1 dw) with d(g^-1) = -g^-1 dg g^-1, that is
     g^-1 (1/2 dw - dg Gamma).
     """
-    gamma = 0.5 * _solve(g, _koszul(dg))
-    return _solution_parts(g, (dg,) + higher, gamma, [0.5 * _koszul(d) for d in higher])
+    gamma = 0.5 * _apply(ginv, _koszul(g_parts[1]))
+    return _solution_parts(ginv, g_parts[1:], gamma, [0.5 * _koszul(d) for d in g_parts[2:]])
 
 
 def _koszul(dg) -> np.ndarray:
@@ -361,26 +383,27 @@ def _koszul(dg) -> np.ndarray:
     return dg.transpose(lead + (l, i, j)) + dg.transpose(lead + (l, j, i)) - dg
 
 
-def _solve(g, rhs) -> np.ndarray:
-    """g^-1 rhs for a stack g (N, n, n) and rhs (N, n, ...)."""
-    npts, n = g.shape[0], g.shape[1]
-    return solve_linear(g, rhs.reshape(npts, n, math.prod(rhs.shape[2:]))).reshape(rhs.shape)
+def _apply(ginv, rhs) -> np.ndarray:
+    """g^-1 rhs for the inverses ginv (N, n, n) and rhs (N, n, ...)."""
+    npts, n = rhs.shape[0], rhs.shape[1]
+    return (ginv @ rhs.reshape(npts, n, math.prod(rhs.shape[2:]))).reshape(rhs.shape)
 
 
-def _inverse(a) -> np.ndarray:
-    """Inverses of a stack of square matrices (N, k, k)."""
-    return solve_linear(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape))
+def _lower(gamma, g) -> np.ndarray:
+    """[..., i, j, k] = sum_l Gamma^l_ij g_lk by matmul; leading axes broadcast."""
+    n = g.shape[-1]
+    out = np.swapaxes(gamma.reshape(gamma.shape[:-2] + (n * n,)), -1, -2) @ g
+    return out.reshape(out.shape[:-2] + (n, n, n))
 
 
-def _solution_parts(g, dg_parts, x, rhs_parts) -> tuple:
+def _solution_parts(ginv, dg_parts, x, rhs_parts) -> tuple:
     """Parts (x, dx, d2x) of the solution x = g^-1 b (N, n, ...), one more
     than ``rhs_parts``, the partials (db, d2b) of b, holds.
 
-    ``dg_parts`` = (dg, d2g) are the partials of g.  A derivative axis
-    follows the point axis, as in dg.  The forward-mode rule d(A^-1 b) =
-    A^-1 (db - dA A^-1 b) gives d_a x = g^-1 (d_a b - d_a g x), and once
-    more d_a d_b x = g^-1 (d_a d_b b - d_a d_b g x - d_a g d_b x -
-    d_b g d_a x).
+    ``ginv`` is g^-1, ``dg_parts`` = (dg, d2g) the partials of g.  A
+    derivative axis follows the point axis, as in dg.  The rule d(A^-1 b)
+    = A^-1 (db - dA A^-1 b) gives d_a x = g^-1 (d_a b - d_a g x), and once
+    more d_a d_b x = g^-1 (d_a d_b b - d_a d_b g x - d_a g d_b x - d_b g d_a x).
     """
     if not rhs_parts:
         return (x,)
@@ -389,14 +412,14 @@ def _solution_parts(g, dg_parts, x, rhs_parts) -> tuple:
     dim, cols = dg.shape[1], math.prod(x.shape[2:])
     flat = x.reshape(npts, 1, n, cols)
     t = d_rhs.reshape(npts, dim, n, cols) - dg @ flat
-    dx = np.swapaxes(_solve(g, np.swapaxes(t, 1, 2)), 1, 2)          # (N, a, n, m)
+    dx = np.swapaxes(_apply(ginv, np.swapaxes(t, 1, 2)), 1, 2)        # (N, a, n, m)
     if len(rhs_parts) == 1:
         return x, dx.reshape(d_rhs.shape)
     d2g, d2_rhs = dg_parts[1], rhs_parts[1]
     cross = dg[:, :, None] @ dx[:, None]                              # [p, a, b] = d_a g d_b x
     t2 = (d2_rhs.reshape(npts, dim, dim, n, cols) - d2g @ flat[:, None]
           - cross - np.swapaxes(cross, 1, 2))
-    d2x = _solve(g, t2.transpose(0, 3, 1, 2, 4)).transpose(0, 2, 3, 1, 4)
+    d2x = _apply(ginv, t2.transpose(0, 3, 1, 2, 4)).transpose(0, 2, 3, 1, 4)
     return x, dx.reshape(d_rhs.shape), d2x.reshape(d2_rhs.shape)
 
 
@@ -411,32 +434,31 @@ class DualConnection(ConnectionField):
         self.dim = conn.dim
 
     def _batch(self, points, order):
-        return _dual(self.metric.batch(points, order + 1), self.base.batch(points, order))
+        g_parts = self.metric.batch(points, order + 1)
+        return _dual(g_parts, *_parts_and_inverse(self.base, self.metric, points, g_parts))
 
 
-def _dual(g_parts, gamma_parts) -> tuple:
+def _dual(g_parts, gamma_parts, ginv=None) -> tuple:
     """Parts of the dual coefficients from the duality relation
     d_i g_jk = sum_l Gamma^l_ij g_lk + sum_l dual Gamma^l_ik g_jl, as
     many as ``gamma_parts`` = (Gamma, dGamma) has, from one more metric
-    part in ``g_parts`` = (g, dg, d2g), laid out as in
-    :func:`_levi_civita`; the partials are those of the solved system
-    (:func:`_solution_parts`).
+    part in ``g_parts`` = (g, dg, d2g), laid out as in :func:`_levi_civita`,
+    and g^-1 (inverted here if not given); the partials are those of the
+    solved system (:func:`_solution_parts`).
     """
     g, dg = g_parts[:2]
-    gamma = gamma_parts[0]
+    gamma, ginv = gamma_parts[0], inverse(g) if ginv is None else ginv
     # rhs[p, j, i, k] = d_i g_jk - sum_l Gamma^l_ij g_lk
-    rhs = np.transpose(dg, (0, 2, 1, 3)) - np.einsum("plij,plk->pjik", gamma, g)
-    dual = _solve(g, rhs)
+    dual = _apply(ginv, np.swapaxes(dg - _lower(gamma, g), 1, 2))
     d_rhs = ()
     if len(gamma_parts) > 1:
         # d_a rhs[p, a, j, i, k]
-        d_rhs = (np.transpose(g_parts[2], (0, 1, 3, 2, 4))
-                 - np.einsum("palij,plk->pajik", gamma_parts[1], g)
-                 - np.einsum("plij,palk->pajik", gamma, dg),)
-    return _solution_parts(g, g_parts[1:], dual, d_rhs)
+        d_rhs = (np.swapaxes(g_parts[2] - _lower(gamma_parts[1], g[:, None])
+                             - _lower(gamma[:, None], dg), 2, 3),)
+    return _solution_parts(ginv, g_parts[1:], dual, d_rhs)
 
 
-class AlphaConnection(ConnectionField):
+class AlphaConnection(MetricConnection):
     """One-parameter family: Levi-Civita minus alpha/2 times the raised
     cubic tensor supplied as scalar fields."""
 
@@ -446,14 +468,12 @@ class AlphaConnection(ConnectionField):
         self.alpha = float(alpha)
         self._cubic_stack = _coefficient_stack(cubic_fields, self.dim)  # [l][i][j], symmetric
 
-    def _batch(self, points, order):
-        g_parts = self.metric._batch(points, order + 1)
-        lc = _levi_civita(*g_parts)
+    def _parts(self, points, g_parts, ginv):
+        lc = _levi_civita(g_parts, ginv)
         if self.alpha == 0.0:
             return lc
-        c = _coefficient_parts(self._cubic_stack, points, order)
-        raised = np.einsum("pkl,plij->pkij", _inverse(g_parts[0]), c[0])
-        raised = _solution_parts(g_parts[0], g_parts[1:], raised, c[1:])
+        c = _coefficient_parts(self._cubic_stack, points, len(g_parts) - 2)
+        raised = _solution_parts(ginv, g_parts[1:], _apply(ginv, c[0]), c[1:])
         return tuple(a - b * (0.5 * self.alpha) for a, b in zip(lc, raised))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ConnectionField, MetricField, _dual
+from .fields import ConnectionField, MetricField, _dual, _lower, _parts_and_inverse
 from .results import sweep_rows
 
 _LAST3 = (-3, -2, -1)
@@ -35,7 +35,7 @@ def torsion_values(gamma: np.ndarray) -> np.ndarray:
 def nabla_g_values(g: np.ndarray, dg: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """C[i, j, k] = (nabla_i g)(e_j, e_k); dg[i, j, k] = d_i g_jk.  Any
     leading axes (a stack of points) are kept."""
-    lowered = np.einsum("...lij,...lk->...ijk", gamma, g)
+    lowered = _lower(gamma, g)
     return dg - lowered - np.swapaxes(lowered, -1, -2)
 
 
@@ -111,8 +111,9 @@ def is_statistical(conn: ConnectionField, metric: MetricField, points, tol):
 
 def check_curvature_duality(conn: ConnectionField, metric: MetricField, points, tol):
     def residuals(x):
-        g_parts, gamma_parts = metric.batch(x, 2), conn.batch(x, 1)
-        dual_parts = _dual(g_parts, gamma_parts)
+        g_parts = metric.batch(x, 2)
+        gamma_parts, ginv = _parts_and_inverse(conn, metric, x, g_parts)
+        dual_parts = _dual(g_parts, gamma_parts, ginv)
         r, r_dual = curvature_values(*gamma_parts), curvature_values(*dual_parts)
         return {"duality": curvature_duality_residual(g_parts[0], r, r_dual)}
 
@@ -131,8 +132,9 @@ def check_constant_curvature(conn: ConnectionField, metric: MetricField, k: floa
 def check_dual_involution(conn: ConnectionField, metric: MetricField, points, tol):
     """dual(dual(conn)) must reproduce conn to rounding."""
     def residuals(x):
-        g_parts, gamma_parts = metric.batch(x, 1), conn.batch(x, 0)
-        twice = _dual(g_parts, _dual(g_parts, gamma_parts))
+        g_parts = metric.batch(x, 1)
+        gamma_parts, ginv = _parts_and_inverse(conn, metric, x, g_parts)
+        twice = _dual(g_parts, _dual(g_parts, gamma_parts, ginv), ginv)
         return {"involution": np.abs(twice[0] - gamma_parts[0]).max(axis=_LAST3)}
 
     return sweep_rows(points, metric.dim, residuals).summarize(tol)

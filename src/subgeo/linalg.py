@@ -1,9 +1,9 @@
 """Small dense linear algebra on numpy alone.
 
-A stack of systems (N, n, n) is solved in one call of numpy's LAPACK
-``gesv`` over [b | I], so every row's inverse comes with its solution.
-A system is singular when its smallest LU pivot is below
-``PIVOT_RTOL * max|a|``.
+A stack of matrices (N, n, n) is inverted in one LAPACK call, and a
+solve a^-1 b is that certified inverse times b, so a stack solved
+against several times is factored once.  A system is singular when
+its smallest LU pivot is below ``PIVOT_RTOL * max|a|``.
 Partial pivoting keeps |l_ij| <= 1, so ||L||_2 <= sqrt(n(n+1)/2) and
 
     min |u_kk| >= sigma_min(a) / ||L||_2 >= 1 / (n max|a^-1_ij| sqrt(n(n+1)/2)):
@@ -19,7 +19,9 @@ a submersion's pivot columns, takes those of ``dlaqp2`` (Businger and
 Golub, Numer. Math. 7, 1965).
 Derivatives of a solution are not solved for here: the field layer
 differentiates x = A^-1 b by the forward-mode rule
-d(A^-1 b) = A^-1 (db - dA A^-1 b), one more stacked solve per order.
+d(A^-1 b) = A^-1 (db - dA A^-1 b), one more product with the inverse
+per order; unlike an LU solve, it is not backward stable (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, section 14.1).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import functools
 import math
 
 import numpy as np
-# The gufunc behind np.linalg.solve.  Called directly it costs a few
-# microseconds less per call, which is most of a 3-row solve, and it
+# The gufuncs behind np.linalg.  Called directly, inv costs a few
+# microseconds less per call, which is most of a 3-row inverse, and it
 # returns an exactly singular row as NaN instead of failing the stack.
 from numpy.linalg import _umath_linalg
 
@@ -45,37 +47,40 @@ NORM_DOWNDATE_TOL = math.sqrt(np.finfo(float).eps)
 
 def solve_linear(a, b) -> np.ndarray:
     """Solve ``a x = b`` for a stack of square systems (n <= 16 in
-    practice), ``a`` of shape (N, n, n) and ``b`` (N, n) or (N, n, k).
-
-    The stack is solved in one LAPACK call; rows that the inverse does
-    not certify nonsingular are tested one by one, in row order.  Raises
-    :class:`SingularMatrix` when a pivot falls below
-    ``1e-12 * max_norm(a)``; for a stack of several systems the message
-    names the first failing row.
-    """
+    practice), ``a`` of shape (N, n, n) and ``b`` (N, n) or (N, n, k),
+    as :func:`inverse` times ``b``; raises as :func:`inverse` does."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_stack(a, b)
-    x, inv = _gesv(a, b)
-    ok = _certified(a, inv)
-    if np.count_nonzero(ok) < len(ok):
-        for row, exc in _failures(a, ok):
-            if len(a) == 1:
-                raise exc
-            raise SingularMatrix(f"{exc} in row {row}")
-    return x
+    inv = inverse(a)
+    return inv @ b if b.ndim == 3 else (inv @ b[..., None])[..., 0]
+
+
+def inverse(a) -> np.ndarray:
+    """The inverses of a stack of square matrices (N, n, n), from one
+    LAPACK call; rows that the inverse does not certify nonsingular are
+    tested one by one, in row order.  Raises :class:`SingularMatrix`
+    when a pivot falls below ``1e-12 * max_norm(a)``; for a stack of
+    several systems the message names the first failing row."""
+    inv, failures = _factor(a)
+    for row, exc in failures:
+        raise exc if len(inv) == 1 else SingularMatrix(f"{exc} in row {row}")
+    return inv
+
+
+def inverse_rows(a):
+    """(inverses, mask of the rows :func:`inverse` rejects) of a stack
+    (N, n, n), from one LAPACK call."""
+    inv, failures = _factor(a)
+    bad = np.zeros(len(inv), dtype=bool)
+    bad[[row for row, _ in failures]] = True
+    return inv, bad
 
 
 def singular_rows(a) -> np.ndarray:
     """Boolean mask over a stack (N, n, n): the rows :func:`solve_linear`
     rejects as singular."""
-    a = np.asarray(a, dtype=float)
-    rhs = a[..., :0]
-    _check_stack(a, rhs)
-    bad = np.zeros(len(a), dtype=bool)
-    for row, _ in _failures(a, _certified(a, _gesv(a, rhs)[1])):
-        bad[row] = True
-    return bad
+    return inverse_rows(a)[1]
 
 
 def _check_stack(a, b) -> None:
@@ -83,24 +88,15 @@ def _check_stack(a, b) -> None:
         raise ContractViolation(f"shape mismatch: a {a.shape}, b {b.shape}")
 
 
-def _gesv(a, b):
-    """a^-1 b and a^-1 for a stack, from one LAPACK call over [b | I]; a
-    row LAPACK finds exactly singular comes back NaN."""
-    npts, n = a.shape[:2]
-    k = b.shape[2] if b.ndim == 3 else 1
-    rhs = np.empty((npts, n, k + n))
-    rhs[..., :k] = b.reshape(npts, n, k)
-    rhs[..., k:] = _eye(n)
+def _factor(a):
+    """a^-1 for a stack from one LAPACK call (an exactly singular row
+    comes back NaN), and the lazy :func:`_failures` of uncertified rows."""
+    a = np.asarray(a, dtype=float)
+    _check_stack(a, a)
     with np.errstate(all="ignore"):
-        out = _umath_linalg.solve(a, rhs)
-    return np.ascontiguousarray(out[..., :k]).reshape(b.shape), out[..., k:]
-
-
-@functools.cache
-def _eye(n) -> np.ndarray:
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
+        inv = _umath_linalg.inv(a)
+    ok = _certified(a, inv)
+    return inv, (() if np.count_nonzero(ok) == len(ok) else _failures(a, ok))
 
 
 def _failures(a, ok):

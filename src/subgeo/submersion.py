@@ -14,8 +14,8 @@ kernel. A check builds the frames of all its points in one batch
 (:meth:`SubmersionSetup._frames`), a :class:`_FrameBatch` of numpy arrays
 with a leading row axis: dpi, the kernel and lift columns and the
 projectors with their first partials (by the product rule and
-d(A^-1) = -A^-1 dA A^-1), the Christoffels of the total connection and
-of its dual, and the base structure at the projected point. Every
+d(A^-1) = -A^-1 dA A^-1), the metric, its inverse and Christoffels,
+and the base structure at the projected point. Every
 identity is one array program over those rows, giving one residual per
 point. An identity over frame directions runs over every pair or triple
 of columns at once: the kernel and lift columns become column fields
@@ -37,8 +37,8 @@ import numpy as np
 
 from . import geometry
 from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
-from .fields import ScalarField, Space, _as_points, _dual, _FieldStack, _inverse
-from .linalg import pivoted_qr, singular_rows, solve_linear
+from .fields import ScalarField, Space, _as_points, _dual, _FieldStack, _parts_and_inverse
+from .linalg import inverse, inverse_rows, pivoted_qr, singular_rows
 from .results import (CheckResult, Sweep, agree, build_rows, collect, fold, owned_rows, peak,
                       sweep_rows)
 
@@ -156,19 +156,19 @@ class SubmersionSetup:
 
         # horizontal: g-orthogonal complement, spanned by h = ginv dpi^T
         g, dg = self.total.metric.batch(x, 1)          # dg[p, k] = d_k g
-        ginv = _inverse(g)
+        ginv = inverse(g)
         d_ginv = -(ginv[:, None] @ dg @ ginv[:, None])
         h = ginv @ dpi_t                                # (N, n, m)
         d_h = d_ginv @ dpi_t[:, None] + ginv[:, None] @ np.swapaxes(d_dpi, 2, 3)
         dpi_h = dpi @ h                                 # (N, m, m)
-        inv = _inverse(dpi_h)
+        inv = inverse(dpi_h)
         d_inv = -(inv[:, None] @ (d_dpi @ h[:, None] + dpi[:, None] @ d_h) @ inv[:, None])
         lift = h @ inv                                  # (N, n, m)
         d_lift = d_h @ inv[:, None] + h[:, None] @ d_inv
         p_h = lift @ dpi                                # (N, n, n)
         d_ph = d_lift @ dpi[:, None] + lift[:, None] @ d_dpi
 
-        gamma = self.total.conn.batch(x, 0)[0]
+        (gamma,), _ = _parts_and_inverse(self.total.conn, self.total.metric, x, (g, dg), ginv)
         e2phi, dphi = np.ones(len(x)), np.zeros((len(x), n))
         if self.phi is not None:
             phi, dphi = self.phi.batch(x, 1)
@@ -178,15 +178,13 @@ class SubmersionSetup:
                 raise EvalDomain("floating-point error (math range error)",
                                  x[int(np.argmax(bad))])
         g_b, dg_b = self.base.metric.batch(bp, 1)
-        gamma_b = self.base.conn.batch(bp, 0)[0]
+        (gamma_b,), gb_inv = _parts_and_inverse(self.base.conn, self.base.metric, bp, (g_b, dg_b))
         return {
             "dpi": dpi, "ph": p_h, "pv": np.eye(n) - p_h, "d_ph": d_ph, "d_pv": -d_ph,
             "vcols": kernel, "d_vcols": d_kernel, "lcols": lift, "d_lcols": d_lift,
-            "gamma": gamma, "gamma_dual": _dual((g, dg), (gamma,))[0],
-            "g": g, "dg": dg, "cubic": geometry.nabla_g_values(g, dg, gamma),
+            "gamma": gamma, "g": g, "dg": dg, "ginv": ginv,
             "e2phi": e2phi, "dphi": dphi, "bp": bp,
-            "gb": g_b, "gamma_b": gamma_b, "gamma_b_dual": _dual((g_b, dg_b), (gamma_b,))[0],
-            "cubic_b": geometry.nabla_g_values(g_b, dg_b, gamma_b),
+            "gb": g_b, "dg_b": dg_b, "gb_inv": gb_inv, "gamma_b": gamma_b,
         }
 
     # -- fundamental tensors ------------------------------------------------
@@ -245,9 +243,9 @@ class SubmersionSetup:
             if not len(rows):
                 break
             jac = np.swapaxes(self._pi_stack(x[rows], 1)[1], 1, 2)[:, :, piv]
-            ok = ~singular_rows(jac)
-            rows = rows[ok]
-            x[rows[:, None], piv] += solve_linear(jac[ok], -res[ok])
+            inv, bad = inverse_rows(jac)
+            rows = rows[~bad]
+            x[rows[:, None], piv] += (inv[~bad] @ -res[~bad, :, None])[..., 0]
         return {"x": x, "found": found}
 
 
@@ -273,7 +271,7 @@ def _kernel(dpi, d_dpi, piv, free):
     (N, n, n, l): free column c is e_c plus the pivot coordinates that
     keep it in the kernel."""
     piv, free = list(piv), list(free)
-    ainv = _inverse(dpi[:, :, piv])
+    ainv = inverse(dpi[:, :, piv])
     sol = -(ainv @ dpi[:, :, free])
     d_sol = -(ainv[:, None] @ (d_dpi[:, :, :, free] + d_dpi[:, :, :, piv] @ sol[:, None]))
     npts, n = dpi.shape[0], dpi.shape[2]
@@ -285,27 +283,38 @@ def _kernel(dpi, d_dpi, piv, free):
     return kernel, d_kernel
 
 
+# The _FrameBatch parts computed on first read, by arithmetic alone.
+_DERIVED = {
+    "gamma_dual": lambda f: _dual((f.g, f.dg), (f.gamma,), f.ginv)[0],
+    "cubic": lambda f: geometry.nabla_g_values(f.g, f.dg, f.gamma),
+    "gamma_b_dual": lambda f: _dual((f.gb, f.dg_b), (f.gamma_b,), f.gb_inv)[0],
+    "cubic_b": lambda f: geometry.nabla_g_values(f.gb, f.dg_b, f.gamma_b),
+}
+
+
 class _FrameBatch:
     """The frames at a stack of points, one row per point that evaluated;
     ``errors`` maps the position of each point that did not to its error.
 
     Arrays, each with a leading row axis: ``dpi`` (m x n); the projectors
     ``ph``, ``pv`` (n x n); the kernel columns ``vcols`` (n x l) and lift
-    columns ``lcols`` (n x m); the Christoffels ``gamma`` and
-    ``gamma_dual`` of the total connection and of its metric dual; the
-    metric ``g``, its partials ``dg`` and its cubic form ``cubic``;
-    ``e2phi`` and ``dphi``; the base point ``bp`` and, there, the base
-    metric ``gb``, Christoffels ``gamma_b`` and ``gamma_b_dual`` and cubic
-    form ``cubic_b``.  ``d_ph``, ``d_pv``, ``d_vcols`` and ``d_lcols`` hold
-    the partials of their arrays, the derivative index first as in ``dg``.
-    Vectors and fields passed to the methods carry the same row axis; any
-    column axes after it need the batch from :meth:`over`.
+    columns ``lcols`` (n x m); the Christoffels ``gamma``, the metric
+    ``g``, its partials ``dg`` and inverse ``ginv``; ``e2phi`` and
+    ``dphi``; the base point ``bp`` and, there, ``gb``, ``dg_b``,
+    ``gb_inv`` and ``gamma_b``.  ``d_ph``, ``d_pv``, ``d_vcols`` and
+    ``d_lcols`` hold the partials of their arrays, the derivative index
+    first as in ``dg``.  The dual Christoffels and cubic forms of both
+    spaces are computed on first read (``_DERIVED``).  Vectors and
+    fields passed to the methods carry the same row axis; any column
+    axes after it need the batch from :meth:`over`.
     """
 
-    def __init__(self, setup: SubmersionSetup, size: int, arrays: dict, errors=None):
+    def __init__(self, setup: SubmersionSetup, size: int, arrays: dict, errors=None,
+                 source=None, depth=0):
         self.setup = setup
         self.size = size
         self.errors = errors or {}
+        self._source, self._depth = source, depth
         vars(self).update(arrays)
 
     def __len__(self) -> int:
@@ -321,7 +330,16 @@ class _FrameBatch:
         its arrays broadcast against vectors (N, c_1, ..., c_depth, n)."""
         arrays = {k: v.reshape(v.shape[:1] + (1,) * depth + v.shape[1:])
                   for k, v in vars(self).items() if isinstance(v, np.ndarray)}
-        return _FrameBatch(self.setup, self.size, arrays)
+        return _FrameBatch(self.setup, self.size, arrays, source=self, depth=depth)
+
+    def __getattr__(self, name):
+        """A part of ``_DERIVED`` on first read, from the source of a batch from :meth:`over`."""
+        if name not in _DERIVED:
+            raise AttributeError(name)
+        part = _DERIVED[name](self) if self._source is None else getattr(self._source, name)
+        part = part.reshape(part.shape[:1] + (1,) * self._depth + part.shape[1:])
+        setattr(self, name, part)
+        return part
 
     def columns(self):
         """The kernel columns V and lift columns L as column fields:
@@ -377,8 +395,9 @@ def _pair(g, a, b) -> np.ndarray:
 
 
 def _form3(c, a, b, d) -> np.ndarray:
-    """The trilinear form c (..., i, j, k) on vectors a, b and d."""
-    return np.einsum("...ijk,...i,...j,...k->...", c, a, b, d)
+    """The trilinear form c (..., i, j, k) on vectors a, b and d, staged."""
+    cd = (c @ d[..., None, :, None])[..., 0]
+    return np.einsum("...i,...i->...", a, (cd @ b[..., None])[..., 0])
 
 
 def _gram(cols, g) -> np.ndarray:

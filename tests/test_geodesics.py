@@ -103,18 +103,17 @@ def _hyperbolic_states():
 
 
 def test_one_rk4_step_runs_four_metric_programs_and_four_solves(monkeypatch):
-    # Each stage is one order-1 metric program and one stacked solve over
-    # all rows: a change that adds work per stage shows here.
+    # Each stage is one order-1 metric program and one stacked inverse
+    # over all rows: a change that adds work per stage shows here.
     programs, solves = [], []
-    compile_batched, solve_linear = exprlang.compile_batched, fields.solve_linear
+    compile_batched, inverse = exprlang.compile_batched, fields.inverse
 
     def counting_compile(nodes):
         program = compile_batched(nodes)
         return lambda points, order=1: programs.append(order) or program(points, order)
 
     monkeypatch.setattr(exprlang, "compile_batched", counting_compile)
-    monkeypatch.setattr(fields, "solve_linear",
-                        lambda a, b: solves.append(len(a)) or solve_linear(a, b))
+    monkeypatch.setattr(fields, "inverse", lambda a: solves.append(len(a)) or inverse(a))
     sc, states = _hyperbolic_states()
     assert len(states) == 3
     geo._rk4_step(sc.space.conn, states, 1e-3)

@@ -30,8 +30,14 @@ def test_run_flagship_passes_at_eight_samples():
 def test_stage_cost_times_every_builtin_with_geodesic_jobs():
     out = run_script("scripts/stage_cost.py", "20")
     assert out.returncode == 0, out.stderr
-    rows = [line.split() for line in out.stdout.splitlines()[1:]]
+    lines = out.stdout.splitlines()
+    rows = [line.split() for line in lines[1:8]]
     assert [row[0] for row in rows] == [
         "euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3",
         "gaussian:alpha=0", "gaussian:alpha=1", "gaussian:alpha=-0.5"]
     assert all(0.0 < float(batch) < float(step) for _, batch, step in rows)
+    # then one linalg.inverse on a 1-row and on a 256-row (3, 3) stack
+    assert lines[8].split() == ["stack", "inverse", "us"]
+    stacks = [line.rsplit(None, 1) for line in lines[9:]]
+    assert [label for label, _ in stacks] == ["(1, 3, 3)", "(256, 3, 3)"]
+    assert 0.0 < float(stacks[0][1]) < float(stacks[1][1])

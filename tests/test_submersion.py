@@ -23,7 +23,7 @@ from conftest import (
     points_for,
     skewed_setup,
 )
-from subgeo import builtins, config, runner
+from subgeo import builtins, config, geometry, runner
 from subgeo import submersion as sm
 from subgeo.errors import ContractViolation, EvalDomain, RankDrop
 from subgeo.fields import (
@@ -31,8 +31,10 @@ from subgeo.fields import (
     ExprConnection,
     ExprField,
     LeviCivitaConnection,
+    MetricConnection,
     MetricField,
     Space,
+    _dual,
 )
 from subgeo.tangent_bundle import TangentBundle
 from subgeo.results import FAIL, INCONCLUSIVE, PASS
@@ -59,7 +61,13 @@ def frame_at(setup, p):
     return setup._frames([p], False)
 
 
+DERIVED_PARTS = ("gamma_dual", "cubic", "gamma_b_dual", "cubic_b")
+
+
 def frame_arrays(frames) -> dict:
+    """Every array of a frame batch, the parts computed on first read too."""
+    for name in DERIVED_PARTS:
+        getattr(frames, name)
     return {k: v for k, v in vars(frames).items() if isinstance(v, np.ndarray)}
 
 
@@ -409,6 +417,45 @@ def test_frame_batch_rows_equal_one_row_builds(which, unit):
                 got, want = np.asarray(got)[row], np.asarray(want)[0]
                 bound = 1e-12 * np.maximum(1.0, np.abs(want))
                 assert np.all(np.abs(got - want) <= bound), (which, check, key, row)
+
+
+def derived_parts(f) -> dict:
+    """The derived parts of a row batch, from its own arrays."""
+    return {"gamma_dual": _dual((f.g, f.dg), (f.gamma,))[0],
+            "cubic": geometry.nabla_g_values(f.g, f.dg, f.gamma),
+            "gamma_b_dual": _dual((f.gb, f.dg_b), (f.gamma_b,))[0],
+            "cubic_b": geometry.nabla_g_values(f.gb, f.dg_b, f.gamma_b)}
+
+
+@pytest.mark.parametrize("which", sorted(FRAME_SETUPS))
+def test_derived_frame_parts_are_those_of_the_frame_arrays(which):
+    setup = FRAME_SETUPS[which]
+    pts = box_points(setup, [[0.2, 0.7, 0.4, 0.9], [0.6, 0.3, 0.8, 0.1], [0.5] * 4])
+    rows = [2, 0]
+    for read_first in (False, True):  # take and over before and after a read
+        frames = setup._frames(pts, False)
+        want = derived_parts(frames)
+        if read_first:
+            frame_arrays(frames)
+        taken, wide = frames.take(rows), frames.over(3)
+        want_taken = derived_parts(taken)
+        for name in DERIVED_PARTS:
+            assert np.array_equal(getattr(frames, name), want[name]), (which, name)
+            assert np.array_equal(getattr(taken, name), want_taken[name]), (which, name)
+            assert np.array_equal(want_taken[name], want[name][rows]), (which, name)
+            wide_want = want[name][:, None, None, None]
+            assert np.array_equal(getattr(wide, name), wide_want), (which, name)
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("name", ["hyperbolic:3", "gaussian:alpha=1"])
+def test_frame_christoffels_from_its_metric_parts_are_the_connection_batch(name, mode):
+    setup = builtins.build(name, mode).setup
+    assert isinstance(setup.total.conn, MetricConnection)
+    x = np.array(box_points(setup, [[0.2, 0.7, 0.4], [0.6, 0.3, 0.8], [0.5] * 3]))
+    frames = setup._frames(x, False)
+    assert np.array_equal(frames.gamma, setup.total.conn.batch(x, 0)[0])
+    assert np.array_equal(frames.gamma_b, setup.base.conn.batch(setup.project(x), 0)[0])
 
 
 @pytest.mark.parametrize("which", sorted(FRAME_SETUPS))
