@@ -5,12 +5,11 @@ Usage: python3 scripts/same_reports.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the ``subgeo`` package (the
 ``src`` directory of two checkouts).  Each tree runs, in its own
-subprocess, every builtin below at seeds 0-4 with 16 samples: in jet
-mode, and in fd mode for the builtins that are not tangent bundles.
-It also runs the configs of INCIDENT_CONFIGS, whose suites have
-incidents, at the same seeds in jet mode, and its two hyperbolic:2
-boxes in fd mode too, where stencil rows fail.  Reports are compared once
-their ``wall_time_s`` fields are stripped.
+subprocess, every builtin below at seeds 0-4 with 16 samples, in jet
+mode and in fd mode.  It also runs the configs of INCIDENT_CONFIGS,
+whose suites have incidents, at the same seeds in jet mode, and its two
+hyperbolic:2 boxes in fd mode too, where stencil rows fail.  Reports
+are compared once their ``wall_time_s`` fields are stripped.
 
 Every report that differs is printed as a diff and labelled:
 ``rounding`` when only floats differ, each by at most
@@ -62,8 +61,7 @@ def label(config: dict) -> str:
 
 
 CASES = [case({"builtin": name}, seed, "jet") for name in BUILTINS for seed in SEEDS]
-CASES += [case({"builtin": name}, seed, "fd") for name in BUILTINS
-          if not name.startswith("tangent_bundle_of:") for seed in SEEDS]
+CASES += [case({"builtin": name}, seed, "fd") for name in BUILTINS for seed in SEEDS]
 INCIDENT_CASES = [case(config, seed, "jet") for config in INCIDENT_CONFIGS for seed in SEEDS]
 INCIDENT_CASES += [case(config, seed, "fd") for config in INCIDENT_CONFIGS[:2] for seed in SEEDS]
 CASES += INCIDENT_CASES

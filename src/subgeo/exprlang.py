@@ -324,9 +324,7 @@ def eval_jet(node, point, order: int) -> Jet:
 # are raised at the first point where they occur, and other non-finite
 # values (an overflowing product, say) propagate as they do through Jet
 # arithmetic.  An RK4 stage runs one such function, the order-1 metric
-# program; scripts/stage_cost.py times the stage (69 us for the order-0
-# Christoffels of 3 hyperbolic:3 rows, against 115 us for the interpreted
-# program it replaced, on a 2-vCPU machine).
+# program; scripts/stage_cost.py times the stage.
 
 MAX_BATCH_ORDER = 3
 

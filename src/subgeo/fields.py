@@ -4,8 +4,9 @@ Every field evaluates one way: ``batch(points, order)`` at a whole (N, n)
 stack of points gives the tuple of its parts up to ``order``: (values,)
 at order 0, then first partials, ..., k-th partials, where part m
 carries m derivative axes right after the point axis: dg[p, a, i, j] =
-d_a g_ij, dGamma[p, a, k, i, j] = d_a Gamma^k_ij, and so on.  Expression
-fields compile into one array program, made a straight-line function
+d_a g_ij, dGamma[p, a, k, i, j] = d_a Gamma^k_ij, and so on.  The
+expression leaves of a field (its entries or coefficients) form one
+stack, compiled into one array program, made a straight-line function
 per order on first use (:func:`exprlang.compile_batched`).  The order
 budget: scalar fields, metrics and expression connections reach order
 3; Levi-Civita, alpha and sum connections reach 2, their partials from
@@ -14,9 +15,10 @@ differentiated once more; dual connections reach 1.  A batch inverts g
 once (:func:`linalg.inverse`); each solve against g multiplies by it,
 and a caller may pass it (:func:`_parts_and_inverse`).  Asking past a
 field's order raises :class:`ContractViolation`.  Nothing is cached per
-point.  Finite-difference mode swaps the leaf evaluation for central
-differences (orders 0..2) while leaving all derived algebra untouched,
-giving an independent path through every check.
+point.  In finite-difference mode the same program runs at order 0 on
+every stencil node, and central differences of its values (orders 0..2)
+stand in for its partials while all derived algebra is untouched,
+giving an independent derivative path through every check.
 """
 
 from __future__ import annotations
@@ -91,138 +93,130 @@ class ScalarField(Field):
 
 
 class ExprField(ScalarField):
+    """An expression: a one-field stack (:class:`_FieldStack`)."""
+
     def __init__(self, ast, dim: int):
         self.ast = ast
         self.dim = dim
-        self._compiled = None  # compile_batched([ast]), built on first use
+        self._stack = _FieldStack([self], ())
 
     @classmethod
     def parse(cls, text: str, dim: int, bundle: bool = False) -> "ExprField":
         return cls(exprlang.parse(text, dim, bundle=bundle), dim)
 
     def _batch(self, points, order):
-        if self._compiled is None:
-            self._compiled = exprlang.compile_batched([self.ast])
-        return tuple(part[..., 0] for part in self._compiled(points, order))
+        return self._stack(points, order)
 
     def __repr__(self):
         return f"ExprField({exprlang.to_text(self.ast)!r})"
 
 
-class ConstField(ScalarField):
-    def __init__(self, value: float, dim: int):
-        self.dim = dim
-        self._value = float(value)
-
-    def _batch(self, points, order):
-        return (np.full(len(points), self._value),) + tuple(
-            np.zeros(points.shape + (self.dim,) * k) for k in range(order))
-
-
 class FDField(ScalarField):
-    """Central differences of another field's values, orders 0..2, entry
-    by entry: the inner field is a scalar field, a metric or a
-    connection, and each part carries its entry axes after the
-    derivative axes.  The step scales with the coordinate size.
-
-    All stencil nodes of all points are evaluated in one order-0 call of
-    the inner field.
-    """
+    """Central differences of another field's values, orders 0..2
+    (:func:`_central_differences`): the inner field is a scalar field, a
+    metric or a connection, and each part carries its entry axes after
+    the derivative axes.  As a leaf of a :class:`_FieldStack` it puts the
+    stack in finite-difference mode."""
 
     def __init__(self, inner: Field):
         self.inner = inner
         self.dim = inner.dim
 
     def _batch(self, points, order):
-        if order > 2:
-            raise ContractViolation(
-                "finite-difference mode provides derivatives up to order 2"
-            )
-        n = self.dim
-        h_grad = FD_STEP_GRAD * (1.0 + np.abs(points))
-        h_hess = FD_STEP_HESS * (1.0 + np.abs(points))
-        nodes = [points]
+        return _central_differences(lambda nodes: self.inner.batch(nodes, 0)[0], points, order)
 
-        def node(*shifts):
-            """Index of the stencil node at points shifted by (i, step) pairs."""
-            out = points.copy()
-            for i, step in shifts:
-                out[:, i] += step
-            nodes.append(out)
-            return len(nodes) - 1
 
-        grad_nodes = [(node((i, h_grad[:, i])), node((i, -h_grad[:, i])))
-                      for i in range(n if order >= 1 else 0)]
-        hess_nodes = {}
-        for i in range(n if order >= 2 else 0):
-            hi = h_hess[:, i]
-            hess_nodes[i, i] = (node((i, hi)), node((i, -hi)))
-            for j in range(i + 1, n):
-                hj = h_hess[:, j]
-                hess_nodes[i, j] = (node((i, hi), (j, hj)), node((i, hi), (j, -hj)),
-                                    node((i, -hi), (j, hj)), node((i, -hi), (j, -hj)))
-        f = self.inner.batch(np.concatenate(nodes), 0)[0]
-        entry = f.shape[1:]
-        f = f.reshape((len(nodes), len(points)) + entry)
-        pad = (1,) * len(entry)  # broadcasts a point's steps over its entries
-        val = f[0]
-        out = (val,)
-        if order >= 1:
-            grad = np.empty(points.shape + entry)
-            h = h_grad.reshape(h_grad.shape + pad)
-            for i, (plus, minus) in enumerate(grad_nodes):
-                grad[:, i] = (f[plus] - f[minus]) / (2.0 * h[:, i])
-            out += (grad,)
-        if order >= 2:
-            hess = np.empty(points.shape + (n,) + entry)
-            squares = np.array([h**2 for h in h_hess.ravel().tolist()]).reshape(h_hess.shape + pad)
-            for (i, j), k in hess_nodes.items():
-                if i == j:
-                    hess[:, i, i] = (f[k[0]] - 2.0 * val + f[k[1]]) / squares[:, i]
-                else:
-                    step = (4.0 * h_hess[:, i] * h_hess[:, j]).reshape((len(points),) + pad)
-                    hess[:, i, j] = hess[:, j, i] = (f[k[0]] - f[k[1]] - f[k[2]] + f[k[3]]) / step
-            out += (hess,)
-        return out
+def _central_differences(values, points, order) -> tuple:
+    """Parts up to ``order`` at points (N, n) from central differences of
+    ``values(nodes)``, the order-0 values (len(nodes), ...) at a stack of
+    nodes.  All stencil nodes of all points are evaluated in one call.
+    The step scales with the coordinate size."""
+    if order > 2:
+        raise ContractViolation(
+            "finite-difference mode provides derivatives up to order 2"
+        )
+    n = points.shape[1]
+    h_grad = FD_STEP_GRAD * (1.0 + np.abs(points))
+    h_hess = FD_STEP_HESS * (1.0 + np.abs(points))
+    nodes = [points]
+
+    def node(*shifts):
+        """Index of the stencil node at points shifted by (i, step) pairs."""
+        out = points.copy()
+        for i, step in shifts:
+            out[:, i] += step
+        nodes.append(out)
+        return len(nodes) - 1
+
+    grad_nodes = [(node((i, h_grad[:, i])), node((i, -h_grad[:, i])))
+                  for i in range(n if order >= 1 else 0)]
+    hess_nodes = {}
+    for i in range(n if order >= 2 else 0):
+        hi = h_hess[:, i]
+        hess_nodes[i, i] = (node((i, hi)), node((i, -hi)))
+        for j in range(i + 1, n):
+            hj = h_hess[:, j]
+            hess_nodes[i, j] = (node((i, hi), (j, hj)), node((i, hi), (j, -hj)),
+                                node((i, -hi), (j, hj)), node((i, -hi), (j, -hj)))
+    f = values(np.concatenate(nodes))
+    entry = f.shape[1:]
+    f = f.reshape((len(nodes), len(points)) + entry)
+    pad = (1,) * len(entry)  # broadcasts a point's steps over its entries
+    val = f[0]
+    out = (val,)
+    if order >= 1:
+        grad = np.empty(points.shape + entry)
+        h = h_grad.reshape(h_grad.shape + pad)
+        for i, (plus, minus) in enumerate(grad_nodes):
+            grad[:, i] = (f[plus] - f[minus]) / (2.0 * h[:, i])
+        out += (grad,)
+    if order >= 2:
+        hess = np.empty(points.shape + (n,) + entry)
+        squares = np.array([h**2 for h in h_hess.ravel().tolist()]).reshape(h_hess.shape + pad)
+        for (i, j), k in hess_nodes.items():
+            if i == j:
+                hess[:, i, i] = (f[k[0]] - 2.0 * val + f[k[1]]) / squares[:, i]
+            else:
+                step = (4.0 * h_hess[:, i] * h_hess[:, j]).reshape((len(points),) + pad)
+                hess[:, i, j] = hess[:, j, i] = (f[k[0]] - f[k[1]] - f[k[2]] + f[k[3]]) / step
+        out += (hess,)
+    return out
 
 
 class _FieldStack:
     """Several scalar fields on one chart, evaluated together at a stack
-    of points; a field may appear more than once.
+    of points as one compiled program; a field may appear more than once.
 
-    When every field is an expression or a constant, their ASTs compile on
-    first use into one program that evaluates each distinct subexpression
-    once per call and writes every position; otherwise each distinct
-    field's ``batch`` is stacked and gathered into position.
+    A leaf is an :class:`ExprField` or an :class:`FDField` over one.  The
+    leaves' ASTs compile on first use into one program that evaluates each
+    distinct subexpression once per call and writes every position.  A
+    stack with an ``FDField`` leaf is in finite-difference mode: its parts
+    are central differences of the program's values, all stencil nodes in
+    one order-0 call (:func:`_central_differences`); its other leaves are
+    constants, whose differences are exact zeros.  Each part ends in
+    ``shape``, the value shape its owner reads, by default one axis over
+    the fields.
     """
 
-    def __init__(self, fields, dim: int):
+    def __init__(self, fields, shape=None):
         self.fields = list(fields)
-        self.dim = dim
-        asts = [_leaf_ast(f) for f in self.fields]
-        self._asts = None if None in asts else asts  # compiled when every field is a leaf
-        self._compiled = None
-        self._distinct = list(dict.fromkeys(self.fields))
-        self._at = [self._distinct.index(f) for f in self.fields]  # position -> distinct field
+        self.shape = (len(self.fields),) if shape is None else shape
+        self._fd = any(isinstance(f, FDField) for f in self.fields)
+        self._asts = [(f.inner if isinstance(f, FDField) else f).ast for f in self.fields]
+        self._program = None  # compile_batched(self._asts), built on first use
 
     def __call__(self, points, order: int) -> tuple:
-        """The parts up to ``order`` for the E fields at points already an
-        (N, dim) float array: values (N, E), grads (N, dim, E), hess
-        (N, dim, dim, E), third (N, dim, dim, dim, E)."""
-        if self._asts is None:
-            rows = [f.batch(points, order) for f in self._distinct]
-            return tuple(np.stack(part, axis=-1)[..., self._at] for part in zip(*rows))
-        if self._compiled is None:
-            self._compiled = exprlang.compile_batched(self._asts)
-        return self._compiled(points, order)
-
-
-def _leaf_ast(fld):
-    if isinstance(fld, ExprField):
-        return fld.ast
-    if isinstance(fld, ConstField):
-        return exprlang.Const(fld._value)
-    return None
+        """The parts up to ``order`` at points already an (N, dim) float
+        array on the fields' chart: values (N, *shape), grads (N, dim,
+        *shape), hess (N, dim, dim, *shape), third (N, dim, dim, dim,
+        *shape)."""
+        if self._program is None:
+            self._program = exprlang.compile_batched(self._asts)
+        if self._fd:
+            parts = _central_differences(lambda nodes: self._program(nodes, 0)[0], points, order)
+        else:
+            parts = self._program(points, order)
+        return tuple(part.reshape(part.shape[:-1] + self.shape) for part in parts)
 
 
 def _as_points(points, dim: int) -> np.ndarray:
@@ -237,7 +231,7 @@ def make_scalar(source, dim: int, mode: str = "jet") -> ScalarField:
     if isinstance(source, ScalarField):
         return source
     if isinstance(source, (int, float)):
-        return ConstField(float(source), dim)
+        return ExprField(exprlang.Const(float(source)), dim)
     ast = exprlang.parse(source, dim) if isinstance(source, str) else source
     leaf = ExprField(ast, dim)
     return FDField(leaf) if mode == "fd" else leaf
@@ -265,7 +259,8 @@ class MetricField(Field):
                     raise ContractViolation("metric entries must be scalar fields")
                 self._entries[(i, j)] = e
         # every entry (i, j) in row-major order, so the program writes g whole
-        self._stack = _FieldStack([self.entry(i, j) for i in range(dim) for j in range(dim)], dim)
+        self._stack = _FieldStack([self.entry(i, j) for i in range(dim) for j in range(dim)],
+                                  (dim, dim))
 
     @classmethod
     def from_exprs(cls, rows, dim: int, mode: str = "jet") -> "MetricField":
@@ -284,8 +279,7 @@ class MetricField(Field):
                 for i in range(self.dim) for j in range(i, self.dim)]
 
     def _batch(self, points, order):
-        n = self.dim
-        return tuple(part.reshape(part.shape[:-1] + (n, n)) for part in self._stack(points, order))
+        return self._stack(points, order)
 
 
 # -- connection fields ------------------------------------------------
@@ -325,7 +319,7 @@ class ExprConnection(ConnectionField):
         return cls(dim, rows)
 
     def _batch(self, points, order):
-        return _coefficient_parts(self._stack, points, order)
+        return self._stack(points, order)
 
 
 class MetricConnection(ConnectionField):
@@ -472,7 +466,7 @@ class AlphaConnection(MetricConnection):
         lc = _levi_civita(g_parts, ginv)
         if self.alpha == 0.0:
             return lc
-        c = _coefficient_parts(self._cubic_stack, points, len(g_parts) - 2)
+        c = self._cubic_stack(points, len(g_parts) - 2)
         raised = _solution_parts(ginv, g_parts[1:], _apply(ginv, c[0]), c[1:])
         return tuple(a - b * (0.5 * self.alpha) for a, b in zip(lc, raised))
 
@@ -492,15 +486,9 @@ class SumConnection(ConnectionField):
 
 
 def _coefficient_stack(fields, dim: int) -> _FieldStack:
-    """Stack of a nested n x n x n list of scalar fields, in [k][i][j] order."""
-    return _FieldStack([f for mid in fields for row in mid for f in row], dim)
-
-
-def _coefficient_parts(stack: _FieldStack, points, order: int) -> tuple:
-    """Parts [p, (a, ...), k, i, j] up to ``order`` of a stack made by
-    :func:`_coefficient_stack`."""
-    n = stack.dim
-    return tuple(part.reshape(part.shape[:-1] + (n, n, n)) for part in stack(points, order))
+    """Stack of a nested n x n x n list of scalar fields, in [k][i][j]
+    order, whose parts are [p, (a, ...), k, i, j]."""
+    return _FieldStack([f for mid in fields for row in mid for f in row], (dim,) * 3)
 
 
 # -- aggregates -------------------------------------------------------

@@ -1,9 +1,9 @@
 """Small dense linear algebra on numpy alone.
 
 A stack of matrices (N, n, n) is inverted in one LAPACK call, and a
-solve a^-1 b is that certified inverse times b, so a stack solved
-against several times is factored once.  A system is singular when
-its smallest LU pivot is below ``PIVOT_RTOL * max|a|``.
+caller solves a^-1 b as that certified inverse times b, so a stack
+solved against several times is factored once.  A system is singular
+when its smallest LU pivot is below ``PIVOT_RTOL * max|a|``.
 Partial pivoting keeps |l_ij| <= 1, so ||L||_2 <= sqrt(n(n+1)/2) and
 
     min |u_kk| >= sigma_min(a) / ||L||_2 >= 1 / (n max|a^-1_ij| sqrt(n(n+1)/2)):
@@ -45,17 +45,6 @@ SAFE_MIN = np.finfo(float).tiny
 NORM_DOWNDATE_TOL = math.sqrt(np.finfo(float).eps)
 
 
-def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a x = b`` for a stack of square systems (n <= 16 in
-    practice), ``a`` of shape (N, n, n) and ``b`` (N, n) or (N, n, k),
-    as :func:`inverse` times ``b``; raises as :func:`inverse` does."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_stack(a, b)
-    inv = inverse(a)
-    return inv @ b if b.ndim == 3 else (inv @ b[..., None])[..., 0]
-
-
 def inverse(a) -> np.ndarray:
     """The inverses of a stack of square matrices (N, n, n), from one
     LAPACK call; rows that the inverse does not certify nonsingular are
@@ -77,22 +66,12 @@ def inverse_rows(a):
     return inv, bad
 
 
-def singular_rows(a) -> np.ndarray:
-    """Boolean mask over a stack (N, n, n): the rows :func:`solve_linear`
-    rejects as singular."""
-    return inverse_rows(a)[1]
-
-
-def _check_stack(a, b) -> None:
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape[:2] != a.shape[:2] or b.ndim > 3:
-        raise ContractViolation(f"shape mismatch: a {a.shape}, b {b.shape}")
-
-
 def _factor(a):
     """a^-1 for a stack from one LAPACK call (an exactly singular row
     comes back NaN), and the lazy :func:`_failures` of uncertified rows."""
     a = np.asarray(a, dtype=float)
-    _check_stack(a, a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ContractViolation(f"shape mismatch: a {a.shape}, need (N, n, n)")
     with np.errstate(all="ignore"):
         inv = _umath_linalg.inv(a)
     ok = _certified(a, inv)

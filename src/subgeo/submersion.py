@@ -38,7 +38,7 @@ import numpy as np
 from . import geometry
 from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
 from .fields import ScalarField, Space, _as_points, _dual, _FieldStack, _parts_and_inverse
-from .linalg import inverse, inverse_rows, pivoted_qr, singular_rows
+from .linalg import inverse, inverse_rows, pivoted_qr
 from .results import (CheckResult, Sweep, agree, build_rows, collect, fold, owned_rows, peak,
                       sweep_rows)
 
@@ -62,7 +62,7 @@ class SubmersionSetup:
         self.phi = phi
         self.name = name
         self._pivot = None
-        self._pi_stack = _FieldStack(self.pi, total.dim)
+        self._pi_stack = _FieldStack(self.pi)
 
     # -- dimensions ----------------------------------------------------
 
@@ -140,7 +140,7 @@ class SubmersionSetup:
             return np.zeros(len(x), dtype=bool)
         _, dpi_t, hess = self._pi_stack(x, 2)
         kernel, _ = self._vertical(x, np.swapaxes(dpi_t, 1, 2), np.moveaxis(hess, 3, 2))
-        return singular_rows(_gram(kernel, self.total.metric.batch(x, 0)[0]))
+        return inverse_rows(_gram(kernel, self.total.metric.batch(x, 0)[0]))[1]
 
     def _frame_arrays(self, x, rank_test: bool) -> dict:
         """The :class:`_FrameBatch` arrays at points x (N, n), each with a

@@ -311,7 +311,7 @@ def defining_rule_residuals(bundle: TangentBundle, points) -> dict:
     out["horizontal_hh"] = _amax(gram(h_cols, gh, h_cols))
     out["horizontal_hv"] = _amax(gram(h_cols, gh, v_cols) - g)
     out["horizontal_vv"] = _amax(gram(v_cols, gh, v_cols))
-    xf, yf = (_FieldStack(fields, n)(base, 2) for fields in _test_vector_fields(n))
+    xf, yf = (_FieldStack(fields)(base, 2) for fields in _test_vector_fields(n))
     gc = bundle.complete_metric.batch(x, 0)[0]
     out["complete_cc"] = _amax(gram(c_cols, gc, c_cols) - np.einsum("pk,pkij->pij", u[0], dg))
     out["complete_cv"] = _amax(gram(c_cols, gc, v_cols) - g)

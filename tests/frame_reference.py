@@ -19,7 +19,7 @@ import numpy as np
 
 from subgeo import geometry
 from subgeo.errors import SingularMatrix
-from subgeo.linalg import solve_linear
+from subgeo.linalg import inverse
 from subgeo.submersion import (NEWTON_MAX_ITER, NEWTON_TOL, _amax, _bracket, _form3, _gram, _mv,
                                _pair, _scalar_grad)
 
@@ -215,7 +215,7 @@ def _newton_fiber(setup, x, b, piv):
             return tuple(x), "found"
         jac = setup._pi_stack(np.array([x], dtype=float), 1)[1][0].T[:, list(piv)]
         try:
-            step = solve_linear(jac[None], -res[None])[0]
+            step = (inverse(jac[None]) @ -res[:, None])[0, :, 0]
         except SingularMatrix:
             return None, "singular"
         for r, c in enumerate(piv):

@@ -13,9 +13,9 @@ import numpy as np
 
 from subgeo.errors import ContractViolation, SingularMatrix
 from subgeo.exprlang import eval_jet
-from subgeo.fields import (FD_STEP_GRAD, FD_STEP_HESS, AlphaConnection, ConstField,
-                           DualConnection, ExprConnection, ExprField, FDField,
-                           LeviCivitaConnection, SumConnection)
+from subgeo.fields import (FD_STEP_GRAD, FD_STEP_HESS, AlphaConnection, DualConnection,
+                           ExprConnection, ExprField, FDField, LeviCivitaConnection,
+                           SumConnection)
 from subgeo.jets import Jet
 from subgeo.linalg import PIVOT_RTOL
 from subgeo.tangent_bundle import CompleteLiftConnection, HorizontalLiftConnection
@@ -125,8 +125,6 @@ def scalar_jet(field, point, order: int) -> Jet:
     point = tuple(float(x) for x in point)
     if isinstance(field, ExprField):
         return eval_jet(field.ast, point, order)
-    if isinstance(field, ConstField):
-        return Jet.constant(field._value, field.dim, order)
     if isinstance(field, FDField):
         return _fd_jet(field, point, order)
     raise ContractViolation(f"no jet reference for {field!r}")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import subgeo
 from subgeo import builtins, exprlang, fields, runner
-from subgeo.config import parse_config
+from subgeo.config import build_scenario, parse_config
 from subgeo.errors import ContractViolation, EvalDomain, SubgeoError
 from subgeo.exprlang import compile_batched, eval_jet, parse
 from subgeo.fields import DualConnection, FDField, MetricField, ScalarField
@@ -504,6 +504,148 @@ def test_fd_crosscheck_evaluates_a_run_of_probes_as_one_batch(name, monkeypatch)
     runs = 2
     assert calls.count(True) == runs
     assert calls.count(False) <= 2 * runs
+
+
+# -- fd stacks: one program, differenced ---------------------------------------
+
+# numeric entries stay constant leaves among the fd ones; the base metric
+# is numbers only, so its stack stays a jet stack
+INLINE_FD = {
+    "mode": "fd",
+    "manifold": {"dim": 2, "box": [[0.5, 2.0], [0.5, 2.0]],
+                 "metric": [[2, 0.5], [0.5, "1 + x1^2"]],
+                 "connection": {"coeffs": [[[0, "x1*x2"], [0.25, 0]], [[1.5, 0], [0, "x2^2"]]]}},
+    "submersion": {"base": {"dim": 1, "box": [[0.0, 3.0]], "metric": [[3]],
+                            "connection": "flat"},
+                   "projection": ["x1 + x2/4"], "phi": 0.5},
+}
+INLINE_FD_ALPHA = {
+    "mode": "fd",
+    "manifold": {"dim": 2, "box": [[0.5, 2.0], [0.5, 2.0]],
+                 "metric": [["x2", 0], [0, "1/x2"]],
+                 "connection": {"alpha": 0.5,
+                                "cubic": [[[1, "x1"], ["x1", 0]], [["x1", 0], [0, 0.75]]]}},
+}
+
+
+def _fd_scenarios():
+    """Every builtin that is not a tangent bundle, in fd mode, and the
+    inline fd configs with numeric entries."""
+    for name in BUILTINS:
+        if not name.startswith("tangent_bundle_of:"):
+            yield name, builtins.build(name, "fd")
+    for k, raw in enumerate((INLINE_FD, INLINE_FD_ALPHA)):
+        yield f"inline-{k}", build_scenario(parse_config(raw, source="<test>"))
+
+
+def _stacks(scenario):
+    """(label, stack, chart box) for every field stack of a scenario: the
+    metric, the expression coefficients, the alpha cubic, the projection
+    and the base metric."""
+    space, setup = scenario.space, scenario.setup
+    box = space.chart.box
+    owners = [("metric", space.metric, box), ("conn", space.conn, box)]
+    owners += [(f"term{k}", term, box)
+               for k, term in enumerate(getattr(space.conn, "terms", ()))]
+    if setup is not None:
+        owners += [("setup", setup, box), ("base", setup.base.metric, setup.base.chart.box)]
+    return [(f"{label}.{attr}", getattr(owner, attr), box) for label, owner, box in owners
+            for attr in ("_stack", "_cubic_stack", "_pi_stack") if hasattr(owner, attr)]
+
+
+def per_leaf(stack, points, order):
+    """The per-leaf rule, the reference of a stack: each leaf's own batch
+    (an FDField's stencil, a constant's jet), stacked in position."""
+    rows = [leaf.batch(points, order) for leaf in stack.fields]
+    return tuple(np.stack(part, axis=-1).reshape(part[0].shape + stack.shape)
+                 for part in zip(*rows))
+
+
+def _outcome(fn):
+    """fn() or its error as (type, message, point)."""
+    try:
+        return fn()
+    except SubgeoError as exc:
+        return type(exc), str(exc), getattr(exc, "point", None)
+
+
+def _same_bits(got, want):
+    return (len(got) == len(want)
+            and all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want)))
+
+
+def test_fd_stacks_match_the_per_leaf_rule_bit_for_bit():
+    fd_stacks = 0
+    for name, scenario in _fd_scenarios():
+        unit = np.random.default_rng(7).uniform(0.0, 1.0, size=(5, 3))
+        for label, stack, box in _stacks(scenario):
+            pts = _box_points(box, unit)
+            fd_stacks += stack._fd
+            for order in range(3):
+                got = stack(pts, order)
+                assert _same_bits(got, per_leaf(stack, pts, order)), (name, label, order)
+    assert fd_stacks >= 20
+
+
+def test_an_fd_stack_runs_its_program_once_on_all_stencil_nodes(monkeypatch):
+    # a metric, a coefficient, a cubic and a projection stack: one order-0
+    # call of the one program on every stencil node of every point
+    calls = []
+    compile_batched = exprlang.compile_batched
+
+    def counting(nodes):
+        program = compile_batched(nodes)
+        return lambda points, order: calls.append((len(points), order)) or program(points, order)
+
+    monkeypatch.setattr(exprlang, "compile_batched", counting)
+    hyp, gauss, broken = (builtins.build(name, "fd")
+                          for name in ("hyperbolic:3", "gaussian:alpha=1", "broken:2"))
+    batches = {
+        "metric": (3, lambda pts, order: hyp.space.metric.batch(pts, order)),
+        "coeffs": (2, lambda pts, order: broken.space.conn.batch(pts, order)),
+        "cubic": (2, gauss.space.conn._cubic_stack),
+        "projection": (3, hyp.setup._pi_stack),
+    }
+    for label, (n, batch) in batches.items():
+        pts = np.random.default_rng(2).uniform(0.6, 0.9, size=(4, n))
+        for order in range(3):
+            nodes = 1 + (2 * n if order >= 1 else 0) + (2 * n * n if order >= 2 else 0)
+            calls.clear()
+            batch(pts, order)
+            assert calls == [(nodes * len(pts), 0)], (label, order)
+
+
+def test_a_failing_fd_row_raises_what_the_per_leaf_rule_raises():
+    # 1/x2^2 and -log(x2) fail at stencil nodes with x2 <= 0; the first
+    # leaf to fail names the error and its point, alone or in a stack
+    scenario = builtins.build("hyperbolic:2", "fd")
+    box = ((-1.0, 1.0), (-1.0, 3.0))
+    metric, phi = scenario.space.metric, scenario.setup.phi
+    stacks = [metric._stack, fields._FieldStack([phi, metric.entry(0, 0), phi])]
+    pts = _box_points(box, np.random.default_rng(3).uniform(0.0, 1.0, size=(16, 2)))
+    pts[5, 1], pts[9, 1] = 0.0, -0.5
+    failed = 0
+    for stack in stacks:
+        for rows in [slice(None)] + [slice(k, k + 1) for k in range(len(pts))]:
+            for order in range(3):
+                got = _outcome(lambda: stack(pts[rows], order))
+                want = _outcome(lambda: per_leaf(stack, pts[rows], order))
+                if isinstance(want[0], type):
+                    failed += 1
+                    assert got == want, (rows, order)
+                else:
+                    assert _same_bits(got, want), (rows, order)
+    assert failed >= 8
+
+
+def test_an_fd_stack_stops_at_order_2():
+    scenario = builtins.build("gaussian:alpha=1", "fd")
+    pts = np.array([[0.1, 1.0]])
+    for batch in (scenario.space.metric.batch, scenario.space.conn._cubic_stack,
+                  scenario.setup._pi_stack):
+        with pytest.raises(ContractViolation,
+                           match="^finite-difference mode provides derivatives up to order 2$"):
+            batch(pts, 3)
 
 
 # -- structure -------------------------------------------------------------------

@@ -47,7 +47,7 @@ def at(field, p):
 def base_parts(components, p, n, order=2):
     """Parts (X, dX, ...) of base vector field components at the base point
     of the bundle point p, as one-row stacks."""
-    return _FieldStack(components, n)(np.array([p[:n]], dtype=float), order)
+    return _FieldStack(components)(np.array([p[:n]], dtype=float), order)
 
 
 def lift(kind, components, conn, p, order=2):
