@@ -6,10 +6,11 @@ Usage: python3 scripts/same_reports.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are directories holding the ``subgeo`` package (the
 ``src`` directory of two checkouts).  Each tree runs, in its own
 subprocess, every builtin below at seeds 0-4 with 16 samples, in jet
-mode and in fd mode.  It also runs the configs of INCIDENT_CONFIGS,
-whose suites have incidents, at the same seeds in jet mode, and its two
-hyperbolic:2 boxes in fd mode too, where stencil rows fail.  Reports
-are compared once their ``wall_time_s`` fields are stripped.
+mode and in fd mode (120 cases).  It also runs the configs of
+INCIDENT_CONFIGS, whose suites have incidents, at the same seeds in jet
+mode, and its two hyperbolic:2 boxes in fd mode too, where stencil rows
+fail (35 cases, 155 in all).  Reports are compared once their
+``wall_time_s`` fields are stripped.
 
 Every report that differs is printed as a diff and labelled:
 ``rounding`` when only floats differ, each by at most
@@ -38,14 +39,23 @@ SEEDS = range(5)
 SAMPLES = 16
 FLOAT_RTOL = 1e-12  # a float change within FLOAT_RTOL * max(1, |old|) is rounding
 
-# Builtins with points or a geodesic job where they fail to evaluate:
+# Configs with points or geodesic jobs where they fail to evaluate:
 # log(x_n) of the half-space metric is undefined at x_n <= 0, and the
-# job's curve leaves the chart box.
+# job's curve leaves the chart box.  In the inline one, jobs end inside
+# an RK4 step: "domain" reaches x2 = -0.5, where log(x2 + 0.5) is
+# undefined, and "singular" runs into x1 > 0.68, where g11 = 1 -
+# tanh(50 x1 - 20) falls below the pivot threshold; "complete" does not end.
 INCIDENT_CONFIGS = (
     {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1, 1], [-0.1, 3]]}},
     {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1, 1], [-1, 3]]}},
     {"builtin": "hyperbolic:3", "sampling": {"boxes": [[-1, 1], [-1, 1], [-0.5, 3]]}},
     {"builtin": "hyperbolic:3", "geodesics": {"edge": {"p0": [0.9, 0, 1], "v0": [3, 0, 0]}}},
+    {"manifold": {"dim": 2, "box": [[-1, 1], [-1, 1]],
+                  "metric": [["1 - tanh(50*x1 - 20)", "0"], ["0", "1 + 0*log(x2 + 0.5)"]]},
+     "geodesics": {"domain": {"p0": [0, 0], "v0": [0, -1]},
+                   "singular": {"p0": [0.3, 0.5], "v0": [0.5, 0]},
+                   "complete": {"p0": [0, 0], "v0": [0, 0.3]}},
+     "checks": ["geodesic_energy"]},
 )
 
 
@@ -74,7 +84,7 @@ from subgeo import runner
 from subgeo.config import parse_config
 
 for config in json.loads(sys.argv[2]):
-    cfg = parse_config(config, source="<" + config["builtin"] + ">")
+    cfg = parse_config(config, source="<" + config.get("builtin", "inline") + ">")
     try:
         report = runner.run_suite(cfg)
     except Exception:

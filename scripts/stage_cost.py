@@ -8,11 +8,14 @@ starts, stacked as lockstep integration stacks them and repeated to 3
 rows.  Prints the median microseconds, over REPEATS timed calls (1000 by
 default) after a warm-up, of one order-0 ``conn.batch`` at those points,
 which gives the parts (Gamma,), and of one ``_rk4_step`` (four stages)
-from those states.  Then it prints the median microseconds of one
-``linalg.inverse``, the one LAPACK call behind every solve, on a 1-row
-and on a 256-row stack of well-conditioned (3, 3) matrices: the fixed
-cost of a call and its cost per row.  Run it from the repository root;
-it times the ``subgeo`` under ``src``.
+from those states.  The last column is the median, over 3 runs after a
+warm-up, of one whole ``integrate_geodesic`` of the builtin's own jobs
+(which share one span and step), in microseconds per step: the step
+with the integration loop around it (the box test and the node store).
+Then it prints the median microseconds of one ``linalg.inverse`` on a
+1-row and on a 256-row stack of well-conditioned (3, 3) matrices: the
+fixed cost of a call and its cost per row.  Run it from the repository
+root; it times the ``subgeo`` under ``src``.
 """
 
 import statistics
@@ -24,7 +27,7 @@ sys.path.insert(0, "src")
 import numpy as np
 
 from subgeo import builtins
-from subgeo.geodesics import _rk4_step
+from subgeo.geodesics import _rk4_step, integrate_geodesic
 from subgeo.linalg import inverse
 
 BUILTINS = (
@@ -37,10 +40,11 @@ BUILTINS = (
 ROWS = 3
 STACKS = (1, 256)  # rows of the timed inverse stacks
 WARMUP = 50
+INTEGRATIONS = 3
 
 
-def median_us(call, repeats: int) -> float:
-    for _ in range(WARMUP):
+def median_us(call, repeats: int, warmup: int = WARMUP) -> float:
+    for _ in range(warmup):
         call()
     times = []
     for _ in range(repeats):
@@ -52,19 +56,24 @@ def median_us(call, repeats: int) -> float:
 
 def main() -> None:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
-    print(f"{'builtin':<22s} {'conn.batch us':>14s} {'_rk4_step us':>13s}")
+    print(f"{'builtin':<22s} {'conn.batch us':>14s} {'_rk4_step us':>13s} "
+          f"{'integrate us/step':>18s}")
     for name in BUILTINS:
         scenario = builtins.build(name)
         jobs = scenario.geodesic_jobs
         if not jobs:
             continue
-        conn = scenario.space.conn
+        conn, chart = scenario.space.conn, scenario.space.chart
         x = np.resize([job["p0"] for job in jobs.values()], (ROWS, scenario.dim))
         v = np.resize([job["v0"] for job in jobs.values()], (ROWS, scenario.dim))
         states = np.concatenate([x, v], axis=1)
         batch = median_us(lambda: conn.batch(x, 0), repeats)
         step = median_us(lambda: _rk4_step(conn, states, 1e-3), repeats)
-        print(f"{name:<22s} {batch:14.1f} {step:13.1f}")
+        (t_end, h), = {(job["t_end"], job["h"]) for job in jobs.values()}
+        starts = [[job[key] for job in jobs.values()] for key in ("p0", "v0")]
+        whole = median_us(lambda: integrate_geodesic(conn, chart, *starts, t_end, h),
+                          INTEGRATIONS, warmup=1)
+        print(f"{name:<22s} {batch:14.1f} {step:13.1f} {whole / round(t_end / h):18.1f}")
     rng = np.random.default_rng(0)
     print(f"{'stack':<22s} {'inverse us':>14s}")
     for rows in STACKS:

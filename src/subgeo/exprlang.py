@@ -329,16 +329,17 @@ def eval_jet(node, point, order: int) -> Jet:
 MAX_BATCH_ORDER = 3
 
 
-def compile_batched(nodes):
+def compile_batched(nodes, shape=None):
     """Compile ASTs into ``fn(points, order)``.
 
     ``points`` is an (N, d) array.  The result is the tuple of the first
     order + 1 parts of the jets of the E expressions at every point:
     ``values`` (N, E), then ``grads`` (N, d, E) from order 1, ``hess``
-    (N, d, d, E) from order 2 and ``third`` (N, d, d, d, E) at order 3.
-    A subexpression shared between or within the expressions is
-    evaluated once per call.  A domain error raises :class:`EvalDomain`
-    carrying the first point where it occurs.
+    (N, d, d, E) from order 2 and ``third`` (N, d, d, d, E) at order 3,
+    each E axis laid out as ``shape`` if given.  A subexpression shared
+    between or within the expressions is evaluated once per call.  A domain
+    error raises :class:`EvalDomain` at the first point where it occurs.
+    ``fn.at(order)`` is fn at one order, unchecked and without errstate.
     """
     program, slots = [], {}  # instructions (op, argument slots, constants)
     dim_needed = 0
@@ -378,6 +379,11 @@ def compile_batched(nodes):
     outputs = [walk(n) for n in nodes]
     by_order = [None] * (MAX_BATCH_ORDER + 1)  # the function of each order, on first use
 
+    def at(order):
+        if by_order[order] is None:
+            by_order[order] = _Source(order).function(program, outputs, shape)
+        return by_order[order]
+
     def evaluate(points, order):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] < dim_needed:
@@ -386,12 +392,10 @@ def compile_batched(nodes):
         if not 0 <= order <= MAX_BATCH_ORDER:
             raise ContractViolation(
                 f"batched order must be in 0..{MAX_BATCH_ORDER}, got {order}")
-        fn = by_order[order]
-        if fn is None:
-            fn = by_order[order] = _Source(order).function(program, outputs)
         with np.errstate(all="ignore"):
-            return fn(points)
+            return at(order)(points)
 
+    evaluate.at = at
     return evaluate
 
 
@@ -414,19 +418,20 @@ class _Source:
         self.zeros = set()   # names of constants equal to +0.0
         self.known = {}      # expression -> the local holding it
 
-    def function(self, program, outputs):
+    def function(self, program, outputs, shape):
         """The compiled ``fn(points)`` of ``program``, giving the parts
         up to the order of the expressions at the ``outputs`` slots."""
         regs = []
         for op, args, consts in program:
             regs.append(getattr(self, "op_" + op)(*[regs[a] for a in args], *consts))
-        width = len(outputs)
+        shape = (len(outputs),) if shape is None else tuple(shape)  # row-major over outputs
         for k in range(self.order + 1):
-            self.lines.append(f"o{k} = np.zeros((len(points),{' dim,' * k} {width}))")
+            self.lines.append(f"o{k} = np.zeros((len(points),{' dim,' * k} {str(shape)[1:-1]}))")
         for e, slot in enumerate(outputs):
+            at = ", ".join(map(str, np.unravel_index(e, shape)))
             for k, part in enumerate(regs[slot][0][:self.order + 1]):
                 if part is not None and part not in self.zeros:
-                    self.lines.append(f"o{k}[..., {e}] = {part}")
+                    self.lines.append(f"o{k}[..., {at}] = {part}")
         body = ["dim = points.shape[1]"] + self.lines
         body.append(f"return ({''.join(f'o{k}, ' for k in range(self.order + 1))})")
         source = "def program(points):\n" + "".join(f"    {line}\n" for line in body)
@@ -599,7 +604,7 @@ def _rows(value) -> bool:
 def _domain(bad, points, message):
     """Raise EvalDomain at the first point flagged in ``bad`` (per row, or
     one flag for a scalar)."""
-    if len(points) and bad.any():
+    if len(points) and np.count_nonzero(bad):
         raise EvalDomain(message, points[int(np.argmax(bad)) if _rows(bad) else 0])
 
 

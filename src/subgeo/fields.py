@@ -13,12 +13,13 @@ budget: scalar fields, metrics and expression connections reach order
 the metric's by the forward-mode rule d(A^-1 b) = A^-1 (db - dA A^-1 b)
 differentiated once more; dual connections reach 1.  A batch inverts g
 once (:func:`linalg.inverse`); each solve against g multiplies by it,
-and a caller may pass it (:func:`_parts_and_inverse`).  Asking past a
-field's order raises :class:`ContractViolation`.  Nothing is cached per
-point.  In finite-difference mode the same program runs at order 0 on
-every stencil node, and central differences of its values (orders 0..2)
-stand in for its partials while all derived algebra is untouched,
-giving an independent derivative path through every check.
+and a caller may pass it (:func:`_parts_and_inverse`) or, in an RK4
+stage, certify it later (``_gamma``).  Asking past a field's order
+raises :class:`ContractViolation`.  Nothing is cached per point.  In
+finite-difference mode the same program runs at order 0 on every
+stencil node, and central differences of its values (orders 0..2) stand
+in for its partials while all derived algebra is untouched, giving an
+independent derivative path through every check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import exprlang
 from .errors import ContractViolation
-from .linalg import inverse
+from .linalg import certify, inverse, lapack_inverse
 
 FD_STEP_GRAD = 1e-6
 FD_STEP_HESS = 5e-4
@@ -69,8 +70,8 @@ class ChartedManifold:
 
 
 class Field:
-    """A field on a chart; subclasses set ``dim``, ``max_order`` and
-    ``_batch``, which takes points already an (N, dim) float array."""
+    """A field on a chart; subclasses set ``dim``, ``max_order`` and ``_stack``
+    or ``_batch``, which takes checked (N, dim) points under ``np.errstate``."""
 
     dim: int
     max_order: int
@@ -80,7 +81,11 @@ class Field:
         stack of points (N, dim)."""
         if not 0 <= order <= self.max_order:
             raise ContractViolation(f"batched order must be in 0..{self.max_order}, got {order}")
-        return self._batch(_as_points(points, self.dim), order)
+        with np.errstate(all="ignore"):
+            return self._batch(_as_points(points, self.dim), order)
+
+    def _batch(self, points, order):
+        return self._stack.at(order)(points)
 
 
 # -- scalar fields ----------------------------------------------------
@@ -103,9 +108,6 @@ class ExprField(ScalarField):
     @classmethod
     def parse(cls, text: str, dim: int, bundle: bool = False) -> "ExprField":
         return cls(exprlang.parse(text, dim, bundle=bundle), dim)
-
-    def _batch(self, points, order):
-        return self._stack(points, order)
 
     def __repr__(self):
         return f"ExprField({exprlang.to_text(self.ast)!r})"
@@ -175,7 +177,10 @@ def _central_differences(values, points, order) -> tuple:
         squares = np.array([h**2 for h in h_hess.ravel().tolist()]).reshape(h_hess.shape + pad)
         for (i, j), k in hess_nodes.items():
             if i == j:
-                hess[:, i, i] = (f[k[0]] - 2.0 * val + f[k[1]]) / squares[:, i]
+                second = f[k[0]] - 2.0 * val + f[k[1]]  # 2 * val overflows above 9e307
+                redo = ~np.isfinite(second) & np.isfinite([f[k[0]], val, f[k[1]]]).all(axis=0)
+                second[redo] = ((f[k[0]] - val) + (f[k[1]] - val))[redo]
+                hess[:, i, i] = second / squares[:, i]
             else:
                 step = (4.0 * h_hess[:, i] * h_hess[:, j]).reshape((len(points),) + pad)
                 hess[:, i, j] = hess[:, j, i] = (f[k[0]] - f[k[1]] - f[k[2]] + f[k[3]]) / step
@@ -210,13 +215,17 @@ class _FieldStack:
         array on the fields' chart: values (N, *shape), grads (N, dim,
         *shape), hess (N, dim, dim, *shape), third (N, dim, dim, dim,
         *shape)."""
+        with np.errstate(all="ignore"):
+            return self.at(order)(points)
+
+    def at(self, order: int):
+        """:meth:`__call__` at ``order`` as a function of the points, sans errstate."""
         if self._program is None:
-            self._program = exprlang.compile_batched(self._asts)
+            self._program = exprlang.compile_batched(self._asts, self.shape)
         if self._fd:
-            parts = _central_differences(lambda nodes: self._program(nodes, 0)[0], points, order)
-        else:
-            parts = self._program(points, order)
-        return tuple(part.reshape(part.shape[:-1] + self.shape) for part in parts)
+            values = self._program.at(0)
+            return lambda x: _central_differences(lambda nodes: values(nodes)[0], x, order)
+        return self._program.at(order)
 
 
 def _as_points(points, dim: int) -> np.ndarray:
@@ -278,9 +287,6 @@ class MetricField(Field):
         return [(f"{self.label}_{i + 1}{j + 1}", (i, j))
                 for i in range(self.dim) for j in range(i, self.dim)]
 
-    def _batch(self, points, order):
-        return self._stack(points, order)
-
 
 # -- connection fields ------------------------------------------------
 
@@ -297,6 +303,11 @@ class ConnectionField(Field):
         n = self.dim
         return [(f"Gamma^{k + 1}_{i + 1}{j + 1}", (k, i, j))
                 for k in range(n) for i in range(n) for j in range(n)]
+
+    def _gamma(self, points, pending) -> np.ndarray:
+        """Gamma at checked points, under ``_batch``'s errstate; one derived from
+        its metric leaves g^-1 uncertified, with (certify, g, g^-1) in ``pending``."""
+        return self._batch(points, 0)[0]
 
 
 class ExprConnection(ConnectionField):
@@ -318,9 +329,6 @@ class ExprConnection(ConnectionField):
         rows = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
         return cls(dim, rows)
 
-    def _batch(self, points, order):
-        return self._stack(points, order)
-
 
 class MetricConnection(ConnectionField):
     """A connection whose parts up to ``len(g_parts) - 2``, ``_parts(points,
@@ -331,6 +339,11 @@ class MetricConnection(ConnectionField):
         # the metric's _batch: ``batch`` has checked the points already
         g_parts = self.metric._batch(points, order + 1)
         return self._parts(points, g_parts, inverse(g_parts[0]))
+
+    def _gamma(self, points, pending):
+        g_parts = self.metric._batch(points, 1)
+        pending.append((certify, g_parts[0], lapack_inverse(g_parts[0])))
+        return self._parts(points, g_parts, pending[-1][2])[0]
 
 
 def _parts_and_inverse(conn, metric, points, g_parts, ginv=None) -> tuple:
@@ -366,15 +379,15 @@ def _levi_civita(g_parts, ginv):
     g^-1 (1/2 dw - dg Gamma).
     """
     gamma = 0.5 * _apply(ginv, _koszul(g_parts[1]))
-    return _solution_parts(ginv, g_parts[1:], gamma, [0.5 * _koszul(d) for d in g_parts[2:]])
+    return (gamma,) if len(g_parts) == 2 else _solution_parts(
+        ginv, g_parts[1:], gamma, [0.5 * _koszul(d) for d in g_parts[2:]])
 
 
 def _koszul(dg) -> np.ndarray:
     """w[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from
     dg[..., i, j, l] = d_i g_jl; leading axes are kept."""
-    lead = tuple(range(dg.ndim - 3))
-    i, j, l = dg.ndim - 3, dg.ndim - 2, dg.ndim - 1
-    return dg.transpose(lead + (l, i, j)) + dg.transpose(lead + (l, j, i)) - dg
+    lji = dg.swapaxes(-1, -3)  # lji[..., l, j, i] = dg[..., i, j, l]
+    return lji.swapaxes(-1, -2) + lji - dg
 
 
 def _apply(ginv, rhs) -> np.ndarray:

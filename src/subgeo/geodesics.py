@@ -4,10 +4,10 @@ Curves are integrated with a fixed-step classical Runge-Kutta scheme on
 the first-order system (x' = v, v'^k = -Gamma^k_ij v^i v^j).  Jobs that
 share the time span and step integrate in lockstep: every RK4 stage
 evaluates the connection at all live jobs in one batched call, and a
-step that fails is rebuilt job by job.  Time derivatives of fields
-along a curve come from five-point fourth-order stencils on the stored
-nodes, so every curve residual is consistent with the integrator's own
-accuracy (both are O(h^4)).
+step that fails is rebuilt job by job; its stages are checked at once
+(:func:`_rk4_step`).  Time derivatives of fields along a curve come
+from five-point fourth-order stencils on the stored nodes, so a curve
+residual matches the integrator's own accuracy (both are O(h^4)).
 
 The decomposition identities relate the covariant derivative of a field
 along a curve in the total space to base and fiber contributions through
@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import BoundaryExit, ContractViolation, EvalDomain, PremiseFailed, SubgeoError
 from .fields import ConnectionField, MetricField
+from .linalg import certify
 from .results import PREMISE_FACTOR, CheckResult, agree, build_rows, collect, fold, owned_rows
 from .submersion import SubmersionSetup, _amax, _mv, _pair
 
@@ -66,31 +67,41 @@ class Trajectory:
                 fh.write(",".join("%.17g" % val for val in row) + "\n")
 
 
-def _accel(conn: ConnectionField, x, v) -> np.ndarray:
-    """Geodesic accelerations -Gamma^k_ij v^i v^j of states stacked (N, n);
-    a non-finite one is a domain error at its state."""
-    acc = -np.einsum("pkij,pi,pj->pk", conn.batch(x, 0)[0], v, v)
+def _accel(gamma, v) -> np.ndarray:
+    """Geodesic accelerations -Gamma^k_ij v^i v^j of velocities (N, n)."""
+    return -np.einsum("pkij,pi,pj->pk", gamma, v, v)
+
+
+def _finite(x, acc) -> None:
+    """A non-finite acceleration is a domain error at its state's point."""
     finite = np.isfinite(acc)
     if np.count_nonzero(finite) < finite.size:
         bad = ~finite.all(axis=1)
         raise EvalDomain("non-finite geodesic acceleration", x[int(np.argmax(bad))])
-    return acc
-
-
-def _slope(conn: ConnectionField, states, n: int) -> np.ndarray:
-    """(x', v') = (v, accel) of the states (N, 2n)."""
-    x, v = states[:, :n], states[:, n:]
-    return np.concatenate([v, _accel(conn, x, v)], axis=1)
 
 
 def _rk4_step(conn: ConnectionField, states, step) -> dict:
-    """One RK4 step of every row of ``states`` (N, 2n), each (x, v)."""
-    n = states.shape[1] // 2
-    k1 = _slope(conn, states, n)
-    k2 = _slope(conn, states + 0.5 * step * k1, n)
-    k3 = _slope(conn, states + 0.5 * step * k2, n)
-    k4 = _slope(conn, states + step * k3, n)
-    return {"states": states + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)}
+    """One RK4 step of every row of ``states`` (N, 2n), each (x, v).  The
+    checks each stage leaves in ``pending``, its certify (g, g^-1) then its
+    _finite (x, acceleration), run once over the four stages, and one by
+    one before any error escapes, so the first error in stage order wins."""
+    n, k, pending = states.shape[1] // 2, [], []  # k: the slopes (v, acceleration)
+    with np.errstate(all="ignore"):
+        try:
+            for c in (None, 0.5 * step, 0.5 * step, step):
+                s = states if c is None else states + c * k[-1]
+                x, v = s[:, :n], s[:, n:]
+                pending.append((_finite, x, _accel(conn._gamma(x, pending), v)))
+                k.append(np.concatenate([v, pending[-1][2]], axis=1))
+            for kind in (certify, _finite):
+                args = [(a, b) for check, a, b in pending if check is kind]
+                if args:
+                    kind(*map(np.concatenate, zip(*args)))
+        except SubgeoError:
+            for check, a, b in pending:
+                check(a, b)
+            raise
+        return {"states": states + (step / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])}
 
 
 def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
@@ -110,8 +121,8 @@ def integrate_geodesic(conn: ConnectionField, chart, x0, v0, t_end,
         raise ContractViolation(f"t_end / step exceeds {MAX_STEPS} steps")
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    if x0.shape != v0.shape or x0.ndim != 2:
-        raise ContractViolation(f"starts must be two stacks (N, n) of one shape: "
+    if x0.shape != v0.shape or x0.ndim != 2 or x0.shape[1] != conn.dim:
+        raise ContractViolation(f"starts must be two stacks (N, {conn.dim}) of one shape: "
                                 f"{x0.shape}, {v0.shape}")
     n = x0.shape[1]
     n_steps = int(round(t_end / step))

@@ -2,8 +2,9 @@
 
 A stack of matrices (N, n, n) is inverted in one LAPACK call, and a
 caller solves a^-1 b as that certified inverse times b, so a stack
-solved against several times is factored once.  A system is singular
-when its smallest LU pivot is below ``PIVOT_RTOL * max|a|``.
+solved against several times is factored once; an RK4 step certifies
+(:func:`certify`) the inverses of its four stages at once.  A system is
+singular when its smallest LU pivot is below ``PIVOT_RTOL * max|a|``.
 Partial pivoting keeps |l_ij| <= 1, so ||L||_2 <= sqrt(n(n+1)/2) and
 
     min |u_kk| >= sigma_min(a) / ||L||_2 >= 1 / (n max|a^-1_ij| sqrt(n(n+1)/2)):
@@ -51,31 +52,40 @@ def inverse(a) -> np.ndarray:
     tested one by one, in row order.  Raises :class:`SingularMatrix`
     when a pivot falls below ``1e-12 * max_norm(a)``; for a stack of
     several systems the message names the first failing row."""
-    inv, failures = _factor(a)
-    for row, exc in failures:
-        raise exc if len(inv) == 1 else SingularMatrix(f"{exc} in row {row}")
+    a, inv = _factor(a)
+    certify(a, inv)
     return inv
 
 
 def inverse_rows(a):
     """(inverses, mask of the rows :func:`inverse` rejects) of a stack
     (N, n, n), from one LAPACK call."""
-    inv, failures = _factor(a)
+    a, inv = _factor(a)
     bad = np.zeros(len(inv), dtype=bool)
-    bad[[row for row, _ in failures]] = True
+    bad[[row for row, _ in _failures(a, _certified(a, inv))]] = True
     return inv, bad
 
 
+def lapack_inverse(a) -> np.ndarray:
+    """a^-1 of a float stack (N, n, n), uncertified, under the caller's np.errstate."""
+    return _umath_linalg.inv(a)
+
+
+def certify(a, inv) -> None:
+    """Raise what :func:`inverse` raises for ``a``, given its inverse ``inv``."""
+    ok = _certified(a, inv)
+    if np.count_nonzero(ok) < len(ok):
+        for row, exc in _failures(a, ok):
+            raise exc if len(inv) == 1 else SingularMatrix(f"{exc} in row {row}")
+
+
 def _factor(a):
-    """a^-1 for a stack from one LAPACK call (an exactly singular row
-    comes back NaN), and the lazy :func:`_failures` of uncertified rows."""
+    """(a as a float stack (N, n, n), its uncertified inverse)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ContractViolation(f"shape mismatch: a {a.shape}, need (N, n, n)")
     with np.errstate(all="ignore"):
-        inv = _umath_linalg.inv(a)
-    ok = _certified(a, inv)
-    return inv, (() if np.count_nonzero(ok) == len(ok) else _failures(a, ok))
+        return a, lapack_inverse(a)
 
 
 def _failures(a, ok):
@@ -90,8 +100,8 @@ def _failures(a, ok):
 
 def _certified(a, inv) -> np.ndarray:
     """Rows that pass the pivot test for certain (see the module docstring)."""
-    scale = np.abs(a).max(axis=(1, 2))
-    big = np.abs(inv).max(axis=(1, 2))
+    scale = np.maximum.reduce(np.abs(a), axis=(1, 2))
+    big = np.maximum.reduce(np.abs(inv), axis=(1, 2))
     bound = _bound(a.shape[-1])
     # big * scale < bound, split at scale = 1 so that neither side can
     # overflow; NaN, inf and a zero inverse all compare false.

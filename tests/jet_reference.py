@@ -9,6 +9,8 @@ programs over a stack of points; ``tests/test_batch.py`` compares the two
 at every order a field supports.  Nothing here is cached.
 """
 
+import math
+
 import numpy as np
 
 from subgeo.errors import ContractViolation, SingularMatrix
@@ -156,7 +158,11 @@ def _fd_jet(self, point, order):
         steps = [FD_STEP_HESS * (1.0 + abs(point[i])) for i in range(n)]
         for i in range(n):
             hi = steps[i]
-            hess[i, i] = (f(_shift(point, i, hi)) - 2.0 * val + f(_shift(point, i, -hi))) / hi**2
+            plus, minus = f(_shift(point, i, hi)), f(_shift(point, i, -hi))
+            second = plus - 2.0 * val + minus
+            if not math.isfinite(second) and all(map(math.isfinite, (plus, val, minus))):
+                second = (plus - val) + (minus - val)  # 2 * val overflowed
+            hess[i, i] = second / hi**2
             for j in range(i + 1, n):
                 hj = steps[j]
                 pp = f(_shift(_shift(point, i, hi), j, hj))

@@ -593,9 +593,12 @@ def test_an_fd_stack_runs_its_program_once_on_all_stencil_nodes(monkeypatch):
     calls = []
     compile_batched = exprlang.compile_batched
 
-    def counting(nodes):
-        program = compile_batched(nodes)
-        return lambda points, order: calls.append((len(points), order)) or program(points, order)
+    def counting(*args):
+        program = compile_batched(*args)
+        at = program.at
+        program.at = lambda order: (lambda points: calls.append((len(points), order))
+                                    or at(order)(points))
+        return program
 
     monkeypatch.setattr(exprlang, "compile_batched", counting)
     hyp, gauss, broken = (builtins.build(name, "fd")
@@ -636,6 +639,20 @@ def test_a_failing_fd_row_raises_what_the_per_leaf_rule_raises():
                 else:
                     assert _same_bits(got, want), (rows, order)
     assert failed >= 8
+
+
+def test_an_fd_hessian_holds_entries_near_the_float_limit():
+    # f[+] - 2 f + f[-] overflows to -inf for an entry of 1e308, whose
+    # second differences are zeros; so does the per-point stencil's
+    metric = MetricField.from_exprs([["1e308", "x1"], ["x1", "1e308 - x2^2"]], 2, "fd")
+    pts = _box_points(((-1.0, 1.0), (-1.0, 1.0)), np.random.default_rng(5).uniform(size=(4, 2)))
+    d2g = metric.batch(pts, 2)[2]
+    assert np.array_equal(d2g[:, :, :, 0, 0], np.zeros((4, 2, 2)))
+    assert np.isfinite(d2g).all()
+    for k, p in enumerate(pts):
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            want = jet_parts(scalar_jet(metric.entry(i, j), p, 2), 2)[2]
+            assert np.array_equal(d2g[k, :, :, i, j], want), (k, i, j)
 
 
 def test_an_fd_stack_stops_at_order_2():

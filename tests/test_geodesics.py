@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
+import rk4_reference
 from conftest import hyperbolic_setup, integrate_one, max_abs, skewed_setup
-from subgeo import builtins, config, exprlang, fields, runner
+from subgeo import builtins, config, exprlang, fields, linalg, runner
 from subgeo import geodesics as geo
-from subgeo.errors import BoundaryExit, ContractViolation, EvalDomain
+from subgeo.errors import BoundaryExit, ContractViolation, EvalDomain, SingularMatrix
 from subgeo.fields import (
     ChartedManifold,
     ExprConnection,
@@ -102,23 +103,31 @@ def _hyperbolic_states():
     return sc, np.array([j["p0"] + j["v0"] for j in jobs], dtype=float)
 
 
-def test_one_rk4_step_runs_four_metric_programs_and_four_solves(monkeypatch):
-    # Each stage is one order-1 metric program and one stacked inverse
-    # over all rows: a change that adds work per stage shows here.
-    programs, solves = [], []
-    compile_batched, inverse = exprlang.compile_batched, fields.inverse
+def test_one_rk4_step_runs_four_metric_programs_and_inverses_and_one_certificate(monkeypatch):
+    # Each stage is one order-1 metric program and one LAPACK inverse over
+    # all rows; the certificate of the four inverses runs once per step.
+    # A change that adds work per stage or per step shows here.
+    programs, inverses, certificates = [], [], []
+    compile_batched, lapack_inverse = exprlang.compile_batched, fields.lapack_inverse
+    certified = linalg._certified
 
-    def counting_compile(nodes):
-        program = compile_batched(nodes)
-        return lambda points, order=1: programs.append(order) or program(points, order)
+    def counting_compile(*args):
+        program = compile_batched(*args)
+        at = program.at
+        program.at = lambda order: (lambda points: programs.append(order) or at(order)(points))
+        return program
 
     monkeypatch.setattr(exprlang, "compile_batched", counting_compile)
-    monkeypatch.setattr(fields, "inverse", lambda a: solves.append(len(a)) or inverse(a))
+    monkeypatch.setattr(fields, "lapack_inverse",
+                        lambda a: inverses.append(len(a)) or lapack_inverse(a))
+    monkeypatch.setattr(linalg, "_certified",
+                        lambda a, inv: certificates.append(len(a)) or certified(a, inv))
     sc, states = _hyperbolic_states()
     assert len(states) == 3
     geo._rk4_step(sc.space.conn, states, 1e-3)
     assert programs == [1] * 4
-    assert solves == [3] * 4
+    assert inverses == [3] * 4
+    assert certificates == [12]
 
 
 def test_the_stacked_rk4_step_is_the_split_one_bit_for_bit():
@@ -126,13 +135,14 @@ def test_the_stacked_rk4_step_is_the_split_one_bit_for_bit():
     sc, states = _hyperbolic_states()
     conn, step, n = sc.space.conn, 1e-3, sc.dim
     x, v = states[:, :n], states[:, n:]
-    k1x, k1v = v, geo._accel(conn, x, v)
+    accel = rk4_reference.accel
+    k1x, k1v = v, accel(conn, x, v)
     x2, v2 = x + 0.5 * step * k1x, v + 0.5 * step * k1v
-    k2x, k2v = v2, geo._accel(conn, x2, v2)
+    k2x, k2v = v2, accel(conn, x2, v2)
     x3, v3 = x + 0.5 * step * k2x, v + 0.5 * step * k2v
-    k3x, k3v = v3, geo._accel(conn, x3, v3)
+    k3x, k3v = v3, accel(conn, x3, v3)
     x4, v4 = x + step * k3x, v + step * k3v
-    k4x, k4v = v4, geo._accel(conn, x4, v4)
+    k4x, k4v = v4, accel(conn, x4, v4)
     x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     v = v + (step / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     got = geo._rk4_step(conn, states, step)["states"]
@@ -281,6 +291,53 @@ def same_trajectory(a, b):
             and np.array_equal(a.vs, b.vs))
 
 
+def same_outcome(a, b):
+    """Two job results agree: trajectories bit for bit, errors by type,
+    message and point."""
+    if isinstance(a, geo.Trajectory) and isinstance(b, geo.Trajectory):
+        return same_trajectory(a, b)
+    return ((type(a), str(a), getattr(a, "point", None))
+            == (type(b), str(b), getattr(b, "point", None)))
+
+
+def reference_outcomes(monkeypatch, conn, chart, x0, v0, t_end, h):
+    """integrate_geodesic's results with the per-stage-checked step."""
+    with monkeypatch.context() as patch:
+        patch.setattr(geo, "_rk4_step", rk4_reference.rk4_step)
+        return geo.integrate_geodesic(conn, chart, x0, v0, t_end, h)
+
+
+def assert_reference_outcomes(monkeypatch, conn, chart, x0, v0, t_end, h):
+    """Lockstep and one job at a time, every job ends as it does with the
+    reference step; returns the lockstep results."""
+    out = geo.integrate_geodesic(conn, chart, x0, v0, t_end, h)
+    want = reference_outcomes(monkeypatch, conn, chart, x0, v0, t_end, h)
+    assert all(same_outcome(a, b) for a, b in zip(out, want, strict=True))
+    for job in range(len(x0)):
+        alone = geo.integrate_geodesic(conn, chart, x0[job:job + 1], v0[job:job + 1], t_end, h)
+        want = reference_outcomes(monkeypatch, conn, chart, x0[job:job + 1], v0[job:job + 1],
+                                  t_end, h)
+        assert same_outcome(alone[0], want[0]), job
+    return out
+
+
+# every builtin with geodesic jobs (the rest have none)
+GEODESIC_BUILTINS = ("euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3",
+                     "gaussian:alpha=0", "gaussian:alpha=1", "gaussian:alpha=-0.5")
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("name", GEODESIC_BUILTINS)
+def test_nodes_are_the_per_stage_checked_steps_bit_for_bit(name, mode, monkeypatch):
+    # the builtin's jobs over their first 200 steps
+    sc = builtins.build(name, mode)
+    jobs = [sc.geodesic_jobs[k] for k in sorted(sc.geodesic_jobs)]
+    h = jobs[0]["h"]
+    out = assert_reference_outcomes(monkeypatch, sc.space.conn, sc.space.chart,
+                                    [j["p0"] for j in jobs], [j["v0"] for j in jobs], 200 * h, h)
+    assert all(isinstance(traj, geo.Trajectory) and len(traj) == 201 for traj in out)
+
+
 @pytest.mark.parametrize("name", ["hyperbolic:3", "gaussian:alpha=0", "euclidean:3"])
 def test_lockstep_equals_single_jobs(name):
     sc = builtins.build(name)
@@ -334,16 +391,72 @@ def test_job_failing_to_evaluate_becomes_its_incident():
         assert same_trajectory(out[k], alone)
 
 
-def test_non_finite_acceleration_is_its_jobs_domain_error():
-    # Gamma^1_11 = x1^400 - x1^400 is NaN once x1^400 overflows (x1 > 5.9)
+def _connection_of_kind(kind):
+    """(connection, chart, starts (x0, v0)): a sum, a dual, and the
+    Levi-Civita connection of a lifted metric, which has no program."""
+    if kind == "lifted":
+        bundle = builtins.build("tangent_bundle_of:hyperbolic:2").space
+        starts = [(0.0, 1.0, 0.1, 0.2), (0.3, 1.5, -0.2, 0.0)], [(0.2, 0.1, 0.0, 0.1)] * 2
+        return LeviCivitaConnection(bundle.metric), bundle.chart, starts
+    sc = builtins.build("gaussian:alpha=1" if kind == "dual" else "hyperbolic:3")
+    jobs = [sc.geodesic_jobs[k] for k in sorted(sc.geodesic_jobs)]
+    starts = [j["p0"] for j in jobs], [j["v0"] for j in jobs]
+    if kind == "dual":
+        return fields.DualConnection(sc.space.conn, sc.space.metric), sc.space.chart, starts
+    return builtins.build("perturbed:3").space.conn, sc.space.chart, starts
+
+
+@pytest.mark.parametrize("kind", ["sum", "dual", "lifted"])
+def test_connections_of_every_kind_give_the_reference_nodes(kind, monkeypatch):
+    conn, chart, (x0, v0) = _connection_of_kind(kind)
+    out = assert_reference_outcomes(monkeypatch, conn, chart, x0, v0, 0.05, 1e-3)
+    assert all(isinstance(traj, geo.Trajectory) for traj in out)
+
+
+# the x1 of the second stage of a step of 1e-2 from x1 = 7 at speed 0.1
+_STAGE_2_X1 = 7.0 + 0.5 * 1e-2 * 0.1
+
+
+@pytest.mark.parametrize("gamma", ["x1^400 - x1^400",
+                                   f"x1^400 - x1^400 + 1/(x1 - {_STAGE_2_X1!r})"])
+def test_non_finite_acceleration_is_its_jobs_domain_error(gamma, monkeypatch):
+    # Gamma^1_11 = x1^400 - x1^400 is NaN once x1^400 overflows (x1 > 5.9);
+    # the second form also divides by zero at the second stage, which the
+    # first stage's non-finite acceleration precedes
     chart = ChartedManifold("flat", 2, ((-9.0, 9.0), (-1.0, 1.0)))
-    coeffs = [[["x1^400 - x1^400", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    coeffs = [[[gamma, "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
     conn = ExprConnection(2, coeffs)
-    out = geo.integrate_geodesic(conn, chart, [(0.0, 0.0), (7.0, 0.0)], [(0.1, 0.2), (0.1, 0.2)],
-                                 0.1, step=1e-2)
+    out = assert_reference_outcomes(monkeypatch, conn, chart, [(0.0, 0.0), (7.0, 0.0)],
+                                    [(0.1, 0.2), (0.1, 0.2)], 0.1, 1e-2)
     assert isinstance(out[1], EvalDomain) and out[1].point == (7.0, 0.0)
+    assert str(out[1]) == "non-finite geodesic acceleration at point (7.0, 0.0)"
     assert same_trajectory(out[0], integrate_one(conn, chart, (0.0, 0.0), (0.1, 0.2),
                                                  0.1, step=1e-2))
+
+
+def _singular_at_the_first_stage(kind):
+    """A connection whose metric diag(x1, 1) is singular at x1 = 0, and
+    that fails to evaluate at x1 = 0.25, the second stage of a step of 0.5
+    from x1 = 0 at unit speed ("levi_civita"), or whose cubic form fails
+    at x1 = 0, after the metric's inverse ("alpha")."""
+    later = "0*(1/(x1 - 0.25))" if kind == "levi_civita" else "0"
+    metric = MetricField.from_exprs([[f"x1 + {later}", "0"], ["0", "1"]], 2)
+    if kind == "levi_civita":
+        return LeviCivitaConnection(metric)
+    cubic = [[[fields.ExprField.parse("1/x1" if (l, i, j) == (0, 0, 0) else "0", 2)
+               for j in range(2)] for i in range(2)] for l in range(2)]
+    return fields.AlphaConnection(metric, cubic, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["levi_civita", "alpha"])
+def test_a_singular_metric_precedes_a_later_evaluation_error(kind, monkeypatch):
+    chart = ChartedManifold("square", 2, ((-1.0, 1.0), (-1.0, 1.0)))
+    conn = _singular_at_the_first_stage(kind)
+    x0, v0 = [(0.0, 0.0), (0.5, 0.3)], [(1.0, 0.0), (0.1, 0.0)]
+    out = assert_reference_outcomes(monkeypatch, conn, chart, x0, v0, 1.0, 0.5)
+    assert isinstance(out[0], SingularMatrix)
+    assert str(out[0]) == "pivot 0.000e+00 below threshold for scale 1.000e+00"
+    assert same_trajectory(out[1], integrate_one(conn, chart, x0[1], v0[1], 1.0, step=0.5))
 
 
 def test_run_context_groups_jobs_by_span_and_step():

@@ -71,3 +71,11 @@ def test_every_incident_case_reports_an_incident(config):
     # the gate's incident cases exercise the incident path of the reports
     report = runner.run_suite(parse_config(config))
     assert sum(check["incidents"] for check in report["checks"]) >= 1
+
+
+def test_the_inline_incident_config_ends_jobs_inside_an_rk4_step():
+    # one job ends by a domain error, one by a singular metric; one completes
+    config = same_reports.case(same_reports.INCIDENT_CONFIGS[-1], 0, "jet")
+    (check,) = runner.run_suite(parse_config(config))["checks"]
+    assert check["samples"] == 1 and check["incidents"] == 2
+    assert sorted(check["details"]["incident_kinds"]) == ["EvalDomain", "SingularMatrix"]
