@@ -393,7 +393,7 @@ def test_job_failing_to_evaluate_becomes_its_incident():
 
 def _connection_of_kind(kind):
     """(connection, chart, starts (x0, v0)): a sum, a dual, and the
-    Levi-Civita connection of a lifted metric, which has no program."""
+    Levi-Civita connection of a lifted metric, which is not a stack."""
     if kind == "lifted":
         bundle = builtins.build("tangent_bundle_of:hyperbolic:2").space
         starts = [(0.0, 1.0, 0.1, 0.2), (0.3, 1.5, -0.2, 0.0)], [(0.2, 0.1, 0.0, 0.1)] * 2
