@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""In-process cost of one RK4 stage on the builtins with geodesic jobs.
+"""In-process cost of RK4 steps on the builtins with geodesic jobs.
 
 Usage: python3 scripts/stage_cost.py [REPEATS]
 

@@ -219,7 +219,7 @@ class _FieldStack:
             return self.at(order)(points)
 
     def at(self, order: int):
-        """:meth:`__call__` at ``order`` as a function of the points, sans errstate."""
+        """:meth:`__call__` at ``order`` as a function of the points, no errstate."""
         if self._program is None:
             self._program = exprlang.compile_batched(self._asts, self.shape)
         if self._fd:
