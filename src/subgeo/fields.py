@@ -57,10 +57,10 @@ class ChartedManifold:
         return lo, hi
 
     def contains(self, points) -> np.ndarray:
-        """Mask over a stack of points (N, dim): in the closed box.  A NaN
+        """Mask over a stack of points (..., dim): in the closed box.  A NaN
         coordinate is outside."""
         lo, hi = self._bounds
-        return ((points >= lo) & (points <= hi)).all(axis=1)
+        return ((points >= lo) & (points <= hi)).all(axis=-1)
 
     def center(self) -> tuple:
         return tuple(0.5 * (lo + hi) for lo, hi in self.box)
@@ -353,7 +353,10 @@ def _parts_and_inverse(conn, metric, points, g_parts, ginv=None) -> tuple:
     derived = isinstance(conn, MetricConnection) and conn.metric is metric
     parts = None if derived else conn.batch(points, len(g_parts) - 2)
     ginv = inverse(g_parts[0]) if ginv is None else ginv
-    return (conn._parts(points, g_parts, ginv) if derived else parts), ginv
+    if derived:
+        with np.errstate(all="ignore"):  # as in ``batch``
+            parts = conn._parts(points, g_parts, ginv)
+    return parts, ginv
 
 
 class LeviCivitaConnection(MetricConnection):
@@ -479,7 +482,7 @@ class AlphaConnection(MetricConnection):
         lc = _levi_civita(g_parts, ginv)
         if self.alpha == 0.0:
             return lc
-        c = self._cubic_stack(points, len(g_parts) - 2)
+        c = self._cubic_stack.at(len(g_parts) - 2)(points)
         raised = _solution_parts(ginv, g_parts[1:], _apply(ginv, c[0]), c[1:])
         return tuple(a - b * (0.5 * self.alpha) for a, b in zip(lc, raised))
 

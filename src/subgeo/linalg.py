@@ -2,8 +2,8 @@
 
 A stack of matrices (N, n, n) is inverted in one LAPACK call, and a
 caller solves a^-1 b as that certified inverse times b, so a stack
-solved against several times is factored once; an RK4 step certifies
-(:func:`certify`) the inverses of its four stages at once.  A system is
+solved against several times is factored once; a block of RK4 steps
+certifies (:func:`certify`) the inverses of all of its stages at once.  A system is
 singular when its smallest LU pivot is below ``PIVOT_RTOL * max|a|``.
 Partial pivoting keeps |l_ij| <= 1, so ||L||_2 <= sqrt(n(n+1)/2) and
 

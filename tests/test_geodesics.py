@@ -6,6 +6,7 @@ Upper half-plane geodesics have exact formulas: vertical rays
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,30 +294,23 @@ def same_trajectory(a, b):
 
 def same_outcome(a, b):
     """Two job results agree: trajectories bit for bit, errors by type,
-    message and point."""
+    message, point and exit time."""
     if isinstance(a, geo.Trajectory) and isinstance(b, geo.Trajectory):
         return same_trajectory(a, b)
-    return ((type(a), str(a), getattr(a, "point", None))
-            == (type(b), str(b), getattr(b, "point", None)))
+    return ((type(a), str(a), getattr(a, "point", None), getattr(a, "t", None))
+            == (type(b), str(b), getattr(b, "point", None), getattr(b, "t", None)))
 
 
-def reference_outcomes(monkeypatch, conn, chart, x0, v0, t_end, h):
-    """integrate_geodesic's results with the per-stage-checked step."""
-    with monkeypatch.context() as patch:
-        patch.setattr(geo, "_rk4_step", rk4_reference.rk4_step)
-        return geo.integrate_geodesic(conn, chart, x0, v0, t_end, h)
-
-
-def assert_reference_outcomes(monkeypatch, conn, chart, x0, v0, t_end, h):
-    """Lockstep and one job at a time, every job ends as it does with the
-    reference step; returns the lockstep results."""
+def assert_reference_outcomes(conn, chart, x0, v0, t_end, h):
+    """Lockstep and one job at a time, every job ends as the reference's
+    per-step loop ends it; returns the lockstep results."""
     out = geo.integrate_geodesic(conn, chart, x0, v0, t_end, h)
-    want = reference_outcomes(monkeypatch, conn, chart, x0, v0, t_end, h)
+    want = rk4_reference.integrate_geodesic(conn, chart, x0, v0, t_end, h)
     assert all(same_outcome(a, b) for a, b in zip(out, want, strict=True))
     for job in range(len(x0)):
         alone = geo.integrate_geodesic(conn, chart, x0[job:job + 1], v0[job:job + 1], t_end, h)
-        want = reference_outcomes(monkeypatch, conn, chart, x0[job:job + 1], v0[job:job + 1],
-                                  t_end, h)
+        want = rk4_reference.integrate_geodesic(conn, chart, x0[job:job + 1], v0[job:job + 1],
+                                                t_end, h)
         assert same_outcome(alone[0], want[0]), job
     return out
 
@@ -328,12 +322,12 @@ GEODESIC_BUILTINS = ("euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3
 
 @pytest.mark.parametrize("mode", ["jet", "fd"])
 @pytest.mark.parametrize("name", GEODESIC_BUILTINS)
-def test_nodes_are_the_per_stage_checked_steps_bit_for_bit(name, mode, monkeypatch):
+def test_nodes_are_the_per_stage_checked_steps_bit_for_bit(name, mode):
     # the builtin's jobs over their first 200 steps
     sc = builtins.build(name, mode)
     jobs = [sc.geodesic_jobs[k] for k in sorted(sc.geodesic_jobs)]
     h = jobs[0]["h"]
-    out = assert_reference_outcomes(monkeypatch, sc.space.conn, sc.space.chart,
+    out = assert_reference_outcomes(sc.space.conn, sc.space.chart,
                                     [j["p0"] for j in jobs], [j["v0"] for j in jobs], 200 * h, h)
     assert all(isinstance(traj, geo.Trajectory) and len(traj) == 201 for traj in out)
 
@@ -407,9 +401,9 @@ def _connection_of_kind(kind):
 
 
 @pytest.mark.parametrize("kind", ["sum", "dual", "lifted"])
-def test_connections_of_every_kind_give_the_reference_nodes(kind, monkeypatch):
+def test_connections_of_every_kind_give_the_reference_nodes(kind):
     conn, chart, (x0, v0) = _connection_of_kind(kind)
-    out = assert_reference_outcomes(monkeypatch, conn, chart, x0, v0, 0.05, 1e-3)
+    out = assert_reference_outcomes(conn, chart, x0, v0, 0.05, 1e-3)
     assert all(isinstance(traj, geo.Trajectory) for traj in out)
 
 
@@ -419,14 +413,14 @@ _STAGE_2_X1 = 7.0 + 0.5 * 1e-2 * 0.1
 
 @pytest.mark.parametrize("gamma", ["x1^400 - x1^400",
                                    f"x1^400 - x1^400 + 1/(x1 - {_STAGE_2_X1!r})"])
-def test_non_finite_acceleration_is_its_jobs_domain_error(gamma, monkeypatch):
+def test_non_finite_acceleration_is_its_jobs_domain_error(gamma):
     # Gamma^1_11 = x1^400 - x1^400 is NaN once x1^400 overflows (x1 > 5.9);
     # the second form also divides by zero at the second stage, which the
     # first stage's non-finite acceleration precedes
     chart = ChartedManifold("flat", 2, ((-9.0, 9.0), (-1.0, 1.0)))
     coeffs = [[[gamma, "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
     conn = ExprConnection(2, coeffs)
-    out = assert_reference_outcomes(monkeypatch, conn, chart, [(0.0, 0.0), (7.0, 0.0)],
+    out = assert_reference_outcomes(conn, chart, [(0.0, 0.0), (7.0, 0.0)],
                                     [(0.1, 0.2), (0.1, 0.2)], 0.1, 1e-2)
     assert isinstance(out[1], EvalDomain) and out[1].point == (7.0, 0.0)
     assert str(out[1]) == "non-finite geodesic acceleration at point (7.0, 0.0)"
@@ -449,14 +443,123 @@ def _singular_at_the_first_stage(kind):
 
 
 @pytest.mark.parametrize("kind", ["levi_civita", "alpha"])
-def test_a_singular_metric_precedes_a_later_evaluation_error(kind, monkeypatch):
+def test_a_singular_metric_precedes_a_later_evaluation_error(kind):
     chart = ChartedManifold("square", 2, ((-1.0, 1.0), (-1.0, 1.0)))
     conn = _singular_at_the_first_stage(kind)
     x0, v0 = [(0.0, 0.0), (0.5, 0.3)], [(1.0, 0.0), (0.1, 0.0)]
-    out = assert_reference_outcomes(monkeypatch, conn, chart, x0, v0, 1.0, 0.5)
+    out = assert_reference_outcomes(conn, chart, x0, v0, 1.0, 0.5)
     assert isinstance(out[0], SingularMatrix)
     assert str(out[0]) == "pivot 0.000e+00 below threshold for scale 1.000e+00"
     assert same_trajectory(out[1], integrate_one(conn, chart, x0[1], v0[1], 1.0, step=0.5))
+
+
+def _cut_half_plane(exit_step, h):
+    """The connection of :func:`half_plane` and its chart cut at a height
+    between the nodes ``exit_step`` and ``exit_step + 1`` of the vertical
+    ray from (0, 1) at unit speed and step h, which leaves the cut box at
+    its step ``exit_step`` (counting from 0)."""
+    chart, metric, conn = half_plane()
+    (ray,) = rk4_reference.integrate_geodesic(conn, chart, [(0.0, 1.0)], [(0.0, 1.0)],
+                                              (exit_step + 1) * h, h)
+    top = 0.5 * (ray.xs[exit_step, 1] + ray.xs[exit_step + 1, 1])
+    return ChartedManifold("cut", 2, ((-4.0, 4.0), (0.05, top))), conn
+
+
+@pytest.mark.parametrize("exit_step", [geo.BLOCK + geo.BLOCK // 2, geo.BLOCK, geo.BLOCK - 1],
+                         ids=["mid_block", "first_step", "last_step"])
+def test_a_job_leaving_the_box_within_a_block_ends_as_step_by_step(exit_step):
+    h = 1e-2
+    chart, conn = _cut_half_plane(exit_step, h)
+    x0, v0 = [(0.0, 1.0), (0.0, 1.0), (0.3, 0.9)], [(0.0, 1.0), (1.0, 0.0), (0.2, -0.1)]
+    out = assert_reference_outcomes(conn, chart, x0, v0, 3 * geo.BLOCK * h, h)
+    assert isinstance(out[0], BoundaryExit) and out[0].t == out[1].ts[exit_step + 1]
+    assert all(isinstance(traj, geo.Trajectory) for traj in out[1:])
+
+
+def _flat_until(c):
+    """A flat connection whose Gamma^1_11 = sqrt(c - x1) - sqrt(c - x1)
+    fails to evaluate past x1 = c."""
+    coeffs = [[[f"sqrt({c} - x1) - sqrt({c} - x1)", "0"], ["0", "0"]],
+              [["0", "0"], ["0", "0"]]]
+    return ExprConnection(2, coeffs)
+
+
+def _failing_mid_block(kind):
+    """(connection, start (x0, v0), the step of 1e-2 at which the job
+    fails, its error type): a domain error at x1 = 0.4 on a straight line,
+    or the line x2 = 0.2 + t, a geodesic of diag(1 - (1 - 1e-13)
+    tanh(50 x2 - 20), 1), whose g_11 falls toward 1e-13: singular by the
+    pivot rule, while its inverse and the line stay finite."""
+    if kind == "domain":
+        return _flat_until(0.4), ((-0.1, 0.0), (1.0, 0.0)), 49, EvalDomain
+    metric = MetricField.from_exprs([["1 - 0.9999999999999*tanh(50*x2 - 20)", "0"], ["0", "1"]], 2)
+    return LeviCivitaConnection(metric), ((0.0, 0.2), (0.0, 1.0)), 48, SingularMatrix
+
+
+@pytest.mark.parametrize("kind", ["domain", "singular"])
+def test_a_job_failing_within_a_block_ends_as_step_by_step(kind):
+    chart = ChartedManifold("square", 2, ((-1.0, 1.0), (-1.0, 1.0)))
+    h = 1e-2
+    conn, (p0, q0), fails_at, error = _failing_mid_block(kind)
+    # the reference ends the job at its step fails_at, inside a block
+    assert 0 < fails_at % geo.BLOCK < geo.BLOCK - 1
+    before, at = (rk4_reference.integrate_geodesic(conn, chart, [p0], [q0], k * h, h)[0]
+                  for k in (fails_at, fails_at + 1))
+    assert isinstance(before, geo.Trajectory) and isinstance(at, error)
+    x0, v0 = [p0, (-0.5, 0.3)], [q0, (0.1, 0.2)]
+    out = assert_reference_outcomes(conn, chart, x0, v0, 3 * geo.BLOCK * h, h)
+    assert isinstance(out[0], error) and isinstance(out[1], geo.Trajectory)
+
+
+def test_jobs_all_ending_within_one_block_end_as_step_by_step():
+    # the domain error of the test above at step 49, and a straight line
+    # x2 = t that leaves the box x2 <= 0.455 at step 45
+    chart = ChartedManifold("low", 2, ((-1.0, 1.0), (-1.0, 0.455)))
+    h = 1e-2
+    conn, (p0, q0), fails_at, _ = _failing_mid_block("domain")
+    x0, v0 = [p0, (0.0, 0.0)], [q0, (0.0, 1.0)]
+    out = assert_reference_outcomes(conn, chart, x0, v0, 3 * geo.BLOCK * h, h)
+    assert isinstance(out[0], EvalDomain) and isinstance(out[1], BoundaryExit)
+    exit_step = round(out[1].t / h) - 1
+    assert exit_step == 45 and exit_step // geo.BLOCK == fails_at // geo.BLOCK
+
+
+@pytest.mark.parametrize("n_steps", [1, geo.BLOCK // 2 + 1, 2 * geo.BLOCK + 7])
+def test_spans_of_part_blocks_give_the_reference_nodes(n_steps):
+    sc, states = _hyperbolic_states()
+    h = 1e-3
+    out = assert_reference_outcomes(sc.space.conn, sc.space.chart, states[:, :3],
+                                    states[:, 3:], n_steps * h, h)
+    assert all(isinstance(traj, geo.Trajectory) and len(traj) == n_steps + 1 for traj in out)
+
+
+def test_a_clean_integration_certifies_once_per_block(monkeypatch):
+    certificates, certified = [], linalg._certified
+    monkeypatch.setattr(linalg, "_certified",
+                        lambda a, inv: certificates.append(len(a)) or certified(a, inv))
+    sc, states = _hyperbolic_states()
+    h = 1e-3
+    out = geo.integrate_geodesic(sc.space.conn, sc.space.chart, states[:, :3], states[:, 3:],
+                                 (2 * geo.BLOCK + 5) * h, h)
+    assert all(isinstance(traj, geo.Trajectory) for traj in out)
+    # one certificate of a block's inverses: 3 jobs, four stages a step
+    assert certificates == [12 * geo.BLOCK] * 2 + [12 * 5]
+
+
+SUITES = [{"builtin": name} for name in GEODESIC_BUILTINS + (
+    "broken:2", "perturbed:3", "tangent_bundle_of:hyperbolic:2",
+    "tangent_bundle_of:gaussian:alpha=1", "tangent_bundle_of:euclidean:2")]
+SUITES.append({"builtin": "hyperbolic:3", "sampling": {"boxes": [[-1, 1], [-1, 1], [-0.5, 3]]}})
+
+
+@pytest.mark.parametrize("cfg", SUITES, ids=lambda cfg: cfg["builtin"] + (
+    "-box" if "sampling" in cfg else ""))
+def test_suites_raise_no_runtime_warning(cfg):
+    sampling = dict(cfg.get("sampling", {}), count=16, seed=0)
+    suite = config.parse_config(dict(cfg, mode="jet", sampling=sampling))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        runner.run_suite(suite)
 
 
 def test_run_context_groups_jobs_by_span_and_step():
