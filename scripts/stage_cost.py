@@ -17,8 +17,12 @@ that fails (``_Lockstep.replay``: a ``_rk4_step`` per step, then the box
 test and the node store), which is what a failed block costs per step.
 Then it prints the median microseconds of one ``linalg.inverse`` on a
 1-row and on a 256-row stack of well-conditioned (3, 3) matrices: the
-fixed cost of a call and its cost per row.  Run it from the repository
-root; it times the ``subgeo`` under ``src``.
+fixed cost of a call and its cost per row.  Last, the lift table gives
+the median microseconds of one ``batch`` of the Sasaki metric at orders
+0-2 and of the complete-lift connection at orders 0-1 of
+tangent_bundle_of:hyperbolic:2, on 128 and on 1024 bundle points sampled
+from its chart box.  Run it from the repository root; it times the
+``subgeo`` under ``src``.
 """
 
 import statistics
@@ -32,6 +36,7 @@ import numpy as np
 from subgeo import builtins
 from subgeo.geodesics import _Lockstep, _rk4_step, integrate_geodesic
 from subgeo.linalg import inverse
+from subgeo.sampling import sample_box
 
 BUILTINS = (
     "euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3",
@@ -42,6 +47,8 @@ BUILTINS = (
 )
 ROWS = 3
 STACKS = (1, 256)  # rows of the timed inverse stacks
+LIFT_BUNDLE = "tangent_bundle_of:hyperbolic:2"
+LIFT_ROWS = (128, 1024)  # bundle points of the timed lift batches
 WARMUP = 50
 INTEGRATIONS = 3
 
@@ -86,6 +93,15 @@ def main() -> None:
     for rows in STACKS:
         a = rng.normal(size=(rows, 3, 3)) + 3.0 * np.eye(3)
         print(f"{f'({rows}, 3, 3)':<22s} {median_us(lambda: inverse(a), repeats):14.1f}")
+    bundle = builtins.build(LIFT_BUNDLE).bundle
+    points = [sample_box(bundle.chart.box, rows, 0) for rows in LIFT_ROWS]
+    print(f"{'lift':<22s} {'order':>5s} "
+          + " ".join(f"{f'{rows} rows us':>13s}" for rows in LIFT_ROWS))
+    for label, field, orders in (("sasaki", bundle.sasaki_metric, 3),
+                                 ("complete_conn", bundle.complete_conn, 2)):
+        for order in range(orders):
+            times = [median_us(lambda: field.batch(x, order), repeats) for x in points]
+            print(f"{label:<22s} {order:5d} " + " ".join(f"{t:13.1f}" for t in times))
 
 
 if __name__ == "__main__":

@@ -102,11 +102,15 @@ def _stages(conn: ConnectionField, states, step, pending) -> np.ndarray:
 
 def _check(pending) -> None:
     """The ``pending`` checks of some stages, each kind in one call over
-    all of its stages stacked."""
-    for kind in (certify, _finite):
-        args = [(a, b) for check, a, b in pending if check is kind]
-        if args:
-            kind(*map(np.concatenate, zip(*args)))
+    all of its stages stacked.  The finiteness test stacks the
+    accelerations alone and names no point: a caller that reports the
+    error runs the stages' own checks in stage order (:func:`_rk4_step`)."""
+    certs = [(g, inv) for check, g, inv in pending if check is certify]
+    if certs:
+        certify(*map(np.concatenate, zip(*certs)))
+    acc = np.concatenate([acc for check, _, acc in pending if check is _finite])
+    if np.count_nonzero(np.isfinite(acc)) < acc.size:
+        raise EvalDomain("non-finite geodesic acceleration")
 
 
 def _rk4_step(conn: ConnectionField, states, step) -> dict:
@@ -152,10 +156,10 @@ class _Lockstep:
     def block(self, first: int, last: int) -> bool:
         """Steps ``first`` to ``last`` - 1 of the live jobs (nodes ``first``
         + 1 to ``last``), unchecked, then their checks at once: certify and
-        _finite each in one call over every stage, and one box test over
-        every new node.  When all pass, stores the nodes and returns True;
-        when a stage raises a SubgeoError, a check fails or a node leaves
-        the box, stores nothing and returns False."""
+        the finiteness test each in one call over every stage (:func:`_check`),
+        and one box test over every new node.  When all pass, stores the
+        nodes and returns True; when a stage raises a SubgeoError, a check
+        fails or a node leaves the box, stores nothing and returns False."""
         states, pending = self.nodes[first, self.live], []
         out = np.empty((last - first,) + states.shape)
         with np.errstate(all="ignore"):

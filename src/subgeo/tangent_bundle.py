@@ -13,10 +13,21 @@ The formulas are polynomial in u, so their partials on the bundle chart
 follow from the base partials by the product rule: each quantity is
 carried as its parts (value, d, d2, ...), part m with m derivative axes
 after the point axis, and :func:`_product` multiplies parts, so each lift
-is written once for every order.  A lift declares the order it
-reaches, its ``max_order``: that of its base data, one less where it
-differentiates them (the complete metric and both lifted connections);
-past it the lift raises :class:`ContractViolation`.
+is written once for every order.  A term of a partial is one batched
+``@`` over the point axis: its subscripts become a transpose and reshape
+to (points, kept, summed) @ (points, summed, kept), a plan cached per
+subscript string, as are the terms of each part.  The value term stays
+one ``np.einsum``, so every lifted value is the plain einsum's to the
+bit: BLAS sums in another order, and fd stencils divide differences of
+values by 2h, h about 1e-6, which magnifies a rounding change of a value
+about 5e5-fold.  Summing the values through BLAS too moved
+``fd_crosscheck`` on tangent_bundle_of:hyperbolic:2 (jet, seed 2) from
+5.610256968892929e-06 to 5.610266084102787e-06, by 9.1e-12, where a
+partial moves by rounding only.  A block matrix is written into one
+array per part.  A lift declares the order it reaches, its
+``max_order``: that of its base data, one less where it differentiates
+them (the complete metric and both lifted connections); past it the lift
+raises :class:`ContractViolation`.
 
 Conventions: base connections are direction-first (nabla_{d_i} d_j =
 Gamma^k_ij d_k) and the velocity contraction in the horizontal lift
@@ -26,6 +37,9 @@ torsion.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -44,20 +58,62 @@ def _product(spec, a, b) -> tuple:
     combine by the einsum ``spec`` over value subscripts ('lk,lj->kj'),
     as many parts as the shorter factor has.  Part m of the product is the
     Leibniz sum over the ways of sending each of its m derivative axes to
-    one factor."""
-    inputs, out = spec.split("->")
-    sa, sb = inputs.split(",")
+    one factor.  The value is one ``np.einsum``; each term of a partial is
+    one batched ``@`` (:func:`_contract`)."""
     result = []
     for m in range(min(len(a), len(b))):
-        axes = "ABC"[:m]
+        contract = np.einsum if m == 0 else _contract
         total = 0.0
-        for mask in range(2**m):
-            da = "".join(c for k, c in enumerate(axes) if mask >> k & 1)
-            db = "".join(c for k, c in enumerate(axes) if not mask >> k & 1)
-            total = total + np.einsum(f"p{da}{sa},p{db}{sb}->p{axes}{out}",
-                                      a[len(da)], b[len(db)])
+        for term, ka, kb in _leibniz_terms(spec, m):
+            total = total + contract(term, a[ka], b[kb])
         result.append(total)
     return tuple(result)
+
+
+@functools.lru_cache(maxsize=128)
+def _leibniz_terms(spec: str, m: int) -> tuple:
+    """The terms of part m of a product by ``spec``, in mask order: each
+    its einsum subscripts and the parts of ``a`` and ``b`` it reads."""
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+    axes = "ABC"[:m]
+    terms = []
+    for mask in range(2**m):
+        da = "".join(c for k, c in enumerate(axes) if mask >> k & 1)
+        db = "".join(c for k, c in enumerate(axes) if not mask >> k & 1)
+        terms.append((f"p{da}{sa},p{db}{sb}->p{axes}{out}", len(da), len(db)))
+    return tuple(terms)
+
+
+@functools.lru_cache(maxsize=128)
+def _matmul_plan(spec: str) -> tuple:
+    """The einsum ``spec`` of two operands as one batched matmul, for
+    subscripts that each sit in the output or in both operands, once per
+    operand: the axis orders that bring the operands to (batch, kept,
+    summed) and (batch, summed, kept), the number of batch, left-kept and
+    summed axes, and the axis order that brings the product to ``spec``'s
+    output."""
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+    batch = [c for c in out if c in sa and c in sb]
+    left = [c for c in out if c in sa and c not in sb]
+    right = [c for c in out if c in sb and c not in sa]
+    summed = [c for c in sa if c in sb and c not in out]
+    return (tuple(map(sa.index, batch + left + summed)),
+            tuple(map(sb.index, batch + summed + right)),
+            len(batch), len(left), len(summed), tuple(map((batch + left + right).index, out)))
+
+
+def _contract(spec, a, b) -> np.ndarray:
+    """``np.einsum(spec, a, b)`` as one batched ``@`` (:func:`_matmul_plan`):
+    the same products, summed in BLAS's order."""
+    a_axes, b_axes, nb, nl, ns, out_axes = _matmul_plan(spec)
+    a, b = a.transpose(a_axes), b.transpose(b_axes)
+    lead, kept, summed = a.shape[:nb], a.shape[nb:nb + nl], a.shape[nb + nl:]
+    right = b.shape[nb + ns:]
+    prod = (a.reshape(lead + (math.prod(kept), math.prod(summed)))
+            @ b.reshape(lead + (math.prod(summed), math.prod(right))))
+    return prod.reshape(lead + kept + right).transpose(out_axes)
 
 
 def _plus(a, b, sign=1.0) -> tuple:
@@ -98,9 +154,18 @@ def _transpose(a) -> tuple:
 
 
 def _blocks(p, q, r, s=None) -> tuple:
-    """Parts of the block matrix [[p, q], [r, s]], s zero when None."""
-    return tuple(np.block([[pm, qm], [rm, np.zeros_like(pm) if s is None else s[m]]])
-                 for m, (pm, qm, rm) in enumerate(zip(p, q, r)))
+    """Parts of the block matrix [[p, q], [r, s]], s zero when None, each
+    part written into one new array."""
+    out = []
+    for m, (pm, qm, rm) in enumerate(zip(p, q, r)):
+        k, l = pm.shape[-2:]
+        full = np.empty(pm.shape[:-2] + (k + rm.shape[-2], l + qm.shape[-1]))
+        full[..., :k, :l] = pm
+        full[..., :k, l:] = qm
+        full[..., k:, :l] = rm
+        full[..., k:, l:] = 0.0 if s is None else s[m]
+        out.append(full)
+    return tuple(out)
 
 
 # -- lifted metrics and connections ----------------------------------------------

@@ -42,6 +42,14 @@ def test_stage_cost_times_every_builtin_with_geodesic_jobs():
                for _, batch, _, block, replay in rows)
     # then one linalg.inverse on a 1-row and on a 256-row (3, 3) stack
     assert lines[8].split() == ["stack", "inverse", "us"]
-    stacks = [line.rsplit(None, 1) for line in lines[9:]]
+    stacks = [line.rsplit(None, 1) for line in lines[9:11]]
     assert [label for label, _ in stacks] == ["(1, 3, 3)", "(256, 3, 3)"]
     assert 0.0 < float(stacks[0][1]) < float(stacks[1][1])
+    # last, one lift batch on 128 and on 1024 bundle points, per lift and order
+    assert lines[11].split() == ["lift", "order", "128", "rows", "us", "1024", "rows", "us"]
+    lifts = [line.split() for line in lines[12:]]
+    assert [row[:2] for row in lifts] == [["sasaki", "0"], ["sasaki", "1"], ["sasaki", "2"],
+                                          ["complete_conn", "0"], ["complete_conn", "1"]]
+    assert all(0.0 < float(small) < float(large) for _, _, small, large in lifts)
+    # an order-2 Sasaki batch carries the order-0 one among its parts
+    assert float(lifts[0][3]) < float(lifts[2][3])

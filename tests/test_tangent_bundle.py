@@ -5,6 +5,9 @@ Coordinate conventions are pinned by tiny hand examples on a one or two
 dimensional base before the frame-rule machinery takes over.
 """
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from subgeo import builtins, runner
 from subgeo import tangent_bundle as tb
 from subgeo import submersion as sm
 from subgeo.config import parse_config
-from subgeo.errors import EvalDomain
+from subgeo.errors import ContractViolation, EvalDomain
 from subgeo.fields import ExprConnection, ExprField, _FieldStack
 from subgeo.results import FAIL, PASS
 from subgeo.sampling import sample_box
@@ -264,6 +267,106 @@ def test_complete_conn_blocks_curved_base(hyp2):
             - at(hyp2.base.conn, (x[0], x[1] - h))) / (2.0 * h)
     want = p[2] * 0.0 + p[3] * dgam  # d_x Gamma = 0 for this metric
     assert max_abs(gam[2:, :2, :2] - want) < 1e-6
+
+
+# -- the part algebra against its einsum reference ---------------------------
+
+
+BUNDLES = ("tangent_bundle_of:hyperbolic:2", "tangent_bundle_of:gaussian:alpha=1",
+           "tangent_bundle_of:euclidean:2")
+
+
+def reference_product(spec, a, b):
+    """The Leibniz rule of ``tb._product`` with every term one np.einsum,
+    summed in mask order: its parts, and per part the same sum over the
+    factors' magnitudes."""
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+    parts, scales = [], []
+    for m in range(min(len(a), len(b))):
+        axes = "ABC"[:m]
+        total = scale = 0.0
+        for mask in range(2**m):
+            da = "".join(c for k, c in enumerate(axes) if mask >> k & 1)
+            db = "".join(c for k, c in enumerate(axes) if not mask >> k & 1)
+            term = f"p{da}{sa},p{db}{sb}->p{axes}{out}"
+            total = total + np.einsum(term, a[len(da)], b[len(db)])
+            scale = scale + np.einsum(term, np.abs(a[len(da)]), np.abs(b[len(db)]))
+        parts.append(total)
+        scales.append(scale)
+    return tuple(parts), tuple(scales)
+
+
+def reference_blocks(p, q, r, s=None):
+    return tuple(np.block([[pm, qm], [rm, np.zeros_like(pm) if s is None else s[m]]])
+                 for m, (pm, qm, rm) in enumerate(zip(p, q, r)))
+
+
+def random_parts(rng, subscripts, parts, n=2, rows=5):
+    """Random parts of a quantity with value axes ``subscripts``, each of
+    width n, and derivative axes of width 2n, as on a bundle chart."""
+    return tuple(rng.normal(size=(rows,) + (2 * n,) * m + (n,) * len(subscripts))
+                 for m in range(parts))
+
+
+def test_product_is_the_einsum_leibniz_rule():
+    # every subscript string the module multiplies parts by; the value is
+    # the reference's einsum to the bit, and a term of a partial is a
+    # matmul, which sums in another order
+    specs = sorted(set(re.findall(r'_product\("([^"]+)"', inspect.getsource(tb))))
+    assert len(specs) == 17
+    rng = np.random.default_rng(7)
+    ulp = np.finfo(float).eps
+    for spec in specs:
+        sa, sb = spec.split("->")[0].split(",")
+        for order in range(4):
+            # the longer factor has a part more, which the product drops
+            a, b = random_parts(rng, sa, order + 1), random_parts(rng, sb, order + 2)
+            got = tb._product(spec, a, b)
+            want, scale = reference_product(spec, a, b)
+            assert [part.shape for part in got] == [part.shape for part in want], spec
+            assert got[0].tobytes() == want[0].tobytes(), spec
+            for m in range(1, order + 1):
+                assert np.all(np.abs(got[m] - want[m]) <= 4 * ulp * scale[m]), (spec, m)
+
+
+def test_blocks_are_np_block():
+    rng = np.random.default_rng(8)
+    for order in range(3):
+        p, q, r, s = (random_parts(rng, "ij", order + 1) for _ in range(4))
+        for lower in (s, None):
+            got, want = tb._blocks(p, q, r, lower), reference_blocks(p, q, r, lower)
+            assert [part.shape for part in got] == [part.shape for part in want]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("name", BUNDLES)
+def test_lifted_values_are_the_einsum_values(name, mode, monkeypatch):
+    # fd stencils difference these values, so a rounding change in them
+    # would be magnified: at every order a lift reaches, its value part is
+    # the all-einsum path's to the bit
+    bundle = builtins.build(name, mode).bundle
+    x = bundle_points(bundle, 16)
+    lifts = (bundle.sasaki_metric, bundle.horizontal_metric, bundle.complete_metric,
+             bundle.complete_conn, bundle.horizontal_conn)
+
+    def values(lift):
+        out = []
+        for order in range(lift.max_order + 1):
+            try:
+                out.append(lift.batch(x, order)[0])
+            except ContractViolation:  # fd base stacks stop at order 2
+                break
+        return out
+
+    got = [values(lift) for lift in lifts]
+    monkeypatch.setattr(tb, "_product", lambda spec, a, b: reference_product(spec, a, b)[0])
+    monkeypatch.setattr(tb, "_blocks", reference_blocks)
+    want = [values(lift) for lift in lifts]
+    for lift, g, w in zip(lifts, got, want):
+        assert len(g) == len(w) >= 1, type(lift).__name__
+        assert all(gv.tobytes() == wv.tobytes() for gv, wv in zip(g, w)), type(lift).__name__
 
 
 def test_bundle_checks_share_one_submersion_setup(monkeypatch):
