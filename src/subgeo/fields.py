@@ -15,7 +15,14 @@ differentiated once more; dual connections reach 1.  A batch inverts g
 once (:func:`linalg.inverse`); each solve against g multiplies by it,
 and a caller may pass it (:func:`_parts_and_inverse`) or, in an RK4
 stage, certify it later (``_gamma``).  Asking past a field's order
-raises :class:`ContractViolation`.  Nothing is cached per point.  In
+raises :class:`ContractViolation`.  Nothing is cached per point
+beyond one build: within a stack build (:func:`shared`, which each
+attempt of :func:`results.build_rows` runs in), a field evaluated again
+at the same points to the same or a lower order returns the parts it
+already gave, read-only, since a higher-order batch holds the parts of
+every lower one bit for bit.  The memo is dropped when the build returns
+or raises, so it never holds more than one build's batches and no
+result depends on what an earlier build evaluated.  In
 finite-difference mode the same program runs at order 0 on every
 stencil node, and central differences of its values (orders 0..2) stand
 in for its partials while all derived algebra is untouched, giving an
@@ -24,6 +31,7 @@ independent derivative path through every check.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -78,14 +86,60 @@ class Field:
 
     def batch(self, points, order: int) -> tuple:
         """The parts (values, first partials, ...) up to ``order`` at a
-        stack of points (N, dim)."""
+        stack of points (N, dim), shared within a build (:func:`shared`)."""
         if not 0 <= order <= self.max_order:
             raise ContractViolation(f"batched order must be in 0..{self.max_order}, got {order}")
         with np.errstate(all="ignore"):
-            return self._batch(_as_points(points, self.dim), order)
+            return self._shared_batch(_as_points(points, self.dim), order)
+
+    def _shared_batch(self, points, order):
+        """``_batch`` at checked points, through the running build's memo:
+        the first order + 1 parts of a batch this build already evaluated
+        at the same points to this order or higher, else a new batch,
+        stored read-only."""
+        memo = _MEMO.get()
+        if memo is None:
+            return self._batch(points, order)
+        # bytes compare faster than they hash, and a build holds few stacks per field
+        data = points.tobytes()
+        held = memo.setdefault((id(self), points.shape), [])
+        for _, seen, top, parts in held:
+            if top >= order and seen == data:
+                return parts[:order + 1]
+        parts = self._batch(points, order)
+        for part in parts:
+            part.flags.writeable = False
+        held.append((self, data, order, parts))  # holding the field keeps its id unused
+        return parts
 
     def _batch(self, points, order):
         return self._stack.at(order)(points)
+
+
+# {(id(field), shape): [(field, point bytes, order, parts), ...]} of the running build, else None
+_MEMO = contextvars.ContextVar("subgeo_build_memo", default=None)
+
+
+def shared(build, points):
+    """``build(points)`` with the field batches it evaluates shared.
+
+    Within the call, a field's ``batch`` at points it has already been
+    evaluated at to an order at or above the one asked returns the first
+    order + 1 parts of that batch (they are those of a new batch, bit for
+    bit), marked read-only.  A batch that raises is not kept.  A nested
+    call shares the outer call's batches.  The memo is dropped when the
+    outermost call returns or raises, so two builds at the same points
+    each evaluate and no batch is held past the build that needed it.
+    The memo is a context variable, so builds in other threads have
+    their own.
+    """
+    if _MEMO.get() is not None:
+        return build(points)
+    token = _MEMO.set({})
+    try:
+        return build(points)
+    finally:
+        _MEMO.reset(token)
 
 
 # -- scalar fields ----------------------------------------------------
@@ -336,8 +390,8 @@ class MetricConnection(ConnectionField):
     and the inverse of g there."""
 
     def _batch(self, points, order):
-        # the metric's _batch: ``batch`` has checked the points already
-        g_parts = self.metric._batch(points, order + 1)
+        # the metric's batch, whose points ``batch`` has checked already
+        g_parts = self.metric._shared_batch(points, order + 1)
         return self._parts(points, g_parts, inverse(g_parts[0]))
 
     def _gamma(self, points, pending):

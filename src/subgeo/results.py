@@ -2,7 +2,13 @@
 through, with what feeds it: the row-by-row rebuild of a failing batch
 (:func:`build_rows`), items owning several rows of one batch
 (:func:`owned_rows`), and values computed item by item
-(:func:`collect`)."""
+(:func:`collect`).
+
+Each attempt of :func:`build_rows` is one stack build, inside which the
+field batches are shared (:func:`fields.shared`): the lifts, frames and
+residuals of one build that read one field at the same points evaluate
+it once.  Sharing ends with the attempt, so a per-row rebuild starts
+afresh and no check sees what another evaluated."""
 
 from __future__ import annotations
 
@@ -12,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SubgeoError
+from .fields import shared
 
 PASS = "pass"
 FAIL = "fail"
@@ -159,20 +166,22 @@ def build_rows(build, points):
     """``build(points)``, a dict of arrays with one leading row per point
     of the stack ``points``, plus the errors of the points it fails at.
 
-    The stack is built at once.  When that raises a :class:`SubgeoError`,
-    each row is built alone: the failing points keep their own errors
-    and the others get what the stack gives them.  Returns (the arrays
-    of the rows that built, in point order, or {} when none did; a map
-    from the position of each failing point to its error).
+    The stack is built at once, sharing field batches within the build
+    (:func:`fields.shared`).  When that raises a :class:`SubgeoError`,
+    each row is built alone, as a build of its own: the failing points
+    keep their own errors and the others get what the stack gives them.
+    Returns (the arrays of the rows that built, in point order, or {}
+    when none did; a map from the position of each failing point to its
+    error).
     """
     try:
-        return build(points), {}
+        return shared(build, points), {}
     except SubgeoError:
         pass
     parts, errors = [], {}
     for row in range(len(points)):
         try:
-            parts.append(build(points[row:row + 1]))
+            parts.append(shared(build, points[row:row + 1]))
         except SubgeoError as exc:
             errors[row] = exc
     arrays = {k: np.concatenate([part[k] for part in parts]) for k in (parts[0] if parts else ())}

@@ -24,14 +24,19 @@ the row axis and the vector index (:func:`_tuples`), and the batch
 broadcasts over those axes (:meth:`_FrameBatch.over`). Pointwise tensors
 extend their vector arguments by constant coordinate components and
 project with the frame's projector fields, which makes the results
-extension-independent up to solver noise. The setup caches nothing per
-point: a batch lives as long as the check that built it.
+extension-independent up to solver noise. The tensors that the four
+conditions and the Lemma both read are computed once per batch, over
+the (kernel, lift) column pairs (:attr:`_FrameBatch.tensors`). The setup
+caches nothing per point: a batch lives as long as the check that built
+it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+import weakref
 
 import numpy as np
 
@@ -315,6 +320,7 @@ class _FrameBatch:
         self.size = size
         self.errors = errors or {}
         self._source, self._depth = source, depth
+        self._wide, self._columns = {}, None  # over() per depth and columns(), on first call
         vars(self).update(arrays)
 
     def __len__(self) -> int:
@@ -327,10 +333,16 @@ class _FrameBatch:
 
     def over(self, depth: int) -> _FrameBatch:
         """This batch with ``depth`` unit column axes after the row axis:
-        its arrays broadcast against vectors (N, c_1, ..., c_depth, n)."""
-        arrays = {k: v.reshape(v.shape[:1] + (1,) * depth + v.shape[1:])
-                  for k, v in vars(self).items() if isinstance(v, np.ndarray)}
-        return _FrameBatch(self.setup, self.size, arrays, source=self, depth=depth)
+        its arrays broadcast against vectors (N, c_1, ..., c_depth, n).
+        Built once per depth; it reads derived parts from this batch, which
+        it refers to weakly (no cycle keeps a batch past its check), so
+        this batch must outlive it."""
+        if depth not in self._wide:
+            arrays = {k: v.reshape(v.shape[:1] + (1,) * depth + v.shape[1:])
+                      for k, v in vars(self).items() if isinstance(v, np.ndarray)}
+            self._wide[depth] = _FrameBatch(self.setup, self.size, arrays,
+                                            source=weakref.proxy(self), depth=depth)
+        return self._wide[depth]
 
     def __getattr__(self, name):
         """A part of ``_DERIVED`` on first read, from the source of a batch from :meth:`over`."""
@@ -344,9 +356,12 @@ class _FrameBatch:
     def columns(self):
         """The kernel columns V and lift columns L as column fields:
         values (N, c, n) and partials (N, c, n, n), column axis first."""
-        return tuple((np.ascontiguousarray(np.moveaxis(cols, -1, 1)),
-                      np.ascontiguousarray(np.moveaxis(d_cols, -1, 1)))
-                     for cols, d_cols in ((self.vcols, self.d_vcols), (self.lcols, self.d_lcols)))
+        if self._columns is None:
+            self._columns = tuple(
+                (np.ascontiguousarray(np.moveaxis(cols, -1, 1)),
+                 np.ascontiguousarray(np.moveaxis(d_cols, -1, 1)))
+                for cols, d_cols in ((self.vcols, self.d_vcols), (self.lcols, self.d_lcols)))
+        return self._columns
 
     def s_value(self, v, x) -> np.ndarray:
         """S_v x = nabla_v X - dual-nabla_v X for constant extensions."""
@@ -363,6 +378,23 @@ class _FrameBatch:
         if ds is None:
             return parts
         return tuple((value, d + ds[..., :, None] * value[..., None, :]) for value, d in parts)
+
+    @functools.cached_property
+    def tensors(self) -> dict:
+        """The tensors the four conditions and the Lemma both read, over
+        every pair (V_a, L_b) of a kernel and a lift column, [p, a, b, ...],
+        computed once per batch: ``s_vx`` S(V_a, L_b), ``s_xv`` S(L_b, V_a),
+        ``a_xv`` A_{L_b} V_a, ``t_vx`` T_{V_a} L_b, ``a_xv_dual`` and
+        ``t_vx_dual`` the last two for the dual connection, and
+        ``fiber_cubic`` over kernel triples (:meth:`fiber_cubic`)."""
+        T, A = self.setup.fundamental_T, self.setup.fundamental_A
+        V, L = self.columns()
+        f2 = self.over(2)
+        v, x = _tuples(V[0], L[0])
+        return {"s_vx": f2.s_value(v, x), "s_xv": f2.s_value(x, v),
+                "a_xv": A(f2, x, v), "a_xv_dual": A(f2, x, v, dual=True),
+                "t_vx": T(f2, v, x), "t_vx_dual": T(f2, v, x, dual=True),
+                "fiber_cubic": self.fiber_cubic()}
 
     def fiber_cubic(self) -> np.ndarray:
         """(hat-nabla_{V_a} hat-g)(V_b, V_c) [..., a, b, c] over the kernel
@@ -472,22 +504,24 @@ def lemma_components(f: _FrameBatch) -> dict:
 
     Each is taken over every triple (u, v, w) of kernel columns V and
     (x, y, z) of lift columns L that it names.  Keys cs6..cs11; vacuous
-    entries (no vertical directions) report 0.
+    entries (no vertical directions) report 0.  cs7-cs11 read the pair
+    tensors of :attr:`_FrameBatch.tensors`, a unit axis added for the
+    third column.
     """
-    T, A = f.setup.fundamental_T, f.setup.fundamental_A
     (V, _), (L, _) = f.columns()
     f3 = f.over(3)
     C, g = f3.cubic, f3.g
+    t = {k: a[:, :, :, None] for k, a in f.tensors.items() if k != "fiber_cubic"}
 
     # cs6: horizontal cubic matches the conformally scaled base cubic
     cs6 = _form3(C, *_tuples(L, L, L)) - f.e2phi[:, None, None, None] * f.cubic_b
     v, x, y = _tuples(V, L, L)
-    cs7 = _form3(C, v, x, y) + _pair(g, f3.s_value(v, x), y)
-    cs8 = _form3(C, x, v, y) + _pair(g, A(f3, x, v), y) - _pair(g, A(f3, x, v, dual=True), y)
+    cs7 = _form3(C, v, x, y) + _pair(g, t["s_vx"], y)
+    cs8 = _form3(C, x, v, y) + _pair(g, t["a_xv"], y) - _pair(g, t["a_xv_dual"], y)
     v, x, w = _tuples(V, L, V)
-    cs9 = _form3(C, x, v, w) + _pair(g, f3.s_value(x, v), w)
-    cs10 = _form3(C, v, x, w) + _pair(g, T(f3, v, x), w) - _pair(g, T(f3, v, x, dual=True), w)
-    cs11 = _form3(C, *_tuples(V, V, V)) - f.fiber_cubic()
+    cs9 = _form3(C, x, v, w) + _pair(g, t["s_xv"], w)
+    cs10 = _form3(C, v, x, w) + _pair(g, t["t_vx"], w) - _pair(g, t["t_vx_dual"], w)
+    cs11 = _form3(C, *_tuples(V, V, V)) - f.tensors["fiber_cubic"]
     return dict(zip(LEMMA_KEYS, map(_amax, (cs6, cs7, cs8, cs9, cs10, cs11))))
 
 
@@ -505,17 +539,16 @@ CONDITIONS = ("condition1", "condition2", "condition3", "condition4")
 def four_conditions_at(f: _FrameBatch) -> dict:
     """Residual arrays of the four statisticity conditions at the frame
     points, plus the direct statisticity residual of the total space;
-    conditions 1-3 over every pair of kernel and lift columns."""
-    T, A = f.setup.fundamental_T, f.setup.fundamental_A
-    V, L = f.columns()
-    f2 = f.over(2)
-    v, x = _tuples(V[0], L[0])
-    cond1 = _mv(f2.ph, f2.s_value(v, x)) - (A(f2, x, v) - A(f2, x, v, dual=True))
-    cond2 = _mv(f2.pv, f2.s_value(x, v)) - (T(f2, v, x) - T(f2, v, x, dual=True))
+    conditions 1-3 over every pair of kernel and lift columns, from
+    :attr:`_FrameBatch.tensors`."""
+    V, _ = f.columns()
+    f2, t = f.over(2), f.tensors
+    cond1 = _mv(f2.ph, t["s_vx"]) - (t["a_xv"] - t["a_xv_dual"])
+    cond2 = _mv(f2.pv, t["s_xv"]) - (t["t_vx"] - t["t_vx_dual"])
     # condition 3: the fibers are statistical
     a, b = _tuples(V, V)
     torsion = _mv(f2.pv, f2.cov(a[0], b)) - _mv(f2.pv, f2.cov(b[0], a)) - _bracket(a, b)
-    fiber_cubic = f.fiber_cubic()
+    fiber_cubic = t["fiber_cubic"]
     return {
         "condition1": _amax(cond1),
         "condition2": _amax(cond2),

@@ -8,7 +8,8 @@ used here are derived from those rules and then machine-validated by
 
 Every lift is an array formula over a stack of bundle points (Yano &
 Ishihara, *Tangent and Cotangent Bundles*, 1973), built from the base
-batches (g, dg, ...) and (Gamma, dGamma, ...) at the projected points.
+batches (g, dg, ...) and (Gamma, dGamma, ...) at the projected points;
+lifts in one stack build share those batches (:func:`fields.shared`).
 The formulas are polynomial in u, so their partials on the bundle chart
 follow from the base partials by the product rule: each quantity is
 carried as its parts (value, d, d2, ...), part m with m derivative axes
@@ -144,8 +145,10 @@ def _base_parts(base: Space, points, order: int):
     A^l_k = u^j Gamma^l_jk at bundle points, on the bundle chart."""
     n = base.dim
     x = points[:, :n]
-    g = _embed(base.metric.batch(x, order), n)
+    # the connection first: one derived from the metric shares with this
+    # build the metric batch one order higher, which holds the one asked next
     gamma = _embed(base.conn.batch(x, order), n)
+    g = _embed(base.metric.batch(x, order), n)
     return g, _product("j,ljk->lk", _velocity(points, n, order), gamma)
 
 
@@ -355,8 +358,8 @@ def defining_rule_residuals(bundle: TangentBundle, points) -> dict:
     x = np.asarray(points, dtype=float).reshape(len(points), 2 * n)
     base = x[:, :n]
     u = _velocity(x, n, 1)
+    gamma = bundle.base.conn.batch(base, 1)  # before the metric, as in _base_parts
     g, dg = bundle.base.metric.batch(base, 1)
-    gamma = bundle.base.conn.batch(base, 1)
     a = _product("j,ljk->lk", u, _embed(gamma, n))
     eye = np.broadcast_to(np.eye(n), a[0].shape)
     zero = np.zeros_like(a[0])
@@ -446,9 +449,12 @@ def remark_complete_check(bundle: TangentBundle, points, tol) -> CheckResult:
     base = bundle.base
 
     def residuals(x):
+        # the lift first: it evaluates the base data one order higher, and
+        # the build shares those batches with the premise (fields.shared)
+        statistical = geometry.statistical_rows(space.metric, space.conn, x)
         return {
             "premise": geometry.statistical_rows(base.metric, base.conn, x[:, :bundle.n]),
-            "statistical": geometry.statistical_rows(space.metric, space.conn, x),
+            "statistical": statistical,
         }
 
     s = sweep_rows(points, 2 * bundle.n, residuals, keys=("premise", "statistical"))
@@ -480,9 +486,9 @@ def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
     base = bundle.base
 
     def residuals(x):
+        lifted = geometry.statistical_rows(space.metric, space.conn, x)  # first, as above
         nab_g = geometry.cubic_values(base.metric, base.conn, x[:, :bundle.n])
-        return {"bundle": geometry.statistical_rows(space.metric, space.conn, x),
-                "base": np.abs(nab_g).max(axis=(1, 2, 3))}
+        return {"bundle": lifted, "base": np.abs(nab_g).max(axis=(1, 2, 3))}
 
     s = sweep_rows(points, 2 * bundle.n, residuals, keys=("bundle", "base"))
     left, right = s.worst["bundle"], s.worst["base"]

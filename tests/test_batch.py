@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subgeo
-from subgeo import builtins, exprlang, fields, runner
+from subgeo import builtins, exprlang, fields, runner, sampling
 from subgeo.config import build_scenario, parse_config
 from subgeo.errors import ContractViolation, EvalDomain, SubgeoError
 from subgeo.exprlang import compile_batched, eval_jet, parse
@@ -738,3 +738,53 @@ def test_lifted_fields_declare_the_order_they_reach(name):
             fld.batch(center, k)
         with pytest.raises(ContractViolation, match=rf"must be in 0\.\.{order}, got {order + 1}$"):
             fld.batch(center, order + 1)
+
+
+def _every_field(scenario):
+    """(label, field, chart box) of every field a builtin evaluates: its
+    metrics and connections with their duals, the lifts of a bundle,
+    the projection, phi and the metric entries (fd leaves in fd mode)."""
+    spaces = [("space", scenario.space)]
+    if scenario.setup is not None:
+        spaces.append(("base", scenario.setup.base))
+    out = []
+    for label, space in spaces:
+        box, metric, conn = space.chart.box, space.metric, space.conn
+        out += [(f"{label} metric", metric, box), (f"{label} conn", conn, box),
+                (f"{label} dual", DualConnection(conn, metric), box)]
+        out += [(f"{label} g_{i + 1}{j + 1}", entry, box)  # a lift has no entry fields
+                for (i, j), entry in vars(metric).get("_entries", {}).items()]
+    if scenario.bundle is not None:
+        bundle = scenario.bundle
+        box = bundle.chart.box
+        # the space holds the Sasaki metric and the complete-lift connection
+        out += [("complete", bundle.complete_metric, box),
+                ("horizontal", bundle.horizontal_metric, box),
+                ("horizontal conn", bundle.horizontal_conn, box)]
+    if scenario.setup is not None:
+        box = scenario.setup.total.chart.box
+        out += [(f"pi_{a + 1}", f, box) for a, f in enumerate(scenario.setup.pi)]
+        if scenario.setup.phi is not None:
+            out.append(("phi", scenario.setup.phi, box))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_batch_holds_every_lower_order_batch_bit_for_bit(name, mode):
+    # a build shares a field's batch with every request at or below its
+    # order (fields.shared), which gives these parts for a new batch's
+    for label, fld, box in _every_field(builtins.build(name, mode)):
+        x = sampling.sample_box(box, 8, 5)
+        for top in range(fld.max_order, -1, -1):  # the highest order the field reaches
+            try:
+                parts = fld.batch(x, top)
+                break
+            except ContractViolation:
+                continue
+        assert len(parts) == top + 1
+        for order in range(top):
+            fresh = fld.batch(x, order)
+            assert len(fresh) == order + 1
+            for k, (got, want) in enumerate(zip(parts, fresh)):
+                assert np.array_equal(got, want, equal_nan=True), (label, top, order, k)

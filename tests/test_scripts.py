@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -53,3 +55,14 @@ def test_stage_cost_times_every_builtin_with_geodesic_jobs():
     assert all(0.0 < float(small) < float(large) for _, _, small, large in lifts)
     # an order-2 Sasaki batch carries the order-0 one among its parts
     assert float(lifts[0][3]) < float(lifts[2][3])
+
+
+@pytest.mark.parametrize("name", ["tangent_bundle_of:hyperbolic:2",
+                                  "tangent_bundle_of:gaussian:alpha=1",
+                                  "tangent_bundle_of:euclidean:2"])
+def test_repeat_census_finds_no_repeated_batch_on_the_bundle_builtins(name):
+    out = run_script("scripts/repeat_census.py", name, "16")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].split() == ["check", "field", "calls", "repeats", "repeat", "ms"]
+    assert len(lines) == 2 and lines[1].startswith("total repeats 0 in "), out.stdout

@@ -6,7 +6,9 @@ including one with a rotating horizontal distribution.  The conditional
 properties are exercised in both directions.
 """
 
+import gc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import condition_reference as cref
 import frame_reference as ref
 from conftest import (
     euclid_setup,
@@ -556,6 +559,44 @@ def test_column_formulas_match_the_per_index_reference(which):
             assert got[key].shape == want[key].shape == (len(f),), key
             bound = 1e-14 * np.maximum(1.0, np.abs(want[key]))
             assert np.all(np.abs(got[key] - want[key]) <= bound), (which, key)
+
+
+SHARED_TENSOR_FRAMES = ("hyperbolic:3", "gaussian:alpha=1", "tangent_bundle_of:hyperbolic:2",
+                        "tangent_bundle_of:gaussian:alpha=1", "tangent_bundle_of:euclidean:2")
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", SHARED_TENSOR_FRAMES)
+def test_shared_column_tensors_give_the_reference_residuals(name, seed):
+    # the bundle builtins' setup is their bundle projection (Sasaki, complete lift)
+    setup = builtins.build(name).setup
+    x = points_for(setup, 32, seed)
+    want = {**cref.four_conditions_at(setup._frames(x, False)),
+            **cref.lemma_components(setup._frames(x, False))}
+    for first, second in ((sm.four_conditions_at, sm.lemma_components),
+                          (sm.lemma_components, sm.four_conditions_at)):
+        f = setup._frames(x, False)
+        got = {**first(f), **second(f)}
+        assert set(got) == set(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key], equal_nan=True), (name, seed, key)
+
+
+def test_a_frame_batch_is_freed_with_its_last_reference():
+    # its over() batches are kept on it and refer back to it weakly, so no
+    # reference cycle holds a batch (and its arrays) until a gc pass
+    setup = builtins.build("hyperbolic:3").setup
+    frames = setup._frames(points_for(setup, 8), False)
+    sm.four_conditions_at(frames)
+    sm.lemma_components(frames)
+    assert set(frames._wide) == {2, 3}
+    alive = weakref.ref(frames)
+    gc.disable()
+    try:
+        del frames
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 ZERO_FIBER_VACUOUS = {

@@ -5,20 +5,22 @@ Coordinate conventions are pinned by tiny hand examples on a one or two
 dimensional base before the frame-rule machinery takes over.
 """
 
+import collections
 import inspect
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import euclid_setup, gaussian_setup, hyperbolic_setup, max_abs
-from subgeo import builtins, runner
+from subgeo import builtins, fields, runner
 from subgeo import tangent_bundle as tb
 from subgeo import submersion as sm
 from subgeo.config import parse_config
 from subgeo.errors import ContractViolation, EvalDomain
 from subgeo.fields import ExprConnection, ExprField, _FieldStack
-from subgeo.results import FAIL, PASS
+from subgeo.results import FAIL, PASS, build_rows
 from subgeo.sampling import sample_box
 from subgeo.submersion import _bracket
 
@@ -422,3 +424,88 @@ def test_bundle_suites_hold_no_per_point_state():
         sizes.append(_containers(scenario.bundle))
     assert sizes[0] == sizes[1]
     assert "setup._pi_stack.fields" in sizes[0]
+
+
+def test_a_build_evaluates_each_base_batch_once():
+    # the five lifts of tb_defining_rules and the Sasaki metric, complete
+    # lift and base space of a frame build all read the base metric and
+    # connection at the same points; a build evaluates each at each stack
+    # of points once (the connection first, so the alpha connection's
+    # order-2 metric batch serves the order-1 metric reads), and every
+    # build evaluates afresh
+    bundle = builtins.build("tangent_bundle_of:gaussian:alpha=1").bundle
+    base = bundle.base
+    calls = []
+
+    def counting(fld):
+        batch = fld._batch
+
+        def wrapped(points, order):
+            calls.append((fld, points.tobytes(), order))
+            return batch(points, order)
+
+        return wrapped
+
+    x = sample_box(bundle.chart.box, 16, 0)
+    with mock.patch.object(base.metric, "_batch", counting(base.metric)), \
+            mock.patch.object(base.conn, "_batch", counting(base.conn)):
+        for build in (lambda: tb.check_defining_rules(bundle, x, 1e-8),
+                      lambda: bundle.setup._frames(x, False)):
+            calls.clear()
+            build()
+            once = collections.Counter(calls)
+            assert {fld for fld, _, _ in once} == {base.metric, base.conn}
+            assert set(collections.Counter(call[:2] for call in calls).values()) == {1}, calls
+            build()
+            assert collections.Counter(calls) == {call: 2 for call in once}
+    assert fields._MEMO.get() is None
+
+
+def test_a_build_that_raises_leaves_no_shared_batch():
+    bundle = builtins.build("tangent_bundle_of:gaussian:alpha=1").bundle
+    x = sample_box(bundle.chart.box, 4, 0)
+
+    def failing(points):
+        bundle.sasaki_metric.batch(points, 1)
+        assert fields._MEMO.get()
+        raise EvalDomain("after a batch", point=points[0])
+
+    arrays, errors = build_rows(failing, x)  # the stack, then each row alone
+    assert arrays == {} and sorted(errors) == [0, 1, 2, 3]
+    assert fields._MEMO.get() is None
+    with pytest.raises(ZeroDivisionError):  # not an incident: propagates
+        build_rows(lambda points: (bundle.sasaki_metric.batch(points, 0), 1 / 0), x)
+    assert fields._MEMO.get() is None
+
+    def writing(points):
+        bundle.sasaki_metric.batch(points, 0)[0][0] = 0.0
+
+    # a shared part is read-only, so a caller writing into it fails loudly
+    with pytest.raises(ValueError, match="read-only"):
+        build_rows(writing, x)
+    assert bundle.sasaki_metric.batch(x, 0)[0].flags.writeable  # outside a build: its own
+
+
+def test_a_nested_build_shares_the_outer_build_and_each_row_rebuild_starts_empty():
+    x = sample_box(((0.0, 1.0),) * 2, 3, 0)
+    memos = []
+
+    def inner(points):
+        memos.append(("inner", fields._MEMO.get()))
+        return {"x": points}
+
+    def outer(points):
+        memos.append(("outer", fields._MEMO.get()))
+        built, _ = build_rows(inner, points)
+        if len(points) > 1:
+            raise EvalDomain("the stack fails", point=points[0])
+        return built
+
+    arrays, errors = build_rows(outer, x)
+    assert not errors and np.array_equal(arrays["x"], x)
+    # the stack, then three rows: each outer attempt with the inner one in it
+    assert [kind for kind, _ in memos] == ["outer", "inner"] * 4
+    pairs = [memos[k:k + 2] for k in range(0, 8, 2)]
+    assert all(o is i and o is not None for (_, o), (_, i) in pairs)
+    assert len({id(o) for (_, o), _ in pairs}) == 4
+    assert fields._MEMO.get() is None
