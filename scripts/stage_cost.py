@@ -21,8 +21,12 @@ fixed cost of a call and its cost per row.  Last, the lift table gives
 the median microseconds of one ``batch`` of the Sasaki metric at orders
 0-2 and of the complete-lift connection at orders 0-1 of
 tangent_bundle_of:hyperbolic:2, on 128 and on 1024 bundle points sampled
-from its chart box.  Run it from the repository root; it times the
-``subgeo`` under ``src``.
+from its chart box.  Last, the frame table gives the median microseconds
+of one ``SubmersionSetup._frames`` build on 256 points sampled from the
+chart box of hyperbolic:3, gaussian:alpha=1 and
+tangent_bundle_of:hyperbolic:2, and of one build followed by a read of
+its projector partials ``d_ph``, which the batch computes on first read.
+Run it from the repository root; it times the ``subgeo`` under ``src``.
 """
 
 import statistics
@@ -49,6 +53,8 @@ ROWS = 3
 STACKS = (1, 256)  # rows of the timed inverse stacks
 LIFT_BUNDLE = "tangent_bundle_of:hyperbolic:2"
 LIFT_ROWS = (128, 1024)  # bundle points of the timed lift batches
+FRAME_BUILTINS = ("hyperbolic:3", "gaussian:alpha=1", "tangent_bundle_of:hyperbolic:2")
+FRAME_ROWS = 256
 WARMUP = 50
 INTEGRATIONS = 3
 
@@ -102,6 +108,13 @@ def main() -> None:
         for order in range(orders):
             times = [median_us(lambda: field.batch(x, order), repeats) for x in points]
             print(f"{label:<22s} {order:5d} " + " ".join(f"{t:13.1f}" for t in times))
+    print(f"{'frame':<30s} {'build us':>10s} {'build+d_ph us':>14s}")
+    for name in FRAME_BUILTINS:
+        setup = builtins.build(name).setup
+        x = sample_box(setup.total.chart.box, FRAME_ROWS, 0)
+        build = median_us(lambda: setup._frames(x, False), repeats)
+        read = median_us(lambda: setup._frames(x, False).d_ph, repeats)
+        print(f"{name:<30s} {build:10.1f} {read:14.1f}")
 
 
 if __name__ == "__main__":

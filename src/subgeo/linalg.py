@@ -3,8 +3,13 @@
 A stack of matrices (N, n, n) is inverted in one LAPACK call, and a
 caller solves a^-1 b as that certified inverse times b, so a stack
 solved against several times is factored once; a block of RK4 steps
-certifies (:func:`certify`) the inverses of all of its stages at once.  A system is
-singular when its smallest LU pivot is below ``PIVOT_RTOL * max|a|``.
+certifies (:func:`certify`) the inverses of all of its stages at once.
+A uniform stack, every row with the same bits (the kernel pivot block
+of a coordinate projection, a Euclidean base metric), is inverted and
+certified on its first row, which is repeated: LAPACK inverts each row
+of a stack on its own, so the inverses, verdicts and messages are the
+whole stack's.  A system is singular when its smallest LU pivot is
+below ``PIVOT_RTOL * max|a|``.
 Partial pivoting keeps |l_ij| <= 1, so ||L||_2 <= sqrt(n(n+1)/2) and
 
     min |u_kk| >= sigma_min(a) / ||L||_2 >= 1 / (n max|a^-1_ij| sqrt(n(n+1)/2)):
@@ -51,19 +56,20 @@ def inverse(a) -> np.ndarray:
     LAPACK call; rows that the inverse does not certify nonsingular are
     tested one by one, in row order.  Raises :class:`SingularMatrix`
     when a pivot falls below ``1e-12 * max_norm(a)``; for a stack of
-    several systems the message names the first failing row."""
-    a, inv = _factor(a)
-    certify(a, inv)
-    return inv
+    several systems the message names the first failing row.  A uniform
+    stack (:func:`_factor`) is inverted and certified on its first row."""
+    a, rows, inv = _factor(a)
+    _certify(rows, inv, several=len(a) > 1)
+    return _repeat(inv, len(a))
 
 
 def inverse_rows(a):
     """(inverses, mask of the rows :func:`inverse` rejects) of a stack
     (N, n, n), from one LAPACK call."""
-    a, inv = _factor(a)
+    a, rows, inv = _factor(a)
     bad = np.zeros(len(inv), dtype=bool)
-    bad[[row for row, _ in _failures(a, _certified(a, inv))]] = True
-    return inv, bad
+    bad[[row for row, _ in _failures(rows, _certified(rows, inv))]] = True
+    return _repeat(inv, len(a)), _repeat(bad, len(a))
 
 
 def lapack_inverse(a) -> np.ndarray:
@@ -73,19 +79,39 @@ def lapack_inverse(a) -> np.ndarray:
 
 def certify(a, inv) -> None:
     """Raise what :func:`inverse` raises for ``a``, given its inverse ``inv``."""
+    _certify(a, inv, several=len(a) > 1)
+
+
+def _certify(a, inv, several: bool) -> None:
+    """Raise the first failure of the rows of ``a``; with ``several``, its
+    message names the row."""
     ok = _certified(a, inv)
     if np.count_nonzero(ok) < len(ok):
         for row, exc in _failures(a, ok):
-            raise exc if len(inv) == 1 else SingularMatrix(f"{exc} in row {row}")
+            raise SingularMatrix(f"{exc} in row {row}") if several else exc
 
 
 def _factor(a):
-    """(a as a float stack (N, n, n), its uncertified inverse)."""
+    """(a as a float stack (N, n, n), the rows to invert, their uncertified
+    inverses).  The rows are the first alone when every row has its bits,
+    else all of them; bits, not values, so that -0.0 never stands for 0.0
+    nor one NaN for another."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ContractViolation(f"shape mismatch: a {a.shape}, need (N, n, n)")
+    rows = a
+    if len(a) > 1:
+        first = a[0].tobytes()
+        # the last row first: a stack that varies mostly differs there already
+        if a[-1].tobytes() == first and a.tobytes() == first * len(a):
+            rows = a[:1]
     with np.errstate(all="ignore"):
-        return a, lapack_inverse(a)
+        return a, rows, lapack_inverse(rows)
+
+
+def _repeat(rows, count: int) -> np.ndarray:
+    """rows (1 or count, ...) as count rows."""
+    return rows if len(rows) == count else np.repeat(rows, count, axis=0)
 
 
 def _failures(a, ok):

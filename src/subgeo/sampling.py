@@ -7,6 +7,7 @@ bit-identical between runs and machines.
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
 
@@ -27,8 +28,10 @@ def sample_box(box, count: int, seed: int) -> np.ndarray:
             raise ContractViolation(f"empty box interval [{lo}, {hi}]")
     if count < 1:
         raise ContractViolation("sample count must be positive")
+    draws = count * len(box)
     rng = random.Random(seed)
-    r = np.array([rng.random() for _ in range(count * len(box))]).reshape(count, len(box))
+    r = np.fromiter(itertools.starmap(rng.random, itertools.repeat((), draws)), float, draws)
+    r = r.reshape(count, len(box))
     lo, hi = np.array(box).reshape(len(box), 2).T
     return lo + (hi - lo) * (_EDGE + (1.0 - 2.0 * _EDGE) * r)
 

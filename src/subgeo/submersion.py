@@ -15,7 +15,10 @@ kernel. A check builds the frames of all its points in one batch
 with a leading row axis: dpi, the kernel and lift columns and the
 projectors with their first partials (by the product rule and
 d(A^-1) = -A^-1 dA A^-1), the metric, its inverse and Christoffels,
-and the base structure at the projected point. Every
+and the base structure at the projected point. The build does every
+step that can raise; arithmetic that cannot (the lift and projector
+partials, the dual Christoffels and cubic forms) is done on first read
+(``_DERIVED``), so a check pays only for the parts it reads. Every
 identity is one array program over those rows, giving one residual per
 point. An identity over frame directions runs over every pair or triple
 of columns at once: the kernel and lift columns become column fields
@@ -162,16 +165,10 @@ class SubmersionSetup:
         # horizontal: g-orthogonal complement, spanned by h = ginv dpi^T
         g, dg = self.total.metric.batch(x, 1)          # dg[p, k] = d_k g
         ginv = inverse(g)
-        d_ginv = -(ginv[:, None] @ dg @ ginv[:, None])
         h = ginv @ dpi_t                                # (N, n, m)
-        d_h = d_ginv @ dpi_t[:, None] + ginv[:, None] @ np.swapaxes(d_dpi, 2, 3)
-        dpi_h = dpi @ h                                 # (N, m, m)
-        inv = inverse(dpi_h)
-        d_inv = -(inv[:, None] @ (d_dpi @ h[:, None] + dpi[:, None] @ d_h) @ inv[:, None])
+        inv = inverse(dpi @ h)                          # (N, m, m)
         lift = h @ inv                                  # (N, n, m)
-        d_lift = d_h @ inv[:, None] + h[:, None] @ d_inv
         p_h = lift @ dpi                                # (N, n, n)
-        d_ph = d_lift @ dpi[:, None] + lift[:, None] @ d_dpi
 
         (gamma,), _ = _parts_and_inverse(self.total.conn, self.total.metric, x, (g, dg), ginv)
         e2phi, dphi = np.ones(len(x)), np.zeros((len(x), n))
@@ -185,8 +182,8 @@ class SubmersionSetup:
         g_b, dg_b = self.base.metric.batch(bp, 1)
         (gamma_b,), gb_inv = _parts_and_inverse(self.base.conn, self.base.metric, bp, (g_b, dg_b))
         return {
-            "dpi": dpi, "ph": p_h, "pv": np.eye(n) - p_h, "d_ph": d_ph, "d_pv": -d_ph,
-            "vcols": kernel, "d_vcols": d_kernel, "lcols": lift, "d_lcols": d_lift,
+            "dpi": dpi, "d_dpi": d_dpi, "ph": p_h, "pv": np.eye(n) - p_h,
+            "vcols": kernel, "d_vcols": d_kernel, "h": h, "dpi_h_inv": inv, "lcols": lift,
             "gamma": gamma, "g": g, "dg": dg, "ginv": ginv,
             "e2phi": e2phi, "dphi": dphi, "bp": bp,
             "gb": g_b, "dg_b": dg_b, "gb_inv": gb_inv, "gamma_b": gamma_b,
@@ -288,8 +285,21 @@ def _kernel(dpi, d_dpi, piv, free):
     return kernel, d_kernel
 
 
+def _lift_partials(f) -> np.ndarray:
+    """The partials of the lift columns h (dpi h)^-1 by the product rule
+    and d(A^-1) = -A^-1 dA A^-1, from the arrays a frame build stores."""
+    ginv, h, inv, dpi, d_dpi = f.ginv, f.h, f.dpi_h_inv, f.dpi, f.d_dpi
+    d_ginv = -(ginv[:, None] @ f.dg @ ginv[:, None])
+    d_h = d_ginv @ np.swapaxes(dpi, 1, 2)[:, None] + ginv[:, None] @ np.swapaxes(d_dpi, 2, 3)
+    d_inv = -(inv[:, None] @ (d_dpi @ h[:, None] + dpi[:, None] @ d_h) @ inv[:, None])
+    return d_h @ inv[:, None] + h[:, None] @ d_inv
+
+
 # The _FrameBatch parts computed on first read, by arithmetic alone.
 _DERIVED = {
+    "d_lcols": _lift_partials,
+    "d_ph": lambda f: f.d_lcols @ f.dpi[:, None] + f.lcols[:, None] @ f.d_dpi,
+    "d_pv": lambda f: -f.d_ph,
     "gamma_dual": lambda f: _dual((f.g, f.dg), (f.gamma,), f.ginv)[0],
     "cubic": lambda f: geometry.nabla_g_values(f.g, f.dg, f.gamma),
     "gamma_b_dual": lambda f: _dual((f.gb, f.dg_b), (f.gamma_b,), f.gb_inv)[0],
@@ -301,16 +311,19 @@ class _FrameBatch:
     """The frames at a stack of points, one row per point that evaluated;
     ``errors`` maps the position of each point that did not to its error.
 
-    Arrays, each with a leading row axis: ``dpi`` (m x n); the projectors
-    ``ph``, ``pv`` (n x n); the kernel columns ``vcols`` (n x l) and lift
-    columns ``lcols`` (n x m); the Christoffels ``gamma``, the metric
-    ``g``, its partials ``dg`` and inverse ``ginv``; ``e2phi`` and
-    ``dphi``; the base point ``bp`` and, there, ``gb``, ``dg_b``,
-    ``gb_inv`` and ``gamma_b``.  ``d_ph``, ``d_pv``, ``d_vcols`` and
-    ``d_lcols`` hold the partials of their arrays, the derivative index
-    first as in ``dg``.  The dual Christoffels and cubic forms of both
-    spaces are computed on first read (``_DERIVED``).  Vectors and
-    fields passed to the methods carry the same row axis; any column
+    Arrays, each with a leading row axis: ``dpi`` (m x n) and its
+    partials ``d_dpi``; the projectors ``ph``, ``pv`` (n x n); the kernel
+    columns ``vcols`` (n x l); the lift columns ``lcols`` (n x m), which
+    are ``h`` = ginv dpi^T (n x m) times ``dpi_h_inv`` = (dpi h)^-1; the
+    Christoffels ``gamma``, the metric ``g``, its partials ``dg`` and
+    inverse ``ginv``; ``e2phi`` and ``dphi``; the base point ``bp`` and,
+    there, ``gb``, ``dg_b``, ``gb_inv`` and ``gamma_b``.  ``d_ph``,
+    ``d_pv``, ``d_vcols`` and ``d_lcols`` hold the partials of their
+    arrays, the derivative index first as in ``dg``.  ``d_vcols`` is
+    built with the kernel; the other three partials and the dual
+    Christoffels and cubic forms of both spaces are computed on first
+    read (``_DERIVED``), bit for bit what an eager build gives.  Vectors
+    and fields passed to the methods carry the same row axis; any column
     axes after it need the batch from :meth:`over`.
     """
 

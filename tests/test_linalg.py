@@ -235,14 +235,14 @@ def test_frame_and_levi_civita_batches_make_no_per_row_solves(monkeypatch):
 
 class _CountingLapack:
     """Stands in for numpy's LAPACK gufunc module inside ``linalg`` and
-    records the name of every call."""
+    records the name and the input shape of every call."""
 
     def __init__(self):
         self.calls = []
 
     def __getattr__(self, name):
         fn = getattr(np.linalg._umath_linalg, name)
-        return lambda *args, **kwargs: self.calls.append(name) or fn(*args, **kwargs)
+        return lambda a, *args: self.calls.append((name, a.shape)) or fn(a, *args)
 
 
 @pytest.fixture
@@ -276,10 +276,63 @@ def test_a_frame_build_factors_each_stack_once(lapack):
     setup = builtins.build("hyperbolic:3").setup
     frames = setup._frames(points_for(setup, 32), True)
     assert len(lapack) == 4
-    for name in ("gamma_dual", "cubic", "gamma_b_dual", "cubic_b"):
+    for name in ("d_lcols", "d_ph", "d_pv", "gamma_dual", "cubic", "gamma_b_dual", "cubic_b"):
         getattr(frames.over(2), name)
         getattr(frames.take([3, 1]), name)
     assert len(lapack) == 4
+
+
+def test_a_frame_build_inverts_its_uniform_stacks_on_one_row(lapack):
+    # hyperbolic:3 projects onto coordinates of a Euclidean base, so the
+    # kernel's pivot block and the base metric are the same at every point
+    setup = builtins.build("hyperbolic:3").setup
+    setup._frames(points_for(setup, 256), True)
+    assert lapack == [("inv", (1, 2, 2)), ("inv", (256, 3, 3)), ("inv", (256, 2, 2)),
+                      ("inv", (1, 2, 2))]
+
+
+def _per_row_lapack(a):
+    """The LAPACK inverses of a stack, one call per row."""
+    with np.errstate(all="ignore"):
+        return np.concatenate([np.linalg._umath_linalg.inv(row[None]) for row in a])
+
+
+def test_a_uniform_stack_is_inverted_and_certified_on_its_first_row(lapack):
+    # the inverses, verdicts and messages of the per-row rule, from one
+    # LAPACK call on one row
+    rng = np.random.default_rng(29)
+    for n in range(1, 5):
+        for count in (1, 2, 3, 17, 256, 300):
+            for kind in ("well", "near", "zero", "duplicate", "nan", "inf"):
+                a = np.repeat(_system(rng, n, kind)[None], count, axis=0)
+                want = _per_row_lapack(a)
+                lapack.clear()
+                inv, bad = linalg.inverse_rows(a)
+                assert lapack == [("inv", (1, n, n))], (n, count, kind)
+                assert inv.shape == a.shape and inv.tobytes() == want.tobytes()
+                assert bad.tolist() == [_rejects(a[0])] * count
+                _same_outcome(a, rng.normal(size=(count, n, 2)))
+
+
+def test_rows_that_differ_in_their_bits_alone_are_inverted_row_by_row(lapack):
+    rng = np.random.default_rng(31)
+    well = _system(rng, 3, "well")
+    well[0, 1] = 0.0
+    signed = np.array([well] * 4)
+    signed[2, 0, 1] = -0.0  # equal values, another bit pattern
+    one_nan = np.array([well] * 3)
+    one_nan[1, 1, 1] = np.nan
+    payloads = np.array([well] * 3)
+    payloads[:, 2, 2] = np.nan
+    payloads.view(np.int64)[1, 2, 2] += 1  # another NaN
+    for a in (signed, one_nan, payloads):
+        want = _per_row_lapack(a)
+        lapack.clear()
+        inv, bad = linalg.inverse_rows(a)
+        assert lapack == [("inv", a.shape)]
+        assert inv.tobytes() == want.tobytes()
+        assert bad.tolist() == [_rejects(row) for row in a]
+        _same_outcome(a, rng.normal(size=(len(a), 3)))
 
 
 def _conditioned(rng, n, cond):

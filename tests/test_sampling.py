@@ -66,6 +66,26 @@ def test_the_stack_is_the_point_by_point_draw(seed, count, box):
     assert pts.tobytes() == want.tobytes()
 
 
+def _list_draw(box, count, seed):
+    """The stack drawn through a list comprehension, as ``sample_box`` drew
+    before it read ``random()`` through ``np.fromiter``."""
+    rng = random.Random(seed)
+    r = np.array([rng.random() for _ in range(count * len(box))]).reshape(count, len(box))
+    lo, hi = np.array(box).reshape(len(box), 2).T
+    return lo + (hi - lo) * (_EDGE + (1.0 - 2.0 * _EDGE) * r)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+    count=st.integers(min_value=1, max_value=400),
+    dim=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_draws_are_those_of_the_list_comprehension(seed, count, dim):
+    box = [(-1.0 - k, 0.5 + 2.0 * k) for k in range(dim)]
+    assert sample_box(box, count, seed).tobytes() == _list_draw(box, count, seed).tobytes()
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
     count=st.integers(min_value=1, max_value=50),

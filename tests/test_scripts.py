@@ -47,14 +47,20 @@ def test_stage_cost_times_every_builtin_with_geodesic_jobs():
     stacks = [line.rsplit(None, 1) for line in lines[9:11]]
     assert [label for label, _ in stacks] == ["(1, 3, 3)", "(256, 3, 3)"]
     assert 0.0 < float(stacks[0][1]) < float(stacks[1][1])
-    # last, one lift batch on 128 and on 1024 bundle points, per lift and order
+    # then one lift batch on 128 and on 1024 bundle points, per lift and order
     assert lines[11].split() == ["lift", "order", "128", "rows", "us", "1024", "rows", "us"]
-    lifts = [line.split() for line in lines[12:]]
+    lifts = [line.split() for line in lines[12:17]]
     assert [row[:2] for row in lifts] == [["sasaki", "0"], ["sasaki", "1"], ["sasaki", "2"],
                                           ["complete_conn", "0"], ["complete_conn", "1"]]
     assert all(0.0 < float(small) < float(large) for _, _, small, large in lifts)
     # an order-2 Sasaki batch carries the order-0 one among its parts
     assert float(lifts[0][3]) < float(lifts[2][3])
+    # last, a 256-row frame build, alone and with its projector partials read
+    assert lines[17].split() == ["frame", "build", "us", "build+d_ph", "us"]
+    frames = [line.split() for line in lines[18:]]
+    assert [name for name, _, _ in frames] == [
+        "hyperbolic:3", "gaussian:alpha=1", "tangent_bundle_of:hyperbolic:2"]
+    assert all(0.0 < float(build) < float(read) for _, build, read in frames)
 
 
 @pytest.mark.parametrize("name", ["tangent_bundle_of:hyperbolic:2",

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import condition_reference as cref
+import frame_arrays_reference as eager
 import frame_reference as ref
 from conftest import (
     euclid_setup,
@@ -40,7 +41,8 @@ from subgeo.fields import (
     _dual,
 )
 from subgeo.tangent_bundle import TangentBundle
-from subgeo.results import FAIL, INCONCLUSIVE, PASS
+from subgeo.results import FAIL, INCONCLUSIVE, PASS, build_rows
+from subgeo.sampling import sample_box
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +71,7 @@ DERIVED_PARTS = ("gamma_dual", "cubic", "gamma_b_dual", "cubic_b")
 
 def frame_arrays(frames) -> dict:
     """Every array of a frame batch, the parts computed on first read too."""
-    for name in DERIVED_PARTS:
+    for name in sm._DERIVED:
         getattr(frames, name)
     return {k: v for k, v in vars(frames).items() if isinstance(v, np.ndarray)}
 
@@ -448,6 +450,59 @@ def test_derived_frame_parts_are_those_of_the_frame_arrays(which):
             assert np.array_equal(want_taken[name], want[name][rows]), (which, name)
             wide_want = want[name][:, None, None, None]
             assert np.array_equal(getattr(wide, name), wide_want), (which, name)
+
+
+SUBMERSION_BUILTINS = (
+    "euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3", "gaussian:alpha=0",
+    "gaussian:alpha=1", "gaussian:alpha=-0.5", "perturbed:3", "tangent_bundle_of:hyperbolic:2",
+    "tangent_bundle_of:gaussian:alpha=1", "tangent_bundle_of:euclidean:2")
+# the builtins in their own boxes, and a hyperbolic:3 box whose rows at
+# x3 <= 0 fail, so that the stack is rebuilt row by row
+EAGER_CASES = [(name, None) for name in SUBMERSION_BUILTINS] + [
+    ("hyperbolic:3", ((-1.0, 1.0), (-1.0, 1.0), (-0.5, 3.0)))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("name, box", EAGER_CASES)
+def test_every_frame_part_is_that_of_the_eager_build(name, box, mode, seed):
+    setup = builtins.build(name, mode).setup
+    x = sample_box(box or setup.total.chart.box, 16, seed)
+    want, errors = build_rows(lambda rows: eager.frame_arrays(setup, rows, True), x)
+    rows = [len(want["dpi"]) - 1, 2, 0]
+    views = {"whole": (lambda f: f, lambda a: a),
+             "take": (lambda f: f.take(rows), lambda a: a[rows]),
+             "slice": (lambda f: f.take(slice(1, -1)), lambda a: a[1:-1]),
+             "over": (lambda f: f.over(2), lambda a: a.reshape(a.shape[:1] + (1, 1) + a.shape[1:]))}
+    for view, (batch_of, rows_of) in views.items():
+        frames = setup._frames(x, True)  # nothing read before the view is made
+        assert {k: str(e) for k, e in frames.errors.items()} == {
+            k: str(e) for k, e in errors.items()}
+        batch = batch_of(frames)
+        for part, array in want.items():
+            got = getattr(batch, part)
+            assert got.shape == rows_of(array).shape, (view, part)
+            assert got.tobytes() == rows_of(array).tobytes(), (view, part)
+
+
+CHAIN_PARTS = ("d_lcols", "d_ph", "d_pv")
+
+
+@pytest.mark.parametrize("check", [sm.check_conformal_metric, sm.check_split_identities,
+                                   sm.check_semi_riemannian])
+@pytest.mark.parametrize("name", ["hyperbolic:3", "tangent_bundle_of:hyperbolic:2"])
+def test_checks_on_the_lifts_alone_never_build_the_projector_partials(name, check, monkeypatch):
+    builds, batches = [], []
+    build, frames = sm.SubmersionSetup._frame_arrays, sm.SubmersionSetup._frames
+    monkeypatch.setattr(sm.SubmersionSetup, "_frame_arrays",
+                        lambda *args: builds.append(build(*args)) or builds[-1])
+    monkeypatch.setattr(sm.SubmersionSetup, "_frames",
+                        lambda *args: batches.append(frames(*args)) or batches[-1])
+    setup = builtins.build(name).setup
+    assert check(setup, points_for(setup, 16), 1e-8).samples == 16
+    assert len(builds) == 1 and len(batches) <= 1
+    assert [part for part in CHAIN_PARTS if part in builds[0]] == []
+    assert [part for f in batches for part in CHAIN_PARTS if part in vars(f)] == []
 
 
 @pytest.mark.parametrize("mode", ["jet", "fd"])
