@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
-"""Field batches that one stack build evaluates more than once.
+"""Field batches that one stack build evaluates more than once, and the
+frame builds of one suite.
 
 Usage: python3 scripts/repeat_census.py SUITE [SAMPLES] [SEED]
 
 SUITE is a builtin name (tangent_bundle_of:hyperbolic:2) or the path of
 a JSON config; SAMPLES (16 by default) and SEED (0) set its sampling.
-Every check of the suite runs twice, the first time as a warm-up, with
-the ``_batch`` of every field class wrapped.  A stack build is one
-attempt of ``results.build_rows`` (a nested build belongs to the outer
-one).  A ``_batch`` call inside a build is a repeat when the same build
+The suite runs twice, the first time as a warm-up, each time with its
+checks in one ``submersion.shared_frames`` scope as ``runner.run_suite``
+runs them, and with the ``_batch`` of every field class wrapped.  A
+stack build is one attempt of ``results.build_rows`` (a nested build
+belongs to the outer one).  A ``_batch`` call inside a build is a repeat when the same build
 has already evaluated that field object at the same points (compared by
 their bytes) to the same order or higher.  For the second run, one line
 per check and field class with repeats gives the calls, the repeats and
 the milliseconds the repeats took (a repeat's time includes any field
-it evaluates in turn); a last line gives the total.  Calls outside any
-build are not counted.  Run it from the repository root; it measures
-the ``subgeo`` under ``src``.
+it evaluates in turn); a line gives the total.  Calls outside any
+build are not counted.  A last line gives the frame builds of the second
+run, the calls of ``SubmersionSetup._frame_arrays``, without and with
+the rank test: one per frame batch a check builds or, in
+``semi_riemannian``, per stack it evaluates, plus one per row of a
+per-row rebuild.  Run it from the repository root; it measures the
+``subgeo`` under ``src``.
 """
 
 import sys
@@ -29,6 +35,7 @@ from subgeo.errors import SubgeoError
 
 _build = None  # {(field id, shape, bytes): (highest order, field)} of the running build
 _counts = {}   # {field label: [calls, repeats, repeat seconds]} of the running check
+_frame_builds = {False: 0, True: 0}  # _frame_arrays calls of the running suite, by rank test
 
 
 def _label(field) -> str:
@@ -51,6 +58,14 @@ def _census(batch):
             count[2] += elapsed
         _build[key] = (max(order, done), self)  # holding the field keeps its id unused
         return parts
+
+    return wrapped
+
+
+def _counted(frame_arrays):
+    def wrapped(self, x, rank_test):
+        _frame_builds[rank_test] += 1
+        return frame_arrays(self, x, rank_test)
 
     return wrapped
 
@@ -78,6 +93,8 @@ def _instrument() -> None:
     for cls in classes:
         if "_batch" in vars(cls):
             cls._batch = _census(vars(cls)["_batch"])
+    setup = submersion.SubmersionSetup
+    setup._frame_arrays = _counted(setup._frame_arrays)
     original = results.build_rows
 
     def build_rows(build, points):
@@ -96,7 +113,7 @@ def _config(suite: str, count: int, seed: int):
 
 
 def main() -> None:
-    global _counts
+    global _counts, _frame_builds
     suite = sys.argv[1]
     count = int(sys.argv[2]) if len(sys.argv) > 2 else 16
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
@@ -107,14 +124,16 @@ def main() -> None:
     table = {}
     for _ in range(2):
         ctx = runner.RunContext(scenario, cfg.count, cfg.seed, cfg.boxes)
-        for name in names:
-            _counts = {}
-            try:
-                runner.CHECK_TABLE[name].driver(scenario, ctx, name,
-                                                runner.CHECK_TABLE[name].tolerance)
-            except SubgeoError:
-                pass
-            table[name] = _counts
+        _frame_builds = {False: 0, True: 0}
+        with submersion.shared_frames():
+            for name in names:
+                _counts = {}
+                try:
+                    runner.CHECK_TABLE[name].driver(scenario, ctx, name,
+                                                    runner.CHECK_TABLE[name].tolerance)
+                except SubgeoError:
+                    pass
+                table[name] = _counts
     print(f"{'check':<24s} {'field':<28s} {'calls':>6s} {'repeats':>8s} {'repeat ms':>10s}")
     total = [0, 0.0]
     for name in names:
@@ -124,6 +143,8 @@ def main() -> None:
                 total[0] += repeats
                 total[1] += seconds
     print(f"total repeats {total[0]} in {1e3 * total[1]:.3f} ms")
+    print(f"frame builds {_frame_builds[False]} without the rank test, "
+          f"{_frame_builds[True]} with it")
 
 
 if __name__ == "__main__":

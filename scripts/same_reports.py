@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the reports of two source trees on the builtin suites.
 
-Usage: python3 scripts/same_reports.py OLD_SRC NEW_SRC
+Usage: python3 scripts/same_reports.py [--verdicts] OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the ``subgeo`` package (the
 ``src`` directory of two checkouts).  Each tree runs, in its own
@@ -19,6 +19,13 @@ a status, an incident count or kind, a key, a string, a boolean, or a
 float beyond that bound).  The summary gives the number of
 byte-identical reports and the largest float change.  Exits 0 when no
 difference is real and 1 otherwise.
+
+With ``--verdicts`` only the verdicts are compared: the exit code and,
+per check, the status, the incident count and the count of each
+incident kind.  Residuals, details and incident messages may move, as
+they do when a change moves the sample points or the residual
+arithmetic by design.  Every case whose verdicts differ is printed with
+its differences; exits 0 when none differ and 1 otherwise.
 """
 
 import difflib
@@ -46,7 +53,7 @@ FLOAT_RTOL = 1e-12  # a float change within FLOAT_RTOL * max(1, |old|) is roundi
 # undefined, and "singular" runs into x1 > 0.68, where g11 = 1 -
 # tanh(50 x1 - 20) falls below the pivot threshold; "complete" does not end.
 INCIDENT_CONFIGS = (
-    {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1, 1], [-0.1, 3]]}},
+    {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1, 1], [-0.3, 3]]}},
     {"builtin": "hyperbolic:2", "sampling": {"boxes": [[-1, 1], [-1, 3]]}},
     {"builtin": "hyperbolic:3", "sampling": {"boxes": [[-1, 1], [-1, 1], [-0.5, 3]]}},
     {"builtin": "hyperbolic:3", "geodesics": {"edge": {"p0": [0.9, 0, 1], "v0": [3, 0, 0]}}},
@@ -153,13 +160,57 @@ def classify(a: dict, b: dict):
     return real, floats
 
 
+def verdicts(result: dict) -> dict:
+    """A case result's exit code and, per check, its status, incident
+    count and count of each incident kind; a crash keeps its traceback."""
+    try:
+        report = json.loads(result["report"])
+    except json.JSONDecodeError:
+        return {"exit": result["exit"], "crash": result["report"]}
+    return {"exit": result["exit"], "checks": {
+        c["name"]: {"status": c["status"], "incidents": c["incidents"],
+                    "kinds": {k: v["count"]
+                              for k, v in c["details"].get("incident_kinds", {}).items()}}
+        for c in report["checks"]}}
+
+
+def verdict_changes(a: dict, b: dict) -> list:
+    """The differences between the verdicts of two case results."""
+    changes = []
+    compare(verdicts(a), verdicts(b), "verdicts", [], changes)
+    return changes
+
+
+def compare_verdicts(old, new) -> int:
+    """Print every case whose verdicts differ, then how many builtin and
+    incident cases keep theirs; 1 when any differ."""
+    kept = {False: 0, True: 0}  # by whether the case is an incident case
+    for config, a, b in zip(CASES, old, new):
+        changes = verdict_changes(a, b)
+        if changes:
+            print(f"{label(config)}: verdicts differ")
+            for line in changes:
+                print(f"  {line}")
+        kept[config in INCIDENT_CASES] += not changes
+    incident = len(INCIDENT_CASES)
+    print(f"{kept[False]} of {len(CASES) - incident} builtin cases and {kept[True]} of "
+          f"{incident} incident cases keep every verdict")
+    return 0 if sum(kept.values()) == len(CASES) else 1
+
+
 def main(argv) -> int:
-    if len(argv) != 3:
+    args = argv[1:]
+    only_verdicts = args[:1] == ["--verdicts"]
+    if only_verdicts:
+        args = args[1:]
+    if len(args) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    old_src, new_src = argv[1], argv[2]
+    old_src, new_src = args
     with ThreadPoolExecutor(max_workers=2) as pool:
         old, new = pool.map(run_tree, (old_src, new_src))
+    if only_verdicts:
+        return compare_verdicts(old, new)
     identical = rounding = real_count = 0
     floats = []
     for config, a, b in zip(CASES, old, new):

@@ -8,7 +8,9 @@ Each attempt of :func:`build_rows` is one stack build, inside which the
 field batches are shared (:func:`fields.shared`): the lifts, frames and
 residuals of one build that read one field at the same points evaluate
 it once.  Sharing ends with the attempt, so a per-row rebuild starts
-afresh and no check sees what another evaluated."""
+afresh and no check sees the field batches another evaluated (the frame
+batches a suite shares are built by such attempts:
+:func:`submersion.shared_frames`)."""
 
 from __future__ import annotations
 

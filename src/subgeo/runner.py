@@ -4,9 +4,11 @@ Every check the CLI can run is declared in CHECK_TABLE, the one place a
 check is named: the section anchor it reports under, a default
 tolerance, a short description, and a driver taking (scenario, ctx,
 name, tol).  run_suite builds each report row from the registry entry
-and the driver's CheckResult.  It samples points per check with a seed
-derived from the suite seed and the check name, so adding or removing
-checks never reshuffles anybody else's samples.
+and the driver's CheckResult.  A suite draws its sample points once
+(:meth:`RunContext.points`) and every check over points reads that one
+stack, so the checks test the paper's pointwise statements at the same
+points; the checks run in one :func:`submersion.shared_frames` scope, so
+the frame checks share the frame batch of that stack.
 """
 
 from __future__ import annotations
@@ -46,10 +48,17 @@ class RunContext:
         self.count = count
         self.seed = seed
         self.boxes = boxes if boxes is not None else scenario.space.chart.box
-        self._curves = None
+        self._points = self._curves = None
 
-    def points(self, check_name: str) -> np.ndarray:
-        return sample_box(self.boxes, self.count, subseed(self.seed, check_name))
+    def points(self) -> np.ndarray:
+        """The suite's sample, (count, n) and read-only: drawn once, on
+        first use, from the sub-seed labelled "points", and read by every
+        check over points (``fd_crosscheck`` reads its first FD_PROBES
+        rows)."""
+        if self._points is None:
+            self._points = sample_box(self.boxes, self.count, subseed(self.seed, "points"))
+            self._points.flags.writeable = False
+        return self._points
 
     def curves(self) -> dict:
         """Every geodesic job's outcome in name order: its Trajectory, or
@@ -85,7 +94,7 @@ def _missing(what: str) -> CheckResult:
 
 def _manifold_driver(fn):
     def drive(scenario, ctx, name, tol):
-        return fn(scenario.space.conn, scenario.space.metric, ctx.points(name), tol)
+        return fn(scenario.space.conn, scenario.space.metric, ctx.points(), tol)
 
     return drive
 
@@ -93,7 +102,7 @@ def _manifold_driver(fn):
 def _constant_curvature(scenario, ctx, name, tol):
     if scenario.curvature_k is None:
         return _missing("reference curvature constant")
-    pts = ctx.points(name)
+    pts = ctx.points()
     return geometry.check_constant_curvature(
         scenario.space.conn, scenario.space.metric, scenario.curvature_k, pts, tol)
 
@@ -150,7 +159,7 @@ def _fd_crosscheck(scenario, ctx, name, tol):
             targets.append(("phi", setup.phi, (), total))
         targets += [("base_" + lbl, setup.base.metric, index, setup.project)
                     for lbl, index in setup.base.metric.entries()]
-    pts = ctx.points(name)
+    pts = ctx.points()
     probes = [(*targets[k % len(targets)], pts[k % len(pts)]) for k in range(FD_PROBES)]
     s = fold(*_probe_rows(probes))
     return s.summarize(tol, details={
@@ -164,7 +173,7 @@ def _submersion_driver(fn):
     def drive(scenario, ctx, name, tol):
         if scenario.setup is None:
             return _missing("submersion")
-        return fn(scenario.setup, ctx.points(name), tol)
+        return fn(scenario.setup, ctx.points(), tol)
 
     return drive
 
@@ -194,7 +203,7 @@ def _bundle_driver(fn):
     def drive(scenario, ctx, name, tol):
         if scenario.bundle is None:
             return _missing("tangent bundle")
-        return fn(scenario.bundle, ctx.points(name), tol)
+        return fn(scenario.bundle, ctx.points(), tol)
 
     return drive
 
@@ -317,26 +326,28 @@ def run_suite(cfg: SuiteConfig) -> dict:
     ctx = RunContext(scenario, cfg.count, cfg.seed, cfg.boxes)
 
     rows = []
-    for name, tol_override in sorted(requested):
-        spec = CHECK_TABLE[name]
-        tol = spec.tolerance if tol_override is None else tol_override
-        start = time.perf_counter()
-        try:
-            result = spec.driver(scenario, ctx, name, tol)
-        except SubgeoError as exc:
-            result = fold([], {0: exc}).result(tol, INCONCLUSIVE, math.inf, {"error": str(exc)})
-        wall = time.perf_counter() - start
-        rows.append({
-            "name": name,
-            "paper_ref": spec.paper_ref,
-            "samples": result.samples,
-            "max_residual": float(result.max_residual),
-            "tolerance": float(result.tolerance),
-            "status": result.status,
-            "incidents": result.incidents,
-            "details": _jsonable(result.details),
-            "wall_time_s": wall,
-        })
+    with submersion.shared_frames():
+        for name, tol_override in sorted(requested):
+            spec = CHECK_TABLE[name]
+            tol = spec.tolerance if tol_override is None else tol_override
+            start = time.perf_counter()
+            try:
+                result = spec.driver(scenario, ctx, name, tol)
+            except SubgeoError as exc:
+                result = fold([], {0: exc}).result(tol, INCONCLUSIVE, math.inf,
+                                                   {"error": str(exc)})
+            wall = time.perf_counter() - start
+            rows.append({
+                "name": name,
+                "paper_ref": spec.paper_ref,
+                "samples": result.samples,
+                "max_residual": float(result.max_residual),
+                "tolerance": float(result.tolerance),
+                "status": result.status,
+                "incidents": result.incidents,
+                "details": _jsonable(result.details),
+                "wall_time_s": wall,
+            })
 
     attempted_total = sum(r["samples"] + r["incidents"] for r in rows)
     incident_rate = sum(r["incidents"] for r in rows) / float(max(attempted_total, 1))

@@ -30,12 +30,18 @@ project with the frame's projector fields, which makes the results
 extension-independent up to solver noise. The tensors that the four
 conditions and the Lemma both read are computed once per batch, over
 the (kernel, lift) column pairs (:attr:`_FrameBatch.tensors`). The setup
-caches nothing per point: a batch lives as long as the check that built
-it.
+caches nothing per point. Within a suite (:func:`shared_frames`, which
+``runner.run_suite`` runs its checks in), a frame build at the same
+points with the same rank-test flag returns the batch already built, so
+its derived parts, columns, ``over`` batches and tensors are computed
+once for every check that reads them; frame arrays are read-only.
+Outside a suite a batch lives as long as the check that built it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import warnings
@@ -120,10 +126,19 @@ class SubmersionSetup:
         :class:`SubgeoError`, each row is built alone
         (:func:`results.build_rows`): the failing points keep their own
         errors and the others get exactly what the batch gives them.
+        Within :func:`shared_frames` it returns the batch this setup
+        already built at the same points (compared by their bytes) with
+        the same ``rank_test``.
         """
         points = np.asarray(points, dtype=float).reshape(len(points), self.n)
+        memo, key = _SUITE_FRAMES.get(), (self, rank_test, points.tobytes())
+        if memo is not None and key in memo:
+            return memo[key]
         arrays, errors = build_rows(lambda x: self._frame_arrays(x, rank_test), points)
-        return _FrameBatch(self, len(points) - len(errors), arrays, errors)
+        frames = _FrameBatch(self, len(points) - len(errors), arrays, errors)
+        if memo is not None:
+            memo[key] = frames  # the key holds the setup, so its id stays unused
+        return frames
 
     def _vertical(self, x, dpi, d_dpi):
         """Kernel columns (N, n, l) of dpi at points x and their partials,
@@ -251,6 +266,28 @@ class SubmersionSetup:
         return {"x": x, "found": found}
 
 
+# {(setup, rank test, point bytes): _FrameBatch} of the running suite, else None
+_SUITE_FRAMES = contextvars.ContextVar("subgeo_suite_frames", default=None)
+
+
+@contextlib.contextmanager
+def shared_frames():
+    """A scope in which :meth:`SubmersionSetup._frames` returns the batch
+    it already built for the same setup, rank-test flag and point bytes.
+
+    A shared batch is bit for bit a new one: a build is deterministic in
+    its points, and its arrays are read-only.  The memo is dropped when
+    the scope ends, by return or by any exception, so no batch outlives
+    the scope and two scopes never share.  It is a context variable, so
+    scopes in other threads have their own.
+    """
+    token = _SUITE_FRAMES.set({})
+    try:
+        yield
+    finally:
+        _SUITE_FRAMES.reset(token)
+
+
 # -- batch helpers -------------------------------------------------------------
 
 
@@ -322,9 +359,12 @@ class _FrameBatch:
     arrays, the derivative index first as in ``dg``.  ``d_vcols`` is
     built with the kernel; the other three partials and the dual
     Christoffels and cubic forms of both spaces are computed on first
-    read (``_DERIVED``), bit for bit what an eager build gives.  Vectors
-    and fields passed to the methods carry the same row axis; any column
-    axes after it need the batch from :meth:`over`.
+    read (``_DERIVED``), bit for bit what an eager build gives.  Every
+    array a batch holds or gives, these parts, :meth:`columns` and
+    :attr:`tensors` too, is read-only, since a suite shares the batch
+    among its checks (:func:`shared_frames`).  Vectors and fields passed
+    to the methods carry the same row axis; any column axes after it need
+    the batch from :meth:`over`.
     """
 
     def __init__(self, setup: SubmersionSetup, size: int, arrays: dict, errors=None,
@@ -334,7 +374,7 @@ class _FrameBatch:
         self.errors = errors or {}
         self._source, self._depth = source, depth
         self._wide, self._columns = {}, None  # over() per depth and columns(), on first call
-        vars(self).update(arrays)
+        vars(self).update({k: _frozen(v) for k, v in arrays.items()})
 
     def __len__(self) -> int:
         return self.size
@@ -348,8 +388,8 @@ class _FrameBatch:
         """This batch with ``depth`` unit column axes after the row axis:
         its arrays broadcast against vectors (N, c_1, ..., c_depth, n).
         Built once per depth; it reads derived parts from this batch, which
-        it refers to weakly (no cycle keeps a batch past its check), so
-        this batch must outlive it."""
+        it refers to weakly (no cycle keeps a batch past its suite or
+        check), so this batch must outlive it."""
         if depth not in self._wide:
             arrays = {k: v.reshape(v.shape[:1] + (1,) * depth + v.shape[1:])
                       for k, v in vars(self).items() if isinstance(v, np.ndarray)}
@@ -362,7 +402,7 @@ class _FrameBatch:
         if name not in _DERIVED:
             raise AttributeError(name)
         part = _DERIVED[name](self) if self._source is None else getattr(self._source, name)
-        part = part.reshape(part.shape[:1] + (1,) * self._depth + part.shape[1:])
+        part = _frozen(part.reshape(part.shape[:1] + (1,) * self._depth + part.shape[1:]))
         setattr(self, name, part)
         return part
 
@@ -371,8 +411,8 @@ class _FrameBatch:
         values (N, c, n) and partials (N, c, n, n), column axis first."""
         if self._columns is None:
             self._columns = tuple(
-                (np.ascontiguousarray(np.moveaxis(cols, -1, 1)),
-                 np.ascontiguousarray(np.moveaxis(d_cols, -1, 1)))
+                (_frozen(np.ascontiguousarray(np.moveaxis(cols, -1, 1))),
+                 _frozen(np.ascontiguousarray(np.moveaxis(d_cols, -1, 1))))
                 for cols, d_cols in ((self.vcols, self.d_vcols), (self.lcols, self.d_lcols)))
         return self._columns
 
@@ -404,10 +444,11 @@ class _FrameBatch:
         V, L = self.columns()
         f2 = self.over(2)
         v, x = _tuples(V[0], L[0])
-        return {"s_vx": f2.s_value(v, x), "s_xv": f2.s_value(x, v),
-                "a_xv": A(f2, x, v), "a_xv_dual": A(f2, x, v, dual=True),
-                "t_vx": T(f2, v, x), "t_vx_dual": T(f2, v, x, dual=True),
-                "fiber_cubic": self.fiber_cubic()}
+        tensors = {"s_vx": f2.s_value(v, x), "s_xv": f2.s_value(x, v),
+                   "a_xv": A(f2, x, v), "a_xv_dual": A(f2, x, v, dual=True),
+                   "t_vx": T(f2, v, x), "t_vx_dual": T(f2, v, x, dual=True),
+                   "fiber_cubic": self.fiber_cubic()}
+        return {k: _frozen(a) for k, a in tensors.items()}
 
     def fiber_cubic(self) -> np.ndarray:
         """(hat-nabla_{V_a} hat-g)(V_b, V_c) [..., a, b, c] over the kernel
@@ -427,6 +468,12 @@ class _FrameBatch:
 # vector field near a point is the pair (value (..., n), d (..., n, n))
 # with d[..., k, i] the k-th partial of component i, the derivative index
 # first as in the frame arrays.
+
+
+def _frozen(a) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _mv(a, v) -> np.ndarray:

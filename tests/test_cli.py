@@ -4,10 +4,13 @@ seed precedence, and the geodesic CSV path.
 Everything runs in-process through cli.main to keep the suite fast.
 """
 
+import dataclasses
 import json
 import math
 import re
+import weakref
 
+import numpy as np
 import pytest
 
 from subgeo import cli, config, runner, submersion
@@ -430,3 +433,79 @@ def test_a_pass_means_ninety_percent_evaluated(payload):
             attempted = check["samples"] + check["incidents"]
             assert check["samples"] >= 0.9 * attempted, check["name"]
             assert math.isfinite(check["max_residual"]), check["name"]
+
+
+# -- one draw and one frame batch per suite ------------------------------------
+
+INCIDENT_BOX = {"builtin": "hyperbolic:3",
+                "sampling": {"boxes": [[-1, 1], [-1, 1], [-0.5, 3]]}}
+
+
+def rows_by_check(payload, mode, checks=None):
+    """Each report row of a 16-sample seed-3 run, as JSON without its
+    ``wall_time_s``, by check name."""
+    raw = dict(payload, mode=mode, sampling=dict(payload.get("sampling", {}), count=16, seed=3))
+    if checks is not None:
+        raw["checks"] = checks
+    rows = runner.run_suite(config.parse_config(raw))["checks"]
+    return {row["name"]: json.dumps({k: v for k, v in row.items() if k != "wall_time_s"},
+                                    sort_keys=True) for row in rows}
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("payload", [
+    {"builtin": "hyperbolic:3"}, {"builtin": "gaussian:alpha=1"},
+    {"builtin": "tangent_bundle_of:hyperbolic:2"}, INCIDENT_BOX,
+], ids=["hyperbolic:3", "gaussian:alpha=1", "tangent_bundle_of:hyperbolic:2", "incident_box"])
+def test_a_check_run_alone_gives_its_row_of_the_full_suite(payload, mode):
+    # sharing the suite's draw and frame batches changes only the work
+    full = rows_by_check(payload, mode)
+    if payload is INCIDENT_BOX:  # failing rows, in rank-tested batches too
+        rows = {name: json.loads(row) for name, row in full.items()}
+        assert rows["split_identities"]["incidents"] and rows["four_conditions"]["incidents"]
+    for name, row in full.items():
+        assert rows_by_check(payload, mode, [name]) == {name: row}
+
+
+def test_a_suite_shares_a_frame_batch_by_its_points_and_rank_test_read_only():
+    scenario = config.build_scenario(config.parse_config({"builtin": "hyperbolic:3"}))
+    points = runner.RunContext(scenario, 8, 0).points()
+    with submersion.shared_frames():
+        frames = scenario.setup._frames(points, False)
+        assert scenario.setup._frames(points.copy(), False) is frames
+        assert scenario.setup._frames(points, True) is not frames
+        assert scenario.setup._frames(points[::-1], False) is not frames
+        arrays = [points, frames.d_ph, frames.cubic, frames.over(2).gamma_dual]
+        arrays += [a for a in vars(frames).values() if isinstance(a, np.ndarray)]
+        arrays += [a for field in frames.columns() for a in field]
+        arrays += list(frames.tensors.values())
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a += 0.0
+
+
+@pytest.mark.parametrize("escapes", [False, True])
+def test_no_frame_batch_outlives_its_suite(escapes, monkeypatch):
+    built = []
+    frames = submersion.SubmersionSetup._frames
+
+    def recording(self, points, rank_test):
+        batch = frames(self, points, rank_test)
+        built.append(weakref.ref(batch))
+        return batch
+
+    def broken(scenario, ctx, name, tol):
+        raise RuntimeError("injected bug")
+
+    monkeypatch.setattr(submersion.SubmersionSetup, "_frames", recording)
+    if escapes:  # from the last check, after every frame check has run
+        spec = dataclasses.replace(runner.CHECK_TABLE["tensoriality"], driver=broken)
+        monkeypatch.setitem(runner.CHECK_TABLE, "tensoriality", spec)
+    cfg = config.parse_config({"builtin": "hyperbolic:3", "sampling": {"count": 8}})
+    try:
+        runner.run_suite(cfg)
+        raised = False
+    except RuntimeError:
+        raised = True
+    assert raised == escapes
+    assert len(built) > 3 and all(ref() is None for ref in built)

@@ -79,3 +79,51 @@ def test_the_inline_incident_config_ends_jobs_inside_an_rk4_step():
     (check,) = runner.run_suite(parse_config(config))["checks"]
     assert check["samples"] == 1 and check["incidents"] == 2
     assert sorted(check["details"]["incident_kinds"]) == ["EvalDomain", "SingularMatrix"]
+
+
+def verdict_report(status="pass", incidents=0, kinds=None, residual=1e-12, example="at p"):
+    details = {"worst": residual}
+    if kinds:
+        details["incident_kinds"] = {k: {"count": n, "example": example} for k, n in kinds.items()}
+    return {"checks": [{"name": "x", "status": status, "incidents": incidents,
+                        "max_residual": residual, "details": details}]}
+
+
+def test_verdicts_ignore_residuals_details_and_incident_messages():
+    old = case(verdict_report(incidents=2, kinds={"EvalDomain": 2}))
+    new = case(verdict_report(incidents=2, kinds={"EvalDomain": 2}, residual=3e-9,
+                              example="at q"))
+    assert same_reports.classify(old, new)[0]  # the default comparison sees them
+    assert same_reports.verdict_changes(old, new) == []
+
+
+ONE_INCIDENT = verdict_report(incidents=1, kinds={"EvalDomain": 1})
+
+
+@pytest.mark.parametrize("new", [
+    case(ONE_INCIDENT, exit_code=1),                                     # an exit code
+    case(verdict_report(status="fail", incidents=1, kinds={"EvalDomain": 1})),  # a status
+    case(verdict_report(incidents=2, kinds={"EvalDomain": 2})),          # an incident count
+    case(verdict_report(incidents=1, kinds={"RankDrop": 1})),            # an incident kind
+    case("Traceback (most recent call last):"),                          # a crash
+])
+def test_verdicts_see_exit_codes_statuses_and_incidents(new):
+    assert same_reports.verdict_changes(case(ONE_INCIDENT), new)
+
+
+@pytest.mark.parametrize("flags, moved, code", [
+    ([], "residual", 1), (["--verdicts"], "residual", 0), (["--verdicts"], "status", 1),
+])
+def test_only_a_verdict_difference_fails_the_verdict_comparison(flags, moved, code, monkeypatch,
+                                                                 capsys):
+    moves = {"residual": {"residual": 3e-9}, "status": {"status": "fail"}}
+    cases = len(same_reports.CASES)
+    trees = {"old": [case(verdict_report())] * cases,
+             "new": [case(verdict_report(**moves[moved]))] * cases}
+    monkeypatch.setattr(same_reports, "run_tree", trees.get)
+    assert same_reports.main(["same_reports.py", *flags, "old", "new"]) == code
+    if flags:
+        kept = lambda n: n if moved == "residual" else 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"{kept(120)} of 120 builtin cases and {kept(35)} of 35 incident cases "
+            "keep every verdict")
