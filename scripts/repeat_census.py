@@ -31,7 +31,6 @@ sys.path.insert(0, "src")
 
 from subgeo import fields, geodesics, results, runner, submersion
 from subgeo.config import build_scenario, load_config, parse_config
-from subgeo.errors import SubgeoError
 
 _build = None  # {(field id, shape, bytes): (highest order, field)} of the running build
 _counts = {}   # {field label: [calls, repeats, repeat seconds]} of the running check
@@ -128,11 +127,7 @@ def main() -> None:
         with submersion.shared_frames():
             for name in names:
                 _counts = {}
-                try:
-                    runner.CHECK_TABLE[name].driver(scenario, ctx, name,
-                                                    runner.CHECK_TABLE[name].tolerance)
-                except SubgeoError:
-                    pass
+                runner.run_check(name, scenario, ctx)
                 table[name] = _counts
     print(f"{'check':<24s} {'field':<28s} {'calls':>6s} {'repeats':>8s} {'repeat ms':>10s}")
     total = [0, 0.0]

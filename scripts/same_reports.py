@@ -9,14 +9,15 @@ subprocess, every builtin below at seeds 0-4 with 16 samples, in jet
 mode and in fd mode (120 cases).  It also runs the configs of
 INCIDENT_CONFIGS, whose suites have incidents, at the same seeds in jet
 mode, and its two hyperbolic:2 boxes in fd mode too, where stencil rows
-fail (35 cases, 155 in all).  Reports are compared once their
+fail (35 cases, 155 in all).  Reports are compared as ``run_suite``
+orders their keys, as ``subgeo verify --report`` writes them, once their
 ``wall_time_s`` fields are stripped.
 
 Every report that differs is printed as a diff and labelled:
 ``rounding`` when only floats differ, each by at most
 1e-12 * max(1, |old|); ``real`` for any other difference (an exit code,
-a status, an incident count or kind, a key, a string, a boolean, or a
-float beyond that bound).  The summary gives the number of
+a status, an incident count or kind, a key or the order of the keys, a
+string, a boolean, or a float beyond that bound).  The summary gives the number of
 byte-identical reports and the largest float change.  Exits 0 when no
 difference is real and 1 otherwise.
 
@@ -100,7 +101,7 @@ for config in json.loads(sys.argv[2]):
     for check in report["checks"]:
         del check["wall_time_s"]
     print(json.dumps({"exit": runner.exit_code(report),
-                      "report": json.dumps(report, indent=2, sort_keys=True)}), flush=True)
+                      "report": json.dumps(report, indent=2)}), flush=True)
 """
 
 
@@ -131,8 +132,8 @@ def compare(old, new, path, floats, real) -> None:
     elif type(old) is not type(new):
         real.append(f"{path}: {old!r} -> {new!r}")
     elif isinstance(old, dict):
-        if old.keys() != new.keys():
-            real.append(f"{path}: keys {sorted(old)} -> {sorted(new)}")
+        if list(old) != list(new):
+            real.append(f"{path}: keys {list(old)} -> {list(new)}")
         for key in sorted(old.keys() & new.keys()):
             compare(old[key], new[key], f"{path}.{key}", floats, real)
     elif isinstance(old, list):

@@ -31,10 +31,10 @@ import math
 
 import numpy as np
 
-from .errors import BoundaryExit, ContractViolation, EvalDomain, PremiseFailed, SubgeoError
+from .errors import BoundaryExit, ContractViolation, EvalDomain, SubgeoError
 from .fields import ConnectionField, MetricField
 from .linalg import certify
-from .results import PREMISE_FACTOR, CheckResult, agree, build_rows, collect, fold, owned_rows
+from .results import build_rows, collect, owned_rows
 from .submersion import SubmersionSetup, _amax, _mv, _pair
 
 DEFAULT_STEP = 1e-3
@@ -350,12 +350,12 @@ class ProbeBatch:
                 + np.einsum("pkij,pi,pj->pk", self.node.gamma_b, w, nodes[:, 2]))
 
 
-def _sweep_curves(setup: SubmersionSetup, curves, residuals, premise=lambda k: None):
-    """:func:`results.owned_rows` of ``residuals(probes)``, one value (or
+def curve_rows(setup: SubmersionSetup, curves, residuals, premise=lambda k: None):
+    """:func:`results.fold` inputs of ``residuals(probes)``, one value (or
     dict of values) per probe of a :class:`ProbeBatch`, over one frame
-    batch at the probe windows of every curve; a curve's own steps run
-    first: its job's error (:func:`trajectory`), ``premise(position)``,
-    then its node count."""
+    batch at the probe windows of every curve (:func:`results.owned_rows`);
+    a curve's own steps run first: its job's error (:func:`trajectory`),
+    ``premise(position)``, then its node count."""
 
     def rows_of(k):
         traj = trajectory(curves[k])
@@ -397,11 +397,14 @@ def _push(setup: SubmersionSetup, f, x, u, h, w) -> np.ndarray:
     return _mv(f.dpi, A(f, h, u) + A(f, x, w) + T(f, u, w))
 
 
-def curve_decomposition_residuals(setup: SubmersionSetup, pr: ProbeBatch, e_nodes) -> dict:
+def curve_decomposition_residuals(setup: SubmersionSetup, pr: ProbeBatch, e_nodes=None) -> dict:
     """Residuals at each probe of the two identities decomposing
     (nabla_{sigma'} E), for the field E given on the probe windows
-    (P, 5, n).  The horizontal identity is tested against every base
-    frame vector; the vertical identity componentwise."""
+    (P, 5, n), :func:`default_test_field` when None.  The horizontal
+    identity is tested against every base frame vector; the vertical
+    identity componentwise."""
+    if e_nodes is None:
+        e_nodes = default_test_field(setup.n)(pr.t, pr.x)
     f = pr.node
     T, A = setup.fundamental_T, setup.fundamental_A
     e_i = e_nodes[:, 2]
@@ -445,47 +448,3 @@ def default_test_field(dim: int):
 
 
 CURVE_KEYS = ("horizontal", "vertical")
-
-
-def check_curve_decomposition(setup: SubmersionSetup, curves, tol) -> CheckResult:
-    """Decomposition identities along integrated geodesics."""
-    e_fn = default_test_field(setup.n)
-    s = fold(*_sweep_curves(setup, curves, lambda pr: curve_decomposition_residuals(
-        setup, pr, e_fn(pr.t, pr.x))), keys=CURVE_KEYS)
-    return s.summarize(tol, details=s.worst)
-
-
-def check_sigma_second(setup: SubmersionSetup, curves, tol) -> CheckResult:
-    s = fold(*_sweep_curves(setup, curves, lambda pr: sigma_second_residuals(setup, pr)),
-             keys=CURVE_KEYS)
-    return s.summarize(tol, details=s.worst)
-
-
-def geodesic_projection_check(setup: SubmersionSetup, curves, tol) -> CheckResult:
-    """Criterion residual vanishes iff the projected curve is a base geodesic.
-
-    Each curve must itself be a geodesic of the total space (premise); a
-    curve whose premise residual exceeds PREMISE_FACTOR * tol is skipped
-    as an incident.  The check passes when every curve's two verdicts
-    agree, and is inconclusive when fewer than 90% of the curves evaluate;
-    its residual is each side's value where the other side passes.
-    """
-    per_curve = {}
-
-    def premise(k):
-        residual = geodesic_residual(setup.total.conn, curves[k])
-        if residual > PREMISE_FACTOR * tol:
-            per_curve[k] = {"premise_residual": residual, "skipped": True}
-            raise PremiseFailed(f"curve is not a geodesic: premise residual {residual:.3e}")
-
-    values, errors = _sweep_curves(
-        setup, curves, lambda pr: projection_condition_residuals(setup, pr), premise)
-    cond, base = (values.get(k, np.zeros(0)) for k in ("condition", "base_residual"))
-    evaluated = [k for k in range(len(curves)) if k not in errors]
-    for k, c, b in zip(evaluated, cond.tolist(), base.tolist()):
-        per_curve[k] = {"condition": c, "base_residual": b, "agree": agree(c, b, tol)}
-    s = fold(np.maximum(np.where(cond <= tol, base, 0.0), np.where(base <= tol, cond, 0.0)),
-             errors)
-    status = s.verdict(all(c.get("agree", True) for c in per_curve.values()))
-    return s.result(tol, status, s.residual,
-                    details={"curves": [per_curve[k] for k in sorted(per_curve)]})

@@ -1,5 +1,5 @@
 """Tensor algebra of a statistical manifold over a stack of points, and
-the four manifold checks built on it.
+the row kernels of the manifold checks built on it.
 
 Conventions: the derivative direction of a connection sits in the first
 lower slot, so nabla_{e_i} e_j = Gamma^k_ij e_k, and the curvature sign
@@ -12,7 +12,7 @@ A check evaluates its points in one batch: the metric's ``batch`` gives
 the parts (g, dg) or (g, dg, d2g), the connection's ``batch`` gives
 (Gamma,) or (Gamma, dGamma), and every residual is one array program
 over those rows.  A batch that raises a :class:`SubgeoError` is rebuilt
-row by row (:func:`results.sweep_rows`), so each failing point is one
+row by row (:func:`results.build_rows`), so each failing point is one
 incident.
 """
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ConnectionField, MetricField, _dual, _lower, _parts_and_inverse
-from .results import sweep_rows
+from .fields import ConnectionField, MetricField, Space, _dual, _lower, _parts_and_inverse
 
 _LAST3 = (-3, -2, -1)
 _LAST4 = (-4, -3, -2, -1)
@@ -92,49 +91,36 @@ def dual_formula_residual(gamma, gamma_dual, lc) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Suite checks: the kernels above over the rows of a sample's batch.
+# Row kernels: the residuals above over a stack of points x (N, n) of a
+# space, by name, one value per point (see ``runner.CHECK_TABLE``).
 
 
-def statistical_rows(metric: MetricField, conn: ConnectionField, x) -> np.ndarray:
-    """:func:`statistical_residual` of (metric, conn) at a stack of points."""
-    gamma = conn.batch(x, 0)[0]
-    g, dg = metric.batch(x, 1)
-    return statistical_residual(gamma, nabla_g_values(g, dg, gamma))
+def statistical_rows(space: Space, x) -> dict:
+    """Torsion-freeness plus total symmetry of nabla g (:func:`statistical_residual`)."""
+    gamma = space.conn.batch(x, 0)[0]
+    g, dg = space.metric.batch(x, 1)
+    return {"statistical": statistical_residual(gamma, nabla_g_values(g, dg, gamma))}
 
 
-def is_statistical(conn: ConnectionField, metric: MetricField, points, tol):
-    """Torsion-freeness plus total symmetry of nabla g over the samples."""
-    return sweep_rows(points, metric.dim, lambda x: {
-        "statistical": statistical_rows(metric, conn, x),
-    }).summarize(tol)
+def curvature_duality_rows(space: Space, x) -> dict:
+    g_parts = space.metric.batch(x, 2)
+    gamma_parts, ginv = _parts_and_inverse(space.conn, space.metric, x, g_parts)
+    dual_parts = _dual(g_parts, gamma_parts, ginv)
+    r, r_dual = curvature_values(*gamma_parts), curvature_values(*dual_parts)
+    return {"duality": curvature_duality_residual(g_parts[0], r, r_dual)}
 
 
-def check_curvature_duality(conn: ConnectionField, metric: MetricField, points, tol):
-    def residuals(x):
-        g_parts = metric.batch(x, 2)
-        gamma_parts, ginv = _parts_and_inverse(conn, metric, x, g_parts)
-        dual_parts = _dual(g_parts, gamma_parts, ginv)
-        r, r_dual = curvature_values(*gamma_parts), curvature_values(*dual_parts)
-        return {"duality": curvature_duality_residual(g_parts[0], r, r_dual)}
-
-    return sweep_rows(points, metric.dim, residuals).summarize(tol)
+def constant_curvature_rows(curved, x) -> dict:
+    """The model defect of ``curved``, a space and its reference curvature k."""
+    space, k = curved
+    (g,) = space.metric.batch(x, 0)
+    r = curvature_values(*space.conn.batch(x, 1))
+    return {"model": constant_curvature_residual(g, r, k)}
 
 
-def check_constant_curvature(conn: ConnectionField, metric: MetricField, k: float, points, tol):
-    def residuals(x):
-        (g,) = metric.batch(x, 0)
-        r = curvature_values(*conn.batch(x, 1))
-        return {"model": constant_curvature_residual(g, r, k)}
-
-    return sweep_rows(points, metric.dim, residuals).summarize(tol, details={"k": float(k)})
-
-
-def check_dual_involution(conn: ConnectionField, metric: MetricField, points, tol):
+def dual_involution_rows(space: Space, x) -> dict:
     """dual(dual(conn)) must reproduce conn to rounding."""
-    def residuals(x):
-        g_parts = metric.batch(x, 1)
-        gamma_parts, ginv = _parts_and_inverse(conn, metric, x, g_parts)
-        twice = _dual(g_parts, _dual(g_parts, gamma_parts, ginv), ginv)
-        return {"involution": np.abs(twice[0] - gamma_parts[0]).max(axis=_LAST3)}
-
-    return sweep_rows(points, metric.dim, residuals).summarize(tol)
+    g_parts = space.metric.batch(x, 1)
+    gamma_parts, ginv = _parts_and_inverse(space.conn, space.metric, x, g_parts)
+    twice = _dual(g_parts, _dual(g_parts, gamma_parts, ginv), ginv)
+    return {"involution": np.abs(twice[0] - gamma_parts[0]).max(axis=_LAST3)}

@@ -190,14 +190,6 @@ def build_rows(build, points):
     return arrays, errors
 
 
-def sweep_rows(points, dim: int, residuals_at, keys=()) -> Sweep:
-    """:func:`fold` of ``residuals_at(x)``, a dict of residual arrays over
-    the stack x (N, dim) of the points, built by :func:`build_rows`: a
-    point where the stack fails is an incident."""
-    x = np.asarray(points, dtype=float).reshape(len(points), dim)
-    return fold(*build_rows(residuals_at, x), keys=keys)
-
-
 def collect(items, value_at):
     """({position: value_at(item)}, {position: error}) over the items: a
     :class:`SubgeoError` makes the item an incident; any other exception

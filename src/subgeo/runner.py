@@ -1,18 +1,23 @@
 """Check registry and suite orchestration.
 
-Every check the CLI can run is declared in CHECK_TABLE, the one place a
+Every check the CLI can run is one row of CHECK_TABLE, the one place a
 check is named: the section anchor it reports under, a default
-tolerance, a short description, and a driver taking (scenario, ctx,
-name, tol).  run_suite builds each report row from the registry entry
-and the driver's CheckResult.  A suite draws its sample points once
-(:meth:`RunContext.points`) and every check over points reads that one
-stack, so the checks test the paper's pointwise statements at the same
-points; the checks run in one :func:`submersion.shared_frames` scope, so
-the frame checks share the frame batch of that stack.
+tolerance, a short description, what it needs of the scenario, and
+either its row kernel with the stack the kernel maps and its verdict
+rule, or a driver.  :func:`run_check` runs every check: it gates on what
+the scenario lacks, builds the stack, maps it by the kernel, folds and
+applies the rule.  run_suite builds each report row from the table row
+and the CheckResult of :func:`run_check`.  A suite draws its sample
+points once (:meth:`RunContext.points`) and every check over points
+reads that one stack, so the checks test the paper's pointwise
+statements at the same points; the checks run in one
+:func:`submersion.shared_frames` scope, so the frame checks share the
+frame batch of that stack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -23,21 +28,16 @@ import numpy as np
 from . import __version__, geodesics, geometry, submersion, tangent_bundle
 from .builtins import Scenario
 from .config import SuiteConfig, build_scenario
-from .errors import ConfigError, ContractViolation, SubgeoError
+from .errors import ConfigError, ContractViolation, PremiseFailed, SubgeoError
 from .fields import FDField
-from .results import FAIL, INCONCLUSIVE, PASS, CheckResult, build_rows, collect, fold
+from .geodesics import CURVE_KEYS
+from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, agree, build_rows,
+                      collect, fold, peak)
 from .sampling import sample_box, subseed
+from .submersion import CONDITIONS, LEMMA_KEYS
+from .tangent_bundle import TM_COMPONENTS
 
 FD_PROBES = 16
-
-
-@dataclass
-class CheckSpec:
-    name: str
-    paper_ref: str
-    tolerance: float
-    description: str
-    driver: object  # callable(scenario, ctx) -> CheckResult
 
 
 class RunContext:
@@ -87,24 +87,61 @@ class RunContext:
         return self._curves
 
 
-def _missing(what: str) -> CheckResult:
-    return CheckResult(samples=0, max_residual=float("inf"), tolerance=0.0,
-                       status=INCONCLUSIVE, details={"skipped": f"scenario has no {what}"})
+# What a check can need of its scenario: the words of its skip row, and
+# how to read it off the scenario.  The first need of a kernel row is the
+# subject its kernel maps.
+NEEDS = {
+    "manifold": ("manifold", lambda sc: sc.space),
+    "curvature": ("reference curvature constant",
+                  lambda sc: None if sc.curvature_k is None else (sc.space, sc.curvature_k)),
+    "submersion": ("submersion", lambda sc: sc.setup),
+    "bundle": ("tangent bundle", lambda sc: sc.bundle),
+    "bundle submersion": ("tangent bundle", lambda sc: sc.bundle and sc.bundle.setup),
+    "geodesic jobs": ("geodesic jobs", lambda sc: sc.geodesic_jobs or None),
+}
+STACKS = ("points", "frames", "ranked frames", "probes")
 
 
-def _manifold_driver(fn):
-    def drive(scenario, ctx, name, tol):
-        return fn(scenario.space.conn, scenario.space.metric, ctx.points(), tol)
+def _run_kernel(spec, scenario, ctx, tol) -> CheckResult:
+    """The driver of a kernel row: its stack over the suite's points or
+    curves (an item that fails to build is an incident), mapped by its
+    kernel, read off its module at each run, folded and judged."""
+    subject, kernel = NEEDS[spec.needs[0]][1](scenario), getattr(*spec.kernel)
+    if spec.stack == "points":
+        items = build_rows(lambda x: kernel(subject, x), ctx.points())
+    elif spec.stack == "probes":
+        items = geodesics.curve_rows(subject, list(ctx.curves().values()),
+                                     lambda probes: kernel(subject, probes))
+    else:
+        frames = subject._frames(ctx.points(), spec.stack == "ranked frames")
+        items = (kernel(frames) if len(frames) else {}), frames.errors
+    return spec.rule(fold(*items, keys=spec.keys), tol, subject)
 
-    return drive
 
+@dataclass
+class CheckSpec:
+    """A check: the section anchor it reports under, its default tolerance,
+    a short description and what it ``needs`` (NEEDS, gated in order).  A
+    pointwise check names its ``stack`` (STACKS), its row ``kernel`` as
+    (module, function name), its verdict ``rule`` (a bound, a bound with a
+    premise, or a biconditional over the fold) and the named residuals
+    ``keys`` the fold reports as 0.0 when no item evaluates; any other
+    check names its ``driver``, (scenario, ctx, tol) -> CheckResult."""
 
-def _constant_curvature(scenario, ctx, name, tol):
-    if scenario.curvature_k is None:
-        return _missing("reference curvature constant")
-    pts = ctx.points()
-    return geometry.check_constant_curvature(
-        scenario.space.conn, scenario.space.metric, scenario.curvature_k, pts, tol)
+    name: str
+    paper_ref: str
+    tolerance: float
+    description: str
+    needs: tuple
+    stack: str = ""
+    kernel: tuple = ()
+    rule: object = None
+    keys: tuple = ()
+    driver: object = None
+
+    def __post_init__(self):
+        if self.driver is None:
+            self.driver = functools.partial(_run_kernel, self)
 
 
 def _disagreement(fld, index, x) -> np.ndarray:
@@ -148,7 +185,7 @@ def _probe_rows(probes):
     return np.concatenate(residuals), errors
 
 
-def _fd_crosscheck(scenario, ctx, name, tol):
+def _fd_crosscheck(scenario, ctx, tol):
     space, setup = scenario.space, scenario.setup
     total = lambda x: x
     targets = [(lbl, space.metric, index, total) for lbl, index in space.metric.entries()]
@@ -169,29 +206,11 @@ def _fd_crosscheck(scenario, ctx, name, tol):
     })
 
 
-def _submersion_driver(fn):
-    def drive(scenario, ctx, name, tol):
-        if scenario.setup is None:
-            return _missing("submersion")
-        return fn(scenario.setup, ctx.points(), tol)
-
-    return drive
+def _projectable(scenario, ctx, tol):
+    return fold(*submersion.projectable_rows(scenario.setup, ctx.points())).summarize(tol)
 
 
-def _geodesic_driver(fn):
-    def drive(scenario, ctx, name, tol):
-        if scenario.setup is None:
-            return _missing("submersion")
-        if not scenario.geodesic_jobs:
-            return _missing("geodesic jobs")
-        return fn(scenario.setup, list(ctx.curves().values()), tol)
-
-    return drive
-
-
-def _geodesic_energy(scenario, ctx, name, tol):
-    if not scenario.geodesic_jobs:
-        return _missing("geodesic jobs")
+def _geodesic_energy(scenario, ctx, tol):
     curves = ctx.curves()
     drifts, errors = collect(
         curves.values(),
@@ -199,106 +218,229 @@ def _geodesic_energy(scenario, ctx, name, tol):
     return fold(list(drifts.values()), errors).summarize(tol, details={"jobs": sorted(curves)})
 
 
-def _bundle_driver(fn):
-    def drive(scenario, ctx, name, tol):
-        if scenario.bundle is None:
-            return _missing("tangent bundle")
-        return fn(scenario.bundle, ctx.points(), tol)
+def _geodesic_projection(scenario, ctx, tol):
+    """Criterion residual vanishes iff the projected curve is a base geodesic.
 
-    return drive
+    Each curve must itself be a geodesic of the total space (premise); a
+    curve whose premise residual exceeds PREMISE_FACTOR * tol is skipped
+    as an incident.  The check passes when every curve's two verdicts
+    agree, and is inconclusive when fewer than 90% of the curves evaluate;
+    its residual is each side's value where the other side passes.
+    """
+    setup, curves = scenario.setup, list(ctx.curves().values())
+    per_curve = {}
+
+    def premise(k):
+        residual = geodesics.geodesic_residual(setup.total.conn, curves[k])
+        if residual > PREMISE_FACTOR * tol:
+            per_curve[k] = {"premise_residual": residual, "skipped": True}
+            raise PremiseFailed(f"curve is not a geodesic: premise residual {residual:.3e}")
+
+    values, errors = geodesics.curve_rows(
+        setup, curves, lambda pr: geodesics.projection_condition_residuals(setup, pr), premise)
+    cond, base = (values.get(k, np.zeros(0)) for k in ("condition", "base_residual"))
+    evaluated = [k for k in range(len(curves)) if k not in errors]
+    for k, c, b in zip(evaluated, cond.tolist(), base.tolist()):
+        per_curve[k] = {"condition": c, "base_residual": b, "agree": agree(c, b, tol)}
+    s = fold(np.maximum(np.where(cond <= tol, base, 0.0), np.where(base <= tol, cond, 0.0)),
+             errors)
+    status = s.verdict(all(c.get("agree", True) for c in per_curve.values()))
+    return s.result(tol, status, s.residual,
+                    details={"curves": [per_curve[k] for k in sorted(per_curve)]})
 
 
-def _bundle_setup_driver(fn):
-    """A submersion check on the bundle projection of a tangent bundle."""
-    return _bundle_driver(lambda bundle, points, tol: fn(bundle.setup, points, tol))
+# -- verdict rules: a fold, the tolerance and the subject -> CheckResult --------
 
+
+def _bound(s, tol, subject):
+    return s.summarize(tol)
+
+
+def _bound_each(s, tol, subject):
+    """A bound that reports the worst of each named residual."""
+    return s.summarize(tol, s.worst)
+
+
+def _curvature_model(s, tol, curved):
+    return s.summarize(tol, {"k": float(curved[1])})
+
+
+def _semi_riemannian(s, tol, setup):
+    return s.summarize(tol, {"fiber_metric_degenerate": s.worst["degenerate"] == math.inf})
+
+
+def _induced_statistical(s, tol, setup):
+    """A bound on the induced structure, premised on the total space's."""
+    return s.summarize(tol, {"premise_residual": s.worst["premise"],
+                             "proof_identity_residual": s.worst["identity"]},
+                       ("statistical", "identity"), s.worst["premise"])
+
+
+def _remark_complete(s, tol, bundle):
+    """A bound on the lifted pair, premised on the base pair."""
+    return s.summarize(tol, {"premise_residual": s.worst["premise"]}, ("statistical",),
+                       s.worst["premise"])
+
+
+def _dual_conformal_pair(s, tol, setup):
+    primal, dual = s.worst["primal"], s.worst["dual"]
+    return s.biconditional(primal, dual, tol, {"primal_max": primal, "dual_max": dual})
+
+
+def _theorem(s, tol):
+    """Per-condition maxima and both verdicts of the four-condition theorem."""
+    details = {k: s.worst[k] for k in CONDITIONS}
+    conditions_max, direct = peak(details.values()), s.worst["total_space"]
+    details.update(total_space_residual=direct, conditions_pass=conditions_max <= tol,
+                   total_space_pass=direct <= tol,
+                   biconditional_holds=agree(conditions_max, direct, tol))
+    return details, conditions_max
+
+
+def _four_conditions(s, tol, setup):
+    """The four conditions hold, and iff the total space is statistical."""
+    details, conditions_max = _theorem(s, tol)
+    holds = details["conditions_pass"] and details["biconditional_holds"]
+    return s.result(tol, s.verdict(holds), conditions_max, details)
+
+
+def _tm_statistical(s, tol, setup):
+    details, conditions_max = _theorem(s, tol)
+    details.update((k, s.worst[k]) for k in TM_COMPONENTS)
+    return s.biconditional(conditions_max, s.worst["total_space"], tol, details, conditions_max)
+
+
+def _remark_horizontal(s, tol, bundle):
+    """Its residual is both sides' worst when their verdicts agree, else the smaller."""
+    left, right = s.worst["bundle"], s.worst["base"]
+    left_pass, right_pass = left <= tol, right <= tol
+    return s.biconditional(
+        left, right, tol,
+        {"bundle_residual": left, "base_nabla_g": right,
+         "bundle_pass": left_pass, "base_metric_pass": right_pass},
+        peak((left, right)) if left_pass == right_pass else min(left, right))
+
+
+THEOREM_KEYS = CONDITIONS + ("total_space",)
 
 CHECK_TABLE = {s.name: s for s in [
     CheckSpec("is_statistical", "§2 Definition", 1e-8,
               "torsion-freeness and total symmetry of the cubic form nabla g",
-              _manifold_driver(geometry.is_statistical)),
+              ("manifold",), "points", (geometry, "statistical_rows"), _bound),
     CheckSpec("dual_involution", "§2 Definition", 1e-9,
               "taking the metric dual twice returns the original connection",
-              _manifold_driver(geometry.check_dual_involution)),
+              ("manifold",), "points", (geometry, "dual_involution_rows"), _bound),
     CheckSpec("curvature_duality", "§2", 1e-8,
               "curvatures of a dual pair are skew-adjoint through the metric",
-              _manifold_driver(geometry.check_curvature_duality)),
+              ("manifold",), "points", (geometry, "curvature_duality_rows"), _bound),
     CheckSpec("constant_curvature", "§2 Example", 1e-8,
               "R(X,Y)Z matches k (g(Y,Z)X - g(X,Z)Y) for the scenario's k",
-              _constant_curvature),
+              ("curvature",), "points", (geometry, "constant_curvature_rows"), _curvature_model),
     CheckSpec("fd_crosscheck", "numerics hygiene", 1e-4,
               "jet gradients and hessians agree with central differences",
-              _fd_crosscheck),
+              ("manifold",), driver=_fd_crosscheck),
     CheckSpec("split_identities", "§2", 1e-9,
               "projector algebra of the vertical/horizontal splitting",
-              _submersion_driver(submersion.check_split_identities)),
+              ("submersion",), "ranked frames", (submersion, "split_identity_residuals"), _bound),
     CheckSpec("tensoriality", "§2", 1e-8,
               "fundamental tensors are pointwise in both arguments",
-              _submersion_driver(submersion.check_tensoriality)),
+              ("submersion",), "frames", (submersion, "tensoriality_residuals"), _bound),
     CheckSpec("gauss_weingarten", "§2", 1e-8,
               "Gauss-Weingarten split of covariant derivatives along the fibers",
-              _submersion_driver(submersion.check_gauss_weingarten)),
+              ("submersion",), "frames", (submersion, "gauss_weingarten_residuals"), _bound_each),
     CheckSpec("semi_riemannian", "§2 Definition", 1e-8,
               "horizontal lifts are isometric and fibers stay nondegenerate",
-              _submersion_driver(submersion.check_semi_riemannian)),
+              ("submersion",), "points", (submersion, "semi_riemannian_residuals"),
+              _semi_riemannian, ("lengths", "degenerate")),
     CheckSpec("conformal_metric", "§3 Definition", 1e-8,
               "lifted metric equals e^(2 phi) times the base metric",
-              _submersion_driver(submersion.check_conformal_metric)),
+              ("submersion",), "frames", (submersion, "conformal_metric_residuals"), _bound),
     CheckSpec("conformal_defect", "§3 Theorem 3.2", 1e-8,
               "conformal submersion defect of the total connection over the base",
-              _submersion_driver(submersion.check_conformal_hd)),
+              ("submersion",), "frames", (submersion, "conformal_defect"), _bound),
     CheckSpec("affine_hd", "§2 Definition", 1e-8,
               "horizontal part of lifted covariant derivatives matches the base",
-              _submersion_driver(submersion.check_affine_hd)),
+              ("submersion",), "frames", (submersion, "affine_hd_residuals"), _bound),
     CheckSpec("dual_conformal_pair", "§3 Proposition", 1e-8,
               "primal and dual connections are conformal over the base together",
-              _submersion_driver(submersion.check_dual_conformal_pair)),
+              ("submersion",), "frames", (submersion, "conformal_pair_residuals"),
+              _dual_conformal_pair, ("primal", "dual")),
     CheckSpec("lemma_components", "§3 Lemma", 1e-7,
               "six component identities for nabla g on mixed lift arguments",
-              _submersion_driver(submersion.check_lemma_components)),
+              ("submersion",), "frames", (submersion, "lemma_components"), _bound_each,
+              tuple(sorted(LEMMA_KEYS))),
     CheckSpec("four_conditions", "§3 Theorem", 1e-8,
               "the four split conditions hold iff the total space is statistical",
-              _submersion_driver(submersion.four_conditions_check)),
+              ("submersion",), "frames", (submersion, "four_conditions_at"), _four_conditions,
+              THEOREM_KEYS),
     CheckSpec("projectable", "§2", 1e-8,
               "induced base connection is constant along every fiber",
-              _submersion_driver(submersion.check_projectable)),
+              ("submersion",), driver=_projectable),
     CheckSpec("induced_statistical", "§2 Theorem 2.1", 1e-7,
               "projected structure on the base is statistical when the total is",
-              _submersion_driver(submersion.theorem21_verify)),
+              ("submersion",), "frames", (submersion, "induced_statistical_residuals"),
+              _induced_statistical, ("premise", "statistical", "identity")),
     CheckSpec("geodesic_projection", "§3.1 Theorem", 1e-6,
               "projection criterion verdict matches the base geodesic verdict",
-              _geodesic_driver(geodesics.geodesic_projection_check)),
+              ("submersion", "geodesic jobs"), driver=_geodesic_projection),
     CheckSpec("curve_decomposition", "§3.1 Theorem", 1e-8,
               "horizontal/vertical decomposition of derivatives along curves",
-              _geodesic_driver(geodesics.check_curve_decomposition)),
+              ("submersion", "geodesic jobs"), "probes",
+              (geodesics, "curve_decomposition_residuals"), _bound_each, CURVE_KEYS),
     CheckSpec("sigma_second", "§3.1 Corollary", 1e-5,
               "second-derivative split of a geodesic through the submersion",
-              _geodesic_driver(geodesics.check_sigma_second)),
+              ("submersion", "geodesic jobs"), "probes",
+              (geodesics, "sigma_second_residuals"), _bound_each, CURVE_KEYS),
     CheckSpec("geodesic_energy", "integrator hygiene", 1e-6,
               "kinetic energy drift along integrated geodesics",
-              _geodesic_energy),
+              ("geodesic jobs",), driver=_geodesic_energy),
     CheckSpec("tb_defining_rules", "§4 Definitions", 1e-8,
               "lifted metrics and connections reproduce their frame rules",
-              _bundle_driver(tangent_bundle.check_defining_rules)),
+              ("bundle",), "points", (tangent_bundle, "defining_rule_residuals"), _bound_each),
     CheckSpec("prop41", "§4 Proposition 4.1", 1e-8,
               "bundle projection is affine with the horizontal distribution",
-              _bundle_setup_driver(submersion.check_affine_hd)),
+              ("bundle submersion",), "frames", (submersion, "affine_hd_residuals"), _bound),
     CheckSpec("prop42", "§4 Proposition 4.2", 1e-8,
               "bundle projection is a semi-Riemannian submersion for sasaki",
-              _bundle_setup_driver(submersion.check_semi_riemannian)),
+              ("bundle submersion",), "points", (submersion, "semi_riemannian_residuals"),
+              _semi_riemannian, ("lengths", "degenerate")),
     CheckSpec("tm_statistical", "§4 Theorem", 1e-7,
               "split conditions on TM agree with direct statisticity of the lift",
-              _bundle_driver(tangent_bundle.tm_statistical_check)),
+              ("bundle submersion",), "frames", (tangent_bundle, "tm_statistical_residuals"),
+              _tm_statistical, THEOREM_KEYS + tuple(TM_COMPONENTS)),
     CheckSpec("remark_complete_metric", "§4 Remark (a)", 1e-8,
               "complete lift pair stays statistical when the base pair is",
-              _bundle_driver(tangent_bundle.remark_complete_check)),
+              ("bundle",), "points", (tangent_bundle, "remark_complete_residuals"),
+              _remark_complete, ("premise", "statistical")),
     CheckSpec("remark_dual_complete", "§4 Remark (b)", 1e-8,
               "dual of the complete lift equals the complete lift of the dual",
-              _bundle_driver(tangent_bundle.remark_dual_check)),
+              ("bundle",), "points", (tangent_bundle, "remark_dual_residuals"), _bound),
     CheckSpec("remark_horizontal", "§4 Remark (c)", 1e-7,
               "horizontal lift statisticity tracks metric compatibility below",
-              _bundle_driver(tangent_bundle.remark_horizontal_check)),
+              ("bundle",), "points", (tangent_bundle, "remark_horizontal_residuals"),
+              _remark_horizontal, ("bundle", "base")),
 ]}
+
+
+def run_check(name: str, scenario: Scenario, ctx: RunContext, tol=None) -> CheckResult:
+    """The check ``name`` of CHECK_TABLE on ``scenario``, over the points
+    and curves of ``ctx``, at ``tol`` (the row's default when None).
+
+    A scenario that lacks what the check needs gives a skip row; a
+    :class:`SubgeoError` that escapes the check's driver gives an
+    inconclusive row naming it.  Any other exception is a bug and
+    propagates."""
+    spec = CHECK_TABLE[name]
+    tol = spec.tolerance if tol is None else tol
+    for need in spec.needs:
+        what, get = NEEDS[need]
+        if get(scenario) is None:
+            return CheckResult(samples=0, max_residual=math.inf, tolerance=0.0,
+                               status=INCONCLUSIVE, details={"skipped": f"scenario has no {what}"})
+    try:
+        return spec.driver(scenario, ctx, tol)
+    except SubgeoError as exc:
+        return fold([], {0: exc}).result(tol, INCONCLUSIVE, math.inf, {"error": str(exc)})
 
 
 def _jsonable(value):
@@ -327,19 +469,13 @@ def run_suite(cfg: SuiteConfig) -> dict:
 
     rows = []
     with submersion.shared_frames():
-        for name, tol_override in sorted(requested):
-            spec = CHECK_TABLE[name]
-            tol = spec.tolerance if tol_override is None else tol_override
+        for name, tol in sorted(requested):
             start = time.perf_counter()
-            try:
-                result = spec.driver(scenario, ctx, name, tol)
-            except SubgeoError as exc:
-                result = fold([], {0: exc}).result(tol, INCONCLUSIVE, math.inf,
-                                                   {"error": str(exc)})
+            result = run_check(name, scenario, ctx, tol)
             wall = time.perf_counter() - start
             rows.append({
                 "name": name,
-                "paper_ref": spec.paper_ref,
+                "paper_ref": CHECK_TABLE[name].paper_ref,
                 "samples": result.samples,
                 "max_residual": float(result.max_residual),
                 "tolerance": float(result.tolerance),

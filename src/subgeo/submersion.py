@@ -53,8 +53,7 @@ from . import geometry
 from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
 from .fields import ScalarField, Space, _as_points, _dual, _FieldStack, _parts_and_inverse
 from .linalg import inverse, inverse_rows, pivoted_qr
-from .results import (CheckResult, Sweep, agree, build_rows, collect, fold, owned_rows, peak,
-                      sweep_rows)
+from .results import build_rows, collect, owned_rows
 
 RANK_RTOL = 1e-10
 NEWTON_TOL = 1e-12
@@ -550,13 +549,7 @@ def _lift_cov(f: _FrameBatch, dual: bool = False) -> np.ndarray:
     return f.over(2).cov(x[0], y, dual)
 
 
-def sweep_frames(setup: SubmersionSetup, points, residuals, keys=(),
-                 rank_test=False) -> Sweep:
-    """:func:`results.fold` of ``residuals(frames)``, one residual array
-    (or a dict of them) over the rows of the points' frame batch; a point
-    whose frame failed is an incident."""
-    frames = setup._frames(points, rank_test)
-    return fold(residuals(frames) if len(frames) else {}, frames.errors, keys)
+LEMMA_KEYS = ("cs6", "cs7", "cs8", "cs9", "cs10", "cs11")
 
 
 def lemma_components(f: _FrameBatch) -> dict:
@@ -585,14 +578,6 @@ def lemma_components(f: _FrameBatch) -> dict:
     return dict(zip(LEMMA_KEYS, map(_amax, (cs6, cs7, cs8, cs9, cs10, cs11))))
 
 
-LEMMA_KEYS = ("cs6", "cs7", "cs8", "cs9", "cs10", "cs11")
-
-
-def check_lemma_components(setup, points, tol) -> CheckResult:
-    s = sweep_frames(setup, points, lemma_components, keys=LEMMA_KEYS)
-    return s.summarize(tol, details=dict(sorted(s.worst.items())))
-
-
 CONDITIONS = ("condition1", "condition2", "condition3", "condition4")
 
 
@@ -619,27 +604,6 @@ def four_conditions_at(f: _FrameBatch) -> dict:
     }
 
 
-def four_conditions_details(s: Sweep, tol) -> dict:
-    """Per-condition maxima and both verdicts of the four-condition theorem."""
-    details = {k: s.worst[k] for k in CONDITIONS}
-    conditions_max = peak(details.values())
-    direct = s.worst["total_space"]
-    details["total_space_residual"] = direct
-    details["conditions_pass"] = conditions_max <= tol
-    details["total_space_pass"] = direct <= tol
-    details["biconditional_holds"] = agree(conditions_max, direct, tol)
-    return details
-
-
-def four_conditions_check(setup: SubmersionSetup, points, tol) -> CheckResult:
-    """The four statisticity conditions plus the biconditional against a
-    direct statisticity check of the total space."""
-    s = sweep_frames(setup, points, four_conditions_at, keys=CONDITIONS + ("total_space",))
-    details = four_conditions_details(s, tol)
-    holds = details["conditions_pass"] and details["biconditional_holds"]
-    return s.result(tol, s.verdict(holds), peak(s.worst[k] for k in CONDITIONS), details)
-
-
 def gauss_weingarten_residuals(f: _FrameBatch) -> dict:
     """Residual arrays of the four decomposition identities for frame
     fields over every pair of columns (E, F): nabla_E F is its part in
@@ -657,70 +621,49 @@ def gauss_weingarten_residuals(f: _FrameBatch) -> dict:
             "horiz_vert": split(L, V, A, f2.pv), "horiz_horiz": split(L, L, A, f2.ph)}
 
 
-def check_gauss_weingarten(setup, points, tol) -> CheckResult:
-    s = sweep_frames(setup, points, gauss_weingarten_residuals)
-    return s.summarize(tol, details=s.worst)
+def split_identity_residuals(f: _FrameBatch) -> np.ndarray:
+    """P_H + P_V = I, dpi P_V = 0, dpi L = I and dpi V = 0 at the frame points."""
+    eye_n, eye_m = np.eye(f.setup.n), np.eye(f.setup.m)
+    parts = [f.ph + f.pv - eye_n, f.dpi @ f.pv, f.dpi @ f.lcols - eye_m, f.dpi @ f.vcols]
+    return np.max([_amax(r) for r in parts], axis=0)
 
 
-def check_split_identities(setup, points, tol) -> CheckResult:
-    """P_H + P_V = I, dpi P_V = 0, dpi L = I at every sample."""
-    eye_n = np.eye(setup.n)
-    eye_m = np.eye(setup.m)
-
-    def residuals(f):
-        parts = [f.ph + f.pv - eye_n, f.dpi @ f.pv, f.dpi @ f.lcols - eye_m, f.dpi @ f.vcols]
-        return np.max([_amax(r) for r in parts], axis=0)
-
-    return sweep_frames(setup, points, residuals, rank_test=True).summarize(tol)
-
-
-def check_tensoriality(setup, points, tol) -> CheckResult:
+def tensoriality_residuals(f: _FrameBatch) -> np.ndarray:
     """T and A agree across two different extensions of their arguments."""
+    setup = f.setup
     # the second extension scales the first by a scalar field s with
     # s(p) = 1, ds(p) = 0.7 (1, ..., 1)
     ds = np.ones(setup.n) * 0.7
-
-    def residuals(f):
-        probes = []
-        if setup.fiber_dim:
-            probes.append((f.vcols[..., 0], f.lcols[..., 0]))
-            probes.append((f.vcols[..., 0], f.vcols[..., -1]))
-        probes.append((f.lcols[..., 0], f.lcols[..., -1]))
-        r = []
-        for e, w in probes:
-            for tensor in (setup.fundamental_T, setup.fundamental_A):
-                r.append(_amax(tensor(f, e, w) - tensor(f, e, w, ds=ds)))
-        return np.max(r, axis=0)
-
-    return sweep_frames(setup, points, residuals).summarize(tol)
+    probes = []
+    if setup.fiber_dim:
+        probes.append((f.vcols[..., 0], f.lcols[..., 0]))
+        probes.append((f.vcols[..., 0], f.vcols[..., -1]))
+    probes.append((f.lcols[..., 0], f.lcols[..., -1]))
+    r = []
+    for e, w in probes:
+        for tensor in (setup.fundamental_T, setup.fundamental_A):
+            r.append(_amax(tensor(f, e, w) - tensor(f, e, w, ds=ds)))
+    return np.max(r, axis=0)
 
 
-def check_semi_riemannian(setup, points, tol) -> CheckResult:
-    """Horizontal lengths preserved and fiber metric nondegenerate.
+def semi_riemannian_residuals(setup: SubmersionSetup, x) -> dict:
+    """Horizontal lengths preserved and fiber metric nondegenerate, at a
+    stack of points x (N, n).
 
     The fiber metric is tested first (:meth:`SubmersionSetup.null_fibers`):
     a point where it is degenerate has no horizontal complement, so it
     builds no frame and reads degenerate = inf, lengths 0."""
-
-    def residuals(x):
-        null = setup.null_fibers(x)
-        lengths = np.zeros(len(x))
-        if not null.all():
-            f = setup._frame_arrays(x[~null], False)
-            lengths[~null] = _amax(_gram(f["lcols"], f["g"]) - f["gb"])
-        return {"lengths": lengths, "degenerate": np.where(null, math.inf, 0.0)}
-
-    s = sweep_rows(points, setup.n, residuals, keys=("lengths", "degenerate"))
-    return s.summarize(tol, details={"fiber_metric_degenerate": s.worst["degenerate"] == math.inf})
+    null = setup.null_fibers(x)
+    lengths = np.zeros(len(x))
+    if not null.all():
+        f = setup._frame_arrays(x[~null], False)
+        lengths[~null] = _amax(_gram(f["lcols"], f["g"]) - f["gb"])
+    return {"lengths": lengths, "degenerate": np.where(null, math.inf, 0.0)}
 
 
-def check_conformal_metric(setup, points, tol) -> CheckResult:
+def conformal_metric_residuals(f: _FrameBatch) -> np.ndarray:
     """g_M on horizontal lifts equals e^{2 phi} g_B."""
-
-    def residuals(f):
-        return _amax(_gram(f.lcols, f.g) - f.e2phi[:, None, None] * f.gb)
-
-    return sweep_frames(setup, points, residuals).summarize(tol)
+    return _amax(_gram(f.lcols, f.g) - f.e2phi[:, None, None] * f.gb)
 
 
 def conformal_defect(f: _FrameBatch, dual: bool = False) -> np.ndarray:
@@ -738,32 +681,15 @@ def conformal_defect(f: _FrameBatch, dual: bool = False) -> np.ndarray:
     return _amax(defect)
 
 
-def check_conformal_hd(setup, points, tol) -> CheckResult:
-    """Max conformal defect at each sample."""
-    return sweep_frames(setup, points, conformal_defect).summarize(tol)
+def conformal_pair_residuals(f: _FrameBatch) -> dict:
+    """The conformal defect of (nabla, nabla*) and of their metric duals."""
+    return {"primal": conformal_defect(f), "dual": conformal_defect(f, dual=True)}
 
 
-def check_affine_hd(setup, points, tol) -> CheckResult:
+def affine_hd_residuals(f: _FrameBatch) -> np.ndarray:
     """H(nabla_{X~} Y~) equals the lift of nabla*_X Y for frame fields."""
-
-    def residuals(f):
-        horizontal = np.einsum("...ij,...abj->...abi", f.ph, _lift_cov(f))
-        return _amax(horizontal - np.einsum("...ic,...cab->...abi", f.lcols, f.gamma_b))
-
-    return sweep_frames(setup, points, residuals).summarize(tol)
-
-
-def check_dual_conformal_pair(setup, points, tol) -> CheckResult:
-    """The defining relation holds for (nabla, nabla*) iff it holds for
-    their metric duals; evaluated as two residual suites."""
-
-    def residuals(f):
-        return {"primal": conformal_defect(f), "dual": conformal_defect(f, dual=True)}
-
-    s = sweep_frames(setup, points, residuals, keys=("primal", "dual"))
-    r_primal, r_dual = s.worst["primal"], s.worst["dual"]
-    return s.biconditional(r_primal, r_dual, tol,
-                           details={"primal_max": r_primal, "dual_max": r_dual})
+    horizontal = np.einsum("...ij,...abj->...abi", f.ph, _lift_cov(f))
+    return _amax(horizontal - np.einsum("...ic,...cab->...abi", f.lcols, f.gamma_b))
 
 
 def induced_structures(f: _FrameBatch):
@@ -772,11 +698,14 @@ def induced_structures(f: _FrameBatch):
     return _gram(f.lcols, f.g), np.einsum("...ki,...bci->...kbc", f.dpi, _lift_cov(f))
 
 
-def check_projectable(setup, points, tol) -> CheckResult:
-    """pi_*(H(nabla_{X~} Y~)) agrees across points of the same fiber."""
+def projectable_rows(setup: SubmersionSetup, points):
+    """:func:`results.fold` inputs of pi_*(H(nabla_{X~} Y~)) agreeing
+    across points of the same fiber: the fibers through the first
+    points, walked by :meth:`SubmersionSetup.fiber_points`, are rows of
+    one frame batch, and each row reads its difference from the first
+    point of its fiber.  Singleton fibers have nothing to vary and read 0."""
     if setup.fiber_dim == 0:
-        # singleton fibers: nothing to vary, pass by convention
-        return fold(np.zeros(len(points))).summarize(tol)
+        return np.zeros(len(points)), {}
     n_base = max(1, math.ceil(len(points) / 16))
     per_fiber = max(2, math.ceil(len(points) / (4 * n_base)))
 
@@ -796,36 +725,29 @@ def check_projectable(setup, points, tol) -> CheckResult:
         first = np.searchsorted(fiber_of, fiber_of)
         return np.where(first == np.arange(len(rows)), 0.0, _amax(gammas - gammas[first]))
 
-    return fold(*owned_rows(owners, frames, residuals, errors)).summarize(tol)
+    return owned_rows(owners, frames, residuals, errors)
 
 
-def theorem21_verify(setup: SubmersionSetup, points, tol) -> CheckResult:
-    """Induced base structure of a statistical total space is statistical.
+def induced_statistical_residuals(f: _FrameBatch) -> dict:
+    """Theorem 2.1: the induced base structure of a statistical total
+    space is statistical.  ``premise`` is the total space's statisticity,
+    ``statistical`` the induced structure's, ``identity`` the defect of
+    (nabla'_X g~)(Y, Z) = (nabla_{X~} g_M)(Y~, Z~).
 
     Derivatives of the induced metric are taken through the lift fields
     (basic-field identity), so no base-space expression for g~ is needed.
-    Also checks the underlying identity
-    (nabla'_X g~)(Y, Z) = (nabla_{X~} g_M)(Y~, Z~).
     """
-
-    def residuals(f):
-        g_ind, gamma_ind = induced_structures(f)
-        z, x, y = _tuples(*[f.columns()[1]] * 3)
-        f3 = f.over(3)
-        # dg_ind[..., c, a, b] = L_c (g(L_a, L_b))
-        dg_ind = np.einsum("...k,...k->...", _scalar_grad(f3.g, f3.dg, x, y), z[0])
-        cubic_ind = geometry.nabla_g_values(g_ind, dg_ind, gamma_ind)
-        return {
-            "premise": geometry.statistical_residual(f.gamma, f.cubic),
-            "statistical": np.maximum(
-                _amax(geometry.torsion_values(gamma_ind)),
-                _amax(cubic_ind - np.swapaxes(cubic_ind, -3, -2)),
-            ),
-            "identity": _amax(cubic_ind - _form3(f3.cubic, z[0], x[0], y[0])),
-        }
-
-    s = sweep_frames(setup, points, residuals, keys=("premise", "statistical", "identity"))
-    return s.summarize(tol, keys=("statistical", "identity"),
-                       details={"premise_residual": s.worst["premise"],
-                                "proof_identity_residual": s.worst["identity"]},
-                       premise=s.worst["premise"])
+    g_ind, gamma_ind = induced_structures(f)
+    z, x, y = _tuples(*[f.columns()[1]] * 3)
+    f3 = f.over(3)
+    # dg_ind[..., c, a, b] = L_c (g(L_a, L_b))
+    dg_ind = np.einsum("...k,...k->...", _scalar_grad(f3.g, f3.dg, x, y), z[0])
+    cubic_ind = geometry.nabla_g_values(g_ind, dg_ind, gamma_ind)
+    return {
+        "premise": geometry.statistical_residual(f.gamma, f.cubic),
+        "statistical": np.maximum(
+            _amax(geometry.torsion_values(gamma_ind)),
+            _amax(cubic_ind - np.swapaxes(cubic_ind, -3, -2)),
+        ),
+        "identity": _amax(cubic_ind - _form3(f3.cubic, z[0], x[0], y[0])),
+    }

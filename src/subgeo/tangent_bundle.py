@@ -47,9 +47,7 @@ import numpy as np
 from . import geometry
 from .fields import (ChartedManifold, ConnectionField, DualConnection, ExprField, MetricField,
                      Space, _FieldStack)
-from .results import CheckResult, peak, sweep_rows
-from .submersion import (CONDITIONS, SubmersionSetup, _amax, _cov_deriv, four_conditions_at,
-                         four_conditions_details, lemma_components, sweep_frames)
+from .submersion import SubmersionSetup, _amax, _cov_deriv, four_conditions_at, lemma_components
 
 # -- parts: a quantity with its partials on the bundle chart -------------------
 
@@ -411,91 +409,45 @@ def defining_rule_residuals(bundle: TangentBundle, points) -> dict:
     return out
 
 
-def check_defining_rules(bundle: TangentBundle, points, tol) -> CheckResult:
-    s = sweep_rows(points, 2 * bundle.n, lambda x: defining_rule_residuals(bundle, x))
-    return s.summarize(tol, details=s.worst)
-
-
 # the bundle components cst1..cst6 are the lemma components cs7..cs11, cs6
 TM_COMPONENTS = {"cst1": "cs7", "cst2": "cs8", "cst3": "cs9",
                  "cst4": "cs10", "cst5": "cs11", "cst6": "cs6"}
 
 
-def tm_statistical_check(bundle: TangentBundle, points, tol) -> CheckResult:
-    """(TM, complete lift, Sasaki) statistical iff the four conditions.
-
-    The verdicts on both sides may be pass or fail; the asserted content
-    is their agreement.  Component residuals cst1..cst6 are reported.
-    """
-
-    def residuals(f):
-        out = four_conditions_at(f)
-        comp = lemma_components(f)
-        out.update((k, comp[src]) for k, src in TM_COMPONENTS.items())
-        return out
-
-    keys = CONDITIONS + ("total_space",) + tuple(TM_COMPONENTS)
-    s = sweep_frames(bundle.setup, points, residuals, keys=keys)
-    details = four_conditions_details(s, tol)
-    details.update((k, s.worst[k]) for k in TM_COMPONENTS)
-    conditions_max = peak(s.worst[k] for k in CONDITIONS)
-    return s.biconditional(conditions_max, s.worst["total_space"], tol,
-                           details, max_residual=conditions_max)
+def tm_statistical_residuals(f) -> dict:
+    """(TM, complete lift, Sasaki) statistical iff the four conditions, on
+    the frames of the bundle projection: the four conditions, the direct
+    statisticity of the total space, and the components cst1..cst6."""
+    out = four_conditions_at(f)
+    comp = lemma_components(f)
+    out.update((k, comp[src]) for k, src in TM_COMPONENTS.items())
+    return out
 
 
-def remark_complete_check(bundle: TangentBundle, points, tol) -> CheckResult:
-    """(TM, complete lift connection, complete lift metric) statistical."""
-    space = bundle.space("complete", "complete")
-    base = bundle.base
-
-    def residuals(x):
-        # the lift first: it evaluates the base data one order higher, and
-        # the build shares those batches with the premise (fields.shared)
-        statistical = geometry.statistical_rows(space.metric, space.conn, x)
-        return {
-            "premise": geometry.statistical_rows(base.metric, base.conn, x[:, :bundle.n]),
-            "statistical": statistical,
-        }
-
-    s = sweep_rows(points, 2 * bundle.n, residuals, keys=("premise", "statistical"))
-    return s.summarize(tol, keys=("statistical",),
-                       details={"premise_residual": s.worst["premise"]},
-                       premise=s.worst["premise"])
+def remark_complete_residuals(bundle: TangentBundle, x) -> dict:
+    """(TM, complete lift connection, complete lift metric) statistical,
+    and the base pair statistical (the premise)."""
+    # the lift first: it evaluates the base data one order higher, and
+    # the build shares those batches with the premise (fields.shared)
+    lifted = geometry.statistical_rows(bundle.space("complete", "complete"), x)
+    base = geometry.statistical_rows(bundle.base, x[:, :bundle.n])
+    return {"premise": base["statistical"], "statistical": lifted["statistical"]}
 
 
-def remark_dual_check(bundle: TangentBundle, points, tol) -> CheckResult:
+def remark_dual_residuals(bundle: TangentBundle, x) -> dict:
     """dual(complete lift nabla, complete lift g) = complete lift of dual(nabla, g)."""
     lifted_dual = DualConnection(bundle.complete_conn, bundle.complete_metric)
     dual_lifted = CompleteLiftConnection(
         DualConnection(bundle.base.conn, bundle.base.metric), bundle.n)
-
-    def residuals(x):
-        return {"commute": _amax(lifted_dual.batch(x, 0)[0] - dual_lifted.batch(x, 0)[0])}
-
-    return sweep_rows(points, 2 * bundle.n, residuals).summarize(tol)
+    return {"commute": _amax(lifted_dual.batch(x, 0)[0] - dual_lifted.batch(x, 0)[0])}
 
 
-def remark_horizontal_check(bundle: TangentBundle, points, tol) -> CheckResult:
+def remark_horizontal_residuals(bundle: TangentBundle, x) -> dict:
     """(TM, horizontal lift, Sasaki) statistical iff nabla g = 0 on the base.
 
-    Reported as a biconditional: the two verdicts must agree.  On curved
-    metric-compatible bases the horizontal lift acquires torsion from
-    the curvature, so this applies to flat or non-compatible bases.
+    On curved metric-compatible bases the horizontal lift acquires torsion
+    from the curvature, so this applies to flat or non-compatible bases.
     """
-    space = bundle.space("sasaki", "horizontal")
-    base = bundle.base
-
-    def residuals(x):
-        lifted = geometry.statistical_rows(space.metric, space.conn, x)  # first, as above
-        nab_g = geometry.cubic_values(base.metric, base.conn, x[:, :bundle.n])
-        return {"bundle": lifted, "base": np.abs(nab_g).max(axis=(1, 2, 3))}
-
-    s = sweep_rows(points, 2 * bundle.n, residuals, keys=("bundle", "base"))
-    left, right = s.worst["bundle"], s.worst["base"]
-    left_pass, right_pass = left <= tol, right <= tol
-    return s.biconditional(
-        left, right, tol,
-        details={"bundle_residual": left, "base_nabla_g": right,
-                 "bundle_pass": left_pass, "base_metric_pass": right_pass},
-        max_residual=peak((left, right)) if left_pass == right_pass else min(left, right),
-    )
+    lifted = geometry.statistical_rows(bundle.space("sasaki", "horizontal"), x)  # first
+    nab_g = geometry.cubic_values(bundle.base.metric, bundle.base.conn, x[:, :bundle.n])
+    return {"bundle": lifted["statistical"], "base": np.abs(nab_g).max(axis=(1, 2, 3))}

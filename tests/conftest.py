@@ -6,6 +6,8 @@ do not depend on the registry module they are meant to exercise.
 
 import numpy as np
 
+from subgeo import runner
+from subgeo.builtins import Scenario
 from subgeo.errors import SubgeoError
 from subgeo.fields import (
     AlphaConnection,
@@ -16,9 +18,10 @@ from subgeo.fields import (
     MetricField,
     Space,
 )
-from subgeo.geodesics import DEFAULT_STEP, integrate_geodesic
+from subgeo.geodesics import DEFAULT_STEP, Trajectory, integrate_geodesic
 from subgeo.sampling import sample_box
 from subgeo.submersion import SubmersionSetup
+from subgeo.tangent_bundle import TangentBundle
 
 
 def hyperbolic_setup(n=3):
@@ -108,3 +111,42 @@ def integrate_one(conn, chart, x0, v0, t_end, step=DEFAULT_STEP):
 
 def max_abs(arr):
     return float(np.max(np.abs(np.asarray(arr))))
+
+
+class Given:
+    """A run context over given points and curves, read as a check reads
+    runner.RunContext."""
+
+    def __init__(self, points, curves):
+        self._points, self._curves = points, curves
+
+    def points(self):
+        return self._points
+
+    def curves(self):
+        return self._curves
+
+
+def space_of(metric, conn):
+    """A space of (metric, conn) on the unit box."""
+    return Space(ChartedManifold("given", metric.dim, ((-1.0, 1.0),) * metric.dim), metric, conn)
+
+
+def run_check(name, subject, items, tol=None):
+    """runner.run_check of the check ``name`` on a scenario of ``subject``
+    (a Space, a SubmersionSetup or a TangentBundle), over ``items``: points, or
+    curves (each a Trajectory or the error that ended its job), which
+    stand for the scenario's geodesic jobs, in order."""
+    if isinstance(subject, SubmersionSetup):
+        scenario = Scenario("given", subject.total, setup=subject)
+    elif isinstance(subject, TangentBundle):
+        scenario = Scenario("given", subject.space(), setup=subject.setup, bundle=subject)
+    else:
+        scenario = Scenario("given", subject)
+    items = list(items)
+    if items and isinstance(items[0], (Trajectory, SubgeoError)):
+        curves = {f"curve{j:03d}": c for j, c in enumerate(items)}
+        scenario.geodesic_jobs = dict.fromkeys(curves)
+        return runner.run_check(name, scenario, Given(None, curves), tol)
+    points = np.asarray(items, dtype=float).reshape(len(items), scenario.dim)
+    return runner.run_check(name, scenario, Given(points, {}), tol)

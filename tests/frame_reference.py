@@ -161,7 +161,7 @@ def gauss_weingarten_residuals(f) -> dict:
 
 
 def induced_statistical(f) -> dict:
-    """The residuals of ``theorem21_verify``."""
+    """The residuals of the ``induced_statistical`` check."""
     m = f.setup.m
     g_ind = _gram(f.lcols, f.g)
     gamma_ind = np.einsum("...ki,...bci->...kbc", f.dpi, lift_cov(f))

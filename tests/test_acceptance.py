@@ -12,10 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import integrate_one
+from conftest import integrate_one, run_check
 from subgeo import builtins, cli, geodesics as geo, geometry, runner
-from subgeo import submersion as sm
-from subgeo import tangent_bundle as tb
 from subgeo.sampling import sample_box
 
 BUNDLE_NAMES = (
@@ -40,7 +38,7 @@ def test_criterion_1_gaussian_induced_statistical():
     ok = True
     for alpha in (0.0, 1.0, -1.0):
         scenario = builtins.build(f"gaussian:alpha={alpha:g}")
-        res = sm.theorem21_verify(scenario.setup, pts(scenario, 64), 1e-7)
+        res = run_check("induced_statistical", scenario.setup, pts(scenario, 64), 1e-7)
         ok = ok and res.status == "pass"
         worst = max(worst, res.max_residual)
     verdict(1, ok and worst <= 1e-7,
@@ -53,7 +51,7 @@ def test_criterion_2_conformal_defect_hyperbolic():
     ok = True
     for n in (2, 3, 4):
         scenario = builtins.build(f"hyperbolic:{n}")
-        res = sm.check_conformal_hd(scenario.setup, pts(scenario, 64), 1e-8)
+        res = run_check("conformal_defect", scenario.setup, pts(scenario, 64), 1e-8)
         ok = ok and res.status == "pass"
         worst = max(worst, res.max_residual)
     verdict(2, ok and worst <= 1e-8,
@@ -68,7 +66,7 @@ def test_criterion_3_four_conditions_biconditional_everywhere():
                  "hyperbolic:4", "gaussian:alpha=1", "gaussian:alpha=0",
                  "gaussian:alpha=-1", "perturbed:3"):
         scenario = builtins.build(name)
-        res = sm.four_conditions_check(scenario.setup, pts(scenario, 64), 1e-8)
+        res = run_check("four_conditions", scenario.setup, pts(scenario, 64), 1e-8)
         rows.append((name, res.details["biconditional_holds"]))
         ok = ok and res.details["biconditional_holds"]
         if name == "perturbed:3":
@@ -79,7 +77,7 @@ def test_criterion_3_four_conditions_biconditional_everywhere():
             ok = ok and res.status == "pass"
     for name in BUNDLE_NAMES:
         scenario = builtins.build(name)
-        res = tb.tm_statistical_check(scenario.bundle, pts(scenario, 24), 1e-8)
+        res = run_check("tm_statistical", scenario.bundle, pts(scenario, 24), 1e-8)
         rows.append((name, res.details["biconditional_holds"]))
         ok = ok and res.details["biconditional_holds"]
     bad = [n for n, h in rows if not h]
@@ -92,7 +90,7 @@ def test_criterion_4_lemma_components():
     ok = True
     for name in ("hyperbolic:3", "gaussian:alpha=1"):
         scenario = builtins.build(name)
-        res = sm.check_lemma_components(scenario.setup, pts(scenario, 64), 1e-7)
+        res = run_check("lemma_components", scenario.setup, pts(scenario, 64), 1e-7)
         ok = ok and res.status == "pass"
         for k in range(6, 12):
             worst = max(worst, res.details[f"cs{k}"])
@@ -134,10 +132,10 @@ def test_criterion_6_projection_criterion_three_curves():
         for _, job in sorted(scenario.geodesic_jobs.items())
     ]
     assert len(curves) >= 3
-    res = geo.geodesic_projection_check(setup, curves, 1e-6)
+    res = run_check("geodesic_projection", setup, curves, 1e-6)
     agree = all(c.get("agree") for c in res.details["curves"])
-    dec = geo.check_curve_decomposition(setup, curves, 1e-5)
-    sig = geo.check_sigma_second(setup, curves, 1e-5)
+    dec = run_check("curve_decomposition", setup, curves, 1e-5)
+    sig = run_check("sigma_second", setup, curves, 1e-5)
     ok = res.status == "pass" and agree and dec.status == "pass" and sig.status == "pass"
     verdict(6, ok, f"{len(curves)} half-plane geodesics: projection verdicts "
                    f"agree, decomposition {dec.max_residual:.2e} and "
@@ -150,8 +148,8 @@ def test_criterion_7_bundle_propositions():
     for name in BUNDLE_NAMES:
         scenario = builtins.build(name)
         p = pts(scenario, 32)
-        r1 = sm.check_affine_hd(scenario.bundle.setup, p, 1e-8)
-        r2 = sm.check_semi_riemannian(scenario.bundle.setup, p, 1e-8)
+        r1 = run_check("affine_hd", scenario.bundle.setup, p, 1e-8)
+        r2 = run_check("semi_riemannian", scenario.bundle.setup, p, 1e-8)
         ok = ok and r1.status == "pass" and r2.status == "pass"
         worst = max(worst, r1.max_residual, r2.max_residual)
     verdict(7, ok and worst <= 1e-8,
@@ -164,17 +162,17 @@ def test_criterion_8_bundle_statisticity_and_remarks():
     for name in BUNDLE_NAMES:
         scenario = builtins.build(name)
         p = pts(scenario, 24)
-        res = tb.tm_statistical_check(scenario.bundle, p, 1e-8)
+        res = run_check("tm_statistical", scenario.bundle, p, 1e-8)
         ok = ok and res.status == "pass" and res.details["biconditional_holds"]
-        dual = tb.remark_dual_check(scenario.bundle, p, 1e-8)
+        dual = run_check("remark_dual_complete", scenario.bundle, p, 1e-8)
         ok = ok and dual.status == "pass" and dual.max_residual <= 1e-8
 
     # remark on the horizontal lift, on both sides of nabla g = 0
     flat = builtins.build("tangent_bundle_of:euclidean:2")
-    r_flat = tb.remark_horizontal_check(flat.bundle, pts(flat, 24), 1e-8)
+    r_flat = run_check("remark_horizontal", flat.bundle, pts(flat, 24), 1e-8)
     ok = ok and r_flat.status == "pass" and r_flat.details["base_metric_pass"]
     gauss = builtins.build("tangent_bundle_of:gaussian:alpha=1")
-    r_g = tb.remark_horizontal_check(gauss.bundle, pts(gauss, 24), 1e-8)
+    r_g = run_check("remark_horizontal", gauss.bundle, pts(gauss, 24), 1e-8)
     ok = ok and r_g.status == "pass" and not r_g.details["base_metric_pass"]
     verdict(8, ok, "bundle statisticity equivalences and dual/horizontal "
                    "remarks hold on all three bundles")

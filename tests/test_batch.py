@@ -465,8 +465,8 @@ def test_each_batched_probe_matches_the_one_probe_rule(name, mode, boxes, seed, 
 
     monkeypatch.setattr(runner, "_probe_rows", recording_rows)
     scenario = builtins.build(name, mode)
-    runner._fd_crosscheck(scenario, runner.RunContext(scenario, 16, seed, boxes),
-                          "fd_crosscheck", 1e-4)
+    runner.run_check("fd_crosscheck", scenario, runner.RunContext(scenario, 16, seed, boxes),
+                     1e-4)
     ((probes, (residuals, errors)),) = seen
     got = iter(residuals)
     for k, (label, fld, index, to_point, p) in enumerate(probes):
@@ -501,7 +501,7 @@ def test_fd_crosscheck_evaluates_a_run_of_probes_as_one_batch(name, monkeypatch)
             depth[0] -= 1
 
     monkeypatch.setattr(fields.Field, "batch", counting)
-    runner._fd_crosscheck(scenario, ctx, "fd_crosscheck", 1e-4)
+    runner.run_check("fd_crosscheck", scenario, ctx, 1e-4)
     runs = 2
     assert calls.count(True) == runs
     assert calls.count(False) <= 2 * runs

@@ -494,7 +494,7 @@ def test_no_frame_batch_outlives_its_suite(escapes, monkeypatch):
         built.append(weakref.ref(batch))
         return batch
 
-    def broken(scenario, ctx, name, tol):
+    def broken(scenario, ctx, tol):
         raise RuntimeError("injected bug")
 
     monkeypatch.setattr(submersion.SubmersionSetup, "_frames", recording)
@@ -509,3 +509,37 @@ def test_no_frame_batch_outlives_its_suite(escapes, monkeypatch):
         raised = True
     assert raised == escapes
     assert len(built) > 3 and all(ref() is None for ref in built)
+
+
+BUNDLE_ONLY = ["prop41", "prop42", "remark_complete_metric", "remark_dual_complete",
+               "remark_horizontal", "tb_defining_rules", "tm_statistical"]
+SUBMERSION_ONLY = ["affine_hd", "conformal_defect", "conformal_metric", "dual_conformal_pair",
+                   "four_conditions", "gauss_weingarten", "induced_statistical",
+                   "lemma_components", "projectable", "semi_riemannian", "split_identities",
+                   "tensoriality"]
+CURVE_CHECKS = ["curve_decomposition", "geodesic_projection", "sigma_second"]
+MANIFOLD_ONLY = {"manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 3.0]],
+                              "metric": [["1/x2^2", "0"], ["0", "1/x2^2"]]}}
+
+
+@pytest.mark.parametrize("payload, missing", [
+    ({"builtin": "hyperbolic:3"}, {name: "tangent bundle" for name in BUNDLE_ONLY}),
+    ({"builtin": "tangent_bundle_of:hyperbolic:2"},
+     {"constant_curvature": "reference curvature constant", "geodesic_energy": "geodesic jobs"}),
+    # a curve check names the submersion first, then the geodesic jobs
+    (MANIFOLD_ONLY, {name: "submersion" for name in SUBMERSION_ONLY + CURVE_CHECKS}),
+])
+def test_a_check_the_scenario_cannot_feed_reports_a_skip_row(payload, missing):
+    cfg = config.parse_config(dict(payload, checks=sorted(missing),
+                                   sampling={"count": 8, "seed": 0}))
+    report = runner.run_suite(cfg)
+    for row in report["checks"]:
+        del row["wall_time_s"]
+        assert row == {
+            "name": row["name"], "paper_ref": runner.CHECK_TABLE[row["name"]].paper_ref,
+            "samples": 0, "max_residual": math.inf, "tolerance": 0.0,
+            "status": "inconclusive", "incidents": 0,
+            "details": {"skipped": f"scenario has no {missing[row['name']]}"},
+        }
+    assert [row["name"] for row in report["checks"]] == sorted(missing)
+    assert runner.exit_code(report) == 1

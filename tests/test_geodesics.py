@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rk4_reference
-from conftest import hyperbolic_setup, integrate_one, max_abs, skewed_setup
+from conftest import hyperbolic_setup, integrate_one, max_abs, run_check, skewed_setup
 from subgeo import builtins, config, exprlang, fields, linalg, runner
 from subgeo import geodesics as geo
 from subgeo.errors import BoundaryExit, ContractViolation, EvalDomain, SingularMatrix
@@ -217,8 +217,8 @@ def test_decomposition_checks_on_hyperbolic():
         ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0),
         ((0.1, -0.2, 1.2), (0.4, 0.3, 0.5), 1.0),
     ])
-    assert geo.check_curve_decomposition(setup, curves, 1e-6).status == PASS
-    res = geo.check_sigma_second(setup, curves, 1e-5)
+    assert run_check("curve_decomposition", setup, curves, 1e-6).status == PASS
+    res = run_check("sigma_second", setup, curves, 1e-5)
     assert res.status == PASS
     assert set(res.details) == {"horizontal", "vertical"}
 
@@ -234,11 +234,11 @@ def test_decomposition_splits_vertical_from_horizontal_defect():
         ((0.0, 0.0), (0.5, 0.2), 0.6),
         ((-0.2, 0.1), (0.3, -0.4), 0.6),
     ])
-    res = geo.check_curve_decomposition(setup, curves, 1e-6)
+    res = run_check("curve_decomposition", setup, curves, 1e-6)
     assert res.status == FAIL
     assert res.details["vertical"] < 1e-12
     assert res.details["horizontal"] > 1e-4
-    res2 = geo.check_sigma_second(setup, curves, 1e-5)
+    res2 = run_check("sigma_second", setup, curves, 1e-5)
     assert res2.status == FAIL
     assert res2.details["vertical"] < 1e-12
 
@@ -249,7 +249,7 @@ def test_projection_criterion_both_directions():
         ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0),
         ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0),
     ])
-    res = geo.geodesic_projection_check(setup, [ray, semi], 1e-6)
+    res = run_check("geodesic_projection", setup, [ray, semi], 1e-6)
     assert res.status == PASS  # verdicts agree on every curve
     per = res.details["curves"]
     assert per[0]["condition"] < 1e-8 and per[0]["base_residual"] < 1e-8
@@ -279,7 +279,7 @@ def test_projection_check_skips_non_geodesics():
     xs = np.stack([0.3 * np.sin(ts), 0.1 * ts, 1.0 + 0.2 * ts], axis=1)
     vs = np.stack([0.3 * np.cos(ts), 0.1 * np.ones_like(ts), 0.2 * np.ones_like(ts)], axis=1)
     bogus = geo.Trajectory(ts, xs, vs)
-    res = geo.geodesic_projection_check(setup, [bogus], 1e-6)
+    res = run_check("geodesic_projection", setup, [bogus], 1e-6)
     assert res.incidents == 1
     assert res.details["curves"][0].get("skipped") is True
 
@@ -619,7 +619,7 @@ def test_projection_check_is_inconclusive_when_too_few_curves_evaluate():
     ts = np.arange(0.0, 0.5, 1e-3)
     xs = np.stack([0.3 * np.sin(ts), 0.1 * ts, 1.0 + 0.2 * ts], axis=1)
     vs = np.stack([0.3 * np.cos(ts), 0.1 * np.ones_like(ts), 0.2 * np.ones_like(ts)], axis=1)
-    res = geo.geodesic_projection_check(setup, [ray, semi, geo.Trajectory(ts, xs, vs)], 1e-6)
+    res = run_check("geodesic_projection", setup, [ray, semi, geo.Trajectory(ts, xs, vs)], 1e-6)
     assert res.samples == 2 and res.incidents == 1
     assert res.status == INCONCLUSIVE
 
@@ -643,16 +643,16 @@ def test_each_curve_check_and_projectable_builds_one_frame_batch(monkeypatch):
                                  ((0.1, -0.2, 1.2), (0.4, 0.3, 0.5), 1.0)])
     curves.append(integrate_one(setup.total.conn, setup.total.chart, (0.2, 0.1, 0.9),
                                 (-0.3, 0.2, 0.4), 1.0, step=2e-3))
-    checks = [(geo.check_curve_decomposition, 1e-6), (geo.check_sigma_second, 1e-5),
-              (geo.geodesic_projection_check, 1e-6)]
+    checks = [("curve_decomposition", 1e-6), ("sigma_second", 1e-5),
+              ("geodesic_projection", 1e-6)]
     for some in (curves[:1], curves):
         for check, tol in checks:
             calls.clear()
-            assert check(setup, some, tol).status == PASS
+            assert run_check(check, setup, some, tol).status == PASS
             assert calls == [45 * len(some)]
     pts = sample_box(setup.total.chart.box, 64, 0)
     calls.clear()
-    assert submersion.check_projectable(setup, pts, 1e-8).status == PASS
+    assert run_check("projectable", setup, pts, 1e-8).status == PASS
     assert len(calls) == 1
 
 
@@ -674,14 +674,13 @@ def test_a_curve_whose_probe_rows_fail_is_one_incident():
     rows = geo.probe_rows(curves[1])
     first_error = setup._frames(rows["x"], True).errors[0]
     good = [curves[0]] + curves[2:]
-    for check in (geo.check_curve_decomposition, geo.check_sigma_second,
-                  geo.geodesic_projection_check):
-        res = check(setup, curves, 1e-6)
+    for check in ("curve_decomposition", "sigma_second", "geodesic_projection"):
+        res = run_check(check, setup, curves, 1e-6)
         assert res.incidents == 1 and res.samples == 3
         assert res.details["incident_kinds"] == {
             type(first_error).__name__: {"count": 1, "example": str(first_error)}}
-        alone = [check(setup, [c], 1e-6).details for c in good]
-        if check is geo.geodesic_projection_check:
+        alone = [run_check(check, setup, [c], 1e-6).details for c in good]
+        if check == "geodesic_projection":
             assert res.details["curves"] == [d["curves"][0] for d in alone]
         else:
             for key in geo.CURVE_KEYS:
@@ -693,7 +692,6 @@ def test_curves_keep_only_their_nodes_after_a_suite():
     ctx = runner.RunContext(sc, count=4, seed=0)
     for name in ("curve_decomposition", "geodesic_energy", "geodesic_projection",
                  "sigma_second"):
-        spec = runner.CHECK_TABLE[name]
-        assert spec.driver(sc, ctx, name, spec.tolerance).status == PASS
+        assert runner.run_check(name, sc, ctx).status == PASS
     for traj in ctx.curves().values():
         assert set(vars(traj)) == {"ts", "xs", "vs"}

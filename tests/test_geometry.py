@@ -8,7 +8,7 @@ sign of R, cubic form) is pinned to explicit numbers here.
 import numpy as np
 import pytest
 
-from conftest import gaussian_cubic_fields, grid_points, max_abs
+from conftest import gaussian_cubic_fields, grid_points, max_abs, run_check, space_of
 from subgeo import config, geometry, runner
 from subgeo.fields import (
     AlphaConnection,
@@ -150,7 +150,7 @@ def test_statistical_residual_polarity():
     flat = MetricField.from_exprs([["1", "0"], ["0", "1"]], 2)
     broken = ExprConnection(2, [[["0", "0"], ["0", "1"]],
                                 [["0", "0"], ["0", "0"]]])
-    r = geometry.statistical_rows(flat, broken, one((0.2, 0.4)))[0]
+    r = geometry.statistical_rows(space_of(flat, broken), one((0.2, 0.4)))["statistical"][0]
     assert r == pytest.approx(1.0)
 
 
@@ -175,7 +175,7 @@ def test_dual_involution_tightness():
     g = half_plane_metric()
     lc = LeviCivitaConnection(g)
     pts = grid_points(HALF_PLANE_BOX, count=8, seed=5)
-    res = geometry.check_dual_involution(lc, g, pts, 1e-9)
+    res = run_check("dual_involution", space_of(g, lc), pts, 1e-9)
     assert res.status == PASS
     assert res.max_residual < 1e-11
 
@@ -184,7 +184,7 @@ def test_curvature_duality_check():
     g = gaussian_metric()
     conn = AlphaConnection(g, gaussian_cubic_fields(), 1.0)
     pts = grid_points(GAUSS_BOX, count=6, seed=6)
-    res = geometry.check_curvature_duality(conn, g, pts, 1e-8)
+    res = run_check("curvature_duality", space_of(g, conn), pts, 1e-8)
     assert res.status == PASS
 
 
@@ -193,10 +193,10 @@ def test_is_statistical_check_result():
     broken = ExprConnection(2, [[["0", "0"], ["0", "1"]],
                                 [["0", "0"], ["0", "0"]]])
     pts = grid_points(((-0.9, 0.9), (-0.9, 0.9)), count=6, seed=8)
-    bad = geometry.is_statistical(broken, flat, pts, 1e-8)
+    bad = run_check("is_statistical", space_of(flat, broken), pts, 1e-8)
     assert bad.status == FAIL
     assert bad.max_residual == pytest.approx(1.0)
-    good = geometry.is_statistical(ExprConnection.zero(2), flat, pts, 1e-8)
+    good = run_check("is_statistical", space_of(flat, ExprConnection.zero(2)), pts, 1e-8)
     assert good.status == PASS
 
 

@@ -6,13 +6,16 @@ import importlib.util
 import json
 import math
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from subgeo import runner
 from subgeo.config import parse_config
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "same_reports.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "same_reports.py"
 _spec = importlib.util.spec_from_file_location("same_reports", SCRIPT)
 same_reports = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_reports)
@@ -60,10 +63,25 @@ def test_the_rounding_bound_is_relative_above_one(old):
     (case({"a": "pass"}), case({"a": "fail"})),                     # a string
     (case({"a": True}), case({"a": False})),                        # a boolean
     (case({"a": 3}), case({"a": 4})),                               # a count
+    (case({"a": 1.0, "b": 2.0}), case({"b": 2.0, "a": 1.0})),       # a key order
 ])
 def test_structural_differences_are_real(old, new):
     real, _ = same_reports.classify(old, new)
     assert real
+
+
+def test_the_gate_compares_reports_in_the_key_order_of_run_suite():
+    # subgeo verify --report writes each report in run_suite's key order,
+    # so the gate's child must print that order and not a sorted one
+    config = same_reports.case({"builtin": "hyperbolic:2", "checks": ["four_conditions"]}, 0,
+                               "jet")
+    out = subprocess.run([sys.executable, "-c", same_reports.CHILD, str(ROOT / "src"),
+                          json.dumps([config])], capture_output=True, text=True, check=True)
+    (line,) = out.stdout.splitlines()
+    want = runner.run_suite(parse_config(config, source="<hyperbolic:2>"))
+    for check in want["checks"]:
+        del check["wall_time_s"]
+    assert json.loads(line)["report"] == json.dumps(want, indent=2)
 
 
 @pytest.mark.parametrize("config", same_reports.INCIDENT_CASES, ids=same_reports.label)

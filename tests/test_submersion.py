@@ -9,7 +9,6 @@ properties are exercised in both directions.
 import gc
 import warnings
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from conftest import (
     hyperbolic_setup,
     max_abs,
     points_for,
+    run_check,
     skewed_setup,
 )
 from subgeo import builtins, config, geometry, runner
@@ -120,31 +120,31 @@ def test_fundamental_t_vanishes_on_flat_product():
 
 
 def test_fundamental_tensors_are_tensorial(hyp3):
-    res = sm.check_tensoriality(hyp3, points_for(hyp3, 6), 1e-8)
+    res = run_check("tensoriality", hyp3, points_for(hyp3, 6), 1e-8)
     assert res.status == PASS
 
 
 def test_always_true_identities_on_all_fixtures(skew, hyp3):
     for setup in (hyp3, gaussian_setup(1.0), euclid_setup(3, 2), skew):
         pts = points_for(setup, 8)
-        for fn in (sm.check_split_identities, sm.check_gauss_weingarten):
-            res = fn(setup, pts, 1e-9)
-            assert res.status == PASS, (setup.name, fn.__name__, res.max_residual)
+        for name in ("split_identities", "gauss_weingarten"):
+            res = run_check(name, setup, pts, 1e-9)
+            assert res.status == PASS, (setup.name, name, res.max_residual)
 
 
 def test_lemma_components_tight(hyp3):
     pts = points_for(hyp3, 10)
-    res = sm.check_lemma_components(hyp3, pts, 1e-7)
+    res = run_check("lemma_components", hyp3, pts, 1e-7)
     assert res.status == PASS
     assert res.max_residual < 1e-12
     assert set(res.details) == {f"cs{k}" for k in range(6, 12)}
 
-    res_g = sm.check_lemma_components(gaussian_setup(1.0), points_for(gaussian_setup(1.0), 10), 1e-7)
+    res_g = run_check("lemma_components", gaussian_setup(1.0), points_for(gaussian_setup(1.0), 10), 1e-7)
     assert res_g.status == PASS
 
 
 def test_four_conditions_positive(hyp3):
-    res = sm.four_conditions_check(hyp3, points_for(hyp3, 8), 1e-8)
+    res = run_check("four_conditions", hyp3, points_for(hyp3, 8), 1e-8)
     assert res.status == PASS
     assert res.details["biconditional_holds"] is True
     assert res.details["conditions_pass"] is True
@@ -160,7 +160,7 @@ def test_four_conditions_detects_broken_total(hyp3):
     total = Space(hyp3.total.chart, hyp3.total.metric,
                   SumConnection(hyp3.total.conn, ExprConnection(3, bump)))
     bad = sm.SubmersionSetup(total, hyp3.base, hyp3.pi, hyp3.phi, "perturbed")
-    res = sm.four_conditions_check(bad, points_for(bad, 8), 1e-8)
+    res = run_check("four_conditions", bad, points_for(bad, 8), 1e-8)
     assert res.status == FAIL
     # both sides fail, so the biconditional itself still holds
     assert res.details["biconditional_holds"] is True
@@ -169,9 +169,9 @@ def test_four_conditions_detects_broken_total(hyp3):
 
 def test_semi_riemannian_polarity(hyp3):
     flat = euclid_setup(3, 2)
-    assert sm.check_semi_riemannian(flat, points_for(flat, 6), 1e-9).status == PASS
+    assert run_check("semi_riemannian", flat, points_for(flat, 6), 1e-9).status == PASS
     # conformal but not isometric: horizontal lengths are rescaled
-    res = sm.check_semi_riemannian(hyp3, points_for(hyp3, 6), 1e-9)
+    res = run_check("semi_riemannian", hyp3, points_for(hyp3, 6), 1e-9)
     assert res.status == FAIL
     assert res.details["fiber_metric_degenerate"] is False
 
@@ -190,37 +190,37 @@ def test_semi_riemannian_fails_a_null_fiber_without_an_incident():
     setup = config.build_scenario(cfg).setup
     pts = np.array([(0.1, 0.2, 0.0), (0.1, 0.2, 0.5), (0.3, -0.2, 0.7)])
     assert setup.null_fibers(pts).tolist() == [True, False, False]
-    res = sm.check_semi_riemannian(setup, pts, 1e-8)
+    res = run_check("semi_riemannian", setup, pts, 1e-8)
     assert (res.status, res.samples, res.incidents) == (FAIL, 3, 0)
     assert res.details == {"fiber_metric_degenerate": True}
     assert res.max_residual == np.inf
-    assert sm.check_semi_riemannian(setup, pts[1:], 1e-8).details == {
+    assert run_check("semi_riemannian", setup, pts[1:], 1e-8).details == {
         "fiber_metric_degenerate": False}
 
 
 def test_conformal_family(hyp3):
     pts = points_for(hyp3, 8)
-    assert sm.check_conformal_metric(hyp3, pts, 1e-9).status == PASS
-    assert sm.check_conformal_hd(hyp3, pts, 1e-8).status == PASS
-    assert sm.check_affine_hd(hyp3, pts, 1e-8).status == PASS
-    assert sm.check_dual_conformal_pair(hyp3, pts, 1e-8).status == PASS
+    assert run_check("conformal_metric", hyp3, pts, 1e-9).status == PASS
+    assert run_check("conformal_defect", hyp3, pts, 1e-8).status == PASS
+    assert run_check("affine_hd", hyp3, pts, 1e-8).status == PASS
+    assert run_check("dual_conformal_pair", hyp3, pts, 1e-8).status == PASS
     gauss = gaussian_setup(1.0)
     gpts = points_for(gauss, 8)
-    assert sm.check_conformal_metric(gauss, gpts, 1e-9).status == PASS
-    assert sm.check_conformal_hd(gauss, gpts, 1e-8).status == PASS
+    assert run_check("conformal_metric", gauss, gpts, 1e-9).status == PASS
+    assert run_check("conformal_defect", gauss, gpts, 1e-8).status == PASS
 
 
 def test_conformal_metric_fails_with_wrong_factor(hyp3):
     wrong = sm.SubmersionSetup(
         hyp3.total, hyp3.base, hyp3.pi, ExprField.parse("-2*log(x3)", 3), "wrong-phi")
-    res = sm.check_conformal_metric(wrong, points_for(hyp3, 6), 1e-9)
+    res = run_check("conformal_metric", wrong, points_for(hyp3, 6), 1e-9)
     assert res.status == FAIL
 
 
 def test_projectable_and_induced(hyp3):
     pts = points_for(hyp3, 6)
-    assert sm.check_projectable(hyp3, pts, 1e-8).status == PASS
-    res = sm.theorem21_verify(hyp3, pts, 1e-7)
+    assert run_check("projectable", hyp3, pts, 1e-8).status == PASS
+    res = run_check("induced_statistical", hyp3, pts, 1e-7)
     assert res.status == PASS
     assert res.details["proof_identity_residual"] < 1e-10
 
@@ -228,7 +228,7 @@ def test_projectable_and_induced(hyp3):
 def test_induced_statistical_all_alphas():
     for alpha in (0.0, 1.0, -1.0):
         setup = gaussian_setup(alpha)
-        res = sm.theorem21_verify(setup, points_for(setup, 8), 1e-7)
+        res = run_check("induced_statistical", setup, points_for(setup, 8), 1e-7)
         assert res.status == PASS, (alpha, res.max_residual)
 
 
@@ -240,7 +240,7 @@ def test_induced_inconclusive_when_premise_broken(hyp3):
     total = Space(hyp3.total.chart, hyp3.total.metric,
                   SumConnection(hyp3.total.conn, ExprConnection(3, bump)))
     bad = sm.SubmersionSetup(total, hyp3.base, hyp3.pi, hyp3.phi, "perturbed")
-    res = sm.theorem21_verify(bad, points_for(bad, 6), 1e-7)
+    res = run_check("induced_statistical", bad, points_for(bad, 6), 1e-7)
     assert res.status == INCONCLUSIVE
     assert res.details.get("premise_failed") is True
 
@@ -255,7 +255,7 @@ def test_rank_drop_detected():
     setup = sm.SubmersionSetup(
         total, base, [ExprField.parse("x1^2 - x1/2", 2)], None, "fold")
     assert isinstance(setup._frames([(0.25, 0.3)], True).errors[0], RankDrop)
-    res = sm.check_split_identities(setup, [(0.25, 0.3)], 1e-9)
+    res = run_check("split_identities", setup, [(0.25, 0.3)], 1e-9)
     assert res.details["incident_kinds"]["RankDrop"]["count"] == 1
     # away from the fold the split works
     assert not setup._frames([(0.6, 0.3)], True).errors
@@ -351,8 +351,8 @@ def test_per_point_state_stays_bounded():
 
     for count in (8, 64):
         pts = points_for(setup, count)
-        assert sm.check_lemma_components(setup, pts, 1e-7).status == PASS
-        assert sm.four_conditions_check(setup, pts, 1e-8).status == PASS
+        assert run_check("lemma_components", setup, pts, 1e-7).status == PASS
+        assert run_check("four_conditions", setup, pts, 1e-8).status == PASS
         if count == 8:
             before = sizes()
     assert sizes() == before
@@ -372,32 +372,19 @@ def box_points(setup, unit):
     return [tuple(lo + np.array(u[:len(lo)]) * (hi - lo)) for u in unit]
 
 
-# the frame checks whose residuals run on a frame batch
+# the submersion checks that are pointwise, on a frame batch or a point stack
 FRAME_CHECKS = (
-    sm.check_lemma_components, sm.four_conditions_check, sm.check_gauss_weingarten,
-    sm.check_split_identities, sm.check_tensoriality, sm.check_semi_riemannian,
-    sm.check_conformal_metric, sm.check_conformal_hd, sm.check_affine_hd,
-    sm.check_dual_conformal_pair, sm.theorem21_verify,
+    "lemma_components", "four_conditions", "gauss_weingarten", "split_identities",
+    "tensoriality", "semi_riemannian", "conformal_metric", "conformal_defect", "affine_hd",
+    "dual_conformal_pair", "induced_statistical",
 )
 
-
-def frame_residuals(setup) -> dict:
-    """Each frame check's residual function on ``setup``, recorded from one
-    run of the check, plus the induced structures."""
-    found = {"induced_structures": lambda f: dict(enumerate(sm.induced_structures(f)))}
-    sweep_frames = sm.sweep_frames
-
-    def recording(setup, points, residuals, *args, **kwargs):
-        found[check.__name__] = residuals
-        return sweep_frames(setup, points, residuals, *args, **kwargs)
-
-    with mock.patch.object(sm, "sweep_frames", recording):
-        for check in FRAME_CHECKS:
-            check(setup, box_points(setup, [[0.5] * 4]), 1e-8)
-    return found
-
-
-FRAME_RESIDUALS = {which: frame_residuals(setup) for which, setup in FRAME_SETUPS.items()}
+# the row kernel of each submersion check on a frame batch, plus the
+# induced structures
+FRAME_RESIDUALS = {"induced_structures": lambda f: dict(enumerate(sm.induced_structures(f)))}
+FRAME_RESIDUALS.update((name, getattr(*spec.kernel))
+                       for name, spec in runner.CHECK_TABLE.items()
+                       if spec.needs == ("submersion",) and spec.stack.endswith("frames"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,7 +400,7 @@ def test_frame_batch_rows_equal_one_row_builds(which, unit):
         for name, values in frame_arrays(frames).items():
             assert np.array_equal(values[row], getattr(one, name)[0]), (which, name)
     # every frame residual reads its rows independently of the batch
-    for check, residuals in FRAME_RESIDUALS[which].items():
+    for check, residuals in FRAME_RESIDUALS.items():
         batch = residuals(frames)
         for row, one in enumerate(ones):
             alone = residuals(one)
@@ -488,8 +475,7 @@ def test_every_frame_part_is_that_of_the_eager_build(name, box, mode, seed):
 CHAIN_PARTS = ("d_lcols", "d_ph", "d_pv")
 
 
-@pytest.mark.parametrize("check", [sm.check_conformal_metric, sm.check_split_identities,
-                                   sm.check_semi_riemannian])
+@pytest.mark.parametrize("check", ["conformal_metric", "split_identities", "semi_riemannian"])
 @pytest.mark.parametrize("name", ["hyperbolic:3", "tangent_bundle_of:hyperbolic:2"])
 def test_checks_on_the_lifts_alone_never_build_the_projector_partials(name, check, monkeypatch):
     builds, batches = [], []
@@ -499,7 +485,7 @@ def test_checks_on_the_lifts_alone_never_build_the_projector_partials(name, chec
     monkeypatch.setattr(sm.SubmersionSetup, "_frames",
                         lambda *args: batches.append(frames(*args)) or batches[-1])
     setup = builtins.build(name).setup
-    assert check(setup, points_for(setup, 16), 1e-8).samples == 16
+    assert run_check(check, setup, points_for(setup, 16), 1e-8).samples == 16
     assert len(builds) == 1 and len(batches) <= 1
     assert [part for part in CHAIN_PARTS if part in builds[0]] == []
     assert [part for f in batches for part in CHAIN_PARTS if part in vars(f)] == []
@@ -550,7 +536,7 @@ def test_a_failing_point_is_one_incident_and_leaves_the_other_rows():
     alone = setup._frames([pts[0], pts[2], pts[3]], False)
     for name, values in frame_arrays(alone).items():
         assert np.array_equal(getattr(frames, name), values), name
-    res = sm.check_conformal_metric(setup, pts, 1e-8)
+    res = run_check("conformal_metric", setup, pts, 1e-8)
     assert res.incidents == 1 and res.samples == 3
     assert res.details["incident_kinds"]["EvalDomain"]["count"] == 1
 
@@ -605,11 +591,10 @@ REFERENCE_SETUPS = {
 def test_column_formulas_match_the_per_index_reference(which):
     setup = REFERENCE_SETUPS[which]
     f = setup._frames(points_for(setup, 16), False)
-    induced = frame_residuals(setup)["theorem21_verify"]
     for new, old in ((sm.lemma_components, ref.lemma_components),
                      (sm.four_conditions_at, ref.four_conditions_at),
                      (sm.gauss_weingarten_residuals, ref.gauss_weingarten_residuals),
-                     (induced, ref.induced_statistical)):
+                     (sm.induced_statistical_residuals, ref.induced_statistical)):
         got, want = new(f), old(f)
         assert set(got) == set(want)
         for key in want:
@@ -657,9 +642,9 @@ def test_a_frame_batch_is_freed_with_its_last_reference():
 
 
 ZERO_FIBER_VACUOUS = {
-    sm.check_lemma_components: ("cs7", "cs8", "cs9", "cs10", "cs11"),
-    sm.four_conditions_check: ("condition1", "condition2", "condition3"),
-    sm.check_gauss_weingarten: ("vert_vert", "vert_horiz", "horiz_vert"),
+    "lemma_components": ("cs7", "cs8", "cs9", "cs10", "cs11"),
+    "four_conditions": ("condition1", "condition2", "condition3"),
+    "gauss_weingarten": ("vert_vert", "vert_horiz", "horiz_vert"),
 }
 
 
@@ -668,13 +653,13 @@ def test_zero_fiber_results_on_every_frame_check():
     # and the others only rounding; projectable passes by convention
     setup = self_projection()
     pts = points_for(setup, 8)
-    for check in FRAME_CHECKS + (sm.check_projectable,):
-        res, name = check(setup, pts, 1e-8), check.__name__
+    for name in FRAME_CHECKS + ("projectable",):
+        res = run_check(name, setup, pts, 1e-8)
         assert (res.status, res.samples, res.incidents) == (PASS, 8, 0), name
         assert res.max_residual <= 2e-15, name
-        for key in ZERO_FIBER_VACUOUS.get(check, ()):
+        for key in ZERO_FIBER_VACUOUS.get(name, ()):
             assert res.details[key] == 0.0, (name, key)
-    assert sm.check_projectable(setup, pts, 1e-8).max_residual == 0.0
+    assert run_check("projectable", setup, pts, 1e-8).max_residual == 0.0
 
 
 def test_a_degenerate_pivot_pattern_re_pivots_at_the_point():
@@ -694,5 +679,5 @@ def test_a_degenerate_pivot_pattern_re_pivots_at_the_point():
     assert len(frames) == 3 and not frames.errors
     assert [w.category for w in caught] == [UserWarning]
     with pytest.warns(UserWarning, match="re-pivoting"):
-        res = sm.check_split_identities(setup, pts, 1e-9)
+        res = run_check("split_identities", setup, pts, 1e-9)
     assert res.status == PASS and res.incidents == 0

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import euclid_setup, gaussian_setup, hyperbolic_setup, max_abs
+from conftest import euclid_setup, gaussian_setup, hyperbolic_setup, max_abs, run_check
 from subgeo import builtins, fields, runner
 from subgeo import tangent_bundle as tb
 from subgeo import submersion as sm
@@ -163,7 +163,7 @@ def test_complete_metric_blocks(hyp2):
 
 def test_defining_rules_all_bundles(flat2, hyp2, gauss1):
     for bundle in (flat2, hyp2, gauss1):
-        res = tb.check_defining_rules(bundle, bundle_points(bundle), 1e-9)
+        res = run_check("tb_defining_rules", bundle, bundle_points(bundle), 1e-9)
         assert res.status == PASS, (bundle.chart.name, res.details)
         assert res.max_residual < 1e-12
 
@@ -172,13 +172,13 @@ def test_prop_checks(flat2, hyp2, gauss1):
     for bundle in (flat2, hyp2, gauss1):
         pts = bundle_points(bundle, 6)
         # prop41 and prop42 are these two checks on the bundle projection
-        assert sm.check_affine_hd(bundle.setup, pts, 1e-8).status == PASS
-        assert sm.check_semi_riemannian(bundle.setup, pts, 1e-8).status == PASS
+        assert run_check("affine_hd", bundle.setup, pts, 1e-8).status == PASS
+        assert run_check("semi_riemannian", bundle.setup, pts, 1e-8).status == PASS
 
 
 def test_tm_statistical_biconditional(flat2, hyp2):
     pts = bundle_points(flat2, 6)
-    res = tb.tm_statistical_check(flat2, pts, 1e-8)
+    res = run_check("tm_statistical", flat2, pts, 1e-8)
     assert res.status == PASS
     assert res.details["conditions_pass"] is True
     assert res.details["total_space_pass"] is True
@@ -186,7 +186,7 @@ def test_tm_statistical_biconditional(flat2, hyp2):
     # over the half-plane both sides reject, which still satisfies the
     # equivalence; the residuals are far from zero
     pts2 = bundle_points(hyp2, 6)
-    res2 = tb.tm_statistical_check(hyp2, pts2, 1e-8)
+    res2 = run_check("tm_statistical", hyp2, pts2, 1e-8)
     assert res2.status == PASS
     assert res2.details["conditions_pass"] is False
     assert res2.details["total_space_pass"] is False
@@ -205,7 +205,7 @@ def test_tm_statistical_counts_a_failing_point_once(flat2, monkeypatch):
         return build(self, x, rank_test)
 
     monkeypatch.setattr(sm.SubmersionSetup, "_frame_arrays", failing_at_third_point)
-    res = tb.tm_statistical_check(flat2, pts, 1e-8)
+    res = run_check("tm_statistical", flat2, pts, 1e-8)
     assert res.incidents == 1 and res.samples == 7
     assert res.details["incident_kinds"] == {
         "EvalDomain": {"count": 1, "example": str(EvalDomain("injected", point=pts[2]))}}
@@ -214,26 +214,26 @@ def test_tm_statistical_counts_a_failing_point_once(flat2, monkeypatch):
 def test_remark_complete_and_dual(flat2, hyp2, gauss1):
     for bundle in (flat2, hyp2, gauss1):
         pts = bundle_points(bundle, 6)
-        assert tb.remark_complete_check(bundle, pts, 1e-7).status == PASS
-        dual = tb.remark_dual_check(bundle, pts, 1e-8)
+        assert run_check("remark_complete_metric", bundle, pts, 1e-7).status == PASS
+        dual = run_check("remark_dual_complete", bundle, pts, 1e-8)
         assert dual.status == PASS
         assert dual.max_residual < 1e-10
 
 
 def test_remark_horizontal_polarity(flat2, hyp2, gauss1):
     # flat base: both sides hold
-    res = tb.remark_horizontal_check(flat2, bundle_points(flat2, 6), 1e-8)
+    res = run_check("remark_horizontal", flat2, bundle_points(flat2, 6), 1e-8)
     assert res.status == PASS
     assert res.details["bundle_pass"] and res.details["base_metric_pass"]
 
     # alpha = 1 base: nabla g != 0 and the bundle is not statistical either
-    res = tb.remark_horizontal_check(gauss1, bundle_points(gauss1, 6), 1e-8)
+    res = run_check("remark_horizontal", gauss1, bundle_points(gauss1, 6), 1e-8)
     assert res.status == PASS
     assert not res.details["bundle_pass"] and not res.details["base_metric_pass"]
 
     # curved metric-compatible base: nabla g = 0 but curvature obstructs
     # the bundle side, a genuine one-sided failure
-    res = tb.remark_horizontal_check(hyp2, bundle_points(hyp2, 6), 1e-8)
+    res = run_check("remark_horizontal", hyp2, bundle_points(hyp2, 6), 1e-8)
     assert res.status == FAIL
     assert res.details["base_metric_pass"] is True
     assert res.details["bundle_pass"] is False
@@ -419,7 +419,7 @@ def test_bundle_suites_hold_no_per_point_state():
     for count in (8, 64):
         ctx = runner.RunContext(scenario, count, 5)
         for name in scenario.checks:
-            result = runner.CHECK_TABLE[name].driver(scenario, ctx, name, 1e-7)
+            result = runner.run_check(name, scenario, ctx, 1e-7)
             assert result.samples > 0, name
         sizes.append(_containers(scenario.bundle))
     assert sizes[0] == sizes[1]
@@ -449,7 +449,7 @@ def test_a_build_evaluates_each_base_batch_once():
     x = sample_box(bundle.chart.box, 16, 0)
     with mock.patch.object(base.metric, "_batch", counting(base.metric)), \
             mock.patch.object(base.conn, "_batch", counting(base.conn)):
-        for build in (lambda: tb.check_defining_rules(bundle, x, 1e-8),
+        for build in (lambda: run_check("tb_defining_rules", bundle, x, 1e-8),
                       lambda: bundle.setup._frames(x, False)):
             calls.clear()
             build()
