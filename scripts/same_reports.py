@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the reports of two source trees on the builtin suites.
 
-Usage: python3 scripts/same_reports.py [--verdicts] OLD_SRC NEW_SRC
+Usage: python3 scripts/same_reports.py [--verdicts] [--except NAME]... OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the ``subgeo`` package (the
 ``src`` directory of two checkouts).  Each tree runs, in its own
@@ -27,6 +27,11 @@ incident kind.  Residuals, details and incident messages may move, as
 they do when a change moves the sample points or the residual
 arithmetic by design.  Every case whose verdicts differ is printed with
 its differences; exits 0 when none differ and 1 otherwise.
+
+Each ``--except NAME`` drops the report rows of the check NAME from
+both trees' reports before either comparison, for a change that moves
+that check's rows by design.  The suite summaries and exit codes are
+still compared, so a change the dropped rows make to them stays visible.
 """
 
 import difflib
@@ -103,6 +108,17 @@ for config in json.loads(sys.argv[2]):
     print(json.dumps({"exit": runner.exit_code(report),
                       "report": json.dumps(report, indent=2)}), flush=True)
 """
+
+
+def without(result: dict, names) -> dict:
+    """A case result with the rows of the checks ``names`` dropped from its
+    report; its exit code and suite summary stay.  A crash stays as it is."""
+    try:
+        report = json.loads(result["report"])
+    except json.JSONDecodeError:
+        return result
+    report["checks"] = [c for c in report["checks"] if c["name"] not in names]
+    return dict(result, report=json.dumps(report, indent=2))
 
 
 def run_tree(src: str) -> list:
@@ -200,16 +216,21 @@ def compare_verdicts(old, new) -> int:
 
 
 def main(argv) -> int:
-    args = argv[1:]
-    only_verdicts = args[:1] == ["--verdicts"]
-    if only_verdicts:
-        args = args[1:]
+    args, only_verdicts, excluded = argv[1:], False, set()
+    while args[:1] == ["--verdicts"] or (args[:1] == ["--except"] and len(args) > 1):
+        if args[0] == "--verdicts":
+            only_verdicts, args = True, args[1:]
+        else:
+            excluded.add(args[1])
+            args = args[2:]
     if len(args) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     old_src, new_src = args
     with ThreadPoolExecutor(max_workers=2) as pool:
         old, new = pool.map(run_tree, (old_src, new_src))
+    if excluded:
+        old, new = ([without(r, excluded) for r in tree] for tree in (old, new))
     if only_verdicts:
         return compare_verdicts(old, new)
     identical = rounding = real_count = 0

@@ -54,8 +54,8 @@ class BoundaryExit(SubgeoError):
 
 
 class PremiseFailed(SubgeoError):
-    """A sample item does not meet a hypothesis of its check (a curve that
-    is not a geodesic, a fiber with too few points), so it is not evaluated."""
+    """A sample item does not meet a hypothesis of its check (a fiber with
+    too few points), so it is not evaluated."""
 
 
 class ConfigError(SubgeoError):

@@ -1,4 +1,4 @@
-"""Geodesic integration and curve-level identities for submersions.
+"""Geodesic integration and the curve-level identities of a submersion.
 
 Curves are integrated with a fixed-step classical Runge-Kutta scheme on
 the first-order system (x' = v, v'^k = -Gamma^k_ij v^i v^j).  Jobs that
@@ -10,19 +10,17 @@ the finiteness of the accelerations and the chart box) then run once
 over the whole block.  A block that fails any of them is thrown away and
 replayed from its first state one checked step at a time
 (:func:`_rk4_step`), a failing step rebuilt job by job, so every job
-ends exactly as a loop that checks each step ends it.  Time derivatives
-of fields along a curve come from five-point fourth-order stencils on
-the stored nodes, so a curve residual matches the integrator's own
-accuracy (both are O(h^4)).
+ends exactly as a loop that checks each step ends it.  A curve is a
+:class:`Trajectory` or the error that ended its job (:func:`trajectory`).
 
 The decomposition identities relate the covariant derivative of a field
 along a curve in the total space to base and fiber contributions through
-the fundamental tensors and the conformal factor.  They are evaluated at
-interior probe nodes, where the central stencil applies.  Each curve
-check builds one frame batch over the five-node windows of every
-curve's probes, and a curve owns the rows of its windows.  A curve is
-a :class:`Trajectory` or the error that ended its job
-(:func:`trajectory`); a failed job is an incident of every curve check.
+the fundamental tensors and the conformal factor.  On a geodesic they
+are pointwise in its initial data (x, v): every time derivative they
+take has a closed form from the frame batch at x, sigma'' = -Gamma(v, v)
+and d/dt (M E) = (v^k d_k M) E + M dE/dt for the frame matrices P_V and
+dpi.  So the curve checks are frame kernels over sampled points, each
+with a velocity, and the integrated jobs feed the energy drift alone.
 """
 
 from __future__ import annotations
@@ -34,14 +32,13 @@ import numpy as np
 from .errors import BoundaryExit, ContractViolation, EvalDomain, SubgeoError
 from .fields import ConnectionField, MetricField
 from .linalg import certify
-from .results import build_rows, collect, owned_rows
-from .submersion import SubmersionSetup, _amax, _mv, _pair
+from .results import build_rows
+from .submersion import _amax, _mv, _pair
 
 DEFAULT_STEP = 1e-3
 # Most RK4 steps, round(t_end / h), one job may take: the node arrays of a
 # job are allocated up front, (MAX_STEPS + 1) rows of position and velocity.
 MAX_STEPS = 10**6
-MIN_NODES = 5
 
 
 class Trajectory:
@@ -56,10 +53,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.ts)
-
-    @property
-    def step(self) -> float:
-        return float(self.ts[1] - self.ts[0]) if len(self.ts) > 1 else 0.0
 
     def write_csv(self, path) -> None:
         n = self.xs.shape[1]
@@ -256,124 +249,11 @@ def too_many_steps(t_end: float, step: float) -> bool:
     return math.isinf(steps) or round(steps) > MAX_STEPS
 
 
-# five-point stencil weights, rows = offset of the node within the window
-_END_WEIGHTS = np.array([
-    [-25.0, 48.0, -36.0, 16.0, -3.0],
-    [-3.0, -10.0, 18.0, -6.0, 1.0],
-])
-_CENTER_WEIGHTS = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
-
-
-def derivative_along(values, step: float) -> np.ndarray:
-    """Fourth-order time derivative of node samples (N, ...) -> (N, ...)."""
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    if n < MIN_NODES:
-        raise ContractViolation(f"need at least {MIN_NODES} nodes, got {n}")
-    flat = values.reshape(n, -1)
-    out = np.empty_like(flat)
-    out[2:n - 2] = _central(flat[np.arange(2, n - 2)[:, None] + np.arange(-2, 3)], step)
-    for k in (0, 1):
-        out[k] = (_END_WEIGHTS[k] @ flat[:5]) / (12.0 * step)
-        out[n - 1 - k] = -(_END_WEIGHTS[k] @ flat[n - 5:][::-1]) / (12.0 * step)
-    return out.reshape(values.shape)
-
-
-def _central(samples, step: float) -> np.ndarray:
-    """Fourth-order central time derivative at the middle node of each
-    five-node window, samples (P, 5, ...) -> (P, ...)."""
-    return np.einsum("w,pw...->p...", _CENTER_WEIGHTS, samples) / (12.0 * step)
-
-
-def geodesic_residual(conn: ConnectionField, traj: Trajectory) -> float:
-    """Max norm of nabla_{sigma'} sigma' over the whole trajectory."""
-    res = (derivative_along(traj.vs, traj.step)
-           + np.einsum("pkij,pi,pj->pk", conn.batch(traj.xs, 0)[0], traj.vs, traj.vs))
-    return float(np.max(np.abs(res)))
-
-
 def energy_drift(metric: MetricField, traj: Trajectory) -> float:
     """Relative drift of g(sigma', sigma') along the curve."""
     (g,) = metric.batch(traj.xs, 0)
     e = np.einsum("pi,pij,pj->p", traj.vs, g, traj.vs)
     return float(np.max(np.abs(e - e[0])) / max(abs(e[0]), 1e-30))
-
-
-def probe_indices(n_nodes: int, count: int = 9):
-    """Interior node indices where the central stencil is available."""
-    if n_nodes < MIN_NODES:
-        raise ContractViolation(f"need at least {MIN_NODES} nodes, got {n_nodes}")
-    lo, hi = 2, n_nodes - 3
-    count = min(count, hi - lo + 1)
-    return sorted({int(round(lo + (hi - lo) * k / max(count - 1, 1))) for k in range(count)})
-
-
-def probe_rows(traj: Trajectory) -> dict:
-    """The five-node windows of a curve's probes (:func:`probe_indices`),
-    as rows in (probe, window) order: time ``t``, point ``x``, velocity
-    ``v`` and the curve's ``step`` at each."""
-    nodes = (np.array(probe_indices(len(traj)))[:, None] + np.arange(-2, 3)).ravel()
-    return {"t": traj.ts[nodes], "x": traj.xs[nodes], "v": traj.vs[nodes],
-            "step": np.full(len(nodes), traj.step)}
-
-
-class ProbeBatch:
-    """Probe windows of curves (:func:`probe_rows`, stacked) with the
-    frames at every window node, rows in (probe, window) order: ``node``
-    is the frame batch at the probe nodes, ``t``, ``x`` and ``vw`` the
-    times, points and velocities of the windows (P, 5, ...), ``v`` the
-    velocities at the probes and ``step`` each probe's curve step."""
-
-    def __init__(self, frames, rows: dict):
-        self.frames = frames
-        self.node = frames.take(slice(2, None, 5))
-        self.t = rows["t"].reshape(-1, 5)
-        self.x = rows["x"].reshape(len(self.t), 5, -1)
-        self.vw = rows["v"].reshape(self.x.shape)
-        self.v = self.vw[:, 2]
-        self.step = rows["step"][2::5, None]
-
-    def at_windows(self, name, vectors) -> np.ndarray:
-        """The frame matrix ``name`` times vectors (P, 5, n) at every window node."""
-        mat = getattr(self.frames, name)
-        return _mv(mat.reshape(self.t.shape + mat.shape[1:]), vectors)
-
-    def cov_total(self, nodes) -> np.ndarray:
-        """Covariant derivative at the probes of a field given on the windows."""
-        return (_central(nodes, self.step)
-                + np.einsum("pkij,pi,pj->pk", self.node.gamma, self.v, nodes[:, 2]))
-
-    def cov_base(self, nodes) -> np.ndarray:
-        """Base covariant derivative along pi(sigma) of base-vector nodes."""
-        w = _mv(self.node.dpi, self.v)
-        return (_central(nodes, self.step)
-                + np.einsum("pkij,pi,pj->pk", self.node.gamma_b, w, nodes[:, 2]))
-
-
-def curve_rows(setup: SubmersionSetup, curves, residuals, premise=lambda k: None):
-    """:func:`results.fold` inputs of ``residuals(probes)``, one value (or
-    dict of values) per probe of a :class:`ProbeBatch`, over one frame
-    batch at the probe windows of every curve (:func:`results.owned_rows`);
-    a curve's own steps run first: its job's error (:func:`trajectory`),
-    ``premise(position)``, then its node count."""
-
-    def rows_of(k):
-        traj = trajectory(curves[k])
-        premise(k)
-        return probe_rows(traj)
-
-    stacks, errors = collect(range(len(curves)), rows_of)
-    if not stacks:
-        return {}, errors
-    rows = {k: np.concatenate([r[k] for r in stacks.values()]) for k in ("t", "x", "v", "step")}
-    owners = np.repeat(list(stacks), [len(r["t"]) for r in stacks.values()])
-    frames = setup._frames(rows["x"], True)
-
-    def per_row(kept, points):
-        out = residuals(ProbeBatch(kept, {k: v[points] for k, v in rows.items()}))
-        return {k: np.repeat(v, 5) for k, v in out.items()}  # a probe's value on its window
-
-    return owned_rows(owners, frames, per_row, errors)
 
 
 def _lower(f, v) -> np.ndarray:
@@ -391,60 +271,71 @@ def _conformal_terms(f, x, h) -> np.ndarray:
             - dl * _pair(f.gb, px, ph)[:, None])
 
 
-def _push(setup: SubmersionSetup, f, x, u, h, w) -> np.ndarray:
+def _push(f, x, u, h, w) -> np.ndarray:
     """pi_*(A_H U + A_X W + T_U W), (P, m)."""
-    T, A = setup.fundamental_T, setup.fundamental_A
+    T, A = f.setup.fundamental_T, f.setup.fundamental_A
     return _mv(f.dpi, A(f, h, u) + A(f, x, w) + T(f, u, w))
 
 
-def curve_decomposition_residuals(setup: SubmersionSetup, pr: ProbeBatch, e_nodes=None) -> dict:
-    """Residuals at each probe of the two identities decomposing
-    (nabla_{sigma'} E), for the field E given on the probe windows
-    (P, 5, n), :func:`default_test_field` when None.  The horizontal
-    identity is tested against every base frame vector; the vertical
-    identity componentwise."""
-    if e_nodes is None:
-        e_nodes = default_test_field(setup.n)(pr.t, pr.x)
-    f = pr.node
-    T, A = setup.fundamental_T, setup.fundamental_A
-    e_i = e_nodes[:, 2]
-    x_i, u_i = _mv(f.ph, pr.v), _mv(f.pv, pr.v)
-    h_i, w_i = _mv(f.ph, e_i), _mv(f.pv, e_i)
-    e_prime = pr.cov_total(e_nodes)
-    v_prime = pr.cov_total(pr.at_windows("pv", e_nodes))
-    e_star = pr.cov_base(pr.at_windows("dpi", e_nodes))
-    rhs_base = e_star + _push(setup, f, x_i, u_i, h_i, w_i)
+def _gamma(gamma, a, b) -> np.ndarray:
+    """Gamma^k_ij a^i b^j, (P, k)."""
+    return np.einsum("pkij,pi,pj->pk", gamma, a, b)
+
+
+def _dt(d_mat, v, e) -> np.ndarray:
+    """(v^k d_k M) e: the time derivative along sigma' = v of a frame
+    matrix M, given its partials ``d_mat`` (derivative index first), on e."""
+    return np.einsum("pkij,pk,pj->pi", d_mat, v, e)
+
+
+def curve_decomposition_residuals(f, v, e=None, de=None) -> dict:
+    """Residuals at each frame point of the two identities decomposing
+    nabla_{sigma'} E along the geodesic sigma with sigma(0) the point and
+    sigma'(0) = v (P, n), for a field E along sigma with value e and time
+    derivative de there (P, n); :func:`default_test_field` when None.
+    The horizontal identity is tested against every base frame vector;
+    the vertical identity componentwise."""
+    if e is None:
+        e, de = (np.broadcast_to(a, v.shape) for a in default_test_field(f.setup.n))
+    T, A = f.setup.fundamental_T, f.setup.fundamental_A
+    x_i, u_i = _mv(f.ph, v), _mv(f.pv, v)
+    h_i, w_i = _mv(f.ph, e), _mv(f.pv, e)
+    e_prime = de + _gamma(f.gamma, v, e)
+    v_prime = _dt(f.d_pv, v, e) + _mv(f.pv, de) + _gamma(f.gamma, v, w_i)
+    e_star = (_dt(f.d_dpi, v, e) + _mv(f.dpi, de)
+              + _gamma(f.gamma_b, _mv(f.dpi, v), _mv(f.dpi, e)))
+    rhs_base = e_star + _push(f, x_i, u_i, h_i, w_i)
     lhs_base = _mv(f.dpi, _mv(f.ph, e_prime))
     horiz = _lower(f, lhs_base) - (_lower(f, rhs_base) + _conformal_terms(f, x_i, h_i))
     vert = _mv(f.pv, e_prime) - (A(f, x_i, h_i) + T(f, u_i, h_i) + _mv(f.pv, v_prime))
     return {"horizontal": _amax(horiz), "vertical": _amax(vert)}
 
 
-def sigma_second_residuals(setup: SubmersionSetup, pr: ProbeBatch) -> dict:
+def sigma_second_residuals(f, v) -> dict:
     """Residuals of the second-derivative corollary: the decomposition
-    with E = sigma'."""
-    return curve_decomposition_residuals(setup, pr, pr.vw)
+    with E = sigma', whose time derivative is sigma'' = -Gamma(v, v)."""
+    return curve_decomposition_residuals(f, v, v, -_gamma(f.gamma, v, v))
 
 
-def projection_condition_residuals(setup: SubmersionSetup, pr: ProbeBatch) -> dict:
-    """The projection criterion and the base-geodesic residual at each
-    probe; the theorem says one vanishes along a curve iff the other does."""
-    f = pr.node
-    x_i, u_i = _mv(f.ph, pr.v), _mv(f.pv, pr.v)
-    sig2_star = pr.cov_base(pr.at_windows("dpi", pr.vw))
-    cond = _lower(f, _push(setup, f, x_i, u_i, x_i, u_i)) + _conformal_terms(f, x_i, x_i)
-    return {"condition": _amax(cond), "base_residual": _amax(sig2_star)}
+def projection_condition_residuals(f, v) -> dict:
+    """The projection criterion along the geodesic with initial data
+    (point, v) at each frame point: ``condition`` its largest component,
+    ``base_residual`` the base acceleration nabla^B_{pi_* sigma'} pi_*
+    sigma', and ``equality`` the defect of the theorem's pointwise form,
+    g_B(base acceleration, e_a) + condition_a = 0, so the condition
+    vanishes iff the projected curve is a base geodesic."""
+    x_i, u_i, w = _mv(f.ph, v), _mv(f.pv, v), _mv(f.dpi, v)
+    base = _dt(f.d_dpi, v, v) - _mv(f.dpi, _gamma(f.gamma, v, v)) + _gamma(f.gamma_b, w, w)
+    cond = _lower(f, _push(f, x_i, u_i, x_i, u_i)) + _conformal_terms(f, x_i, x_i)
+    return {"equality": _amax(_lower(f, base) + cond), "condition": _amax(cond),
+            "base_residual": _amax(base)}
 
 
 def default_test_field(dim: int):
-    """Deterministic smooth field used by the decomposition check."""
-    base = np.resize([0.7, -0.4, 0.9, 0.5, -0.8, 0.6], dim)
-    slope = np.resize([0.3, 0.5, -0.2, -0.6, 0.4, 0.2], dim)
-
-    def e_fn(t, x):
-        return base + np.asarray(t)[..., None] * slope
-
-    return e_fn
+    """The field E(t) = E0 + t E1 the decomposition check tests, as its
+    value E0 at t = 0 and its time derivative E1, each (dim,)."""
+    return (np.resize([0.7, -0.4, 0.9, 0.5, -0.8, 0.6], dim),
+            np.resize([0.3, 0.5, -0.2, -0.6, 0.4, 0.2], dim))
 
 
 CURVE_KEYS = ("horizontal", "vertical")

@@ -73,7 +73,8 @@ class Sweep:
     """What one check's residuals came to over its items.
 
     ``residual`` is the worst item residual, ``worst`` the worst value of
-    each named residual, ``worst_index`` the position of the worst item.
+    each named residual, ``named`` each named residual of the evaluated
+    items in item order, ``worst_index`` the position of the worst item.
     """
 
     def __init__(self, attempted: int, keys=()):
@@ -81,6 +82,7 @@ class Sweep:
         self.evaluated = 0
         self.residual = 0.0
         self.worst = {k: 0.0 for k in keys}
+        self.named = {}
         self.worst_index = None
         self.incidents = 0
         self.kinds = {}
@@ -149,6 +151,7 @@ def fold(residuals, errors=None, keys=()) -> Sweep:
     else:
         named, rows = {}, np.asarray(residuals, dtype=float).reshape(-1)
     out = Sweep(len(rows) + len(errors), keys)
+    out.named = named
     for k, values in named.items():
         if len(values):
             start = out.worst.get(k, values[0])

@@ -28,27 +28,32 @@ import numpy as np
 from . import __version__, geodesics, geometry, submersion, tangent_bundle
 from .builtins import Scenario
 from .config import SuiteConfig, build_scenario
-from .errors import ConfigError, ContractViolation, PremiseFailed, SubgeoError
+from .errors import ConfigError, ContractViolation, SubgeoError
 from .fields import FDField
 from .geodesics import CURVE_KEYS
-from .results import (FAIL, INCONCLUSIVE, PASS, PREMISE_FACTOR, CheckResult, agree, build_rows,
-                      collect, fold, peak)
+from .results import (FAIL, INCONCLUSIVE, PASS, CheckResult, agree, build_rows, collect, fold,
+                      peak)
 from .sampling import sample_box, subseed
 from .submersion import CONDITIONS, LEMMA_KEYS
 from .tangent_bundle import TM_COMPONENTS
 
 FD_PROBES = 16
+# Each velocity component of the curve checks' initial data lies in this interval.
+VELOCITY_BOX = (-1.0, 1.0)
 
 
 class RunContext:
-    """Per-suite state shared by the check drivers."""
+    """Per-suite state shared by the check drivers: the sample points, a
+    velocity at each (the initial data of the geodesics the curve checks
+    test) and the integrated geodesic jobs, each drawn or integrated once
+    per suite, on first use."""
 
     def __init__(self, scenario: Scenario, count: int, seed: int, boxes=None):
         self.scenario = scenario
         self.count = count
         self.seed = seed
         self.boxes = boxes if boxes is not None else scenario.space.chart.box
-        self._points = self._curves = None
+        self._points = self._velocities = self._curves = None
 
     def points(self) -> np.ndarray:
         """The suite's sample, (count, n) and read-only: drawn once, on
@@ -60,9 +65,22 @@ class RunContext:
             self._points.flags.writeable = False
         return self._points
 
+    def velocities(self) -> np.ndarray:
+        """A velocity at each point of :meth:`points`, (count, n) and
+        read-only: drawn once, on first use, from the sub-seed labelled
+        "velocities", uniform in the box VELOCITY_BOX^n.  The curve checks
+        read (points()[k], velocities()[k]) as the initial data of a
+        geodesic."""
+        if self._velocities is None:
+            box = [VELOCITY_BOX] * self.scenario.dim
+            self._velocities = sample_box(box, self.count, subseed(self.seed, "velocities"))
+            self._velocities.flags.writeable = False
+        return self._velocities
+
     def curves(self) -> dict:
         """Every geodesic job's outcome in name order: its Trajectory, or
-        the :class:`SubgeoError` that ended it.
+        the :class:`SubgeoError` that ended it.  ``geodesic_energy`` reads
+        them.
 
         Jobs integrate once per suite, on first use; those that share
         (t_end, h) integrate together in lockstep.
@@ -99,22 +117,23 @@ NEEDS = {
     "bundle submersion": ("tangent bundle", lambda sc: sc.bundle and sc.bundle.setup),
     "geodesic jobs": ("geodesic jobs", lambda sc: sc.geodesic_jobs or None),
 }
-STACKS = ("points", "frames", "ranked frames", "probes")
+STACKS = ("points", "frames", "ranked frames", "tangent frames")
 
 
 def _run_kernel(spec, scenario, ctx, tol) -> CheckResult:
-    """The driver of a kernel row: its stack over the suite's points or
-    curves (an item that fails to build is an incident), mapped by its
-    kernel, read off its module at each run, folded and judged."""
+    """The driver of a kernel row: its stack over the suite's points (a
+    point that fails to build is an incident), mapped by its kernel, read
+    off its module at each run, folded and judged.  A ``tangent frames``
+    kernel takes the rank-tested frame batch and the velocities of its rows."""
     subject, kernel = NEEDS[spec.needs[0]][1](scenario), getattr(*spec.kernel)
     if spec.stack == "points":
         items = build_rows(lambda x: kernel(subject, x), ctx.points())
-    elif spec.stack == "probes":
-        items = geodesics.curve_rows(subject, list(ctx.curves().values()),
-                                     lambda probes: kernel(subject, probes))
     else:
-        frames = subject._frames(ctx.points(), spec.stack == "ranked frames")
-        items = (kernel(frames) if len(frames) else {}), frames.errors
+        frames = subject._frames(ctx.points(), spec.stack != "frames")
+        args = (frames,)
+        if spec.stack == "tangent frames":
+            args += (np.delete(ctx.velocities(), sorted(frames.errors), axis=0),)
+        items = (kernel(*args) if len(frames) else {}), frames.errors
     return spec.rule(fold(*items, keys=spec.keys), tol, subject)
 
 
@@ -218,37 +237,6 @@ def _geodesic_energy(scenario, ctx, tol):
     return fold(list(drifts.values()), errors).summarize(tol, details={"jobs": sorted(curves)})
 
 
-def _geodesic_projection(scenario, ctx, tol):
-    """Criterion residual vanishes iff the projected curve is a base geodesic.
-
-    Each curve must itself be a geodesic of the total space (premise); a
-    curve whose premise residual exceeds PREMISE_FACTOR * tol is skipped
-    as an incident.  The check passes when every curve's two verdicts
-    agree, and is inconclusive when fewer than 90% of the curves evaluate;
-    its residual is each side's value where the other side passes.
-    """
-    setup, curves = scenario.setup, list(ctx.curves().values())
-    per_curve = {}
-
-    def premise(k):
-        residual = geodesics.geodesic_residual(setup.total.conn, curves[k])
-        if residual > PREMISE_FACTOR * tol:
-            per_curve[k] = {"premise_residual": residual, "skipped": True}
-            raise PremiseFailed(f"curve is not a geodesic: premise residual {residual:.3e}")
-
-    values, errors = geodesics.curve_rows(
-        setup, curves, lambda pr: geodesics.projection_condition_residuals(setup, pr), premise)
-    cond, base = (values.get(k, np.zeros(0)) for k in ("condition", "base_residual"))
-    evaluated = [k for k in range(len(curves)) if k not in errors]
-    for k, c, b in zip(evaluated, cond.tolist(), base.tolist()):
-        per_curve[k] = {"condition": c, "base_residual": b, "agree": agree(c, b, tol)}
-    s = fold(np.maximum(np.where(cond <= tol, base, 0.0), np.where(base <= tol, cond, 0.0)),
-             errors)
-    status = s.verdict(all(c.get("agree", True) for c in per_curve.values()))
-    return s.result(tol, status, s.residual,
-                    details={"curves": [per_curve[k] for k in sorted(per_curve)]})
-
-
 # -- verdict rules: a fold, the tolerance and the subject -> CheckResult --------
 
 
@@ -259,6 +247,15 @@ def _bound(s, tol, subject):
 def _bound_each(s, tol, subject):
     """A bound that reports the worst of each named residual."""
     return s.summarize(tol, s.worst)
+
+
+def _projection_criterion(s, tol, setup):
+    """A bound on the theorem's pointwise equality, with how many points
+    meet the condition, how many project to a base geodesic, and how many
+    of those two verdicts disagree."""
+    cond, base = (s.named.get(k, np.zeros(0)) <= tol for k in ("condition", "base_residual"))
+    return s.summarize(tol, {"condition_holds": int(cond.sum()), "base_geodesic": int(base.sum()),
+                             "disagree": int((cond != base).sum())}, ("equality",))
 
 
 def _curvature_model(s, tol, curved):
@@ -381,16 +378,17 @@ CHECK_TABLE = {s.name: s for s in [
               ("submersion",), "frames", (submersion, "induced_statistical_residuals"),
               _induced_statistical, ("premise", "statistical", "identity")),
     CheckSpec("geodesic_projection", "§3.1 Theorem", 1e-6,
-              "projection criterion verdict matches the base geodesic verdict",
-              ("submersion", "geodesic jobs"), driver=_geodesic_projection),
+              "base acceleration of a projected geodesic equals minus the criterion",
+              ("submersion",), "tangent frames", (geodesics, "projection_condition_residuals"),
+              _projection_criterion, ("equality", "condition", "base_residual")),
     CheckSpec("curve_decomposition", "§3.1 Theorem", 1e-8,
-              "horizontal/vertical decomposition of derivatives along curves",
-              ("submersion", "geodesic jobs"), "probes",
-              (geodesics, "curve_decomposition_residuals"), _bound_each, CURVE_KEYS),
+              "horizontal/vertical decomposition of derivatives along geodesics",
+              ("submersion",), "tangent frames", (geodesics, "curve_decomposition_residuals"),
+              _bound_each, CURVE_KEYS),
     CheckSpec("sigma_second", "§3.1 Corollary", 1e-5,
               "second-derivative split of a geodesic through the submersion",
-              ("submersion", "geodesic jobs"), "probes",
-              (geodesics, "sigma_second_residuals"), _bound_each, CURVE_KEYS),
+              ("submersion",), "tangent frames", (geodesics, "sigma_second_residuals"),
+              _bound_each, CURVE_KEYS),
     CheckSpec("geodesic_energy", "integrator hygiene", 1e-6,
               "kinetic energy drift along integrated geodesics",
               ("geodesic jobs",), driver=_geodesic_energy),

@@ -114,14 +114,17 @@ def max_abs(arr):
 
 
 class Given:
-    """A run context over given points and curves, read as a check reads
-    runner.RunContext."""
+    """A run context over given points, velocities and curves, read as a
+    check reads runner.RunContext."""
 
-    def __init__(self, points, curves):
-        self._points, self._curves = points, curves
+    def __init__(self, points, curves, velocities=None):
+        self._points, self._curves, self._velocities = points, curves, velocities
 
     def points(self):
         return self._points
+
+    def velocities(self):
+        return self._velocities
 
     def curves(self):
         return self._curves
@@ -132,11 +135,12 @@ def space_of(metric, conn):
     return Space(ChartedManifold("given", metric.dim, ((-1.0, 1.0),) * metric.dim), metric, conn)
 
 
-def run_check(name, subject, items, tol=None):
+def run_check(name, subject, items, tol=None, velocities=None):
     """runner.run_check of the check ``name`` on a scenario of ``subject``
-    (a Space, a SubmersionSetup or a TangentBundle), over ``items``: points, or
-    curves (each a Trajectory or the error that ended its job), which
-    stand for the scenario's geodesic jobs, in order."""
+    (a Space, a SubmersionSetup or a TangentBundle), over ``items``: points,
+    with a velocity at each for the curve checks, or curves (each a
+    Trajectory or the error that ended its job), which stand for the
+    scenario's geodesic jobs, in order."""
     if isinstance(subject, SubmersionSetup):
         scenario = Scenario("given", subject.total, setup=subject)
     elif isinstance(subject, TangentBundle):
@@ -149,4 +153,9 @@ def run_check(name, subject, items, tol=None):
         scenario.geodesic_jobs = dict.fromkeys(curves)
         return runner.run_check(name, scenario, Given(None, curves), tol)
     points = np.asarray(items, dtype=float).reshape(len(items), scenario.dim)
-    return runner.run_check(name, scenario, Given(points, {}), tol)
+    return runner.run_check(name, scenario, Given(points, {}, velocities), tol)
+
+
+def nodes_of(curves):
+    """The nodes of integrated curves, stacked: (points, velocities)."""
+    return (np.concatenate([c.xs for c in curves]), np.concatenate([c.vs for c in curves]))

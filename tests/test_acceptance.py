@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import integrate_one, run_check
+from conftest import integrate_one, nodes_of, run_check
 from subgeo import builtins, cli, geodesics as geo, geometry, runner
 from subgeo.sampling import sample_box
 
@@ -124,6 +124,8 @@ def test_criterion_5_half_plane_closed_forms():
 
 
 def test_criterion_6_projection_criterion_three_curves():
+    # the nodes (x, sigma') of the integrated half-plane geodesics are the
+    # sample: the criterion and the base-geodesic verdict agree at every one
     scenario = builtins.build("hyperbolic:2")
     setup = scenario.setup
     curves = [
@@ -132,13 +134,14 @@ def test_criterion_6_projection_criterion_three_curves():
         for _, job in sorted(scenario.geodesic_jobs.items())
     ]
     assert len(curves) >= 3
-    res = run_check("geodesic_projection", setup, curves, 1e-6)
-    agree = all(c.get("agree") for c in res.details["curves"])
-    dec = run_check("curve_decomposition", setup, curves, 1e-5)
-    sig = run_check("sigma_second", setup, curves, 1e-5)
+    x, v = nodes_of(curves)
+    res = run_check("geodesic_projection", setup, x, 1e-6, v)
+    agree = res.samples == len(x) and res.details["disagree"] == 0
+    dec = run_check("curve_decomposition", setup, x, 1e-5, v)
+    sig = run_check("sigma_second", setup, x, 1e-5, v)
     ok = res.status == "pass" and agree and dec.status == "pass" and sig.status == "pass"
     verdict(6, ok, f"{len(curves)} half-plane geodesics: projection verdicts "
-                   f"agree, decomposition {dec.max_residual:.2e} and "
+                   f"agree at all {len(x)} nodes, decomposition {dec.max_residual:.2e} and "
                    f"second-derivative split {sig.max_residual:.2e} <= 1e-5")
 
 

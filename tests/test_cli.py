@@ -407,16 +407,19 @@ def test_integer_fields_reject_booleans(tmp_path, capsys, payload, message):
 # a job leaving the chart box after about 0.03 time units
 EXITS = {"builtin": "hyperbolic:3", "sampling": {"count": 16},
          "geodesics": {"exits": {"p0": [0.9, 0, 1], "v0": [3, 0, 0]}}}
-CURVE_CHECKS = ("curve_decomposition", "geodesic_energy", "geodesic_projection", "sigma_second")
+CURVE_CHECKS = ("curve_decomposition", "geodesic_projection", "sigma_second")
 
 
-def test_a_failed_job_is_an_incident_of_every_curve_check():
+def test_a_failed_job_is_an_incident_of_geodesic_energy_only():
+    # the curve checks read sampled initial data, not the jobs
     report = runner.run_suite(config.parse_config(EXITS))
     checks = {c["name"]: c for c in report["checks"]}
+    energy = checks["geodesic_energy"]
+    assert (energy["status"], energy["samples"], energy["incidents"]) == ("inconclusive", 3, 1)
+    assert list(energy["details"]["incident_kinds"]) == ["BoundaryExit"]
     for name in CURVE_CHECKS:
         check = checks[name]
-        assert (check["status"], check["samples"], check["incidents"]) == ("inconclusive", 3, 1)
-        assert list(check["details"]["incident_kinds"]) == ["BoundaryExit"]
+        assert (check["status"], check["samples"], check["incidents"]) == ("pass", 16, 0)
     assert runner.exit_code(report) == 1
 
 
@@ -517,7 +520,6 @@ SUBMERSION_ONLY = ["affine_hd", "conformal_defect", "conformal_metric", "dual_co
                    "four_conditions", "gauss_weingarten", "induced_statistical",
                    "lemma_components", "projectable", "semi_riemannian", "split_identities",
                    "tensoriality"]
-CURVE_CHECKS = ["curve_decomposition", "geodesic_projection", "sigma_second"]
 MANIFOLD_ONLY = {"manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 3.0]],
                               "metric": [["1/x2^2", "0"], ["0", "1/x2^2"]]}}
 
@@ -526,8 +528,8 @@ MANIFOLD_ONLY = {"manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 3.0]],
     ({"builtin": "hyperbolic:3"}, {name: "tangent bundle" for name in BUNDLE_ONLY}),
     ({"builtin": "tangent_bundle_of:hyperbolic:2"},
      {"constant_curvature": "reference curvature constant", "geodesic_energy": "geodesic jobs"}),
-    # a curve check names the submersion first, then the geodesic jobs
-    (MANIFOLD_ONLY, {name: "submersion" for name in SUBMERSION_ONLY + CURVE_CHECKS}),
+    # a curve check needs only the submersion, not the geodesic jobs
+    (MANIFOLD_ONLY, {name: "submersion" for name in SUBMERSION_ONLY + list(CURVE_CHECKS)}),
 ])
 def test_a_check_the_scenario_cannot_feed_reports_a_skip_row(payload, missing):
     cfg = config.parse_config(dict(payload, checks=sorted(missing),

@@ -5,6 +5,7 @@ Upper half-plane geodesics have exact formulas: vertical rays
 (tanh t, sech t) when shot horizontally from (0, 1).
 """
 
+import collections
 import math
 import warnings
 
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 import rk4_reference
-from conftest import hyperbolic_setup, integrate_one, max_abs, run_check, skewed_setup
+import stencil_reference
+from conftest import (hyperbolic_setup, integrate_one, max_abs, nodes_of, run_check,
+                      skewed_setup)
 from subgeo import builtins, config, exprlang, fields, linalg, runner
 from subgeo import geodesics as geo
 from subgeo.errors import BoundaryExit, ContractViolation, EvalDomain, SingularMatrix
@@ -176,31 +179,63 @@ def test_derivative_along_is_fourth_order():
     h = 1e-3
     ts = np.arange(41) * h
     vals = np.sin(3.0 * ts)[:, None]
-    d = geo.derivative_along(vals, h)
+    d = stencil_reference.derivative_along(vals, h)
     assert max_abs(d[:, 0] - 3.0 * np.cos(3.0 * ts)) < 1e-10
     # exact for quartics, including the one-sided end rows
     vals = (ts ** 4)[:, None]
-    d = geo.derivative_along(vals, h)
+    d = stencil_reference.derivative_along(vals, h)
     assert max_abs(d[:, 0] - 4.0 * ts ** 3) < 1e-12
 
 
 def test_derivative_along_needs_five_nodes():
     with pytest.raises(ContractViolation):
-        geo.derivative_along(np.zeros((4, 2)), 0.1)
+        stencil_reference.derivative_along(np.zeros((4, 2)), 0.1)
     with pytest.raises(ContractViolation):
-        geo.probe_indices(3)
+        stencil_reference.probe_indices(3)
 
 
-def test_geodesic_residual_polarity():
-    chart, metric, conn = half_plane()
-    traj = integrate_one(conn, chart, (0.0, 1.0), (1.0, 0.0), 1.0, step=1e-3)
-    assert geo.geodesic_residual(conn, traj) < 1e-8
-    # a circle in the flat plane is visibly not autoparallel
-    ts = np.arange(0.0, 1.0, 1e-3)
-    xs = np.stack([np.cos(ts), np.sin(ts)], axis=1) * 0.5 + 1.0
-    vs = np.stack([-np.sin(ts), np.cos(ts)], axis=1) * 0.5
-    circle = geo.Trajectory(ts, xs, vs)
-    assert geo.geodesic_residual(ExprConnection.zero(2), circle) > 0.4
+# A field along each curve, E(t) = E0 + t E1, for the stencil reference.
+FIELD_AT_0 = np.array([0.7, -0.4, 0.9])
+FIELD_SLOPE = np.array([0.3, 0.5, -0.2])
+# The central stencil errs by (h^4 / 30) |f^(5)| at a node, and the RK4
+# nodes differ from the exact geodesic's by a derivative error of order
+# h^4 as well.  On these unit-scale curves the worst of both is 18 h^4
+# (sigma' of gaussian:alpha=1's sigma_ray, falling 16-fold per halving
+# of h), so C = 100 leaves room and stays far below the 1e-8 scale of a
+# wrong closed form.
+STENCIL_C = 100.0
+
+
+@pytest.mark.parametrize("name", ["hyperbolic:2", "hyperbolic:3", "gaussian:alpha=0",
+                                  "gaussian:alpha=1"])
+def test_stencil_derivatives_along_the_jobs_match_the_closed_forms(name):
+    # at the probe nodes of each integrated builtin job, the five-node
+    # stencil of sigma', P_V E and pi_* E against -Gamma(v, v),
+    # (d_pv . v) E + P_V E1 and (d_dpi . v) E + pi_* E1 from the frames
+    sc = builtins.build(name)
+    n = sc.dim
+    for traj in runner.RunContext(sc, count=1, seed=0).curves().values():
+        h = traj.ts[1] - traj.ts[0]
+        probes = np.array(stencil_reference.probe_indices(len(traj)))
+        nodes = (probes[:, None] + np.arange(-2, 3)).ravel()
+        frames = sc.setup._frames(traj.xs[nodes], True)
+        f, v = frames.take(slice(2, None, 5)), traj.vs[probes]
+        e_nodes = FIELD_AT_0[:n] + traj.ts[nodes][:, None] * FIELD_SLOPE[:n]
+        e = e_nodes[2::5]
+
+        def stencil(values):
+            windows = values.reshape(len(probes), 5, -1)
+            return stencil_reference.derivative_along(np.swapaxes(windows, 0, 1), h)[2]
+
+        pairs = [
+            (stencil(traj.vs[nodes]), -np.einsum("pkij,pi,pj->pk", f.gamma, v, v)),
+            (stencil(np.einsum("pij,pj->pi", frames.pv, e_nodes)),
+             np.einsum("pkij,pk,pj->pi", f.d_pv, v, e) + f.pv @ FIELD_SLOPE[:n]),
+            (stencil(np.einsum("pij,pj->pi", frames.dpi, e_nodes)),
+             np.einsum("pkij,pk,pj->pi", f.d_dpi, v, e) + f.dpi @ FIELD_SLOPE[:n]),
+        ]
+        for by_stencil, closed in pairs:
+            assert max_abs(by_stencil - closed) <= STENCIL_C * h ** 4
 
 
 def _hyp_curves(setup, jobs):
@@ -212,14 +247,14 @@ def _hyp_curves(setup, jobs):
 
 def test_decomposition_checks_on_hyperbolic():
     setup = hyperbolic_setup(3)
-    curves = _hyp_curves(setup, [
+    x, v = nodes_of(_hyp_curves(setup, [
         ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0),
         ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0),
         ((0.1, -0.2, 1.2), (0.4, 0.3, 0.5), 1.0),
-    ])
-    assert run_check("curve_decomposition", setup, curves, 1e-6).status == PASS
-    res = run_check("sigma_second", setup, curves, 1e-5)
-    assert res.status == PASS
+    ]))
+    assert run_check("curve_decomposition", setup, x, 1e-6, v).status == PASS
+    res = run_check("sigma_second", setup, x, 1e-5, v)
+    assert res.status == PASS and res.samples == len(x)
     assert set(res.details) == {"horizontal", "vertical"}
 
 
@@ -230,58 +265,87 @@ def test_decomposition_splits_vertical_from_horizontal_defect():
     # involve the base connection and must stay at machine precision, while
     # the horizontal side shows the genuine defect.
     setup = skewed_setup()
-    curves = _hyp_curves(setup, [
+    x, v = nodes_of(_hyp_curves(setup, [
         ((0.0, 0.0), (0.5, 0.2), 0.6),
         ((-0.2, 0.1), (0.3, -0.4), 0.6),
-    ])
-    res = run_check("curve_decomposition", setup, curves, 1e-6)
+    ]))
+    res = run_check("curve_decomposition", setup, x, 1e-6, v)
     assert res.status == FAIL
     assert res.details["vertical"] < 1e-12
     assert res.details["horizontal"] > 1e-4
-    res2 = run_check("sigma_second", setup, curves, 1e-5)
+    res2 = run_check("sigma_second", setup, x, 1e-5, v)
     assert res2.status == FAIL
     assert res2.details["vertical"] < 1e-12
 
 
 def test_projection_criterion_both_directions():
+    # the ray projects to a point: both sides hold at each of its nodes;
+    # the semicircle projects to a reparametrized line: both sides reject
+    # it at every node but its start, where tanh(0) = 0
     setup = hyperbolic_setup(3)
     ray, semi = _hyp_curves(setup, [
         ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0),
         ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0),
     ])
-    res = run_check("geodesic_projection", setup, [ray, semi], 1e-6)
-    assert res.status == PASS  # verdicts agree on every curve
-    per = res.details["curves"]
-    assert per[0]["condition"] < 1e-8 and per[0]["base_residual"] < 1e-8
-    # the semicircle projects to a reparametrized line: both sides reject
-    assert per[1]["condition"] > 1e-2 and per[1]["base_residual"] > 1e-2
-    assert per[1]["agree"] is True
+    x, v = nodes_of([ray, semi])
+    res = run_check("geodesic_projection", setup, x, 1e-6, v)
+    assert res.status == PASS and res.samples == len(x) and res.max_residual < 1e-14
+    assert res.details == {"condition_holds": len(ray) + 1, "base_geodesic": len(ray) + 1,
+                           "disagree": 0}
 
 
 def test_projection_criterion_matches_closed_form():
     # for the semicircle the criterion defect is 2 sech^2(t) tanh(t) and
-    # the base acceleration is the same number; probe the agreement
+    # the base acceleration is the same number, at every node
     setup = hyperbolic_setup(3)
     (semi,) = _hyp_curves(setup, [((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0)])
-    rows = geo.probe_rows(semi)
-    r = geo.projection_condition_residuals(
-        setup, geo.ProbeBatch(setup._frames(rows["x"], True), rows))
-    ts = semi.ts[geo.probe_indices(len(semi))]
-    closed = 2.0 / np.cosh(ts) ** 2 * np.tanh(ts)
-    assert r["condition"] == pytest.approx(closed, rel=1e-5)
-    assert r["base_residual"] == pytest.approx(closed, rel=1e-5)
-    assert r["condition"].max() == pytest.approx(0.7679222895238592, rel=1e-4)
+    r = geo.projection_condition_residuals(setup._frames(semi.xs, True), semi.vs)
+    closed = 2.0 / np.cosh(semi.ts) ** 2 * np.tanh(semi.ts)
+    assert r["condition"] == pytest.approx(closed, rel=1e-8, abs=1e-12)
+    assert r["base_residual"] == pytest.approx(closed, rel=1e-8, abs=1e-12)
+    assert r["equality"].max() < 1e-15
+    assert r["condition"].max() == pytest.approx(4.0 / 3.0 ** 1.5, rel=1e-6)
 
 
-def test_projection_check_skips_non_geodesics():
+def test_projection_check_has_no_premise():
+    # the nodes of a curve that is no geodesic are still the initial data
+    # of geodesics: every node evaluates, and the equality holds at each
     setup = hyperbolic_setup(3)
     ts = np.arange(0.0, 0.5, 1e-3)
     xs = np.stack([0.3 * np.sin(ts), 0.1 * ts, 1.0 + 0.2 * ts], axis=1)
     vs = np.stack([0.3 * np.cos(ts), 0.1 * np.ones_like(ts), 0.2 * np.ones_like(ts)], axis=1)
-    bogus = geo.Trajectory(ts, xs, vs)
-    res = run_check("geodesic_projection", setup, [bogus], 1e-6)
-    assert res.incidents == 1
-    assert res.details["curves"][0].get("skipped") is True
+    res = run_check("geodesic_projection", setup, xs, 1e-6, vs)
+    assert res.status == PASS and res.incidents == 0 and res.samples == len(ts)
+
+
+CURVE_CHECKS = ("curve_decomposition", "geodesic_projection", "sigma_second")
+SUBMERSION_BUILTINS = (
+    "euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3", "hyperbolic:4",
+    "gaussian:alpha=0", "gaussian:alpha=1", "gaussian:alpha=-0.5", "perturbed:3",
+    "tangent_bundle_of:hyperbolic:2", "tangent_bundle_of:gaussian:alpha=1",
+    "tangent_bundle_of:euclidean:2")
+
+
+@pytest.mark.parametrize("name", SUBMERSION_BUILTINS)
+def test_curve_checks_evaluate_every_sample_at_rounding_level(name):
+    for seed in range(5):
+        suite = config.parse_config({"builtin": name, "checks": list(CURVE_CHECKS),
+                                     "sampling": {"count": 16, "seed": seed}})
+        for check in runner.run_suite(suite)["checks"]:
+            assert (check["status"], check["samples"], check["incidents"]) == ("pass", 16, 0)
+            assert check["max_residual"] <= 1e-14, (seed, check)
+
+
+@pytest.mark.parametrize("name", ["hyperbolic:3", "gaussian:alpha=1", "euclidean:2"])
+def test_curve_decomposition_passes_in_fd_mode(name):
+    # the time derivatives are closed forms, so no stencil error adds to
+    # the finite-difference partials' own under the 1e-8 tolerance
+    suite = config.parse_config({"builtin": name, "mode": "fd",
+                                 "checks": ["curve_decomposition"],
+                                 "sampling": {"count": 64, "seed": 0}})
+    (check,) = runner.run_suite(suite)["checks"]
+    assert check["tolerance"] == 1e-8
+    assert (check["status"], check["samples"]) == ("pass", 64)
 
 
 # -- lockstep integration ------------------------------------------------
@@ -580,7 +644,7 @@ def test_run_context_groups_jobs_by_span_and_step():
     assert len(curves["short"]) == 501 and len(curves["coarse"]) == 501
 
 
-def test_jobs_that_all_fail_are_charged_as_incidents():
+def test_jobs_that_all_fail_are_charged_as_incidents_of_geodesic_energy_only():
     flat = {"dim": 1, "box": [[-1.0, 1.0]], "metric": [["1"]], "connection": "flat"}
     cfg = config.parse_config({
         "manifold": {"dim": 2, "box": [[-1.0, 1.0], [-1.0, 1.0]],
@@ -590,9 +654,10 @@ def test_jobs_that_all_fail_are_charged_as_incidents():
         "checks": ["curve_decomposition", "geodesic_energy"],
         "sampling": {"count": 4, "seed": 0},
     }, source="<test>")
-    for check in runner.run_suite(cfg)["checks"]:
-        assert check["status"] == "inconclusive" and check["incidents"] == 1
-        assert check["details"]["incident_kinds"]["BoundaryExit"]["count"] == 1
+    curve, energy = runner.run_suite(cfg)["checks"]
+    assert (curve["status"], curve["samples"], curve["incidents"]) == ("pass", 4, 0)
+    assert energy["status"] == "inconclusive" and energy["incidents"] == 1
+    assert energy["details"]["incident_kinds"]["BoundaryExit"]["count"] == 1
 
 
 def test_fd_mode_suite_integrates_its_jobs():
@@ -608,83 +673,59 @@ def test_fd_mode_suite_integrates_its_jobs():
     assert energy["details"]["jobs"] == sorted(builtins.build("hyperbolic:2").geodesic_jobs)
 
 
-def test_projection_check_is_inconclusive_when_too_few_curves_evaluate():
-    # one curve of three fails its premise: 2 of 3 is below the 90% rule,
-    # even though the two geodesics agree
+def test_a_curve_check_is_inconclusive_when_too_few_points_evaluate():
+    # one point of three lies where -log(x3) is undefined: 2 of 3 is below
+    # the 90% rule, even though the equality holds at the other two
     setup = hyperbolic_setup(3)
-    ray, semi = _hyp_curves(setup, [
-        ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0),
-        ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0),
-    ])
-    ts = np.arange(0.0, 0.5, 1e-3)
-    xs = np.stack([0.3 * np.sin(ts), 0.1 * ts, 1.0 + 0.2 * ts], axis=1)
-    vs = np.stack([0.3 * np.cos(ts), 0.1 * np.ones_like(ts), 0.2 * np.ones_like(ts)], axis=1)
-    res = run_check("geodesic_projection", setup, [ray, semi, geo.Trajectory(ts, xs, vs)], 1e-6)
-    assert res.samples == 2 and res.incidents == 1
-    assert res.status == INCONCLUSIVE
+    x = np.array([[0.0, 0.0, 1.0], [0.2, -0.1, 1.5], [0.1, 0.1, -0.5]])
+    v = np.array([[0.3, 0.2, 0.1], [-0.4, 0.1, 0.6], [0.2, 0.2, 0.2]])
+    for check in CURVE_CHECKS:
+        res = run_check(check, setup, x, 1e-6, v)
+        assert res.samples == 2 and res.incidents == 1
+        assert res.status == INCONCLUSIVE
 
 
 def test_each_curve_check_and_projectable_builds_one_frame_batch(monkeypatch):
-    # every curve of a check, of any step, is rows of one frame batch; so
-    # is every fiber of a projectable run
+    # a curve check is rows of one rank-tested frame batch over its
+    # points; so is every fiber of a projectable run
     from subgeo import submersion
 
     calls = []
     frames = submersion.SubmersionSetup._frames
 
     def counting(self, points, rank_test):
-        calls.append(len(points))
+        calls.append((len(points), rank_test))
         return frames(self, points, rank_test)
 
     monkeypatch.setattr(submersion.SubmersionSetup, "_frames", counting)
     setup = hyperbolic_setup(3)
-    curves = _hyp_curves(setup, [((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), 1.0),
-                                 ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0),
-                                 ((0.1, -0.2, 1.2), (0.4, 0.3, 0.5), 1.0)])
-    curves.append(integrate_one(setup.total.conn, setup.total.chart, (0.2, 0.1, 0.9),
-                                (-0.3, 0.2, 0.4), 1.0, step=2e-3))
-    checks = [("curve_decomposition", 1e-6), ("sigma_second", 1e-5),
-              ("geodesic_projection", 1e-6)]
-    for some in (curves[:1], curves):
-        for check, tol in checks:
-            calls.clear()
-            assert run_check(check, setup, some, tol).status == PASS
-            assert calls == [45 * len(some)]
     pts = sample_box(setup.total.chart.box, 64, 0)
+    velocities = sample_box([(-1.0, 1.0)] * 3, 64, 1)
+    for check in CURVE_CHECKS:
+        calls.clear()
+        assert run_check(check, setup, pts, 1e-6, velocities).status == PASS
+        assert calls == [(64, True)]
     calls.clear()
     assert run_check("projectable", setup, pts, 1e-8).status == PASS
     assert len(calls) == 1
 
 
-def test_a_curve_whose_probe_rows_fail_is_one_incident():
-    # dpi = (3 x1^2, 0) loses rank on x1 = 0, where the "axis" job runs;
-    # the other curves keep their one-curve residuals to the bit
-    flat = {"dim": 1, "box": [[-1.0, 4.0]], "metric": [["1"]], "connection": "flat"}
-    jobs = {"a": ([0.5, 0.0], [0.3, 0.2]), "axis": ([0.0, -0.5], [0.0, 1.0]),
-            "b": ([1.0, 0.3], [-0.2, -0.4]), "c": ([0.8, -0.6], [0.1, 0.5])}
-    sc = config.build_scenario(config.parse_config({
-        "manifold": {"dim": 2, "box": [[-0.5, 1.5], [-1.0, 1.0]],
-                     "metric": [["1", "0"], ["0", "1"]], "connection": "flat"},
-        "submersion": {"base": flat, "projection": ["x1^3"]},
-        "geodesics": {name: {"p0": p0, "v0": v0, "t_end": 1.0, "h": 0.01}
-                      for name, (p0, v0) in jobs.items()},
-    }, source="<test>"))
-    setup = sc.setup
-    curves = list(runner.RunContext(sc, count=4, seed=0).curves().values())
-    rows = geo.probe_rows(curves[1])
-    first_error = setup._frames(rows["x"], True).errors[0]
-    good = [curves[0]] + curves[2:]
-    for check in ("curve_decomposition", "sigma_second", "geodesic_projection"):
-        res = run_check(check, setup, curves, 1e-6)
-        assert res.incidents == 1 and res.samples == 3
-        assert res.details["incident_kinds"] == {
-            type(first_error).__name__: {"count": 1, "example": str(first_error)}}
-        alone = [run_check(check, setup, [c], 1e-6).details for c in good]
-        if check == "geodesic_projection":
-            assert res.details["curves"] == [d["curves"][0] for d in alone]
-        else:
-            for key in geo.CURVE_KEYS:
-                assert res.details[key] == max(d[key] for d in alone)
+def test_a_point_whose_frame_fails_is_one_incident_of_each_curve_check():
+    # the box reaches x3 <= 0, where phi = -log(x3) is undefined; every
+    # other point keeps its residuals to the bit, with its own velocity
+    sc = builtins.build("hyperbolic:3")
+    ctx = runner.RunContext(sc, count=32, seed=0, boxes=[[-1, 1], [-1, 1], [-0.5, 3]])
+    errors = sc.setup._frames(ctx.points(), True).errors
+    assert 0 < len(errors) < 32
+    good = np.delete(np.arange(32), sorted(errors))
+    for check in CURVE_CHECKS:
+        res = runner.run_check(check, sc, ctx)
+        assert res.incidents == len(errors) and res.samples == len(good)
+        assert {kind: n["count"] for kind, n in res.details["incident_kinds"].items()} == (
+            collections.Counter(type(exc).__name__ for exc in errors.values()))
+        alone = run_check(check, sc.setup, ctx.points()[good], None, ctx.velocities()[good])
+        assert (res.max_residual, res.details) == (
+            alone.max_residual, dict(alone.details, incident_kinds=res.details["incident_kinds"]))
 
 
 def test_curves_keep_only_their_nodes_after_a_suite():

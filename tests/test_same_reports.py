@@ -145,3 +145,26 @@ def test_only_a_verdict_difference_fails_the_verdict_comparison(flags, moved, co
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"{kept(120)} of 120 builtin cases and {kept(35)} of 35 incident cases "
             "keep every verdict")
+
+
+def two_check_report(x_residual=1e-12, fails=0):
+    row = {"status": "pass", "incidents": 0, "details": {}}
+    return {"checks": [dict(row, name="x", max_residual=x_residual),
+                       dict(row, name="y", max_residual=1e-12)],
+            "summary": {"pass": 2 - fails, "fail": fails}}
+
+
+@pytest.mark.parametrize("flags, new, code", [
+    ([], case(two_check_report(x_residual=3e-9)), 1),
+    (["--except", "x"], case(two_check_report(x_residual=3e-9)), 0),
+    (["--except", "y", "--except", "x"], case(two_check_report(x_residual=3e-9)), 0),
+    (["--except", "y"], case(two_check_report(x_residual=3e-9)), 1),  # another check's rows
+    (["--except", "x"], case(two_check_report(fails=1)), 1),          # the summary
+    (["--except", "x"], case(two_check_report(), exit_code=1), 1),    # the exit code
+    (["--verdicts", "--except", "x"], case(two_check_report(), exit_code=1), 1),
+])
+def test_an_excepted_check_drops_only_its_rows(flags, new, code, monkeypatch):
+    cases = len(same_reports.CASES)
+    trees = {"old": [case(two_check_report())] * cases, "new": [new] * cases}
+    monkeypatch.setattr(same_reports, "run_tree", trees.get)
+    assert same_reports.main(["same_reports.py", *flags, "old", "new"]) == code

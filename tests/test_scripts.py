@@ -78,7 +78,7 @@ def test_repeat_census_finds_no_repeated_batch_on_the_bundle_builtins(name):
 
 def test_repeat_census_counts_one_frame_build_per_stack_and_rank_test():
     # the suite's points without the rank test (every frame check but
-    # split_identities) and with it; projectable's fibers; the curve probes
+    # split_identities and the curve checks) and with it; projectable's fibers
     out = run_script("scripts/repeat_census.py", "hyperbolic:3", "16")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "frame builds 2 without the rank test, 2 with it"
+    assert out.stdout.splitlines()[-1] == "frame builds 2 without the rank test, 1 with it"

@@ -379,12 +379,20 @@ FRAME_CHECKS = (
     "dual_conformal_pair", "induced_statistical",
 )
 
+
+def _at_row_velocity(kernel):
+    """A tangent-frames kernel at a velocity each row takes from its own frame."""
+    return lambda f: kernel(f, np.tanh(f.g.sum(axis=-1)))
+
+
 # the row kernel of each submersion check on a frame batch, plus the
 # induced structures
 FRAME_RESIDUALS = {"induced_structures": lambda f: dict(enumerate(sm.induced_structures(f)))}
-FRAME_RESIDUALS.update((name, getattr(*spec.kernel))
-                       for name, spec in runner.CHECK_TABLE.items()
-                       if spec.needs == ("submersion",) and spec.stack.endswith("frames"))
+FRAME_RESIDUALS.update(
+    (name, _at_row_velocity(getattr(*spec.kernel)) if spec.stack == "tangent frames"
+     else getattr(*spec.kernel))
+    for name, spec in runner.CHECK_TABLE.items()
+    if spec.needs == ("submersion",) and spec.stack.endswith("frames"))
 
 
 @settings(max_examples=40, deadline=None)
