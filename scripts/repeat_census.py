@@ -7,7 +7,7 @@ Usage: python3 scripts/repeat_census.py SUITE [SAMPLES] [SEED]
 SUITE is a builtin name (tangent_bundle_of:hyperbolic:2) or the path of
 a JSON config; SAMPLES (16 by default) and SEED (0) set its sampling.
 The suite runs twice, the first time as a warm-up, each time with its
-checks in one ``submersion.shared_frames`` scope as ``runner.run_suite``
+checks run through one ``runner.RunContext`` as ``runner.run_suite``
 runs them, and with the ``_batch`` of every field class wrapped.  A
 stack build is one attempt of ``results.build_rows`` (a nested build
 belongs to the outer one).  A ``_batch`` call inside a build is a repeat when the same build
@@ -17,8 +17,8 @@ per check and field class with repeats gives the calls, the repeats and
 the milliseconds the repeats took (a repeat's time includes any field
 it evaluates in turn); a line gives the total.  Calls outside any
 build are not counted.  A last line gives the frame builds of the second
-run, the calls of ``SubmersionSetup._frame_arrays``, without and with
-the rank test: one per frame batch a check builds or, in
+run, the calls of ``SubmersionSetup._frame_arrays``: one for the suite's
+frame batch, one per frame batch a check builds for itself or, in
 ``semi_riemannian``, per stack it evaluates, plus one per row of a
 per-row rebuild.  Run it from the repository root; it measures the
 ``subgeo`` under ``src``.
@@ -34,7 +34,7 @@ from subgeo.config import build_scenario, load_config, parse_config
 
 _build = None  # {(field id, shape, bytes): (highest order, field)} of the running build
 _counts = {}   # {field label: [calls, repeats, repeat seconds]} of the running check
-_frame_builds = {False: 0, True: 0}  # _frame_arrays calls of the running suite, by rank test
+_frame_builds = 0  # _frame_arrays calls of the running suite
 
 
 def _label(field) -> str:
@@ -62,9 +62,10 @@ def _census(batch):
 
 
 def _counted(frame_arrays):
-    def wrapped(self, x, rank_test):
-        _frame_builds[rank_test] += 1
-        return frame_arrays(self, x, rank_test)
+    def wrapped(self, x):
+        global _frame_builds
+        _frame_builds += 1
+        return frame_arrays(self, x)
 
     return wrapped
 
@@ -123,12 +124,11 @@ def main() -> None:
     table = {}
     for _ in range(2):
         ctx = runner.RunContext(scenario, cfg.count, cfg.seed, cfg.boxes)
-        _frame_builds = {False: 0, True: 0}
-        with submersion.shared_frames():
-            for name in names:
-                _counts = {}
-                runner.run_check(name, scenario, ctx)
-                table[name] = _counts
+        _frame_builds = 0
+        for name in names:
+            _counts = {}
+            runner.run_check(name, scenario, ctx)
+            table[name] = _counts
     print(f"{'check':<24s} {'field':<28s} {'calls':>6s} {'repeats':>8s} {'repeat ms':>10s}")
     total = [0, 0.0]
     for name in names:
@@ -138,8 +138,7 @@ def main() -> None:
                 total[0] += repeats
                 total[1] += seconds
     print(f"total repeats {total[0]} in {1e3 * total[1]:.3f} ms")
-    print(f"frame builds {_frame_builds[False]} without the rank test, "
-          f"{_frame_builds[True]} with it")
+    print(f"frame builds {_frame_builds}")
 
 
 if __name__ == "__main__":

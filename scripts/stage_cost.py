@@ -112,8 +112,8 @@ def main() -> None:
     for name in FRAME_BUILTINS:
         setup = builtins.build(name).setup
         x = sample_box(setup.total.chart.box, FRAME_ROWS, 0)
-        build = median_us(lambda: setup._frames(x, False), repeats)
-        read = median_us(lambda: setup._frames(x, False).d_ph, repeats)
+        build = median_us(lambda: setup._frames(x), repeats)
+        read = median_us(lambda: setup._frames(x).d_ph, repeats)
         print(f"{name:<30s} {build:10.1f} {read:14.1f}")
 
 

@@ -9,8 +9,8 @@ field batches are shared (:func:`fields.shared`): the lifts, frames and
 residuals of one build that read one field at the same points evaluate
 it once.  Sharing ends with the attempt, so a per-row rebuild starts
 afresh and no check sees the field batches another evaluated (the frame
-batches a suite shares are built by such attempts:
-:func:`submersion.shared_frames`)."""
+batch a suite shares is built by such attempts:
+``runner.RunContext.frames``)."""
 
 from __future__ import annotations
 

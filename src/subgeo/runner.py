@@ -10,9 +10,8 @@ applies the rule.  run_suite builds each report row from the table row
 and the CheckResult of :func:`run_check`.  A suite draws its sample
 points once (:meth:`RunContext.points`) and every check over points
 reads that one stack, so the checks test the paper's pointwise
-statements at the same points; the checks run in one
-:func:`submersion.shared_frames` scope, so the frame checks share the
-frame batch of that stack.
+statements at the same points; the frame checks read the one frame
+batch of that stack (:meth:`RunContext.frames`).
 """
 
 from __future__ import annotations
@@ -43,17 +42,17 @@ VELOCITY_BOX = (-1.0, 1.0)
 
 
 class RunContext:
-    """Per-suite state shared by the check drivers: the sample points, a
-    velocity at each (the initial data of the geodesics the curve checks
-    test) and the integrated geodesic jobs, each drawn or integrated once
-    per suite, on first use."""
+    """Per-suite state shared by the check drivers: the sample points,
+    their frame batch, a velocity at each (the initial data of the
+    geodesics the curve checks test) and the integrated geodesic jobs,
+    each drawn, built or integrated once per suite, on first use."""
 
     def __init__(self, scenario: Scenario, count: int, seed: int, boxes=None):
         self.scenario = scenario
         self.count = count
         self.seed = seed
         self.boxes = boxes if boxes is not None else scenario.space.chart.box
-        self._points = self._velocities = self._curves = None
+        self._points = self._frames = self._velocities = self._curves = None
 
     def points(self) -> np.ndarray:
         """The suite's sample, (count, n) and read-only: drawn once, on
@@ -64,6 +63,14 @@ class RunContext:
             self._points = sample_box(self.boxes, self.count, subseed(self.seed, "points"))
             self._points.flags.writeable = False
         return self._points
+
+    def frames(self):
+        """The scenario's frame batch at :meth:`points`, read-only and built
+        once, on first use: every ``frames`` and ``tangent frames`` row
+        reads it, and a point whose frame fails is an incident of each."""
+        if self._frames is None:
+            self._frames = self.scenario.setup._frames(self.points())
+        return self._frames
 
     def velocities(self) -> np.ndarray:
         """A velocity at each point of :meth:`points`, (count, n) and
@@ -117,19 +124,20 @@ NEEDS = {
     "bundle submersion": ("tangent bundle", lambda sc: sc.bundle and sc.bundle.setup),
     "geodesic jobs": ("geodesic jobs", lambda sc: sc.geodesic_jobs or None),
 }
-STACKS = ("points", "frames", "ranked frames", "tangent frames")
+STACKS = ("points", "frames", "tangent frames")
 
 
 def _run_kernel(spec, scenario, ctx, tol) -> CheckResult:
     """The driver of a kernel row: its stack over the suite's points (a
     point that fails to build is an incident), mapped by its kernel, read
-    off its module at each run, folded and judged.  A ``tangent frames``
-    kernel takes the rank-tested frame batch and the velocities of its rows."""
+    off its module at each run, folded and judged.  A ``frames`` kernel
+    takes the suite's frame batch, a ``tangent frames`` kernel that and
+    the velocities of its rows."""
     subject, kernel = NEEDS[spec.needs[0]][1](scenario), getattr(*spec.kernel)
     if spec.stack == "points":
         items = build_rows(lambda x: kernel(subject, x), ctx.points())
     else:
-        frames = subject._frames(ctx.points(), spec.stack != "frames")
+        frames = ctx.frames()
         args = (frames,)
         if spec.stack == "tangent frames":
             args += (np.delete(ctx.velocities(), sorted(frames.errors), axis=0),)
@@ -338,7 +346,7 @@ CHECK_TABLE = {s.name: s for s in [
               ("manifold",), driver=_fd_crosscheck),
     CheckSpec("split_identities", "§2", 1e-9,
               "projector algebra of the vertical/horizontal splitting",
-              ("submersion",), "ranked frames", (submersion, "split_identity_residuals"), _bound),
+              ("submersion",), "frames", (submersion, "split_identity_residuals"), _bound),
     CheckSpec("tensoriality", "§2", 1e-8,
               "fundamental tensors are pointwise in both arguments",
               ("submersion",), "frames", (submersion, "tensoriality_residuals"), _bound),
@@ -466,22 +474,21 @@ def run_suite(cfg: SuiteConfig) -> dict:
     ctx = RunContext(scenario, cfg.count, cfg.seed, cfg.boxes)
 
     rows = []
-    with submersion.shared_frames():
-        for name, tol in sorted(requested):
-            start = time.perf_counter()
-            result = run_check(name, scenario, ctx, tol)
-            wall = time.perf_counter() - start
-            rows.append({
-                "name": name,
-                "paper_ref": CHECK_TABLE[name].paper_ref,
-                "samples": result.samples,
-                "max_residual": float(result.max_residual),
-                "tolerance": float(result.tolerance),
-                "status": result.status,
-                "incidents": result.incidents,
-                "details": _jsonable(result.details),
-                "wall_time_s": wall,
-            })
+    for name, tol in sorted(requested):
+        start = time.perf_counter()
+        result = run_check(name, scenario, ctx, tol)
+        wall = time.perf_counter() - start
+        rows.append({
+            "name": name,
+            "paper_ref": CHECK_TABLE[name].paper_ref,
+            "samples": result.samples,
+            "max_residual": float(result.max_residual),
+            "tolerance": float(result.tolerance),
+            "status": result.status,
+            "incidents": result.incidents,
+            "details": _jsonable(result.details),
+            "wall_time_s": wall,
+        })
 
     attempted_total = sum(r["samples"] + r["incidents"] for r in rows)
     incident_rate = sum(r["incidents"] for r in rows) / float(max(attempted_total, 1))

@@ -29,19 +29,17 @@ extend their vector arguments by constant coordinate components and
 project with the frame's projector fields, which makes the results
 extension-independent up to solver noise. The tensors that the four
 conditions and the Lemma both read are computed once per batch, over
-the (kernel, lift) column pairs (:attr:`_FrameBatch.tensors`). The setup
-caches nothing per point. Within a suite (:func:`shared_frames`, which
-``runner.run_suite`` runs its checks in), a frame build at the same
-points with the same rank-test flag returns the batch already built, so
-its derived parts, columns, ``over`` batches and tensors are computed
-once for every check that reads them; frame arrays are read-only.
-Outside a suite a batch lives as long as the check that built it.
+the (kernel, lift) column pairs (:attr:`_FrameBatch.tensors`). Every
+build first tests the rank of dpi at each point (:func:`_rank_test`),
+since every frame identity assumes a submersion. The setup caches
+nothing per point: a suite builds the frame batch of its sample once
+(``runner.RunContext.frames``), so its derived parts, columns, ``over``
+batches and tensors are computed once for every check that reads them;
+frame arrays are read-only, and the batch lives as long as its suite.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import math
 import warnings
@@ -105,39 +103,28 @@ class SubmersionSetup:
         return self._pivot
 
     def _pivot_at(self, p, dpi):
-        """The pivot pattern of the differential dpi (m, n) at the point p."""
-        if not np.isfinite(dpi).all():  # the QR pivoting cannot take NaN or inf
-            raise EvalDomain("projection differential is not finite", point=p)
-        diag, perm = pivoted_qr(dpi)
-        if diag.size < self.m or diag[-1] <= RANK_RTOL * max(diag[0], 1.0):
-            raise RankDrop("projection differential lost rank", point=tuple(p))
+        """The pivot pattern of the differential dpi (m, n) at the point p:
+        the column order of its pivoted QR, once it passes :func:`_rank_test`."""
+        _rank_test(p[None], dpi[None])
+        perm = pivoted_qr(dpi)[1]
         piv = tuple(sorted(int(c) for c in perm[: self.m]))
         free = tuple(sorted(int(c) for c in perm[self.m:]))
         return piv, free
 
     # -- frames ----------------------------------------------------------
 
-    def _frames(self, points, rank_test: bool) -> _FrameBatch:
+    def _frames(self, points) -> _FrameBatch:
         """The frames at a stack of points (N, n), built together.
 
-        With ``rank_test`` a point where dpi is not finite or loses rank
-        fails before its frame is built.  When the batch raises a
-        :class:`SubgeoError`, each row is built alone
-        (:func:`results.build_rows`): the failing points keep their own
-        errors and the others get exactly what the batch gives them.
-        Within :func:`shared_frames` it returns the batch this setup
-        already built at the same points (compared by their bytes) with
-        the same ``rank_test``.
+        A point where dpi is not finite or loses rank fails before its
+        frame is built.  When the batch raises a :class:`SubgeoError`,
+        each row is built alone (:func:`results.build_rows`): the failing
+        points keep their own errors and the others get exactly what the
+        batch gives them.
         """
         points = np.asarray(points, dtype=float).reshape(len(points), self.n)
-        memo, key = _SUITE_FRAMES.get(), (self, rank_test, points.tobytes())
-        if memo is not None and key in memo:
-            return memo[key]
-        arrays, errors = build_rows(lambda x: self._frame_arrays(x, rank_test), points)
-        frames = _FrameBatch(self, len(points) - len(errors), arrays, errors)
-        if memo is not None:
-            memo[key] = frames  # the key holds the setup, so its id stays unused
-        return frames
+        arrays, errors = build_rows(self._frame_arrays, points)
+        return _FrameBatch(self, len(points) - len(errors), arrays, errors)
 
     def _vertical(self, x, dpi, d_dpi):
         """Kernel columns (N, n, l) of dpi at points x and their partials,
@@ -164,15 +151,15 @@ class SubmersionSetup:
         kernel, _ = self._vertical(x, np.swapaxes(dpi_t, 1, 2), np.moveaxis(hess, 3, 2))
         return inverse_rows(_gram(kernel, self.total.metric.batch(x, 0)[0]))[1]
 
-    def _frame_arrays(self, x, rank_test: bool) -> dict:
+    def _frame_arrays(self, x) -> dict:
         """The :class:`_FrameBatch` arrays at points x (N, n), each with a
-        leading point axis; raises the first error of any row."""
+        leading point axis; raises the first error of any row, a failed
+        rank test (:func:`_rank_test`) before any other."""
         n = self.n
         bp, dpi_t, hess = self._pi_stack(x, 2)
         dpi = np.swapaxes(dpi_t, 1, 2)                  # (N, m, n)
         d_dpi = np.moveaxis(hess, 3, 2)                 # [p, k, a, i] = d_k d_i pi_a
-        if rank_test:
-            _rank_test(x, dpi)
+        _rank_test(x, dpi)
 
         kernel, d_kernel = self._vertical(x, dpi, d_dpi)
 
@@ -265,28 +252,6 @@ class SubmersionSetup:
         return {"x": x, "found": found}
 
 
-# {(setup, rank test, point bytes): _FrameBatch} of the running suite, else None
-_SUITE_FRAMES = contextvars.ContextVar("subgeo_suite_frames", default=None)
-
-
-@contextlib.contextmanager
-def shared_frames():
-    """A scope in which :meth:`SubmersionSetup._frames` returns the batch
-    it already built for the same setup, rank-test flag and point bytes.
-
-    A shared batch is bit for bit a new one: a build is deterministic in
-    its points, and its arrays are read-only.  The memo is dropped when
-    the scope ends, by return or by any exception, so no batch outlives
-    the scope and two scopes never share.  It is a context variable, so
-    scopes in other threads have their own.
-    """
-    token = _SUITE_FRAMES.set({})
-    try:
-        yield
-    finally:
-        _SUITE_FRAMES.reset(token)
-
-
 # -- batch helpers -------------------------------------------------------------
 
 
@@ -361,9 +326,9 @@ class _FrameBatch:
     read (``_DERIVED``), bit for bit what an eager build gives.  Every
     array a batch holds or gives, these parts, :meth:`columns` and
     :attr:`tensors` too, is read-only, since a suite shares the batch
-    among its checks (:func:`shared_frames`).  Vectors and fields passed
-    to the methods carry the same row axis; any column axes after it need
-    the batch from :meth:`over`.
+    among its checks (``runner.RunContext.frames``).  Vectors and fields
+    passed to the methods carry the same row axis; any column axes after
+    it need the batch from :meth:`over`.
     """
 
     def __init__(self, setup: SubmersionSetup, size: int, arrays: dict, errors=None,
@@ -656,7 +621,7 @@ def semi_riemannian_residuals(setup: SubmersionSetup, x) -> dict:
     null = setup.null_fibers(x)
     lengths = np.zeros(len(x))
     if not null.all():
-        f = setup._frame_arrays(x[~null], False)
+        f = setup._frame_arrays(x[~null])
         lengths[~null] = _amax(_gram(f["lcols"], f["g"]) - f["gb"])
     return {"lengths": lengths, "degenerate": np.where(null, math.inf, 0.0)}
 
@@ -717,7 +682,7 @@ def projectable_rows(setup: SubmersionSetup, points):
 
     fibers, errors = collect(points[:n_base], fiber)
     owners = np.repeat(list(fibers), [len(f) for f in fibers.values()])
-    frames = setup._frames(np.concatenate([np.zeros((0, setup.n)), *fibers.values()]), False)
+    frames = setup._frames(np.concatenate([np.zeros((0, setup.n)), *fibers.values()]))
 
     def residuals(f, rows):
         # each row against the first point of its fiber, which reads 0

@@ -113,21 +113,12 @@ def max_abs(arr):
     return float(np.max(np.abs(np.asarray(arr))))
 
 
-class Given:
-    """A run context over given points, velocities and curves, read as a
-    check reads runner.RunContext."""
-
-    def __init__(self, points, curves, velocities=None):
-        self._points, self._curves, self._velocities = points, curves, velocities
-
-    def points(self):
-        return self._points
-
-    def velocities(self):
-        return self._velocities
-
-    def curves(self):
-        return self._curves
+def preset_context(scenario, points, curves, velocities=None):
+    """A runner.RunContext of ``scenario`` preset to the given points,
+    velocities and curves; it builds its frame batch as a suite does."""
+    ctx = runner.RunContext(scenario, 0, 0)
+    ctx._points, ctx._curves, ctx._velocities = points, curves, velocities
+    return ctx
 
 
 def space_of(metric, conn):
@@ -151,9 +142,9 @@ def run_check(name, subject, items, tol=None, velocities=None):
     if items and isinstance(items[0], (Trajectory, SubgeoError)):
         curves = {f"curve{j:03d}": c for j, c in enumerate(items)}
         scenario.geodesic_jobs = dict.fromkeys(curves)
-        return runner.run_check(name, scenario, Given(None, curves), tol)
+        return runner.run_check(name, scenario, preset_context(scenario, None, curves), tol)
     points = np.asarray(items, dtype=float).reshape(len(items), scenario.dim)
-    return runner.run_check(name, scenario, Given(points, {}, velocities), tol)
+    return runner.run_check(name, scenario, preset_context(scenario, points, {}, velocities), tol)
 
 
 def nodes_of(curves):

@@ -18,13 +18,12 @@ from subgeo.linalg import inverse
 from subgeo.submersion import _rank_test
 
 
-def frame_arrays(setup, x, rank_test: bool) -> dict:
+def frame_arrays(setup, x) -> dict:
     n = setup.n
     bp, dpi_t, hess = setup._pi_stack(x, 2)
     dpi = np.swapaxes(dpi_t, 1, 2)                  # (N, m, n)
     d_dpi = np.moveaxis(hess, 3, 2)                 # [p, k, a, i] = d_k d_i pi_a
-    if rank_test:
-        _rank_test(x, dpi)
+    _rank_test(x, dpi)
 
     kernel, d_kernel = setup._vertical(x, dpi, d_dpi)
 

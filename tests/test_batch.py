@@ -711,12 +711,11 @@ def test_an_empty_point_stack_is_an_empty_batch(name):
             parts = fld.batch(empty, order)
             assert [part.shape[0] for part in parts] == [0] * (order + 1), (fld, order)
     if scenario.setup is not None:
-        for rank_test in (True, False):
-            frames = scenario.setup._frames(empty, rank_test)
-            assert len(frames) == 0 and not frames.errors
-            for key, values in vars(frames).items():
-                if isinstance(values, np.ndarray):
-                    assert values.shape[0] == 0, key
+        frames = scenario.setup._frames(empty)
+        assert len(frames) == 0 and not frames.errors
+        for key, values in vars(frames).items():
+            if isinstance(values, np.ndarray):
+                assert values.shape[0] == 0, key
 
 
 @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n.startswith("tangent_bundle_of:")])

@@ -307,7 +307,7 @@ def test_non_finite_residuals_never_pass(tmp_path):
 
 
 def test_non_finite_projection_is_an_incident_not_a_crash():
-    # the rank tests (QR at the box center, SVD per point) cannot take NaN
+    # the rank test, at the box center and at each point, reads a NaN dpi as EvalDomain
     cfg = config.parse_config({
         "manifold": {"dim": 2, "box": [[-1.0, 1.0], [0.5, 30.0]],
                      "metric": [["1/x2^2", "0"], ["0", "1/x2^2"]]},
@@ -326,7 +326,7 @@ def test_non_finite_projection_is_an_incident_not_a_crash():
 
 def test_programming_error_aborts_the_run(monkeypatch):
     # a bug is not an incident: it must not turn into an inconclusive check
-    def broken(self, x, rank_test):
+    def broken(self, x):
         raise AttributeError("injected bug")
 
     monkeypatch.setattr(submersion.SubmersionSetup, "_frame_arrays", broken)
@@ -461,30 +461,29 @@ def rows_by_check(payload, mode, checks=None):
     {"builtin": "tangent_bundle_of:hyperbolic:2"}, INCIDENT_BOX,
 ], ids=["hyperbolic:3", "gaussian:alpha=1", "tangent_bundle_of:hyperbolic:2", "incident_box"])
 def test_a_check_run_alone_gives_its_row_of_the_full_suite(payload, mode):
-    # sharing the suite's draw and frame batches changes only the work
+    # sharing the suite's draw and frame batch changes only the work
     full = rows_by_check(payload, mode)
-    if payload is INCIDENT_BOX:  # failing rows, in rank-tested batches too
+    if payload is INCIDENT_BOX:  # failing rows of the shared frame batch
         rows = {name: json.loads(row) for name, row in full.items()}
         assert rows["split_identities"]["incidents"] and rows["four_conditions"]["incidents"]
     for name, row in full.items():
         assert rows_by_check(payload, mode, [name]) == {name: row}
 
 
-def test_a_suite_shares_a_frame_batch_by_its_points_and_rank_test_read_only():
+def test_a_run_context_builds_one_read_only_frame_batch_at_its_points():
     scenario = config.build_scenario(config.parse_config({"builtin": "hyperbolic:3"}))
-    points = runner.RunContext(scenario, 8, 0).points()
-    with submersion.shared_frames():
-        frames = scenario.setup._frames(points, False)
-        assert scenario.setup._frames(points.copy(), False) is frames
-        assert scenario.setup._frames(points, True) is not frames
-        assert scenario.setup._frames(points[::-1], False) is not frames
-        arrays = [points, frames.d_ph, frames.cubic, frames.over(2).gamma_dual]
-        arrays += [a for a in vars(frames).values() if isinstance(a, np.ndarray)]
-        arrays += [a for field in frames.columns() for a in field]
-        arrays += list(frames.tensors.values())
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a += 0.0
+    ctx = runner.RunContext(scenario, 8, 0)
+    frames = ctx.frames()
+    assert ctx.frames() is frames and len(frames) == 8
+    assert frames.dpi.tobytes() == scenario.setup._frames(ctx.points()).dpi.tobytes()
+    assert runner.RunContext(scenario, 8, 0).frames() is not frames
+    arrays = [ctx.points(), frames.d_ph, frames.cubic, frames.over(2).gamma_dual]
+    arrays += [a for a in vars(frames).values() if isinstance(a, np.ndarray)]
+    arrays += [a for field in frames.columns() for a in field]
+    arrays += list(frames.tensors.values())
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a += 0.0
 
 
 @pytest.mark.parametrize("escapes", [False, True])
@@ -492,8 +491,8 @@ def test_no_frame_batch_outlives_its_suite(escapes, monkeypatch):
     built = []
     frames = submersion.SubmersionSetup._frames
 
-    def recording(self, points, rank_test):
-        batch = frames(self, points, rank_test)
+    def recording(self, points):
+        batch = frames(self, points)
         built.append(weakref.ref(batch))
         return batch
 
@@ -511,7 +510,8 @@ def test_no_frame_batch_outlives_its_suite(escapes, monkeypatch):
     except RuntimeError:
         raised = True
     assert raised == escapes
-    assert len(built) > 3 and all(ref() is None for ref in built)
+    # the batch of the suite's points and that of projectable's fibers
+    assert len(built) == 2 and all(ref() is None for ref in built)
 
 
 BUNDLE_ONLY = ["prop41", "prop42", "remark_complete_metric", "remark_dual_complete",

@@ -218,7 +218,7 @@ def test_stencil_derivatives_along_the_jobs_match_the_closed_forms(name):
         h = traj.ts[1] - traj.ts[0]
         probes = np.array(stencil_reference.probe_indices(len(traj)))
         nodes = (probes[:, None] + np.arange(-2, 3)).ravel()
-        frames = sc.setup._frames(traj.xs[nodes], True)
+        frames = sc.setup._frames(traj.xs[nodes])
         f, v = frames.take(slice(2, None, 5)), traj.vs[probes]
         e_nodes = FIELD_AT_0[:n] + traj.ts[nodes][:, None] * FIELD_SLOPE[:n]
         e = e_nodes[2::5]
@@ -299,7 +299,7 @@ def test_projection_criterion_matches_closed_form():
     # the base acceleration is the same number, at every node
     setup = hyperbolic_setup(3)
     (semi,) = _hyp_curves(setup, [((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 1.0)])
-    r = geo.projection_condition_residuals(setup._frames(semi.xs, True), semi.vs)
+    r = geo.projection_condition_residuals(setup._frames(semi.xs), semi.vs)
     closed = 2.0 / np.cosh(semi.ts) ** 2 * np.tanh(semi.ts)
     assert r["condition"] == pytest.approx(closed, rel=1e-8, abs=1e-12)
     assert r["base_residual"] == pytest.approx(closed, rel=1e-8, abs=1e-12)
@@ -686,16 +686,16 @@ def test_a_curve_check_is_inconclusive_when_too_few_points_evaluate():
 
 
 def test_each_curve_check_and_projectable_builds_one_frame_batch(monkeypatch):
-    # a curve check is rows of one rank-tested frame batch over its
-    # points; so is every fiber of a projectable run
+    # a curve check is rows of one frame batch over its points; so is
+    # every fiber of a projectable run
     from subgeo import submersion
 
     calls = []
     frames = submersion.SubmersionSetup._frames
 
-    def counting(self, points, rank_test):
-        calls.append((len(points), rank_test))
-        return frames(self, points, rank_test)
+    def counting(self, points):
+        calls.append(len(points))
+        return frames(self, points)
 
     monkeypatch.setattr(submersion.SubmersionSetup, "_frames", counting)
     setup = hyperbolic_setup(3)
@@ -704,7 +704,7 @@ def test_each_curve_check_and_projectable_builds_one_frame_batch(monkeypatch):
     for check in CURVE_CHECKS:
         calls.clear()
         assert run_check(check, setup, pts, 1e-6, velocities).status == PASS
-        assert calls == [(64, True)]
+        assert calls == [64]
     calls.clear()
     assert run_check("projectable", setup, pts, 1e-8).status == PASS
     assert len(calls) == 1
@@ -715,7 +715,7 @@ def test_a_point_whose_frame_fails_is_one_incident_of_each_curve_check():
     # other point keeps its residuals to the bit, with its own velocity
     sc = builtins.build("hyperbolic:3")
     ctx = runner.RunContext(sc, count=32, seed=0, boxes=[[-1, 1], [-1, 1], [-0.5, 3]])
-    errors = sc.setup._frames(ctx.points(), True).errors
+    errors = sc.setup._frames(ctx.points()).errors
     assert 0 < len(errors) < 32
     good = np.delete(np.arange(32), sorted(errors))
     for check in CURVE_CHECKS:

@@ -206,7 +206,7 @@ def _rejects(matrix):
 
 def test_inverse_rows_flag_a_degenerate_fiber_metric_in_the_middle():
     setup = euclid_setup(4, 2)
-    frames = setup._frames(points_for(setup, 5), False)
+    frames = setup._frames(points_for(setup, 5))
     for noise in (0.0, 1e-7):  # LAPACK rejects the first, only the pivot rule the second
         vcols = np.array(frames.vcols)
         # (nearly) dependent fiber directions at the middle point only
@@ -226,7 +226,7 @@ def test_frame_and_levi_civita_batches_make_no_per_row_solves(monkeypatch):
     monkeypatch.setattr(linalg, "_pivot_test", lambda a: calls.append(1) or pivot_test(a))
     setup = hyperbolic_setup(3)
     points = points_for(setup, 64)
-    assert len(setup._frames(points, True)) == 64
+    assert len(setup._frames(points)) == 64
     connection = LeviCivitaConnection(setup.total.metric)
     for order in range(3):
         connection.batch(points, order)
@@ -274,7 +274,7 @@ def test_a_frame_build_factors_each_stack_once(lapack):
     # the kernel block, g, dpi g^-1 dpi^T and g_B; the connections take
     # the frame's metric parts and inverse, and the derived parts use them
     setup = builtins.build("hyperbolic:3").setup
-    frames = setup._frames(points_for(setup, 32), True)
+    frames = setup._frames(points_for(setup, 32))
     assert len(lapack) == 4
     for name in ("d_lcols", "d_ph", "d_pv", "gamma_dual", "cubic", "gamma_b_dual", "cubic_b"):
         getattr(frames.over(2), name)
@@ -286,7 +286,7 @@ def test_a_frame_build_inverts_its_uniform_stacks_on_one_row(lapack):
     # hyperbolic:3 projects onto coordinates of a Euclidean base, so the
     # kernel's pivot block and the base metric are the same at every point
     setup = builtins.build("hyperbolic:3").setup
-    setup._frames(points_for(setup, 256), True)
+    setup._frames(points_for(setup, 256))
     assert lapack == [("inv", (1, 2, 2)), ("inv", (256, 3, 3)), ("inv", (256, 2, 2)),
                       ("inv", (1, 2, 2))]
 

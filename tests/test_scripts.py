@@ -72,13 +72,12 @@ def test_repeat_census_finds_no_repeated_batch_on_the_bundle_builtins(name):
     lines = out.stdout.splitlines()
     assert lines[0].split() == ["check", "field", "calls", "repeats", "repeat", "ms"]
     assert len(lines) == 3 and lines[1].startswith("total repeats 0 in "), out.stdout
-    # prop41 and tm_statistical share one batch; prop42 evaluates its own stack
-    assert lines[2] == "frame builds 2 without the rank test, 0 with it"
+    # prop41 and tm_statistical read the suite's batch; prop42 evaluates its own stack
+    assert lines[2] == "frame builds 2"
 
 
-def test_repeat_census_counts_one_frame_build_per_stack_and_rank_test():
-    # the suite's points without the rank test (every frame check but
-    # split_identities and the curve checks) and with it; projectable's fibers
+def test_repeat_census_counts_one_frame_build_per_stack():
+    # the suite's points, read by every frame check; projectable's fibers
     out = run_script("scripts/repeat_census.py", "hyperbolic:3", "16")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "frame builds 2 without the rank test, 1 with it"
+    assert out.stdout.splitlines()[-1] == "frame builds 2"

@@ -24,6 +24,7 @@ from conftest import (
     hyperbolic_setup,
     max_abs,
     points_for,
+    preset_context,
     run_check,
     skewed_setup,
 )
@@ -63,7 +64,7 @@ def test_projection_requires_matching_arity():
 
 def frame_at(setup, p):
     """The one-point frame batch at p."""
-    return setup._frames([p], False)
+    return setup._frames([p])
 
 
 DERIVED_PARTS = ("gamma_dual", "cubic", "gamma_b_dual", "cubic_b")
@@ -245,21 +246,41 @@ def test_induced_inconclusive_when_premise_broken(hyp3):
     assert res.details.get("premise_failed") is True
 
 
-def test_rank_drop_detected():
+def fold_setup():
+    """A flat plane over a flat line, projected by x1^2 - x1/2: dpi
+    vanishes along x1 = 1/4, away from the box center."""
     chart = ChartedManifold("fold", 2, ((-1.0, 1.0), (-1.0, 1.0)))
     metric = MetricField.from_exprs([["1", "0"], ["0", "1"]], 2)
     total = Space(chart, metric, ExprConnection.zero(2))
     bchart = ChartedManifold("line", 1, ((-1.0, 1.0),))
     base = Space(bchart, MetricField.from_exprs([["1"]], 1), ExprConnection.zero(1))
-    # dpi vanishes along x1 = 1/4, away from the box center
-    setup = sm.SubmersionSetup(
-        total, base, [ExprField.parse("x1^2 - x1/2", 2)], None, "fold")
-    assert isinstance(setup._frames([(0.25, 0.3)], True).errors[0], RankDrop)
+    return sm.SubmersionSetup(total, base, [ExprField.parse("x1^2 - x1/2", 2)], None, "fold")
+
+
+def test_rank_drop_detected():
+    setup = fold_setup()
+    assert isinstance(setup._frames([(0.25, 0.3)]).errors[0], RankDrop)
     res = run_check("split_identities", setup, [(0.25, 0.3)], 1e-9)
     assert res.details["incident_kinds"]["RankDrop"]["count"] == 1
     # away from the fold the split works
-    assert not setup._frames([(0.6, 0.3)], True).errors
+    assert not setup._frames([(0.6, 0.3)]).errors
     assert frame_at(setup, (0.6, 0.3)).lcols.shape == (1, 2, 1)
+
+
+def test_every_frame_check_reads_a_near_fold_point_as_one_rank_drop():
+    # dpi = 2e-12 there: no frame exists, so no check that builds one
+    # (every kernel row of the submersion) may judge one
+    setup = fold_setup()
+    scenario = builtins.Scenario("fold", setup.total, setup=setup)
+    points = np.array([(0.25 + 1e-12, 0.3), (0.6, 0.3)])
+    ctx = preset_context(scenario, points, {}, np.array([(0.3, -0.2), (0.5, 0.1)]))
+    names = [name for name, spec in runner.CHECK_TABLE.items()
+             if spec.kernel and spec.needs == ("submersion",)]
+    assert len(names) == 14
+    for name in names:
+        res = runner.run_check(name, scenario, ctx)
+        assert (res.samples, res.incidents) == (1, 1), name
+        assert res.details["incident_kinds"]["RankDrop"]["count"] == 1, name
 
 
 def flat_setup(box, pi):
@@ -402,8 +423,8 @@ FRAME_RESIDUALS.update(
 def test_frame_batch_rows_equal_one_row_builds(which, unit):
     setup = FRAME_SETUPS[which]
     pts = box_points(setup, unit)
-    frames = setup._frames(pts, False)
-    ones = [setup._frames([p], False) for p in pts]
+    frames = setup._frames(pts)
+    ones = [setup._frames([p]) for p in pts]
     for row, one in enumerate(ones):
         for name, values in frame_arrays(frames).items():
             assert np.array_equal(values[row], getattr(one, name)[0]), (which, name)
@@ -433,7 +454,7 @@ def test_derived_frame_parts_are_those_of_the_frame_arrays(which):
     pts = box_points(setup, [[0.2, 0.7, 0.4, 0.9], [0.6, 0.3, 0.8, 0.1], [0.5] * 4])
     rows = [2, 0]
     for read_first in (False, True):  # take and over before and after a read
-        frames = setup._frames(pts, False)
+        frames = setup._frames(pts)
         want = derived_parts(frames)
         if read_first:
             frame_arrays(frames)
@@ -463,14 +484,14 @@ EAGER_CASES = [(name, None) for name in SUBMERSION_BUILTINS] + [
 def test_every_frame_part_is_that_of_the_eager_build(name, box, mode, seed):
     setup = builtins.build(name, mode).setup
     x = sample_box(box or setup.total.chart.box, 16, seed)
-    want, errors = build_rows(lambda rows: eager.frame_arrays(setup, rows, True), x)
+    want, errors = build_rows(lambda rows: eager.frame_arrays(setup, rows), x)
     rows = [len(want["dpi"]) - 1, 2, 0]
     views = {"whole": (lambda f: f, lambda a: a),
              "take": (lambda f: f.take(rows), lambda a: a[rows]),
              "slice": (lambda f: f.take(slice(1, -1)), lambda a: a[1:-1]),
              "over": (lambda f: f.over(2), lambda a: a.reshape(a.shape[:1] + (1, 1) + a.shape[1:]))}
     for view, (batch_of, rows_of) in views.items():
-        frames = setup._frames(x, True)  # nothing read before the view is made
+        frames = setup._frames(x)  # nothing read before the view is made
         assert {k: str(e) for k, e in frames.errors.items()} == {
             k: str(e) for k, e in errors.items()}
         batch = batch_of(frames)
@@ -505,7 +526,7 @@ def test_frame_christoffels_from_its_metric_parts_are_the_connection_batch(name,
     setup = builtins.build(name, mode).setup
     assert isinstance(setup.total.conn, MetricConnection)
     x = np.array(box_points(setup, [[0.2, 0.7, 0.4], [0.6, 0.3, 0.8], [0.5] * 3]))
-    frames = setup._frames(x, False)
+    frames = setup._frames(x)
     assert np.array_equal(frames.gamma, setup.total.conn.batch(x, 0)[0])
     assert np.array_equal(frames.gamma_b, setup.base.conn.batch(setup.project(x), 0)[0])
 
@@ -538,10 +559,10 @@ def log_metric_setup():
 def test_a_failing_point_is_one_incident_and_leaves_the_other_rows():
     setup = log_metric_setup()
     pts = [(0.3, 1.0), (-0.9, 1.5), (0.5, 2.0), (-0.2, 0.7)]
-    frames = setup._frames(pts, False)
+    frames = setup._frames(pts)
     assert list(frames.errors) == [1] and len(frames) == 3
     assert isinstance(frames.errors[1], EvalDomain)
-    alone = setup._frames([pts[0], pts[2], pts[3]], False)
+    alone = setup._frames([pts[0], pts[2], pts[3]])
     for name, values in frame_arrays(alone).items():
         assert np.array_equal(getattr(frames, name), values), name
     res = run_check("conformal_metric", setup, pts, 1e-8)
@@ -598,7 +619,7 @@ REFERENCE_SETUPS = {
 @pytest.mark.parametrize("which", sorted(REFERENCE_SETUPS))
 def test_column_formulas_match_the_per_index_reference(which):
     setup = REFERENCE_SETUPS[which]
-    f = setup._frames(points_for(setup, 16), False)
+    f = setup._frames(points_for(setup, 16))
     for new, old in ((sm.lemma_components, ref.lemma_components),
                      (sm.four_conditions_at, ref.four_conditions_at),
                      (sm.gauss_weingarten_residuals, ref.gauss_weingarten_residuals),
@@ -621,11 +642,11 @@ def test_shared_column_tensors_give_the_reference_residuals(name, seed):
     # the bundle builtins' setup is their bundle projection (Sasaki, complete lift)
     setup = builtins.build(name).setup
     x = points_for(setup, 32, seed)
-    want = {**cref.four_conditions_at(setup._frames(x, False)),
-            **cref.lemma_components(setup._frames(x, False))}
+    want = {**cref.four_conditions_at(setup._frames(x)),
+            **cref.lemma_components(setup._frames(x))}
     for first, second in ((sm.four_conditions_at, sm.lemma_components),
                           (sm.lemma_components, sm.four_conditions_at)):
-        f = setup._frames(x, False)
+        f = setup._frames(x)
         got = {**first(f), **second(f)}
         assert set(got) == set(want)
         for key in want:
@@ -636,7 +657,7 @@ def test_a_frame_batch_is_freed_with_its_last_reference():
     # its over() batches are kept on it and refer back to it weakly, so no
     # reference cycle holds a batch (and its arrays) until a gc pass
     setup = builtins.build("hyperbolic:3").setup
-    frames = setup._frames(points_for(setup, 8), False)
+    frames = setup._frames(points_for(setup, 8))
     sm.four_conditions_at(frames)
     sm.lemma_components(frames)
     assert set(frames._wide) == {2, 3}
@@ -683,7 +704,7 @@ def test_a_degenerate_pivot_pattern_re_pivots_at_the_point():
     pts = [(1.0, 0.0), (0.0, 0.3), (2.0, 0.5)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        frames = setup._frames(pts, False)
+        frames = setup._frames(pts)
     assert len(frames) == 3 and not frames.errors
     assert [w.category for w in caught] == [UserWarning]
     with pytest.warns(UserWarning, match="re-pivoting"):

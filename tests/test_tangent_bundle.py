@@ -130,7 +130,7 @@ def test_bundle_projection_lift_is_identity_minus_velocity(hyp2):
     # the frame of the bundle submersion must have lift columns (e_k; -A e_k)
     setup = hyp2.setup
     p = (0.2, 1.4, 0.5, -0.3)
-    lcols = setup._frames([p], False).lcols[0]
+    lcols = setup._frames([p]).lcols[0]
     gamma_b = at(hyp2.base.conn, p[:2])
     a_mat = np.einsum("j,ljk->lk", np.asarray(p[2:]), gamma_b)
     want = np.vstack([np.eye(2), -a_mat])
@@ -199,10 +199,10 @@ def test_tm_statistical_counts_a_failing_point_once(flat2, monkeypatch):
     pts = bundle_points(flat2, 8)
     build = sm.SubmersionSetup._frame_arrays
 
-    def failing_at_third_point(self, x, rank_test):
+    def failing_at_third_point(self, x):
         if (x == pts[2]).all(axis=1).any():
             raise EvalDomain("injected", point=pts[2])
-        return build(self, x, rank_test)
+        return build(self, x)
 
     monkeypatch.setattr(sm.SubmersionSetup, "_frame_arrays", failing_at_third_point)
     res = run_check("tm_statistical", flat2, pts, 1e-8)
@@ -450,7 +450,7 @@ def test_a_build_evaluates_each_base_batch_once():
     with mock.patch.object(base.metric, "_batch", counting(base.metric)), \
             mock.patch.object(base.conn, "_batch", counting(base.conn)):
         for build in (lambda: run_check("tb_defining_rules", bundle, x, 1e-8),
-                      lambda: bundle.setup._frames(x, False)):
+                      lambda: bundle.setup._frames(x)):
             calls.clear()
             build()
             once = collections.Counter(calls)
