@@ -8,13 +8,11 @@ starts, stacked as lockstep integration stacks them and repeated to 3
 rows.  Prints the median microseconds, over REPEATS timed calls (1000 by
 default) after a warm-up, of one order-0 ``conn.batch`` at those points,
 which gives the parts (Gamma,), and of one ``_rk4_step`` (four stages)
-from those states.  The last two columns are medians, over 3 runs after
-a warm-up, of integrating the builtin's own jobs (which share one span
-and step) over the whole span, in microseconds per step: ``integrate``
-is one ``integrate_geodesic``, which steps in blocks checked once per
-block, and ``replay`` the checked per-step loop that replays a block
-that fails (``_Lockstep.replay``: a ``_rk4_step`` per step, then the box
-test and the node store), which is what a failed block costs per step.
+from those states.  The last column is the median, over 3 runs after a
+warm-up, of one ``integrate_geodesic`` of the builtin's own jobs (which
+share one span and step) over the whole span, in microseconds per step:
+a ``_rk4_step`` through ``build_rows``, then the box test and the node
+store.
 Then it prints the median microseconds of one ``linalg.inverse`` on a
 1-row and on a 256-row stack of well-conditioned (3, 3) matrices: the
 fixed cost of a call and its cost per row.  Last, the lift table gives
@@ -38,7 +36,7 @@ sys.path.insert(0, "src")
 import numpy as np
 
 from subgeo import builtins
-from subgeo.geodesics import _Lockstep, _rk4_step, integrate_geodesic
+from subgeo.geodesics import _rk4_step, integrate_geodesic
 from subgeo.linalg import inverse
 from subgeo.sampling import sample_box
 
@@ -73,7 +71,7 @@ def median_us(call, repeats: int, warmup: int = WARMUP) -> float:
 def main() -> None:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
     print(f"{'builtin':<22s} {'conn.batch us':>14s} {'_rk4_step us':>13s} "
-          f"{'integrate us/step':>18s} {'replay us/step':>15s}")
+          f"{'integrate us/step':>18s}")
     for name in BUILTINS:
         scenario = builtins.build(name)
         jobs = scenario.geodesic_jobs
@@ -87,13 +85,9 @@ def main() -> None:
         step = median_us(lambda: _rk4_step(conn, states, 1e-3), repeats)
         (t_end, h), = {(job["t_end"], job["h"]) for job in jobs.values()}
         starts = [np.array([job[key] for job in jobs.values()]) for key in ("p0", "v0")]
-        n_steps = round(t_end / h)
         whole = median_us(lambda: integrate_geodesic(conn, chart, *starts, t_end, h),
                           INTEGRATIONS, warmup=1)
-        replay = median_us(lambda: _Lockstep(conn, chart, *starts, n_steps, h).replay(0, n_steps),
-                           INTEGRATIONS, warmup=1)
-        print(f"{name:<22s} {batch:14.1f} {step:13.1f} {whole / n_steps:18.1f} "
-              f"{replay / n_steps:15.1f}")
+        print(f"{name:<22s} {batch:14.1f} {step:13.1f} {whole / round(t_end / h):18.1f}")
     rng = np.random.default_rng(0)
     print(f"{'stack':<22s} {'inverse us':>14s}")
     for rows in STACKS:

@@ -13,10 +13,9 @@ budget: scalar fields, metrics and expression connections reach order
 the metric's by the forward-mode rule d(A^-1 b) = A^-1 (db - dA A^-1 b)
 differentiated once more; dual connections reach 1.  A batch inverts g
 once (:func:`linalg.inverse`); each solve against g multiplies by it,
-and a caller may pass it (:func:`_parts_and_inverse`) or, in an RK4
-stage, certify it later (``_gamma``).  Asking past a field's order
-raises :class:`ContractViolation`.  Nothing is cached per point
-beyond one build: within a stack build (:func:`shared`, which each
+and a caller may pass it (:func:`_parts_and_inverse`).  Asking past a
+field's order raises :class:`ContractViolation`.  Nothing is cached per
+point beyond one build: within a stack build (:func:`shared`, which each
 attempt of :func:`results.build_rows` runs in), a field evaluated again
 at the same points to the same or a lower order returns the parts it
 already gave, read-only, since a higher-order batch holds the parts of
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import exprlang
 from .errors import ContractViolation
-from .linalg import certify, inverse, lapack_inverse
+from .linalg import inverse
 
 FD_STEP_GRAD = 1e-6
 FD_STEP_HESS = 5e-4
@@ -358,11 +357,6 @@ class ConnectionField(Field):
         return [(f"Gamma^{k + 1}_{i + 1}{j + 1}", (k, i, j))
                 for k in range(n) for i in range(n) for j in range(n)]
 
-    def _gamma(self, points, pending) -> np.ndarray:
-        """Gamma at checked points, under ``_batch``'s errstate; one derived from
-        its metric leaves g^-1 uncertified, with (certify, g, g^-1) in ``pending``."""
-        return self._batch(points, 0)[0]
-
 
 class ExprConnection(ConnectionField):
     max_order = 3
@@ -393,11 +387,6 @@ class MetricConnection(ConnectionField):
         # the metric's batch, whose points ``batch`` has checked already
         g_parts = self.metric._shared_batch(points, order + 1)
         return self._parts(points, g_parts, inverse(g_parts[0]))
-
-    def _gamma(self, points, pending):
-        g_parts = self.metric._batch(points, 1)
-        pending.append((certify, g_parts[0], lapack_inverse(g_parts[0])))
-        return self._parts(points, g_parts, pending[-1][2])[0]
 
 
 def _parts_and_inverse(conn, metric, points, g_parts, ginv=None) -> tuple:

@@ -2,8 +2,7 @@
 
 A stack of matrices (N, n, n) is inverted in one LAPACK call, and a
 caller solves a^-1 b as that certified inverse times b, so a stack
-solved against several times is factored once; a block of RK4 steps
-certifies (:func:`certify`) the inverses of all of its stages at once.
+solved against several times is factored once.
 A uniform stack, every row with the same bits (the kernel pivot block
 of a coordinate projection, a Euclidean base metric), is inverted and
 certified on its first row, which is repeated: LAPACK inverts each row
@@ -59,7 +58,10 @@ def inverse(a) -> np.ndarray:
     several systems the message names the first failing row.  A uniform
     stack (:func:`_factor`) is inverted and certified on its first row."""
     a, rows, inv = _factor(a)
-    _certify(rows, inv, several=len(a) > 1)
+    ok = _certified(rows, inv)
+    if np.count_nonzero(ok) < len(ok):
+        for row, exc in _failures(rows, ok):
+            raise SingularMatrix(f"{exc} in row {row}") if len(a) > 1 else exc
     return _repeat(inv, len(a))
 
 
@@ -70,25 +72,6 @@ def inverse_rows(a):
     bad = np.zeros(len(inv), dtype=bool)
     bad[[row for row, _ in _failures(rows, _certified(rows, inv))]] = True
     return _repeat(inv, len(a)), _repeat(bad, len(a))
-
-
-def lapack_inverse(a) -> np.ndarray:
-    """a^-1 of a float stack (N, n, n), uncertified, under the caller's np.errstate."""
-    return _umath_linalg.inv(a)
-
-
-def certify(a, inv) -> None:
-    """Raise what :func:`inverse` raises for ``a``, given its inverse ``inv``."""
-    _certify(a, inv, several=len(a) > 1)
-
-
-def _certify(a, inv, several: bool) -> None:
-    """Raise the first failure of the rows of ``a``; with ``several``, its
-    message names the row."""
-    ok = _certified(a, inv)
-    if np.count_nonzero(ok) < len(ok):
-        for row, exc in _failures(a, ok):
-            raise SingularMatrix(f"{exc} in row {row}") if several else exc
 
 
 def _factor(a):
@@ -106,7 +89,7 @@ def _factor(a):
         if a[-1].tobytes() == first and a.tobytes() == first * len(a):
             rows = a[:1]
     with np.errstate(all="ignore"):
-        return a, rows, lapack_inverse(rows)
+        return a, rows, _umath_linalg.inv(rows)
 
 
 def _repeat(rows, count: int) -> np.ndarray:

@@ -144,11 +144,13 @@ class SubmersionSetup:
         """Boolean mask over a stack of points x (N, n): where g_M on the
         kernel columns is singular, so the fiber has no g_M-orthogonal
         complement to build a frame from.  Raises the first error of any
-        row."""
+        row, a failed rank test (:func:`_rank_test`) before any other."""
         if not self.fiber_dim:
             return np.zeros(len(x), dtype=bool)
         _, dpi_t, hess = self._pi_stack(x, 2)
-        kernel, _ = self._vertical(x, np.swapaxes(dpi_t, 1, 2), np.moveaxis(hess, 3, 2))
+        dpi = np.swapaxes(dpi_t, 1, 2)
+        _rank_test(x, dpi)
+        kernel, _ = self._vertical(x, dpi, np.moveaxis(hess, 3, 2))
         return inverse_rows(_gram(kernel, self.total.metric.batch(x, 0)[0]))[1]
 
     def _frame_arrays(self, x) -> dict:

@@ -7,10 +7,9 @@ connection derived from its metric, one certified inverse of g) and
 tests its accelerations before the next stage runs, so the first error
 in stage order is the one raised.  The loop takes one such step of the
 live jobs at a time, rebuilt job by job when it fails, and tests the
-chart box after each.  The package defers the certificate and the
-finiteness test to once per block of steps, with the box test; it must
-give the same nodes bit for bit, and the same errors (type, message,
-point and exit time).
+chart box after each.  The package's integration must give the same
+nodes bit for bit, and the same errors (type, message, point and exit
+time).
 """
 
 import numpy as np

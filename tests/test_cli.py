@@ -160,7 +160,7 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert "must be a finite number" in capsys.readouterr().err, payload
 
     # a finite t_end may still ask for more RK4 steps than a job may take
-    for span in ({"t_end": 1e300}, {"t_end": 1e300, "h": 1e-300}, {"t_end": 1001.0}):
+    for span in ({"t_end": 1e300}, {"t_end": 1e300, "h": 1e-300}, {"t_end": 10001.0}):
         payload = {"builtin": "hyperbolic:2", "checks": ["geodesic_energy"],
                    "geodesics": {"j": {**job, **span}}}
         assert cli.main(["verify", write_cfg(tmp_path, payload)]) == 2, payload
@@ -231,10 +231,10 @@ def test_geodesic_subcommand(tmp_path, capsys):
     out_csv = tmp_path / "curve.csv"
     code = cli.main(["geodesic", cfg, "--job", "semicircle", "--csv", str(out_csv)])
     assert code == 0
-    assert "semicircle: 1001 nodes" in capsys.readouterr().out
+    assert "semicircle: 101 nodes" in capsys.readouterr().out
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "t,x1,x2,v1,v2"
-    assert len(lines) == 1002
+    assert len(lines) == 102
     assert lines[1].startswith("0,0,1,")
 
     assert cli.main(["geodesic", cfg, "--job", "nope", "--csv", str(out_csv)]) == 2

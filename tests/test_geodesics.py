@@ -107,12 +107,12 @@ def _hyperbolic_states():
     return sc, np.array([j["p0"] + j["v0"] for j in jobs], dtype=float)
 
 
-def test_one_rk4_step_runs_four_metric_programs_and_inverses_and_one_certificate(monkeypatch):
-    # Each stage is one order-1 metric program and one LAPACK inverse over
-    # all rows; the certificate of the four inverses runs once per step.
-    # A change that adds work per stage or per step shows here.
+def test_one_rk4_step_runs_four_metric_programs_and_four_certified_inverses(monkeypatch):
+    # Each stage is one order-1 metric program and one inverse over all
+    # rows, certified in its stage.  A change that adds work per stage or
+    # per step shows here.
     programs, inverses, certificates = [], [], []
-    compile_batched, lapack_inverse = exprlang.compile_batched, fields.lapack_inverse
+    compile_batched, inverse = exprlang.compile_batched, fields.inverse
     certified = linalg._certified
 
     def counting_compile(*args):
@@ -122,8 +122,7 @@ def test_one_rk4_step_runs_four_metric_programs_and_inverses_and_one_certificate
         return program
 
     monkeypatch.setattr(exprlang, "compile_batched", counting_compile)
-    monkeypatch.setattr(fields, "lapack_inverse",
-                        lambda a: inverses.append(len(a)) or lapack_inverse(a))
+    monkeypatch.setattr(fields, "inverse", lambda a: inverses.append(len(a)) or inverse(a))
     monkeypatch.setattr(linalg, "_certified",
                         lambda a, inv: certificates.append(len(a)) or certified(a, inv))
     sc, states = _hyperbolic_states()
@@ -131,7 +130,9 @@ def test_one_rk4_step_runs_four_metric_programs_and_inverses_and_one_certificate
     geo._rk4_step(sc.space.conn, states, 1e-3)
     assert programs == [1] * 4
     assert inverses == [3] * 4
-    assert certificates == [12]
+    # the jobs share their start, so the first stage's g is a uniform
+    # stack, certified on its first row (linalg._factor)
+    assert certificates == [1, 3, 3, 3]
 
 
 def test_the_stacked_rk4_step_is_the_split_one_bit_for_bit():
@@ -387,13 +388,35 @@ GEODESIC_BUILTINS = ("euclidean:2", "euclidean:3", "hyperbolic:2", "hyperbolic:3
 @pytest.mark.parametrize("mode", ["jet", "fd"])
 @pytest.mark.parametrize("name", GEODESIC_BUILTINS)
 def test_nodes_are_the_per_stage_checked_steps_bit_for_bit(name, mode):
-    # the builtin's jobs over their first 200 steps
+    # the builtin's jobs over their own span
     sc = builtins.build(name, mode)
     jobs = [sc.geodesic_jobs[k] for k in sorted(sc.geodesic_jobs)]
-    h = jobs[0]["h"]
+    t_end, h = jobs[0]["t_end"], jobs[0]["h"]
     out = assert_reference_outcomes(sc.space.conn, sc.space.chart,
-                                    [j["p0"] for j in jobs], [j["v0"] for j in jobs], 200 * h, h)
-    assert all(isinstance(traj, geo.Trajectory) and len(traj) == 201 for traj in out)
+                                    [j["p0"] for j in jobs], [j["v0"] for j in jobs], t_end, h)
+    nodes = round(t_end / h) + 1
+    assert all(isinstance(traj, geo.Trajectory) and len(traj) == nodes for traj in out)
+
+
+# every builtin that lists geodesic_energy
+ENERGY_BUILTINS = tuple(name for name in GEODESIC_BUILTINS + ("hyperbolic:4", "broken:2",
+                                                              "perturbed:3")
+                        if "geodesic_energy" in builtins.build(name).checks)
+
+
+@pytest.mark.parametrize("mode", ["jet", "fd"])
+@pytest.mark.parametrize("name", ENERGY_BUILTINS)
+def test_the_default_step_keeps_the_drift_far_below_the_energy_tolerance(name, mode):
+    # the step is sized to the check: the integrator's truncation error
+    # stays at least 10^4 below the tolerance on every job
+    sc = builtins.build(name, mode)
+    assert {job["h"] for job in sc.geodesic_jobs.values()} == {geo.DEFAULT_STEP}
+    suite = config.parse_config({"builtin": name, "mode": mode, "checks": ["geodesic_energy"],
+                                 "sampling": {"count": 1, "seed": 0}})
+    (energy,) = runner.run_suite(suite)["checks"]
+    assert (energy["status"], energy["incidents"]) == ("pass", 0)
+    assert energy["samples"] == len(sc.geodesic_jobs)
+    assert energy["max_residual"] <= 1e-4 * energy["tolerance"]
 
 
 @pytest.mark.parametrize("name", ["hyperbolic:3", "gaussian:alpha=0", "euclidean:3"])
@@ -430,7 +453,7 @@ def test_job_leaving_the_box_does_not_stop_its_siblings():
     assert out[1].t == pytest.approx(math.log(2.0), abs=2e-3)
     assert isinstance(out[3], ContractViolation)
     for k in (0, 2):
-        assert same_trajectory(out[k], integrate_one(conn, chart, x0[k], v0[k], 1.0))
+        assert same_trajectory(out[k], integrate_one(conn, chart, x0[k], v0[k], 1.0, step=1e-3))
 
 
 def test_job_failing_to_evaluate_becomes_its_incident():
@@ -529,13 +552,17 @@ def _cut_half_plane(exit_step, h):
     return ChartedManifold("cut", 2, ((-4.0, 4.0), (0.05, top))), conn
 
 
-@pytest.mark.parametrize("exit_step", [geo.BLOCK + geo.BLOCK // 2, geo.BLOCK, geo.BLOCK - 1],
-                         ids=["mid_block", "first_step", "last_step"])
-def test_a_job_leaving_the_box_within_a_block_ends_as_step_by_step(exit_step):
+# steps of the spans the lockstep tests below integrate
+SPAN_STEPS = 96
+
+
+@pytest.mark.parametrize("exit_step", [48, 0, SPAN_STEPS - 1],
+                         ids=["mid_span", "first_step", "last_step"])
+def test_a_job_leaving_the_box_ends_as_step_by_step(exit_step):
     h = 1e-2
     chart, conn = _cut_half_plane(exit_step, h)
     x0, v0 = [(0.0, 1.0), (0.0, 1.0), (0.3, 0.9)], [(0.0, 1.0), (1.0, 0.0), (0.2, -0.1)]
-    out = assert_reference_outcomes(conn, chart, x0, v0, 3 * geo.BLOCK * h, h)
+    out = assert_reference_outcomes(conn, chart, x0, v0, SPAN_STEPS * h, h)
     assert isinstance(out[0], BoundaryExit) and out[0].t == out[1].ts[exit_step + 1]
     assert all(isinstance(traj, geo.Trajectory) for traj in out[1:])
 
@@ -548,7 +575,7 @@ def _flat_until(c):
     return ExprConnection(2, coeffs)
 
 
-def _failing_mid_block(kind):
+def _failing_mid_span(kind):
     """(connection, start (x0, v0), the step of 1e-2 at which the job
     fails, its error type): a domain error at x1 = 0.4 on a straight line,
     or the line x2 = 0.2 + t, a geodesic of diag(1 - (1 - 1e-13)
@@ -561,53 +588,40 @@ def _failing_mid_block(kind):
 
 
 @pytest.mark.parametrize("kind", ["domain", "singular"])
-def test_a_job_failing_within_a_block_ends_as_step_by_step(kind):
+def test_a_job_failing_mid_span_ends_as_step_by_step(kind):
     chart = ChartedManifold("square", 2, ((-1.0, 1.0), (-1.0, 1.0)))
     h = 1e-2
-    conn, (p0, q0), fails_at, error = _failing_mid_block(kind)
-    # the reference ends the job at its step fails_at, inside a block
-    assert 0 < fails_at % geo.BLOCK < geo.BLOCK - 1
+    conn, (p0, q0), fails_at, error = _failing_mid_span(kind)
+    # the reference ends the job at its step fails_at, inside the span
+    assert 0 < fails_at < SPAN_STEPS - 1
     before, at = (rk4_reference.integrate_geodesic(conn, chart, [p0], [q0], k * h, h)[0]
                   for k in (fails_at, fails_at + 1))
     assert isinstance(before, geo.Trajectory) and isinstance(at, error)
     x0, v0 = [p0, (-0.5, 0.3)], [q0, (0.1, 0.2)]
-    out = assert_reference_outcomes(conn, chart, x0, v0, 3 * geo.BLOCK * h, h)
+    out = assert_reference_outcomes(conn, chart, x0, v0, SPAN_STEPS * h, h)
     assert isinstance(out[0], error) and isinstance(out[1], geo.Trajectory)
 
 
-def test_jobs_all_ending_within_one_block_end_as_step_by_step():
+def test_jobs_all_ending_within_the_span_end_as_step_by_step():
     # the domain error of the test above at step 49, and a straight line
     # x2 = t that leaves the box x2 <= 0.455 at step 45
     chart = ChartedManifold("low", 2, ((-1.0, 1.0), (-1.0, 0.455)))
     h = 1e-2
-    conn, (p0, q0), fails_at, _ = _failing_mid_block("domain")
+    conn, (p0, q0), fails_at, _ = _failing_mid_span("domain")
     x0, v0 = [p0, (0.0, 0.0)], [q0, (0.0, 1.0)]
-    out = assert_reference_outcomes(conn, chart, x0, v0, 3 * geo.BLOCK * h, h)
+    out = assert_reference_outcomes(conn, chart, x0, v0, SPAN_STEPS * h, h)
     assert isinstance(out[0], EvalDomain) and isinstance(out[1], BoundaryExit)
     exit_step = round(out[1].t / h) - 1
-    assert exit_step == 45 and exit_step // geo.BLOCK == fails_at // geo.BLOCK
+    assert exit_step == 45 and fails_at == 49 and fails_at < SPAN_STEPS - 1
 
 
-@pytest.mark.parametrize("n_steps", [1, geo.BLOCK // 2 + 1, 2 * geo.BLOCK + 7])
-def test_spans_of_part_blocks_give_the_reference_nodes(n_steps):
+@pytest.mark.parametrize("n_steps", [1, 17, 71])
+def test_spans_of_several_lengths_give_the_reference_nodes(n_steps):
     sc, states = _hyperbolic_states()
     h = 1e-3
     out = assert_reference_outcomes(sc.space.conn, sc.space.chart, states[:, :3],
                                     states[:, 3:], n_steps * h, h)
     assert all(isinstance(traj, geo.Trajectory) and len(traj) == n_steps + 1 for traj in out)
-
-
-def test_a_clean_integration_certifies_once_per_block(monkeypatch):
-    certificates, certified = [], linalg._certified
-    monkeypatch.setattr(linalg, "_certified",
-                        lambda a, inv: certificates.append(len(a)) or certified(a, inv))
-    sc, states = _hyperbolic_states()
-    h = 1e-3
-    out = geo.integrate_geodesic(sc.space.conn, sc.space.chart, states[:, :3], states[:, 3:],
-                                 (2 * geo.BLOCK + 5) * h, h)
-    assert all(isinstance(traj, geo.Trajectory) for traj in out)
-    # one certificate of a block's inverses: 3 jobs, four stages a step
-    assert certificates == [12 * geo.BLOCK] * 2 + [12 * 5]
 
 
 SUITES = [{"builtin": name} for name in GEODESIC_BUILTINS + (

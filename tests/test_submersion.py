@@ -283,6 +283,17 @@ def test_every_frame_check_reads_a_near_fold_point_as_one_rank_drop():
         assert res.details["incident_kinds"]["RankDrop"]["count"] == 1, name
 
 
+def test_semi_riemannian_reads_a_fold_point_as_one_rank_drop_without_re_pivoting():
+    # null_fibers runs the rank test before it builds the kernel columns,
+    # so the fold point never reaches the uniform pivot block
+    setup = fold_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_check("semi_riemannian", setup, [(0.25, 0.3), (0.6, 0.3)], 1e-8)
+    assert (res.samples, res.incidents) == (1, 1)
+    assert res.details["incident_kinds"]["RankDrop"]["count"] == 1
+
+
 def flat_setup(box, pi):
     """A flat chart over a flat line, projected by the expression ``pi``."""
     chart = ChartedManifold("flat", len(box), box)

@@ -34,5 +34,5 @@ def test_every_row_names_a_kernel_and_a_rule_or_a_driver():
 def test_no_check_function_lives_outside_the_table():
     for module in (geodesics, geometry, results, submersion, tangent_bundle):
         names = [n for n in vars(module) if n.startswith(("check_", "sweep_"))
-                 or n.endswith("_check") and n != "_check"]  # geodesics' RK4 step check
+                 or n.endswith("_check")]
         assert names == [], module.__name__
