@@ -20,8 +20,13 @@ build are not counted.  A last line gives the frame builds of the second
 run, the calls of ``SubmersionSetup._frame_arrays``: one for the suite's
 frame batch, one per frame batch a check builds for itself or, in
 ``semi_riemannian``, per stack it evaluates, plus one per row of a
-per-row rebuild.  Run it from the repository root; it measures the
-``subgeo`` under ``src``.
+per-row rebuild.  Then one line per build site, the function that
+called ``results.build_rows``, gives for the second run its stacks (the
+calls of ``build_rows`` there), and the field memo's lookups and hits
+inside them (``fields.shared``): a lookup is a field batch asked for
+while a build's memo is open, a hit one the memo served.  A lookup
+inside nested builds is charged to the innermost.  Run it from the
+repository root; it measures the ``subgeo`` under ``src``.
 """
 
 import sys
@@ -35,6 +40,8 @@ from subgeo.config import build_scenario, load_config, parse_config
 _build = None  # {(field id, shape, bytes): (highest order, field)} of the running build
 _counts = {}   # {field label: [calls, repeats, repeat seconds]} of the running check
 _frame_builds = 0  # _frame_arrays calls of the running suite
+_sites = []        # the build sites of the running build_rows calls, innermost last
+_memo = {}         # {build site: [stacks, lookups, hits]} of the running suite
 
 
 def _label(field) -> str:
@@ -70,6 +77,22 @@ def _counted(frame_arrays):
     return wrapped
 
 
+def _looked_up(shared_batch):
+    def wrapped(self, points, order):
+        memo = fields._MEMO.get()
+        if memo is None or not _sites:
+            return shared_batch(self, points, order)
+        key = (id(self), points.shape)
+        held = len(memo.get(key, ()))
+        parts = shared_batch(self, points, order)
+        count = _memo[_sites[-1]]
+        count[1] += 1
+        count[2] += len(memo[key]) == held  # a miss stores its batch
+        return parts
+
+    return wrapped
+
+
 def _scoped(build):
     def attempt(points):
         global _build
@@ -95,10 +118,17 @@ def _instrument() -> None:
             cls._batch = _census(vars(cls)["_batch"])
     setup = submersion.SubmersionSetup
     setup._frame_arrays = _counted(setup._frame_arrays)
+    fields.Field._shared_batch = _looked_up(fields.Field._shared_batch)
     original = results.build_rows
 
     def build_rows(build, points):
-        return original(_scoped(build), points)
+        site = sys._getframe(1).f_code.co_name
+        _memo.setdefault(site, [0, 0, 0])[0] += 1
+        _sites.append(site)
+        try:
+            return original(_scoped(build), points)
+        finally:
+            _sites.pop()
 
     for module in (results, submersion, geodesics, runner):
         module.build_rows = build_rows
@@ -113,7 +143,7 @@ def _config(suite: str, count: int, seed: int):
 
 
 def main() -> None:
-    global _counts, _frame_builds
+    global _counts, _frame_builds, _memo
     suite = sys.argv[1]
     count = int(sys.argv[2]) if len(sys.argv) > 2 else 16
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 0
@@ -124,7 +154,7 @@ def main() -> None:
     table = {}
     for _ in range(2):
         ctx = runner.RunContext(scenario, cfg.count, cfg.seed, cfg.boxes)
-        _frame_builds = 0
+        _frame_builds, _memo = 0, {}
         for name in names:
             _counts = {}
             runner.run_check(name, scenario, ctx)
@@ -139,6 +169,9 @@ def main() -> None:
                 total[1] += seconds
     print(f"total repeats {total[0]} in {1e3 * total[1]:.3f} ms")
     print(f"frame builds {_frame_builds}")
+    print(f"{'build site':<24s} {'stacks':>6s} {'lookups':>8s} {'hits':>6s}")
+    for site, (stacks, lookups, hits) in sorted(_memo.items()):
+        print(f"{site:<24s} {stacks:6d} {lookups:8d} {hits:6d}")
 
 
 if __name__ == "__main__":

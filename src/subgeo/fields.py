@@ -15,11 +15,12 @@ differentiated once more; dual connections reach 1.  A batch inverts g
 once (:func:`linalg.inverse`); each solve against g multiplies by it,
 and a caller may pass it (:func:`_parts_and_inverse`).  Asking past a
 field's order raises :class:`ContractViolation`.  Nothing is cached per
-point beyond one build: within a stack build (:func:`shared`, which each
-attempt of :func:`results.build_rows` runs in), a field evaluated again
-at the same points to the same or a lower order returns the parts it
-already gave, read-only, since a higher-order batch holds the parts of
-every lower one bit for bit.  The memo is dropped when the build returns
+point beyond one build: within a stack build (:func:`shared`, which the
+check kernels, the derivative probes and the frame builds open for each
+attempt of :func:`results.build_rows`), a field evaluated again at the
+same points to the same or a lower order returns the parts it already
+gave, read-only, since a higher-order batch holds the parts of every
+lower one bit for bit.  The memo is dropped when the build returns
 or raises, so it never holds more than one build's batches and no
 result depends on what an earlier build evaluated.  In
 finite-difference mode the same program runs at order 0 on every
@@ -131,6 +132,12 @@ def shared(build, points):
     each evaluate and no batch is held past the build that needed it.
     The memo is a context variable, so builds in other threads have
     their own.
+
+    Three builds open it, one memo per attempt of
+    :func:`results.build_rows`: the check kernels over a suite's points,
+    the derivative probes and the frame builds, which read one field at
+    the same points more than once.  An RK4 step opens none: its four
+    stages evaluate the connection at four different stacks.
     """
     if _MEMO.get() is not None:
         return build(points)

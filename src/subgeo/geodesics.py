@@ -68,18 +68,19 @@ def _accel(gamma, v) -> np.ndarray:
 
 
 def _rk4_step(conn: ConnectionField, states, step) -> dict:
-    """One RK4 step of every row of ``states`` (N, 2n), each (x, v).  Each
-    stage evaluates the connection through its checked ``batch`` (for one
-    derived from its metric, one certified inverse of g) and tests its
-    accelerations before the next stage runs, so the first error in stage
-    order is the one raised; a non-finite acceleration is a domain error
-    at its state's point."""
+    """One RK4 step of every row of ``states`` (N, 2n), each (x, v), whose
+    points :func:`integrate_geodesic` has checked.  Each stage calls the
+    connection's kernel ``_batch`` at order 0 (for one derived from its
+    metric, one certified inverse of g) and tests its accelerations
+    before the next stage runs, so the first error in stage order is the
+    one raised; a non-finite acceleration is a domain error at its
+    state's point."""
     n, k = states.shape[1] // 2, []  # k: the slopes (v, acceleration)
     with np.errstate(all="ignore"):
         for c in (None, 0.5 * step, 0.5 * step, step):
             s = states if c is None else states + c * k[-1]
             x, v = s[:, :n], s[:, n:]
-            acc = _accel(conn.batch(x, 0)[0], v)
+            acc = _accel(conn._batch(x, 0)[0], v)
             finite = np.isfinite(acc)
             if np.count_nonzero(finite) < finite.size:
                 bad = ~finite.all(axis=1)

@@ -15,10 +15,16 @@ Partial pivoting keeps |l_ij| <= 1, so ||L||_2 <= sqrt(n(n+1)/2) and
 
 a row whose bound clears the threshold ``CERTIFICATE_SAFETY``-fold (room
 for the rounding in the computed inverse and pivots) passes for certain.
-Only the other rows (near-singular, holding NaN or inf, or exactly
-singular) are tested one by one from their own LU pivots, in row order,
-so every verdict is the per-system rule's.  Their pivots come from
-:func:`_lu_pivots`, a numpy LU with partial pivoting that takes LAPACK
+The bound is tested on the whole stack first, with max|a^-1| and max|a|
+taken over all rows.  Rounded multiplication and division are monotone
+in each non-negative operand (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002, ch. 2), so each side of the inequality for
+a row lies on the safe side of the stack's: a stack that passes
+certifies every row.  One that fails, or reads NaN or inf, is certified
+row by row, and only the rows left (near-singular, holding NaN or inf,
+or exactly singular) are tested one by one from their own LU pivots, in
+row order, so every verdict is the per-system rule's.  Their pivots come
+from :func:`_lu_pivots`, a numpy LU with partial pivoting that takes LAPACK
 ``dgetf2``'s steps; :func:`pivoted_qr`, the column-pivoted QR that picks
 a submersion's pivot columns, takes those of ``dlaqp2`` (Businger and
 Golub, Numer. Math. 7, 1965).
@@ -58,10 +64,8 @@ def inverse(a) -> np.ndarray:
     several systems the message names the first failing row.  A uniform
     stack (:func:`_factor`) is inverted and certified on its first row."""
     a, rows, inv = _factor(a)
-    ok = _certified(rows, inv)
-    if np.count_nonzero(ok) < len(ok):
-        for row, exc in _failures(rows, ok):
-            raise SingularMatrix(f"{exc} in row {row}") if len(a) > 1 else exc
+    for row, exc in _failures(rows, inv):
+        raise SingularMatrix(f"{exc} in row {row}") if len(a) > 1 else exc
     return _repeat(inv, len(a))
 
 
@@ -70,7 +74,7 @@ def inverse_rows(a):
     (N, n, n), from one LAPACK call."""
     a, rows, inv = _factor(a)
     bad = np.zeros(len(inv), dtype=bool)
-    bad[[row for row, _ in _failures(rows, _certified(rows, inv))]] = True
+    bad[[row for row, _ in _failures(rows, inv)]] = True
     return _repeat(inv, len(a)), _repeat(bad, len(a))
 
 
@@ -97,10 +101,18 @@ def _repeat(rows, count: int) -> np.ndarray:
     return rows if len(rows) == count else np.repeat(rows, count, axis=0)
 
 
-def _failures(a, ok):
-    """(row, SingularMatrix) for each row of the stack that fails the
-    pivot test, in row order; rows ``ok`` certifies are not tested."""
-    for row in np.flatnonzero(~ok):
+def _failures(a, inv):
+    """(row, SingularMatrix) for each row of the stack a that fails the
+    pivot test, in row order, given its inverses inv; rows the certificate
+    passes are not tested, and none is when the bound holds over the
+    whole stack (see the module docstring)."""
+    scale = np.maximum.reduce(np.abs(a), None, initial=0.0)
+    big = np.maximum.reduce(np.abs(inv), None, initial=0.0)
+    # _certified's inequality on the stack's maxima; scale first, so a NaN
+    # passes through min and max
+    if big * min(scale, 1.0) < _bound(a.shape[-1]) / max(scale, 1.0):
+        return
+    for row in np.flatnonzero(~_certified(a, inv)):
         try:
             _pivot_test(a[row])
         except SingularMatrix as exc:

@@ -2,15 +2,7 @@
 through, with what feeds it: the row-by-row rebuild of a failing batch
 (:func:`build_rows`), items owning several rows of one batch
 (:func:`owned_rows`), and values computed item by item
-(:func:`collect`).
-
-Each attempt of :func:`build_rows` is one stack build, inside which the
-field batches are shared (:func:`fields.shared`): the lifts, frames and
-residuals of one build that read one field at the same points evaluate
-it once.  Sharing ends with the attempt, so a per-row rebuild starts
-afresh and no check sees the field batches another evaluated (the frame
-batch a suite shares is built by such attempts:
-``runner.RunContext.frames``)."""
+(:func:`collect`)."""
 
 from __future__ import annotations
 
@@ -20,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SubgeoError
-from .fields import shared
 
 PASS = "pass"
 FAIL = "fail"
@@ -171,22 +162,26 @@ def build_rows(build, points):
     """``build(points)``, a dict of arrays with one leading row per point
     of the stack ``points``, plus the errors of the points it fails at.
 
-    The stack is built at once, sharing field batches within the build
-    (:func:`fields.shared`).  When that raises a :class:`SubgeoError`,
+    The stack is built at once.  When that raises a :class:`SubgeoError`,
     each row is built alone, as a build of its own: the failing points
     keep their own errors and the others get what the stack gives them.
     Returns (the arrays of the rows that built, in point order, or {}
     when none did; a map from the position of each failing point to its
-    error).
+    error).  Each attempt is one call of ``build``, so a ``build`` that
+    shares field batches (``functools.partial(fields.shared, f)``, as the
+    check kernels, the probes and the frame builds pass) shares them
+    within one attempt: a per-row rebuild starts afresh.  An RK4 step
+    (:func:`geodesics.integrate_geodesic`) shares nothing, since its
+    stages evaluate the connection at four different stacks.
     """
     try:
-        return shared(build, points), {}
+        return build(points), {}
     except SubgeoError:
         pass
     parts, errors = [], {}
     for row in range(len(points)):
         try:
-            parts.append(shared(build, points[row:row + 1]))
+            parts.append(build(points[row:row + 1]))
         except SubgeoError as exc:
             errors[row] = exc
     arrays = {k: np.concatenate([part[k] for part in parts]) for k in (parts[0] if parts else ())}

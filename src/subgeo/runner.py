@@ -28,7 +28,7 @@ from . import __version__, geodesics, geometry, submersion, tangent_bundle
 from .builtins import Scenario
 from .config import SuiteConfig, build_scenario
 from .errors import ConfigError, ContractViolation, SubgeoError
-from .fields import FDField
+from .fields import FDField, shared
 from .geodesics import CURVE_KEYS
 from .results import (FAIL, INCONCLUSIVE, PASS, CheckResult, agree, build_rows, collect, fold,
                       peak)
@@ -135,7 +135,7 @@ def _run_kernel(spec, scenario, ctx, tol) -> CheckResult:
     the velocities of its rows."""
     subject, kernel = NEEDS[spec.needs[0]][1](scenario), getattr(*spec.kernel)
     if spec.stack == "points":
-        items = build_rows(lambda x: kernel(subject, x), ctx.points())
+        items = build_rows(functools.partial(shared, lambda x: kernel(subject, x)), ctx.points())
     else:
         frames = ctx.frames()
         args = (frames,)
@@ -203,8 +203,8 @@ def _probe_rows(probes):
         run = list(run)
         index = np.array([probe[2] for probe in run], dtype=int)
         x = np.array([probe[4] for probe in run])
-        values, failed = build_rows(
-            lambda rows: {"r": _disagreement(fld, index[rows], to_point(x[rows]))},
+        values, failed = build_rows(functools.partial(
+            shared, lambda rows: {"r": _disagreement(fld, index[rows], to_point(x[rows]))}),
             np.arange(len(run)))
         residuals.append(values.get("r", np.zeros(0)))
         errors.update((start + row, exc) for row, exc in failed.items())
@@ -465,6 +465,11 @@ def _jsonable(value):
     return repr(value)
 
 
+def _reads_frames(name: str) -> bool:
+    """Whether the check ``name`` maps the suite's frame batch."""
+    return CHECK_TABLE[name].stack in ("frames", "tangent frames")
+
+
 def run_suite(cfg: SuiteConfig) -> dict:
     """Execute the configured checks and assemble the report."""
     scenario = build_scenario(cfg)
@@ -473,12 +478,17 @@ def run_suite(cfg: SuiteConfig) -> dict:
         raise ConfigError(f"no checks to run on {scenario.name}: list them under 'checks'")
     ctx = RunContext(scenario, cfg.count, cfg.seed, cfg.boxes)
 
-    rows = []
-    for name, tol in sorted(requested):
+    # Rows are reported in sorted order, but every check that does not read
+    # the frame batch runs before the batch is built, so the suite never
+    # holds the batch and another check's arrays at once.
+    requested = sorted(requested)
+    rows = [None] * len(requested)
+    for index in sorted(range(len(requested)), key=lambda k: _reads_frames(requested[k][0])):
+        name, tol = requested[index]
         start = time.perf_counter()
         result = run_check(name, scenario, ctx, tol)
         wall = time.perf_counter() - start
-        rows.append({
+        rows[index] = {
             "name": name,
             "paper_ref": CHECK_TABLE[name].paper_ref,
             "samples": result.samples,
@@ -488,7 +498,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
             "incidents": result.incidents,
             "details": _jsonable(result.details),
             "wall_time_s": wall,
-        })
+        }
 
     attempted_total = sum(r["samples"] + r["incidents"] for r in rows)
     incident_rate = sum(r["incidents"] for r in rows) / float(max(attempted_total, 1))

@@ -49,7 +49,8 @@ import numpy as np
 
 from . import geometry
 from .errors import ContractViolation, EvalDomain, PremiseFailed, RankDrop, SingularMatrix
-from .fields import ScalarField, Space, _as_points, _dual, _FieldStack, _parts_and_inverse
+from .fields import (ScalarField, Space, _as_points, _dual, _FieldStack, _parts_and_inverse,
+                     shared)
 from .linalg import inverse, inverse_rows, pivoted_qr
 from .results import build_rows, collect, owned_rows
 
@@ -120,10 +121,11 @@ class SubmersionSetup:
         frame is built.  When the batch raises a :class:`SubgeoError`,
         each row is built alone (:func:`results.build_rows`): the failing
         points keep their own errors and the others get exactly what the
-        batch gives them.
+        batch gives them.  Each attempt shares its field batches
+        (:func:`fields.shared`).
         """
         points = np.asarray(points, dtype=float).reshape(len(points), self.n)
-        arrays, errors = build_rows(self._frame_arrays, points)
+        arrays, errors = build_rows(functools.partial(shared, self._frame_arrays), points)
         return _FrameBatch(self, len(points) - len(errors), arrays, errors)
 
     def _vertical(self, x, dpi, d_dpi):

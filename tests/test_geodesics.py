@@ -109,11 +109,12 @@ def _hyperbolic_states():
 
 def test_one_rk4_step_runs_four_metric_programs_and_four_certified_inverses(monkeypatch):
     # Each stage is one order-1 metric program and one inverse over all
-    # rows, certified in its stage.  A change that adds work per stage or
-    # per step shows here.
-    programs, inverses, certificates = [], [], []
+    # rows, certified by the bound on its whole stack, with no per-row
+    # certificate and no field memo.  A change that adds work per stage
+    # or per step shows here.
+    programs, inverses, certificates, lookups = [], [], [], []
     compile_batched, inverse = exprlang.compile_batched, fields.inverse
-    certified = linalg._certified
+    certified, shared_batch = linalg._certified, fields.Field._shared_batch
 
     def counting_compile(*args):
         program = compile_batched(*args)
@@ -121,18 +122,27 @@ def test_one_rk4_step_runs_four_metric_programs_and_four_certified_inverses(monk
         program.at = lambda order: (lambda points: programs.append(order) or at(order)(points))
         return program
 
+    def counting_lookup(self, points, order):
+        if fields._MEMO.get() is not None:
+            lookups.append(self)
+        return shared_batch(self, points, order)
+
     monkeypatch.setattr(exprlang, "compile_batched", counting_compile)
     monkeypatch.setattr(fields, "inverse", lambda a: inverses.append(len(a)) or inverse(a))
     monkeypatch.setattr(linalg, "_certified",
                         lambda a, inv: certificates.append(len(a)) or certified(a, inv))
+    monkeypatch.setattr(fields.Field, "_shared_batch", counting_lookup)
     sc, states = _hyperbolic_states()
     assert len(states) == 3
-    geo._rk4_step(sc.space.conn, states, 1e-3)
+    n = sc.dim
+    # one step of the integration loop, through its per-step build
+    curves = geo.integrate_geodesic(sc.space.conn, sc.space.chart, states[:, :n],
+                                    states[:, n:], 1e-3, 1e-3)
+    assert [len(curve) for curve in curves] == [2] * 3
     assert programs == [1] * 4
     assert inverses == [3] * 4
-    # the jobs share their start, so the first stage's g is a uniform
-    # stack, certified on its first row (linalg._factor)
-    assert certificates == [1, 3, 3, 3]
+    assert certificates == []
+    assert lookups == []
 
 
 def test_the_stacked_rk4_step_is_the_split_one_bit_for_bit():

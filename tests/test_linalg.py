@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dgetrf
 
 from subgeo import builtins, linalg
@@ -14,6 +16,7 @@ from subgeo.fields import DualConnection, LeviCivitaConnection, _dual
 from subgeo.jets import Jet
 from subgeo.submersion import RANK_RTOL, _gram
 
+import certificate_reference
 from conftest import euclid_setup, hyperbolic_setup, points_for
 from jet_reference import jet_inverse, jet_matmul, jet_solve, jet_values
 
@@ -202,6 +205,74 @@ def _rejects(matrix):
     except SingularMatrix:
         return True
     return False
+
+
+ROW_KINDS = ("well", "scaled", "near", "singular", "zero", "nan", "inf", "-inf")
+
+
+@st.composite
+def stacks(draw):
+    """A stack (N, n, n), n <= 6, whose rows are well conditioned, scaled
+    by 10^k, near-singular, exactly singular, zero, or hold NaN or +-inf;
+    sometimes uniform, or the whole stack scaled by 10^k."""
+    n, count = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(count, n, n)) + n * np.eye(n)
+    for row in range(count):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "scaled":
+            a[row] *= 10.0 ** draw(st.integers(-300, 300))
+        elif kind == "near":
+            a[row, -1] = 2.0 * a[row, 0] + 10.0 ** -draw(st.integers(8, 16)) * rng.normal(size=n)
+        elif kind == "singular":
+            a[row, -1] = a[row, 0]
+        elif kind == "zero":
+            a[row] = 0.0
+        elif kind != "well":
+            a[row, rng.integers(n), rng.integers(n)] = {"nan": np.nan, "inf": np.inf,
+                                                        "-inf": -np.inf}[kind]
+    if draw(st.booleans()):
+        a[:] = a[0]
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):  # an entry may overflow to inf
+            a *= 10.0 ** draw(st.integers(-200, 200))
+    return a
+
+
+def _outcome(inverse, a):
+    """The inverses of a, or the type and message of its SingularMatrix."""
+    try:
+        return inverse(a).tobytes()
+    except SingularMatrix as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_the_stack_bound_gives_the_per_row_rule(a):
+    # arrays, masks, exception types, messages and row numbers
+    assert _outcome(linalg.inverse, a) == _outcome(certificate_reference.inverse, a)
+    inv, bad = linalg.inverse_rows(a)
+    want_inv, want_bad = certificate_reference.inverse_rows(a)
+    assert inv.tobytes() == want_inv.tobytes() and bad.tolist() == want_bad.tolist()
+
+
+def test_the_stack_bound_leaves_a_stack_it_cannot_certify_to_the_per_row_rule(monkeypatch):
+    calls, certified = [], linalg._certified
+    monkeypatch.setattr(linalg, "_certified",
+                        lambda a, inv: calls.append(len(a)) or certified(a, inv))
+    rng = np.random.default_rng(37)
+    a = rng.normal(size=(3, 3, 3)) + 3.0 * np.eye(3)
+    linalg.inverse(a)
+    assert calls == []  # the bound on the stack certifies every row
+    # each row certifies itself, the stack's largest |a| and |a^-1| do not
+    a[1] *= 1e8
+    a[2] *= 1e-8
+    linalg.inverse(a)
+    assert calls == [3]
+    a[0] = 0.0  # so does a stack with a singular row
+    assert linalg.inverse_rows(a)[1].tolist() == [True, False, False]
+    assert calls == [3, 3]
 
 
 def test_inverse_rows_flag_a_degenerate_fiber_metric_in_the_middle():

@@ -70,13 +70,35 @@ def test_repeat_census_finds_no_repeated_batch_on_the_bundle_builtins(name):
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].split() == ["check", "field", "calls", "repeats", "repeat", "ms"]
-    assert len(lines) == 3 and lines[1].startswith("total repeats 0 in "), out.stdout
+    assert lines[1].startswith("total repeats 0 in "), out.stdout
     # prop41 and tm_statistical read the suite's batch; prop42 evaluates its own stack
     assert lines[2] == "frame builds 2"
+    assert lines[3].split() == MEMO_HEADER  # then the build sites
 
 
 def test_repeat_census_counts_one_frame_build_per_stack():
     # the suite's points, read by every frame check; projectable's fibers
     out = run_script("scripts/repeat_census.py", "hyperbolic:3", "16")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "frame builds 2"
+    assert [line for line in out.stdout.splitlines() if line.startswith("frame builds")] == [
+        "frame builds 2"]
+
+
+MEMO_HEADER = ["build", "site", "stacks", "lookups", "hits"]
+
+
+@pytest.mark.parametrize("name, sites", [
+    # integration opens no memo: its 100 steps look nothing up
+    ("hyperbolic:3", {"_frames": [2, 8, 0], "_probe_rows": [2, 8, 0], "_run_kernel": [4, 8, 1],
+                      "fiber_points": [1, 0, 0], "integrate_geodesic": [100, 0, 0]}),
+    # the lifts of one build read the base fields again: the kernels, the
+    # probes and the frame build each hit
+    ("tangent_bundle_of:hyperbolic:2",
+     {"_frames": [1, 7, 3], "_probe_rows": [2, 16, 2], "_run_kernel": [5, 48, 19]}),
+])
+def test_repeat_census_counts_memo_lookups_and_hits_per_build_site(name, sites):
+    out = run_script("scripts/repeat_census.py", name, "16", "0")
+    assert out.returncode == 0, out.stderr
+    lines = [line.split() for line in out.stdout.splitlines()]
+    rows = lines[lines.index(MEMO_HEADER) + 1:]
+    assert {site: [int(v) for v in counts] for site, *counts in rows} == sites

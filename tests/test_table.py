@@ -5,7 +5,10 @@ import functools
 import pathlib
 import re
 
+import pytest
+
 from subgeo import geodesics, geometry, results, runner, submersion, tangent_bundle
+from subgeo.config import parse_config
 
 SRC = pathlib.Path(runner.__file__).parent
 VERDICT_CALL = re.compile(r"\.(summarize|biconditional|result)\(")
@@ -36,3 +39,27 @@ def test_no_check_function_lives_outside_the_table():
         names = [n for n in vars(module) if n.startswith(("check_", "sweep_"))
                  or n.endswith("_check")]
         assert names == [], module.__name__
+
+
+@pytest.mark.parametrize("name", ["hyperbolic:3", "tangent_bundle_of:hyperbolic:2"])
+def test_every_check_that_reads_no_frame_batch_runs_before_the_batch_is_built(name, monkeypatch):
+    # so the suite never holds its frame batch while another check builds
+    # its own arrays; the report still lists its rows in sorted order
+    events = []  # each check's name once it has run; None at each frames() call
+    run_check, frames = runner.run_check, runner.RunContext.frames
+
+    def recording_check(check, *args):
+        result = run_check(check, *args)
+        events.append(check)
+        return result
+
+    monkeypatch.setattr(runner, "run_check", recording_check)
+    monkeypatch.setattr(runner.RunContext, "frames",
+                        lambda ctx: events.append(None) or frames(ctx))
+    cfg = parse_config({"builtin": name, "sampling": {"count": 16, "seed": 0}}, source="<test>")
+    report = runner.run_suite(cfg)
+    names = [row["name"] for row in report["checks"]]
+    assert names == sorted(names) and sorted(filter(None, events)) == names
+    first = events.index(None)
+    framed = {n for n in names if runner.CHECK_TABLE[n].stack in ("frames", "tangent frames")}
+    assert framed and set(events[:first]) == set(names) - framed

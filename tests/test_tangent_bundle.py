@@ -6,6 +6,7 @@ dimensional base before the frame-rule machinery takes over.
 """
 
 import collections
+import functools
 import inspect
 import re
 from unittest import mock
@@ -470,11 +471,13 @@ def test_a_build_that_raises_leaves_no_shared_batch():
         assert fields._MEMO.get()
         raise EvalDomain("after a batch", point=points[0])
 
-    arrays, errors = build_rows(failing, x)  # the stack, then each row alone
+    # a sharing build, as the check kernels and frame builds pass to build_rows
+    arrays, errors = build_rows(functools.partial(fields.shared, failing), x)  # then each row
     assert arrays == {} and sorted(errors) == [0, 1, 2, 3]
     assert fields._MEMO.get() is None
     with pytest.raises(ZeroDivisionError):  # not an incident: propagates
-        build_rows(lambda points: (bundle.sasaki_metric.batch(points, 0), 1 / 0), x)
+        build_rows(functools.partial(
+            fields.shared, lambda points: (bundle.sasaki_metric.batch(points, 0), 1 / 0)), x)
     assert fields._MEMO.get() is None
 
     def writing(points):
@@ -482,7 +485,7 @@ def test_a_build_that_raises_leaves_no_shared_batch():
 
     # a shared part is read-only, so a caller writing into it fails loudly
     with pytest.raises(ValueError, match="read-only"):
-        build_rows(writing, x)
+        build_rows(functools.partial(fields.shared, writing), x)
     assert bundle.sasaki_metric.batch(x, 0)[0].flags.writeable  # outside a build: its own
 
 
@@ -496,12 +499,12 @@ def test_a_nested_build_shares_the_outer_build_and_each_row_rebuild_starts_empty
 
     def outer(points):
         memos.append(("outer", fields._MEMO.get()))
-        built, _ = build_rows(inner, points)
+        built, _ = build_rows(functools.partial(fields.shared, inner), points)
         if len(points) > 1:
             raise EvalDomain("the stack fails", point=points[0])
         return built
 
-    arrays, errors = build_rows(outer, x)
+    arrays, errors = build_rows(functools.partial(fields.shared, outer), x)
     assert not errors and np.array_equal(arrays["x"], x)
     # the stack, then three rows: each outer attempt with the inner one in it
     assert [kind for kind, _ in memos] == ["outer", "inner"] * 4
